@@ -39,13 +39,16 @@ def _k_list(text):
     return values
 
 
-def _add_run_flags(p):
-    p.add_argument("--k", type=int, required=True, help="neighbor count")
+def _add_run_flags(p, k_type, k_help):
+    p.add_argument("--k", type=k_type, required=True, help=k_help)
     p.add_argument("--m", type=int, default=2, help="embedding dimension")
     p.add_argument("--dim-w", type=int, default=2, help="local subspace dimension")
     p.add_argument("--delta-theta", type=float, default=5.0, help="angle window half-width, degrees")
     p.add_argument(
-        "--shortest-path", choices=["floyd", "dijkstra"], default="floyd", help="all-pairs algorithm"
+        "--shortest-path",
+        choices=["floyd", "dijkstra"],
+        default="floyd",
+        help="all-pairs algorithm: floyd (the default) or dijkstra (slower; a cross-check)",
     )
 
 
@@ -71,7 +74,7 @@ def build_parser():
     e = sub.add_parser("embed", help="embed a dataset and write coordinates")
     _add_input_flags(e)
     e.add_argument("--method", choices=["standard", "stable"], default="stable")
-    _add_run_flags(e)
+    _add_run_flags(e, int, "neighbor count")
     e.add_argument("--out", default="-", help="embedding CSV path, - for stdout")
     e.add_argument("--svg", help="optional scatter plot path")
     e.set_defaults(func=_cmd_embed)
@@ -79,11 +82,7 @@ def build_parser():
     c = sub.add_parser("compare", help="residual-variance sweep over k for both methods")
     _add_input_flags(c)
     c.add_argument("--method", choices=["standard", "stable", "both"], default="both")
-    c.add_argument("--k", type=_k_list, required=True, help="comma-separated k values")
-    c.add_argument("--m", type=int, default=2)
-    c.add_argument("--dim-w", type=int, default=2)
-    c.add_argument("--delta-theta", type=float, default=5.0)
-    c.add_argument("--shortest-path", choices=["floyd", "dijkstra"], default="floyd")
+    _add_run_flags(c, _k_list, "comma-separated k values")
     c.add_argument("--out", default="-", help="report CSV path, - for stdout")
     c.set_defaults(func=_cmd_compare)
 

@@ -109,8 +109,8 @@ class NeighborGraph:
             raise ValueError("edges and weights must have equal length")
         if e.size and (np.any(e[:, 0] >= e[:, 1]) or np.any(e < 0) or np.any(e >= self.n)):
             raise ValueError("edges must satisfy 0 <= i < j < n")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
+        if not np.all(w >= 0.0):
+            raise ValueError("weights must be non-negative numbers (NaN is rejected)")
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "weights", w)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from topostable import __version__
-from topostable.cli import main
+from topostable.cli import build_parser, main
 
 from test_datasets import write_idx_images, write_idx_labels
 
@@ -37,6 +37,35 @@ class TestUsageErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
+
+
+class TestRunFlags:
+    """embed and compare share --m, --dim-w, --delta-theta and --shortest-path."""
+
+    FLAGS = ("m", "dim_w", "delta_theta", "shortest_path")
+
+    def parsed(self, command, extra):
+        args = build_parser().parse_args([command, "--in", "x.csv", "--k", "5", *extra])
+        return {f: getattr(args, f) for f in self.FLAGS}
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ([], {"m": 2, "dim_w": 2, "delta_theta": 5.0, "shortest_path": "floyd"}),
+            (
+                ["--m", "3", "--dim-w", "1", "--delta-theta", "7.5", "--shortest-path", "dijkstra"],
+                {"m": 3, "dim_w": 1, "delta_theta": 7.5, "shortest_path": "dijkstra"},
+            ),
+        ],
+    )
+    def test_same_values_in_both_subcommands(self, extra, expected):
+        assert self.parsed("embed", extra) == self.parsed("compare", extra) == expected
+
+    @pytest.mark.parametrize("command", ["embed", "compare"])
+    def test_unknown_shortest_path_rejected(self, capsys, command):
+        code, _, err = run(capsys, [command, "--in", "x.csv", "--k", "5", "--shortest-path", "bfs"])
+        assert code == 1
+        assert "invalid choice" in err
 
 
 class TestVersion:

@@ -12,6 +12,7 @@ from topostable import (
     dijkstra_all_pairs,
     double_center,
     floyd_all_pairs,
+    gen_swiss_roll,
     largest_component,
     residual_variance,
 )
@@ -30,6 +31,58 @@ def random_graph(rng, n, p):
     edges = np.column_stack([iu[0][mask], iu[1][mask]])
     weights = rng.uniform(0.1, 1.0, mask.sum())
     return graph_from_edges(n, np.column_stack([edges, weights]))
+
+
+def path_graph(rng, n):
+    """0 - 1 - ... - n-1: column k reaches one row more at each step."""
+    return graph_from_edges(n, [(i, i + 1, w) for i, w in enumerate(rng.uniform(0.1, 1.0, n - 1))])
+
+
+def blocks_graph(rng, sizes, p):
+    """Disjoint connected random blocks, their points interleaved by a
+    random permutation of the indices."""
+    n = sum(sizes)
+    label = rng.permutation(n)
+    edge_list, lo = [], 0
+    for size in sizes:
+        block = label[lo:lo + size]
+        for a in range(size):
+            for b in range(a + 1, size):
+                if b == a + 1 or rng.uniform() < p:
+                    i, j = sorted((int(block[a]), int(block[b])))
+                    edge_list.append((i, j, rng.uniform(0.1, 1.0)))
+        lo += size
+    edge_list.sort()
+    return graph_from_edges(n, edge_list)
+
+
+def floyd_reference(g):
+    """The plain Floyd-Warshall recurrence: one full-matrix update per k."""
+    d = g.to_dense_weights()
+    for k in range(g.n):
+        np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
+    return d
+
+
+# name -> (graph builder, expected number of components or None)
+ORACLE_GRAPHS = {
+    "random-connected-n80": (lambda rng: random_graph(rng, 80, 0.3), 1),
+    # every component holds fewer than half the points, so no step ever
+    # has half the rows reaching k; 70 rows also span two row chunks
+    "random-disconnected-blocks": (lambda rng: blocks_graph(rng, (70, 66, 5), 0.1), 3),
+    "random-sparse-n100": (lambda rng: random_graph(rng, 100, 0.02), None),
+    "path-n150": (lambda rng: path_graph(rng, 150), 1),
+    "n1": (lambda rng: random_graph(rng, 1, 0.5), 1),
+    "n2": (lambda rng: random_graph(rng, 2, 1.0), 1),
+    "n63": (lambda rng: random_graph(rng, 63, 0.08), None),
+    "n64": (lambda rng: random_graph(rng, 64, 0.08), None),
+    "n65": (lambda rng: random_graph(rng, 65, 0.08), None),
+    "n130": (lambda rng: random_graph(rng, 130, 0.04), None),
+    "swissroll-stable-n300": (
+        lambda rng: build_graph(gen_swiss_roll(300, 1).data, SelectorConfig(k=10), "stable"),
+        None,
+    ),
+}
 
 
 @pytest.mark.parametrize("apsp", [floyd_all_pairs, dijkstra_all_pairs])
@@ -78,6 +131,16 @@ class TestFloydDijkstraAgreement:
             if finite.any():
                 assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
 
+    def test_fixed_sizes_and_densities(self):
+        rng = np.random.default_rng(2)
+        for n, p in ((20, 0.3), (40, 0.15)):
+            g = random_graph(rng, n, p)
+            df = floyd_all_pairs(g).d
+            dd = dijkstra_all_pairs(g).d
+            finite = np.isfinite(df)
+            assert np.array_equal(finite, np.isfinite(dd))
+            assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
+
     def test_matrix_invariants(self):
         rng = np.random.default_rng(3)
         g = random_graph(rng, 40, 0.15)
@@ -89,6 +152,21 @@ class TestFloydDijkstraAgreement:
             i, j, k = rng.integers(0, 40, size=3)
             if finite[i, j] and finite[i, k] and finite[k, j]:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
+
+
+class TestFloydOracle:
+    """floyd_all_pairs must equal the plain recurrence entry for entry."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_equals_plain_recurrence(self, name):
+        build, components = ORACLE_GRAPHS[name]
+        g = build(np.random.default_rng(7))
+        gm = floyd_all_pairs(g)
+        if components is not None:
+            assert int(gm.component_ids.max()) + 1 == components
+        assert np.array_equal(gm.d, floyd_reference(g))
+        assert np.array_equal(gm.d, gm.d.T)
+        assert np.all(np.diag(gm.d) == 0.0)
 
 
 class TestLargestComponent:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topostable import DataSet, SelectorConfig, build_graph, knn_lists, select_neighbors_stable
+from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, knn_lists, select_neighbors_stable
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 
 from conftest import cross_plane_edges
@@ -242,3 +242,10 @@ class TestBuildGraph:
         g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
         assert g.has_edge(0, 1) and g.has_edge(1, 0)
         assert not g.has_edge(0, 2)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_rejects_negative_or_nan_weight(self, bad):
+        # the Floyd kernel skips rows with d[i, k] = inf, which is exact
+        # only when no weight is NaN
+        with pytest.raises(ValueError, match="non-negative"):
+            NeighborGraph(n=3, edges=[[0, 1], [1, 2]], weights=[1.0, bad])
