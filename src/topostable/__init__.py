@@ -38,7 +38,6 @@ from .graph import (
 )
 from .linalg import (
     EigenPairs,
-    SubspaceFrame,
     angle_deg,
     gram_schmidt_pair,
     pearson_r,
@@ -76,7 +75,6 @@ __all__ = [
     "classical_mds",
     "residual_variance",
     "EigenPairs",
-    "SubspaceFrame",
     "gram_schmidt_pair",
     "residual_vector",
     "angle_deg",

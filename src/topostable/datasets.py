@@ -93,7 +93,10 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
     Pixels are scaled to [0, 1]. A companion label file (magic 2049) fills
     labels. take_first keeps the first n images; with sample_random=True it
     instead keeps a seeded uniform subset (original order preserved).
+    Raises BadCountError when take_first is below 1.
     """
+    if take_first is not None and take_first < 1:
+        raise BadCountError(f"take_first must be at least 1, got {take_first}")
     raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise TruncatedFileError(f"{path}: shorter than the 16-byte IDX image header")

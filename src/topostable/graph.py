@@ -5,6 +5,11 @@ topology-aware rule that keeps a far candidate only when its offset is close
 to orthogonal (90 degrees within a window) to a vector from the orthogonal
 complement of the local subspace spanned by the nearest neighbors. The
 filter suppresses "bridge" edges between nearby manifold folds.
+
+Both rules start from the same (n, k) kNN table. The stable rule turns it
+into a keep-mask, one row per point, using linalg's projection step for the
+local basis and the complement vector; either way the graph is the union of
+the kept (point, candidate) pairs.
 """
 
 from dataclasses import dataclass
@@ -12,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
-from .linalg import TOL_RANK, SubspaceFrame, residual_vector
+from .linalg import _project_out
 
 __all__ = [
     "DataSet",
@@ -70,7 +75,6 @@ class SelectorConfig:
     k: int
     dim_w: int = 2
     delta_theta_deg: float = 5.0
-    tol_rank: float = TOL_RANK
 
     def check(self, data, stable=True):
         """Validate against a dataset. Angle-filter fields are only
@@ -86,8 +90,6 @@ class SelectorConfig:
                 raise ValueError("delta_theta_deg must lie strictly between 0 and 90")
             if self.dim_w >= data.dim:
                 raise ValueError("dim_w must be smaller than the ambient dimension")
-            if self.tol_rank <= 0.0:
-                raise ValueError("tol_rank must be positive")
 
 
 @dataclass(frozen=True)
@@ -154,12 +156,16 @@ def _pairwise_sq(points):
     return d2
 
 
-def _knn_from_sq(d2, k):
-    n = d2.shape[0]
+def _knn_table(data, k):
+    """Squared distances and the (n, k) kNN table (ascending distance, ties
+    by index). Raises KTooLargeError when k >= n."""
+    if k >= data.n:
+        raise KTooLargeError(f"k={k} but only {data.n} points are available")
+    d2 = _pairwise_sq(data.points)
     np.fill_diagonal(d2, -1.0)  # self sorts first, dropped below
     order = np.argsort(d2, axis=1, kind="stable")
     np.fill_diagonal(d2, 0.0)
-    return order[:, 1 : k + 1]
+    return d2, order[:, 1 : k + 1]
 
 
 def knn_lists(data, k):
@@ -170,9 +176,7 @@ def knn_lists(data, k):
     """
     if k < 1:
         raise ValueError("k must be positive")
-    if k >= data.n:
-        raise KTooLargeError(f"k={k} but only {data.n} points are available")
-    return _knn_from_sq(_pairwise_sq(data.points), k)
+    return _knn_table(data, k)[1]
 
 
 def _stable_select(points, p, nbrs, d2_row, cfg):
@@ -180,7 +184,7 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
 
     nbrs: ascending-distance candidate indices for p. d2_row: squared
     distances from p to all points (used to pick the far probe point).
-    Returns the kept candidate indices, still in ascending-distance order.
+    Returns a boolean keep-mask over nbrs.
     """
     x_p = points[p]
     diffs = points[nbrs] - x_p
@@ -190,13 +194,9 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     # Basis of the local subspace: walk candidates in distance order and
     # keep dim_w offsets that survive Gram-Schmidt against those already kept.
     basis = []
-    for idx in range(len(nbrs)):
-        if coincident[idx]:
-            continue
-        r = diffs[idx].copy()
-        for b in basis:
-            r -= (np.dot(r, b) / np.dot(b, b)) * b
-        if np.linalg.norm(r) > cfg.tol_rank * norms[idx]:
+    for idx in np.flatnonzero(~coincident):
+        r = _project_out(diffs[idx], basis)
+        if r is not None:
             basis.append(r)
             if len(basis) == cfg.dim_w:
                 break
@@ -210,18 +210,14 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     in_hood = np.zeros(len(d2_row), dtype=bool)
     in_hood[p] = True
     in_hood[nbrs] = True
-    v3 = None
+    w_perp = None
     for q in np.argsort(-d2_row, kind="stable"):
-        if in_hood[q]:
-            continue
-        try:
-            v3 = residual_vector(points[q], x_p, basis, cfg.tol_rank)
-            break
-        except DegenerateComplementError:
-            continue
-    if v3 is None:
+        if not in_hood[q]:
+            w_perp = _project_out(points[q] - x_p, basis)
+            if w_perp is not None:
+                break
+    if w_perp is None:
         raise DegenerateComplementError("no probe point outside the neighborhood spans the complement")
-    frame = SubspaceFrame(base_point=x_p, w_basis=tuple(basis), w_perp=v3, dim_w=cfg.dim_w)
 
     # The dim_w nearest (and any duplicates) stay unconditionally; farther
     # candidates must fall inside the 90 +- delta_theta window against the
@@ -230,18 +226,18 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     keep[: cfg.dim_w] = True
     rest = np.flatnonzero(~keep)
     if rest.size:
-        cosines = diffs[rest] @ frame.w_perp / (norms[rest] * np.linalg.norm(frame.w_perp))
+        cosines = diffs[rest] @ w_perp / (norms[rest] * np.linalg.norm(w_perp))
         theta = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
         keep[rest[np.abs(theta - 90.0) <= cfg.delta_theta_deg]] = True
-    return [int(j) for j in nbrs[keep]]
+    return keep
 
 
 def select_neighbors_stable(data, p, cfg):
     """Neighbor set for point p under the angle-filtered rule."""
     cfg.check(data, stable=True)
-    d2 = _pairwise_sq(data.points)
-    nbrs = _knn_from_sq(d2, cfg.k)[p]
-    return _stable_select(data.points, p, nbrs, d2[p], cfg)
+    d2, nn = _knn_table(data, cfg.k)
+    keep = _stable_select(data.points, p, nn[p], d2[p], cfg)
+    return [int(j) for j in nn[p][keep]]
 
 
 def build_graph(data, cfg, method="standard"):
@@ -254,30 +250,23 @@ def build_graph(data, cfg, method="standard"):
     if method not in ("standard", "stable"):
         raise ValueError(f"unknown method {method!r}")
     cfg.check(data, stable=method == "stable")
-    if cfg.k >= data.n:
-        raise KTooLargeError(f"k={cfg.k} but only {data.n} points are available")
+    d2, nn = _knn_table(data, cfg.k)
     points = data.points
-    d2 = _pairwise_sq(points)
-    nn = _knn_from_sq(d2, cfg.k)
+    n = data.n
 
-    pairs = set()
-    if method == "standard":
-        for p in range(data.n):
-            for j in nn[p]:
-                pairs.add((p, j) if p < j else (j, p))
-    else:
-        for p in range(data.n):
+    keep = np.ones(nn.shape, dtype=bool)
+    if method == "stable":
+        for p in range(n):
             try:
-                selected = _stable_select(points, p, nn[p], d2[p], cfg)
+                keep[p] = _stable_select(points, p, nn[p], d2[p], cfg)
             except (DegenerateBasisError, DegenerateComplementError) as exc:
                 raise type(exc)(f"point {p}: {exc}") from exc
-            for j in selected:
-                pairs.add((p, j) if p < j else (j, p))
 
-    if pairs:
-        edges = np.array(sorted(pairs), dtype=np.int64)
-        weights = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
-    else:
-        edges = np.zeros((0, 2), dtype=np.int64)
-        weights = np.zeros(0)
-    return NeighborGraph(n=data.n, edges=edges, weights=weights)
+    # Union of the kept (p, nn[p, c]) pairs: one key per unordered pair, and
+    # ascending keys are the edges in lexicographic (i, j) order.
+    rows, pos = np.nonzero(keep)
+    cols = nn[rows, pos]
+    keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
+    edges = np.column_stack([keys // n, keys % n])
+    weights = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    return NeighborGraph(n=n, edges=edges, weights=weights)

@@ -1,8 +1,9 @@
 """Deterministic linear-algebra primitives.
 
-Gram-Schmidt orthogonalization, orthogonal-complement residuals, angles,
-symmetric eigendecomposition, and Pearson correlation. Everything here is a
-pure function of its inputs.
+Gram-Schmidt orthogonalization and orthogonal-complement residuals, both
+built on one projection step (``_project_out``) that the stable neighbor
+selector runs too; angles, symmetric eigendecomposition, and Pearson
+correlation. Everything here is a pure function of its inputs.
 """
 
 from dataclasses import dataclass
@@ -32,45 +33,54 @@ def _vec(x):
     return v
 
 
-def gram_schmidt_pair(x_p, x_n1, x_n2, tol_rank=TOL_RANK):
+def _project_out(d, basis):
+    """Component of d orthogonal to every vector in the pairwise-orthogonal
+    ``basis``, or None when it is numerically zero (norm <= TOL_RANK * |d|).
+
+    The one projection step shared by gram_schmidt_pair, residual_vector and
+    the stable selector; it does not validate its inputs.
+    """
+    r = d.copy()
+    for b in basis:
+        r -= (np.dot(r, b) / np.dot(b, b)) * b
+    if np.linalg.norm(r) <= TOL_RANK * np.linalg.norm(d):
+        return None
+    return r
+
+
+def gram_schmidt_pair(x_p, x_n1, x_n2):
     """Orthogonal pair spanning the plane of two neighbor offsets.
 
     v1 is the offset to the first neighbor; v2 is the second offset with its
     v1 component projected out.
 
     Raises DegenerateBasisError when the offsets are collinear within
-    ``tol_rank`` (relative), or when either neighbor coincides with x_p; the
+    TOL_RANK (relative), or when either neighbor coincides with x_p; the
     caller should substitute the next neighbor.
     """
     x_p, x_n1, x_n2 = _vec(x_p), _vec(x_n1), _vec(x_n2)
     v1 = x_n1 - x_p
-    n1 = np.linalg.norm(v1)
-    if n1 == 0.0:
+    if np.linalg.norm(v1) == 0.0:
         raise DegenerateBasisError("first neighbor coincides with base point")
     u = x_n2 - x_p
-    nu = np.linalg.norm(u)
-    if nu == 0.0:
+    if np.linalg.norm(u) == 0.0:
         raise DegenerateBasisError("second neighbor coincides with base point")
-    v2 = u - (np.dot(u, v1) / np.dot(v1, v1)) * v1
-    if np.linalg.norm(v2) <= tol_rank * nu:
+    v2 = _project_out(u, [v1])
+    if v2 is None:
         raise DegenerateBasisError("neighbor offsets are collinear")
     return v1, v2
 
 
-def residual_vector(x_q, x_p, basis, tol_rank=TOL_RANK):
+def residual_vector(x_q, x_p, basis):
     """Component of (x_q - x_p) orthogonal to every vector in ``basis``.
 
     ``basis`` must be pairwise orthogonal (e.g. from repeated
     gram_schmidt_pair steps). Raises DegenerateComplementError when the
-    residual is numerically zero, i.e. x_q lies inside the spanned subspace.
+    residual is numerically zero (relative to TOL_RANK), i.e. x_q lies
+    inside the spanned subspace.
     """
-    x_q, x_p = _vec(x_q), _vec(x_p)
-    d = x_q - x_p
-    r = d.copy()
-    for b in basis:
-        b = _vec(b)
-        r -= (np.dot(r, b) / np.dot(b, b)) * b
-    if np.linalg.norm(r) <= tol_rank * np.linalg.norm(d):
+    r = _project_out(_vec(x_q) - _vec(x_p), [_vec(b) for b in basis])
+    if r is None:
         raise DegenerateComplementError("probe point lies in the spanned subspace")
     return r
 
@@ -83,39 +93,6 @@ def angle_deg(u, v):
         raise ZeroVectorError("angle undefined for a zero vector")
     c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
     return float(np.degrees(np.arccos(c)))
-
-
-@dataclass(frozen=True)
-class SubspaceFrame:
-    """Local subspace at a base point: an orthogonal basis plus one vector
-    of the orthogonal complement.
-
-    Built per point by the stable neighbor selector (basis from
-    gram_schmidt_pair steps, complement vector from residual_vector).
-    """
-
-    base_point: np.ndarray
-    w_basis: tuple  # dim_w orthogonal vectors spanning the local subspace
-    w_perp: np.ndarray
-    dim_w: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "base_point", _vec(self.base_point))
-        basis = tuple(_vec(b) for b in self.w_basis)
-        object.__setattr__(self, "w_basis", basis)
-        object.__setattr__(self, "w_perp", _vec(self.w_perp))
-        if self.dim_w != len(basis) or not 1 <= self.dim_w < self.base_point.size:
-            raise ValueError("dim_w must equal len(w_basis) and satisfy 1 <= dim_w < D")
-        norms = [np.linalg.norm(b) for b in basis]
-        np_perp = np.linalg.norm(self.w_perp)
-        if np_perp == 0.0 or any(n == 0.0 for n in norms):
-            raise ValueError("frame vectors must have positive norm")
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                if abs(np.dot(basis[i], basis[j])) > 1e-10 * norms[i] * norms[j]:
-                    raise ValueError("w_basis vectors must be pairwise orthogonal")
-            if abs(np.dot(basis[i], self.w_perp)) > 1e-8 * norms[i] * np_perp:
-                raise ValueError("w_perp must be orthogonal to every basis vector")
 
 
 @dataclass(frozen=True)

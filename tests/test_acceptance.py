@@ -45,14 +45,6 @@ def report(num, slug, ok, detail="", status=None):
     print(line)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile/load the jit kernels outside any timed region
-    g = NeighborGraph(n=3, edges=np.array([[0, 1], [1, 2]]), weights=np.array([1.0, 1.0]))
-    floyd_all_pairs(g)
-    dijkstra_all_pairs(g)
-
-
 def test_criterion_1_bridge_rejection(bridge_fixture):
     data, side = bridge_fixture
     cfg = SelectorConfig(k=8, dim_w=2, delta_theta_deg=5.0)

@@ -1,3 +1,4 @@
+import os
 import struct
 import subprocess
 import sys
@@ -164,6 +165,14 @@ class TestEmbed:
         labels = {int(line.split(",")[1]) for line in lines[1:]}
         assert labels <= set(range(5))
 
+    @pytest.mark.parametrize("extra", [["--take-first", "0"], ["--take-first", "-3", "--sample-random"]])
+    def test_take_first_below_one_is_data_error(self, capsys, tmp_path, extra):
+        pi = tmp_path / "i.idx"
+        write_idx_images(pi, np.zeros((20, 3, 3), dtype=np.uint8))
+        code, _, err = run(capsys, ["embed", "--in", str(pi), "--k", "5", *extra])
+        assert code == 2
+        assert f"take_first must be at least 1, got {extra[1]}" in err
+
 
 class TestCompare:
     def test_sweep_row_count(self, capsys, tmp_path):
@@ -190,10 +199,13 @@ class TestCompare:
 
 
 def test_module_entry_point():
+    # the child gets the suite's import path, however the suite found the
+    # package (install, PYTHONPATH or pytest's pythonpath setting)
     proc = subprocess.run(
         [sys.executable, "-m", "topostable", "version"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__

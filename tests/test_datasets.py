@@ -174,6 +174,14 @@ class TestLoadIdx:
         assert np.array_equal(data.labels, [0, 1, 2])
         assert np.array_equal(data.points, images.reshape(5, 4)[:3] / 255.0)
 
+    @pytest.mark.parametrize("sample_random", [False, True])
+    @pytest.mark.parametrize("take_first", [0, -3])
+    def test_take_first_below_one_rejected(self, tmp_path, take_first, sample_random):
+        pi = tmp_path / "i.idx"
+        write_idx_images(pi, np.zeros((5, 2, 2), dtype=np.uint8))
+        with pytest.raises(BadCountError, match=f"got {take_first}$"):
+            load_idx(pi, take_first=take_first, sample_random=sample_random)
+
     def test_random_subset_deterministic_and_ordered(self, tmp_path):
         images = np.arange(10 * 4, dtype=np.uint8).reshape(10, 2, 2)
         pi = tmp_path / "i.idx"

@@ -1,10 +1,28 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, knn_lists, select_neighbors_stable
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 
 from conftest import cross_plane_edges
+
+
+# Deterministic example sets, small enough to keep the suite fast.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+seeds = st.integers(0, 2**32 - 1)
+methods = st.sampled_from(["standard", "stable"])
+
+
+def gaussian_points(seed, n, dim=3):
+    """Gaussian points, in general position with probability one: no
+    distance ties and no four points on a plane."""
+    return np.random.default_rng(seed).normal(size=(n, dim))
+
+
+def edge_weights(graph):
+    return {(int(i), int(j)): w for (i, j), w in zip(graph.edges, graph.weights)}
 
 
 def line_points_2d():
@@ -199,33 +217,84 @@ class TestBuildGraph:
             d = np.linalg.norm(data.points[g.edges[:, 0]] - data.points[g.edges[:, 1]], axis=1)
             assert np.max(np.abs(d - g.weights)) <= 1e-12
 
-    def test_stable_edges_subset_of_standard(self):
-        rng = np.random.default_rng(22)
-        for seed in range(4):
-            data = DataSet(np.random.default_rng(seed).normal(size=(50, 3)))
-            cfg = SelectorConfig(k=8)
-            std = set(map(tuple, build_graph(data, cfg, "standard").edges.tolist()))
-            stb = set(map(tuple, build_graph(data, cfg, "stable").edges.tolist()))
-            assert stb <= std
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 60), dim=st.integers(3, 5), k=st.integers(3, 10))
+    def test_stable_edges_subset_of_standard(self, seed, n, dim, k):
+        data = DataSet(gaussian_points(seed, n, dim))
+        cfg = SelectorConfig(k=k)
+        std = edge_weights(build_graph(data, cfg, "standard"))
+        stb = edge_weights(build_graph(data, cfg, "stable"))
+        assert stb.keys() <= std.keys()
 
-    def test_wide_window_matches_standard(self):
-        data = DataSet(np.random.default_rng(23).normal(size=(50, 3)))
-        cfg = SelectorConfig(k=8, delta_theta_deg=89.999)
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 60), k=st.integers(3, 10))
+    def test_wide_window_matches_standard(self, seed, n, k):
+        data = DataSet(gaussian_points(seed, n))
+        cfg = SelectorConfig(k=k, delta_theta_deg=89.999)
         std = build_graph(data, cfg, "standard")
         stb = build_graph(data, cfg, "stable")
         assert np.array_equal(std.edges, stb.edges)
         assert np.array_equal(std.weights, stb.weights)
 
-    def test_rigid_motion_leaves_edges_unchanged(self):
-        rng = np.random.default_rng(24)
-        pts = rng.normal(size=(45, 3))
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 60), method=methods)
+    def test_rigid_motion_leaves_edges_unchanged(self, seed, n, method):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
         q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
-        moved = pts @ q.T + np.array([10.0, -3.0, 0.5])
+        moved = pts @ q.T + rng.uniform(-10.0, 10.0, size=3)
         cfg = SelectorConfig(k=6)
-        for method in ("standard", "stable"):
-            e0 = build_graph(DataSet(pts), cfg, method).edges
-            e1 = build_graph(DataSet(moved), cfg, method).edges
-            assert np.array_equal(e0, e1)
+        e0 = build_graph(DataSet(pts), cfg, method).edges
+        e1 = build_graph(DataSet(moved), cfg, method).edges
+        assert np.array_equal(e0, e1)
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 60), method=methods)
+    def test_permutation_permutes_edges(self, seed, n, method):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, 3))
+        perm = rng.permutation(n)
+        cfg = SelectorConfig(k=6)
+        g0 = build_graph(DataSet(pts), cfg, method)
+        g1 = build_graph(DataSet(pts[perm]), cfg, method)
+        # original point perm[a] is point a of the permuted set
+        new_index = np.argsort(perm)
+        expected = {}
+        for (i, j), w in edge_weights(g0).items():
+            a, b = sorted((int(new_index[i]), int(new_index[j])))
+            expected[(a, b)] = w
+        assert edge_weights(g1) == expected
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 60), exponent=st.integers(-20, 20), method=methods)
+    def test_power_of_two_scaling_leaves_edges_unchanged(self, seed, n, exponent, method):
+        # scaling by 2**e is exact, so every distance, projection and angle
+        # scales (or stays) exactly
+        pts = gaussian_points(seed, n)
+        scale = 2.0**exponent
+        cfg = SelectorConfig(k=6)
+        g0 = build_graph(DataSet(pts), cfg, method)
+        g1 = build_graph(DataSet(pts * scale), cfg, method)
+        assert np.array_equal(g0.edges, g1.edges)
+        assert np.array_equal(g0.weights * scale, g1.weights)
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 40), dups=st.integers(0, 4), k=st.integers(3, 8), method=methods)
+    def test_edges_equal_pointwise_union(self, seed, n, dups, k, method):
+        # oracle: union of the per-point neighbor lists, built with a set.
+        # Duplicated rows add distance ties and coincident candidates; a
+        # duplicated pair can fill two candidate slots with one direction,
+        # so k grows by 2 per pair to leave dim_w independent offsets.
+        pts = gaussian_points(seed, n)
+        data = DataSet(np.vstack([pts, pts[:dups]]))
+        cfg = SelectorConfig(k=k + 2 * dups)
+        nn = knn_lists(data, cfg.k)
+        pairs = set()
+        for p in range(data.n):
+            chosen = nn[p] if method == "standard" else select_neighbors_stable(data, p, cfg)
+            pairs.update((min(p, int(j)), max(p, int(j))) for j in chosen)
+        edges = build_graph(data, cfg, method).edges
+        assert list(map(tuple, edges.tolist())) == sorted(pairs)
 
     def test_csr_matches_dense(self):
         data = DataSet(np.random.default_rng(25).normal(size=(30, 3)))

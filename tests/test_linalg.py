@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from topostable import (
-    SubspaceFrame,
     angle_deg,
     gram_schmidt_pair,
     pearson_r,
@@ -75,46 +74,6 @@ class TestResidualVector:
             back = (np.dot(removed, v1) / np.dot(v1, v1)) * v1
             back += (np.dot(removed, v2) / np.dot(v2, v2)) * v2
             assert np.allclose(removed, back, atol=1e-8 * np.linalg.norm(d))
-
-
-class TestSubspaceFrame:
-    def frame_parts(self, seed=0):
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(4, 5))
-        v1, v2 = gram_schmidt_pair(pts[0], pts[1], pts[2])
-        v3 = residual_vector(pts[3], pts[0], [v1, v2])
-        return pts[0], v1, v2, v3
-
-    def test_valid_frame_accepted(self):
-        x_p, v1, v2, v3 = self.frame_parts()
-        frame = SubspaceFrame(base_point=x_p, w_basis=(v1, v2), w_perp=v3, dim_w=2)
-        assert frame.dim_w == 2
-
-    def test_non_orthogonal_basis_rejected(self):
-        x_p, v1, v2, v3 = self.frame_parts()
-        with pytest.raises(ValueError):
-            SubspaceFrame(base_point=x_p, w_basis=(v1, v1 + v2), w_perp=v3, dim_w=2)
-
-    def test_perp_must_be_orthogonal(self):
-        x_p, v1, v2, v3 = self.frame_parts()
-        with pytest.raises(ValueError):
-            SubspaceFrame(base_point=x_p, w_basis=(v1, v2), w_perp=v1, dim_w=2)
-
-    def test_dim_w_must_leave_room_for_complement(self):
-        rng = np.random.default_rng(1)
-        x_p = rng.normal(size=2)
-        with pytest.raises(ValueError):
-            SubspaceFrame(
-                base_point=x_p,
-                w_basis=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
-                w_perp=np.array([1.0, 1.0]),
-                dim_w=2,
-            )
-
-    def test_zero_vector_rejected(self):
-        x_p, v1, v2, v3 = self.frame_parts()
-        with pytest.raises(ValueError):
-            SubspaceFrame(base_point=x_p, w_basis=(v1, np.zeros_like(v1)), w_perp=v3, dim_w=2)
 
 
 class TestAngleDeg:
