@@ -56,7 +56,7 @@ def _add_input_flags(p):
     p.add_argument("--in", dest="infile", required=True, help="input CSV or IDX image file")
     p.add_argument("--labels", help="IDX label file (IDX input only)")
     p.add_argument("--take-first", type=int, help="keep only the first N images (IDX input only)")
-    p.add_argument("--sample-random", action="store_true", help="random subset instead of first N")
+    p.add_argument("--sample-random", action="store_true", help="random subset instead of first N (IDX input only)")
     p.add_argument("--seed", type=int, default=0, help="seed for --sample-random")
 
 
@@ -97,6 +97,10 @@ def _is_idx(path):
     return len(head) == 4 and struct.unpack(">I", head)[0] == IDX_IMAGE_MAGIC
 
 
+class UsageError(Exception):
+    """A flag that does not apply to the given input (exit code 1)."""
+
+
 def _load_input(args):
     if _is_idx(args.infile):
         return load_idx(
@@ -106,6 +110,13 @@ def _load_input(args):
             sample_random=args.sample_random,
             seed=args.seed,
         )
+    for flag, given in (
+        ("--labels", args.labels is not None),
+        ("--take-first", args.take_first is not None),
+        ("--sample-random", args.sample_random),
+    ):
+        if given:
+            raise UsageError(f"{flag} applies to IDX input only, and {args.infile} is not an IDX image file")
     return load_csv(args.infile)
 
 
@@ -193,6 +204,9 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (TopoStableError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,6 +5,12 @@ comes from the top eigenpairs of the doubly-centered negative half
 squared-distance matrix. Floyd-Warshall is the default all-pairs
 algorithm; repeated Dijkstra is the slower cross-check. Both are plain
 numpy and agree within 1e-12.
+
+Past all-pairs shortest paths, each stage holds at most two n x n buffers
+beyond the geodesic matrix and none modifies it: centering fills one new
+buffer in place, the eigensolver computes only the top m pairs
+(linalg.symmetric_eigen_top), and residual variance gathers the upper
+triangles row by row.
 """
 
 from dataclasses import dataclass
@@ -156,13 +162,16 @@ def largest_component(gm, data):
 
     Ties are broken in favor of the component containing the smallest
     point index. Returns (sub_data, sub_gm, kept_indices) where
-    kept_indices maps restricted rows back to original ids.
+    kept_indices maps restricted rows back to original ids. When nothing
+    is dropped, data and gm come back as they are, not copied.
     """
     counts = np.bincount(gm.component_ids)
     keep_id = int(np.argmax(counts))
     kept = np.flatnonzero(gm.component_ids == keep_id)
+    if kept.size == gm.n:
+        return data, gm, kept
     sub = GeodesicMatrix(
-        d=gm.d[np.ix_(kept, kept)].copy(),
+        d=gm.d[np.ix_(kept, kept)],
         component_ids=np.zeros(kept.size, dtype=np.int64),
     )
     return data.subset(kept), sub, kept
@@ -173,15 +182,18 @@ def double_center(s):
 
     Row and column sums of the result are zero (up to round-off). Raises
     NonFiniteError on inf/NaN entries: restrict to one component first.
+    The result is one new buffer, centered in place; s is not modified.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(s)):
         raise NonFiniteError("matrix has non-finite entries")
-    row = s.mean(axis=1, keepdims=True)
-    col = s.mean(axis=0, keepdims=True)
-    return -0.5 * (s - row - col + s.mean())
+    out = s - s.mean(axis=1)[:, None]
+    out -= s.mean(axis=0)[None, :]
+    out += s.mean()
+    out *= -0.5
+    return out
 
 
 def classical_mds(gm, m):
@@ -189,22 +201,19 @@ def classical_mds(gm, m):
 
     Coordinate column j is sqrt(max(lambda_j, 0)) times eigenvector j of
     the doubly-centered matrix; negative-eigenvalue columns collapse to
-    zero (see Embedding.n_clipped).
+    zero (see Embedding.n_clipped). gm.d is left as it is: its squares go
+    to a temporary that double_center turns into one new centered buffer,
+    and only the top m eigenpairs of that are computed
+    (linalg.symmetric_eigen_top).
     """
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
     if not np.all(np.isfinite(gm.d)):
         raise NonFiniteError("geodesic matrix spans multiple components")
-    b = double_center(gm.d**2)
-    eig = symmetric_eigen_top(b, m)
+    eig = symmetric_eigen_top(double_center(np.square(gm.d)), m)
     coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
     return Embedding(coords=coords, eigenvalues=eig.values, m=m)
-
-
-def _pairwise_euclid(coords):
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
 
 
 def residual_variance(gm, emb):
@@ -212,13 +221,25 @@ def residual_variance(gm, emb):
 
     The correlation runs over the strict upper triangles, excluding the
     zero diagonal. 0 means the embedding explains the geodesic structure
-    perfectly (up to uniform scaling).
+    perfectly (up to uniform scaling). Both triangles are gathered row by
+    row, in np.triu_indices order, into two preallocated vectors, and the
+    embedded distances are computed one row at a time: no (n, n, m)
+    difference tensor and no index arrays.
     """
     n = gm.n
     if emb.coords.shape[0] != n:
         raise ValueError("embedding and geodesic matrix cover different point sets")
     if not np.all(np.isfinite(gm.d)):
         raise NonFiniteError("geodesic matrix spans multiple components")
-    iu = np.triu_indices(n, 1)
-    r = pearson_r(gm.d[iu], _pairwise_euclid(emb.coords)[iu])
+    coords = emb.coords
+    geo = np.empty(n * (n - 1) // 2)
+    euclid = np.empty_like(geo)
+    lo = 0
+    for i in range(n - 1):
+        hi = lo + n - 1 - i
+        geo[lo:hi] = gm.d[i, i + 1:]
+        diff = coords[i] - coords[i + 1:]
+        np.sqrt(np.einsum("jk,jk->j", diff, diff), out=euclid[lo:hi])
+        lo = hi
+    r = pearson_r(geo, euclid)
     return max(0.0, 1.0 - r * r)

@@ -205,14 +205,18 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
             f"only {len(basis)} independent offsets among {len(nbrs)} candidates"
         )
 
-    # Complement vector from a probe point outside the candidate set,
-    # farthest first; walk inward past probes that lie in the subspace.
-    in_hood = np.zeros(len(d2_row), dtype=bool)
-    in_hood[p] = True
-    in_hood[nbrs] = True
-    w_perp = None
-    for q in np.argsort(-d2_row, kind="stable"):
-        if not in_hood[q]:
+    # Complement vector from a probe point outside the candidate set: the
+    # farthest one (lowest index on ties), or, when that one lies in the
+    # subspace, the next farthest that does not.
+    far = d2_row.copy()
+    far[p] = -np.inf
+    far[nbrs] = -np.inf
+    q = int(np.argmax(far))
+    w_perp = None if far[q] == -np.inf else _project_out(points[q] - x_p, basis)
+    if w_perp is None:
+        for q in np.argsort(-far, kind="stable"):
+            if far[q] == -np.inf:
+                break
             w_perp = _project_out(points[q] - x_p, basis)
             if w_perp is not None:
                 break

@@ -173,6 +173,21 @@ class TestEmbed:
         assert code == 2
         assert f"take_first must be at least 1, got {extra[1]}" in err
 
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("embed", ["--take-first", "10"]),
+            ("compare", ["--sample-random"]),
+            ("embed", ["--labels", "labels.idx"]),
+        ],
+    )
+    def test_idx_only_flag_on_csv_is_usage_error(self, capsys, roll_csv, tmp_path, command, extra):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, [command, "--in", str(roll_csv), "--k", "8", "--out", str(out), *extra])
+        assert code == 1
+        assert f"{extra[0]} applies to IDX input only" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_sweep_row_count(self, capsys, tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from topostable import (
     Embedding,
     GeodesicMatrix,
     NeighborGraph,
+    RunConfig,
     SelectorConfig,
     build_graph,
     classical_mds,
@@ -13,10 +16,12 @@ from topostable import (
     double_center,
     floyd_all_pairs,
     gen_swiss_roll,
+    isomap_embed,
     largest_component,
     residual_variance,
 )
 from topostable.errors import BadDimError, NonFiniteError
+from topostable.linalg import pearson_r
 
 
 def graph_from_edges(n, edge_list):
@@ -184,6 +189,22 @@ class TestLargestComponent:
         assert np.array_equal(kept, [0, 1, 2])
         assert np.all(np.isfinite(sub_gm.d))
 
+    def test_nothing_dropped_returns_inputs(self):
+        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
+        data = DataSet(np.arange(6.0).reshape(3, 2))
+        gm = floyd_all_pairs(g)
+        sub_data, sub_gm, _ = largest_component(gm, data)
+        assert sub_gm is gm and sub_data is data
+
+    def test_dropping_copies(self):
+        g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
+        data = DataSet(np.arange(10.0).reshape(5, 2))
+        gm = floyd_all_pairs(g)
+        sub_data, sub_gm, _ = largest_component(gm, data)
+        assert not np.shares_memory(sub_gm.d, gm.d)
+        assert not np.shares_memory(sub_data.points, data.points)
+        assert np.array_equal(sub_gm.d, gm.d[:3, :3])
+
     def test_tie_keeps_component_of_lowest_index(self):
         g = graph_from_edges(4, [(0, 2, 1.0), (1, 3, 1.0)])
         data = DataSet(np.arange(8.0).reshape(4, 2))
@@ -204,6 +225,12 @@ class TestDoubleCenter:
         s[0, 1] = s[1, 0] = np.inf
         with pytest.raises(NonFiniteError):
             double_center(s)
+
+    def test_input_not_modified(self):
+        s = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 9.0], [4.0, 9.0, 0.0]])
+        before = s.copy()
+        double_center(s)
+        assert np.array_equal(s, before)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
@@ -259,6 +286,12 @@ class TestClassicalMds:
         gm = GeodesicMatrix(d=d, component_ids=np.array([0, 1, 0]))
         with pytest.raises(NonFiniteError):
             classical_mds(gm, 1)
+
+    def test_geodesic_matrix_not_modified(self):
+        gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
+        before = gm.d.copy()
+        classical_mds(gm, 2)
+        assert np.array_equal(gm.d, before)
 
     def test_negative_eigenvalues_clipped(self):
         # a random non-metric "distance" matrix is indefinite after double
@@ -318,6 +351,50 @@ class TestResidualVariance:
         gm = gm_from_coords(lifted)
         emb = classical_mds(gm, 2)
         assert residual_variance(gm, emb) <= 1e-10
+
+
+def residual_variance_reference(gm, emb):
+    """The dense formula residual_variance replaced, kept as the oracle: the
+    (n, n, m) difference tensor and the np.triu_indices gather."""
+    coords = emb.coords
+    diff = coords[:, None, :] - coords[None, :, :]
+    euclid = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    iu = np.triu_indices(gm.n, 1)
+    r = pearson_r(gm.d[iu], euclid[iu])
+    return max(0.0, 1.0 - r * r)
+
+
+class TestBackHalf:
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_residual_variance_equals_dense_formula(self, method, m):
+        data = gen_swiss_roll(300, 1).data
+        emb, gm, _, _ = isomap_embed(data, RunConfig(method=method, k=10, m=m))
+        assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
+
+    @pytest.mark.parametrize("n, m", [(3, 1), (4, 2), (50, 5), (129, 9), (200, 17)])
+    def test_residual_variance_equals_dense_formula_random(self, n, m):
+        rng = np.random.default_rng(n)
+        gm = gm_from_coords(rng.normal(size=(n, m + 2)))
+        emb = Embedding(coords=rng.normal(size=(n, m)), eigenvalues=np.zeros(m), m=m)
+        assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
+
+    def test_memory_at_most_about_two_n2_buffers(self):
+        # classical_mds holds the squared distances and their centered copy,
+        # residual_variance the two upper triangles and pearson_r's centered
+        # copies of them: two n x n buffers each, one after the other
+        n = 400
+        gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            emb = classical_mds(gm, 2)
+            residual_variance(gm, emb)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * n * n * 8
 
 
 class TestPipelineGraphIntegration:

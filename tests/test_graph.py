@@ -170,6 +170,31 @@ class TestSelectNeighborsStable:
         with pytest.raises(DegenerateComplementError):
             select_neighbors_stable(DataSet(pts), 0, cfg)
 
+    @pytest.mark.parametrize(
+        "probes, kept",
+        [
+            # two probes tie for farthest: the lower index gives w_perp,
+            # e4 keeps the candidate at 90 degrees, e3 rejects it
+            ([[0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, 0.0]], [1, 2, 3]),
+            ([[0.0, 0.0, 10.0, 0.0], [0.0, 0.0, 0.0, 10.0]], [1, 2]),
+            # the farthest probe lies in the plane: the walk moves on to
+            # the next farthest
+            ([[20.0, 20.0, 0.0, 0.0], [0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, 0.0]], [1, 2, 3]),
+        ],
+    )
+    def test_probe_is_farthest_outside_the_plane(self, probes, kept):
+        pts = np.array(
+            [
+                [0.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.5, 0.5, 0.9, 0.0],  # candidate: off the plane along e3
+                *probes,
+            ]
+        )
+        cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
+        assert select_neighbors_stable(DataSet(pts), 0, cfg) == kept
+
     def test_config_validation(self):
         data = selector_example()
         with pytest.raises(ValueError):

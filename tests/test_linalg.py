@@ -10,6 +10,7 @@ from topostable import (
     residual_vector,
     symmetric_eigen_top,
 )
+from topostable import linalg
 from topostable.errors import (
     DegenerateBasisError,
     DegenerateComplementError,
@@ -154,6 +155,124 @@ class TestSymmetricEigenTop:
         a = (a + a.T) / 2
         eig = symmetric_eigen_top(a, 8)
         assert np.all(np.diff(eig.values) <= 0)
+
+
+def eigen_top_reference(a, m):
+    """The full-eigh routine symmetric_eigen_top ran before block subspace
+    iteration, kept as the oracle: all eigenpairs, stable descending sort,
+    largest-magnitude component of each vector made positive."""
+    a = np.asarray(a, dtype=np.float64)
+    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    order = np.argsort(-values, kind="stable")[:m]
+    values = values[order]
+    vectors = vectors[:, order]
+    for j in range(m):
+        col = vectors[:, j]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            vectors[:, j] = -col
+    return values, vectors
+
+
+def planted(n, top, rest_scale=1.0, seed=0):
+    """Symmetric n x n matrix with eigenvalues ``top`` followed by n - len(top)
+    values uniform in [-rest_scale, rest_scale], in a random orthonormal basis."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.concatenate([top, rng.uniform(-rest_scale, rest_scale, n - len(top))])
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    a = (q * spectrum) @ q.T
+    return (a + a.T) / 2.0
+
+
+class TestEigenOracle:
+    """symmetric_eigen_top against the full-eigh oracle: values within 1e-12
+    relative, vectors within 1e-10 under the sign rule."""
+
+    def assert_matches_oracle(self, a, m):
+        eig = symmetric_eigen_top(a, m)
+        values, vectors = eigen_top_reference(a, m)
+        assert eig.values.shape == (m,) and eig.vectors.shape == (a.shape[0], m)
+        assert np.all(np.abs(eig.values - values) <= 1e-12 * np.abs(values))
+        assert np.max(np.abs(eig.vectors - vectors)) <= 1e-10
+        return eig, values
+
+    @pytest.mark.parametrize("n", [60, 200])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_planted_spectrum(self, n, m):
+        a = planted(n, [100.0, 40.0, 15.0], seed=n + m)
+        assert linalg._top_subspace(a, m) is not None  # the iteration answered
+        self.assert_matches_oracle(a, m)
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_large_negative_eigenvalues_in_the_block(self, n):
+        # |lambda| is largest for the two negatives; they enter the block,
+        # but the top two algebraic values still lie above every
+        # eigenvalue left outside it
+        a = planted(n, [-900.0, -400.0, 50.0, 20.0], seed=n)
+        assert linalg._top_subspace(a, 2) is not None
+        eig, values = self.assert_matches_oracle(a, 2)
+        assert eig.values == pytest.approx([50.0, 20.0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_large_negative_eigenvalues_fill_the_block(self, n):
+        # ten dominant negatives fill the block and it converges to them,
+        # but the top algebraic pair lies outside it: the full solver answers
+        a = planted(n, [5.0, 3.0] + [-100.0 - j for j in range(10)], rest_scale=0.5, seed=n)
+        assert linalg._top_subspace(a, 2) is None
+        eig, values = self.assert_matches_oracle(a, 2)
+        assert eig.values == pytest.approx([5.0, 3.0], rel=1e-12)
+
+    @pytest.mark.parametrize("n", [60, 200])
+    def test_fewer_positive_eigenvalues_than_m(self, n):
+        # one positive eigenvalue, m = 3: the 11-column block converges to it
+        # and ten large negatives, but the retained negatives are the least
+        # negative ones, which only the full solver finds; n_clipped must be
+        # exact
+        rng = np.random.default_rng(n)
+        spectrum = [30.0] + [-50.0 - j for j in range(10)] + list(-rng.uniform(0.1, 1.0, n - 11))
+        a = planted(n, spectrum, seed=n)
+        assert linalg._top_subspace(a, 3) is None
+        eig, values = self.assert_matches_oracle(a, 3)
+        assert int(np.sum(eig.values < 0.0)) == int(np.sum(values < 0.0)) == 2
+        assert np.all(eig.values[1:] > -1.0)
+
+    def test_tied_top_pair(self):
+        # a tied pair has no unique basis: compare the values and the
+        # projector onto the pair's span
+        a = planted(200, [50.0, 50.0, 10.0], seed=3)
+        eig = symmetric_eigen_top(a, 2)
+        values, vectors = eigen_top_reference(a, 2)
+        assert np.all(np.abs(eig.values - values) <= 1e-12 * np.abs(values))
+        assert np.max(np.abs(eig.vectors @ eig.vectors.T - vectors @ vectors.T)) <= 1e-10
+        assert np.allclose(eig.vectors.T @ eig.vectors, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (10, 10), (20, 2), (40, 12)])
+    def test_small_n_runs_the_full_solver(self, n, m):
+        # 2 (m + 8) >= n: the full eigh answers, entry for entry the oracle
+        a = planted(n, [], seed=n)
+        eig = symmetric_eigen_top(a, m)
+        values, vectors = eigen_top_reference(a, m)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+
+    def test_iteration_cap_falls_back(self):
+        # eigenvalues 1.0, 0.999, ...: the block's gap closes too slowly for
+        # the cap, so the full solver answers
+        a = planted(100, np.linspace(1.0, 0.9, 100))
+        assert linalg._top_subspace(a, 2) is None
+        eig = symmetric_eigen_top(a, 2)
+        values, vectors = eigen_top_reference(a, 2)
+        assert np.array_equal(eig.values, values)
+        assert np.array_equal(eig.vectors, vectors)
+
+    def test_blockwise_symmetry_check(self):
+        # the asymmetry sits in the last, partial column block
+        a = planted(130, [10.0, 5.0])
+        a[3, 129] += 1e-6
+        with pytest.raises(NotSymmetricError):
+            symmetric_eigen_top(a, 2)
+        a[3, 129] -= 1e-6
+        a[3, 129] += 1e-13
+        symmetric_eigen_top(a, 2)
 
 
 class TestPearsonR:
