@@ -206,20 +206,18 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
         )
 
     # Complement vector from a probe point outside the candidate set: the
-    # farthest one (lowest index on ties), or, when that one lies in the
-    # subspace, the next farthest that does not.
+    # farthest one that does not lie in the subspace (argmax takes the
+    # lowest index among equal distances; a tried probe is masked out).
     far = d2_row.copy()
     far[p] = -np.inf
     far[nbrs] = -np.inf
-    q = int(np.argmax(far))
-    w_perp = None if far[q] == -np.inf else _project_out(points[q] - x_p, basis)
-    if w_perp is None:
-        for q in np.argsort(-far, kind="stable"):
-            if far[q] == -np.inf:
-                break
-            w_perp = _project_out(points[q] - x_p, basis)
-            if w_perp is not None:
-                break
+    w_perp = None
+    while w_perp is None:
+        q = int(np.argmax(far))
+        if far[q] == -np.inf:
+            break
+        w_perp = _project_out(points[q] - x_p, basis)
+        far[q] = -np.inf
     if w_perp is None:
         raise DegenerateComplementError("no probe point outside the neighborhood spans the complement")
 

@@ -109,10 +109,12 @@ class EigenPairs:
 
 # Block subspace iteration: extra columns beyond m (they widen the gap that
 # sets the convergence rate), the residual bound relative to the largest
-# |Ritz value|, and the iteration cap before the full solver takes over.
+# |Ritz value|, the iteration cap before the full solver takes over, and the
+# iterations over which the residual's rate of decrease is measured.
 _OVERSAMPLE = 8
 _RESIDUAL_TOL = 1e-12
 _MAX_ITER = 100
+_RATE_SPAN = 3
 # Rows per block of the symmetry check, compared with the matching columns
 # through one (block, n) scratch buffer.
 _SYM_BLOCK = 64
@@ -148,8 +150,11 @@ def _top_subspace(a, m):
     The block holds m + _OVERSAMPLE columns from a fixed-seed start and
     converges to the eigenvectors of largest |lambda|. It stops once every
     top-m residual |a x - lambda x| is at most _RESIDUAL_TOL times the
-    largest |Ritz value|. It gives up (None) when the cap is hit or when
-    lambda_m <= the smallest |Ritz value| in the block, which includes
+    largest |Ritz value|. It gives up (None) when the cap is hit, when the
+    rate at which the worst residual fell over the last _RATE_SPAN
+    iterations would not reach the bound within the cap (a stalled block
+    costs a few iterations, not the whole cap, before the full solver), or
+    when lambda_m <= the smallest |Ritz value| in the block, which includes
     lambda_m <= 0. Every eigenvalue left outside the converged block is at
     most that smallest |Ritz value| in magnitude, so only above it is the
     answer the algebraically largest m, and only then is the count of
@@ -159,7 +164,8 @@ def _top_subspace(a, m):
     p = m + _OVERSAMPLE
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))
     aq = a @ q
-    for _ in range(_MAX_ITER):
+    worst = []  # largest top-m residual over the largest |Ritz value|, per iteration
+    for it in range(_MAX_ITER):
         t = q.T @ aq
         theta, v = np.linalg.eigh((t + t.T) / 2.0)
         order = np.argsort(-theta, kind="stable")
@@ -167,10 +173,16 @@ def _top_subspace(a, m):
         ax = aq @ v  # a @ (q @ v): the Ritz vectors' image, the next block
         x = q @ v[:, :m]
         res = np.linalg.norm(ax[:, :m] - x * theta[:m], axis=0)
-        if np.all(res <= _RESIDUAL_TOL * np.max(np.abs(theta))):
+        scale = np.max(np.abs(theta))
+        if np.all(res <= _RESIDUAL_TOL * scale):
             if theta[m - 1] <= np.min(np.abs(theta)):
                 return None
             return theta[:m], x
+        worst.append(np.max(res) / scale)
+        if it >= _RATE_SPAN:
+            rate = (worst[-1] / worst[-1 - _RATE_SPAN]) ** (1.0 / _RATE_SPAN)
+            if rate >= 1.0 or it + np.log(_RESIDUAL_TOL / worst[-1]) / np.log(rate) > _MAX_ITER:
+                return None
         q, _ = np.linalg.qr(ax)
         aq = a @ q
     return None

@@ -254,15 +254,34 @@ class TestEigenOracle:
         assert np.array_equal(eig.values, values)
         assert np.array_equal(eig.vectors, vectors)
 
-    def test_iteration_cap_falls_back(self):
-        # eigenvalues 1.0, 0.999, ...: the block's gap closes too slowly for
-        # the cap, so the full solver answers
+    def test_stalled_iteration_falls_back_early(self, monkeypatch):
+        # eigenvalues 1.0, 0.999, ...: the block's gap closes far too slowly
+        # for the cap; the measured rate says so after _RATE_SPAN + 1
+        # iterations, and the full solver answers
         a = planted(100, np.linspace(1.0, 0.9, 100))
+        qr = np.linalg.qr
+        calls = []
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
         assert linalg._top_subspace(a, 2) is None
+        assert len(calls) == linalg._RATE_SPAN + 1  # the start block and one per iteration
+        monkeypatch.undo()
         eig = symmetric_eigen_top(a, 2)
         values, vectors = eigen_top_reference(a, 2)
         assert np.array_equal(eig.values, values)
         assert np.array_equal(eig.vectors, vectors)
+
+    def test_slow_iteration_within_the_cap_answers(self):
+        # lambda_11 / lambda_2 = 0.6: dozens of iterations, but the measured
+        # rate reaches the bound within the cap, so the iteration answers
+        top = [1.0, 0.99, *np.linspace(0.98, 0.9, 8), 0.6 * 0.99]
+        a = planted(200, top, rest_scale=0.3, seed=7)
+        assert linalg._top_subspace(a, 2) is not None
+        self.assert_matches_oracle(a, 2)
 
     def test_blockwise_symmetry_check(self):
         # the asymmetry sits in the last, partial column block
