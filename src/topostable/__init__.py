@@ -22,7 +22,6 @@ from .geodesic import (
     Embedding,
     GeodesicMatrix,
     classical_mds,
-    dijkstra_all_pairs,
     double_center,
     floyd_all_pairs,
     largest_component,
@@ -69,7 +68,6 @@ __all__ = [
     "GeodesicMatrix",
     "Embedding",
     "floyd_all_pairs",
-    "dijkstra_all_pairs",
     "largest_component",
     "double_center",
     "classical_mds",

@@ -15,6 +15,7 @@ from .errors import TopoStableError
 from .geodesic import residual_variance
 from .pipeline import (
     RunConfig,
+    _open_out,
     compare_methods,
     isomap_embed,
     write_embedding_csv,
@@ -44,12 +45,6 @@ def _add_run_flags(p, k_type, k_help):
     p.add_argument("--m", type=int, default=2, help="embedding dimension")
     p.add_argument("--dim-w", type=int, default=2, help="local subspace dimension")
     p.add_argument("--delta-theta", type=float, default=5.0, help="angle window half-width, degrees")
-    p.add_argument(
-        "--shortest-path",
-        choices=["floyd", "dijkstra"],
-        default="floyd",
-        help="all-pairs algorithm: floyd (the default) or dijkstra (slower; a cross-check)",
-    )
 
 
 def _add_input_flags(p):
@@ -120,19 +115,11 @@ def _load_input(args):
     return load_csv(args.infile)
 
 
-def _out_handle(path):
-    return sys.stdout if path == "-" else open(path, "w", encoding="utf-8")
-
-
 def _cmd_generate(args):
     sample = GENERATORS[args.manifold](args.n, args.seed)
-    fh = _out_handle(args.out)
-    try:
+    with _open_out(sys.stdout if args.out == "-" else args.out) as fh:
         for row in sample.data.points:
             fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
     print(f"wrote {sample.data.n} {args.manifold} points", file=sys.stderr)
     return 0
 
@@ -145,16 +132,10 @@ def _cmd_embed(args):
         m=args.m,
         dim_w=args.dim_w,
         delta_theta_deg=args.delta_theta,
-        shortest_path=args.shortest_path,
     )
     emb, gm, kept, graph = isomap_embed(data, cfg)
     rv = residual_variance(gm, emb)
-    fh = _out_handle(args.out)
-    try:
-        write_embedding_csv(emb, kept, data.labels, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)
     if args.svg:
         sub_labels = None if data.labels is None else data.labels[kept]
         write_scatter_svg(emb, sub_labels, args.svg)
@@ -175,15 +156,9 @@ def _cmd_compare(args):
         m=args.m,
         dim_w=args.dim_w,
         delta_theta_deg=args.delta_theta,
-        shortest_path=args.shortest_path,
     )
     report = compare_methods(data, args.k, base, methods=methods)
-    fh = _out_handle(args.out)
-    try:
-        write_report_csv(report, fh)
-    finally:
-        if fh is not sys.stdout:
-            fh.close()
+    write_report_csv(report, sys.stdout if args.out == "-" else args.out)
     failures = [r for r in report.rows if r.error is not None]
     for r in failures:
         print(f"cell k={r.k} method={r.method} failed: {r.error}", file=sys.stderr)

@@ -15,6 +15,7 @@ from .errors import (
     BadCountError,
     BadMagicError,
     DimensionMismatchError,
+    NonFiniteError,
     NonNumericCellError,
     RaggedRowsError,
     TruncatedFileError,
@@ -138,7 +139,8 @@ def load_csv(path, label_last_column=False, skip_header=False):
     """DataSet from a plain numeric CSV (comma-separated, no quoting).
 
     Row order is preserved. With label_last_column=True the final column
-    must hold integers and becomes the labels.
+    must hold integers and becomes the labels. A NaN or infinite cell is
+    refused with NonFiniteError naming its row and column.
     """
     lines = Path(path).read_text().splitlines()
     if skip_header and lines:
@@ -156,6 +158,10 @@ def load_csv(path, label_last_column=False, skip_header=False):
         except ValueError:
             bad = next(j for j, c in enumerate(cells) if not _is_number(c))
             raise NonNumericCellError(f"{path}: row {i}, column {bad}: {cells[bad]!r}") from None
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise NonFiniteError(f"{path}: row {i}, column {j}: {rows[i][j]!r} is not finite")
 
     labels = None
     if label_last_column:

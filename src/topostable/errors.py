@@ -30,7 +30,7 @@ class KTooLargeError(TopoStableError):
 
 
 class NonFiniteError(TopoStableError):
-    """Matrix contains infinities or NaNs where finite values are required."""
+    """Infinities or NaNs where finite values are required (a matrix, a CSV cell)."""
 
 
 class BadDimError(TopoStableError):

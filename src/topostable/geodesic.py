@@ -2,9 +2,8 @@
 
 All-pairs shortest paths approximate manifold geodesics; the embedding
 comes from the top eigenpairs of the doubly-centered negative half
-squared-distance matrix. Floyd-Warshall is the default all-pairs
-algorithm; repeated Dijkstra is the slower cross-check. Both are plain
-numpy and agree within 1e-12.
+squared-distance matrix. The all-pairs step is one numpy Floyd-Warshall
+(floyd_all_pairs) whose result equals the plain recurrence entry for entry.
 
 Past all-pairs shortest paths, each stage holds at most two n x n buffers
 beyond the geodesic matrix and none modifies it: centering fills one new
@@ -24,7 +23,6 @@ __all__ = [
     "GeodesicMatrix",
     "Embedding",
     "floyd_all_pairs",
-    "dijkstra_all_pairs",
     "largest_component",
     "double_center",
     "classical_mds",
@@ -34,7 +32,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeodesicMatrix:
-    """All-pairs shortest-path distances; inf marks unreachable pairs.
+    """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
     component_ids numbers connected components by first appearance, so the
     component containing the lowest point index gets id 0.
@@ -117,43 +115,9 @@ def _floyd_in_place(d):
     return d
 
 
-def _dijkstra_all(indptr, indices, weights, n):
-    """Per-source Dijkstra (linear-scan selection) over CSR adjacency."""
-    out = np.empty((n, n))
-    for s in range(n):
-        dist = np.full(n, np.inf)
-        dist[s] = 0.0
-        visited = np.zeros(n, dtype=bool)
-        for _ in range(n):
-            masked = np.where(visited, np.inf, dist)
-            u = int(np.argmin(masked))
-            if masked[u] == np.inf:
-                break
-            visited[u] = True
-            lo, hi = indptr[u], indptr[u + 1]
-            nbr = indices[lo:hi]
-            cand = dist[u] + weights[lo:hi]
-            better = cand < dist[nbr]
-            dist[nbr[better]] = cand[better]
-        out[s] = dist
-    return out
-
-
 def floyd_all_pairs(g):
-    """Exact all-pairs shortest paths via Floyd-Warshall (the default)."""
+    """Exact all-pairs shortest paths via Floyd-Warshall."""
     d = _floyd_in_place(g.to_dense_weights())
-    return GeodesicMatrix(d=d, component_ids=_component_ids(d))
-
-
-def dijkstra_all_pairs(g):
-    """Exact all-pairs shortest paths via per-source Dijkstra.
-
-    Same contract as floyd_all_pairs; outputs agree within 1e-12. Its
-    per-source Python loop is much slower than Floyd-Warshall, so it
-    serves as the cross-check.
-    """
-    indptr, indices, weights = g.to_csr()
-    d = _dijkstra_all(indptr, indices, weights, g.n)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
 
 

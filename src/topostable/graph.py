@@ -133,17 +133,6 @@ class NeighborGraph:
         d[j, i] = self.weights
         return d
 
-    def to_csr(self):
-        """CSR arrays (indptr, indices, weights) with both edge directions."""
-        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
-        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
-        wts = np.concatenate([self.weights, self.weights])
-        order = np.lexsort((cols, rows))
-        rows, cols, wts = rows[order], cols[order], wts[order]
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=self.n), out=indptr[1:])
-        return indptr, cols, wts
-
 
 def _pairwise_sq(points):
     """Squared Euclidean distances via the Gram matrix (fast, used for

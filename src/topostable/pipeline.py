@@ -8,7 +8,6 @@ import numpy as np
 from .errors import BadDimError, TopoStableError
 from .geodesic import (
     classical_mds,
-    dijkstra_all_pairs,
     floyd_all_pairs,
     largest_component,
     residual_variance,
@@ -39,13 +38,10 @@ class RunConfig:
     m: int = 2
     dim_w: int = 2
     delta_theta_deg: float = 5.0
-    shortest_path: str = "floyd"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.shortest_path not in ("floyd", "dijkstra"):
-            raise ValueError(f"shortest_path must be floyd or dijkstra, got {self.shortest_path!r}")
         if self.m < 1:
             raise ValueError("m must be positive")
         if self.k < 1:
@@ -73,9 +69,8 @@ def isomap_embed(data, cfg):
     """
     with _stage("neighbor graph"):
         graph = build_graph(data, cfg.selector(), cfg.method)
-    apsp = floyd_all_pairs if cfg.shortest_path == "floyd" else dijkstra_all_pairs
     with _stage("shortest paths"):
-        gm_full = apsp(graph)
+        gm_full = floyd_all_pairs(graph)
     sub_data, gm, kept = largest_component(gm_full, data)
     with _stage("classical MDS"):
         emb = classical_mds(gm, cfg.m)

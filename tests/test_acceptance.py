@@ -22,7 +22,6 @@ from topostable import (
     SelectorConfig,
     build_graph,
     compare_methods,
-    dijkstra_all_pairs,
     floyd_all_pairs,
     gen_helix,
     gen_punctured_sphere,
@@ -36,6 +35,7 @@ from topostable import (
 )
 
 from conftest import cross_plane_edges
+from dijkstra_reference import dijkstra_all_pairs
 
 
 def report(num, slug, ok, detail="", status=None):

@@ -1,7 +1,10 @@
 import os
+import re
+import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,9 +44,9 @@ class TestUsageErrors:
 
 
 class TestRunFlags:
-    """embed and compare share --m, --dim-w, --delta-theta and --shortest-path."""
+    """embed and compare share --m, --dim-w and --delta-theta."""
 
-    FLAGS = ("m", "dim_w", "delta_theta", "shortest_path")
+    FLAGS = ("m", "dim_w", "delta_theta")
 
     def parsed(self, command, extra):
         args = build_parser().parse_args([command, "--in", "x.csv", "--k", "5", *extra])
@@ -52,11 +55,8 @@ class TestRunFlags:
     @pytest.mark.parametrize(
         "extra, expected",
         [
-            ([], {"m": 2, "dim_w": 2, "delta_theta": 5.0, "shortest_path": "floyd"}),
-            (
-                ["--m", "3", "--dim-w", "1", "--delta-theta", "7.5", "--shortest-path", "dijkstra"],
-                {"m": 3, "dim_w": 1, "delta_theta": 7.5, "shortest_path": "dijkstra"},
-            ),
+            ([], {"m": 2, "dim_w": 2, "delta_theta": 5.0}),
+            (["--m", "3", "--dim-w", "1", "--delta-theta", "7.5"], {"m": 3, "dim_w": 1, "delta_theta": 7.5}),
         ],
     )
     def test_same_values_in_both_subcommands(self, extra, expected):
@@ -64,9 +64,10 @@ class TestRunFlags:
 
     @pytest.mark.parametrize("command", ["embed", "compare"])
     def test_unknown_shortest_path_rejected(self, capsys, command):
-        code, _, err = run(capsys, [command, "--in", "x.csv", "--k", "5", "--shortest-path", "bfs"])
+        # the all-pairs step has one algorithm; the flag that chose it is gone
+        code, _, err = run(capsys, [command, "--in", "x.csv", "--k", "5", "--shortest-path", "floyd"])
         assert code == 1
-        assert "invalid choice" in err
+        assert "unrecognized arguments: --shortest-path floyd" in err
 
 
 class TestVersion:
@@ -134,6 +135,21 @@ class TestEmbed:
         bad.write_text("1,2\n3\n")
         code, _, err = run(capsys, ["embed", "--in", str(bad), "--k", "8"])
         assert code == 2
+
+    def test_non_finite_csv_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("1,2\n3,4\n5,nan\n")
+        code, _, err = run(capsys, ["embed", "--in", str(bad), "--k", "1"])
+        assert code == 2
+        assert f"error: {bad}: row 2, column 1: 'nan' is not finite" in err
+
+    def test_stdout_matches_file_output(self, capsys, roll_csv, tmp_path):
+        out = tmp_path / "emb.csv"
+        argv = ["embed", "--in", str(roll_csv), "--k", "8"]
+        code, stdout, _ = run(capsys, argv)
+        assert code == 0
+        assert run(capsys, [*argv, "--out", str(out)])[0] == 0
+        assert out.read_bytes() == stdout.encode("utf-8")
 
     def test_unwritable_output_is_data_error(self, capsys, roll_csv, tmp_path):
         dest = tmp_path / "no" / "such" / "dir" / "emb.csv"
@@ -211,6 +227,30 @@ class TestCompare:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(line.split(",")[1] == "stable" for line in lines[1:])
+
+
+def readme_commands():
+    """Arguments of every `topostable ...` line in README's sh blocks, with
+    backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if line.startswith("topostable "):
+                commands.append(shlex.split(line, comments=True)[1:])
+    return commands
+
+
+def test_readme_commands_parse(capsys):
+    # a flag deleted or renamed in the CLI must not linger in the docs
+    commands = readme_commands()
+    assert len(commands) >= 5  # generate, embed, compare, IDX embed, version
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: topostable {shlex.join(argv)}\n{capsys.readouterr().err}")
 
 
 def test_module_entry_point():

@@ -8,6 +8,7 @@ from topostable.errors import (
     BadCountError,
     BadMagicError,
     DimensionMismatchError,
+    NonFiniteError,
     NonNumericCellError,
     RaggedRowsError,
     TruncatedFileError,
@@ -220,6 +221,19 @@ class TestLoadCsv:
         p.write_text("1,x\n")
         with pytest.raises(NonNumericCellError, match="column 1"):
             load_csv(p)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity"])
+    def test_non_finite_cell(self, tmp_path, cell):
+        p = tmp_path / "f.csv"
+        p.write_text(f"1,2,3\n4,5,6\n7,{cell},9\n")
+        with pytest.raises(NonFiniteError, match=rf"f\.csv: row 2, column 1: '{cell}' is not finite"):
+            load_csv(p)
+
+    def test_non_finite_label_cell(self, tmp_path):
+        p = tmp_path / "lab.csv"
+        p.write_text("1,2,0\n3,4,inf\n")
+        with pytest.raises(NonFiniteError, match="row 1, column 2"):
+            load_csv(p, label_last_column=True)
 
     def test_label_column(self, tmp_path):
         p = tmp_path / "lab.csv"

@@ -12,16 +12,19 @@ from topostable import (
     SelectorConfig,
     build_graph,
     classical_mds,
-    dijkstra_all_pairs,
     double_center,
     floyd_all_pairs,
+    gen_helix,
     gen_swiss_roll,
     isomap_embed,
     largest_component,
     residual_variance,
 )
+from topostable import linalg
 from topostable.errors import BadDimError, NonFiniteError
 from topostable.linalg import pearson_r
+
+from dijkstra_reference import dijkstra_all_pairs
 
 
 def graph_from_edges(n, edge_list):
@@ -378,6 +381,23 @@ class TestBackHalf:
         gm = gm_from_coords(rng.normal(size=(n, m + 2)))
         emb = Embedding(coords=rng.normal(size=(n, m)), eigenvalues=np.zeros(m), m=m)
         assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_large_eigengap_embedding_matches_full_eigh(self, seed, method):
+        # the helix's lambda1 / lambda2 is 3e4 to 6e4; the iteration's stop
+        # rule is relative to lambda1, so the second column is the least
+        # accurate one the pipeline produces
+        emb, gm, _, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
+        b = double_center(np.square(gm.d))
+        assert linalg._top_subspace(b, 2) is not None  # the iteration answered
+        values, vectors = linalg._top_full(b, 2)
+        assert values[0] / values[1] > 1e4
+        for j in range(2):
+            col = vectors[:, j]
+            if col[np.argmax(np.abs(col))] < 0.0:
+                vectors[:, j] = -col
+        assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-8
 
     def test_memory_at_most_about_two_n2_buffers(self):
         # classical_mds holds the squared distances and their centered copy,

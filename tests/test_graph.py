@@ -321,17 +321,6 @@ class TestBuildGraph:
         edges = build_graph(data, cfg, method).edges
         assert list(map(tuple, edges.tolist())) == sorted(pairs)
 
-    def test_csr_matches_dense(self):
-        data = DataSet(np.random.default_rng(25).normal(size=(30, 3)))
-        g = build_graph(data, SelectorConfig(k=5), "standard")
-        indptr, indices, weights = g.to_csr()
-        dense = np.full((g.n, g.n), np.inf)
-        np.fill_diagonal(dense, 0.0)
-        for i in range(g.n):
-            for e in range(indptr[i], indptr[i + 1]):
-                dense[i, indices[e]] = weights[e]
-        assert np.array_equal(dense, g.to_dense_weights())
-
     def test_has_edge_is_symmetric(self):
         g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
         assert g.has_edge(0, 1) and g.has_edge(1, 0)

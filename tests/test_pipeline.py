@@ -33,10 +33,6 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(method="fast", k=5)
 
-    def test_rejects_bad_shortest_path(self):
-        with pytest.raises(ValueError):
-            RunConfig(method="stable", k=5, shortest_path="bfs")
-
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             RunConfig(method="stable", k=5, m=0)
@@ -58,14 +54,6 @@ class TestIsomapEmbed:
             emb, gm, kept, _ = isomap_embed(data, RunConfig(method=method, k=12))
             rvs[method] = residual_variance(gm, emb)
         assert rvs["stable"] <= rvs["standard"]
-
-    def test_floyd_and_dijkstra_agree_end_to_end(self):
-        data = gen_swiss_roll(150, 2).data
-        rv = {}
-        for sp in ("floyd", "dijkstra"):
-            emb, gm, kept, _ = isomap_embed(data, RunConfig(method="stable", k=8, shortest_path=sp))
-            rv[sp] = residual_variance(gm, emb)
-        assert rv["floyd"] == pytest.approx(rv["dijkstra"], abs=1e-12)
 
     def test_deterministic(self):
         data = gen_swiss_roll(120, 5).data
