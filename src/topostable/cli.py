@@ -42,9 +42,13 @@ def _k_list(text):
 
 def _add_run_flags(p, k_type, k_help):
     p.add_argument("--k", type=k_type, required=True, help=k_help)
-    p.add_argument("--m", type=int, default=2, help="embedding dimension")
-    p.add_argument("--dim-w", type=int, default=2, help="local subspace dimension")
-    p.add_argument("--delta-theta", type=float, default=5.0, help="angle window half-width, degrees")
+    p.add_argument("--m", type=int, default=RunConfig.m, help="embedding dimension")
+    p.add_argument("--dim-w", type=int, default=RunConfig.dim_w, help="local subspace dimension")
+    p.add_argument("--delta-theta", type=float, default=RunConfig.delta_theta_deg, help="angle window half-width, degrees")
+
+
+def _run_config(args, method, k):
+    return RunConfig(method=method, k=k, m=args.m, dim_w=args.dim_w, delta_theta_deg=args.delta_theta)
 
 
 def _add_input_flags(p):
@@ -98,6 +102,8 @@ class UsageError(Exception):
 
 def _load_input(args):
     if _is_idx(args.infile):
+        if args.sample_random and args.take_first is None:
+            raise UsageError("--sample-random needs --take-first: it draws that many images")
         return load_idx(
             args.infile,
             labels_path=args.labels,
@@ -126,14 +132,7 @@ def _cmd_generate(args):
 
 def _cmd_embed(args):
     data = _load_input(args)
-    cfg = RunConfig(
-        method=args.method,
-        k=args.k,
-        m=args.m,
-        dim_w=args.dim_w,
-        delta_theta_deg=args.delta_theta,
-    )
-    emb, gm, kept, graph = isomap_embed(data, cfg)
+    emb, gm, kept, graph = isomap_embed(data, _run_config(args, args.method, args.k))
     rv = residual_variance(gm, emb)
     write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)
     if args.svg:
@@ -150,14 +149,7 @@ def _cmd_embed(args):
 def _cmd_compare(args):
     data = _load_input(args)
     methods = ("standard", "stable") if args.method == "both" else (args.method,)
-    base = RunConfig(
-        method="standard",
-        k=args.k[0],
-        m=args.m,
-        dim_w=args.dim_w,
-        delta_theta_deg=args.delta_theta,
-    )
-    report = compare_methods(data, args.k, base, methods=methods)
+    report = compare_methods(data, args.k, _run_config(args, methods[0], args.k[0]), methods=methods)
     write_report_csv(report, sys.stdout if args.out == "-" else args.out)
     failures = [r for r in report.rows if r.error is not None]
     for r in failures:

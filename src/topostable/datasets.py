@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     BadCountError,
+    BadDimError,
     BadMagicError,
     DimensionMismatchError,
     NonFiniteError,
@@ -135,42 +136,35 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
     return DataSet(points, labels)
 
 
-def load_csv(path, label_last_column=False, skip_header=False):
-    """DataSet from a plain numeric CSV (comma-separated, no quoting).
+def load_csv(path):
+    """DataSet from a plain numeric CSV: comma-separated, no quoting, no header.
 
-    Row order is preserved. With label_last_column=True the final column
-    must hold integers and becomes the labels. A NaN or infinite cell is
-    refused with NonFiniteError naming its row and column.
+    Row order is preserved and blank lines at the end of the file are ignored.
+    Rows of differing widths, fewer than 2 columns, and non-numeric or
+    non-finite (NaN/inf) cells are refused with typed errors naming the file.
     """
     lines = Path(path).read_text().splitlines()
-    if skip_header and lines:
-        lines = lines[1:]
+    while lines and not lines[-1].strip():
+        lines.pop()
     rows = [line.split(",") for line in lines]
     if not rows:
         raise RaggedRowsError(f"{path}: no data rows")
     width = len(rows[0])
-    values = np.empty((len(rows), width))
     for i, cells in enumerate(rows):
         if len(cells) != width:
             raise RaggedRowsError(f"{path}: row {i} has {len(cells)} cells, expected {width}")
-        try:
-            values[i] = np.asarray(cells, dtype=np.float64)
-        except ValueError:
-            bad = next(j for j, c in enumerate(cells) if not _is_number(c))
-            raise NonNumericCellError(f"{path}: row {i}, column {bad}: {cells[bad]!r}") from None
+    if width < 2:
+        raise BadDimError(f"{path}: {width} column, need at least 2")
+    try:
+        values = np.array(rows, dtype=np.float64)
+    except ValueError:
+        i, j = next((i, j) for i, cells in enumerate(rows) for j, c in enumerate(cells) if not _is_number(c))
+        raise NonNumericCellError(f"{path}: row {i}, column {j}: {rows[i][j]!r}") from None
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         i, j = bad[0]
         raise NonFiniteError(f"{path}: row {i}, column {j}: {rows[i][j]!r} is not finite")
-
-    labels = None
-    if label_last_column:
-        lab = values[:, -1]
-        if np.any(lab != np.round(lab)):
-            raise NonNumericCellError(f"{path}: label column must hold integers")
-        labels = lab.astype(np.int64)
-        values = values[:, :-1]
-    return DataSet(values, labels)
+    return DataSet(values)
 
 
 def _is_number(cell):

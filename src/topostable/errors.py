@@ -34,7 +34,7 @@ class NonFiniteError(TopoStableError):
 
 
 class BadDimError(TopoStableError):
-    """Embedding dimension out of range."""
+    """Embedding dimension, or the column count of input data, out of range."""
 
 
 class BadCountError(TopoStableError):

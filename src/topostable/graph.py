@@ -8,8 +8,8 @@ filter suppresses "bridge" edges between nearby manifold folds.
 
 Both rules start from the same (n, k) kNN table. The stable rule turns it
 into a keep-mask, one row per point, using linalg's projection step for the
-local basis and the complement vector; either way the graph is the union of
-the kept (point, candidate) pairs.
+local basis and the complement vector and its angle step for the window;
+either way the graph is the union of the kept (point, candidate) pairs.
 """
 
 from dataclasses import dataclass
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
-from .linalg import _project_out
+from .linalg import _angles_deg, _project_out
 
 __all__ = [
     "DataSet",
@@ -217,8 +217,7 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     keep[: cfg.dim_w] = True
     rest = np.flatnonzero(~keep)
     if rest.size:
-        cosines = diffs[rest] @ w_perp / (norms[rest] * np.linalg.norm(w_perp))
-        theta = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
+        theta = _angles_deg(diffs[rest], norms[rest], w_perp)
         keep[rest[np.abs(theta - 90.0) <= cfg.delta_theta_deg]] = True
     return keep
 

@@ -1,9 +1,10 @@
 """Deterministic linear-algebra primitives.
 
 Gram-Schmidt orthogonalization and orthogonal-complement residuals, both
-built on one projection step (``_project_out``) that the stable neighbor
-selector runs too; angles, the top eigenpairs of a symmetric matrix, and
-Pearson correlation. Everything here is a pure function of its inputs.
+built on one projection step (``_project_out``), and angles, built on one
+angle step (``_angles_deg``); the stable neighbor selector runs both steps
+too. Also the top eigenpairs of a symmetric matrix, and Pearson
+correlation. Everything here is a pure function of its inputs.
 
 The eigensolver needs only the top m pairs: block subspace iteration with
 Rayleigh-Ritz, falling back to a full eigh when n is small or when the
@@ -89,14 +90,21 @@ def residual_vector(x_q, x_p, basis):
     return r
 
 
+def _angles_deg(rows, norms, w):
+    """Angles in degrees within [0, 180] between w and each row of ``rows``
+    (or one vector), given their norms: the step angle_deg and the stable
+    selector share. It does not validate its inputs."""
+    cosines = rows @ w / (norms * np.linalg.norm(w))
+    return np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
+
+
 def angle_deg(u, v):
     """Unsigned angle between two vectors, in degrees within [0, 180]."""
     u, v = _vec(u), _vec(v)
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    nu = np.linalg.norm(u)
+    if nu == 0.0 or np.linalg.norm(v) == 0.0:
         raise ZeroVectorError("angle undefined for a zero vector")
-    c = np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0)
-    return float(np.degrees(np.arccos(c)))
+    return float(_angles_deg(u, nu, v))
 
 
 @dataclass(frozen=True)

@@ -28,16 +28,14 @@ __all__ = [
 METHODS = ("standard", "stable")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs for one pipeline run; defaults mirror the reference experiments
-    (delta_theta 5 degrees, 2-D local subspace, 2-D embedding)."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SelectorConfig):
+    """Knobs for one pipeline run: the selector's settings (k, dim_w,
+    delta_theta_deg, with their defaults) plus the method and the embedding
+    dimension m; the defaults mirror the reference experiments."""
 
     method: str
-    k: int
     m: int = 2
-    dim_w: int = 2
-    delta_theta_deg: float = 5.0
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -46,9 +44,6 @@ class RunConfig:
             raise ValueError("m must be positive")
         if self.k < 1:
             raise ValueError("k must be positive")
-
-    def selector(self):
-        return SelectorConfig(k=self.k, dim_w=self.dim_w, delta_theta_deg=self.delta_theta_deg)
 
 
 @contextlib.contextmanager
@@ -68,7 +63,7 @@ def isomap_embed(data, cfg):
     kept_indices maps its rows back to original point ids.
     """
     with _stage("neighbor graph"):
-        graph = build_graph(data, cfg.selector(), cfg.method)
+        graph = build_graph(data, cfg, cfg.method)
     with _stage("shortest paths"):
         gm_full = floyd_all_pairs(graph)
     sub_data, gm, kept = largest_component(gm_full, data)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from topostable import __version__
+from topostable import RunConfig, __version__
 from topostable.cli import build_parser, main
 
 from test_datasets import write_idx_images, write_idx_labels
@@ -61,6 +61,11 @@ class TestRunFlags:
     )
     def test_same_values_in_both_subcommands(self, extra, expected):
         assert self.parsed("embed", extra) == self.parsed("compare", extra) == expected
+
+    @pytest.mark.parametrize("command", ["embed", "compare"])
+    def test_defaults_are_the_config_defaults(self, command):
+        cfg = RunConfig(method="stable", k=5)
+        assert self.parsed(command, []) == {"m": cfg.m, "dim_w": cfg.dim_w, "delta_theta": cfg.delta_theta_deg}
 
     @pytest.mark.parametrize("command", ["embed", "compare"])
     def test_unknown_shortest_path_rejected(self, capsys, command):
@@ -143,6 +148,23 @@ class TestEmbed:
         assert code == 2
         assert f"error: {bad}: row 2, column 1: 'nan' is not finite" in err
 
+    @pytest.mark.parametrize("tail", ["\n", " \n"])
+    def test_trailing_blank_lines_ignored(self, capsys, tmp_path, tail):
+        clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+        clean.write_text("1,2\n3,4\n5,6\n")
+        padded.write_text("1,2\n3,4\n5,6\n" + tail)
+        argv = ["embed", "--method", "standard", "--k", "1", "--in"]
+        code, out, _ = run(capsys, [*argv, str(padded)])
+        assert code == 0
+        assert out == run(capsys, [*argv, str(clean)])[1]
+
+    def test_one_column_csv_is_data_error(self, capsys, tmp_path):
+        bad = tmp_path / "onecol.csv"
+        bad.write_text("1\n2\n3\n")
+        code, _, err = run(capsys, ["embed", "--in", str(bad), "--k", "1"])
+        assert code == 2
+        assert f"error: {bad}: 1 column, need at least 2" in err
+
     def test_stdout_matches_file_output(self, capsys, roll_csv, tmp_path):
         out = tmp_path / "emb.csv"
         argv = ["embed", "--in", str(roll_csv), "--k", "8"]
@@ -188,6 +210,16 @@ class TestEmbed:
         code, _, err = run(capsys, ["embed", "--in", str(pi), "--k", "5", *extra])
         assert code == 2
         assert f"take_first must be at least 1, got {extra[1]}" in err
+
+    @pytest.mark.parametrize("command", ["embed", "compare"])
+    def test_sample_random_without_take_first_is_usage_error(self, capsys, tmp_path, command):
+        # without a count the loader would keep every image, not a sample
+        pi, out = tmp_path / "i.idx", tmp_path / "out.csv"
+        write_idx_images(pi, np.zeros((20, 3, 3), dtype=np.uint8))
+        code, _, err = run(capsys, [command, "--in", str(pi), "--k", "5", "--sample-random", "--out", str(out)])
+        assert code == 1
+        assert "--sample-random needs --take-first" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, extra",

@@ -6,6 +6,7 @@ import pytest
 from topostable import gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
 from topostable.errors import (
     BadCountError,
+    BadDimError,
     BadMagicError,
     DimensionMismatchError,
     NonFiniteError,
@@ -221,6 +222,9 @@ class TestLoadCsv:
         p.write_text("1,x\n")
         with pytest.raises(NonNumericCellError, match="column 1"):
             load_csv(p)
+        p.write_text("1,2\n3,4\n5,6e\n")
+        with pytest.raises(NonNumericCellError, match=r"x\.csv: row 2, column 1: '6e'$"):
+            load_csv(p)
 
     @pytest.mark.parametrize("cell", ["nan", "inf", " -Infinity"])
     def test_non_finite_cell(self, tmp_path, cell):
@@ -229,30 +233,28 @@ class TestLoadCsv:
         with pytest.raises(NonFiniteError, match=rf"f\.csv: row 2, column 1: '{cell}' is not finite"):
             load_csv(p)
 
-    def test_non_finite_label_cell(self, tmp_path):
-        p = tmp_path / "lab.csv"
-        p.write_text("1,2,0\n3,4,inf\n")
-        with pytest.raises(NonFiniteError, match="row 1, column 2"):
-            load_csv(p, label_last_column=True)
+    @pytest.mark.parametrize("tail", ["\n", " \n", "\n\n \n"])
+    def test_trailing_blank_lines_ignored(self, tmp_path, tail):
+        clean, padded = tmp_path / "clean.csv", tmp_path / "padded.csv"
+        clean.write_text("1,2\n3,4\n5,6\n")
+        padded.write_text("1,2\n3,4\n5,6\n" + tail)
+        assert np.array_equal(load_csv(padded).points, load_csv(clean).points)
 
-    def test_label_column(self, tmp_path):
-        p = tmp_path / "lab.csv"
-        p.write_text("1.5,2.5,0\n3.5,4.5,1\n")
-        data = load_csv(p, label_last_column=True)
-        assert np.array_equal(data.points, [[1.5, 2.5], [3.5, 4.5]])
-        assert np.array_equal(data.labels, [0, 1])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("1,2\n\n3,4\n", "row 1 has 1 cells, expected 2"), ("\n \n", "no data rows"), ("", "no data rows")],
+    )
+    def test_blank_line_inside_or_only_blank_lines(self, tmp_path, text, message):
+        p = tmp_path / "b.csv"
+        p.write_text(text)
+        with pytest.raises(RaggedRowsError, match=message):
+            load_csv(p)
 
-    def test_non_integer_label_rejected(self, tmp_path):
-        p = tmp_path / "lab.csv"
-        p.write_text("1,2,0.5\n3,4,1\n")
-        with pytest.raises(NonNumericCellError):
-            load_csv(p, label_last_column=True)
-
-    def test_skip_header(self, tmp_path):
-        p = tmp_path / "h.csv"
-        p.write_text("a,b\n1,2\n3,4\n")
-        data = load_csv(p, skip_header=True)
-        assert np.array_equal(data.points, [[1.0, 2.0], [3.0, 4.0]])
+    def test_one_column_rejected(self, tmp_path):
+        p = tmp_path / "one.csv"
+        p.write_text("1\n2\n3\n")
+        with pytest.raises(BadDimError, match=r"one\.csv: 1 column, need at least 2"):
+            load_csv(p)
 
     def test_row_order_preserved(self, tmp_path):
         p = tmp_path / "o.csv"

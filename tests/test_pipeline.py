@@ -9,6 +9,8 @@ from topostable import (
     DataSet,
     Embedding,
     RunConfig,
+    SelectorConfig,
+    build_graph,
     compare_methods,
     gen_swiss_roll,
     isomap_embed,
@@ -36,6 +38,15 @@ class TestRunConfig:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             RunConfig(method="stable", k=5, m=0)
+
+    def test_is_the_selector_config_of_build_graph(self):
+        # RunConfig carries the selector settings itself: build_graph takes it
+        data = gen_swiss_roll(200, 1).data
+        run = RunConfig(method="stable", k=8, m=3, delta_theta_deg=7.5)
+        ref = build_graph(data, SelectorConfig(k=8, delta_theta_deg=7.5), "stable")
+        g = build_graph(data, run, run.method)
+        assert np.array_equal(g.edges, ref.edges)
+        assert np.array_equal(g.weights, ref.weights)
 
 
 class TestIsomapEmbed:
@@ -141,7 +152,9 @@ class TestWriteEmbeddingCsv:
         emb = Embedding(coords=coords, eigenvalues=np.ones(2), m=2)
         path = tmp_path / "emb.csv"
         write_embedding_csv(emb, np.arange(12), np.arange(12) % 3, path)
-        data = load_csv(path, skip_header=True)
+        body = tmp_path / "body.csv"
+        body.write_text(path.read_text().split("\n", 1)[1])  # load_csv reads no header
+        data = load_csv(body)
         assert np.max(np.abs(data.points[:, 2:] - coords)) <= 1e-15
         assert np.array_equal(data.points[:, 1], np.arange(12) % 3)
 
