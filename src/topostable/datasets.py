@@ -5,6 +5,10 @@ Generators draw parameters from numpy's default_rng (PCG64), so a fixed
 the ground-truth manifold coordinates, row-aligned with the points.
 """
 
+import contextlib
+import io
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -95,45 +99,85 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
     Pixels are scaled to [0, 1]. A companion label file (magic 2049) fills
     labels. take_first keeps the first n images; with sample_random=True it
     instead keeps a seeded uniform subset (original order preserved).
+    Both headers and payload lengths are checked first; then only the kept
+    rows are read, as bytes, and only they are converted to float64, so the
+    input costs keep x rows x cols x 8 B rather than the whole file's worth.
     Raises BadCountError when take_first is below 1.
     """
     if take_first is not None and take_first < 1:
         raise BadCountError(f"take_first must be at least 1, got {take_first}")
-    raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise TruncatedFileError(f"{path}: shorter than the 16-byte IDX image header")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(f"{path}: expected image magic {IDX_IMAGE_MAGIC}, got {magic}")
-    need = count * rows * cols
-    if len(raw) < 16 + need:
-        raise TruncatedFileError(f"{path}: expected {need} pixel bytes, found {len(raw) - 16}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
-    points = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    with contextlib.ExitStack() as files:
+        images, size = _open_idx(path, files)
+        count, rows, cols = _idx_header(images, path, "image", IDX_IMAGE_MAGIC)
+        width = rows * cols
+        if size - 16 < count * width:
+            raise TruncatedFileError(f"{path}: expected {count * width} pixel bytes, found {size - 16}")
+        if labels_path is not None:
+            labels, lsize = _open_idx(labels_path, files)
+            (lcount,) = _idx_header(labels, labels_path, "label", IDX_LABEL_MAGIC)
+            if lcount != count:
+                raise DimensionMismatchError(f"{lcount} labels for {count} images")
+            if lsize - 8 < lcount:
+                raise TruncatedFileError(f"{labels_path}: expected {lcount} label bytes, found {lsize - 8}")
+        chosen = _chosen_rows(count, take_first, sample_random, seed)
+        points = _read_rows(images, path, 16, width, count, chosen).astype(np.float64)
+        points /= 255.0
+        kept_labels = None
+        if labels_path is not None:
+            kept_labels = _read_rows(labels, labels_path, 8, 1, count, chosen).reshape(-1).astype(np.int64)
+    return DataSet(points, kept_labels)
 
-    labels = None
-    if labels_path is not None:
-        lraw = Path(labels_path).read_bytes()
-        if len(lraw) < 8:
-            raise TruncatedFileError(f"{labels_path}: shorter than the 8-byte IDX label header")
-        lmagic, lcount = struct.unpack(">II", lraw[:8])
-        if lmagic != IDX_LABEL_MAGIC:
-            raise BadMagicError(f"{labels_path}: expected label magic {IDX_LABEL_MAGIC}, got {lmagic}")
-        if lcount != count:
-            raise DimensionMismatchError(f"{lcount} labels for {count} images")
-        if len(lraw) < 8 + lcount:
-            raise TruncatedFileError(f"{labels_path}: expected {lcount} label bytes, found {len(lraw) - 8}")
-        labels = np.frombuffer(lraw, dtype=np.uint8, count=lcount, offset=8).astype(np.int64)
 
-    if take_first is not None:
-        keep = min(int(take_first), count)
-        if sample_random:
-            idx = np.sort(np.random.default_rng(seed).choice(count, size=keep, replace=False))
-        else:
-            idx = np.arange(keep)
-        points = points[idx]
-        labels = None if labels is None else labels[idx]
-    return DataSet(points, labels)
+def _open_idx(path, files):
+    """Binary handle on an IDX file, closed with the ExitStack files, and
+    the file's size in bytes. A pipe has no size and cannot seek, so it is
+    read whole into memory."""
+    fh = files.enter_context(open(path, "rb"))
+    st = os.fstat(fh.fileno())
+    if stat.S_ISREG(st.st_mode):
+        return fh, st.st_size
+    raw = fh.read()
+    return io.BytesIO(raw), len(raw)
+
+
+def _idx_header(fh, path, kind, magic):
+    """Fields after the magic number of an IDX header (">IIII" for images,
+    ">II" for labels), checked for length and magic."""
+    fmt = ">IIII" if kind == "image" else ">II"
+    size = struct.calcsize(fmt)
+    head = fh.read(size)
+    if len(head) < size:
+        raise TruncatedFileError(f"{path}: shorter than the {size}-byte IDX {kind} header")
+    found, *fields = struct.unpack(fmt, head)
+    if found != magic:
+        raise BadMagicError(f"{path}: expected {kind} magic {magic}, got {found}")
+    return fields
+
+
+def _chosen_rows(count, take_first, sample_random, seed):
+    """Sorted indices of the rows load_idx keeps, or None for all of them."""
+    if take_first is None:
+        return None
+    keep = min(int(take_first), count)
+    if sample_random:
+        return np.sort(np.random.default_rng(seed).choice(count, size=keep, replace=False))
+    return np.arange(keep)
+
+
+def _read_rows(fh, path, offset, width, count, chosen):
+    """uint8 (len(chosen), width) array of the chosen rows of a payload of
+    count rows that starts at byte offset; chosen=None reads every row.
+    Each run of adjacent rows is one seek and one read."""
+    if chosen is None:
+        chosen = np.arange(count)
+    out = np.empty((chosen.size, width), dtype=np.uint8)
+    view = memoryview(out.reshape(-1))
+    starts = np.flatnonzero(np.diff(chosen, prepend=-2) != 1)
+    for a, b in zip(starts, [*starts[1:], chosen.size]):
+        fh.seek(offset + int(chosen[a]) * width)
+        if fh.readinto(view[a * width : b * width]) != (b - a) * width:
+            raise TruncatedFileError(f"{path}: ended before its declared payload was read")
+    return out
 
 
 def load_csv(path):
@@ -143,7 +187,7 @@ def load_csv(path):
     Rows of differing widths, fewer than 2 columns, and non-numeric or
     non-finite (NaN/inf) cells are refused with typed errors naming the file.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     rows = [line.split(",") for line in lines]

@@ -28,6 +28,8 @@ __all__ = [
     "build_graph",
 ]
 
+EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered endpoint block in build_graph
+
 
 @dataclass(frozen=True)
 class DataSet:
@@ -258,5 +260,11 @@ def build_graph(data, cfg, method="standard"):
     cols = nn[rows, pos]
     keys = np.unique(np.minimum(rows, cols) * n + np.maximum(rows, cols))
     edges = np.column_stack([keys // n, keys % n])
-    weights = np.linalg.norm(points[edges[:, 0]] - points[edges[:, 1]], axis=1)
+    # Exact weights a block of edges at a time, so the gathered endpoint
+    # rows stay near EDGE_BLOCK_BYTES each however large d is.
+    block = max(1, EDGE_BLOCK_BYTES // (8 * data.dim))
+    weights = np.empty(len(edges))
+    for s in range(0, len(edges), block):
+        i, j = edges[s : s + block].T
+        weights[s : s + block] = np.linalg.norm(points[i] - points[j], axis=1)
     return NeighborGraph(n=n, edges=edges, weights=weights)

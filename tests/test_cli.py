@@ -158,6 +158,15 @@ class TestEmbed:
         assert code == 0
         assert out == run(capsys, [*argv, str(clean)])[1]
 
+    def test_byte_order_mark_ignored(self, capsys, tmp_path):
+        clean, bom = tmp_path / "clean.csv", tmp_path / "bom.csv"
+        clean.write_bytes(b"1,2\n3,4\n5,6\n")
+        bom.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        argv = ["embed", "--method", "standard", "--k", "1", "--in"]
+        code, out, _ = run(capsys, [*argv, str(bom)])
+        assert code == 0
+        assert out == run(capsys, [*argv, str(clean)])[1]
+
     def test_one_column_csv_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "onecol.csv"
         bad.write_text("1\n2\n3\n")
@@ -202,6 +211,24 @@ class TestEmbed:
         lines = out.read_text().splitlines()
         labels = {int(line.split(",")[1]) for line in lines[1:]}
         assert labels <= set(range(5))
+
+    def test_idx_random_subset_keeps_its_labels(self, capsys, tmp_path):
+        rng = np.random.default_rng(1)
+        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(pi, rng.integers(0, 256, size=(40, 3, 3), dtype=np.uint8))
+        labels = np.arange(100, 140)  # one distinct label per image
+        write_idx_labels(pl, list(labels))
+        out = tmp_path / "emb.csv"
+        code, _, _ = run(
+            capsys,
+            ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "15", "--sample-random",
+             "--seed", "4", "--method", "standard", "--k", "6", "--out", str(out)],
+        )
+        assert code == 0
+        rows = np.array([line.split(",")[:2] for line in out.read_text().splitlines()[1:]], dtype=np.int64)
+        chosen = np.sort(np.random.default_rng(4).choice(40, size=15, replace=False))
+        assert rows.shape == (15, 2)
+        assert np.array_equal(rows[:, 1], labels[chosen][rows[:, 0]])
 
     @pytest.mark.parametrize("extra", [["--take-first", "0"], ["--take-first", "-3", "--sample-random"]])
     def test_take_first_below_one_is_data_error(self, capsys, tmp_path, extra):

@@ -1,4 +1,8 @@
+import os
 import struct
+import threading
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +116,40 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
 
 
+def reference_load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=0):
+    """The full-decode loader on valid files: every image to float64, then
+    the kept rows. (points, labels)."""
+    raw = Path(path).read_bytes()
+    _, count, rows, cols = struct.unpack(">IIII", raw[:16])
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=count * rows * cols, offset=16)
+    points = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    labels = None
+    if labels_path is not None:
+        labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    if take_first is not None:
+        keep = min(int(take_first), count)
+        if sample_random:
+            idx = np.sort(np.random.default_rng(seed).choice(count, size=keep, replace=False))
+        else:
+            idx = np.arange(keep)
+        points = points[idx]
+        labels = None if labels is None else labels[idx]
+    return points, labels
+
+
+def feed_fifo(path, payload):
+    """Make path a named pipe and write payload into it from a thread."""
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as fh:
+            fh.write(payload)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
 class TestLoadIdx:
     def test_two_image_fixture_decoded(self, tmp_path):
         images = np.array(
@@ -204,6 +242,70 @@ class TestLoadIdx:
         assert np.array_equal((data.points * 255).astype(np.uint8).reshape(6, 3, 3), images)
 
 
+    ORACLE_COUNT = 40
+
+    @pytest.mark.parametrize("with_labels", [False, True])
+    @pytest.mark.parametrize(
+        "take_first, sample_random, seed",
+        [(None, False, 0)]
+        + [(t, False, 0) for t in (1, 17, ORACLE_COUNT, ORACLE_COUNT + 5)]
+        + [(t, True, s) for t in (1, 17, ORACLE_COUNT, ORACLE_COUNT + 5) for s in (3, 11)],
+    )
+    def test_matches_full_decode(self, tmp_path, take_first, sample_random, seed, with_labels):
+        rng = np.random.default_rng(21)
+        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(pi, rng.integers(0, 256, size=(self.ORACLE_COUNT, 5, 4), dtype=np.uint8))
+        write_idx_labels(pl, list(rng.integers(0, 10, size=self.ORACLE_COUNT)))
+        labels_path = pl if with_labels else None
+        data = load_idx(pi, labels_path=labels_path, take_first=take_first, sample_random=sample_random, seed=seed)
+        points, labels = reference_load_idx(pi, labels_path, take_first, sample_random, seed)
+        assert data.points.dtype == np.float64 and np.array_equal(data.points, points)
+        if with_labels:
+            assert data.labels.dtype == np.int64 and np.array_equal(data.labels, labels)
+        else:
+            assert data.labels is None
+
+    def test_take_first_reads_only_the_kept_rows(self, tmp_path):
+        pi = tmp_path / "big.idx"
+        write_idx_images(pi, np.full((20000, 28, 28), 7, dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            data = load_idx(pi, take_first=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.n == 10
+        # the whole file decoded would be 15.7 MB of bytes and 125 MB of float64
+        assert peak < 1_000_000
+
+    def test_truncated_label_payload(self, tmp_path):
+        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(pi, np.zeros((2, 2, 2), dtype=np.uint8))
+        pl.write_bytes(struct.pack(">II", 2049, 2) + bytes(1))
+        with pytest.raises(TruncatedFileError, match=r"expected 2 label bytes, found 1$"):
+            load_idx(pi, labels_path=pl)
+
+    def test_truncated_after_the_kept_rows(self, tmp_path):
+        p = tmp_path / "cut.idx"
+        p.write_bytes(struct.pack(">IIII", 2051, 5, 2, 2) + bytes(3 * 4))
+        with pytest.raises(TruncatedFileError, match=r"expected 20 pixel bytes, found 12$"):
+            load_idx(p, take_first=1)
+
+    def test_named_pipes_read_whole(self, tmp_path):
+        rng = np.random.default_rng(5)
+        pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
+        write_idx_images(pi, rng.integers(0, 256, size=(12, 3, 3), dtype=np.uint8))
+        write_idx_labels(pl, list(rng.integers(0, 10, size=12)))
+        fi, fl = tmp_path / "i.fifo", tmp_path / "l.fifo"
+        writers = [feed_fifo(fi, pi.read_bytes()), feed_fifo(fl, pl.read_bytes())]
+        data = load_idx(fi, labels_path=fl, take_first=5, sample_random=True, seed=2)
+        for writer in writers:
+            writer.join(timeout=5)
+        points, labels = reference_load_idx(pi, pl, 5, True, 2)
+        assert np.array_equal(data.points, points)
+        assert np.array_equal(data.labels, labels)
+
+
 class TestLoadCsv:
     def test_basic_matrix(self, tmp_path):
         p = tmp_path / "m.csv"
@@ -260,3 +362,9 @@ class TestLoadCsv:
         p = tmp_path / "o.csv"
         p.write_text("9,8\n1,2\n5,5\n")
         assert load_csv(p).points[0].tolist() == [9.0, 8.0]
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        clean, bom = tmp_path / "clean.csv", tmp_path / "bom.csv"
+        clean.write_bytes(b"1,2\n3,4\n5,6\n")
+        bom.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        assert np.array_equal(load_csv(bom).points, load_csv(clean).points)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, knn_lists, select_neighbors_stable
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
+from topostable.graph import EDGE_BLOCK_BYTES
 
 from conftest import cross_plane_edges
 
@@ -241,6 +242,15 @@ class TestBuildGraph:
             # weights are exact Euclidean distances
             d = np.linalg.norm(data.points[g.edges[:, 0]] - data.points[g.edges[:, 1]], axis=1)
             assert np.max(np.abs(d - g.weights)) <= 1e-12
+
+    def test_blocked_weights_equal_one_pass_norms(self):
+        # 784-D: 167 edges per block, so the weights span many blocks
+        data = DataSet(np.random.default_rng(5).standard_normal((300, 784)))
+        for method in ("standard", "stable"):
+            g = build_graph(data, SelectorConfig(k=10), method)
+            assert g.n_edges > 2 * EDGE_BLOCK_BYTES // (8 * 784)
+            d = np.linalg.norm(data.points[g.edges[:, 0]] - data.points[g.edges[:, 1]], axis=1)
+            assert np.array_equal(g.weights, d)
 
     @PROPERTY
     @given(seed=seeds, n=st.integers(20, 60), dim=st.integers(3, 5), k=st.integers(3, 10))
