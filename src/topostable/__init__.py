@@ -9,87 +9,19 @@ orthogonal to the subspace's complement, and provides the full pipeline
 compare both rules via residual variance.
 """
 
-from .datasets import (
-    SyntheticSample,
-    gen_helix,
-    gen_punctured_sphere,
-    gen_swiss_roll,
-    load_csv,
-    load_idx,
-)
+from . import datasets, geodesic, graph, linalg, pipeline
+from .datasets import *
 from .errors import TopoStableError
-from .geodesic import (
-    Embedding,
-    GeodesicMatrix,
-    classical_mds,
-    double_center,
-    floyd_all_pairs,
-    largest_component,
-    residual_variance,
-)
-from .graph import (
-    DataSet,
-    NeighborGraph,
-    SelectorConfig,
-    build_graph,
-    knn_lists,
-    select_neighbors_stable,
-)
-from .linalg import (
-    EigenPairs,
-    angle_deg,
-    gram_schmidt_pair,
-    pearson_r,
-    residual_vector,
-    symmetric_eigen_top,
-)
-from .pipeline import (
-    ComparisonReport,
-    ReportRow,
-    RunConfig,
-    compare_methods,
-    isomap_embed,
-    write_embedding_csv,
-    write_report_csv,
-    write_scatter_svg,
-)
+from .geodesic import *
+from .graph import *
+from .linalg import *
+from .pipeline import *
 
 __version__ = "0.1.0"
 
+# Each module's __all__ lists its public names; the package re-exports them.
 __all__ = [
     "__version__",
     "TopoStableError",
-    "DataSet",
-    "SelectorConfig",
-    "NeighborGraph",
-    "knn_lists",
-    "select_neighbors_stable",
-    "build_graph",
-    "GeodesicMatrix",
-    "Embedding",
-    "floyd_all_pairs",
-    "largest_component",
-    "double_center",
-    "classical_mds",
-    "residual_variance",
-    "EigenPairs",
-    "gram_schmidt_pair",
-    "residual_vector",
-    "angle_deg",
-    "symmetric_eigen_top",
-    "pearson_r",
-    "SyntheticSample",
-    "gen_helix",
-    "gen_swiss_roll",
-    "gen_punctured_sphere",
-    "load_idx",
-    "load_csv",
-    "RunConfig",
-    "ReportRow",
-    "ComparisonReport",
-    "isomap_embed",
-    "compare_methods",
-    "write_embedding_csv",
-    "write_report_csv",
-    "write_scatter_svg",
+    *graph.__all__, *geodesic.__all__, *linalg.__all__, *datasets.__all__, *pipeline.__all__,
 ]

@@ -13,6 +13,7 @@ from . import __version__
 from .datasets import IDX_IMAGE_MAGIC, gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
 from .errors import TopoStableError
 from .geodesic import residual_variance
+from .graph import METHODS
 from .pipeline import (
     RunConfig,
     _open_out,
@@ -72,7 +73,7 @@ def build_parser():
 
     e = sub.add_parser("embed", help="embed a dataset and write coordinates")
     _add_input_flags(e)
-    e.add_argument("--method", choices=["standard", "stable"], default="stable")
+    e.add_argument("--method", choices=METHODS, default="stable")
     _add_run_flags(e, int, "neighbor count")
     e.add_argument("--out", default="-", help="embedding CSV path, - for stdout")
     e.add_argument("--svg", help="optional scatter plot path")
@@ -80,7 +81,7 @@ def build_parser():
 
     c = sub.add_parser("compare", help="residual-variance sweep over k for both methods")
     _add_input_flags(c)
-    c.add_argument("--method", choices=["standard", "stable", "both"], default="both")
+    c.add_argument("--method", choices=[*METHODS, "both"], default="both")
     _add_run_flags(c, _k_list, "comma-separated k values")
     c.add_argument("--out", default="-", help="report CSV path, - for stdout")
     c.set_defaults(func=_cmd_compare)
@@ -148,7 +149,7 @@ def _cmd_embed(args):
 
 def _cmd_compare(args):
     data = _load_input(args)
-    methods = ("standard", "stable") if args.method == "both" else (args.method,)
+    methods = METHODS if args.method == "both" else (args.method,)
     report = compare_methods(data, args.k, _run_config(args, methods[0], args.k[0]), methods=methods)
     write_report_csv(report, sys.stdout if args.out == "-" else args.out)
     failures = [r for r in report.rows if r.error is not None]

@@ -57,7 +57,11 @@ class Embedding:
 
     coords: np.ndarray
     eigenvalues: np.ndarray
-    m: int
+
+    @property
+    def m(self):
+        """Embedding dimension: the number of coordinate columns."""
+        return self.coords.shape[1]
 
     @property
     def n_clipped(self):
@@ -177,7 +181,7 @@ def classical_mds(gm, m):
         raise NonFiniteError("geodesic matrix spans multiple components")
     eig = symmetric_eigen_top(double_center(np.square(gm.d)), m)
     coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
-    return Embedding(coords=coords, eigenvalues=eig.values, m=m)
+    return Embedding(coords=coords, eigenvalues=eig.values)
 
 
 def residual_variance(gm, emb):

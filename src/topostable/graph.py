@@ -1,14 +1,14 @@
 """Weighted neighborhood graph construction.
 
-Two selection rules are provided: plain k-nearest-neighbor selection, and a
-topology-aware rule that keeps a far candidate only when its offset is close
-to orthogonal (90 degrees within a window) to a vector from the orthogonal
-complement of the local subspace spanned by the nearest neighbors. The
-filter suppresses "bridge" edges between nearby manifold folds.
+build_graph offers two selection rules (METHODS): plain k-nearest-neighbor
+selection, and a topology-aware rule that keeps a far candidate only when
+its offset is close to orthogonal (90 degrees within a window) to a vector
+from the orthogonal complement of the local subspace spanned by the nearest
+neighbors. The filter suppresses "bridge" edges between nearby manifold folds.
 
-Both rules start from the same (n, k) kNN table. The stable rule turns it
-into a keep-mask, one row per point, using linalg's projection step for the
-local basis and the complement vector and its angle step for the window;
+Both rules start from build_graph's (n, k) kNN table. The stable rule turns
+it into a keep-mask, one row per point, using linalg's projection step for
+the local basis and the complement vector and its angle step for the window;
 either way the graph is the union of the kept (point, candidate) pairs.
 """
 
@@ -23,10 +23,10 @@ __all__ = [
     "DataSet",
     "SelectorConfig",
     "NeighborGraph",
-    "knn_lists",
-    "select_neighbors_stable",
     "build_graph",
 ]
+
+METHODS = ("standard", "stable")  # the selection rules build_graph offers
 
 EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered endpoint block in build_graph
 
@@ -122,10 +122,6 @@ class NeighborGraph:
     def n_edges(self):
         return self.edges.shape[0]
 
-    def has_edge(self, i, j):
-        a, b = (i, j) if i < j else (j, i)
-        return bool(np.any((self.edges[:, 0] == a) & (self.edges[:, 1] == b)))
-
     def to_dense_weights(self):
         """Dense (n, n) weight matrix: 0 on the diagonal, inf off-edges."""
         d = np.full((self.n, self.n), np.inf)
@@ -145,29 +141,6 @@ def _pairwise_sq(points):
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
-
-
-def _knn_table(data, k):
-    """Squared distances and the (n, k) kNN table (ascending distance, ties
-    by index). Raises KTooLargeError when k >= n."""
-    if k >= data.n:
-        raise KTooLargeError(f"k={k} but only {data.n} points are available")
-    d2 = _pairwise_sq(data.points)
-    np.fill_diagonal(d2, -1.0)  # self sorts first, dropped below
-    order = np.argsort(d2, axis=1, kind="stable")
-    np.fill_diagonal(d2, 0.0)
-    return d2, order[:, 1 : k + 1]
-
-
-def knn_lists(data, k):
-    """Indices of the k nearest Euclidean neighbors of every point.
-
-    Returns an (n, k) integer array, each row sorted by ascending distance
-    (ties broken by index). The point itself is excluded.
-    """
-    if k < 1:
-        raise ValueError("k must be positive")
-    return _knn_table(data, k)[1]
 
 
 def _stable_select(points, p, nbrs, d2_row, cfg):
@@ -224,14 +197,6 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     return keep
 
 
-def select_neighbors_stable(data, p, cfg):
-    """Neighbor set for point p under the angle-filtered rule."""
-    cfg.check(data, stable=True)
-    d2, nn = _knn_table(data, cfg.k)
-    keep = _stable_select(data.points, p, nn[p], d2[p], cfg)
-    return [int(j) for j in nn[p][keep]]
-
-
 def build_graph(data, cfg, method="standard"):
     """Neighborhood graph under either selection rule, symmetrized by union.
 
@@ -239,12 +204,21 @@ def build_graph(data, cfg, method="standard"):
     weights are exact Euclidean distances. Selector failures are re-raised
     with the offending point index prepended.
     """
-    if method not in ("standard", "stable"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cfg.check(data, stable=method == "stable")
-    d2, nn = _knn_table(data, cfg.k)
     points = data.points
     n = data.n
+    if cfg.k >= n:
+        raise KTooLargeError(f"k={cfg.k} but only {n} points are available")
+
+    # kNN table: rows sorted by the computed squared distances, ties broken
+    # by index, self forced first and dropped. The Gram product can round the
+    # distances to two identical rows differently; the rounding then decides.
+    d2 = _pairwise_sq(points)
+    np.fill_diagonal(d2, -1.0)
+    nn = np.argsort(d2, axis=1, kind="stable")[:, 1 : cfg.k + 1]
+    np.fill_diagonal(d2, 0.0)
 
     keep = np.ones(nn.shape, dtype=bool)
     if method == "stable":

@@ -23,6 +23,15 @@ from .errors import (
     ZeroVectorError,
 )
 
+__all__ = [
+    "EigenPairs",
+    "gram_schmidt_pair",
+    "residual_vector",
+    "angle_deg",
+    "symmetric_eigen_top",
+    "pearson_r",
+]
+
 # Relative tolerance for declaring a residual numerically zero (collinear
 # neighbors, probe point inside the subspace). Comfortably above double
 # precision noise, far below any meaningful geometric angle.

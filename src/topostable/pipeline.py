@@ -12,7 +12,7 @@ from .geodesic import (
     largest_component,
     residual_variance,
 )
-from .graph import SelectorConfig, build_graph
+from .graph import METHODS, SelectorConfig, build_graph
 
 __all__ = [
     "RunConfig",
@@ -24,8 +24,6 @@ __all__ = [
     "write_report_csv",
     "write_scatter_svg",
 ]
-
-METHODS = ("standard", "stable")
 
 
 @dataclass(frozen=True, kw_only=True)

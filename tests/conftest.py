@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from topostable import DataSet
+from topostable import DataSet, graph
 
 
 def two_plane_bridge():
@@ -27,11 +27,28 @@ def two_plane_bridge():
     return DataSet(pts), side
 
 
-def cross_plane_edges(graph, side):
+def cross_plane_edges(g, side):
     """Edges joining the two plane point sets (bridge belongs to neither)."""
-    s0 = side[graph.edges[:, 0]]
-    s1 = side[graph.edges[:, 1]]
+    s0 = side[g.edges[:, 0]]
+    s1 = side[g.edges[:, 1]]
     return int(np.sum((s0 != s1) & (s0 != 2) & (s1 != 2)))
+
+
+def nearest_neighbors(data, p, k):
+    """Reference kNN list of point p, sorted on its own: row p of the
+    computed squared distances in stable (index) order, with p dropped."""
+    order = np.argsort(graph._pairwise_sq(data.points)[p], kind="stable")
+    return order[order != p][:k]
+
+
+def stable_neighbors(data, p, cfg):
+    """Reference neighbor list of point p under the angle-filtered rule:
+    p's own kNN list filtered by the selector's keep-mask."""
+    cfg.check(data, stable=True)
+    d2_row = graph._pairwise_sq(data.points)[p]
+    nbrs = nearest_neighbors(data, p, cfg.k)
+    keep = graph._stable_select(data.points, p, nbrs, d2_row, cfg)
+    return [int(j) for j in nbrs[keep]]
 
 
 @pytest.fixture(scope="session")

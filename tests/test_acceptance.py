@@ -172,7 +172,7 @@ def test_criterion_7_residual_variance_identity():
     coords = rng.normal(size=(40, 3))
     diff = coords[:, None, :] - coords[None, :, :]
     dy = np.sqrt((diff**2).sum(-1))
-    emb = Embedding(coords=coords, eigenvalues=np.zeros(3), m=3)
+    emb = Embedding(coords=coords, eigenvalues=np.zeros(3))
     worst = 0.0
     for alpha in (1.0, 2.0, 0.3, 17.5):
         gm = GeodesicMatrix(d=dy / alpha, component_ids=np.zeros(40, np.int64))

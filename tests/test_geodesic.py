@@ -319,14 +319,14 @@ class TestResidualVariance:
     def test_exact_embedding_zero(self):
         coords = np.random.default_rng(6).normal(size=(20, 3))
         gm = gm_from_coords(coords)
-        emb = Embedding(coords=coords, eigenvalues=np.zeros(3), m=3)
+        emb = Embedding(coords=coords, eigenvalues=np.zeros(3))
         assert residual_variance(gm, emb) <= 1e-12
 
     def test_uniform_scaling_zero(self):
         coords = np.random.default_rng(7).normal(size=(15, 2))
         gm = gm_from_coords(coords)
         scaled = GeodesicMatrix(d=2.0 * gm.d, component_ids=gm.component_ids)
-        emb = Embedding(coords=coords, eigenvalues=np.zeros(2), m=2)
+        emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         assert residual_variance(scaled, emb) <= 1e-12
 
     def test_full_mds_of_euclidean_set(self):
@@ -341,7 +341,7 @@ class TestResidualVariance:
         coords = rng.normal(size=(12, 2))
         other = rng.normal(size=(12, 2))
         gm = gm_from_coords(other)
-        emb = Embedding(coords=coords, eigenvalues=np.zeros(2), m=2)
+        emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         rv1 = residual_variance(gm, emb)
         rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d, component_ids=gm.component_ids), emb)
         assert rv1 == pytest.approx(rv2, abs=1e-12)
@@ -379,7 +379,7 @@ class TestBackHalf:
     def test_residual_variance_equals_dense_formula_random(self, n, m):
         rng = np.random.default_rng(n)
         gm = gm_from_coords(rng.normal(size=(n, m + 2)))
-        emb = Embedding(coords=rng.normal(size=(n, m)), eigenvalues=np.zeros(m), m=m)
+        emb = Embedding(coords=rng.normal(size=(n, m)), eigenvalues=np.zeros(m))
         assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
 
     @pytest.mark.parametrize("method", ["standard", "stable"])

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, knn_lists, select_neighbors_stable
+import topostable
+from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 from topostable.graph import EDGE_BLOCK_BYTES
 
-from conftest import cross_plane_edges
+from conftest import cross_plane_edges, nearest_neighbors, stable_neighbors
 
 
 # Deterministic example sets, small enough to keep the suite fast.
@@ -50,28 +51,6 @@ class TestDataSet:
         assert np.array_equal(s.labels, [7, 5])
 
 
-class TestKnnLists:
-    def test_nearest_on_a_line(self):
-        assert knn_lists(line_points_2d(), 1).tolist() == [[1], [0], [1]]
-
-    def test_two_nearest_on_a_line(self):
-        # hand-sorted pairwise distances: 0->(1,3), 1->(0,3), 3->(1,0)
-        assert knn_lists(line_points_2d(), 2).tolist() == [[1, 2], [0, 2], [1, 0]]
-
-    def test_k_too_large(self):
-        with pytest.raises(KTooLargeError):
-            knn_lists(line_points_2d(), 3)
-
-    def test_rows_sorted_by_distance(self):
-        rng = np.random.default_rng(0)
-        data = DataSet(rng.normal(size=(40, 3)))
-        nn = knn_lists(data, 6)
-        for p in range(40):
-            dists = np.linalg.norm(data.points[nn[p]] - data.points[p], axis=1)
-            assert np.all(np.diff(dists) >= 0)
-            assert p not in nn[p]
-
-
 def selector_example():
     """Base point with two orthogonal nearest neighbors, one off-surface
     bridge direction, one in-plane direction, and a far probe point."""
@@ -91,7 +70,7 @@ def selector_example():
 class TestSelectNeighborsStable:
     def test_bridge_rejected_in_plane_kept(self):
         cfg = SelectorConfig(k=4, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(selector_example(), 0, cfg) == [1, 2, 4]
+        assert stable_neighbors(selector_example(), 0, cfg) == [1, 2, 4]
 
     def test_all_candidates_coplanar_all_kept(self):
         # every in-plane offset is orthogonal to the complement vector
@@ -106,7 +85,7 @@ class TestSelectNeighborsStable:
             ]
         )
         cfg = SelectorConfig(k=4, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(DataSet(pts), 0, cfg) == [1, 2, 3, 4]
+        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2, 3, 4]
 
     def test_candidate_along_complement_rejected(self):
         pts = np.array(
@@ -119,7 +98,7 @@ class TestSelectNeighborsStable:
             ]
         )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(DataSet(pts), 0, cfg) == [1, 2]
+        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2]
 
     def test_collinear_second_neighbor_substituted(self):
         # second-nearest is collinear with the nearest; the basis walks on to
@@ -135,7 +114,7 @@ class TestSelectNeighborsStable:
             ]
         )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(DataSet(pts), 0, cfg) == [1, 2, 3]
+        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2, 3]
 
     def test_duplicate_point_kept_unconditionally(self):
         pts = np.array(
@@ -148,7 +127,7 @@ class TestSelectNeighborsStable:
             ]
         )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(DataSet(pts), 0, cfg) == [1, 2, 3]
+        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2, 3]
 
     def test_all_collinear_raises_degenerate_basis(self):
         pts = np.array(
@@ -162,14 +141,14 @@ class TestSelectNeighborsStable:
         )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
         with pytest.raises(DegenerateBasisError):
-            select_neighbors_stable(DataSet(pts), 0, cfg)
+            stable_neighbors(DataSet(pts), 0, cfg)
 
     def test_no_probe_outside_plane_raises_degenerate_complement(self):
         rng = np.random.default_rng(5)
         pts = np.column_stack([rng.normal(size=(12, 2)), np.zeros(12)])
         cfg = SelectorConfig(k=4, dim_w=2, delta_theta_deg=5.0)
         with pytest.raises(DegenerateComplementError):
-            select_neighbors_stable(DataSet(pts), 0, cfg)
+            stable_neighbors(DataSet(pts), 0, cfg)
 
     @pytest.mark.parametrize(
         "probes, kept",
@@ -194,16 +173,16 @@ class TestSelectNeighborsStable:
             ]
         )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert select_neighbors_stable(DataSet(pts), 0, cfg) == kept
+        assert stable_neighbors(DataSet(pts), 0, cfg) == kept
 
     def test_config_validation(self):
         data = selector_example()
         with pytest.raises(ValueError):
-            select_neighbors_stable(data, 0, SelectorConfig(k=2, dim_w=2))
+            build_graph(data, SelectorConfig(k=2, dim_w=2), "stable")
         with pytest.raises(ValueError):
-            select_neighbors_stable(data, 0, SelectorConfig(k=4, dim_w=3))
+            build_graph(data, SelectorConfig(k=4, dim_w=3), "stable")
         with pytest.raises(ValueError):
-            select_neighbors_stable(data, 0, SelectorConfig(k=4, delta_theta_deg=95.0))
+            build_graph(data, SelectorConfig(k=4, delta_theta_deg=95.0), "stable")
 
 
 class TestBuildGraph:
@@ -211,6 +190,12 @@ class TestBuildGraph:
         g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
         assert g.edges.tolist() == [[0, 1], [1, 2]]
         assert g.weights == pytest.approx([1.0, 2.0])
+
+    def test_collinear_standard_k2_all_edges(self):
+        # hand-sorted pairwise distances: 0->(1,3), 1->(0,3), 3->(1,0)
+        g = build_graph(line_points_2d(), SelectorConfig(k=2), "standard")
+        assert g.edges.tolist() == [[0, 1], [0, 2], [1, 2]]
+        assert g.weights == pytest.approx([1.0, 3.0, 2.0])
 
     def test_bridge_fixture_standard_vs_stable(self, bridge_fixture):
         data, side = bridge_fixture
@@ -316,25 +301,24 @@ class TestBuildGraph:
     @PROPERTY
     @given(seed=seeds, n=st.integers(20, 40), dups=st.integers(0, 4), k=st.integers(3, 8), method=methods)
     def test_edges_equal_pointwise_union(self, seed, n, dups, k, method):
-        # oracle: union of the per-point neighbor lists, built with a set.
-        # Duplicated rows add distance ties and coincident candidates; a
-        # duplicated pair can fill two candidate slots with one direction,
-        # so k grows by 2 per pair to leave dim_w independent offsets.
+        # oracle: union of the per-point neighbor lists, built with a set;
+        # each list is sorted on its own (conftest), not read from
+        # build_graph's kNN table. Duplicated rows add distance ties and
+        # coincident candidates; a duplicated pair can fill two candidate
+        # slots with one direction, so k grows by 2 per pair to leave dim_w
+        # independent offsets.
         pts = gaussian_points(seed, n)
         data = DataSet(np.vstack([pts, pts[:dups]]))
         cfg = SelectorConfig(k=k + 2 * dups)
-        nn = knn_lists(data, cfg.k)
         pairs = set()
         for p in range(data.n):
-            chosen = nn[p] if method == "standard" else select_neighbors_stable(data, p, cfg)
+            if method == "standard":
+                chosen = nearest_neighbors(data, p, cfg.k)
+            else:
+                chosen = stable_neighbors(data, p, cfg)
             pairs.update((min(p, int(j)), max(p, int(j))) for j in chosen)
         edges = build_graph(data, cfg, method).edges
         assert list(map(tuple, edges.tolist())) == sorted(pairs)
-
-    def test_has_edge_is_symmetric(self):
-        g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
-        assert g.has_edge(0, 1) and g.has_edge(1, 0)
-        assert not g.has_edge(0, 2)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_rejects_negative_or_nan_weight(self, bad):
@@ -342,3 +326,15 @@ class TestBuildGraph:
         # only when no weight is NaN
         with pytest.raises(ValueError, match="non-negative"):
             NeighborGraph(n=3, edges=[[0, 1], [1, 2]], weights=[1.0, bad])
+
+
+def test_exports_match_modules():
+    modules = (topostable.graph, topostable.geodesic, topostable.linalg, topostable.datasets, topostable.pipeline)
+    names = topostable.__all__
+    assert names == ["__version__", "TopoStableError", *(name for m in modules for name in m.__all__)]
+    assert len(set(names)) == len(names)
+    assert all(hasattr(topostable, name) for name in names)
+    for name in ("knn_lists", "select_neighbors_stable", "_knn_table"):
+        assert name not in names
+        assert not hasattr(topostable.graph, name)
+    assert not hasattr(NeighborGraph, "has_edge")

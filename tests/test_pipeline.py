@@ -138,7 +138,7 @@ class TestCompareMethods:
 
 class TestWriteEmbeddingCsv:
     def test_header_plus_rows(self):
-        emb = Embedding(coords=np.array([[0.5], [-0.5]]), eigenvalues=np.array([0.5]), m=1)
+        emb = Embedding(coords=np.array([[0.5], [-0.5]]), eigenvalues=np.array([0.5]))
         buf = io.StringIO()
         write_embedding_csv(emb, [0, 1], None, buf)
         lines = buf.getvalue().splitlines()
@@ -149,7 +149,7 @@ class TestWriteEmbeddingCsv:
     def test_round_trip_via_load_csv(self, tmp_path):
         rng = np.random.default_rng(6)
         coords = rng.normal(size=(12, 2))
-        emb = Embedding(coords=coords, eigenvalues=np.ones(2), m=2)
+        emb = Embedding(coords=coords, eigenvalues=np.ones(2))
         path = tmp_path / "emb.csv"
         write_embedding_csv(emb, np.arange(12), np.arange(12) % 3, path)
         body = tmp_path / "body.csv"
@@ -159,13 +159,22 @@ class TestWriteEmbeddingCsv:
         assert np.array_equal(data.points[:, 1], np.arange(12) % 3)
 
     def test_empty_embedding_header_only(self):
-        emb = Embedding(coords=np.zeros((0, 2)), eigenvalues=np.zeros(2), m=2)
+        emb = Embedding(coords=np.zeros((0, 2)), eigenvalues=np.zeros(2))
         buf = io.StringIO()
         write_embedding_csv(emb, [], None, buf)
         assert buf.getvalue() == "index,label,y1,y2\n"
 
+    def test_m_follows_coords(self):
+        # the header names one column per coordinate column, whatever the
+        # eigenvalue count
+        emb = Embedding(coords=np.ones((1, 3)), eigenvalues=np.ones(2))
+        assert emb.m == 3
+        buf = io.StringIO()
+        write_embedding_csv(emb, [0], None, buf)
+        assert buf.getvalue() == "index,label,y1,y2,y3\n0,-1,1,1,1\n"
+
     def test_length_mismatch(self):
-        emb = Embedding(coords=np.zeros((2, 2)), eigenvalues=np.zeros(2), m=2)
+        emb = Embedding(coords=np.zeros((2, 2)), eigenvalues=np.zeros(2))
         with pytest.raises(ValueError):
             write_embedding_csv(emb, [0], None, io.StringIO())
 
@@ -185,7 +194,7 @@ class TestWriteReportCsv:
 
 class TestWriteScatterSvg:
     def test_one_circle_per_point_and_valid_xml(self, tmp_path):
-        emb = Embedding(coords=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), eigenvalues=np.ones(2), m=2)
+        emb = Embedding(coords=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), eigenvalues=np.ones(2))
         path = tmp_path / "s.svg"
         write_scatter_svg(emb, [0, 1, 0], path)
         root = ET.parse(path).getroot()
@@ -193,7 +202,7 @@ class TestWriteScatterSvg:
         assert len(circles) == 3
 
     def test_label_colors_differ(self, tmp_path):
-        emb = Embedding(coords=np.array([[0.0, 0.0], [1.0, 2.0]]), eigenvalues=np.ones(2), m=2)
+        emb = Embedding(coords=np.array([[0.0, 0.0], [1.0, 2.0]]), eigenvalues=np.ones(2))
         path = tmp_path / "c.svg"
         write_scatter_svg(emb, [0, 1], path)
         root = ET.parse(path).getroot()
@@ -201,7 +210,7 @@ class TestWriteScatterSvg:
         assert len(fills) == 2
 
     def test_degenerate_points_fall_back_to_unit_box(self, tmp_path):
-        emb = Embedding(coords=np.ones((4, 2)), eigenvalues=np.ones(2), m=2)
+        emb = Embedding(coords=np.ones((4, 2)), eigenvalues=np.ones(2))
         path = tmp_path / "d.svg"
         write_scatter_svg(emb, None, path)
         root = ET.parse(path).getroot()
@@ -211,6 +220,6 @@ class TestWriteScatterSvg:
             assert np.isfinite(float(c.get("cx"))) and np.isfinite(float(c.get("cy")))
 
     def test_one_dimensional_embedding_rejected(self, tmp_path):
-        emb = Embedding(coords=np.zeros((3, 1)), eigenvalues=np.ones(1), m=1)
+        emb = Embedding(coords=np.zeros((3, 1)), eigenvalues=np.ones(1))
         with pytest.raises(BadDimError):
             write_scatter_svg(emb, None, tmp_path / "x.svg")
