@@ -102,7 +102,8 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
     Both headers and payload lengths are checked first; then only the kept
     rows are read, as bytes, and only they are converted to float64, so the
     input costs keep x rows x cols x 8 B rather than the whole file's worth.
-    Raises BadCountError when take_first is below 1.
+    Raises BadCountError when take_first is below 1 and BadDimError when
+    an image has fewer than 2 pixels.
     """
     if take_first is not None and take_first < 1:
         raise BadCountError(f"take_first must be at least 1, got {take_first}")
@@ -110,6 +111,8 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
         images, size = _open_idx(path, files)
         count, rows, cols = _idx_header(images, path, "image", IDX_IMAGE_MAGIC)
         width = rows * cols
+        if width < 2:
+            raise BadDimError(f"{path}: {rows}x{cols} images have {width} pixel, need at least 2")
         if size - 16 < count * width:
             raise TruncatedFileError(f"{path}: expected {count * width} pixel bytes, found {size - 16}")
         if labels_path is not None:

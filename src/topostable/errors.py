@@ -13,10 +13,6 @@ class DegenerateComplementError(TopoStableError):
     """Probe point lies (numerically) inside the local subspace; no complement vector."""
 
 
-class ZeroVectorError(TopoStableError):
-    """An angle was requested for a zero-length vector."""
-
-
 class NotSymmetricError(TopoStableError):
     """Matrix asymmetry exceeds tolerance."""
 

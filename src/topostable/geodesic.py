@@ -9,15 +9,16 @@ Past all-pairs shortest paths, each stage holds at most two n x n buffers
 beyond the geodesic matrix and none modifies it: centering fills one new
 buffer in place, the eigensolver computes only the top m pairs
 (linalg.symmetric_eigen_top), and residual variance gathers the upper
-triangles row by row.
+triangles row by row into two half-size vectors and centers them in place
+(one n x n buffer in all).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimError, NonFiniteError
-from .linalg import pearson_r, symmetric_eigen_top
+from .errors import BadDimError, NonFiniteError, ZeroVarianceError
+from .linalg import symmetric_eigen_top
 
 __all__ = [
     "GeodesicMatrix",
@@ -187,16 +188,20 @@ def classical_mds(gm, m):
 def residual_variance(gm, emb):
     """1 - R^2 between geodesic and embedded pairwise distances.
 
-    The correlation runs over the strict upper triangles, excluding the
-    zero diagonal. 0 means the embedding explains the geodesic structure
-    perfectly (up to uniform scaling). Both triangles are gathered row by
-    row, in np.triu_indices order, into two preallocated vectors, and the
-    embedded distances are computed one row at a time: no (n, n, m)
-    difference tensor and no index arrays.
+    R is the Pearson correlation over the strict upper triangles, excluding
+    the zero diagonal, so at least 3 points are needed. 0 means the
+    embedding explains the geodesic structure perfectly (up to uniform
+    scaling). Both triangles are gathered row by row, in np.triu_indices
+    order, into two preallocated vectors, the embedded distances one row at
+    a time, and both vectors are centered in place: no (n, n, m) difference
+    tensor, no index arrays and no centered copies. Raises
+    ZeroVarianceError when either set of distances is constant.
     """
     n = gm.n
     if emb.coords.shape[0] != n:
         raise ValueError("embedding and geodesic matrix cover different point sets")
+    if n < 3:
+        raise ValueError(f"residual variance needs at least 3 points, got {n}")
     if not np.all(np.isfinite(gm.d)):
         raise NonFiniteError("geodesic matrix spans multiple components")
     coords = emb.coords
@@ -209,5 +214,11 @@ def residual_variance(gm, emb):
         diff = coords[i] - coords[i + 1:]
         np.sqrt(np.einsum("jk,jk->j", diff, diff), out=euclid[lo:hi])
         lo = hi
-    r = pearson_r(geo, euclid)
+    geo -= geo.mean()
+    euclid -= euclid.mean()
+    sg = np.dot(geo, geo)
+    se = np.dot(euclid, euclid)
+    if sg == 0.0 or se == 0.0:
+        raise ZeroVarianceError("correlation undefined for a constant sequence")
+    r = float(np.clip(np.dot(geo, euclid) / np.sqrt(sg * se), -1.0, 1.0))
     return max(0.0, 1.0 - r * r)

@@ -7,9 +7,10 @@ from the orthogonal complement of the local subspace spanned by the nearest
 neighbors. The filter suppresses "bridge" edges between nearby manifold folds.
 
 Both rules start from build_graph's (n, k) kNN table. The stable rule turns
-it into a keep-mask, one row per point, using linalg's projection step for
-the local basis and the complement vector and its angle step for the window;
-either way the graph is the union of the kept (point, candidate) pairs.
+it into a keep-mask, one row per point, with two numeric steps of its own: a
+Gram-Schmidt projection (_project_out) for the local basis and the
+complement vector, and an angle step (_angles_deg) for the window. Either
+way the graph is the union of the kept (point, candidate) pairs.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
-from .linalg import _angles_deg, _project_out
 
 __all__ = [
     "DataSet",
@@ -29,6 +29,11 @@ __all__ = [
 METHODS = ("standard", "stable")  # the selection rules build_graph offers
 
 EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered endpoint block in build_graph
+
+# Relative tolerance for declaring a residual numerically zero (collinear
+# neighbors, probe point inside the subspace). Comfortably above double
+# precision noise, far below any meaningful geometric angle.
+TOL_RANK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,28 @@ def _pairwise_sq(points):
     np.maximum(d2, 0.0, out=d2)
     np.fill_diagonal(d2, 0.0)
     return d2
+
+
+def _project_out(d, basis):
+    """Component of d orthogonal to every vector in the pairwise-orthogonal
+    ``basis``, or None when it is numerically zero (norm <= TOL_RANK * |d|).
+
+    The selector's one projection step, for its basis walk and its probe
+    walk; it does not validate its inputs.
+    """
+    r = d.copy()
+    for b in basis:
+        r -= (np.dot(r, b) / np.dot(b, b)) * b
+    if np.linalg.norm(r) <= TOL_RANK * np.linalg.norm(d):
+        return None
+    return r
+
+
+def _angles_deg(rows, norms, w):
+    """Angles in degrees within [0, 180] between w and each row of ``rows``
+    (or one vector), given their norms. It does not validate its inputs."""
+    cosines = rows @ w / (norms * np.linalg.norm(w))
+    return np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
 
 
 def _stable_select(points, p, nbrs, d2_row, cfg):

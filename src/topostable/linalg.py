@@ -1,119 +1,16 @@
-"""Deterministic linear-algebra primitives.
-
-Gram-Schmidt orthogonalization and orthogonal-complement residuals, both
-built on one projection step (``_project_out``), and angles, built on one
-angle step (``_angles_deg``); the stable neighbor selector runs both steps
-too. Also the top eigenpairs of a symmetric matrix, and Pearson
-correlation. Everything here is a pure function of its inputs.
-
-The eigensolver needs only the top m pairs: block subspace iteration with
-Rayleigh-Ritz, falling back to a full eigh when n is small or when the
-iteration cannot vouch for "algebraically largest" (see _top_subspace).
+"""Top eigenpairs of a symmetric matrix, the one numeric step classical MDS
+needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
+eigh when n is small or when the iteration cannot vouch for "algebraically
+largest" (see _top_subspace). A pure function of its input.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasisError,
-    DegenerateComplementError,
-    NotSymmetricError,
-    ZeroVarianceError,
-    ZeroVectorError,
-)
+from .errors import NotSymmetricError
 
-__all__ = [
-    "EigenPairs",
-    "gram_schmidt_pair",
-    "residual_vector",
-    "angle_deg",
-    "symmetric_eigen_top",
-    "pearson_r",
-]
-
-# Relative tolerance for declaring a residual numerically zero (collinear
-# neighbors, probe point inside the subspace). Comfortably above double
-# precision noise, far below any meaningful geometric angle.
-TOL_RANK = 1e-9
-
-
-def _vec(x):
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError("expected a 1-D vector of length >= 1")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector components must be finite")
-    return v
-
-
-def _project_out(d, basis):
-    """Component of d orthogonal to every vector in the pairwise-orthogonal
-    ``basis``, or None when it is numerically zero (norm <= TOL_RANK * |d|).
-
-    The one projection step shared by gram_schmidt_pair, residual_vector and
-    the stable selector; it does not validate its inputs.
-    """
-    r = d.copy()
-    for b in basis:
-        r -= (np.dot(r, b) / np.dot(b, b)) * b
-    if np.linalg.norm(r) <= TOL_RANK * np.linalg.norm(d):
-        return None
-    return r
-
-
-def gram_schmidt_pair(x_p, x_n1, x_n2):
-    """Orthogonal pair spanning the plane of two neighbor offsets.
-
-    v1 is the offset to the first neighbor; v2 is the second offset with its
-    v1 component projected out.
-
-    Raises DegenerateBasisError when the offsets are collinear within
-    TOL_RANK (relative), or when either neighbor coincides with x_p; the
-    caller should substitute the next neighbor.
-    """
-    x_p, x_n1, x_n2 = _vec(x_p), _vec(x_n1), _vec(x_n2)
-    v1 = x_n1 - x_p
-    if np.linalg.norm(v1) == 0.0:
-        raise DegenerateBasisError("first neighbor coincides with base point")
-    u = x_n2 - x_p
-    if np.linalg.norm(u) == 0.0:
-        raise DegenerateBasisError("second neighbor coincides with base point")
-    v2 = _project_out(u, [v1])
-    if v2 is None:
-        raise DegenerateBasisError("neighbor offsets are collinear")
-    return v1, v2
-
-
-def residual_vector(x_q, x_p, basis):
-    """Component of (x_q - x_p) orthogonal to every vector in ``basis``.
-
-    ``basis`` must be pairwise orthogonal (e.g. from repeated
-    gram_schmidt_pair steps). Raises DegenerateComplementError when the
-    residual is numerically zero (relative to TOL_RANK), i.e. x_q lies
-    inside the spanned subspace.
-    """
-    r = _project_out(_vec(x_q) - _vec(x_p), [_vec(b) for b in basis])
-    if r is None:
-        raise DegenerateComplementError("probe point lies in the spanned subspace")
-    return r
-
-
-def _angles_deg(rows, norms, w):
-    """Angles in degrees within [0, 180] between w and each row of ``rows``
-    (or one vector), given their norms: the step angle_deg and the stable
-    selector share. It does not validate its inputs."""
-    cosines = rows @ w / (norms * np.linalg.norm(w))
-    return np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
-def angle_deg(u, v):
-    """Unsigned angle between two vectors, in degrees within [0, 180]."""
-    u, v = _vec(u), _vec(v)
-    nu = np.linalg.norm(u)
-    if nu == 0.0 or np.linalg.norm(v) == 0.0:
-        raise ZeroVectorError("angle undefined for a zero vector")
-    return float(_angles_deg(u, nu, v))
+__all__ = ["EigenPairs", "symmetric_eigen_top"]
 
 
 @dataclass(frozen=True)
@@ -231,17 +128,3 @@ def symmetric_eigen_top(a, m):
             vectors[:, j] = -col
     return EigenPairs(values=values, vectors=vectors)
 
-
-def pearson_r(a, b):
-    """Sample Pearson correlation coefficient, clipped to [-1, 1]."""
-    a = np.asarray(a, dtype=np.float64).ravel()
-    b = np.asarray(b, dtype=np.float64).ravel()
-    if a.size != b.size or a.size < 2:
-        raise ValueError("inputs must have equal length >= 2")
-    ac = a - a.mean()
-    bc = b - b.mean()
-    sa = np.dot(ac, ac)
-    sb = np.dot(bc, bc)
-    if sa == 0.0 or sb == 0.0:
-        raise ZeroVarianceError("correlation undefined for a constant sequence")
-    return float(np.clip(np.dot(ac, bc) / np.sqrt(sa * sb), -1.0, 1.0))

@@ -90,42 +90,43 @@ class ComparisonReport:
 def compare_methods(data, k_values, base_cfg, methods=METHODS):
     """Run the pipeline for every (k, method) cell and collect one row each.
 
-    A failed cell (selector degeneracy, disconnection artifacts, config
+    Every cell's RunConfig is built before the first cell runs, so a k or
+    method that RunConfig refuses raises ValueError before any work. A
+    failed cell (selector degeneracy, disconnection artifacts, config
     invalid for this data) is recorded as a marker row with residual
     variance NaN and all points counted as dropped, instead of aborting
     the sweep.
     """
+    cells = [replace(base_cfg, method=method, k=int(k)) for k in k_values for method in methods]
     rows = []
-    for k in k_values:
-        for method in methods:
-            cfg = replace(base_cfg, method=method, k=int(k))
-            try:
-                emb, gm, kept, graph = isomap_embed(data, cfg)
-                rv = residual_variance(gm, emb)
-                rows.append(
-                    ReportRow(
-                        k=int(k),
-                        method=method,
-                        residual_variance=rv,
-                        n_embedded=int(kept.size),
-                        n_dropped=data.n - int(kept.size),
-                        n_edges=graph.n_edges,
-                        clipped_dims=emb.n_clipped,
-                    )
+    for cfg in cells:
+        try:
+            emb, gm, kept, graph = isomap_embed(data, cfg)
+            rv = residual_variance(gm, emb)
+            rows.append(
+                ReportRow(
+                    k=cfg.k,
+                    method=cfg.method,
+                    residual_variance=rv,
+                    n_embedded=int(kept.size),
+                    n_dropped=data.n - int(kept.size),
+                    n_edges=graph.n_edges,
+                    clipped_dims=emb.n_clipped,
                 )
-            except (TopoStableError, ValueError) as exc:
-                rows.append(
-                    ReportRow(
-                        k=int(k),
-                        method=method,
-                        residual_variance=float("nan"),
-                        n_embedded=0,
-                        n_dropped=data.n,
-                        n_edges=0,
-                        clipped_dims=0,
-                        error=str(exc),
-                    )
+            )
+        except (TopoStableError, ValueError) as exc:
+            rows.append(
+                ReportRow(
+                    k=cfg.k,
+                    method=cfg.method,
+                    residual_variance=float("nan"),
+                    n_embedded=0,
+                    n_dropped=data.n,
+                    n_edges=0,
+                    clipped_dims=0,
+                    error=str(exc),
                 )
+            )
     return ComparisonReport(rows=tuple(rows))
 
 

@@ -238,6 +238,13 @@ class TestEmbed:
         assert code == 2
         assert f"take_first must be at least 1, got {extra[1]}" in err
 
+    def test_one_pixel_images_are_data_error(self, capsys, tmp_path):
+        pi = tmp_path / "one.idx"
+        write_idx_images(pi, np.arange(20, dtype=np.uint8).reshape(20, 1, 1))
+        code, _, err = run(capsys, ["embed", "--in", str(pi), "--k", "3"])
+        assert code == 2
+        assert f"{pi}: 1x1 images have 1 pixel, need at least 2" in err
+
     @pytest.mark.parametrize("command", ["embed", "compare"])
     def test_sample_random_without_take_first_is_usage_error(self, capsys, tmp_path, command):
         # without a count the loader would keep every image, not a sample

@@ -285,6 +285,16 @@ class TestLoadIdx:
         with pytest.raises(TruncatedFileError, match=r"expected 2 label bytes, found 1$"):
             load_idx(pi, labels_path=pl)
 
+    def test_one_pixel_images_refused_before_the_payload(self, tmp_path):
+        p = tmp_path / "one.idx"
+        write_idx_images(p, np.arange(20, dtype=np.uint8).reshape(20, 1, 1))
+        with pytest.raises(BadDimError, match=r"one\.idx: 1x1 images have 1 pixel, need at least 2"):
+            load_idx(p, take_first=5)
+        # a header with no payload at all fails the same way, not as truncated
+        p.write_bytes(struct.pack(">IIII", 2051, 20, 1, 1))
+        with pytest.raises(BadDimError):
+            load_idx(p)
+
     def test_truncated_after_the_kept_rows(self, tmp_path):
         p = tmp_path / "cut.idx"
         p.write_bytes(struct.pack(">IIII", 2051, 5, 2, 2) + bytes(3 * 4))

@@ -21,8 +21,7 @@ from topostable import (
     residual_variance,
 )
 from topostable import linalg
-from topostable.errors import BadDimError, NonFiniteError
-from topostable.linalg import pearson_r
+from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
 from dijkstra_reference import dijkstra_all_pairs
 
@@ -316,6 +315,26 @@ class TestClassicalMds:
 
 
 class TestResidualVariance:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_fewer_than_three_points_refused(self, n):
+        gm = GeodesicMatrix(d=np.zeros((n, n)), component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
+        with pytest.raises(ValueError, match=f"at least 3 points, got {n}"):
+            residual_variance(gm, emb)
+
+    def test_point_count_mismatch_refused(self):
+        gm = gm_from_coords(np.arange(8.0).reshape(4, 2))
+        emb = Embedding(coords=np.zeros((3, 1)), eigenvalues=np.zeros(1))
+        with pytest.raises(ValueError, match="different point sets"):
+            residual_variance(gm, emb)
+
+    def test_constant_geodesics_raise(self):
+        # an equilateral triangle: all three geodesics are 1
+        gm = GeodesicMatrix(d=1.0 - np.eye(3), component_ids=np.zeros(3, dtype=np.int64))
+        emb = Embedding(coords=np.array([[0.0], [1.0], [3.0]]), eigenvalues=np.zeros(1))
+        with pytest.raises(ZeroVarianceError, match="constant sequence"):
+            residual_variance(gm, emb)
+
     def test_exact_embedding_zero(self):
         coords = np.random.default_rng(6).normal(size=(20, 3))
         gm = gm_from_coords(coords)
@@ -356,9 +375,25 @@ class TestResidualVariance:
         assert residual_variance(gm, emb) <= 1e-10
 
 
+def pearson_r(a, b):
+    """Sample Pearson correlation coefficient, clipped to [-1, 1]."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    b = np.asarray(b, dtype=np.float64).ravel()
+    if a.size != b.size or a.size < 2:
+        raise ValueError("inputs must have equal length >= 2")
+    ac = a - a.mean()
+    bc = b - b.mean()
+    sa = np.dot(ac, ac)
+    sb = np.dot(bc, bc)
+    if sa == 0.0 or sb == 0.0:
+        raise ZeroVarianceError("correlation undefined for a constant sequence")
+    return float(np.clip(np.dot(ac, bc) / np.sqrt(sa * sb), -1.0, 1.0))
+
+
 def residual_variance_reference(gm, emb):
     """The dense formula residual_variance replaced, kept as the oracle: the
-    (n, n, m) difference tensor and the np.triu_indices gather."""
+    (n, n, m) difference tensor, the np.triu_indices gather and a separate
+    Pearson correlation on centered copies."""
     coords = emb.coords
     diff = coords[:, None, :] - coords[None, :, :]
     euclid = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
@@ -400,9 +435,9 @@ class TestBackHalf:
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-8
 
     def test_memory_at_most_about_two_n2_buffers(self):
-        # classical_mds holds the squared distances and their centered copy,
-        # residual_variance the two upper triangles and pearson_r's centered
-        # copies of them: two n x n buffers each, one after the other
+        # classical_mds holds the squared distances and their centered copy:
+        # two n x n buffers; residual_variance then holds the two upper
+        # triangles, centered in place: one n x n buffer in all
         n = 400
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         tracemalloc.start()
@@ -410,10 +445,14 @@ class TestBackHalf:
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             emb = classical_mds(gm, 2)
+            mid, mds_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
             residual_variance(gm, emb)
-            peak = tracemalloc.get_traced_memory()[1] - base
+            rv_peak = tracemalloc.get_traced_memory()[1] - mid
+            peak = max(mds_peak, mid + rv_peak) - base
         finally:
             tracemalloc.stop()
+        assert rv_peak <= 1.1 * n * n * 8
         assert peak <= 2.2 * n * n * 8
 
 

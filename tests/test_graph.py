@@ -338,3 +338,8 @@ def test_exports_match_modules():
         assert name not in names
         assert not hasattr(topostable.graph, name)
     assert not hasattr(NeighborGraph, "has_edge")
+    assert topostable.linalg.__all__ == ["EigenPairs", "symmetric_eigen_top"]
+    for name in ("gram_schmidt_pair", "residual_vector", "angle_deg", "pearson_r"):
+        assert name not in names
+        assert not hasattr(topostable.linalg, name)
+    assert not hasattr(topostable.errors, "ZeroVectorError")

@@ -3,70 +3,92 @@ import math
 import numpy as np
 import pytest
 
-from topostable import (
-    angle_deg,
-    gram_schmidt_pair,
-    pearson_r,
-    residual_vector,
-    symmetric_eigen_top,
-)
-from topostable import linalg
+from topostable import Embedding, GeodesicMatrix, SelectorConfig, residual_variance, symmetric_eigen_top
+from topostable import graph, linalg
 from topostable.errors import (
     DegenerateBasisError,
     DegenerateComplementError,
     NotSymmetricError,
     ZeroVarianceError,
-    ZeroVectorError,
 )
+
+
+def project_pair(x_p, x_n1, x_n2):
+    """v1 and v2 as the stable selector's basis walk builds them from two
+    neighbor offsets; v2 is None when the offsets are collinear."""
+    x_p, x_n1, x_n2 = (np.asarray(x, dtype=np.float64) for x in (x_p, x_n1, x_n2))
+    v1 = x_n1 - x_p
+    return v1, graph._project_out(x_n2 - x_p, [v1])
+
+
+def residual(x_q, x_p, basis):
+    """Complement vector of the probe x_q, as the selector's probe walk
+    builds it; None when x_q lies in the spanned subspace."""
+    return graph._project_out(np.asarray(x_q, dtype=np.float64) - np.asarray(x_p, dtype=np.float64), basis)
+
+
+def angle(u, v):
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    return float(graph._angles_deg(u, np.linalg.norm(u), v))
+
+
+def select_first(pts, cfg):
+    """The selector's keep-mask for point 0 with every other point as a
+    candidate, in index order."""
+    pts = np.asarray(pts, dtype=np.float64)
+    d2_row = np.sum((pts - pts[0]) ** 2, axis=1)
+    return graph._stable_select(pts, 0, np.arange(1, cfg.k + 1), d2_row, cfg)
 
 
 class TestGramSchmidtPair:
     def test_projection_removes_first_component(self):
-        v1, v2 = gram_schmidt_pair([0, 0, 0], [1, 0, 0], [1, 1, 0])
+        v1, v2 = project_pair([0, 0, 0], [1, 0, 0], [1, 1, 0])
         assert np.allclose(v1, [1, 0, 0], atol=0)
         assert np.allclose(v2, [0, 1, 0], atol=1e-15)
 
     def test_already_orthogonal_unchanged(self):
-        v1, v2 = gram_schmidt_pair([0, 0, 0], [2, 0, 0], [0, 3, 0])
+        v1, v2 = project_pair([0, 0, 0], [2, 0, 0], [0, 3, 0])
         assert np.allclose(v1, [2, 0, 0], atol=0)
         assert np.allclose(v2, [0, 3, 0], atol=0)
 
     def test_collinear_raises(self):
+        # the projection step reports collinear offsets as None, and the
+        # selector, left without a second basis vector, raises
+        assert project_pair([0, 0, 0], [1, 0, 0], [2, 0, 0])[1] is None
         with pytest.raises(DegenerateBasisError):
-            gram_schmidt_pair([0, 0, 0], [1, 0, 0], [2, 0, 0])
-
-    def test_coincident_neighbor_raises(self):
-        with pytest.raises(DegenerateBasisError):
-            gram_schmidt_pair([1, 1, 1], [1, 1, 1], [2, 0, 0])
+            select_first([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 5]], SelectorConfig(k=2))
 
     def test_random_triples_orthogonal(self):
         rng = np.random.default_rng(42)
         for _ in range(300):
             x_p, x_n1, x_n2 = rng.normal(size=(3, 5))
-            v1, v2 = gram_schmidt_pair(x_p, x_n1, x_n2)
+            v1, v2 = project_pair(x_p, x_n1, x_n2)
             assert abs(np.dot(v1, v2)) <= 1e-10 * np.linalg.norm(v1) * np.linalg.norm(v2)
 
 
 class TestResidualVector:
     def test_already_in_complement(self):
-        v3 = residual_vector([0, 0, 1], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
+        v3 = residual([0, 0, 1], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
         assert np.allclose(v3, [0, 0, 1], atol=0)
 
     def test_hand_computed_projections(self):
         # (5,5,5) minus its x and y axis projections leaves (0,0,5)
-        v3 = residual_vector([5, 5, 5], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
+        v3 = residual([5, 5, 5], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
         assert np.allclose(v3, [0, 0, 5], atol=1e-14)
 
     def test_inside_subspace_raises(self):
+        # the projection step reports a probe inside the subspace as None,
+        # and the selector, left without a probe outside it, raises
+        assert residual([3, 4, 0], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])]) is None
         with pytest.raises(DegenerateComplementError):
-            residual_vector([3, 4, 0], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])])
+            select_first([[0, 0, 0], [1, 0, 0], [0, 1, 0], [3, 4, 0]], SelectorConfig(k=2))
 
     def test_orthogonality_and_reprojection(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             pts = rng.normal(size=(4, 6))
-            v1, v2 = gram_schmidt_pair(pts[0], pts[1], pts[2])
-            v3 = residual_vector(pts[3], pts[0], [v1, v2])
+            v1, v2 = project_pair(pts[0], pts[1], pts[2])
+            v3 = residual(pts[3], pts[0], [v1, v2])
             for b in (v1, v2):
                 assert abs(np.dot(v3, b)) <= 1e-8 * np.linalg.norm(v3) * np.linalg.norm(b)
             # the removed part lies in span(v1, v2): re-project and compare
@@ -79,15 +101,15 @@ class TestResidualVector:
 
 class TestAngleDeg:
     def test_orthogonal_axes(self):
-        assert angle_deg([1, 0, 0], [0, 1, 0]) == pytest.approx(90.0, abs=1e-12)
+        assert angle([1, 0, 0], [0, 1, 0]) == pytest.approx(90.0, abs=1e-12)
 
     def test_parallel(self):
-        assert angle_deg([1, 0, 0], [2, 0, 0]) == pytest.approx(0.0, abs=1e-6)
+        assert angle([1, 0, 0], [2, 0, 0]) == pytest.approx(0.0, abs=1e-6)
 
     def test_known_oblique_angle(self):
         # cos(theta) = 2.5 / (5 * sqrt(0.27)), about 15.79 degrees
         expected = math.degrees(math.acos(2.5 / (5.0 * math.sqrt(0.27))))
-        got = angle_deg([0, 0, 5], [0.1, 0.1, 0.5])
+        got = angle([0, 0, 5], [0.1, 0.1, 0.5])
         assert got == pytest.approx(expected, abs=1e-9)
         assert got == pytest.approx(15.79, abs=0.005)
 
@@ -95,13 +117,9 @@ class TestAngleDeg:
         rng = np.random.default_rng(11)
         for _ in range(100):
             u, v = rng.normal(size=(2, 4))
-            assert angle_deg(u, v) == pytest.approx(angle_deg(v, u), abs=1e-12)
-            assert angle_deg(u, 2.5 * u) == pytest.approx(0.0, abs=1e-5)
-            assert angle_deg(u, -0.7 * u) == pytest.approx(180.0, abs=1e-5)
-
-    def test_zero_vector_raises(self):
-        with pytest.raises(ZeroVectorError):
-            angle_deg([0, 0], [1, 0])
+            assert angle(u, v) == pytest.approx(angle(v, u), abs=1e-12)
+            assert angle(u, 2.5 * u) == pytest.approx(0.0, abs=1e-5)
+            assert angle(u, -0.7 * u) == pytest.approx(180.0, abs=1e-5)
 
 
 class TestSymmetricEigenTop:
@@ -294,28 +312,38 @@ class TestEigenOracle:
         symmetric_eigen_top(a, 2)
 
 
-class TestPearsonR:
-    def test_identical(self):
-        assert pearson_r([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
+def rv_of_three(geo, coords):
+    """residual_variance of three points whose geodesics (0,1), (0,2), (1,2)
+    are geo: the correlation it takes runs over exactly those three pairs."""
+    d = np.zeros((3, 3))
+    d[np.triu_indices(3, 1)] = geo
+    coords = np.asarray(coords, dtype=np.float64)
+    gm = GeodesicMatrix(d=d + d.T, component_ids=np.zeros(3, dtype=np.int64))
+    return residual_variance(gm, Embedding(coords=coords, eigenvalues=np.zeros(coords.shape[1])))
 
-    def test_reversed(self):
-        assert pearson_r([1, 2, 3], [3, 2, 1]) == pytest.approx(-1.0)
+
+class TestPearsonR:
+    """The Pearson correlation inside residual_variance (1 - r^2)."""
+
+    def test_identical(self):
+        # embedded distances (1, 2, 3)
+        assert rv_of_three([1, 2, 3], [[0], [1], [-2]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_positive_scaling(self):
-        assert pearson_r([1, 2, 3], [2, 4, 6]) == pytest.approx(1.0)
+        # embedded distances (2, 4, 6)
+        assert rv_of_three([1, 2, 3], [[0], [2], [-4]]) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_raises(self):
-        with pytest.raises(ZeroVarianceError):
-            pearson_r([1, 2, 3], [5, 5, 5])
+        # one embedded point: every embedded distance is 0
+        with pytest.raises(ZeroVarianceError, match="constant sequence"):
+            rv_of_three([1, 2, 3], [[5], [5], [5]])
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            a, b = rng.normal(size=(2, 20))
-            r = pearson_r(a, b)
+            gm = GeodesicMatrix(d=rng.normal(size=(7, 7)), component_ids=np.zeros(7, dtype=np.int64))
+            emb = Embedding(coords=rng.normal(size=(7, 2)), eigenvalues=np.zeros(2))
+            rv = residual_variance(gm, emb)
             for alpha, beta in ((2.0, 1.0), (-3.0, 0.5), (0.1, -7.0)):
-                assert pearson_r(a, alpha * b + beta) == pytest.approx(math.copysign(1, alpha) * r, abs=1e-10)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            pearson_r([1, 2], [1, 2, 3])
+                moved = GeodesicMatrix(d=alpha * gm.d + beta, component_ids=gm.component_ids)
+                assert residual_variance(moved, emb) == pytest.approx(rv, abs=1e-10)

@@ -20,6 +20,7 @@ from topostable import (
     write_report_csv,
     write_scatter_svg,
 )
+from topostable import pipeline
 from topostable.errors import BadDimError, DegenerateComplementError
 
 
@@ -124,6 +125,20 @@ class TestCompareMethods:
         assert abs(std.residual_variance - stb.residual_variance) <= 1e-12
         assert std.n_edges == stb.n_edges
         assert std.n_embedded == stb.n_embedded
+
+    def test_invalid_k_refused_before_any_cell_runs(self, monkeypatch):
+        calls = []
+        real = pipeline.build_graph
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "build_graph", counting)
+        data = gen_swiss_roll(100, 3).data
+        with pytest.raises(ValueError, match="k must be positive"):
+            compare_methods(data, [10, 0], RunConfig(method="standard", k=10))
+        assert calls == []
 
     def test_failed_cell_becomes_marker_row(self):
         rng = np.random.default_rng(5)
