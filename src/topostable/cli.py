@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import __version__
 from .datasets import IDX_IMAGE_MAGIC, gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
-from .errors import TopoStableError
+from .errors import TopoStableError, ZeroVarianceError
 from .geodesic import residual_variance
 from .graph import METHODS
 from .pipeline import (
@@ -134,16 +134,18 @@ def _cmd_generate(args):
 def _cmd_embed(args):
     data = _load_input(args)
     emb, gm, kept, graph = isomap_embed(data, _run_config(args, args.method, args.k))
-    rv = residual_variance(gm, emb)
     write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)
     if args.svg:
         sub_labels = None if data.labels is None else data.labels[kept]
         write_scatter_svg(emb, sub_labels, args.svg)
-    print(
-        f"embedded {kept.size}/{data.n} points, {graph.n_edges} edges, "
-        f"residual variance {rv:.6g}",
-        file=sys.stderr,
-    )
+    # the outputs stand without rv: an undefined rv (too few points, or
+    # constant distances) is reported and exits 0, as compare records a
+    # NaN cell
+    try:
+        quality = f"residual variance {residual_variance(gm, emb):.6g}"
+    except (ZeroVarianceError, ValueError) as exc:
+        quality = str(exc)
+    print(f"embedded {kept.size}/{data.n} points, {graph.n_edges} edges, {quality}", file=sys.stderr)
     return 0
 
 

@@ -11,6 +11,11 @@ it into a keep-mask, one row per point, with two numeric steps of its own: a
 Gram-Schmidt projection (_project_out) for the local basis and the
 complement vector, and an angle step (_angles_deg) for the window. Either
 way the graph is the union of the kept (point, candidate) pairs.
+
+The build holds one n x n buffer: the squared distances, computed in place
+over the Gram product (_pairwise_sq). The kNN table is sorted one block of
+ROW_BLOCK rows at a time (_knn_indices), so the only other scratch is
+O(ROW_BLOCK * n) plus the O(n * k) table and masks.
 """
 
 from dataclasses import dataclass
@@ -29,6 +34,7 @@ __all__ = [
 METHODS = ("standard", "stable")  # the selection rules build_graph offers
 
 EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered endpoint block in build_graph
+ROW_BLOCK = 64  # rows per step of the squared-distance fill and the kNN sort
 
 # Relative tolerance for declaring a residual numerically zero (collinear
 # neighbors, probe point inside the subspace). Comfortably above double
@@ -139,13 +145,37 @@ class NeighborGraph:
 
 def _pairwise_sq(points):
     """Squared Euclidean distances via the Gram matrix (fast, used for
-    ordering only; edge weights are recomputed exactly per pair)."""
+    ordering only; edge weights are recomputed exactly per pair).
+
+    Entry (i, j) is (sq_i + sq_j) - 2 g_ij, written over the Gram product
+    g one block of rows at a time, so the result is the only n x n buffer.
+    """
     g = points @ points.T
     sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d2, 0.0, out=d2)
+    g *= 2.0
+    for lo in range(0, len(sq), ROW_BLOCK):
+        blk = slice(lo, lo + ROW_BLOCK)
+        np.subtract(sq[blk, None] + sq[None, :], g[blk], out=g[blk])
+    np.maximum(g, 0.0, out=g)
+    np.fill_diagonal(g, 0.0)
+    return g
+
+
+def _knn_indices(d2, k):
+    """(n, k) kNN table: each row's other points in ascending d2, ties
+    broken by index, cut at k.
+
+    The diagonal is set to -1 so that self sorts first and is dropped, then
+    restored to 0. Each row is sorted on its own (a stable argsort of one
+    block of rows at a time), so no (n, n) index array is made.
+    """
+    n = d2.shape[0]
+    np.fill_diagonal(d2, -1.0)
+    nn = np.empty((n, k), dtype=np.int64)
+    for lo in range(0, n, ROW_BLOCK):
+        nn[lo : lo + ROW_BLOCK] = np.argsort(d2[lo : lo + ROW_BLOCK], axis=1, kind="stable")[:, 1 : k + 1]
     np.fill_diagonal(d2, 0.0)
-    return d2
+    return nn
 
 
 def _project_out(d, basis):
@@ -239,13 +269,11 @@ def build_graph(data, cfg, method="standard"):
     if cfg.k >= n:
         raise KTooLargeError(f"k={cfg.k} but only {n} points are available")
 
-    # kNN table: rows sorted by the computed squared distances, ties broken
-    # by index, self forced first and dropped. The Gram product can round the
-    # distances to two identical rows differently; the rounding then decides.
+    # kNN table: rows sorted by the computed squared distances. The Gram
+    # product can round the distances to two identical rows differently;
+    # the rounding then decides.
     d2 = _pairwise_sq(points)
-    np.fill_diagonal(d2, -1.0)
-    nn = np.argsort(d2, axis=1, kind="stable")[:, 1 : cfg.k + 1]
-    np.fill_diagonal(d2, 0.0)
+    nn = _knn_indices(d2, cfg.k)
 
     keep = np.ones(nn.shape, dtype=bool)
     if method == "stable":

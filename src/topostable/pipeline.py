@@ -63,8 +63,9 @@ def isomap_embed(data, cfg):
     with _stage("neighbor graph"):
         graph = build_graph(data, cfg, cfg.method)
     with _stage("shortest paths"):
-        gm_full = floyd_all_pairs(graph)
-    sub_data, gm, kept = largest_component(gm_full, data)
+        gm = floyd_all_pairs(graph)
+    # rebinding gm frees the full matrix once a component has been cut out
+    _, gm, kept = largest_component(gm, data)
     with _stage("classical MDS"):
         emb = classical_mds(gm, cfg.m)
     return emb, gm, kept, graph
@@ -98,36 +99,36 @@ def compare_methods(data, k_values, base_cfg, methods=METHODS):
     the sweep.
     """
     cells = [replace(base_cfg, method=method, k=int(k)) for k in k_values for method in methods]
-    rows = []
-    for cfg in cells:
-        try:
-            emb, gm, kept, graph = isomap_embed(data, cfg)
-            rv = residual_variance(gm, emb)
-            rows.append(
-                ReportRow(
-                    k=cfg.k,
-                    method=cfg.method,
-                    residual_variance=rv,
-                    n_embedded=int(kept.size),
-                    n_dropped=data.n - int(kept.size),
-                    n_edges=graph.n_edges,
-                    clipped_dims=emb.n_clipped,
-                )
-            )
-        except (TopoStableError, ValueError) as exc:
-            rows.append(
-                ReportRow(
-                    k=cfg.k,
-                    method=cfg.method,
-                    residual_variance=float("nan"),
-                    n_embedded=0,
-                    n_dropped=data.n,
-                    n_edges=0,
-                    clipped_dims=0,
-                    error=str(exc),
-                )
-            )
-    return ComparisonReport(rows=tuple(rows))
+    return ComparisonReport(rows=tuple(_run_cell(data, cfg) for cfg in cells))
+
+
+def _run_cell(data, cfg):
+    """One compare_methods cell as its ReportRow. The cell's geodesic
+    matrix, embedding and graph are locals here, so they are freed before
+    the next cell builds its graph, whether this cell succeeded or not."""
+    try:
+        emb, gm, kept, graph = isomap_embed(data, cfg)
+        rv = residual_variance(gm, emb)
+    except (TopoStableError, ValueError) as exc:
+        return ReportRow(
+            k=cfg.k,
+            method=cfg.method,
+            residual_variance=float("nan"),
+            n_embedded=0,
+            n_dropped=data.n,
+            n_edges=0,
+            clipped_dims=0,
+            error=str(exc),
+        )
+    return ReportRow(
+        k=cfg.k,
+        method=cfg.method,
+        residual_variance=rv,
+        n_embedded=int(kept.size),
+        n_dropped=data.n - int(kept.size),
+        n_edges=graph.n_edges,
+        clipped_dims=emb.n_clipped,
+    )
 
 
 def _fmt(x):

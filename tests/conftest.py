@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,20 @@ def stable_neighbors(data, p, cfg):
     nbrs = nearest_neighbors(data, p, cfg.k)
     keep = graph._stable_select(data.points, p, nbrs, d2_row, cfg)
     return [int(j) for j in nbrs[keep]]
+
+
+def peak_bytes(fn):
+    """(fn(), the highest traced memory while fn ran, in bytes above what
+    was traced when it started). tracemalloc runs only for the call and is
+    stopped also when fn raises."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -167,6 +167,22 @@ class TestEmbed:
         assert code == 0
         assert out == run(capsys, [*argv, str(clean)])[1]
 
+    @pytest.mark.parametrize(
+        "rows, k, reason",
+        [
+            ("0,0\n1,0\n", "1", "needs at least 3 points, got 2"),
+            ("1,0,0\n0,1,0\n0,0,1\n", "2", "every geodesic distance is equal"),
+        ],
+    )
+    def test_undefined_residual_variance_still_writes_the_embedding(self, capsys, tmp_path, rows, k, reason):
+        src, out = tmp_path / "in.csv", tmp_path / "emb.csv"
+        src.write_text(rows)
+        argv = ["embed", "--in", str(src), "--method", "standard", "--k", k, "--m", "1", "--out", str(out)]
+        code, _, err = run(capsys, argv)
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 1 + rows.count("\n")
+        assert err.endswith(f" edges, residual variance undefined: {reason}\n")
+
     def test_one_column_csv_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "onecol.csv"
         bad.write_text("1\n2\n3\n")

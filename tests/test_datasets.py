@@ -1,7 +1,6 @@
 import os
 import struct
 import threading
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +17,8 @@ from topostable.errors import (
     RaggedRowsError,
     TruncatedFileError,
 )
+
+from conftest import peak_bytes
 
 
 class TestHelix:
@@ -268,12 +269,7 @@ class TestLoadIdx:
     def test_take_first_reads_only_the_kept_rows(self, tmp_path):
         pi = tmp_path / "big.idx"
         write_idx_images(pi, np.full((20000, 28, 28), 7, dtype=np.uint8))
-        tracemalloc.start()
-        try:
-            data = load_idx(pi, take_first=10)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        data, peak = peak_bytes(lambda: load_idx(pi, take_first=10))
         assert data.n == 10
         # the whole file decoded would be 15.7 MB of bytes and 125 MB of float64
         assert peak < 1_000_000

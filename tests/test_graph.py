@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topostable
-from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph
+from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, gen_swiss_roll
+from topostable import graph
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 from topostable.graph import EDGE_BLOCK_BYTES
 
-from conftest import cross_plane_edges, nearest_neighbors, stable_neighbors
+from conftest import cross_plane_edges, nearest_neighbors, peak_bytes, stable_neighbors
 
 
 # Deterministic example sets, small enough to keep the suite fast.
@@ -185,7 +186,53 @@ class TestSelectNeighborsStable:
             build_graph(data, SelectorConfig(k=4, delta_theta_deg=95.0), "stable")
 
 
+def points_with_duplicates(n, seed):
+    """n Gaussian points in 3-D whose last quarter repeats earlier rows."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 3))
+    dup = n // 4
+    pts[n - dup :] = pts[rng.integers(0, n - dup, size=dup)]
+    return pts
+
+
+class TestDenseSteps:
+    """The blocked squared distances and kNN sort against the one-pass
+    formulas they replaced, bit for bit (the kNN order depends on the
+    rounding, so equal within a tolerance would not do)."""
+
+    @pytest.mark.parametrize("n", [1, 63, 65, 130])
+    def test_pairwise_sq_equals_one_pass_formula(self, n):
+        pts = points_with_duplicates(n, n)
+        g = pts @ pts.T
+        sq = np.diag(g).copy()
+        expected = sq[:, None] + sq[None, :] - 2.0 * g
+        np.maximum(expected, 0.0, out=expected)
+        np.fill_diagonal(expected, 0.0)
+        assert np.array_equal(graph._pairwise_sq(pts), expected)
+
+    @pytest.mark.parametrize("n, k", [(2, 1), (63, 5), (65, 1), (130, 12)])
+    def test_knn_indices_equals_full_stable_argsort(self, n, k):
+        d2 = graph._pairwise_sq(points_with_duplicates(n, n))
+        before = d2.copy()
+        full = d2.copy()
+        np.fill_diagonal(full, -1.0)
+        expected = np.argsort(full, axis=1, kind="stable")[:, 1 : k + 1]
+        assert np.array_equal(graph._knn_indices(d2, k), expected)
+        assert np.array_equal(d2, before)
+
+
 class TestBuildGraph:
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_memory_about_one_n2_buffer(self, method):
+        # the squared distances are the one n x n buffer; the Gram product
+        # is overwritten in place and the kNN table is sorted by row blocks
+        n = 400
+        data = gen_swiss_roll(n, 1).data
+        cfg = SelectorConfig(k=10)
+        build_graph(data, cfg, method)  # warm-up: first-call allocations
+        _, peak = peak_bytes(lambda: build_graph(data, cfg, method))
+        assert peak <= 1.5 * n * n * 8
+
     def test_collinear_standard_path_graph(self):
         g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
         assert g.edges.tolist() == [[0, 1], [1, 2]]

@@ -23,6 +23,8 @@ from topostable import (
 from topostable import pipeline
 from topostable.errors import BadDimError, DegenerateComplementError
 
+from conftest import peak_bytes
+
 
 def lifted_plane_cloud(n=60, seed=0):
     rng = np.random.default_rng(seed)
@@ -149,6 +151,36 @@ class TestCompareMethods:
         assert stb.error is not None
         assert math.isnan(stb.residual_variance)
         assert stb.n_dropped == flat.n
+
+
+class TestMemory:
+    """Peak traced memory of whole runs at n=400, in units of one n x n
+    float64 buffer: the geodesic matrix and one working buffer, plus the
+    O(n * k) tables."""
+
+    N = 400
+
+    @pytest.fixture(scope="class")
+    def roll(self):
+        data = gen_swiss_roll(self.N, 1).data
+        build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
+        return data
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_and_residual_variance(self, roll, method):
+        def run():
+            emb, gm, _, _ = isomap_embed(roll, RunConfig(method=method, k=10))
+            return residual_variance(gm, emb)
+
+        _, peak = peak_bytes(run)
+        assert peak <= 2.4 * self.N * self.N * 8
+
+    def test_sweep_frees_each_cell_before_the_next(self, roll):
+        # a cell still holding the previous cell's geodesic matrix while it
+        # builds its graph would reach about 4 buffers
+        rep, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
+        assert len(rep.rows) == 8 and all(r.error is None for r in rep.rows)
+        assert peak <= 2.5 * self.N * self.N * 8
 
 
 class TestWriteEmbeddingCsv:
