@@ -102,14 +102,16 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
     Both headers and payload lengths are checked first; then only the kept
     rows are read, as bytes, and only they are converted to float64, so the
     input costs keep x rows x cols x 8 B rather than the whole file's worth.
-    Raises BadCountError when take_first is below 1 and BadDimError when
-    an image has fewer than 2 pixels.
+    Raises BadCountError when take_first is below 1 or the file holds no
+    images, and BadDimError when an image has fewer than 2 pixels.
     """
     if take_first is not None and take_first < 1:
         raise BadCountError(f"take_first must be at least 1, got {take_first}")
     with contextlib.ExitStack() as files:
         images, size = _open_idx(path, files)
         count, rows, cols = _idx_header(images, path, "image", IDX_IMAGE_MAGIC)
+        if count == 0:
+            raise BadCountError(f"{path}: holds no images")
         width = rows * cols
         if width < 2:
             raise BadDimError(f"{path}: {rows}x{cols} images have {width} pixel, need at least 2")
@@ -189,8 +191,16 @@ def load_csv(path):
     Row order is preserved and blank lines at the end of the file are ignored.
     Rows of differing widths, fewer than 2 columns, and non-numeric or
     non-finite (NaN/inf) cells are refused with typed errors naming the file.
+    The file must be UTF-8, with or without a byte-order mark; an invalid
+    byte is refused with NonNumericCellError naming its offset in the file.
     """
-    lines = Path(path).read_text(encoding="utf-8-sig").splitlines()
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        bad = raw[exc.start:exc.end]
+        raise NonNumericCellError(f"{path}: byte {exc.start} is not UTF-8: {bad!r}") from None
+    lines = text.splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     rows = [line.split(",") for line in lines]

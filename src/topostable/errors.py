@@ -54,4 +54,4 @@ class RaggedRowsError(TopoStableError):
 
 
 class NonNumericCellError(TopoStableError):
-    """CSV cell could not be parsed as a number."""
+    """CSV cell could not be parsed as a number, or its bytes are not UTF-8."""

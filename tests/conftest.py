@@ -53,6 +53,18 @@ def stable_neighbors(data, p, cfg):
     return [int(j) for j in nbrs[keep]]
 
 
+def short_circuit_edges(g, params):
+    """Number of edges of the neighbor graph g on a gen_swiss_roll sample
+    with params (t, h) whose distance on the unrolled roll is more than
+    twice their length (weight). The spiral (t cos t, t sin t) has arc
+    length S(t) = (t sqrt(1 + t^2) + asinh t) / 2, and the roll unrolls to
+    the (S(t), h) plane."""
+    t, h = params[:, 0], params[:, 1]
+    s = 0.5 * (t * np.sqrt(1.0 + t * t) + np.arcsinh(t))
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    return int(np.sum(np.hypot(s[i] - s[j], h[i] - h[j]) > 2.0 * g.weights))
+
+
 def peak_bytes(fn):
     """(fn(), the highest traced memory while fn ran, in bytes above what
     was traced when it started). tracemalloc runs only for the call and is

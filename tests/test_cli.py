@@ -167,6 +167,13 @@ class TestEmbed:
         assert code == 0
         assert out == run(capsys, [*argv, str(clean)])[1]
 
+    def test_invalid_utf8_names_file_and_byte(self, capsys, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"\xff1,2\n3,4\n5,6\n")
+        code, out, err = run(capsys, ["embed", "--in", str(bad), "--method", "standard", "--k", "1"])
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: byte 0 is not UTF-8: b'\\xff'\n"
+
     @pytest.mark.parametrize(
         "rows, k, reason",
         [

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from topostable import gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
+from topostable import DataSet, gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
 from topostable.errors import (
     BadCountError,
     BadDimError,
@@ -15,6 +17,7 @@ from topostable.errors import (
     NonFiniteError,
     NonNumericCellError,
     RaggedRowsError,
+    TopoStableError,
     TruncatedFileError,
 )
 
@@ -291,6 +294,15 @@ class TestLoadIdx:
         with pytest.raises(BadDimError):
             load_idx(p)
 
+    @pytest.mark.parametrize("side", [3, 2**31, 2**32 - 1])
+    def test_zero_images_refused(self, tmp_path, side):
+        # with no images no payload is due, so the size check passes at any
+        # declared image size
+        p = tmp_path / "empty.idx"
+        p.write_bytes(struct.pack(">IIII", 2051, 0, side, side))
+        with pytest.raises(BadCountError, match=r"empty\.idx: holds no images"):
+            load_idx(p, take_first=2)
+
     def test_truncated_after_the_kept_rows(self, tmp_path):
         p = tmp_path / "cut.idx"
         p.write_bytes(struct.pack(">IIII", 2051, 5, 2, 2) + bytes(3 * 4))
@@ -374,3 +386,72 @@ class TestLoadCsv:
         clean.write_bytes(b"1,2\n3,4\n5,6\n")
         bom.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
         assert np.array_equal(load_csv(bom).points, load_csv(clean).points)
+
+    @pytest.mark.parametrize(
+        "raw, offset",
+        [(b"\xff1,2\n3,4\n5,6\n", 0), (b"1,2\n3,\xc3\n", 6), (b"\xef\xbb\xbf1,2\n\x80,4\n", 7)],
+    )
+    def test_invalid_utf8_names_file_and_byte(self, tmp_path, raw, offset):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(raw)
+        with pytest.raises(NonNumericCellError, match=rf"bad\.csv: byte {offset} is not UTF-8"):
+            load_csv(p)
+
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=200)
+
+# Mostly near-valid CSV text, sometimes arbitrary bytes.
+csv_bytes = st.one_of(
+    st.binary(max_size=64),
+    st.text(st.sampled_from("0123456789.-+eE,; \t\r\nnaif_x\ufeff\u00e9"), max_size=64).map(str.encode),
+    st.lists(st.binary(max_size=8), max_size=8).map(b",".join),
+)
+# Small fields most of the time, any 32-bit value otherwise.
+u32 = st.one_of(st.integers(0, 6), st.integers(0, 2**32 - 1))
+magic = st.one_of(st.sampled_from([2051, 2049]), st.integers(0, 2**32 - 1))
+
+
+def _idx_file(path, fmt, fields, payload, cut):
+    """Writes a header of fmt packing fields, then payload; cut (or None)
+    truncates the whole file to that many bytes."""
+    raw = struct.pack(fmt, *fields) + payload
+    path.write_bytes(raw if cut is None else raw[:cut])
+
+
+class TestLoaderFuzz:
+    """Any bytes yield a DataSet or a TopoStableError, never another exception."""
+
+    @pytest.fixture(scope="class")
+    def fuzz_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @FUZZ
+    @given(raw=csv_bytes)
+    def test_load_csv(self, fuzz_dir, raw):
+        p = fuzz_dir / "f.csv"
+        p.write_bytes(raw)
+        try:
+            assert isinstance(load_csv(p), DataSet)
+        except TopoStableError:
+            pass
+
+    @FUZZ
+    @given(
+        head=st.tuples(magic, u32, u32, u32),
+        payload=st.binary(max_size=48),
+        cut=st.none() | st.integers(0, 40),
+        labels=st.none() | st.tuples(magic, u32, st.binary(max_size=8), st.none() | st.integers(0, 12)),
+        take_first=st.none() | st.integers(-2, 6),
+        sample_random=st.booleans(),
+        seed=st.integers(0, 3),
+    )
+    def test_load_idx(self, fuzz_dir, head, payload, cut, labels, take_first, sample_random, seed):
+        pi, pl = fuzz_dir / "i.idx", fuzz_dir / "l.idx"
+        _idx_file(pi, ">IIII", head, payload, cut)
+        if labels is not None:
+            _idx_file(pl, ">II", labels[:2], labels[2], labels[3])
+        try:
+            data = load_idx(pi, pl if labels is not None else None, take_first, sample_random, seed)
+            assert isinstance(data, DataSet)
+        except TopoStableError:
+            pass

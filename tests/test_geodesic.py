@@ -18,7 +18,7 @@ from topostable import (
     largest_component,
     residual_variance,
 )
-from topostable import linalg
+from topostable import geodesic, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
 from conftest import peak_bytes
@@ -173,6 +173,52 @@ class TestFloydOracle:
         assert np.array_equal(gm.d, floyd_reference(g))
         assert np.array_equal(gm.d, gm.d.T)
         assert np.all(np.diag(gm.d) == 0.0)
+
+
+class _NumpyProxy:
+    """Stands in for geodesic's numpy: add is replaced, the rest is numpy."""
+
+    def __init__(self, add):
+        self.add = add
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestFloydBufferSize:
+    """The kernel runs with numpy's ufunc buffer below three rows and gives
+    the caller's size back."""
+
+    def test_caller_size_restored(self):
+        g = ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7))
+        old = np.setbufsize(4096)
+        try:
+            floyd_all_pairs(g)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(old)
+
+    def test_caller_size_restored_when_a_step_raises(self, monkeypatch):
+        def failing_add(*args, **kwargs):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(geodesic, "np", _NumpyProxy(failing_add))
+        old = np.getbufsize()
+        with pytest.raises(RuntimeError, match="step failed"):
+            floyd_all_pairs(ORACLE_GRAPHS["n65"][0](np.random.default_rng(7)))
+        assert np.getbufsize() == old
+
+    def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch):
+        sizes = []
+
+        def spy_add(*args, **kwargs):
+            sizes.append(np.getbufsize())
+            return np.add(*args, **kwargs)
+
+        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+        monkeypatch.setattr(geodesic, "np", _NumpyProxy(spy_add))
+        floyd_all_pairs(g)
+        assert sizes and max(sizes) < 3 * g.n
 
 
 class TestLargestComponent:
@@ -345,6 +391,27 @@ class TestResidualVariance:
         gm = GeodesicMatrix(d=1.0 - np.eye(3), component_ids=np.zeros(3, dtype=np.int64))
         emb = Embedding(coords=np.array([[0.0], [1.0], [3.0]]), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
+            residual_variance(gm, emb)
+
+    @pytest.mark.parametrize("side, n", [(0.1, 3), (0.3, 5), (np.sqrt(2.0), 5)])
+    def test_constant_geodesics_whose_mean_rounds_off_raise(self, side, n):
+        # the mean of these constants does not round back to them, so they
+        # leave non-zero residues once centered
+        geo = side * (1.0 - np.eye(n))
+        iu = np.triu_indices(n, 1)
+        assert np.any(geo[iu] - geo[iu].mean() != 0.0)
+        gm = GeodesicMatrix(d=geo, component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
+        with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
+            residual_variance(gm, emb)
+
+    @pytest.mark.parametrize("geo_scale, emb_scale", [(1e-170, 1.0), (1e-100, 1e-100)])
+    def test_spreads_that_underflow_raise(self, geo_scale, emb_scale):
+        # not constant, but the product of the centered sums of squares is 0
+        x = np.array([0.0, 1.0, 3.0, 7.0]) * geo_scale
+        gm = GeodesicMatrix(d=np.abs(x[:, None] - x[None, :]), component_ids=np.zeros(4, dtype=np.int64))
+        emb = Embedding(coords=np.array([[0.0], [1.0], [2.0], [5.0]]) * emb_scale, eigenvalues=np.zeros(1))
+        with pytest.raises(ZeroVarianceError, match="^residual variance undefined: the distances vary too little"):
             residual_variance(gm, emb)
 
     def test_exact_embedding_zero(self):

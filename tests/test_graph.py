@@ -9,7 +9,13 @@ from topostable import graph
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 from topostable.graph import EDGE_BLOCK_BYTES
 
-from conftest import cross_plane_edges, nearest_neighbors, peak_bytes, stable_neighbors
+from conftest import (
+    cross_plane_edges,
+    nearest_neighbors,
+    peak_bytes,
+    short_circuit_edges,
+    stable_neighbors,
+)
 
 
 # Deterministic example sets, small enough to keep the suite fast.
@@ -390,3 +396,26 @@ def test_exports_match_modules():
         assert name not in names
         assert not hasattr(topostable.linalg, name)
     assert not hasattr(topostable.errors, "ZeroVectorError")
+
+
+class TestShortCircuitEdges:
+    """The paper's claim: the angle filter keeps fewer edges that cut across
+    the Swiss roll's layers than plain kNN does (n=800, seed 1)."""
+
+    PINNED = {10: (0, 0), 15: (9, 0), 20: (39, 0), 30: (376, 2)}  # k: (standard, stable)
+
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return gen_swiss_roll(800, 1)
+
+    @pytest.mark.parametrize("k", sorted(PINNED))
+    def test_counts_pinned_and_stable_never_worse(self, sample, k):
+        counts = tuple(
+            short_circuit_edges(build_graph(sample.data, SelectorConfig(k=k), method), sample.params)
+            for method in ("standard", "stable")
+        )
+        assert counts == self.PINNED[k]
+        standard, stable = counts
+        assert stable <= standard
+        if k <= 20:
+            assert stable == 0
