@@ -53,16 +53,44 @@ def stable_neighbors(data, p, cfg):
     return [int(j) for j in nbrs[keep]]
 
 
-def short_circuit_edges(g, params):
-    """Number of edges of the neighbor graph g on a gen_swiss_roll sample
-    with params (t, h) whose distance on the unrolled roll is more than
-    twice their length (weight). The spiral (t cos t, t sin t) has arc
-    length S(t) = (t sqrt(1 + t^2) + asinh t) / 2, and the roll unrolls to
-    the (S(t), h) plane."""
+def short_circuit_edges(g, intrinsic):
+    """Number of edges of the neighbor graph g whose distance on the
+    manifold, intrinsic(i, j) for the arrays of edge ends, is more than
+    twice their length (weight): the paper's short-circuit edges.
+
+    The punctured sphere has no such count: on a unit sphere an arc is at
+    most pi/2 times its chord, so no edge can be twice as long on the
+    sphere as in space, and a sphere test needs another reference."""
+    i, j = g.edges[:, 0], g.edges[:, 1]
+    return int(np.sum(intrinsic(i, j) > 2.0 * g.weights))
+
+
+def swiss_roll_distance(params):
+    """Distance on the unrolled roll between gen_swiss_roll points with
+    params (t, h). The spiral (t cos t, t sin t) has arc length S(t) =
+    (t sqrt(1 + t^2) + asinh t) / 2, and the roll unrolls to the (S(t), h)
+    plane."""
     t, h = params[:, 0], params[:, 1]
     s = 0.5 * (t * np.sqrt(1.0 + t * t) + np.arcsinh(t))
-    i, j = g.edges[:, 0], g.edges[:, 1]
-    return int(np.sum(np.hypot(s[i] - s[j], h[i] - h[j]) > 2.0 * g.weights))
+    return lambda i, j: np.hypot(s[i] - s[j], h[i] - h[j])
+
+
+def helix_distance(params, steps=1 << 16):
+    """Arc length along gen_helix's closed curve between points with params
+    t, the shorter way round. The curve ((2 + cos 8t) cos t, (2 + cos 8t)
+    sin t, sin 8t) has speed sqrt(64 + (2 + cos 8t)^2); its integral from 0
+    is taken by the trapezoid rule on `steps` intervals of [0, 2pi] and
+    interpolated at each t."""
+    grid = np.linspace(0.0, 2.0 * np.pi, steps + 1)
+    speed = np.sqrt(64.0 + (2.0 + np.cos(8.0 * grid)) ** 2)
+    arc = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * np.diff(grid))])
+    s = np.interp(params[:, 0], grid, arc)
+
+    def distance(i, j):
+        along = np.abs(s[i] - s[j])
+        return np.minimum(along, arc[-1] - along)
+
+    return distance
 
 
 def peak_bytes(fn):

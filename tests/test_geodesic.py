@@ -1,3 +1,10 @@
+import contextlib
+import os
+import sys
+import threading
+import time
+import types
+
 import numpy as np
 import pytest
 
@@ -160,13 +167,38 @@ class TestFloydDijkstraAgreement:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
 
 
-class TestFloydOracle:
-    """floyd_all_pairs must equal the plain recurrence entry for entry."""
+@pytest.fixture
+def floyd_workers(monkeypatch):
+    """floyd_workers(w): Floyd runs on w threads (fewer when n has fewer
+    64-row chunks) at every n, not only from geodesic._THREADS_FROM_N on,
+    as if the process had w CPUs and no cap; floyd_workers() forces only
+    the threshold."""
 
-    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
-    def test_equals_plain_recurrence(self, name):
+    def force(w=None):
+        monkeypatch.setattr(geodesic, "_THREADS_FROM_N", 0)
+        if w is not None:
+            monkeypatch.setattr(geodesic, "_cpu_count", lambda: w)
+            monkeypatch.setattr(geodesic, "_MAX_WORKERS", w)
+
+    return force
+
+
+class TestFloydOracle:
+    """floyd_all_pairs must equal the plain recurrence entry for entry, on
+    one thread and on several."""
+
+    @pytest.mark.parametrize(
+        "name, workers",
+        [
+            pytest.param(name, w, id=name if w == 1 else f"{name}-w{w}")
+            for name in sorted(ORACLE_GRAPHS)
+            for w in (1, 2, 3)
+        ],
+    )
+    def test_equals_plain_recurrence(self, name, workers, floyd_workers):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
+        floyd_workers(workers)
         gm = floyd_all_pairs(g)
         if components is not None:
             assert int(gm.component_ids.max()) + 1 == components
@@ -175,19 +207,21 @@ class TestFloydOracle:
         assert np.all(np.diag(gm.d) == 0.0)
 
 
-class _NumpyProxy:
-    """Stands in for geodesic's numpy: add is replaced, the rest is numpy."""
+class _ModuleProxy:
+    """Stands in for a module geodesic uses: the names given are replaced,
+    the rest come from the module."""
 
-    def __init__(self, add):
-        self.add = add
+    def __init__(self, module, **names):
+        self._module = module
+        self.__dict__.update(names)
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        return getattr(self._module, name)
 
 
 class TestFloydBufferSize:
-    """The kernel runs with numpy's ufunc buffer below three rows and gives
-    the caller's size back."""
+    """Every thread of the kernel runs with numpy's ufunc buffer below three
+    rows and gives its size back."""
 
     def test_caller_size_restored(self):
         g = ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7))
@@ -202,23 +236,205 @@ class TestFloydBufferSize:
         def failing_add(*args, **kwargs):
             raise RuntimeError("step failed")
 
-        monkeypatch.setattr(geodesic, "np", _NumpyProxy(failing_add))
+        monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=failing_add))
         old = np.getbufsize()
         with pytest.raises(RuntimeError, match="step failed"):
             floyd_all_pairs(ORACLE_GRAPHS["n65"][0](np.random.default_rng(7)))
         assert np.getbufsize() == old
 
-    def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch):
-        sizes = []
+    def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch, floyd_workers):
+        seen = []
 
         def spy_add(*args, **kwargs):
-            sizes.append(np.getbufsize())
+            seen.append((threading.get_ident(), np.getbufsize()))
             return np.add(*args, **kwargs)
 
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        monkeypatch.setattr(geodesic, "np", _NumpyProxy(spy_add))
+        floyd_workers(2)
+        monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=spy_add))
         floyd_all_pairs(g)
-        assert sizes and max(sizes) < 3 * g.n
+        assert len({ident for ident, _ in seen}) == 2
+        assert max(size for _, size in seen) < 3 * g.n
+
+
+class TestFloydThreads:
+    """Floyd on several threads. A failure on any thread stops every
+    thread: the first exception reaches the caller, no thread outlives the
+    call, and every thread gives its buffer size back. More threads than
+    cores, switching often, still give the plain recurrence's result."""
+
+    @pytest.fixture
+    def patched_np(self, monkeypatch, floyd_workers):
+        """geodesic's numpy, with Floyd on two threads: its setbufsize
+        records each thread's calls, as (size set, size replaced), in
+        .calls by thread."""
+        floyd_workers(2)
+        calls = {}
+
+        def setbufsize(size):
+            old = np.setbufsize(size)
+            calls.setdefault(threading.get_ident(), []).append((size, old))
+            return old
+
+        proxy = _ModuleProxy(np, setbufsize=setbufsize, calls=calls)
+        monkeypatch.setattr(geodesic, "np", proxy)
+        return proxy
+
+    @contextlib.contextmanager
+    def leaves_nothing_behind(self, patched_np):
+        threads, bufsize = threading.active_count(), np.getbufsize()
+        yield
+        assert threading.active_count() == threads
+        assert np.getbufsize() == bufsize
+        assert len(patched_np.calls) == 2
+        for calls in patched_np.calls.values():
+            (set_to, old), (restored, _) = calls[0], calls[-1]
+            assert set_to == 16 and restored == old
+
+    @staticmethod
+    def run():
+        # two 64-row chunks, so two threads
+        floyd_all_pairs(ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7)))
+
+    @pytest.mark.parametrize("where", ["worker", "caller"])
+    def test_step_failure_reaches_the_caller(self, patched_np, where):
+        caller = threading.get_ident()
+
+        def add(*args, **kwargs):
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise RuntimeError(f"step failed on the {where}")
+            return np.add(*args, **kwargs)
+
+        patched_np.add = add
+        with self.leaves_nothing_behind(patched_np), pytest.raises(RuntimeError, match=f"failed on the {where}"):
+            self.run()
+
+    def test_interrupt_at_the_callers_barrier(self, monkeypatch, patched_np):
+        caller = threading.get_ident()
+
+        class InterruptedBarrier(geodesic._SpinBarrier):
+            waits = 0
+
+            def wait(self):
+                if threading.get_ident() == caller:
+                    InterruptedBarrier.waits += 1
+                    if InterruptedBarrier.waits == 3:
+                        raise KeyboardInterrupt
+                return super().wait()
+
+        monkeypatch.setattr(geodesic, "_SpinBarrier", InterruptedBarrier)
+        with self.leaves_nothing_behind(patched_np), pytest.raises(KeyboardInterrupt):
+            self.run()
+        assert InterruptedBarrier.waits == 3
+
+
+    def test_more_threads_than_cores_switching_often(self, floyd_workers):
+        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+        floyd_workers(5)  # five 64-row chunks, one for each thread
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            d = floyd_all_pairs(g).d
+        finally:
+            sys.setswitchinterval(old)
+        assert np.array_equal(d, floyd_reference(g))
+
+
+class TestSpinBarrier:
+    """A waiter that outlasts its spin blocks, and the last party or an
+    abort wakes it."""
+
+    @contextlib.contextmanager
+    def blocked_waiter(self, monkeypatch):
+        blocked = []
+
+        class Condition(threading.Condition):
+            def wait(self, timeout=None):
+                blocked.append(threading.get_ident())
+                return super().wait(timeout)
+
+        monkeypatch.setattr(geodesic, "threading", _ModuleProxy(threading, Condition=Condition))
+        monkeypatch.setattr(geodesic, "_SPIN_S", 0.0)
+        barrier = geodesic._SpinBarrier(2)
+        outcome = []
+
+        def wait():
+            try:
+                barrier.wait()
+                outcome.append("passed")
+            except threading.BrokenBarrierError:
+                outcome.append("broken")
+
+        thread = threading.Thread(target=wait, daemon=True)
+        thread.start()
+        deadline = time.monotonic() + 10
+        while not blocked and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert blocked == [thread.ident]
+        try:
+            yield barrier, thread, outcome
+        finally:
+            barrier.abort()
+            thread.join(timeout=10)
+
+    def test_last_party_wakes_a_blocked_waiter(self, monkeypatch):
+        with self.blocked_waiter(monkeypatch) as (barrier, thread, outcome):
+            barrier.wait()
+            thread.join(timeout=10)
+            assert outcome == ["passed"]
+
+    def test_abort_wakes_a_blocked_waiter(self, monkeypatch):
+        with self.blocked_waiter(monkeypatch) as (barrier, thread, outcome):
+            barrier.abort()
+            thread.join(timeout=10)
+            assert outcome == ["broken"]
+            with pytest.raises(threading.BrokenBarrierError):
+                barrier.wait()
+
+    def test_reusable_across_generations(self, monkeypatch):
+        monkeypatch.setattr(geodesic, "_SPIN_S", 0.0)
+        barrier = geodesic._SpinBarrier(2)
+        threads = [
+            threading.Thread(target=lambda: [barrier.wait() for _ in range(200)], daemon=True)
+            for _ in range(2)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        stuck = [thread for thread in threads if thread.is_alive()]
+        barrier.abort()
+        assert stuck == []
+
+
+class TestFloydWorkerCount:
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
+    def test_affinity_mask(self):
+        assert geodesic._cpu_count() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, floyd_workers, cpus, expected):
+        # macOS has no os.sched_getaffinity
+        monkeypatch.setattr(geodesic, "os", types.SimpleNamespace(cpu_count=lambda: cpus))
+        assert geodesic._cpu_count() == expected
+        floyd_workers()
+        g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+
+    def test_one_thread_below_the_threshold_and_capped_above(self, monkeypatch):
+        started = []
+
+        class Thread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(geodesic, "_cpu_count", lambda: 8)
+        monkeypatch.setattr(geodesic, "threading", _ModuleProxy(threading, Thread=Thread))
+        floyd_all_pairs(graph_from_edges(geodesic._THREADS_FROM_N - 1, []))
+        assert started == []
+        floyd_all_pairs(graph_from_edges(geodesic._THREADS_FROM_N, []))
+        assert len(started) == geodesic._MAX_WORKERS - 1 == 1
 
 
 class TestLargestComponent:

@@ -4,17 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import topostable
-from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, gen_swiss_roll
+from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, gen_helix, gen_swiss_roll
 from topostable import graph
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
 from topostable.graph import EDGE_BLOCK_BYTES
 
 from conftest import (
     cross_plane_edges,
+    helix_distance,
     nearest_neighbors,
     peak_bytes,
     short_circuit_edges,
     stable_neighbors,
+    swiss_roll_distance,
 )
 
 
@@ -400,22 +402,36 @@ def test_exports_match_modules():
 
 class TestShortCircuitEdges:
     """The paper's claim: the angle filter keeps fewer edges that cut across
-    the Swiss roll's layers than plain kNN does (n=800, seed 1)."""
+    the manifold than plain kNN does, across the Swiss roll's layers (n=800,
+    seed 1) and between the helix's turns (n=500, seed 1)."""
 
     PINNED = {10: (0, 0), 15: (9, 0), 20: (39, 0), 30: (376, 2)}  # k: (standard, stable)
+    HELIX_PINNED = {10: (5, 0), 15: (128, 0), 20: (489, 0)}
 
     @pytest.fixture(scope="class")
     def sample(self):
         return gen_swiss_roll(800, 1)
 
-    @pytest.mark.parametrize("k", sorted(PINNED))
-    def test_counts_pinned_and_stable_never_worse(self, sample, k):
-        counts = tuple(
-            short_circuit_edges(build_graph(sample.data, SelectorConfig(k=k), method), sample.params)
+    @pytest.fixture(scope="class")
+    def helix(self):
+        return gen_helix(500, 1)
+
+    @staticmethod
+    def counts(sample, k, distance):
+        return tuple(
+            short_circuit_edges(build_graph(sample.data, SelectorConfig(k=k), method), distance)
             for method in ("standard", "stable")
         )
+
+    @pytest.mark.parametrize("k", sorted(PINNED))
+    def test_counts_pinned_and_stable_never_worse(self, sample, k):
+        counts = self.counts(sample, k, swiss_roll_distance(sample.params))
         assert counts == self.PINNED[k]
         standard, stable = counts
         assert stable <= standard
         if k <= 20:
             assert stable == 0
+
+    @pytest.mark.parametrize("k", sorted(HELIX_PINNED))
+    def test_helix_counts_pinned(self, helix, k):
+        assert self.counts(helix, k, helix_distance(helix.params)) == self.HELIX_PINNED[k]

@@ -20,7 +20,7 @@ from topostable import (
     write_report_csv,
     write_scatter_svg,
 )
-from topostable import pipeline
+from topostable import geodesic, pipeline
 from topostable.errors import BadDimError, DegenerateComplementError
 
 from conftest import peak_bytes
@@ -93,6 +93,18 @@ class TestIsomapEmbed:
         assert cross_plane_edges(graph, side) == 0
         # the bridge point still links the planes, so one component remains
         assert kept.size == data.n
+
+    def test_floyd_threads_leave_every_output_bitwise_equal(self, monkeypatch):
+        data = gen_swiss_roll(300, 1).data
+        runs = []
+        monkeypatch.setattr(geodesic, "_THREADS_FROM_N", 0)
+        for workers in (1, 2):
+            monkeypatch.setattr(geodesic, "_cpu_count", lambda: workers)
+            runs.append(isomap_embed(data, RunConfig(method="stable", k=10)))
+        (emb1, gm1, kept1, _), (emb2, gm2, kept2, _) = runs
+        assert np.array_equal(gm1.d, gm2.d)
+        assert np.array_equal(emb1.coords, emb2.coords)
+        assert np.array_equal(kept1, kept2)
 
     def test_disconnected_graph_embeds_largest_component(self):
         rng = np.random.default_rng(2)
