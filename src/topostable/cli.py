@@ -5,6 +5,8 @@ to stderr; data goes to files or stdout.
 """
 
 import argparse
+import os
+import stat
 import struct
 import sys
 from pathlib import Path
@@ -102,6 +104,10 @@ class UsageError(Exception):
 
 
 def _load_input(args):
+    # the format is sniffed from the first bytes and the file is then read
+    # again from the start, which a pipe cannot do
+    if not stat.S_ISREG(os.stat(args.infile).st_mode):
+        raise UsageError(f"--in {args.infile} is not a regular file: input is read twice, so pipes and devices are refused")
     if _is_idx(args.infile):
         if args.sample_random and args.take_first is None:
             raise UsageError("--sample-random needs --take-first: it draws that many images")

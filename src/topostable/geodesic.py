@@ -4,13 +4,16 @@ All-pairs shortest paths approximate manifold geodesics; the embedding
 comes from the top eigenpairs of the doubly-centered negative half
 squared-distance matrix. The all-pairs step is one numpy Floyd-Warshall
 (floyd_all_pairs) whose result equals the plain recurrence entry for entry.
-From n = 1024 on it runs on two threads when the process's affinity mask
-holds two CPUs or more (taskset restricts them; more threads were never
-measured): each thread updates its own row chunks with its own scratch,
-which the caller allocates, and with numpy's ufunc buffer size set in that
-thread, and a barrier whose waiters spin briefly before they block ends
-every step, so the result is bitwise the same on any number of threads.
-No thread outlives the call, also when a step raises.
+It takes the steps in panels of 64 pivots: the caller first runs a panel on
+the pivots' own rows, saving each pivot row, and then every other row runs
+the panel against the saved rows. From n = 1024 on those rows are shared by
+two threads when the process's affinity mask holds two CPUs or more
+(taskset restricts them; more threads were never measured): each thread
+updates its own row chunks with its own scratch, which the caller
+allocates, and with numpy's ufunc buffer size set in that thread, and the
+caller waits for them once per panel, so the result is bitwise the same on
+any number of threads. No thread outlives the call, also when a step
+raises.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it: centering squares the
@@ -22,8 +25,7 @@ matrix itself, a run peaks at two n x n float64 buffers.
 """
 
 import os
-import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,80 +95,23 @@ def _component_ids(d):
     return ids
 
 
-# Rows updated per numpy call: a (_CHUNK, n) float64 block stays in cache.
+# Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
+# block stays in cache.
 _CHUNK = 64
-# Floyd runs on the calling thread alone below this n: a second thread costs
-# a CPU spinning at every step's barrier, and below it saved nothing
-# measurable. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable, 4-5 runs
-# each), two threads took 0.21-0.24 s at n=800 against 0.21-0.28 s for one,
-# 0.38-0.47 s at n=1024 against 0.49-0.56 s, and 1.34-1.55 s at n=1600
-# against 2.07-2.22 s.
+# Floyd runs on the calling thread alone below this n, where a second thread
+# saved nothing measurable. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10,
+# stable, 4-5 runs each), two threads took 0.21-0.24 s at n=800 against
+# 0.21-0.28 s for one, 0.38-0.47 s at n=1024 against 0.49-0.56 s, and
+# 1.34-1.55 s at n=1600 against 2.07-2.22 s. Waiting once per panel (best
+# of 3 runs, 3 rounds), two threads took 0.039-0.049 s at n=400 against
+# 0.039-0.040 s, 0.22-0.32 s at n=800 against 0.24-0.25 s, and 0.39-0.43 s
+# at n=1024 against 0.46-0.48 s.
 _THREADS_FROM_N = 1024
 # Most threads Floyd runs on, however many CPUs the process may use: the
 # gain was measured at 2 only (see _THREADS_FROM_N), and with more threads
-# each one's step shrinks toward one 64-row chunk while the Python code
-# between its numpy calls, and every waiter's turn, still needs the GIL.
+# each one's share shrinks toward one 64-row chunk while the Python code
+# between its numpy calls still needs the GIL.
 _MAX_WORKERS = 2
-# How long a waiter at Floyd's barrier spins before it blocks (seconds). On
-# the 2-vCPU Xeon at n=1600 (15 runs each), 1 ms, 10 ms and no bound gave
-# the same time within noise, medians 1.35-1.54 s on two CPUs and 2.26-2.31 s
-# on one (taskset -c 0); a 1 ms waiter blocked at 3-6% of the steps (4 runs).
-_SPIN_S = 1e-3
-
-
-class _SpinBarrier:
-    """A barrier for Floyd's workers whose waiters spin before they sleep:
-    each one polls the generation count, releasing the GIL at every turn
-    (time.sleep(0)), for up to _SPIN_S seconds, and then blocks on a
-    condition until the last party arrives or the barrier is aborted; then
-    it raises threading.BrokenBarrierError, as threading.Barrier does.
-
-    threading.Barrier puts a waiter to sleep at once, so its CPU goes idle,
-    and under a hypervisor that lends idle CPUs to other guests, waking it
-    costs as long as the host takes to give the CPU back, at every one of
-    the n steps. On a 2-vCPU Xeon whose host stole 20-26% of its CPU time,
-    Floyd at n=1600 (8 alternating runs each) took 1.5-10.7 s on two
-    threads with threading.Barrier, over 8 s in 3 runs, 1.4-2.8 s with
-    waiters that only spin, and 1.9-3.0 s on one thread. The spin is
-    bounded because a waiter that never blocks takes CPU time from the
-    worker still computing whenever there are fewer CPUs than threads
-    (a cgroup quota, other load).
-    """
-
-    def __init__(self, parties):
-        self._parties = parties
-        self._count = 0
-        self._generation = 0
-        self._broken = False
-        self._cond = threading.Condition(threading.Lock())
-
-    def wait(self):
-        with self._cond:
-            if self._broken:
-                raise threading.BrokenBarrierError
-            generation = self._generation
-            self._count += 1
-            if self._count == self._parties:
-                self._count = 0
-                self._generation += 1
-                self._cond.notify_all()
-                return
-        deadline = time.perf_counter() + _SPIN_S
-        while self._generation == generation and not self._broken:
-            if time.perf_counter() > deadline:
-                with self._cond:
-                    while self._generation == generation and not self._broken:
-                        self._cond.wait()
-                break
-            time.sleep(0)
-        if self._generation == generation:
-            raise threading.BrokenBarrierError
-
-    def abort(self):
-        """Make every waiting and later wait() raise BrokenBarrierError."""
-        with self._cond:
-            self._broken = True
-            self._cond.notify_all()
 
 
 def _cpu_count():
@@ -182,113 +127,116 @@ def _floyd_in_place(d):
 
     Step k is the textbook relaxation d[i, j] = min(d[i, j], d[i, k] +
     d[k, j]), in the same order of k, and the result equals that of the
-    plain full-matrix recurrence entry for entry. Two shortcuts keep it
-    exact. Row k and column k do not change during step k (d[k, k] is 0),
-    and a row's update reads only that row and row k, so rows can be
-    updated one chunk at a time, in any order and on any thread. A row with
-    d[i, k] = inf cannot change (NeighborGraph rejects NaN weights), so
-    while fewer than half the rows reach k only those rows are gathered and
-    updated.
+    plain full-matrix recurrence entry for entry. Row k does not change
+    during step k (d[k, k] is 0), and a row's update reads only that row and
+    row k, so each row can run its steps apart from the others as long as
+    it sees row k as it stood after step k - 1. The steps go in panels of
+    _CHUNK pivots k0 <= k < k1, and rows in chunks of _CHUNK: panel p's
+    pivot rows are chunk p. The caller first takes chunk p through the
+    panel's steps, copying row k into a (_CHUNK, n) pivot block just before
+    step k reads it; then every other chunk takes the same steps against
+    those saved rows. A row with d[i, k] = inf cannot change (NeighborGraph
+    rejects NaN weights), so while fewer than half of a worker's rows reach
+    k only those rows are gathered and updated; every row gets the same
+    operations on the same operands either way.
 
-    From n = _THREADS_FROM_N on, the steps run on one thread per CPU in the
-    process's affinity mask (taskset restricts it), capped at _MAX_WORKERS
-    and at the number of 64-row chunks; below it, on the calling thread
-    alone. The calling thread is worker 0. Worker t owns the 64-row chunks
-    t, t + W, t + 2W, ... of the W workers: at step k it updates only its
-    own rows, in the gather or the dense branch (every worker takes the
-    same one), and then waits at a _SpinBarrier, so step k + 1 starts when
-    every row has finished step k. Each row gets the same operations on the
-    same operands as on one thread, so the result is bitwise the same for
-    every W. During step k the other workers read row k and column k while
-    their owners rewrite them with the values they hold. If any thread
-    raises, it aborts the barrier, every worker is joined, and the first
-    exception is raised here; none is replaced by the BrokenBarrierError it
-    causes elsewhere.
+    From n = _THREADS_FROM_N on, the panels' other chunks are shared by one
+    thread per CPU in the process's affinity mask (taskset restricts it),
+    capped at _MAX_WORKERS and at the number of chunks; below it, the
+    calling thread does all of them. The caller is worker 0, and workers
+    1..W-1 are tasks on a thread pool that lives for the call. Worker t
+    owns the chunks t, t + W, t + 2W, ... other than the panel's, and reads
+    and writes only those rows and the pivot block, so the result is
+    bitwise the same for every W. The caller waits for the workers' tasks
+    once per panel, so there are ceil(n / _CHUNK) waits, not n: a wait that
+    sleeps leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole
+    20-26% of its CPU time, waiting at every step made two threads take
+    1.5-10.7 s at n=1600 where one took 1.9-3.0 s. A task's exception is
+    raised here through its future, and leaving the pool joins every
+    thread, also when the caller raises.
 
-    Each worker's two scratch blocks share one slice, and every slice
-    starts on a 64-byte boundary. malloc promises only 16 bytes, and with
-    64-byte (AVX-512) vectors a misaligned step block splits every store
-    across two cache lines: at n=1600 on a 2-vCPU AVX-512 Xeon the kernel
-    took 4.2-5.5 s that way against 3.3-3.9 s aligned, whatever the
-    alignment of d. The caller allocates all W slices as one buffer before
-    it starts any thread: allocated by each worker, they raised the peak
-    RSS of an n=1600 embed run by 2.7 MB over one thread, and as one buffer
-    by 1.0 MB.
+    Each worker's two scratch blocks share one slice, the pivot block
+    follows them, and every slice starts on a 64-byte boundary. malloc
+    promises only 16 bytes, and with 64-byte (AVX-512) vectors a misaligned
+    step block splits every store across two cache lines: at n=1600 on a
+    2-vCPU AVX-512 Xeon the kernel took 4.2-5.5 s that way against 3.3-3.9 s
+    aligned, whatever the alignment of d. The caller allocates all the
+    slices as one buffer before any task runs: allocated by each worker,
+    they raised the peak RSS of an n=1600 embed run by 2.7 MB over one
+    thread, and as one buffer by 1.0 MB.
 
     Every worker runs its steps with numpy's ufunc buffer at its smallest
-    size, 16 elements, set by itself because the size is per thread, and
-    restores its own size afterwards, also when a step raises. The step add
-    broadcasts the stride-0 column d[i, k], and numpy's iterator copies such
-    an operand through its buffer whenever three rows fit in it: at the
-    default 8192 elements, for every n <= 2730. Buffered, a (64, n) step add
-    cost 1.1-1.2 ns per element against 0.27-0.48 ns unbuffered (n in {400,
-    800, 1600}, same Xeon), and at n=1600 (Swiss roll, k=10, stable) the
-    one-thread kernel took 4.1-4.5 s against 2.0-2.3 s; two threads with
-    the default size in the second took 5.2 s. No operation here casts, so
-    none needs the buffer, and the result is bitwise the same. The size is
-    saved and restored by hand because np.errstate scopes it only from
-    numpy 2.0 on.
+    size, 16 elements, set around each panel's steps by the thread that runs
+    them, because the size is per thread, and restores its own size
+    afterwards, also when a step raises. The step add broadcasts the
+    stride-0 column d[i, k], and numpy's iterator copies such an operand
+    through its buffer whenever three rows fit in it: at the default 8192
+    elements, for every n <= 2730. Buffered, a (64, n) step add cost 1.1-1.2
+    ns per element against 0.27-0.48 ns unbuffered (n in {400, 800, 1600},
+    same Xeon), and at n=1600 (Swiss roll, k=10, stable) the one-thread
+    kernel took 4.1-4.5 s against 2.0-2.3 s; two threads with the default
+    size in the second took 5.2 s. No operation here casts, so none needs
+    the buffer, and the result is bitwise the same. The size is saved and
+    restored by hand because np.errstate scopes it only from numpy 2.0 on.
+    The gather's np.take clips its indices, which all come from d's own
+    rows: with the default mode="raise" numpy copies the (64, n) result
+    through a temporary on every call.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
+    chunks = -(-n // _CHUNK)
     w = 1
     if n >= _THREADS_FROM_N:
-        w = min(_MAX_WORKERS, _cpu_count(), -(-n // _CHUNK))
-    # each worker's pair of blocks, rounded up to whole 64-byte lines
+        w = min(_MAX_WORKERS, _cpu_count(), chunks)
+    # each worker's pair of blocks, rounded up to whole 64-byte lines, then
+    # the pivot block
     per = -(-2 * chunk * n // 8) * 8
-    raw = np.empty(w * per + 8)
+    raw = np.empty(w * per + chunk * n + 8)
     start = (-raw.ctypes.data) % 64 // 8
     scratch = raw[start:start + w * per].reshape(w, per)
-    barrier = _SpinBarrier(w)
-    failures = []
+    pivots = raw[start + w * per:start + w * per + chunk * n].reshape(chunk, n)
 
-    def work(t):
+    def relax(t, p, panel=False):
+        """Panel p's steps on worker t's chunks, or with panel on chunk p,
+        saving each pivot row before its step."""
+        mine = [p] if panel else [c for c in range(t, chunks, w) if c != p]
+        mask = np.zeros(n, dtype=bool)
+        for c in mine:
+            mask[c * _CHUNK:(c + 1) * _CHUNK] = True
+        own = np.flatnonzero(mask)
         step, rows = scratch[t, :2 * chunk * n].reshape(2, chunk, n)
+        k0 = p * _CHUNK
         old = np.setbufsize(16)
         try:
-            for k in range(n):
-                dk = d[k]
-                reach = np.flatnonzero(d[:, k] < np.inf)
-                if 2 * reach.size < n:
-                    if w > 1:
-                        reach = reach[reach // _CHUNK % w == t]
+            for k in range(k0, min(k0 + _CHUNK, n)):
+                dk = pivots[k - k0]
+                if panel:
+                    dk[:] = d[k]
+                reach = own[d[:, k][own] < np.inf]
+                if 2 * reach.size < own.size:
                     for lo in range(0, reach.size, _CHUNK):
                         idx = reach[lo:lo + _CHUNK]
                         r, s = rows[:idx.size], step[:idx.size]
-                        np.take(d, idx, axis=0, out=r)
+                        np.take(d, idx, axis=0, out=r, mode="clip")
                         np.add(r[:, k, None], dk, out=s)
                         np.minimum(r, s, out=r)
                         d[idx] = r
                 else:
-                    for lo in range(t * _CHUNK, n, w * _CHUNK):
-                        blk = d[lo:lo + _CHUNK]
+                    for c in mine:
+                        blk = d[c * _CHUNK:(c + 1) * _CHUNK]
                         s = step[:blk.shape[0]]
                         np.add(blk[:, k, None], dk, out=s)
                         np.minimum(blk, s, out=blk)
-                barrier.wait()
-        except threading.BrokenBarrierError:
-            pass  # another thread failed; its exception is raised
-        except BaseException as exc:
-            failures.append(exc)
-            barrier.abort()
         finally:
             np.setbufsize(old)
 
-    threads = []
-    try:
-        for t in range(1, w):
-            thread = threading.Thread(target=work, args=(t,), name=f"floyd-{t}")
-            thread.start()
-            threads.append(thread)
-        work(0)
-    except BaseException:
-        barrier.abort()  # a thread failed to start: free those waiting
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if failures:
-        raise failures[0]
+    with ThreadPoolExecutor(max(1, w - 1)) as pool:
+        for p in range(chunks):
+            relax(0, p, panel=True)
+            futures = [pool.submit(relax, t, p) for t in range(1, w)]
+            relax(0, p)
+            for future in futures:
+                future.result()
     return d
 
 

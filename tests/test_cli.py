@@ -135,6 +135,17 @@ class TestEmbed:
         code, _, err = run(capsys, ["embed", "--in", str(tmp_path / "nope.csv"), "--k", "8"])
         assert code == 2
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+    @pytest.mark.parametrize("command", ["embed", "compare"])
+    def test_pipe_input_is_usage_error(self, capsys, tmp_path, command):
+        # the check stats the path and never opens it, so no writer is needed
+        fifo = tmp_path / "pts.csv"
+        os.mkfifo(fifo)
+        code, out, err = run(capsys, [command, "--in", str(fifo), "--k", "8"])
+        assert code == 1
+        assert out == ""
+        assert f"{fifo} is not a regular file" in err
+
     def test_ragged_csv_is_data_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3\n")

@@ -2,8 +2,8 @@ import contextlib
 import os
 import sys
 import threading
-import time
 import types
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,7 +192,7 @@ class TestFloydOracle:
         [
             pytest.param(name, w, id=name if w == 1 else f"{name}-w{w}")
             for name in sorted(ORACLE_GRAPHS)
-            for w in (1, 2, 3)
+            for w in (1, 2, 3, 5)
         ],
     )
     def test_equals_plain_recurrence(self, name, workers, floyd_workers):
@@ -257,11 +257,26 @@ class TestFloydBufferSize:
         assert max(size for _, size in seen) < 3 * g.n
 
 
+@pytest.fixture
+def pool_futures(monkeypatch):
+    """The futures of every task Floyd submits to its thread pool, in order."""
+    futures = []
+
+    class Pool(ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            future = super().submit(*args, **kwargs)
+            futures.append(future)
+            return future
+
+    monkeypatch.setattr(geodesic, "ThreadPoolExecutor", Pool)
+    return futures
+
+
 class TestFloydThreads:
-    """Floyd on several threads. A failure on any thread stops every
-    thread: the first exception reaches the caller, no thread outlives the
-    call, and every thread gives its buffer size back. More threads than
-    cores, switching often, still give the plain recurrence's result."""
+    """Floyd on several threads. A failure on any thread reaches the
+    caller, no thread outlives the call, and every thread gives its buffer
+    size back. More threads than cores, switching often, still give the
+    plain recurrence's result."""
 
     @pytest.fixture
     def patched_np(self, monkeypatch, floyd_workers):
@@ -293,40 +308,62 @@ class TestFloydThreads:
 
     @staticmethod
     def run():
-        # two 64-row chunks, so two threads
-        floyd_all_pairs(ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7)))
+        # three 64-row chunks, every row reaching every pivot: in panel 0
+        # the worker relaxes chunk 1 while the caller relaxes chunk 2
+        floyd_all_pairs(random_graph(np.random.default_rng(7), 150, 0.3))
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_step_failure_reaches_the_caller(self, patched_np, where):
+    def test_step_failure_reaches_the_caller(self, patched_np, pool_futures, where):
+        # the worker fails at its first step, the caller once a worker has
+        # finished a panel
         caller = threading.get_ident()
 
+        def fails():
+            if threading.get_ident() != caller:
+                return where == "worker"
+            return where == "caller" and any(future.done() for future in pool_futures)
+
         def add(*args, **kwargs):
-            if (threading.get_ident() == caller) == (where == "caller"):
+            if fails():
                 raise RuntimeError(f"step failed on the {where}")
             return np.add(*args, **kwargs)
 
         patched_np.add = add
         with self.leaves_nothing_behind(patched_np), pytest.raises(RuntimeError, match=f"failed on the {where}"):
             self.run()
+        assert all(future.done() for future in pool_futures)
 
-    def test_interrupt_at_the_callers_barrier(self, monkeypatch, patched_np):
+    def test_interrupt_on_the_caller_while_a_worker_runs(self, patched_np, pool_futures):
         caller = threading.get_ident()
+        started, resumed = threading.Event(), threading.Event()
+        after_interrupt = []
 
-        class InterruptedBarrier(geodesic._SpinBarrier):
-            waits = 0
+        def add(*args, **kwargs):
+            if threading.get_ident() != caller:
+                if not started.is_set():
+                    started.set()
+                    assert resumed.wait(10)
+                if resumed.is_set():
+                    after_interrupt.append(True)
+            elif pool_futures and not resumed.is_set():
+                assert started.wait(10)
+                resumed.set()  # the worker is inside its task's first add
+                raise KeyboardInterrupt
+            return np.add(*args, **kwargs)
 
-            def wait(self):
-                if threading.get_ident() == caller:
-                    InterruptedBarrier.waits += 1
-                    if InterruptedBarrier.waits == 3:
-                        raise KeyboardInterrupt
-                return super().wait()
-
-        monkeypatch.setattr(geodesic, "_SpinBarrier", InterruptedBarrier)
+        patched_np.add = add
         with self.leaves_nothing_behind(patched_np), pytest.raises(KeyboardInterrupt):
             self.run()
-        assert InterruptedBarrier.waits == 3
+        # the pool finished the worker's task before the interrupt got out
+        assert len(pool_futures) == 1 and pool_futures[0].exception() is None
+        assert len(after_interrupt) > 1
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_one_task_per_panel_and_worker(self, floyd_workers, pool_futures, workers):
+        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+        floyd_workers(workers)
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert len(pool_futures) == -(-g.n // geodesic._CHUNK) * (workers - 1)
 
     def test_more_threads_than_cores_switching_often(self, floyd_workers):
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
@@ -340,71 +377,17 @@ class TestFloydThreads:
         assert np.array_equal(d, floyd_reference(g))
 
 
-class TestSpinBarrier:
-    """A waiter that outlasts its spin blocks, and the last party or an
-    abort wakes it."""
-
-    @contextlib.contextmanager
-    def blocked_waiter(self, monkeypatch):
-        blocked = []
-
-        class Condition(threading.Condition):
-            def wait(self, timeout=None):
-                blocked.append(threading.get_ident())
-                return super().wait(timeout)
-
-        monkeypatch.setattr(geodesic, "threading", _ModuleProxy(threading, Condition=Condition))
-        monkeypatch.setattr(geodesic, "_SPIN_S", 0.0)
-        barrier = geodesic._SpinBarrier(2)
-        outcome = []
-
-        def wait():
-            try:
-                barrier.wait()
-                outcome.append("passed")
-            except threading.BrokenBarrierError:
-                outcome.append("broken")
-
-        thread = threading.Thread(target=wait, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 10
-        while not blocked and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert blocked == [thread.ident]
-        try:
-            yield barrier, thread, outcome
-        finally:
-            barrier.abort()
-            thread.join(timeout=10)
-
-    def test_last_party_wakes_a_blocked_waiter(self, monkeypatch):
-        with self.blocked_waiter(monkeypatch) as (barrier, thread, outcome):
-            barrier.wait()
-            thread.join(timeout=10)
-            assert outcome == ["passed"]
-
-    def test_abort_wakes_a_blocked_waiter(self, monkeypatch):
-        with self.blocked_waiter(monkeypatch) as (barrier, thread, outcome):
-            barrier.abort()
-            thread.join(timeout=10)
-            assert outcome == ["broken"]
-            with pytest.raises(threading.BrokenBarrierError):
-                barrier.wait()
-
-    def test_reusable_across_generations(self, monkeypatch):
-        monkeypatch.setattr(geodesic, "_SPIN_S", 0.0)
-        barrier = geodesic._SpinBarrier(2)
-        threads = [
-            threading.Thread(target=lambda: [barrier.wait() for _ in range(200)], daemon=True)
-            for _ in range(2)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=10)
-        stuck = [thread for thread in threads if thread.is_alive()]
-        barrier.abort()
-        assert stuck == []
+class TestFloydMemory:
+    def test_peak_is_the_scratch(self):
+        # (64, n) step and row blocks and the (64, n) pivot block, plus the
+        # alignment slack; np.take's default mode="raise" would add a
+        # 150 KB temporary on every gather
+        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+        geodesic._floyd_in_place(g.to_dense_weights())  # numpy fills its own caches once
+        d = g.to_dense_weights()
+        scratch = (3 * geodesic._CHUNK * g.n + 8) * 8
+        _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
+        assert peak <= scratch + 16 * 1024
 
 
 class TestFloydWorkerCount:
@@ -422,19 +405,23 @@ class TestFloydWorkerCount:
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
 
     def test_one_thread_below_the_threshold_and_capped_above(self, monkeypatch):
-        started = []
+        adders = set()
 
-        class Thread(threading.Thread):
-            def start(self):
-                started.append(self)
-                super().start()
+        def add(*args, **kwargs):
+            adders.add(threading.get_ident())
+            return np.add(*args, **kwargs)
+
+        def threads(n):
+            # row 0 links to the first row of every other chunk, so every
+            # worker has rows that reach pivot 0
+            adders.clear()
+            floyd_all_pairs(graph_from_edges(n, [(0, i, 1.0) for i in range(geodesic._CHUNK, n, geodesic._CHUNK)]))
+            return len(adders)
 
         monkeypatch.setattr(geodesic, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(geodesic, "threading", _ModuleProxy(threading, Thread=Thread))
-        floyd_all_pairs(graph_from_edges(geodesic._THREADS_FROM_N - 1, []))
-        assert started == []
-        floyd_all_pairs(graph_from_edges(geodesic._THREADS_FROM_N, []))
-        assert len(started) == geodesic._MAX_WORKERS - 1 == 1
+        monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=add))
+        assert threads(geodesic._THREADS_FROM_N - 1) == 1
+        assert threads(geodesic._THREADS_FROM_N) == geodesic._MAX_WORKERS == 2
 
 
 class TestLargestComponent:
