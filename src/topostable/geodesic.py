@@ -6,9 +6,16 @@ squared-distance matrix. The all-pairs step is one numpy Floyd-Warshall
 (floyd_all_pairs) whose result equals the plain recurrence entry for entry.
 It takes the steps in panels of 64 pivots: the caller first runs a panel on
 the pivots' own rows, saving each pivot row, and then every other row runs
-the panel against the saved rows. From n = 1024 on those rows are shared by
-two threads when the process's affinity mask holds two CPUs or more
-(taskset restricts them; more threads were never measured): each thread
+the panel against the saved rows. Its input must be exactly symmetric, as
+NeighborGraph.to_dense_weights makes it, and the recurrence keeps it so:
+d[i, k] + d[k, j] and d[j, k] + d[k, i] are the same float64 number. So a
+row reads its d[i, k] from the saved pivot row k, and where the matrix does
+not fit in one core's L2, each 64-row chunk updates only the columns from
+its own first row on (half the matrix) and takes a whole panel's steps
+while it stays in cache; a mirror at the end fills in the other half.
+From n = 1280 on the rows are shared by two threads when the process may
+use two CPUs or more (its affinity mask, which taskset restricts, capped at
+its cgroup CPU quota; more threads were never measured): each thread
 updates its own row chunks with its own scratch, which the caller
 allocates, and with numpy's ufunc buffer size set in that thread, and the
 caller waits for them once per panel, so the result is bitwise the same on
@@ -98,32 +105,78 @@ def _component_ids(d):
 # Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
 # block stays in cache.
 _CHUNK = 64
+# One core's L2 cache on the machine measured (a 2-vCPU AVX-512 Xeon with
+# 2 MiB of L2 per core). Where the n x n matrix fits in it, each worker takes
+# all its rows through a step at once, in few large numpy calls; where it
+# does not, each worker takes one row chunk at a time through a whole panel,
+# so that the chunk stays in L2 across the panel's steps. In-process Floyd
+# (Swiss roll, k=10, stable, one thread, 11 alternating runs, medians), all
+# rows at once against one chunk at a time took 0.035 against 0.044 s at
+# n=400, 0.044 against 0.048 s at n=500, 0.087 against 0.075 s at n=600,
+# 0.14 against 0.10 s at n=700 and 0.21 against 0.17 s at n=800.
+_L2_BYTES = 2 << 20
 # Floyd runs on the calling thread alone below this n, where a second thread
-# saved nothing measurable. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10,
-# stable, 4-5 runs each), two threads took 0.21-0.24 s at n=800 against
-# 0.21-0.28 s for one, 0.38-0.47 s at n=1024 against 0.49-0.56 s, and
-# 1.34-1.55 s at n=1600 against 2.07-2.22 s. Waiting once per panel (best
-# of 3 runs, 3 rounds), two threads took 0.039-0.049 s at n=400 against
-# 0.039-0.040 s, 0.22-0.32 s at n=800 against 0.24-0.25 s, and 0.39-0.43 s
-# at n=1024 against 0.46-0.48 s.
-_THREADS_FROM_N = 1024
+# saved nothing. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable,
+# in-process, best of 3 runs per round), two threads against one took
+# 0.049-0.058 against 0.045-0.059 s at n=512 and 0.18-0.19 against
+# 0.13-0.19 s at n=800 (3 rounds), 0.31-0.37 against 0.28-0.30 s at n=1024
+# (5 rounds; 0.31-0.33 against 0.30-0.34 s in 3 more), 0.39-0.42 against
+# 0.36-0.41 s at n=1152 (3 rounds), 0.51-0.56 against
+# 0.51-0.65 s at n=1280 and 0.65-0.74 against 0.69-0.80 s at n=1408 (5
+# rounds), and 0.81-0.91 against 0.85-1.00 s at n=1600 (5 rounds).
+_THREADS_FROM_N = 1280
 # Most threads Floyd runs on, however many CPUs the process may use: the
 # gain was measured at 2 only (see _THREADS_FROM_N), and with more threads
 # each one's share shrinks toward one 64-row chunk while the Python code
 # between its numpy calls still needs the GIL.
 _MAX_WORKERS = 2
+# A container's CPU quota: cgroup v2's "quota period" line ("max" when there
+# is none), else cgroup v1's quota (-1 when there is none) and period, in
+# microseconds.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+_CFS_QUOTA_PERIOD = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
+
+
+def _read(path):
+    """The text of a file, or None when it cannot be read."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except OSError:
+        return None
+
+
+def _quota_cpus():
+    """CPUs the cgroup CPU quota allows, rounded up and at least 1, or None
+    when there is no quota or its files cannot be read or parsed."""
+    text = _read(_CPU_MAX)
+    fields = text.split() if text is not None else [_read(path) for path in _CFS_QUOTA_PERIOD]
+    try:
+        quota, period = (int(field) for field in fields)
+    except (TypeError, ValueError):  # "max", a missing file, or garbage
+        return None
+    if quota < 0 or period <= 0:
+        return None
+    return max(1, -(-quota // period))
 
 
 def _cpu_count():
     """CPUs this process may run on: its affinity mask where the platform
-    has one (Linux), else every CPU (macOS and Windows have no mask)."""
+    has one (Linux), else every CPU (macOS and Windows have no mask),
+    capped at its cgroup CPU quota when it has one. Two threads under a
+    quota of one CPU took about 4% longer than one thread."""
     if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+        count = len(os.sched_getaffinity(0))
+    else:
+        count = os.cpu_count() or 1
+    quota = _quota_cpus()
+    return count if quota is None else min(count, quota)
 
 
 def _floyd_in_place(d):
-    """Floyd-Warshall on a dense (n, n) weight matrix with a zero diagonal.
+    """Floyd-Warshall on a dense (n, n) weight matrix with a zero diagonal,
+    which must be exactly symmetric (NeighborGraph.to_dense_weights writes
+    each edge's weight to both entries).
 
     Step k is the textbook relaxation d[i, j] = min(d[i, j], d[i, k] +
     d[k, j]), in the same order of k, and the result equals that of the
@@ -135,25 +188,49 @@ def _floyd_in_place(d):
     pivot rows are chunk p. The caller first takes chunk p through the
     panel's steps, copying row k into a (_CHUNK, n) pivot block just before
     step k reads it; then every other chunk takes the same steps against
-    those saved rows. A row with d[i, k] = inf cannot change (NeighborGraph
-    rejects NaN weights), so while fewer than half of a worker's rows reach
-    k only those rows are gathered and updated; every row gets the same
-    operations on the same operands either way.
+    those saved rows.
+
+    The recurrence keeps d exactly symmetric: if it is after step k - 1,
+    d[j, k] + d[k, i] is bitwise the same number as d[i, k] + d[k, j],
+    because floating-point addition commutes, and so entry (j, i) of step k
+    is entry (i, j). So a row reads its d[i, k] from entry i of the saved
+    pivot row k, not from its own column k, and a chunk's rows need only
+    the columns from the chunk's first row on, the block-upper triangle:
+    about half the matrix.
+
+    Where the matrix fits in _L2_BYTES, a worker takes all its rows through
+    each step in turn, over whole rows: numpy calls on many rows pay less
+    overhead per element, and the matrix stays in cache anyway. Where it
+    does not, the worker takes one chunk c at a time through all the
+    panel's steps, which the rows allow because within a panel they read
+    only their own entries and the saved pivot rows, and updates only
+    d[i, j] for j >= _CHUNK * c: the triangle is copied into the worker's
+    scratch, where it is contiguous and stays in L2 across the _CHUNK
+    steps, and copied back after the panel. The chunk's other entries go
+    stale. So before panel p the caller copies the panel's rows left of the
+    diagonal block from the columns above it, which are current, and the
+    saved pivot rows are whole; after the last panel it mirrors the
+    triangle once; numpy proves that the two blocks of each copy do not
+    overlap, so it makes no temporary. A row with d[i, k] = inf
+    cannot change (NeighborGraph rejects NaN weights), so while fewer than
+    half of the rows being taken through a step reach k, only those rows
+    are gathered and updated; every row gets the same operations on the
+    same operands either way.
 
     From n = _THREADS_FROM_N on, the panels' other chunks are shared by one
-    thread per CPU in the process's affinity mask (taskset restricts it),
-    capped at _MAX_WORKERS and at the number of chunks; below it, the
-    calling thread does all of them. The caller is worker 0, and workers
-    1..W-1 are tasks on a thread pool that lives for the call. Worker t
-    owns the chunks t, t + W, t + 2W, ... other than the panel's, and reads
-    and writes only those rows and the pivot block, so the result is
-    bitwise the same for every W. The caller waits for the workers' tasks
-    once per panel, so there are ceil(n / _CHUNK) waits, not n: a wait that
-    sleeps leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole
-    20-26% of its CPU time, waiting at every step made two threads take
-    1.5-10.7 s at n=1600 where one took 1.9-3.0 s. A task's exception is
-    raised here through its future, and leaving the pool joins every
-    thread, also when the caller raises.
+    thread per CPU the process may use (see _cpu_count), capped at
+    _MAX_WORKERS and at the number of chunks; below it, the calling thread
+    does all of them. The caller is worker 0, and workers 1..W-1 are tasks
+    on a thread pool that lives for the call. Worker t owns the chunks t,
+    t + W, t + 2W, ... other than the panel's, and reads and writes only
+    those rows, its scratch and the pivot block, so the result is bitwise
+    the same for every W. The caller waits for the workers' tasks once per
+    panel, so there are ceil(n / _CHUNK) waits, not n: a wait that sleeps
+    leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole 20-26% of
+    its CPU time, waiting at every step made two threads take 1.5-10.7 s at
+    n=1600 where one took 1.9-3.0 s. A task's exception is raised here
+    through its future, and leaving the pool joins every thread, also when
+    the caller raises.
 
     Each worker's two scratch blocks share one slice, the pivot block
     follows them, and every slice starts on a 64-byte boundary. malloc
@@ -169,18 +246,18 @@ def _floyd_in_place(d):
     size, 16 elements, set around each panel's steps by the thread that runs
     them, because the size is per thread, and restores its own size
     afterwards, also when a step raises. The step add broadcasts the
-    stride-0 column d[i, k], and numpy's iterator copies such an operand
-    through its buffer whenever three rows fit in it: at the default 8192
-    elements, for every n <= 2730. Buffered, a (64, n) step add cost 1.1-1.2
-    ns per element against 0.27-0.48 ns unbuffered (n in {400, 800, 1600},
-    same Xeon), and at n=1600 (Swiss roll, k=10, stable) the one-thread
-    kernel took 4.1-4.5 s against 2.0-2.3 s; two threads with the default
-    size in the second took 5.2 s. No operation here casts, so none needs
-    the buffer, and the result is bitwise the same. The size is saved and
-    restored by hand because np.errstate scopes it only from numpy 2.0 on.
-    The gather's np.take clips its indices, which all come from d's own
-    rows: with the default mode="raise" numpy copies the (64, n) result
-    through a temporary on every call.
+    pivot entries d[i, k] as a stride-0 column, and numpy's iterator copies
+    such an operand through its buffer whenever three rows fit in it: at
+    the default 8192 elements, for every n <= 2730. Buffered, a (64, n) step
+    add cost 1.1-1.2 ns per element against 0.27-0.48 ns unbuffered (n in
+    {400, 800, 1600}, same Xeon), and at n=1600 (Swiss roll, k=10, stable)
+    this kernel took 1.8-2.0 s on one thread against 1.0-1.1 s. No
+    operation here casts, so none needs the buffer, and the result is
+    bitwise the same. The size is saved and restored by hand because
+    np.errstate scopes it only from numpy 2.0 on. The gather's take clips
+    its indices, which all come from the block's own rows: with the default
+    mode="raise" numpy copies the (64, n) result through a temporary on
+    every call.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
@@ -188,6 +265,7 @@ def _floyd_in_place(d):
     w = 1
     if n >= _THREADS_FROM_N:
         w = min(_MAX_WORKERS, _cpu_count(), chunks)
+    whole = 8 * n * n <= _L2_BYTES
     # each worker's pair of blocks, rounded up to whole 64-byte lines, then
     # the pivot block
     per = -(-2 * chunk * n // 8) * 8
@@ -196,47 +274,93 @@ def _floyd_in_place(d):
     scratch = raw[start:start + w * per].reshape(w, per)
     pivots = raw[start + w * per:start + w * per + chunk * n].reshape(chunk, n)
 
-    def relax(t, p, panel=False):
-        """Panel p's steps on worker t's chunks, or with panel on chunk p,
-        saving each pivot row before its step."""
-        mine = [p] if panel else [c for c in range(t, chunks, w) if c != p]
-        mask = np.zeros(n, dtype=bool)
-        for c in mine:
-            mask[c * _CHUNK:(c + 1) * _CHUNK] = True
-        own = np.flatnonzero(mask)
-        step, rows = scratch[t, :2 * chunk * n].reshape(2, chunk, n)
+    def mirror(c):
+        """Chunk c's entries left of its diagonal block, from the columns
+        above it."""
+        a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
+        d[a:b, :a] = d[:a, a:b].T
+
+    def relax(t, p, cs, lo=0):
+        """Panel p's steps on the rows of chunks cs, by worker t, over
+        columns lo.. of d; with cs == [p], saving each pivot row just before
+        its step. With lo > 0, cs is the one chunk whose first row is lo,
+        and it runs in worker t's scratch."""
         k0 = p * _CHUNK
+        k1 = min(k0 + _CHUNK, n)
+        width = n - lo
+        rows, step = scratch[t, :chunk * n], scratch[t, chunk * n:2 * chunk * n]
+        # rows of cs, numbered as in blk
+        spans = [(c * _CHUNK - lo, min((c + 1) * _CHUNK, n) - lo) for c in cs]
+        own = np.concatenate([np.arange(a, b) for a, b in spans])
+        blk, counts, col = d, None, np.empty(chunk)
+        if lo:
+            blk = rows[:own.size * width].reshape(own.size, width)
+            np.copyto(blk, d[lo:lo + own.size, lo:])
+            # a gather takes fewer than _CHUNK // 2 rows: its rows and sums
+            # share the step block
+            rows = step[chunk // 2 * n:]
+            reaches = pivots[:k1 - k0, lo:lo + own.size] < np.inf
+            counts = np.count_nonzero(reaches, axis=1).tolist()
+        blocks = [(blk[a:b], step[:(b - a) * width].reshape(b - a, width), slice(a, b)) for a, b in spans]
+        panel = cs == [p]
+        for k in range(k0, k1):
+            dk = pivots[k - k0, lo:]
+            if panel:
+                dk[:] = d[k]
+            if counts is None:
+                reach = own[dk[own] < np.inf]
+                count = reach.size
+            else:
+                count = counts[k - k0]
+            if 2 * count >= own.size:
+                for part, s, span in blocks:
+                    np.add(dk[span, None], dk, out=s)
+                    np.minimum(part, s, out=part)
+            elif count:
+                if counts is not None:
+                    reach = np.flatnonzero(reaches[k - k0])
+                for i in range(0, count, _CHUNK):
+                    idx = reach[i:i + _CHUNK]
+                    r = rows[:idx.size * width].reshape(idx.size, width)
+                    s = step[:r.size].reshape(r.shape)
+                    blk.take(idx, axis=0, out=r, mode="clip")
+                    dk.take(idx, out=col[:idx.size], mode="clip")
+                    np.add(col[:idx.size, None], dk, out=s)
+                    np.minimum(r, s, out=r)
+                    blk[idx] = r
+        if lo:
+            d[lo:lo + own.size, lo:] = blk
+
+    def run(t, p):
+        """Panel p's steps on worker t's chunks."""
+        mine = [c for c in range(t, chunks, w) if c != p]
         old = np.setbufsize(16)
         try:
-            for k in range(k0, min(k0 + _CHUNK, n)):
-                dk = pivots[k - k0]
-                if panel:
-                    dk[:] = d[k]
-                reach = own[d[:, k][own] < np.inf]
-                if 2 * reach.size < own.size:
-                    for lo in range(0, reach.size, _CHUNK):
-                        idx = reach[lo:lo + _CHUNK]
-                        r, s = rows[:idx.size], step[:idx.size]
-                        np.take(d, idx, axis=0, out=r, mode="clip")
-                        np.add(r[:, k, None], dk, out=s)
-                        np.minimum(r, s, out=r)
-                        d[idx] = r
-                else:
-                    for c in mine:
-                        blk = d[c * _CHUNK:(c + 1) * _CHUNK]
-                        s = step[:blk.shape[0]]
-                        np.add(blk[:, k, None], dk, out=s)
-                        np.minimum(blk, s, out=blk)
+            if whole:
+                if mine:
+                    relax(t, p, mine)
+            else:
+                for c in mine:
+                    relax(t, p, [c], c * _CHUNK)
         finally:
             np.setbufsize(old)
 
-    with ThreadPoolExecutor(max(1, w - 1)) as pool:
-        for p in range(chunks):
-            relax(0, p, panel=True)
-            futures = [pool.submit(relax, t, p) for t in range(1, w)]
-            relax(0, p)
-            for future in futures:
-                future.result()
+    old = np.setbufsize(16)
+    try:
+        with ThreadPoolExecutor(max(1, w - 1)) as pool:
+            for p in range(chunks):
+                if not whole:
+                    mirror(p)
+                relax(0, p, [p])
+                futures = [pool.submit(run, t, p) for t in range(1, w)]
+                run(0, p)
+                for future in futures:
+                    future.result()
+    finally:
+        np.setbufsize(old)
+    if not whole:
+        for c in range(1, chunks):
+            mirror(c)
     return d
 
 
@@ -264,6 +388,12 @@ def largest_component(gm, data):
         component_ids=np.zeros(kept.size, dtype=np.int64),
     )
     return data.subset(kept), sub, kept
+
+
+def _all_finite(d):
+    """Whether every entry of d is finite, without an n x n mask: min and
+    max propagate NaN, and between them catch -inf and inf."""
+    return bool(np.isfinite(d.min()) and np.isfinite(d.max()))
 
 
 def double_center(d):
@@ -304,7 +434,7 @@ def classical_mds(gm, m):
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
-    if not np.all(np.isfinite(gm.d)):
+    if not _all_finite(gm.d):
         raise NonFiniteError("geodesic matrix spans multiple components")
     eig = symmetric_eigen_top(double_center(gm.d), m)
     coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
@@ -331,7 +461,7 @@ def residual_variance(gm, emb):
         raise ValueError("embedding and geodesic matrix cover different point sets")
     if n < 3:
         raise ValueError(f"residual variance undefined: needs at least 3 points, got {n}")
-    if not np.all(np.isfinite(gm.d)):
+    if not _all_finite(gm.d):
         raise NonFiniteError("geodesic matrix spans multiple components")
     coords = emb.coords
     geo = np.empty(n * (n - 1) // 2)

@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topostable import (
     DataSet,
@@ -167,44 +169,89 @@ class TestFloydDijkstraAgreement:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
 
 
+def force_floyd(setattr, w=None, by_chunks=False):
+    """Floyd runs on w threads (fewer when n has fewer 64-row chunks) at
+    every n, not only from geodesic._THREADS_FROM_N on, as if the process
+    had w CPUs and no cap; with w None only the threshold is forced. With
+    by_chunks, each worker takes one chunk at a time through a panel, as
+    when the matrix does not fit in geodesic._L2_BYTES, at every n."""
+    setattr(geodesic, "_THREADS_FROM_N", 0)
+    if w is not None:
+        setattr(geodesic, "_cpu_count", lambda: w)
+        setattr(geodesic, "_MAX_WORKERS", w)
+    if by_chunks:
+        setattr(geodesic, "_L2_BYTES", 0)
+
+
 @pytest.fixture
 def floyd_workers(monkeypatch):
-    """floyd_workers(w): Floyd runs on w threads (fewer when n has fewer
-    64-row chunks) at every n, not only from geodesic._THREADS_FROM_N on,
-    as if the process had w CPUs and no cap; floyd_workers() forces only
-    the threshold."""
-
-    def force(w=None):
-        monkeypatch.setattr(geodesic, "_THREADS_FROM_N", 0)
-        if w is not None:
-            monkeypatch.setattr(geodesic, "_cpu_count", lambda: w)
-            monkeypatch.setattr(geodesic, "_MAX_WORKERS", w)
-
-    return force
+    """floyd_workers(w, by_chunks=False): force_floyd for one test."""
+    return lambda w=None, by_chunks=False: force_floyd(monkeypatch.setattr, w, by_chunks)
 
 
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence entry for entry, on
-    one thread and on several."""
+    one thread and on several, with all rows through each step at once and
+    one chunk at a time."""
 
     @pytest.mark.parametrize(
-        "name, workers",
+        "name, workers, by_chunks",
         [
-            pytest.param(name, w, id=name if w == 1 else f"{name}-w{w}")
+            pytest.param(name, w, by_chunks, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if by_chunks else ""))
             for name in sorted(ORACLE_GRAPHS)
             for w in (1, 2, 3, 5)
+            for by_chunks in (False, True)
         ],
     )
-    def test_equals_plain_recurrence(self, name, workers, floyd_workers):
+    def test_equals_plain_recurrence(self, name, workers, by_chunks, floyd_workers):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
-        floyd_workers(workers)
+        floyd_workers(workers, by_chunks)
         gm = floyd_all_pairs(g)
         if components is not None:
             assert int(gm.component_ids.max()) + 1 == components
         assert np.array_equal(gm.d, floyd_reference(g))
         assert np.array_equal(gm.d, gm.d.T)
         assert np.all(np.diag(gm.d) == 0.0)
+
+
+@st.composite
+def symmetric_graphs(draw):
+    """Random graphs on n points, n across the 64-row chunk boundaries, with
+    zero-weight (duplicate-point) edges and disconnected blocks: the points
+    fall into up to four blocks, and edges join points of one block only."""
+    n = draw(st.one_of(st.sampled_from([63, 64, 65, 128, 129]), st.integers(1, 200)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    blocks = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([0.02, 0.05, 0.2]))
+    zeros = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(seed)
+    block = rng.integers(0, blocks, n)
+    iu = np.triu_indices(n, 1)
+    keep = (block[iu[0]] == block[iu[1]]) & (rng.uniform(size=iu[0].size) < p)
+    weights = np.where(rng.uniform(size=iu[0].size) < zeros, 0.0, rng.uniform(0.1, 1.0, iu[0].size))
+    edges = np.column_stack([iu[0][keep], iu[1][keep]])
+    return NeighborGraph(n=n, edges=edges, weights=weights[keep])
+
+
+class TestFloydProperties:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @settings(max_examples=40, deadline=None)
+    @given(g=symmetric_graphs(), by_chunks=st.booleans())
+    def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g, by_chunks):
+        with pytest.MonkeyPatch.context() as mp:
+            force_floyd(mp.setattr, workers, by_chunks)
+            d = floyd_all_pairs(g).d
+        assert np.array_equal(d, floyd_reference(g))
+        assert np.array_equal(d, d.T)
+
+    def test_equals_plain_recurrence_at_a_realistic_size(self):
+        # just above the thread threshold, with a short last chunk, on the
+        # default worker count and cache rule
+        n = 1340
+        assert n >= geodesic._THREADS_FROM_N and n % geodesic._CHUNK and 8 * n * n > geodesic._L2_BYTES
+        g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
 
 
 class _ModuleProxy:
@@ -378,27 +425,83 @@ class TestFloydThreads:
 
 
 class TestFloydMemory:
-    def test_peak_is_the_scratch(self):
-        # (64, n) step and row blocks and the (64, n) pivot block, plus the
-        # alignment slack; np.take's default mode="raise" would add a
-        # 150 KB temporary on every gather
+    @staticmethod
+    def peak_and_scratch():
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         geodesic._floyd_in_place(g.to_dense_weights())  # numpy fills its own caches once
         d = g.to_dense_weights()
-        scratch = (3 * geodesic._CHUNK * g.n + 8) * 8
         _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
+        # (64, n) step and row blocks and the (64, n) pivot block, plus the
+        # alignment slack
+        return peak, (3 * geodesic._CHUNK * g.n + 8) * 8
+
+    def test_peak_is_the_scratch(self):
+        # take's default mode="raise" would add a 150 KB temporary on every
+        # gather
+        peak, scratch = self.peak_and_scratch()
         assert peak <= scratch + 16 * 1024
+
+    def test_peak_is_the_scratch_by_chunks(self, floyd_workers):
+        # each chunk's block-upper triangle is copied into the row block
+        floyd_workers(1, by_chunks=True)
+        peak, scratch = self.peak_and_scratch()
+        assert peak <= scratch + 16 * 1024
+
+
+@pytest.fixture
+def cgroup_files(monkeypatch):
+    """cgroup_files(files): geodesic reads the cgroup files from the dict
+    files, path -> text; the others cannot be read."""
+    return lambda files: monkeypatch.setattr(geodesic, "_read", files.get)
 
 
 class TestFloydWorkerCount:
     @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
-    def test_affinity_mask(self):
+    def test_affinity_mask(self, cgroup_files):
+        cgroup_files({})
         assert geodesic._cpu_count() == len(os.sched_getaffinity(0))
 
+    @pytest.mark.parametrize(
+        "files, expected",
+        [
+            ({"/sys/fs/cgroup/cpu.max": "max 100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 2),
+            ({"/sys/fs/cgroup/cpu.max": "200000 100000\n"}, 2),
+            ({"/sys/fs/cgroup/cpu.max": "1000 100000\n"}, 1),
+            ({"/sys/fs/cgroup/cpu.max": "1200000 100000\n"}, 8),
+            # v2 answers even when v1's files are there too
+            (
+                {
+                    "/sys/fs/cgroup/cpu.max": "max 100000\n",
+                    "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "100000\n",
+                    "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n",
+                },
+                8,
+            ),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "250000\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 3),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "50000\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 1),
+            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "50000\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "garbage\n"}, 8),
+            ({"/sys/fs/cgroup/cpu.max": "100000 0\n"}, 8),
+            ({}, 8),
+        ],
+    )
+    def test_cgroup_quota_caps_the_count(self, monkeypatch, cgroup_files, files, expected):
+        monkeypatch.setattr(geodesic, "os", types.SimpleNamespace(sched_getaffinity=lambda pid: set(range(8))))
+        cgroup_files(files)
+        assert geodesic._cpu_count() == expected
+
+    def test_unreadable_cgroup_file(self, tmp_path):
+        assert geodesic._read(tmp_path / "missing") is None
+        (tmp_path / "cpu.max").write_text("max 100000\n")
+        assert geodesic._read(tmp_path / "cpu.max") == "max 100000\n"
+
     @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
-    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, floyd_workers, cpus, expected):
+    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, floyd_workers, cgroup_files, cpus, expected):
         # macOS has no os.sched_getaffinity
         monkeypatch.setattr(geodesic, "os", types.SimpleNamespace(cpu_count=lambda: cpus))
+        cgroup_files({})
         assert geodesic._cpu_count() == expected
         floyd_workers()
         g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
@@ -573,6 +676,17 @@ class TestClassicalMds:
             assert np.dot(emb.coords[:, j], emb.coords[:, j]) == pytest.approx(
                 emb.eigenvalues[j], abs=1e-10
             )
+
+
+class TestNonFiniteGeodesics:
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("stage", ["mds", "rv"])
+    def test_refused(self, stage, value):
+        gm = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2)))
+        emb = classical_mds(gm, 2)
+        gm.d[4, 1] = value
+        with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
+            classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
 
 
 class TestResidualVariance:
