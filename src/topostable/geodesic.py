@@ -13,14 +13,17 @@ row reads its d[i, k] from the saved pivot row k, and where the matrix does
 not fit in one core's L2, each 64-row chunk updates only the columns from
 its own first row on (half the matrix) and takes a whole panel's steps
 while it stays in cache; a mirror at the end fills in the other half.
-From n = 1280 on the rows are shared by two threads when the process may
+From n = 512 on the rows are shared by two processes when the process may
 use two CPUs or more (its affinity mask, which taskset restricts, capped at
-its cgroup CPU quota; more threads were never measured): each thread
-updates its own row chunks with its own scratch, which the caller
-allocates, and with numpy's ufunc buffer size set in that thread, and the
-caller waits for them once per panel, so the result is bitwise the same on
-any number of threads. No thread outlives the call, also when a step
-raises.
+its cgroup CPU quota; more were never measured): the caller and a worker
+forked for the call, each with its own interpreter lock. The matrix lives
+in an anonymous shared mapping, and the pivot block and the workers'
+scratch in a second one for the call; each process updates its own row
+chunks with its own scratch, and the caller waits for the workers once per
+panel over a pipe, so the result is bitwise the same on any number of
+processes. No worker outlives the call,
+also when a step raises in it or in the caller. Where the platform cannot
+fork, Floyd runs in the caller alone.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it: centering squares the
@@ -31,8 +34,10 @@ and centers them in place (one n x n buffer in all). With the geodesic
 matrix itself, a run peaks at two n x n float64 buffers.
 """
 
+import contextlib
+import mmap
 import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,25 +115,30 @@ _CHUNK = 64
 # all its rows through a step at once, in few large numpy calls; where it
 # does not, each worker takes one row chunk at a time through a whole panel,
 # so that the chunk stays in L2 across the panel's steps. In-process Floyd
-# (Swiss roll, k=10, stable, one thread, 11 alternating runs, medians), all
+# (Swiss roll, k=10, stable, one process, 11 alternating runs, medians), all
 # rows at once against one chunk at a time took 0.035 against 0.044 s at
 # n=400, 0.044 against 0.048 s at n=500, 0.087 against 0.075 s at n=600,
 # 0.14 against 0.10 s at n=700 and 0.21 against 0.17 s at n=800.
 _L2_BYTES = 2 << 20
-# Floyd runs on the calling thread alone below this n, where a second thread
-# saved nothing. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable,
-# in-process, best of 3 runs per round), two threads against one took
-# 0.049-0.058 against 0.045-0.059 s at n=512 and 0.18-0.19 against
-# 0.13-0.19 s at n=800 (3 rounds), 0.31-0.37 against 0.28-0.30 s at n=1024
-# (5 rounds; 0.31-0.33 against 0.30-0.34 s in 3 more), 0.39-0.42 against
-# 0.36-0.41 s at n=1152 (3 rounds), 0.51-0.56 against
-# 0.51-0.65 s at n=1280 and 0.65-0.74 against 0.69-0.80 s at n=1408 (5
-# rounds), and 0.81-0.91 against 0.85-1.00 s at n=1600 (5 rounds).
-_THREADS_FROM_N = 1280
-# Most threads Floyd runs on, however many CPUs the process may use: the
-# gain was measured at 2 only (see _THREADS_FROM_N), and with more threads
-# each one's share shrinks toward one 64-row chunk while the Python code
-# between its numpy calls still needs the GIL.
+# Floyd runs in the calling process alone below this n, where a forked
+# worker saved nothing. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable,
+# in-process, alternating runs, medians), two processes against one took
+# 0.018 against 0.013 s at n=256 (11 runs), 0.032 against 0.034 s at n=384
+# (11), 0.036-0.041 against 0.042-0.045 s at n=448 (11 and 15),
+# 0.048-0.052 against 0.059-0.065 s at n=512 (11, 15 and 15; two won 37 of
+# 41), 0.068-0.072 against 0.096-0.102 s at n=576, 0.13 against 0.21 s at
+# n=800 and 0.23 against 0.35 s at n=1024. The 15-run rounds held 60 MB
+# more in the caller, as the CLI does, since a fork copies its page tables.
+# Two threads, which this replaced, gained nothing below n=1280: a numpy
+# call here takes 10-40 us, and two threads that each looped np.add and
+# np.minimum on their own (64, w) block, handing the GIL back and forth,
+# ran 1.25-1.44 times as fast as one at w=400 (11 us a call) and 1.54-1.84
+# times at w=800 (16 us), with the Python between calls on top.
+_FORK_FROM_N = 512
+# Most processes Floyd runs on, however many CPUs the process may use: the
+# gain was measured at 2 only (see _FORK_FROM_N), and with more processes
+# each one's share shrinks toward one 64-row chunk, while each adds a pipe
+# round trip per panel and a fork of the whole caller.
 _MAX_WORKERS = 2
 # A container's CPU quota: cgroup v2's "quota period" line ("max" when there
 # is none), else cgroup v1's quota (-1 when there is none) and period, in
@@ -163,8 +173,10 @@ def _quota_cpus():
 def _cpu_count():
     """CPUs this process may run on: its affinity mask where the platform
     has one (Linux), else every CPU (macOS and Windows have no mask),
-    capped at its cgroup CPU quota when it has one. Two threads under a
-    quota of one CPU took about 4% longer than one thread."""
+    capped at its cgroup CPU quota when it has one. Two processes confined
+    to one CPU (taskset -c 0) took as long as one, plus the fork: 0.18
+    against 0.17 s at n=800 and 1.06 against 1.09 s at n=1600 (7
+    alternating runs, medians)."""
     if hasattr(os, "sched_getaffinity"):
         count = len(os.sched_getaffinity(0))
     else:
@@ -173,7 +185,111 @@ def _cpu_count():
     return count if quota is None else min(count, quota)
 
 
-def _floyd_in_place(d):
+def _worker_count(n):
+    """Processes Floyd runs on for an n x n matrix: the caller alone below
+    _FORK_FROM_N and where the platform cannot fork, else one per CPU the
+    process may use (see _cpu_count), capped at _MAX_WORKERS and at the
+    number of row chunks."""
+    if n < _FORK_FROM_N or not hasattr(os, "fork"):
+        return 1
+    return min(_MAX_WORKERS, _cpu_count(), -(-n // _CHUNK))
+
+
+def _shared(size):
+    """A zeroed flat float64 array of size elements in a new anonymous
+    mapping that forked children share (MAP_SHARED, mmap's default). It
+    starts on a page, and the mapping lives as long as any view of it."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+
+
+def _serve(run, t, go, done, held):
+    """Worker t's side of Floyd, in the child forked for it, which it never
+    leaves: after closing the pipe ends in held other than its own, it runs
+    run(t, p) for panel p = 0, 1, ... each time a byte arrives on go and
+    answers each with one b"." on done. On EOF, the caller has finished or
+    failed, and the worker exits; if a step raises, it writes the exception
+    text on done instead and exits. It leaves through os._exit in any case,
+    so it never returns into the caller's stack and runs none of its atexit
+    handlers or stdio flushes."""
+    code = 1
+    try:
+        for fd in held:
+            if fd not in (go, done):
+                os.close(fd)
+        np.setbufsize(16)
+        p = 0
+        while os.read(go, 1):
+            run(t, p)
+            os.write(done, b".")
+            p += 1
+        code = 0
+    except BaseException as e:  # reported to the caller; the process ends below
+        os.write(done, f"{type(e).__name__}: {e}".encode(errors="replace"))
+    finally:
+        os._exit(code)
+
+
+def _fork():
+    """os.fork, without the DeprecationWarning that Python 3.12 and later
+    give in a process with other threads (numpy's BLAS pool always counts),
+    because a lock one of them held at the fork stays held in the child. A
+    Floyd worker takes none of those locks: it runs only numpy ufuncs,
+    copies and index arithmetic, never BLAS; glibc resets malloc's locks in
+    the child and CPython its own; and it leaves through os._exit. The
+    warning is new in 3.12 and the suite has run on 3.11 only, so the
+    filter is tested against the warning's text, not the warning itself."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
+        return os.fork()
+
+
+@contextlib.contextmanager
+def _panels(w, run):
+    """Floyd's panels on w processes. Calls run(0, p) in the caller and
+    run(t, p) for t = 1..w-1 in forked workers (see _serve), once for each
+    panel p in turn, and returns only when every one of them has finished
+    panel p; one pipe byte to each worker and one back per panel. A
+    worker's failure is raised here as a RuntimeError with its exception
+    text. The caller closes its pipe ends and reaps every worker before it
+    returns or raises, and a worker whose caller was killed exits on the
+    EOF that follows."""
+    held, pids, workers = [], [], []  # the caller's pipe ends; the workers
+    try:
+        for t in range(1, w):
+            go_r, go_w = os.pipe()
+            held += [go_r, go_w]
+            done_r, done_w = os.pipe()
+            held += [done_r, done_w]
+            pid = _fork()
+            if pid == 0:
+                _serve(run, t, go_r, done_w, held)
+            pids.append(pid)
+            for fd in (go_r, done_w):
+                held.remove(fd)
+                os.close(fd)
+            workers.append((t, go_w, done_r))
+
+        def panel(p):
+            for _, go, _ in workers:
+                os.write(go, b"g")
+            run(0, p)
+            for t, _, done in workers:
+                reply = os.read(done, 1)
+                if reply != b".":
+                    while more := os.read(done, 4096):
+                        reply += more
+                    text = reply.decode(errors="replace") or "it exited"
+                    raise RuntimeError(f"Floyd worker {t} failed in panel {p}: {text}")
+
+        yield panel
+    finally:
+        for fd in held:
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _floyd_in_place(d, w=1):
     """Floyd-Warshall on a dense (n, n) weight matrix with a zero diagonal,
     which must be exactly symmetric (NeighborGraph.to_dense_weights writes
     each edge's weight to both entries).
@@ -217,62 +333,61 @@ def _floyd_in_place(d):
     are gathered and updated; every row gets the same operations on the
     same operands either way.
 
-    From n = _THREADS_FROM_N on, the panels' other chunks are shared by one
-    thread per CPU the process may use (see _cpu_count), capped at
-    _MAX_WORKERS and at the number of chunks; below it, the calling thread
-    does all of them. The caller is worker 0, and workers 1..W-1 are tasks
-    on a thread pool that lives for the call. Worker t owns the chunks t,
-    t + W, t + 2W, ... other than the panel's, and reads and writes only
-    those rows, its scratch and the pivot block, so the result is bitwise
-    the same for every W. The caller waits for the workers' tasks once per
-    panel, so there are ceil(n / _CHUNK) waits, not n: a wait that sleeps
-    leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole 20-26% of
-    its CPU time, waiting at every step made two threads take 1.5-10.7 s at
-    n=1600 where one took 1.9-3.0 s. A task's exception is raised here
-    through its future, and leaving the pool joins every thread, also when
-    the caller raises.
+    The panels' other chunks are shared by w processes (floyd_all_pairs
+    takes w from _worker_count). The caller is worker 0, and workers 1..w-1
+    are children forked for the call (see _panels), each with its own
+    interpreter lock: the numpy calls here take 10-40 us each at n=1600, too
+    short for threads, which must take the lock back between calls, to
+    overlap. Worker t owns the chunks t, t + w, t + 2w, ... other than the
+    panel's, and reads and writes only those rows, its scratch and the pivot
+    block, so the result is bitwise the same for every w. With w > 1, d must
+    be in a shared mapping (see _shared), so that every worker writes the
+    one matrix, and the scratch and the pivot block get a mapping of their
+    own, freed when the call returns: kept in d's mapping, they stayed as
+    long as d, and the caller of an n=1600 embed run peaked at 86.0 MB
+    against 83.7 MB. The caller waits for the workers once per panel, one
+    pipe byte each way, so there are ceil(n / _CHUNK) waits, not n: a wait
+    that sleeps leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole
+    20-26% of its CPU time, waiting at every step made two threads take
+    1.5-10.7 s at n=1600 where one took 1.9-3.0 s.
 
-    Each worker's two scratch blocks share one slice, the pivot block
-    follows them, and every slice starts on a 64-byte boundary. malloc
-    promises only 16 bytes, and with 64-byte (AVX-512) vectors a misaligned
-    step block splits every store across two cache lines: at n=1600 on a
-    2-vCPU AVX-512 Xeon the kernel took 4.2-5.5 s that way against 3.3-3.9 s
-    aligned, whatever the alignment of d. The caller allocates all the
-    slices as one buffer before any task runs: allocated by each worker,
-    they raised the peak RSS of an n=1600 embed run by 2.7 MB over one
-    thread, and as one buffer by 1.0 MB.
+    Each worker's two scratch blocks share one slice of one buffer, the
+    pivot block follows them, and every slice starts on a 64-byte boundary.
+    malloc promises only 16 bytes, and with 64-byte (AVX-512) vectors a
+    misaligned step block splits every store across two cache lines: at
+    n=1600 on a 2-vCPU AVX-512 Xeon the kernel took 4.2-5.5 s that way
+    against 3.3-3.9 s aligned, whatever the alignment of d. The caller lays
+    out all the slices before any worker starts.
 
     Every worker runs its steps with numpy's ufunc buffer at its smallest
-    size, 16 elements, set around each panel's steps by the thread that runs
-    them, because the size is per thread, and restores its own size
-    afterwards, also when a step raises. The step add broadcasts the
-    pivot entries d[i, k] as a stride-0 column, and numpy's iterator copies
-    such an operand through its buffer whenever three rows fit in it: at
-    the default 8192 elements, for every n <= 2730. Buffered, a (64, n) step
-    add cost 1.1-1.2 ns per element against 0.27-0.48 ns unbuffered (n in
-    {400, 800, 1600}, same Xeon), and at n=1600 (Swiss roll, k=10, stable)
-    this kernel took 1.8-2.0 s on one thread against 1.0-1.1 s. No
-    operation here casts, so none needs the buffer, and the result is
-    bitwise the same. The size is saved and restored by hand because
-    np.errstate scopes it only from numpy 2.0 on. The gather's take clips
-    its indices, which all come from the block's own rows: with the default
-    mode="raise" numpy copies the (64, n) result through a temporary on
-    every call.
+    size, 16 elements: the caller sets it around the whole call and gives
+    its own size back, also when a step raises, and a forked worker sets it
+    once. The step add broadcasts the pivot entries d[i, k] as a stride-0
+    column, and numpy's iterator copies such an operand through its buffer
+    whenever three rows fit in it: at the default 8192 elements, for every
+    n <= 2730. Buffered, a (64, n) step add cost 1.1-1.2 ns per element
+    against 0.27-0.48 ns unbuffered (n in {400, 800, 1600}, same Xeon), and
+    at n=1600 (Swiss roll, k=10, stable) this kernel took 1.8-2.0 s in one
+    process against 1.0-1.1 s. No operation here casts, so none needs the
+    buffer, and the result is bitwise the same. The size is saved and
+    restored by hand because np.errstate scopes it only from numpy 2.0 on.
+    The gather's take clips its indices, which all come from the block's
+    own rows: with the default mode="raise" numpy copies the (64, n) result
+    through a temporary on every call.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
     chunks = -(-n // _CHUNK)
-    w = 1
-    if n >= _THREADS_FROM_N:
-        w = min(_MAX_WORKERS, _cpu_count(), chunks)
     whole = 8 * n * n <= _L2_BYTES
     # each worker's pair of blocks, rounded up to whole 64-byte lines, then
-    # the pivot block
+    # the pivot block: in numpy's memory, with the slack to a 64-byte
+    # boundary, or in a mapping, which starts on a page
     per = -(-2 * chunk * n // 8) * 8
-    raw = np.empty(w * per + chunk * n + 8)
-    start = (-raw.ctypes.data) % 64 // 8
-    scratch = raw[start:start + w * per].reshape(w, per)
-    pivots = raw[start + w * per:start + w * per + chunk * n].reshape(chunk, n)
+    size = w * per + chunk * n
+    room = np.empty(size + 8) if w == 1 else _shared(size)
+    start = (-room.ctypes.data) % 64 // 8
+    scratch = room[start:start + w * per].reshape(w, per)
+    pivots = room[start + w * per:start + size].reshape(chunk, n)
 
     def mirror(c):
         """Chunk c's entries left of its diagonal block, from the columns
@@ -334,28 +449,21 @@ def _floyd_in_place(d):
     def run(t, p):
         """Panel p's steps on worker t's chunks."""
         mine = [c for c in range(t, chunks, w) if c != p]
-        old = np.setbufsize(16)
-        try:
-            if whole:
-                if mine:
-                    relax(t, p, mine)
-            else:
-                for c in mine:
-                    relax(t, p, [c], c * _CHUNK)
-        finally:
-            np.setbufsize(old)
+        if whole:
+            if mine:
+                relax(t, p, mine)
+        else:
+            for c in mine:
+                relax(t, p, [c], c * _CHUNK)
 
     old = np.setbufsize(16)
     try:
-        with ThreadPoolExecutor(max(1, w - 1)) as pool:
+        with _panels(w, run) as panel:
             for p in range(chunks):
                 if not whole:
                     mirror(p)
                 relax(0, p, [p])
-                futures = [pool.submit(run, t, p) for t in range(1, w)]
-                run(0, p)
-                for future in futures:
-                    future.result()
+                panel(p)
     finally:
         np.setbufsize(old)
     if not whole:
@@ -366,7 +474,10 @@ def _floyd_in_place(d):
 
 def floyd_all_pairs(g):
     """Exact all-pairs shortest paths via Floyd-Warshall."""
-    d = _floyd_in_place(g.to_dense_weights())
+    n, w = g.n, _worker_count(g.n)
+    # with workers, the weights go straight into the mapping they share
+    out = None if w == 1 else _shared(n * n).reshape(n, n)
+    d = _floyd_in_place(g.to_dense_weights(out=out), w)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
 
 

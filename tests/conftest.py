@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 
 import numpy as np
@@ -105,6 +106,20 @@ def peak_bytes(fn):
         return result, tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture(scope="session", autouse=True)
+def no_child_left():
+    """Fails the run if a test leaves a child process running or unreaped,
+    such as a Floyd worker (geodesic forks them from n = 512 on)."""
+    yield
+    if not hasattr(os, "WNOHANG"):  # Windows: nothing forks
+        return
+    try:
+        left = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"a child process was left behind (os.waitpid(-1, os.WNOHANG) gave {left})")
 
 
 @pytest.fixture(scope="session")

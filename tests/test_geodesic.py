@@ -1,9 +1,10 @@
 import contextlib
+import mmap
 import os
-import sys
-import threading
+import select
 import types
-from concurrent.futures import ThreadPoolExecutor
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -170,12 +171,12 @@ class TestFloydDijkstraAgreement:
 
 
 def force_floyd(setattr, w=None, by_chunks=False):
-    """Floyd runs on w threads (fewer when n has fewer 64-row chunks) at
-    every n, not only from geodesic._THREADS_FROM_N on, as if the process
-    had w CPUs and no cap; with w None only the threshold is forced. With
+    """Floyd runs on w processes (fewer when n has fewer 64-row chunks) at
+    every n, not only from geodesic._FORK_FROM_N on, as if the process had
+    w CPUs and no cap; with w None only the threshold is forced. With
     by_chunks, each worker takes one chunk at a time through a panel, as
     when the matrix does not fit in geodesic._L2_BYTES, at every n."""
-    setattr(geodesic, "_THREADS_FROM_N", 0)
+    setattr(geodesic, "_FORK_FROM_N", 0)
     if w is not None:
         setattr(geodesic, "_cpu_count", lambda: w)
         setattr(geodesic, "_MAX_WORKERS", w)
@@ -189,10 +190,32 @@ def floyd_workers(monkeypatch):
     return lambda w=None, by_chunks=False: force_floyd(monkeypatch.setattr, w, by_chunks)
 
 
+def assert_no_children():
+    """This process has no child, running or unreaped: Floyd reaps every
+    worker it forks before it returns or raises."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shared_int64(size):
+    """A zeroed int64 vector in an anonymous shared mapping: a forked Floyd
+    worker can write it, and the caller read what it wrote."""
+    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.int64)
+
+
+def mapping_of(d):
+    """The mmap whose memory the array d is, or None where numpy allocated
+    it."""
+    base = d.base
+    while isinstance(base, np.ndarray):
+        base = base.base
+    return base.obj if isinstance(base, memoryview) else None
+
+
 class TestFloydOracle:
-    """floyd_all_pairs must equal the plain recurrence entry for entry, on
-    one thread and on several, with all rows through each step at once and
-    one chunk at a time."""
+    """floyd_all_pairs must equal the plain recurrence entry for entry, in
+    one process and on several, with all rows through each step at once
+    and one chunk at a time."""
 
     @pytest.mark.parametrize(
         "name, workers, by_chunks",
@@ -213,6 +236,7 @@ class TestFloydOracle:
         assert np.array_equal(gm.d, floyd_reference(g))
         assert np.array_equal(gm.d, gm.d.T)
         assert np.all(np.diag(gm.d) == 0.0)
+        assert_no_children()
 
 
 @st.composite
@@ -235,7 +259,7 @@ def symmetric_graphs(draw):
 
 
 class TestFloydProperties:
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @settings(max_examples=40, deadline=None)
     @given(g=symmetric_graphs(), by_chunks=st.booleans())
     def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g, by_chunks):
@@ -244,31 +268,35 @@ class TestFloydProperties:
             d = floyd_all_pairs(g).d
         assert np.array_equal(d, floyd_reference(g))
         assert np.array_equal(d, d.T)
+        assert_no_children()
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
-        # just above the thread threshold, with a short last chunk, on the
-        # default worker count and cache rule
+        # above the fork threshold, with a short last chunk, on the default
+        # worker count and cache rule
         n = 1340
-        assert n >= geodesic._THREADS_FROM_N and n % geodesic._CHUNK and 8 * n * n > geodesic._L2_BYTES
+        assert n >= geodesic._FORK_FROM_N and n % geodesic._CHUNK and 8 * n * n > geodesic._L2_BYTES
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
 
 
 class _ModuleProxy:
     """Stands in for a module geodesic uses: the names given are replaced,
-    the rest come from the module."""
+    those in hide are missing, and the rest come from the module."""
 
-    def __init__(self, module, **names):
+    def __init__(self, module, hide=(), **names):
         self._module = module
+        self._hide = hide
         self.__dict__.update(names)
 
     def __getattr__(self, name):
+        if name in self._hide:
+            raise AttributeError(name)
         return getattr(self._module, name)
 
 
 class TestFloydBufferSize:
-    """Every thread of the kernel runs with numpy's ufunc buffer below three
-    rows and gives its size back."""
+    """Every process of the kernel runs with numpy's ufunc buffer below
+    three rows, and the caller gets its size back."""
 
     def test_caller_size_restored(self):
         g = ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7))
@@ -290,52 +318,70 @@ class TestFloydBufferSize:
         assert np.getbufsize() == old
 
     def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch, floyd_workers):
-        seen = []
+        # row 0 for the caller, row 1 for its one worker: (pid, largest
+        # buffer size seen at an add), in shared memory, since the worker
+        # is a forked copy of this process
+        seen = shared_int64(4).reshape(2, 2)
+        caller = os.getpid()
 
         def spy_add(*args, **kwargs):
-            seen.append((threading.get_ident(), np.getbufsize()))
+            row = seen[int(os.getpid() != caller)]
+            row[0] = os.getpid()
+            row[1] = max(row[1], np.getbufsize())
             return np.add(*args, **kwargs)
 
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         floyd_workers(2)
         monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=spy_add))
         floyd_all_pairs(g)
-        assert len({ident for ident, _ in seen}) == 2
-        assert max(size for _, size in seen) < 3 * g.n
+        assert seen[0, 0] == caller and seen[1, 0] not in (0, caller)
+        assert 0 < seen[:, 1].min() and seen[:, 1].max() < 3 * g.n
 
 
 @pytest.fixture
-def pool_futures(monkeypatch):
-    """The futures of every task Floyd submits to its thread pool, in order."""
-    futures = []
+def patched_os(monkeypatch):
+    """geodesic's os, recording in the caller: in .writes the bytes it
+    writes (the go of each panel, to each worker), in .reads the bytes it
+    reads (each worker's answer), and in .codes the exit code of each
+    worker it reaps. A worker's own calls are recorded in its own copy."""
+    writes, reads, codes = [], [], []
 
-    class Pool(ThreadPoolExecutor):
-        def submit(self, *args, **kwargs):
-            future = super().submit(*args, **kwargs)
-            futures.append(future)
-            return future
+    def write(fd, data):
+        writes.append(data)
+        return os.write(fd, data)
 
-    monkeypatch.setattr(geodesic, "ThreadPoolExecutor", Pool)
-    return futures
+    def read(fd, size):
+        reads.append(os.read(fd, size))
+        return reads[-1]
+
+    def waitpid(pid, options):
+        result = os.waitpid(pid, options)
+        codes.append(os.waitstatus_to_exitcode(result[1]))
+        return result
+
+    proxy = _ModuleProxy(os, write=write, read=read, waitpid=waitpid, writes=writes, reads=reads, codes=codes)
+    monkeypatch.setattr(geodesic, "os", proxy)
+    return proxy
 
 
 class TestFloydThreads:
-    """Floyd on several threads. A failure on any thread reaches the
-    caller, no thread outlives the call, and every thread gives its buffer
-    size back. More threads than cores, switching often, still give the
-    plain recurrence's result."""
+    """Floyd on several worker processes (forked; they replaced threads,
+    whose name the class keeps). A failure in any of them reaches the
+    caller, no worker outlives the call, the caller gets its buffer size
+    back, and the caller and each worker meet once per panel. More
+    processes than cores still give the plain recurrence's result."""
 
     @pytest.fixture
     def patched_np(self, monkeypatch, floyd_workers):
-        """geodesic's numpy, with Floyd on two threads: its setbufsize
-        records each thread's calls, as (size set, size replaced), in
-        .calls by thread."""
+        """geodesic's numpy, with Floyd on two processes: its setbufsize
+        records the caller's calls, as (size set, size replaced), in
+        .calls."""
         floyd_workers(2)
-        calls = {}
+        calls = []
 
         def setbufsize(size):
             old = np.setbufsize(size)
-            calls.setdefault(threading.get_ident(), []).append((size, old))
+            calls.append((size, old))
             return old
 
         proxy = _ModuleProxy(np, setbufsize=setbufsize, calls=calls)
@@ -344,14 +390,10 @@ class TestFloydThreads:
 
     @contextlib.contextmanager
     def leaves_nothing_behind(self, patched_np):
-        threads, bufsize = threading.active_count(), np.getbufsize()
+        bufsize = np.getbufsize()
         yield
-        assert threading.active_count() == threads
-        assert np.getbufsize() == bufsize
-        assert len(patched_np.calls) == 2
-        for calls in patched_np.calls.values():
-            (set_to, old), (restored, _) = calls[0], calls[-1]
-            assert set_to == 16 and restored == old
+        assert_no_children()
+        assert patched_np.calls == [(16, bufsize), (bufsize, 16)]
 
     @staticmethod
     def run():
@@ -360,15 +402,16 @@ class TestFloydThreads:
         floyd_all_pairs(random_graph(np.random.default_rng(7), 150, 0.3))
 
     @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_step_failure_reaches_the_caller(self, patched_np, pool_futures, where):
-        # the worker fails at its first step, the caller once a worker has
-        # finished a panel
-        caller = threading.get_ident()
+    def test_step_failure_reaches_the_caller(self, patched_np, patched_os, where):
+        # the worker fails at its first step and exits with code 1; the
+        # caller once the worker has finished a panel, and the worker then
+        # exits cleanly on the EOF
+        caller = os.getpid()
 
         def fails():
-            if threading.get_ident() != caller:
+            if os.getpid() != caller:
                 return where == "worker"
-            return where == "caller" and any(future.done() for future in pool_futures)
+            return where == "caller" and bool(patched_os.reads)
 
         def add(*args, **kwargs):
             if fails():
@@ -376,64 +419,99 @@ class TestFloydThreads:
             return np.add(*args, **kwargs)
 
         patched_np.add = add
-        with self.leaves_nothing_behind(patched_np), pytest.raises(RuntimeError, match=f"failed on the {where}"):
+        expected = "Floyd worker 1 failed in panel 0: RuntimeError: " if where == "worker" else ""
+        with self.leaves_nothing_behind(patched_np), pytest.raises(RuntimeError, match=f"^{expected}step failed on the {where}$"):
             self.run()
-        assert all(future.done() for future in pool_futures)
+        assert patched_os.codes == [1 if where == "worker" else 0]
 
-    def test_interrupt_on_the_caller_while_a_worker_runs(self, patched_np, pool_futures):
-        caller = threading.get_ident()
-        started, resumed = threading.Event(), threading.Event()
-        after_interrupt = []
+    def test_interrupt_on_the_caller_while_a_worker_runs(self, patched_np, patched_os):
+        caller = os.getpid()
+        started, resume = os.pipe(), os.pipe()
+        after_interrupt = shared_int64(1)  # the worker's adds after it resumed
+        resumed = []  # the caller's and the worker's own copies
 
         def add(*args, **kwargs):
-            if threading.get_ident() != caller:
-                if not started.is_set():
-                    started.set()
-                    assert resumed.wait(10)
-                if resumed.is_set():
-                    after_interrupt.append(True)
-            elif pool_futures and not resumed.is_set():
-                assert started.wait(10)
-                resumed.set()  # the worker is inside its task's first add
+            if os.getpid() != caller:
+                if resumed:
+                    after_interrupt[0] += 1
+                else:
+                    os.write(started[1], b"s")
+                    assert select.select([resume[0]], [], [], 10)[0]
+                    resumed.append(True)
+            elif patched_os.writes and not resumed:
+                # panel 0 has started on the worker
+                assert select.select([started[0]], [], [], 10)[0]
+                resumed.append(True)
+                os.write(resume[1], b"r")  # the worker is inside its first add
                 raise KeyboardInterrupt
             return np.add(*args, **kwargs)
 
         patched_np.add = add
-        with self.leaves_nothing_behind(patched_np), pytest.raises(KeyboardInterrupt):
-            self.run()
-        # the pool finished the worker's task before the interrupt got out
-        assert len(pool_futures) == 1 and pool_futures[0].exception() is None
-        assert len(after_interrupt) > 1
+        try:
+            with self.leaves_nothing_behind(patched_np), pytest.raises(KeyboardInterrupt):
+                self.run()
+        finally:
+            for fd in (*started, *resume):
+                os.close(fd)
+        # the worker finished its panel before the interrupt got out
+        assert after_interrupt[0] > 1
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_task_per_panel_and_worker(self, floyd_workers, pool_futures, workers):
+    def test_one_task_per_panel_and_worker(self, floyd_workers, patched_os, workers):
+        # a worker's task for a panel is one go byte out and one done byte
+        # back
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         floyd_workers(workers)
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
-        assert len(pool_futures) == -(-g.n // geodesic._CHUNK) * (workers - 1)
+        round_trips = -(-g.n // geodesic._CHUNK) * (workers - 1)
+        assert len(patched_os.writes) == len(patched_os.reads) == round_trips
+        # each worker exits cleanly on the EOF after the last panel
+        assert patched_os.codes == [0] * (workers - 1)
+        assert_no_children()
 
-    def test_more_threads_than_cores_switching_often(self, floyd_workers):
+    def test_fork_in_a_process_with_threads_warns_nothing(self, monkeypatch, floyd_workers):
+        # Python 3.12 and later warn at each fork in a process with other
+        # threads, in these words; warnings are errors in this suite
+        def fork():
+            pid = os.fork()
+            if pid:
+                message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
+                warnings.warn(message, DeprecationWarning)
+            return pid
+
+        g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
+        floyd_workers(2)
+        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, fork=fork))
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert_no_children()
+
+    def test_more_processes_than_cores(self, floyd_workers):
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        floyd_workers(5)  # five 64-row chunks, one for each thread
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            d = floyd_all_pairs(g).d
-        finally:
-            sys.setswitchinterval(old)
-        assert np.array_equal(d, floyd_reference(g))
+        floyd_workers(5)  # five 64-row chunks, one for each process
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert_no_children()
 
 
 class TestFloydMemory:
+    """tracemalloc does not see the shared mapping that Floyd's workers
+    write, so a bound on a run that forks counts the mapping's bytes too."""
+
     @staticmethod
-    def peak_and_scratch():
-        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+    def graph():
+        return ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+
+    @staticmethod
+    def scratch(n, w=1):
+        """Bytes of w workers' (64, n) step and row blocks and the (64, n)
+        pivot block, plus the alignment slack of a numpy buffer."""
+        return ((2 * w + 1) * geodesic._CHUNK * n + 8) * 8
+
+    def peak_and_scratch(self):
+        g = self.graph()
         geodesic._floyd_in_place(g.to_dense_weights())  # numpy fills its own caches once
         d = g.to_dense_weights()
         _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
-        # (64, n) step and row blocks and the (64, n) pivot block, plus the
-        # alignment slack
-        return peak, (3 * geodesic._CHUNK * g.n + 8) * 8
+        return peak, self.scratch(g.n)
 
     def test_peak_is_the_scratch(self):
         # take's default mode="raise" would add a 150 KB temporary on every
@@ -446,6 +524,43 @@ class TestFloydMemory:
         floyd_workers(1, by_chunks=True)
         peak, scratch = self.peak_and_scratch()
         assert peak <= scratch + 16 * 1024
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The flat arrays over the shared mappings Floyd makes, in order."""
+        made, original = [], geodesic._shared
+
+        def shared(size):
+            made.append(original(size))
+            return made[-1]
+
+        monkeypatch.setattr(geodesic, "_shared", shared)
+        return made
+
+    def test_mappings_are_the_matrix_then_the_pivots_and_scratch(self, made, floyd_workers):
+        # n = 300: n * n and 64 * n are whole 64-byte lines, so nothing pads
+        g = self.graph()
+        floyd_workers(2)
+        gm = floyd_all_pairs(g)
+        chunk, n = geodesic._CHUNK, g.n
+        mappings = [mapping_of(flat) for flat in made]
+        assert [len(m) for m in mappings] == [8 * n * n, 8 * (chunk * n + 2 * 2 * chunk * n)]
+        assert mapping_of(gm.d) is mappings[0]
+        # the scratch and pivots are freed when Floyd returns; d stays
+        room = weakref.ref(mappings[1])
+        del made[:], mappings
+        assert room() is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_pairs_holds_the_matrix_and_the_scratch(self, made, floyd_workers, workers):
+        g = self.graph()
+        floyd_workers(workers)
+        floyd_all_pairs(g)  # numpy fills its own caches once
+        made.clear()
+        _, peak = peak_bytes(lambda: floyd_all_pairs(g))
+        shared = sum(flat.nbytes for flat in made)
+        assert (shared == 0) == (workers == 1)
+        assert peak + shared <= 8 * g.n * g.n + self.scratch(g.n, workers) + 16 * 1024
 
 
 @pytest.fixture
@@ -500,31 +615,46 @@ class TestFloydWorkerCount:
     @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
     def test_cpu_count_without_an_affinity_mask(self, monkeypatch, floyd_workers, cgroup_files, cpus, expected):
         # macOS has no os.sched_getaffinity
-        monkeypatch.setattr(geodesic, "os", types.SimpleNamespace(cpu_count=lambda: cpus))
+        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, hide=("sched_getaffinity",), cpu_count=lambda: cpus))
         cgroup_files({})
         assert geodesic._cpu_count() == expected
         floyd_workers()
         g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert_no_children()
 
-    def test_one_thread_below_the_threshold_and_capped_above(self, monkeypatch):
-        adders = set()
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids os.fork returned in geodesic, as it runs with 8 CPUs."""
+        pids = []
 
-        def add(*args, **kwargs):
-            adders.add(threading.get_ident())
-            return np.add(*args, **kwargs)
-
-        def threads(n):
-            # row 0 links to the first row of every other chunk, so every
-            # worker has rows that reach pivot 0
-            adders.clear()
-            floyd_all_pairs(graph_from_edges(n, [(0, i, 1.0) for i in range(geodesic._CHUNK, n, geodesic._CHUNK)]))
-            return len(adders)
+        def fork():
+            pids.append(os.fork())
+            return pids[-1]
 
         monkeypatch.setattr(geodesic, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=add))
-        assert threads(geodesic._THREADS_FROM_N - 1) == 1
-        assert threads(geodesic._THREADS_FROM_N) == geodesic._MAX_WORKERS == 2
+        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, fork=fork))
+        return pids
+
+    @staticmethod
+    def workers_run(n):
+        # row 0 links to the first row of every other chunk, so every
+        # worker has rows that reach pivot 0
+        g = graph_from_edges(n, [(0, i, 1.0) for i in range(geodesic._CHUNK, n, geodesic._CHUNK)])
+        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert_no_children()
+
+    def test_one_process_below_the_threshold_and_capped_above(self, forks):
+        self.workers_run(geodesic._FORK_FROM_N - 1)
+        assert forks == []
+        self.workers_run(geodesic._FORK_FROM_N)
+        assert len(forks) == geodesic._MAX_WORKERS - 1 == 1
+
+    def test_one_process_where_the_platform_cannot_fork(self, forks, monkeypatch):
+        # Windows has no os.fork
+        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, hide=("fork",)))
+        assert geodesic._worker_count(geodesic._FORK_FROM_N) == 1
+        self.workers_run(geodesic._FORK_FROM_N)
 
 
 class TestLargestComponent:

@@ -94,10 +94,10 @@ class TestIsomapEmbed:
         # the bridge point still links the planes, so one component remains
         assert kept.size == data.n
 
-    def test_floyd_threads_leave_every_output_bitwise_equal(self, monkeypatch):
+    def test_floyd_processes_leave_every_output_bitwise_equal(self, monkeypatch):
         data = gen_swiss_roll(300, 1).data
         runs = []
-        monkeypatch.setattr(geodesic, "_THREADS_FROM_N", 0)
+        monkeypatch.setattr(geodesic, "_FORK_FROM_N", 0)
         for workers in (1, 2):
             monkeypatch.setattr(geodesic, "_cpu_count", lambda: workers)
             runs.append(isomap_embed(data, RunConfig(method="stable", k=10)))
@@ -174,6 +174,10 @@ class TestMemory:
 
     @pytest.fixture(scope="class")
     def roll(self):
+        # Floyd runs in this process: from geodesic._FORK_FROM_N on it would
+        # hold the geodesic matrix in a shared mapping, which tracemalloc
+        # does not see
+        assert self.N < geodesic._FORK_FROM_N
         data = gen_swiss_roll(self.N, 1).data
         build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
         return data
