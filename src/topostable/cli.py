@@ -138,6 +138,8 @@ def _cmd_generate(args):
 
 
 def _cmd_embed(args):
+    if args.svg and args.m < 2:
+        raise UsageError(f"--svg needs --m 2 or more: the scatter plot draws the first two coordinates, got --m {args.m}")
     data = _load_input(args)
     emb, gm, kept, graph = isomap_embed(data, _run_config(args, args.method, args.k))
     write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)

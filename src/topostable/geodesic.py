@@ -9,10 +9,10 @@ the pivots' own rows, saving each pivot row, and then every other row runs
 the panel against the saved rows. Its input must be exactly symmetric, as
 NeighborGraph.to_dense_weights makes it, and the recurrence keeps it so:
 d[i, k] + d[k, j] and d[j, k] + d[k, i] are the same float64 number. So a
-row reads its d[i, k] from the saved pivot row k, and where the matrix does
-not fit in one core's L2, each 64-row chunk updates only the columns from
-its own first row on (half the matrix) and takes a whole panel's steps
-while it stays in cache; a mirror at the end fills in the other half.
+row reads its d[i, k] from the saved pivot row k, and each 64-row chunk
+updates only the columns from its own first row on (half the matrix) and
+takes a whole panel's steps while it stays in cache; a mirror at the end
+fills in the other half.
 From n = 512 on the rows are shared by two processes when the process may
 use two CPUs or more (its affinity mask, which taskset restricts, capped at
 its cgroup CPU quota; more were never measured): the caller and a worker
@@ -110,16 +110,6 @@ def _component_ids(d):
 # Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
 # block stays in cache.
 _CHUNK = 64
-# One core's L2 cache on the machine measured (a 2-vCPU AVX-512 Xeon with
-# 2 MiB of L2 per core). Where the n x n matrix fits in it, each worker takes
-# all its rows through a step at once, in few large numpy calls; where it
-# does not, each worker takes one row chunk at a time through a whole panel,
-# so that the chunk stays in L2 across the panel's steps. In-process Floyd
-# (Swiss roll, k=10, stable, one process, 11 alternating runs, medians), all
-# rows at once against one chunk at a time took 0.035 against 0.044 s at
-# n=400, 0.044 against 0.048 s at n=500, 0.087 against 0.075 s at n=600,
-# 0.14 against 0.10 s at n=700 and 0.21 against 0.17 s at n=800.
-_L2_BYTES = 2 << 20
 # Floyd runs in the calling process alone below this n, where a forked
 # worker saved nothing. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable,
 # in-process, alternating runs, medians), two processes against one took
@@ -129,6 +119,8 @@ _L2_BYTES = 2 << 20
 # 41), 0.068-0.072 against 0.096-0.102 s at n=576, 0.13 against 0.21 s at
 # n=800 and 0.23 against 0.35 s at n=1024. The 15-run rounds held 60 MB
 # more in the caller, as the CLI does, since a fork copies its page tables.
+# At n <= 512 both took all their rows through each step at once, a cache
+# rule Floyd no longer has; those times were not taken again.
 # Two threads, which this replaced, gained nothing below n=1280: a numpy
 # call here takes 10-40 us, and two threads that each looped np.add and
 # np.minimum on their own (64, w) block, handing the GIL back and forth,
@@ -314,24 +306,24 @@ def _floyd_in_place(d, w=1):
     the columns from the chunk's first row on, the block-upper triangle:
     about half the matrix.
 
-    Where the matrix fits in _L2_BYTES, a worker takes all its rows through
-    each step in turn, over whole rows: numpy calls on many rows pay less
-    overhead per element, and the matrix stays in cache anyway. Where it
-    does not, the worker takes one chunk c at a time through all the
-    panel's steps, which the rows allow because within a panel they read
-    only their own entries and the saved pivot rows, and updates only
-    d[i, j] for j >= _CHUNK * c: the triangle is copied into the worker's
-    scratch, where it is contiguous and stays in L2 across the _CHUNK
-    steps, and copied back after the panel. The chunk's other entries go
-    stale. So before panel p the caller copies the panel's rows left of the
-    diagonal block from the columns above it, which are current, and the
-    saved pivot rows are whole; after the last panel it mirrors the
-    triangle once; numpy proves that the two blocks of each copy do not
-    overlap, so it makes no temporary. A row with d[i, k] = inf
+    Each worker takes one chunk c at a time through all the panel's steps,
+    which the rows allow because within a panel they read only their own
+    entries and the saved pivot rows. A chunk other than the panel's
+    updates only d[i, j] for j >= _CHUNK * c: the triangle is copied into
+    the worker's scratch, where it is contiguous and stays in L2 across the
+    _CHUNK steps, and copied back after the panel. The chunk's other
+    entries go stale. So before panel p the caller copies the panel's rows
+    left of the diagonal block from the columns above it, which are
+    current, and takes those rows through the panel in place, over whole
+    rows, so the saved pivot rows are whole; after the last panel it
+    mirrors the triangle once; numpy proves that the two blocks of each
+    copy do not overlap, so it makes no temporary. A row with d[i, k] = inf
     cannot change (NeighborGraph rejects NaN weights), so while fewer than
-    half of the rows being taken through a step reach k, only those rows
-    are gathered and updated; every row gets the same operations on the
-    same operands either way.
+    half of a chunk's rows reach k, only those rows are gathered and
+    updated; every row gets the same operations on the same operands
+    either way. The pivot rows change during their own panel, so the
+    panel's chunk tests its reach at each step; any other chunk counts its
+    rows that reach each of the panel's pivots before the first step.
 
     The panels' other chunks are shared by w processes (floyd_all_pairs
     takes w from _worker_count). The caller is worker 0, and workers 1..w-1
@@ -378,7 +370,6 @@ def _floyd_in_place(d, w=1):
     n = d.shape[0]
     chunk = min(_CHUNK, n)
     chunks = -(-n // _CHUNK)
-    whole = 8 * n * n <= _L2_BYTES
     # each worker's pair of blocks, rounded up to whole 64-byte lines, then
     # the pivot block: in numpy's memory, with the slack to a 64-byte
     # boundary, or in a mapping, which starts on a page
@@ -395,80 +386,70 @@ def _floyd_in_place(d, w=1):
         a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
         d[a:b, :a] = d[:a, a:b].T
 
-    def relax(t, p, cs, lo=0):
-        """Panel p's steps on the rows of chunks cs, by worker t, over
-        columns lo.. of d; with cs == [p], saving each pivot row just before
-        its step. With lo > 0, cs is the one chunk whose first row is lo,
-        and it runs in worker t's scratch."""
+    def relax(t, p, c):
+        """Panel p's steps on the rows of chunk c, by worker t. The panel's
+        own chunk (c == p) runs in place over whole rows, saving each pivot
+        row just before its step; any other chunk runs over the columns
+        from its first row on, in worker t's scratch."""
         k0 = p * _CHUNK
         k1 = min(k0 + _CHUNK, n)
+        a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
+        panel = c == p
+        lo = 0 if panel else a
         width = n - lo
         rows, step = scratch[t, :chunk * n], scratch[t, chunk * n:2 * chunk * n]
-        # rows of cs, numbered as in blk
-        spans = [(c * _CHUNK - lo, min((c + 1) * _CHUNK, n) - lo) for c in cs]
-        own = np.concatenate([np.arange(a, b) for a, b in spans])
-        blk, counts, col = d, None, np.empty(chunk)
-        if lo:
+        own = np.arange(a - lo, b - lo)  # the chunk's rows, numbered as in blk
+        blk, col = d, np.empty(chunk)
+        if not panel:
             blk = rows[:own.size * width].reshape(own.size, width)
-            np.copyto(blk, d[lo:lo + own.size, lo:])
+            np.copyto(blk, d[lo:b, lo:])
             # a gather takes fewer than _CHUNK // 2 rows: its rows and sums
             # share the step block
             rows = step[chunk // 2 * n:]
-            reaches = pivots[:k1 - k0, lo:lo + own.size] < np.inf
+            reaches = pivots[:k1 - k0, lo:b] < np.inf
             counts = np.count_nonzero(reaches, axis=1).tolist()
-        blocks = [(blk[a:b], step[:(b - a) * width].reshape(b - a, width), slice(a, b)) for a, b in spans]
-        panel = cs == [p]
+        part, sums = blk[a - lo:b - lo], step[:own.size * width].reshape(own.size, width)
         for k in range(k0, k1):
             dk = pivots[k - k0, lo:]
             if panel:
                 dk[:] = d[k]
-            if counts is None:
                 reach = own[dk[own] < np.inf]
                 count = reach.size
             else:
                 count = counts[k - k0]
             if 2 * count >= own.size:
-                for part, s, span in blocks:
-                    np.add(dk[span, None], dk, out=s)
-                    np.minimum(part, s, out=part)
+                np.add(dk[a - lo:b - lo, None], dk, out=sums)
+                np.minimum(part, sums, out=part)
             elif count:
-                if counts is not None:
+                if not panel:
                     reach = np.flatnonzero(reaches[k - k0])
-                for i in range(0, count, _CHUNK):
-                    idx = reach[i:i + _CHUNK]
-                    r = rows[:idx.size * width].reshape(idx.size, width)
-                    s = step[:r.size].reshape(r.shape)
-                    blk.take(idx, axis=0, out=r, mode="clip")
-                    dk.take(idx, out=col[:idx.size], mode="clip")
-                    np.add(col[:idx.size, None], dk, out=s)
-                    np.minimum(r, s, out=r)
-                    blk[idx] = r
-        if lo:
-            d[lo:lo + own.size, lo:] = blk
+                r = rows[:count * width].reshape(count, width)
+                s = step[:r.size].reshape(r.shape)
+                blk.take(reach, axis=0, out=r, mode="clip")
+                dk.take(reach, out=col[:count], mode="clip")
+                np.add(col[:count, None], dk, out=s)
+                np.minimum(r, s, out=r)
+                blk[reach] = r
+        if not panel:
+            d[lo:b, lo:] = blk
 
     def run(t, p):
         """Panel p's steps on worker t's chunks."""
-        mine = [c for c in range(t, chunks, w) if c != p]
-        if whole:
-            if mine:
-                relax(t, p, mine)
-        else:
-            for c in mine:
-                relax(t, p, [c], c * _CHUNK)
+        for c in range(t, chunks, w):
+            if c != p:
+                relax(t, p, c)
 
     old = np.setbufsize(16)
     try:
         with _panels(w, run) as panel:
             for p in range(chunks):
-                if not whole:
-                    mirror(p)
-                relax(0, p, [p])
+                mirror(p)
+                relax(0, p, p)
                 panel(p)
     finally:
         np.setbufsize(old)
-    if not whole:
-        for c in range(1, chunks):
-            mirror(c)
+    for c in range(1, chunks):
+        mirror(c)
     return d
 
 

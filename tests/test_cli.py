@@ -131,6 +131,14 @@ class TestEmbed:
         assert embedded > 100
         assert svg.read_text().startswith("<svg")
 
+    def test_svg_of_one_dimension_is_usage_error(self, capsys, roll_csv, tmp_path):
+        # refused before the input is read, so no embedding is written
+        out, svg = tmp_path / "emb.csv", tmp_path / "emb.svg"
+        code, _, err = run(capsys, ["embed", "--in", str(roll_csv), "--k", "8", "--m", "1", "--out", str(out), "--svg", str(svg)])
+        assert code == 1
+        assert "--svg needs --m 2 or more" in err
+        assert not out.exists() and not svg.exists()
+
     def test_missing_input_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["embed", "--in", str(tmp_path / "nope.csv"), "--k", "8"])
         assert code == 2

@@ -170,24 +170,20 @@ class TestFloydDijkstraAgreement:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
 
 
-def force_floyd(setattr, w=None, by_chunks=False):
+def force_floyd(setattr, w=None):
     """Floyd runs on w processes (fewer when n has fewer 64-row chunks) at
     every n, not only from geodesic._FORK_FROM_N on, as if the process had
-    w CPUs and no cap; with w None only the threshold is forced. With
-    by_chunks, each worker takes one chunk at a time through a panel, as
-    when the matrix does not fit in geodesic._L2_BYTES, at every n."""
+    w CPUs and no cap; with w None only the threshold is forced."""
     setattr(geodesic, "_FORK_FROM_N", 0)
     if w is not None:
         setattr(geodesic, "_cpu_count", lambda: w)
         setattr(geodesic, "_MAX_WORKERS", w)
-    if by_chunks:
-        setattr(geodesic, "_L2_BYTES", 0)
 
 
 @pytest.fixture
 def floyd_workers(monkeypatch):
-    """floyd_workers(w, by_chunks=False): force_floyd for one test."""
-    return lambda w=None, by_chunks=False: force_floyd(monkeypatch.setattr, w, by_chunks)
+    """floyd_workers(w): force_floyd for one test."""
+    return lambda w=None: force_floyd(monkeypatch.setattr, w)
 
 
 def assert_no_children():
@@ -214,22 +210,24 @@ def mapping_of(d):
 
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence entry for entry, in
-    one process and on several, with all rows through each step at once
-    and one chunk at a time."""
+    one process and on several, in 64-row chunks and (the -chunks ids) in
+    16-row ones, with which even the small graphs span several chunks,
+    panels and workers."""
 
     @pytest.mark.parametrize(
-        "name, workers, by_chunks",
+        "name, workers, chunk",
         [
-            pytest.param(name, w, by_chunks, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if by_chunks else ""))
+            pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
             for name in sorted(ORACLE_GRAPHS)
             for w in (1, 2, 3, 5)
-            for by_chunks in (False, True)
+            for chunk in (64, 16)
         ],
     )
-    def test_equals_plain_recurrence(self, name, workers, by_chunks, floyd_workers):
+    def test_equals_plain_recurrence(self, name, workers, chunk, floyd_workers, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
-        floyd_workers(workers, by_chunks)
+        floyd_workers(workers)
+        monkeypatch.setattr(geodesic, "_CHUNK", chunk)
         gm = floyd_all_pairs(g)
         if components is not None:
             assert int(gm.component_ids.max()) + 1 == components
@@ -261,10 +259,10 @@ def symmetric_graphs(draw):
 class TestFloydProperties:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @settings(max_examples=40, deadline=None)
-    @given(g=symmetric_graphs(), by_chunks=st.booleans())
-    def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g, by_chunks):
+    @given(g=symmetric_graphs())
+    def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
         with pytest.MonkeyPatch.context() as mp:
-            force_floyd(mp.setattr, workers, by_chunks)
+            force_floyd(mp.setattr, workers)
             d = floyd_all_pairs(g).d
         assert np.array_equal(d, floyd_reference(g))
         assert np.array_equal(d, d.T)
@@ -272,9 +270,9 @@ class TestFloydProperties:
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
         # above the fork threshold, with a short last chunk, on the default
-        # worker count and cache rule
+        # worker count
         n = 1340
-        assert n >= geodesic._FORK_FROM_N and n % geodesic._CHUNK and 8 * n * n > geodesic._L2_BYTES
+        assert n >= geodesic._FORK_FROM_N and n % geodesic._CHUNK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
 
@@ -485,6 +483,30 @@ class TestFloydThreads:
         assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
         assert_no_children()
 
+    def test_fork_failure_at_start_up_reaches_the_caller(self, monkeypatch, floyd_workers, patched_os):
+        # the second of two workers cannot be forked: the first, already
+        # running, exits cleanly on the EOF of its pipe, and every pipe end
+        # is closed
+        forks = []
+
+        def fork():
+            forks.append(None)
+            if len(forks) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return os.fork()
+
+        def open_fds():
+            return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+        floyd_workers(3)
+        monkeypatch.setattr(geodesic, "_fork", fork)
+        before = open_fds()
+        with pytest.raises(BlockingIOError, match="Resource temporarily unavailable"):
+            self.run()
+        assert_no_children()
+        assert patched_os.codes == [0]
+        assert open_fds() == before
+
     def test_more_processes_than_cores(self, floyd_workers):
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         floyd_workers(5)  # five 64-row chunks, one for each process
@@ -514,14 +536,9 @@ class TestFloydMemory:
         return peak, self.scratch(g.n)
 
     def test_peak_is_the_scratch(self):
+        # each chunk's block-upper triangle is copied into the row block, and
         # take's default mode="raise" would add a 150 KB temporary on every
         # gather
-        peak, scratch = self.peak_and_scratch()
-        assert peak <= scratch + 16 * 1024
-
-    def test_peak_is_the_scratch_by_chunks(self, floyd_workers):
-        # each chunk's block-upper triangle is copied into the row block
-        floyd_workers(1, by_chunks=True)
         peak, scratch = self.peak_and_scratch()
         assert peak <= scratch + 16 * 1024
 
