@@ -6,16 +6,24 @@ its offset is close to orthogonal (90 degrees within a window) to a vector
 from the orthogonal complement of the local subspace spanned by the nearest
 neighbors. The filter suppresses "bridge" edges between nearby manifold folds.
 
-Both rules start from build_graph's (n, k) kNN table. The stable rule turns
-it into a keep-mask, one row per point, with two numeric steps of its own: a
-Gram-Schmidt projection (_project_out) for the local basis and the
-complement vector, and an angle step (_angles_deg) for the window. Either
-way the graph is the union of the kept (point, candidate) pairs.
+Both rules start from build_graph's (n, k) kNN table (_knn_indices), which
+is the stable argsort's: each row in ascending squared distance, ties
+broken by index. The stable rule turns it into a keep-mask, one row per
+point. _stable_select is the rule for one point, with two numeric steps of
+its own: a Gram-Schmidt projection (_project_out) for the local basis and
+the complement vector, and an angle step (_angles_deg) for the window.
+_stable_keep runs the same operations, in the same order, on blocks of rows
+at once (_stable_block), so each row's mask is bitwise _stable_select's; a
+row the block cannot take (a degenerate basis or probe, or a duplicate of
+the point among its farther candidates) goes to _stable_select itself.
+Either way the graph is the union of the kept (point, candidate) pairs.
 
 The build holds one n x n buffer: the squared distances, computed in place
-over the Gram product (_pairwise_sq). The kNN table is sorted one block of
-ROW_BLOCK rows at a time (_knn_indices), so the only other scratch is
-O(ROW_BLOCK * n) plus the O(n * k) table and masks.
+over the Gram product (_pairwise_sq). The kNN table and the keep-mask are
+made a block of at most ROW_BLOCK rows at a time, and a selector block's
+(block, k, d) offsets stay near EDGE_BLOCK_BYTES, so the other scratch is
+O(ROW_BLOCK * n) plus a few EDGE_BLOCK_BYTES blocks plus the O(n * k) table
+and masks.
 """
 
 from dataclasses import dataclass
@@ -33,8 +41,8 @@ __all__ = [
 
 METHODS = ("standard", "stable")  # the selection rules build_graph offers
 
-EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered endpoint block in build_graph
-ROW_BLOCK = 64  # rows per step of the squared-distance fill and the kNN sort
+EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered block of edge ends or selector offsets
+ROW_BLOCK = 64  # most rows per step of the squared-distance fill, kNN table and selector
 
 # Relative tolerance for declaring a residual numerically zero (collinear
 # neighbors, probe point inside the subspace). Comfortably above double
@@ -165,17 +173,26 @@ def _pairwise_sq(points):
 
 def _knn_indices(d2, k):
     """(n, k) kNN table: each row's other points in ascending d2, ties
-    broken by index, cut at k.
+    broken by index, cut at k. It is the stable argsort's table, entry for
+    entry, and d2 is left as it was.
 
-    The diagonal is set to -1 so that self sorts first and is dropped, then
-    restored to 0. Each row is sorted on its own (a stable argsort of one
-    block of rows at a time), so no (n, n) index array is made.
+    The diagonal is set to -1 so that self comes first and is dropped, then
+    restored to 0. In each block of ROW_BLOCK rows, argpartition finds the
+    (k + 1)-th smallest value of each row, the cut. Every entry up to and
+    including the cut is kept, so every tie at the cut comes along, and the
+    kept entries are sorted by (value, index); the first k + 1 of them are
+    the stable argsort's first k + 1.
     """
     n = d2.shape[0]
     np.fill_diagonal(d2, -1.0)
     nn = np.empty((n, k), dtype=np.int64)
     for lo in range(0, n, ROW_BLOCK):
-        nn[lo : lo + ROW_BLOCK] = np.argsort(d2[lo : lo + ROW_BLOCK], axis=1, kind="stable")[:, 1 : k + 1]
+        blk = d2[lo : lo + ROW_BLOCK]
+        cut = np.take_along_axis(blk, np.argpartition(blk, k, axis=1)[:, k : k + 1], axis=1)
+        rows, cols = np.divmod(np.flatnonzero(blk <= cut), n)  # rows ascend
+        order = np.lexsort((cols, blk[rows, cols], rows))
+        first = np.searchsorted(rows, np.arange(len(blk)))
+        nn[lo : lo + ROW_BLOCK] = cols[order[first[:, None] + np.arange(1, k + 1)]]
     np.fill_diagonal(d2, 0.0)
     return nn
 
@@ -256,12 +273,117 @@ def _stable_select(points, p, nbrs, d2_row, cfg):
     return keep
 
 
+def _dots(a, b):
+    """Row-wise dot products of two (m, d) stacks. Each is one np.dot of
+    two vectors (matmul hands a 1 x d by d x 1 product to the same BLAS
+    dot), so each equals np.dot(a[i], b[i]) bit for bit."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _project_out_rows(d, basis):
+    """_project_out on a stack of vectors: row i of d against row i of
+    each (vector, squared norm) pair in ``basis``, with _project_out's
+    operations in its order, so each row is bitwise its result.
+
+    Returns (r, ok); ok is False in the rows where _project_out returns
+    None.
+    """
+    r = d.copy()
+    for b, bb in basis:
+        r -= (_dots(r, b) / bb)[:, None] * b
+    ok = ~(np.sqrt(_dots(r, r)) <= TOL_RANK * np.sqrt(_dots(d, d)))  # ~(<=), not >: NaN passes, as in _project_out
+    return r, ok
+
+
+def _stable_block(points, rows, nbrs, d2_rows, cfg):
+    """_stable_select on a block of rows at once: (done, keep), where row i
+    of keep is bitwise _stable_select's keep-mask for point rows[i] wherever
+    done[i] is True.
+
+    The basis walk takes only the dim_w columns the basis needs, the probe
+    is the argmax of a (block, n) copy of d2_rows with the point and its
+    candidates masked, and the window is one matrix-vector product per row,
+    of the shape _stable_select's takes (BLAS can round a row's product
+    differently in a matrix of another height). A row is not done, and is
+    left to _stable_select, when
+    - a candidate past the dim_w nearest duplicates the point, so that the
+      window's product would take another shape;
+    - its basis walk meets an offset that _project_out rejects (or runs
+      out of offsets);
+    - it has no probe, or its farthest probe lies in the subspace.
+    """
+    dim_w = cfg.dim_w
+    x = points[rows]
+    diffs = points[nbrs]
+    diffs -= x[:, None, :]
+    norms = np.linalg.norm(diffs, axis=2)
+    coincident = norms == 0.0
+    keep = coincident.copy()
+    keep[:, :dim_w] = True
+
+    live = np.flatnonzero(~coincident[:, dim_w:].any(axis=1))
+    # Column j of walk is the j-th candidate that is not a duplicate; a row
+    # is dropped from the batch at the first offset its walk would skip.
+    walk = np.argsort(coincident[live], axis=1, kind="stable")[:, :dim_w]
+    basis = []
+    for j in range(dim_w):
+        r, ok = _project_out_rows(diffs[live, walk[:, j]], basis)
+        live, walk, r = live[ok], walk[ok], r[ok]
+        basis = [(b[ok], bb[ok]) for b, bb in basis]
+        basis.append((r, _dots(r, r)))
+
+    far = d2_rows[live]
+    at = np.arange(len(live))
+    far[at, rows[live]] = -np.inf
+    far[at[:, None], nbrs[live]] = -np.inf
+    q = np.argmax(far, axis=1)
+    w, ok = _project_out_rows(points[q] - x[live], basis)
+    ok &= far[at, q] != -np.inf
+    live, w = live[ok], w[ok]
+
+    rest = diffs[live, dim_w:]
+    cosines = (rest @ w[:, :, None])[:, :, 0] / (norms[live, dim_w:] * np.sqrt(_dots(w, w))[:, None])
+    theta = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
+    keep[live, dim_w:] = np.abs(theta - 90.0) <= cfg.delta_theta_deg
+    done = np.zeros(len(rows), dtype=bool)
+    done[live] = True
+    return done, keep
+
+
+def _stable_keep(points, nn, d2, cfg):
+    """(n, k) keep-mask of the stable rule over the kNN table nn: row p is
+    _stable_select(points, p, nn[p], d2[p], cfg), bit for bit.
+
+    Rows go through _stable_block in blocks of at most ROW_BLOCK rows,
+    whose (block, k, d) offsets stay near EDGE_BLOCK_BYTES; the rows it
+    leaves go to _stable_select, in ascending order, so the first point
+    that fails is the one named, as in a walk over every point.
+    """
+    n, k = nn.shape
+    step = max(1, min(ROW_BLOCK, EDGE_BLOCK_BYTES // (8 * k * points.shape[1])))
+    keep = np.empty(nn.shape, dtype=bool)
+    for lo in range(0, n, step):
+        blk = slice(lo, lo + step)
+        rows = np.arange(n)[blk]
+        done, keep[blk] = _stable_block(points, rows, nn[blk], d2[blk], cfg)
+        for p in rows[~done]:
+            try:
+                keep[p] = _stable_select(points, p, nn[p], d2[p], cfg)
+            except (DegenerateBasisError, DegenerateComplementError) as exc:
+                raise type(exc)(f"point {p}: {exc}") from exc
+    return keep
+
+
 def build_graph(data, cfg, method="standard"):
     """Neighborhood graph under either selection rule, symmetrized by union.
 
     An edge (i, j) is present when either endpoint selected the other;
-    weights are exact Euclidean distances. Selector failures are re-raised
-    with the offending point index prepended.
+    weights are exact Euclidean distances. The kNN table and the stable
+    keep-mask are made in row blocks, but each row is exactly what a walk
+    over one point at a time gives (the stable argsort, _stable_select), so
+    the edges do not depend on the blocks. Selector failures are re-raised
+    with the offending point index prepended; the lowest failing point is
+    the one named.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -277,13 +399,7 @@ def build_graph(data, cfg, method="standard"):
     d2 = _pairwise_sq(points)
     nn = _knn_indices(d2, cfg.k)
 
-    keep = np.ones(nn.shape, dtype=bool)
-    if method == "stable":
-        for p in range(n):
-            try:
-                keep[p] = _stable_select(points, p, nn[p], d2[p], cfg)
-            except (DegenerateBasisError, DegenerateComplementError) as exc:
-                raise type(exc)(f"point {p}: {exc}") from exc
+    keep = _stable_keep(points, nn, d2, cfg) if method == "stable" else np.ones(nn.shape, dtype=bool)
 
     # Union of the kept (p, nn[p, c]) pairs: one key per unordered pair, and
     # ascending keys are the edges in lexicographic (i, j) order.

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ import topostable
 from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, gen_helix, gen_swiss_roll
 from topostable import graph
 from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
-from topostable.graph import EDGE_BLOCK_BYTES
+from topostable.graph import EDGE_BLOCK_BYTES, ROW_BLOCK
 
 from conftest import (
     cross_plane_edges,
@@ -58,6 +60,52 @@ class TestDataSet:
         s = d.subset(np.array([2, 0]))
         assert np.array_equal(s.points, [[4.0, 5.0], [0.0, 1.0]])
         assert np.array_equal(s.labels, [7, 5])
+
+
+# Each of these has rows that the selector blocks leave to the one-point
+# _stable_select (TestStableBlocks).
+COLLINEAR_SUBSTITUTION = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [0.5, 0.0, 0.0],
+        [0.8, 0.0, 0.0],
+        [0.0, 0.9, 0.0],
+        [0.0, 0.0, 7.0],  # probe
+    ]
+)
+DUPLICATE_POINT = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0],  # duplicate of the base point
+        [1.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0],
+        [4.0, 4.0, 4.0],  # probe
+    ]
+)
+ALL_COLLINEAR = np.array(
+    [
+        [0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0],
+        [2.0, 0.0, 0.0],
+        [3.0, 0.0, 0.0],
+        [0.0, 5.0, 5.0],
+    ]
+)
+
+
+def probe_fixture(probes):
+    return np.array(
+        [
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 1.0, 0.0, 0.0],
+            [0.5, 0.5, 0.9, 0.0],  # candidate: off the plane along e3
+            *probes,
+        ]
+    )
+
+
+PROBE_IN_PLANE = [[20.0, 20.0, 0.0, 0.0], [0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, 0.0]]
 
 
 def selector_example():
@@ -113,44 +161,17 @@ class TestSelectNeighborsStable:
         # second-nearest is collinear with the nearest; the basis walks on to
         # the third while the collinear point stays selected (it is one of
         # the two nearest) and the third passes the angle test at 90 degrees
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [0.5, 0.0, 0.0],
-                [0.8, 0.0, 0.0],
-                [0.0, 0.9, 0.0],
-                [0.0, 0.0, 7.0],  # probe
-            ]
-        )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2, 3]
+        assert stable_neighbors(DataSet(COLLINEAR_SUBSTITUTION), 0, cfg) == [1, 2, 3]
 
     def test_duplicate_point_kept_unconditionally(self):
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0],  # duplicate of the base point
-                [1.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0],
-                [4.0, 4.0, 4.0],  # probe
-            ]
-        )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert stable_neighbors(DataSet(pts), 0, cfg) == [1, 2, 3]
+        assert stable_neighbors(DataSet(DUPLICATE_POINT), 0, cfg) == [1, 2, 3]
 
     def test_all_collinear_raises_degenerate_basis(self):
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0],
-                [2.0, 0.0, 0.0],
-                [3.0, 0.0, 0.0],
-                [0.0, 5.0, 5.0],
-            ]
-        )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
         with pytest.raises(DegenerateBasisError):
-            stable_neighbors(DataSet(pts), 0, cfg)
+            stable_neighbors(DataSet(ALL_COLLINEAR), 0, cfg)
 
     def test_no_probe_outside_plane_raises_degenerate_complement(self):
         rng = np.random.default_rng(5)
@@ -168,21 +189,12 @@ class TestSelectNeighborsStable:
             ([[0.0, 0.0, 10.0, 0.0], [0.0, 0.0, 0.0, 10.0]], [1, 2]),
             # the farthest probe lies in the plane: the walk moves on to
             # the next farthest
-            ([[20.0, 20.0, 0.0, 0.0], [0.0, 0.0, 0.0, 10.0], [0.0, 0.0, 10.0, 0.0]], [1, 2, 3]),
+            (PROBE_IN_PLANE, [1, 2, 3]),
         ],
     )
     def test_probe_is_farthest_outside_the_plane(self, probes, kept):
-        pts = np.array(
-            [
-                [0.0, 0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, 1.0, 0.0, 0.0],
-                [0.5, 0.5, 0.9, 0.0],  # candidate: off the plane along e3
-                *probes,
-            ]
-        )
         cfg = SelectorConfig(k=3, dim_w=2, delta_theta_deg=5.0)
-        assert stable_neighbors(DataSet(pts), 0, cfg) == kept
+        assert stable_neighbors(DataSet(probe_fixture(probes)), 0, cfg) == kept
 
     def test_config_validation(self):
         data = selector_example()
@@ -192,6 +204,14 @@ class TestSelectNeighborsStable:
             build_graph(data, SelectorConfig(k=4, dim_w=3), "stable")
         with pytest.raises(ValueError):
             build_graph(data, SelectorConfig(k=4, delta_theta_deg=95.0), "stable")
+
+
+def full_stable_argsort(d2, k):
+    """The kNN table as one stable argsort of all of d2, self sorted first
+    by a -1 diagonal and dropped."""
+    full = d2.copy()
+    np.fill_diagonal(full, -1.0)
+    return np.argsort(full, axis=1, kind="stable")[:, 1 : k + 1]
 
 
 def points_with_duplicates(n, seed):
@@ -204,9 +224,9 @@ def points_with_duplicates(n, seed):
 
 
 class TestDenseSteps:
-    """The blocked squared distances and kNN sort against the one-pass
-    formulas they replaced, bit for bit (the kNN order depends on the
-    rounding, so equal within a tolerance would not do)."""
+    """The blocked squared distances and the partitioned kNN table against
+    the one-pass formulas they replaced, bit for bit (the kNN order depends
+    on the rounding, so equal within a tolerance would not do)."""
 
     @pytest.mark.parametrize("n", [1, 63, 65, 130])
     def test_pairwise_sq_equals_one_pass_formula(self, n):
@@ -218,28 +238,212 @@ class TestDenseSteps:
         np.fill_diagonal(expected, 0.0)
         assert np.array_equal(graph._pairwise_sq(pts), expected)
 
-    @pytest.mark.parametrize("n, k", [(2, 1), (63, 5), (65, 1), (130, 12)])
+    # (70, 69) and (2, 1): k = n - 1, the partition's cut is each row's
+    # largest value; 65 and 2 * ROW_BLOCK + 5 rows: a last block shorter
+    # than ROW_BLOCK
+    @pytest.mark.parametrize("n, k", [(2, 1), (63, 5), (65, 1), (130, 12), (70, 69), (2 * ROW_BLOCK + 5, 9)])
     def test_knn_indices_equals_full_stable_argsort(self, n, k):
         d2 = graph._pairwise_sq(points_with_duplicates(n, n))
         before = d2.copy()
-        full = d2.copy()
-        np.fill_diagonal(full, -1.0)
-        expected = np.argsort(full, axis=1, kind="stable")[:, 1 : k + 1]
-        assert np.array_equal(graph._knn_indices(d2, k), expected)
+        assert np.array_equal(graph._knn_indices(d2, k), full_stable_argsort(d2, k))
         assert np.array_equal(d2, before)
+
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_knn_indices_on_integer_grid_ties(self, k):
+        # 40 points on the 27 nodes of {0, 1, 2}^3: exact duplicates and
+        # equal distances everywhere, so many ties straddle the cut
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            d2 = graph._pairwise_sq(rng.integers(0, 3, size=(40, 3)).astype(np.float64))
+            before = d2.copy()
+            assert np.array_equal(graph._knn_indices(d2, k), full_stable_argsort(d2, k))
+            assert np.array_equal(d2, before)
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(2, 2 * ROW_BLOCK + 10), levels=st.integers(2, 5), data=st.data())
+    def test_knn_indices_property(self, seed, n, levels, data):
+        k = data.draw(st.integers(1, n - 1), label="k")
+        pts = np.random.default_rng(seed).integers(0, levels, size=(n, 3)).astype(np.float64)
+        d2 = graph._pairwise_sq(pts)
+        before = d2.copy()
+        assert np.array_equal(graph._knn_indices(d2, k), full_stable_argsort(d2, k))
+        assert np.array_equal(d2, before)
+
+
+def knn_table(points, k):
+    d2 = graph._pairwise_sq(points)
+    return d2, graph._knn_indices(d2, k)
+
+
+def serial_keep(points, nn, d2, cfg):
+    """The keep-mask from _stable_select, one point at a time."""
+    return np.array([graph._stable_select(points, p, nn[p], d2[p], cfg) for p in range(len(points))])
+
+
+def serial_rows(points, nn, d2, cfg):
+    """The rows the selector blocks must leave to _stable_select, found with
+    _project_out itself: a duplicate of the point past the dim_w nearest
+    candidates, an offset the basis walk skips (or too few offsets), or a
+    farthest probe that is missing or lies in the subspace."""
+    rows = []
+    for p, nbrs in enumerate(nn):
+        diffs = points[nbrs] - points[p]
+        coincident = np.linalg.norm(diffs, axis=1) == 0.0
+        basis = []
+        for idx in np.flatnonzero(~coincident)[: cfg.dim_w]:
+            r = graph._project_out(diffs[idx], basis)
+            if r is None:
+                break
+            basis.append(r)
+        far = d2[p].copy()
+        far[p] = -np.inf
+        far[nbrs] = -np.inf
+        q = int(np.argmax(far))
+        if (
+            coincident[cfg.dim_w :].any()
+            or len(basis) < cfg.dim_w
+            or far[q] == -np.inf
+            or graph._project_out(points[q] - points[p], basis) is None
+        ):
+            rows.append(p)
+    return rows
+
+
+def blob_images(n, seed):
+    """n 28 x 28 images of one Gaussian blob each (sigma 3 pixels), rounded
+    as 8-bit pixels are: points in 784-D on a 2-D manifold."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(5.5, 21.5, size=(n, 2))
+    axis = np.arange(28.0)
+    gx = np.exp(-((axis - centres[:, :1]) ** 2) / 18.0)
+    gy = np.exp(-((axis - centres[:, 1:]) ** 2) / 18.0)
+    return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
+
+
+@contextlib.contextmanager
+def stable_select_calls():
+    """A list of the points _stable_select is called for inside the block,
+    in call order."""
+    calls = []
+    select = graph._stable_select
+
+    def spy(points, p, *args):
+        calls.append(int(p))
+        return select(points, p, *args)
+
+    graph._stable_select = spy
+    try:
+        yield calls
+    finally:
+        graph._stable_select = select
+
+
+class TestStableBlocks:
+    """The stable selector's row blocks against the one-point
+    _stable_select, row by row and bit for bit, and the rows they leave to
+    it."""
+
+    @pytest.fixture(scope="class")
+    def swiss(self):
+        return gen_swiss_roll(800, 1).data.points
+
+    @pytest.mark.parametrize("k", [10, 15, 20, 30])
+    def test_swiss_roll_all_rows_in_blocks(self, swiss, k):
+        cfg = SelectorConfig(k=k)
+        d2, nn = knn_table(swiss, k)
+        before = d2.copy()
+        with stable_select_calls() as calls:
+            keep = graph._stable_keep(swiss, nn, d2, cfg)
+        assert calls == []
+        assert np.array_equal(d2, before)
+        assert np.array_equal(keep, serial_keep(swiss, nn, d2, cfg))
+
+    @pytest.mark.parametrize(
+        "points", [gen_helix(500, 1).data.points, blob_images(500, 1)], ids=["helix", "784-D blobs"]
+    )
+    @pytest.mark.parametrize("k", [10, 20])
+    def test_blocks_equal_serial(self, points, k):
+        cfg = SelectorConfig(k=k)
+        d2, nn = knn_table(points, k)
+        with stable_select_calls() as calls:
+            keep = graph._stable_keep(points, nn, d2, cfg)
+        assert calls == serial_rows(points, nn, d2, cfg)
+        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
+
+    @pytest.mark.parametrize(
+        "points",
+        [COLLINEAR_SUBSTITUTION, DUPLICATE_POINT, probe_fixture(PROBE_IN_PLANE)],
+        ids=["collinear substitution", "duplicate point", "probe in the plane"],
+    )
+    def test_degenerate_rows_go_to_stable_select(self, points):
+        cfg = SelectorConfig(k=3)
+        d2, nn = knn_table(points, 3)
+        expected = serial_rows(points, nn, d2, cfg)
+        assert expected
+        with stable_select_calls() as calls:
+            keep = graph._stable_keep(points, nn, d2, cfg)
+        assert calls == expected
+        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
+
+    def test_all_collinear_goes_to_stable_select_and_names_the_point(self):
+        cfg = SelectorConfig(k=3)
+        d2, nn = knn_table(ALL_COLLINEAR, 3)
+        assert serial_rows(ALL_COLLINEAR, nn, d2, cfg)[0] == 0
+        with stable_select_calls() as calls, pytest.raises(DegenerateBasisError, match="point 0:"):
+            build_graph(DataSet(ALL_COLLINEAR), cfg, "stable")
+        assert calls == [0]
+
+    def test_no_probe_leaves_every_row(self):
+        # k = n - 1: every other point is a candidate, so no row has a probe
+        points = gaussian_points(3, 6, 4)
+        cfg = SelectorConfig(k=5)
+        d2, nn = knn_table(points, 5)
+        done, _ = graph._stable_block(points, np.arange(6), nn, d2, cfg)
+        assert not done.any()
+        with stable_select_calls() as calls, pytest.raises(DegenerateComplementError, match="point 0:"):
+            graph._stable_keep(points, nn, d2, cfg)
+        assert calls == [0]
+
+    @PROPERTY
+    @given(seed=seeds, n=st.integers(20, 150), dim=st.integers(4, 6), dim_w=st.integers(1, 3), dups=st.integers(0, 6))
+    def test_blocks_equal_serial_property(self, seed, n, dim, dim_w, dups):
+        # copies of the first three points put coincident candidates before
+        # and past the dim_w nearest; k grows by 2 per copy as in the union
+        # oracle
+        pts = gaussian_points(seed, n, dim)
+        points = np.vstack([pts, pts[np.arange(dups) % 3]])
+        cfg = SelectorConfig(k=dim_w + 3 + 2 * dups, dim_w=dim_w)
+        d2, nn = knn_table(points, cfg.k)
+        with stable_select_calls() as calls:
+            keep = graph._stable_keep(points, nn, d2, cfg)
+        assert calls == serial_rows(points, nn, d2, cfg)
+        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
 
 
 class TestBuildGraph:
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_memory_about_one_n2_buffer(self, method):
         # the squared distances are the one n x n buffer; the Gram product
-        # is overwritten in place and the kNN table is sorted by row blocks
+        # is overwritten in place, and the kNN table and the stable
+        # keep-mask are made by blocks of at most ROW_BLOCK rows
         n = 400
         data = gen_swiss_roll(n, 1).data
         cfg = SelectorConfig(k=10)
         build_graph(data, cfg, method)  # warm-up: first-call allocations
         _, peak = peak_bytes(lambda: build_graph(data, cfg, method))
         assert peak <= 1.5 * n * n * 8
+
+    def test_memory_784d_bounded_by_blocks(self):
+        # 784-D: the selector's (block, k, d) offsets and the weights'
+        # gathered edge ends are cut to about EDGE_BLOCK_BYTES each, so the
+        # build holds the n x n buffer and a few such blocks however large
+        # d is (64-row selector blocks would hold 4 MB of offsets alone)
+        n = 300
+        data = DataSet(np.random.default_rng(7).standard_normal((n, 784)))
+        cfg = SelectorConfig(k=10)
+        build_graph(data, cfg, "stable")  # warm-up: first-call allocations
+        _, peak = peak_bytes(lambda: build_graph(data, cfg, "stable"))
+        assert peak <= n * n * 8 + 3 * EDGE_BLOCK_BYTES
 
     def test_collinear_standard_path_graph(self):
         g = build_graph(line_points_2d(), SelectorConfig(k=1), "standard")
