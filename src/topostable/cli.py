@@ -160,12 +160,12 @@ def _cmd_embed(args):
 def _cmd_compare(args):
     data = _load_input(args)
     methods = METHODS if args.method == "both" else (args.method,)
-    report = compare_methods(data, args.k, _run_config(args, methods[0], args.k[0]), methods=methods)
-    write_report_csv(report, sys.stdout if args.out == "-" else args.out)
-    failures = [r for r in report.rows if r.error is not None]
+    rows = compare_methods(data, args.k, _run_config(args, methods[0], args.k[0]), methods=methods)
+    write_report_csv(rows, sys.stdout if args.out == "-" else args.out)
+    failures = [r for r in rows if r.error is not None]
     for r in failures:
         print(f"cell k={r.k} method={r.method} failed: {r.error}", file=sys.stderr)
-    print(f"compared {len(report.rows)} cells ({len(failures)} failed)", file=sys.stderr)
+    print(f"compared {len(rows)} cells ({len(failures)} failed)", file=sys.stderr)
     return 0
 
 

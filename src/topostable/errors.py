@@ -26,7 +26,8 @@ class KTooLargeError(TopoStableError):
 
 
 class NonFiniteError(TopoStableError):
-    """Infinities or NaNs where finite values are required (a matrix, a CSV cell)."""
+    """Infinities or NaNs where finite values are required (a matrix, a CSV
+    cell, squared distances)."""
 
 
 class BadDimError(TopoStableError):

@@ -2,36 +2,14 @@
 
 All-pairs shortest paths approximate manifold geodesics; the embedding
 comes from the top eigenpairs of the doubly-centered negative half
-squared-distance matrix. The all-pairs step is one numpy Floyd-Warshall
-(floyd_all_pairs) whose result equals the plain recurrence entry for entry.
-It takes the steps in panels of 64 pivots: the caller first runs a panel on
-the pivots' own rows, saving each pivot row, and then every other row runs
-the panel against the saved rows. Its input must be exactly symmetric, as
-NeighborGraph.to_dense_weights makes it, and the recurrence keeps it so:
-d[i, k] + d[k, j] and d[j, k] + d[k, i] are the same float64 number. So a
-row reads its d[i, k] from the saved pivot row k, and each 64-row chunk
-updates only the columns from its own first row on (half the matrix) and
-takes a whole panel's steps while it stays in cache; a mirror at the end
-fills in the other half.
-From n = 512 on the rows are shared by two processes when the process may
-use two CPUs or more (its affinity mask, which taskset restricts, capped at
-its cgroup CPU quota; more were never measured): the caller and a worker
-forked for the call, each with its own interpreter lock. The matrix lives
-in an anonymous shared mapping, and the pivot block and the workers'
-scratch in a second one for the call; each process updates its own row
-chunks with its own scratch, and the caller waits for the workers once per
-panel over a pipe, so the result is bitwise the same on any number of
-processes. No worker outlives the call,
-also when a step raises in it or in the caller. Where the platform cannot
-fork, Floyd runs in the caller alone.
+squared-distance matrix. The all-pairs step is one blocked numpy
+Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
+2003), whose result is bitwise that of the plain recurrence, run in the
+caller or shared with forked worker processes (see _floyd_in_place).
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
-beyond the geodesic matrix and none modifies it: centering squares the
-distances into one new buffer and centers it in place, the eigensolver
-computes only the top m pairs (linalg.symmetric_eigen_top), and residual
-variance gathers the upper triangles row by row into two half-size vectors
-and centers them in place (one n x n buffer in all). With the geodesic
-matrix itself, a run peaks at two n x n float64 buffers.
+beyond the geodesic matrix and none modifies it, so with the geodesic
+matrix itself a run peaks at two n x n float64 buffers.
 """
 
 import contextlib
@@ -110,27 +88,11 @@ def _component_ids(d):
 # Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
 # block stays in cache.
 _CHUNK = 64
-# Floyd runs in the calling process alone below this n, where a forked
-# worker saved nothing. On a 2-vCPU AVX-512 Xeon (Swiss roll, k=10, stable,
-# in-process, alternating runs, medians), two processes against one took
-# 0.018 against 0.013 s at n=256 (11 runs), 0.032 against 0.034 s at n=384
-# (11), 0.036-0.041 against 0.042-0.045 s at n=448 (11 and 15),
-# 0.048-0.052 against 0.059-0.065 s at n=512 (11, 15 and 15; two won 37 of
-# 41), 0.068-0.072 against 0.096-0.102 s at n=576, 0.13 against 0.21 s at
-# n=800 and 0.23 against 0.35 s at n=1024. The 15-run rounds held 60 MB
-# more in the caller, as the CLI does, since a fork copies its page tables.
-# At n <= 512 both took all their rows through each step at once, a cache
-# rule Floyd no longer has; those times were not taken again.
-# Two threads, which this replaced, gained nothing below n=1280: a numpy
-# call here takes 10-40 us, and two threads that each looped np.add and
-# np.minimum on their own (64, w) block, handing the GIL back and forth,
-# ran 1.25-1.44 times as fast as one at w=400 (11 us a call) and 1.54-1.84
-# times at w=800 (16 us), with the Python between calls on top.
+# Floyd runs in the calling process alone below this n, where forking a
+# worker costs more than it saves.
 _FORK_FROM_N = 512
 # Most processes Floyd runs on, however many CPUs the process may use: the
-# gain was measured at 2 only (see _FORK_FROM_N), and with more processes
-# each one's share shrinks toward one 64-row chunk, while each adds a pipe
-# round trip per panel and a fork of the whole caller.
+# only count whose gain has been measured.
 _MAX_WORKERS = 2
 # A container's CPU quota: cgroup v2's "quota period" line ("max" when there
 # is none), else cgroup v1's quota (-1 when there is none) and period, in
@@ -165,10 +127,8 @@ def _quota_cpus():
 def _cpu_count():
     """CPUs this process may run on: its affinity mask where the platform
     has one (Linux), else every CPU (macOS and Windows have no mask),
-    capped at its cgroup CPU quota when it has one. Two processes confined
-    to one CPU (taskset -c 0) took as long as one, plus the fork: 0.18
-    against 0.17 s at n=800 and 1.06 against 1.09 s at n=1600 (7
-    alternating runs, medians)."""
+    capped at its cgroup CPU quota when it has one. A second process on the
+    same CPU only adds the fork."""
     if hasattr(os, "sched_getaffinity"):
         count = len(os.sched_getaffinity(0))
     else:
@@ -180,11 +140,11 @@ def _cpu_count():
 def _worker_count(n):
     """Processes Floyd runs on for an n x n matrix: the caller alone below
     _FORK_FROM_N and where the platform cannot fork, else one per CPU the
-    process may use (see _cpu_count), capped at _MAX_WORKERS and at the
-    number of row chunks."""
+    process may use, at most _MAX_WORKERS; from _FORK_FROM_N on, that is
+    fewer than the row chunks."""
     if n < _FORK_FROM_N or not hasattr(os, "fork"):
         return 1
-    return min(_MAX_WORKERS, _cpu_count(), -(-n // _CHUNK))
+    return min(_MAX_WORKERS, _cpu_count())
 
 
 def _shared(size):
@@ -195,20 +155,17 @@ def _shared(size):
 
 
 def _serve(run, t, go, done, held):
-    """Worker t's side of Floyd, in the child forked for it, which it never
-    leaves: after closing the pipe ends in held other than its own, it runs
-    run(t, p) for panel p = 0, 1, ... each time a byte arrives on go and
-    answers each with one b"." on done. On EOF, the caller has finished or
-    failed, and the worker exits; if a step raises, it writes the exception
-    text on done instead and exits. It leaves through os._exit in any case,
-    so it never returns into the caller's stack and runs none of its atexit
-    handlers or stdio flushes."""
+    """Worker t's side of Floyd, in the child forked for it, with the
+    caller's ufunc buffer size: it closes the pipe ends in held but its own,
+    then runs run(t, p) for panel p = 0, 1, ... on each byte from go and
+    answers b"." on done, or the exception text if a step raises; on EOF it
+    exits. It leaves through os._exit, so it never returns into the
+    caller's stack or runs the caller's atexit handlers and stdio flushes."""
     code = 1
     try:
         for fd in held:
             if fd not in (go, done):
                 os.close(fd)
-        np.setbufsize(16)
         p = 0
         while os.read(go, 1):
             run(t, p)
@@ -223,13 +180,11 @@ def _serve(run, t, go, done, held):
 
 def _fork():
     """os.fork, without the DeprecationWarning that Python 3.12 and later
-    give in a process with other threads (numpy's BLAS pool always counts),
-    because a lock one of them held at the fork stays held in the child. A
-    Floyd worker takes none of those locks: it runs only numpy ufuncs,
-    copies and index arithmetic, never BLAS; glibc resets malloc's locks in
-    the child and CPython its own; and it leaves through os._exit. The
-    warning is new in 3.12 and the suite has run on 3.11 only, so the
-    filter is tested against the warning's text, not the warning itself."""
+    give in a process with other threads (numpy's BLAS pool counts), since
+    a lock one of them held stays held in the child: a Floyd worker takes
+    none of those locks. It runs ufuncs, copies and index arithmetic, never
+    BLAS; glibc and CPython reset their own locks in the child; and it
+    leaves through os._exit. The filter matches the warning's text only."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
         return os.fork()
@@ -237,14 +192,13 @@ def _fork():
 
 @contextlib.contextmanager
 def _panels(w, run):
-    """Floyd's panels on w processes. Calls run(0, p) in the caller and
-    run(t, p) for t = 1..w-1 in forked workers (see _serve), once for each
-    panel p in turn, and returns only when every one of them has finished
-    panel p; one pipe byte to each worker and one back per panel. A
-    worker's failure is raised here as a RuntimeError with its exception
-    text. The caller closes its pipe ends and reaps every worker before it
-    returns or raises, and a worker whose caller was killed exits on the
-    EOF that follows."""
+    """Floyd's panels on w processes. Yields panel(p), which calls run(0, p)
+    in the caller and run(t, p) for t = 1..w-1 in forked workers (see
+    _serve), and returns once all of them have finished panel p: one pipe
+    byte to each worker and one back. A worker's failure is raised as a
+    RuntimeError with its exception text. The caller closes its pipe ends
+    and reaps every worker before it leaves, and a worker whose caller was
+    killed exits on the EOF that follows."""
     held, pids, workers = [], [], []  # the caller's pipe ends; the workers
     try:
         for t in range(1, w):
@@ -282,90 +236,46 @@ def _panels(w, run):
 
 
 def _floyd_in_place(d, w=1):
-    """Floyd-Warshall on a dense (n, n) weight matrix with a zero diagonal,
-    which must be exactly symmetric (NeighborGraph.to_dense_weights writes
-    each edge's weight to both entries).
+    """Floyd-Warshall on a dense (n, n) weight matrix d with a zero
+    diagonal, in place, on w processes; returns d.
 
-    Step k is the textbook relaxation d[i, j] = min(d[i, j], d[i, k] +
-    d[k, j]), in the same order of k, and the result equals that of the
-    plain full-matrix recurrence entry for entry. Row k does not change
-    during step k (d[k, k] is 0), and a row's update reads only that row and
-    row k, so each row can run its steps apart from the others as long as
-    it sees row k as it stood after step k - 1. The steps go in panels of
-    _CHUNK pivots k0 <= k < k1, and rows in chunks of _CHUNK: panel p's
-    pivot rows are chunk p. The caller first takes chunk p through the
-    panel's steps, copying row k into a (_CHUNK, n) pivot block just before
-    step k reads it; then every other chunk takes the same steps against
-    those saved rows.
+    d must be exactly symmetric (NeighborGraph.to_dense_weights writes each
+    edge to both entries) and free of NaN. Step k is d[i, j] = min(d[i, j],
+    d[i, k] + d[k, j]) in the plain order of k, and the result is bitwise
+    that of the plain full-matrix recurrence at every w and _CHUNK: each
+    entry gets the same operations on the same operands.
 
-    The recurrence keeps d exactly symmetric: if it is after step k - 1,
-    d[j, k] + d[k, i] is bitwise the same number as d[i, k] + d[k, j],
-    because floating-point addition commutes, and so entry (j, i) of step k
-    is entry (i, j). So a row reads its d[i, k] from entry i of the saved
-    pivot row k, not from its own column k, and a chunk's rows need only
-    the columns from the chunk's first row on, the block-upper triangle:
-    about half the matrix.
+    Row k does not change in step k, and a row's update reads only itself
+    and row k. So the steps go in panels of _CHUNK pivots, panel p's pivots
+    being row chunk p: the caller takes chunk p through the panel in place
+    over whole rows, saving each pivot row just before its step, and then
+    every other chunk takes the panel's steps against the saved rows.
 
-    Each worker takes one chunk c at a time through all the panel's steps,
-    which the rows allow because within a panel they read only their own
-    entries and the saved pivot rows. A chunk other than the panel's
-    updates only d[i, j] for j >= _CHUNK * c: the triangle is copied into
-    the worker's scratch, where it is contiguous and stays in L2 across the
-    _CHUNK steps, and copied back after the panel. The chunk's other
-    entries go stale. So before panel p the caller copies the panel's rows
-    left of the diagonal block from the columns above it, which are
-    current, and takes those rows through the panel in place, over whole
-    rows, so the saved pivot rows are whole; after the last panel it
-    mirrors the triangle once; numpy proves that the two blocks of each
-    copy do not overlap, so it makes no temporary. A row with d[i, k] = inf
-    cannot change (NeighborGraph rejects NaN weights), so while fewer than
-    half of a chunk's rows reach k, only those rows are gathered and
-    updated; every row gets the same operations on the same operands
-    either way. The pivot rows change during their own panel, so the
-    panel's chunk tests its reach at each step; any other chunk counts its
-    rows that reach each of the panel's pivots before the first step.
+    The recurrence keeps d symmetric: d[i, k] + d[k, j] and d[j, k] +
+    d[k, i] are the same float64 number. So a row reads d[i, k] from the
+    saved pivot row, and a chunk other than the panel's updates only the
+    block-upper triangle (columns from its own first row on) in a scratch
+    copy that stays in cache. The caller mirrors the stale rest of the
+    panel's rows before each panel, and of every chunk after the last.
 
-    The panels' other chunks are shared by w processes (floyd_all_pairs
-    takes w from _worker_count). The caller is worker 0, and workers 1..w-1
-    are children forked for the call (see _panels), each with its own
-    interpreter lock: the numpy calls here take 10-40 us each at n=1600, too
-    short for threads, which must take the lock back between calls, to
-    overlap. Worker t owns the chunks t, t + w, t + 2w, ... other than the
-    panel's, and reads and writes only those rows, its scratch and the pivot
-    block, so the result is bitwise the same for every w. With w > 1, d must
-    be in a shared mapping (see _shared), so that every worker writes the
-    one matrix, and the scratch and the pivot block get a mapping of their
-    own, freed when the call returns: kept in d's mapping, they stayed as
-    long as d, and the caller of an n=1600 embed run peaked at 86.0 MB
-    against 83.7 MB. The caller waits for the workers once per panel, one
-    pipe byte each way, so there are ceil(n / _CHUNK) waits, not n: a wait
-    that sleeps leaves its vCPU idle, and on a 2-vCPU Xeon whose host stole
-    20-26% of its CPU time, waiting at every step made two threads take
-    1.5-10.7 s at n=1600 where one took 1.9-3.0 s.
+    A row with d[i, k] = inf cannot change in step k, so while fewer than
+    half of a chunk's rows reach k, only those are gathered and updated.
+    The panel's own chunk, whose pivot rows change, tests its reach at each
+    step; any other chunk counts it for every pivot before the first step.
 
-    Each worker's two scratch blocks share one slice of one buffer, the
-    pivot block follows them, and every slice starts on a 64-byte boundary.
-    malloc promises only 16 bytes, and with 64-byte (AVX-512) vectors a
-    misaligned step block splits every store across two cache lines: at
-    n=1600 on a 2-vCPU AVX-512 Xeon the kernel took 4.2-5.5 s that way
-    against 3.3-3.9 s aligned, whatever the alignment of d. The caller lays
-    out all the slices before any worker starts.
+    Worker 0 is the caller and workers 1..w-1 are forked for the call (see
+    _panels). Worker t owns the chunks t, t + w, t + 2w, ... other than the
+    panel's, and writes only those rows and its own scratch. With w > 1, d
+    must be in a shared mapping (see _shared), and the scratch and pivot
+    block get a mapping of their own, freed on return.
 
-    Every worker runs its steps with numpy's ufunc buffer at its smallest
-    size, 16 elements: the caller sets it around the whole call and gives
-    its own size back, also when a step raises, and a forked worker sets it
-    once. The step add broadcasts the pivot entries d[i, k] as a stride-0
-    column, and numpy's iterator copies such an operand through its buffer
-    whenever three rows fit in it: at the default 8192 elements, for every
-    n <= 2730. Buffered, a (64, n) step add cost 1.1-1.2 ns per element
-    against 0.27-0.48 ns unbuffered (n in {400, 800, 1600}, same Xeon), and
-    at n=1600 (Swiss roll, k=10, stable) this kernel took 1.8-2.0 s in one
-    process against 1.0-1.1 s. No operation here casts, so none needs the
-    buffer, and the result is bitwise the same. The size is saved and
-    restored by hand because np.errstate scopes it only from numpy 2.0 on.
-    The gather's take clips its indices, which all come from the block's
-    own rows: with the default mode="raise" numpy copies the (64, n) result
-    through a temporary on every call.
+    Each worker's scratch and the pivot block start on a 64-byte boundary:
+    a misaligned step block splits every AVX-512 store across two cache
+    lines. The ufunc buffer is at its smallest, 16 elements, because numpy
+    copies the step add's stride-0 column d[i, k] through it whenever three
+    rows fit, and nothing here casts; the caller restores its size by hand
+    (np.errstate scopes it only from numpy 2.0 on). take uses mode="clip",
+    which clips nothing here, as mode="raise" copies through a temporary.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
@@ -381,31 +291,29 @@ def _floyd_in_place(d, w=1):
     pivots = room[start + w * per:start + size].reshape(chunk, n)
 
     def mirror(c):
-        """Chunk c's entries left of its diagonal block, from the columns
-        above it."""
+        """Chunk c's entries left of its diagonal block, from above it."""
         a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
         d[a:b, :a] = d[:a, a:b].T
 
     def relax(t, p, c):
-        """Panel p's steps on the rows of chunk c, by worker t. The panel's
-        own chunk (c == p) runs in place over whole rows, saving each pivot
-        row just before its step; any other chunk runs over the columns
-        from its first row on, in worker t's scratch."""
+        """Panel p's steps on the rows of chunk c, by worker t: in place for
+        the panel's own chunk (c == p), else on the chunk's triangle in
+        worker t's scratch."""
         k0 = p * _CHUNK
         k1 = min(k0 + _CHUNK, n)
         a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
         panel = c == p
         lo = 0 if panel else a
         width = n - lo
-        rows, step = scratch[t, :chunk * n], scratch[t, chunk * n:2 * chunk * n]
+        triangle, step = scratch[t, :chunk * n], scratch[t, chunk * n:2 * chunk * n]
+        # a gather takes fewer than _CHUNK // 2 rows: its rows and sums
+        # share the step block
+        rows = step[chunk // 2 * n:]
         own = np.arange(a - lo, b - lo)  # the chunk's rows, numbered as in blk
         blk, col = d, np.empty(chunk)
         if not panel:
-            blk = rows[:own.size * width].reshape(own.size, width)
+            blk = triangle[:own.size * width].reshape(own.size, width)
             np.copyto(blk, d[lo:b, lo:])
-            # a gather takes fewer than _CHUNK // 2 rows: its rows and sums
-            # share the step block
-            rows = step[chunk // 2 * n:]
             reaches = pivots[:k1 - k0, lo:b] < np.inf
             counts = np.count_nonzero(reaches, axis=1).tolist()
         part, sums = blk[a - lo:b - lo], step[:own.size * width].reshape(own.size, width)
@@ -460,7 +368,6 @@ def floyd_all_pairs(g):
     out = None if w == 1 else _shared(n * n).reshape(n, n)
     d = _floyd_in_place(g.to_dense_weights(out=out), w)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
-
 
 def largest_component(gm, data):
     """Restrict a geodesic matrix and dataset to the largest component.

@@ -26,11 +26,12 @@ O(ROW_BLOCK * n) plus a few EDGE_BLOCK_BYTES blocks plus the O(n * k) table
 and masks.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
+from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError, NonFiniteError
 
 __all__ = [
     "DataSet",
@@ -383,7 +384,8 @@ def build_graph(data, cfg, method="standard"):
     over one point at a time gives (the stable argsort, _stable_select), so
     the edges do not depend on the blocks. Selector failures are re-raised
     with the offending point index prepended; the lowest failing point is
-    the one named.
+    the one named. Input whose squared distances would overflow float64
+    raises NonFiniteError naming the point of largest magnitude.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -392,6 +394,12 @@ def build_graph(data, cfg, method="standard"):
     n = data.n
     if cfg.k >= n:
         raise KTooLargeError(f"k={cfg.k} but only {n} points are available")
+    # every squared distance, Gram entry and selector dot product is at most
+    # 4 D max|x|^2; Python floats overflow to inf without a numpy warning
+    top = max(-float(points.min()), float(points.max()))
+    if not math.isfinite(4.0 * data.dim * top * top):
+        p = int(np.abs(points).argmax()) // data.dim
+        raise NonFiniteError(f"point {p}: a coordinate of magnitude {top:.3g} overflows the squared distances in float64")
 
     # kNN table: rows sorted by the computed squared distances. The Gram
     # product can round the distances to two identical rows differently;

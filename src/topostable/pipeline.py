@@ -1,7 +1,7 @@
 """End-to-end embedding runs, method comparisons, and file outputs."""
 
 import contextlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .graph import METHODS, SelectorConfig, build_graph
 __all__ = [
     "RunConfig",
     "ReportRow",
-    "ComparisonReport",
     "isomap_embed",
     "compare_methods",
     "write_embedding_csv",
@@ -83,13 +82,9 @@ class ReportRow:
     error: str | None = None
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    rows: tuple = field(default_factory=tuple)
-
-
 def compare_methods(data, k_values, base_cfg, methods=METHODS):
-    """Run the pipeline for every (k, method) cell and collect one row each.
+    """Run the pipeline for every (k, method) cell: a tuple of ReportRows,
+    one per cell, k by k and the methods in order within each k.
 
     Every cell's RunConfig is built before the first cell runs, so a k or
     method that RunConfig refuses raises ValueError before any work. A
@@ -99,7 +94,7 @@ def compare_methods(data, k_values, base_cfg, methods=METHODS):
     the sweep.
     """
     cells = [replace(base_cfg, method=method, k=int(k)) for k in k_values for method in methods]
-    return ComparisonReport(rows=tuple(_run_cell(data, cfg) for cfg in cells))
+    return tuple(_run_cell(data, cfg) for cfg in cells)
 
 
 def _run_cell(data, cfg):
@@ -162,11 +157,11 @@ def write_embedding_csv(emb, kept_indices, labels, out):
             fh.write(f"{int(orig)},{lab},{coords}\n")
 
 
-def write_report_csv(report, out):
-    """Comparison report as CSV; failed cells carry residual_variance=nan."""
+def write_report_csv(rows, out):
+    """compare_methods' rows as CSV; failed cells carry residual_variance=nan."""
     with _open_out(out) as fh:
         fh.write("k,method,residual_variance,n_embedded,n_dropped,n_edges,clipped_dims\n")
-        for r in report.rows:
+        for r in rows:
             fh.write(
                 f"{r.k},{r.method},{_fmt(r.residual_variance)},"
                 f"{r.n_embedded},{r.n_dropped},{r.n_edges},{r.clipped_dims}\n"

@@ -313,6 +313,35 @@ class TestEmbed:
         assert not out.exists()
 
 
+class TestOverflowingInput:
+    """Coordinates whose squared distances overflow float64 are a data
+    error that names the point, in embed and in each compare cell."""
+
+    @pytest.fixture(params=[1e154, 1e160])
+    def big_csv(self, request, tmp_path):
+        path = tmp_path / "big.csv"
+        pts = np.random.default_rng(0).normal(size=(20, 3)) * request.param
+        path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
+        return path
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_is_data_error(self, capsys, big_csv, tmp_path, method):
+        out = tmp_path / "emb.csv"
+        code, _, err = run(capsys, ["embed", "--in", str(big_csv), "--k", "5", "--method", method, "--out", str(out)])
+        assert code == 2
+        assert re.fullmatch(r"error: neighbor graph: point \d+: .*\n", err)
+        assert not out.exists()
+
+    def test_compare_fails_every_cell(self, capsys, big_csv, tmp_path):
+        out = tmp_path / "report.csv"
+        code, _, err = run(capsys, ["compare", "--in", str(big_csv), "--k", "5,6", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [[method, "nan", "0", "20", "0", "0"] for method in ("standard", "stable")] * 2
+        assert err.count(": neighbor graph: point ") == 4
+        assert "compared 4 cells (4 failed)" in err
+
+
 class TestCompare:
     def test_sweep_row_count(self, capsys, tmp_path):
         src = tmp_path / "roll.csv"

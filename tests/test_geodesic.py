@@ -171,9 +171,10 @@ class TestFloydDijkstraAgreement:
 
 
 def force_floyd(setattr, w=None):
-    """Floyd runs on w processes (fewer when n has fewer 64-row chunks) at
-    every n, not only from geodesic._FORK_FROM_N on, as if the process had
-    w CPUs and no cap; with w None only the threshold is forced."""
+    """Floyd runs on w processes at every n, not only from
+    geodesic._FORK_FROM_N on, as if the process had w CPUs and no cap (a
+    worker with no row chunk of its own only answers each panel); with w
+    None only the threshold is forced."""
     setattr(geodesic, "_FORK_FROM_N", 0)
     if w is not None:
         setattr(geodesic, "_cpu_count", lambda: w)
@@ -362,12 +363,11 @@ def patched_os(monkeypatch):
     return proxy
 
 
-class TestFloydThreads:
-    """Floyd on several worker processes (forked; they replaced threads,
-    whose name the class keeps). A failure in any of them reaches the
-    caller, no worker outlives the call, the caller gets its buffer size
-    back, and the caller and each worker meet once per panel. More
-    processes than cores still give the plain recurrence's result."""
+class TestFloydProcesses:
+    """Floyd on several forked worker processes. A failure in any of them
+    reaches the caller, no worker outlives the call, the caller gets its
+    buffer size back, and the caller and each worker meet once per panel.
+    More processes than cores still give the plain recurrence's result."""
 
     @pytest.fixture
     def patched_np(self, monkeypatch, floyd_workers):
@@ -666,6 +666,10 @@ class TestFloydWorkerCount:
         assert forks == []
         self.workers_run(geodesic._FORK_FROM_N)
         assert len(forks) == geodesic._MAX_WORKERS - 1 == 1
+
+    def test_fewer_processes_than_row_chunks_from_the_threshold(self):
+        # so _worker_count needs no cap at the number of row chunks
+        assert geodesic._MAX_WORKERS < -(-geodesic._FORK_FROM_N // geodesic._CHUNK)
 
     def test_one_process_where_the_platform_cannot_fork(self, forks, monkeypatch):
         # Windows has no os.fork

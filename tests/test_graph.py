@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import topostable
 from topostable import DataSet, NeighborGraph, SelectorConfig, build_graph, gen_helix, gen_swiss_roll
 from topostable import graph
-from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError
+from topostable.errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError, NonFiniteError
 from topostable.graph import EDGE_BLOCK_BYTES, ROW_BLOCK
 
 from conftest import (
@@ -585,6 +585,35 @@ class TestBuildGraph:
         # only when no weight is NaN
         with pytest.raises(ValueError, match="non-negative"):
             NeighborGraph(n=3, edges=[[0, 1], [1, 2]], weights=[1.0, bad])
+
+
+class TestOverflowGuard:
+    """Coordinates whose squared distances overflow float64 are refused
+    before the Gram product, with the point of largest magnitude named;
+    large coordinates short of that build the graph of the unscaled ones."""
+
+    cfg = SelectorConfig(k=5)
+
+    @staticmethod
+    def points(scale):
+        return np.random.default_rng(0).normal(size=(20, 3)) * scale
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("scale", [1e154, 1e160])
+    def test_overflow_names_the_point(self, scale, method):
+        pts = self.points(scale)
+        p = int(np.argmax(np.abs(pts).max(axis=1)))
+        with pytest.raises(NonFiniteError, match=f"^point {p}: "):
+            build_graph(DataSet(pts), self.cfg, method)
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_large_scales_build_the_unscaled_graph(self, method):
+        g = build_graph(DataSet(self.points(1.0)), self.cfg, method)
+        for scale in (1e150, 2.0**500):
+            big = build_graph(DataSet(self.points(scale)), self.cfg, method)
+            assert np.array_equal(big.edges, g.edges)
+        # a power of two scales every weight exactly
+        assert np.array_equal(big.weights, g.weights * 2.0**500)
 
 
 def test_exports_match_modules():

@@ -8,6 +8,7 @@ import pytest
 from topostable import (
     DataSet,
     Embedding,
+    ReportRow,
     RunConfig,
     SelectorConfig,
     build_graph,
@@ -120,22 +121,23 @@ class TestIsomapEmbed:
 class TestCompareMethods:
     def test_row_cardinality_and_order(self):
         data = gen_swiss_roll(100, 3).data
-        rep = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
-        assert [(r.k, r.method) for r in rep.rows] == [
+        rows = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
+        assert type(rows) is tuple and all(type(r) is ReportRow for r in rows)
+        assert [(r.k, r.method) for r in rows] == [
             (5, "standard"), (5, "stable"), (10, "standard"), (10, "stable"),
         ]
 
     def test_dropped_accounting(self):
         data = gen_swiss_roll(100, 3).data
-        rep = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
-        for r in rep.rows:
+        rows = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
+        for r in rows:
             assert r.n_embedded + r.n_dropped == data.n
             assert 0.0 <= r.residual_variance <= 1.0
 
     def test_wide_window_identical_methods(self):
         data = gen_swiss_roll(100, 4).data
-        rep = compare_methods(data, [8], RunConfig(method="standard", k=8, delta_theta_deg=89.9))
-        std, stb = rep.rows
+        rows = compare_methods(data, [8], RunConfig(method="standard", k=8, delta_theta_deg=89.9))
+        std, stb = rows
         assert abs(std.residual_variance - stb.residual_variance) <= 1e-12
         assert std.n_edges == stb.n_edges
         assert std.n_embedded == stb.n_embedded
@@ -157,8 +159,8 @@ class TestCompareMethods:
     def test_failed_cell_becomes_marker_row(self):
         rng = np.random.default_rng(5)
         flat = DataSet(np.column_stack([rng.normal(size=(20, 2)), np.zeros(20)]))
-        rep = compare_methods(flat, [5], RunConfig(method="standard", k=5))
-        std, stb = rep.rows
+        rows = compare_methods(flat, [5], RunConfig(method="standard", k=5))
+        std, stb = rows
         assert std.error is None
         assert stb.error is not None
         assert math.isnan(stb.residual_variance)
@@ -194,8 +196,8 @@ class TestMemory:
     def test_sweep_frees_each_cell_before_the_next(self, roll):
         # a cell still holding the previous cell's geodesic matrix while it
         # builds its graph would reach about 4 buffers
-        rep, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
-        assert len(rep.rows) == 8 and all(r.error is None for r in rep.rows)
+        rows, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
+        assert len(rows) == 8 and all(r.error is None for r in rows)
         assert peak <= 2.5 * self.N * self.N * 8
 
 
@@ -246,9 +248,9 @@ class TestWriteReportCsv:
     def test_schema_and_nan_marker(self):
         rng = np.random.default_rng(5)
         flat = DataSet(np.column_stack([rng.normal(size=(20, 2)), np.zeros(20)]))
-        rep = compare_methods(flat, [5], RunConfig(method="standard", k=5))
+        rows = compare_methods(flat, [5], RunConfig(method="standard", k=5))
         buf = io.StringIO()
-        write_report_csv(rep, buf)
+        write_report_csv(rows, buf)
         lines = buf.getvalue().splitlines()
         assert lines[0] == "k,method,residual_variance,n_embedded,n_dropped,n_edges,clipped_dims"
         assert len(lines) == 3
