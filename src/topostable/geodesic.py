@@ -478,9 +478,11 @@ def residual_variance(gm, emb):
         if v.min() == v.max():
             raise ZeroVarianceError(f"residual variance undefined: every {side} distance is equal")
         v -= v.mean()
-    sg = np.dot(geo, geo)
-    se = np.dot(euclid, euclid)
+    sg = float(np.dot(geo, geo))  # Python floats: a product that overflows is inf, with no warning
+    se = float(np.dot(euclid, euclid))
     if sg * se == 0.0:
         raise ZeroVarianceError("residual variance undefined: the distances vary too little to correlate in float64")
-    r = float(np.clip(np.dot(geo, euclid) / np.sqrt(sg * se), -1.0, 1.0))
+    # sqrt(sg) * sqrt(se) can round otherwise, so it is taken only where the product overflows
+    norm = np.sqrt(sg * se) if sg * se < np.inf else np.sqrt(sg) * np.sqrt(se)
+    r = float(np.clip(np.dot(geo, euclid) / norm, -1.0, 1.0))
     return max(0.0, 1.0 - r * r)

@@ -9,14 +9,14 @@ neighbors. The filter suppresses "bridge" edges between nearby manifold folds.
 Both rules start from build_graph's (n, k) kNN table (_knn_indices), which
 is the stable argsort's: each row in ascending squared distance, ties
 broken by index. The stable rule turns it into a keep-mask, one row per
-point. _stable_select is the rule for one point, with two numeric steps of
-its own: a Gram-Schmidt projection (_project_out) for the local basis and
-the complement vector, and an angle step (_angles_deg) for the window.
-_stable_keep runs the same operations, in the same order, on blocks of rows
-at once (_stable_block), so each row's mask is bitwise _stable_select's; a
-row the block cannot take (a degenerate basis or probe, or a duplicate of
-the point among its farther candidates) goes to _stable_select itself.
-Either way the graph is the union of the kept (point, candidate) pairs.
+point, on blocks of rows (_stable_block): a Gram-Schmidt basis walk over
+the candidates (_project_out_rows), a probe walk for the complement vector,
+and the angle window. Every row takes this one path. A duplicate of the
+point, or an offset whose squares underflow, needs none of its own: its
+offset has norm 0, so the projection rejects it from the basis (0 <=
+TOL_RANK * 0), and in the window its cosine, taken against a norm of 1, is
+at most its true norm, which rounds to 90 degrees: the candidate stays.
+The graph is the union of the kept (point, candidate) pairs.
 
 The build holds one n x n buffer: the squared distances, computed in place
 over the Gram product (_pairwise_sq). The kNN table and the keep-mask are
@@ -198,82 +198,6 @@ def _knn_indices(d2, k):
     return nn
 
 
-def _project_out(d, basis):
-    """Component of d orthogonal to every vector in the pairwise-orthogonal
-    ``basis``, or None when it is numerically zero (norm <= TOL_RANK * |d|).
-
-    The selector's one projection step, for its basis walk and its probe
-    walk; it does not validate its inputs.
-    """
-    r = d.copy()
-    for b in basis:
-        r -= (np.dot(r, b) / np.dot(b, b)) * b
-    if np.linalg.norm(r) <= TOL_RANK * np.linalg.norm(d):
-        return None
-    return r
-
-
-def _angles_deg(rows, norms, w):
-    """Angles in degrees within [0, 180] between w and each row of ``rows``
-    (or one vector), given their norms. It does not validate its inputs."""
-    cosines = rows @ w / (norms * np.linalg.norm(w))
-    return np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
-
-
-def _stable_select(points, p, nbrs, d2_row, cfg):
-    """Angle-filtered neighbor selection for one point.
-
-    nbrs: ascending-distance candidate indices for p. d2_row: squared
-    distances from p to all points (used to pick the far probe point).
-    Returns a boolean keep-mask over nbrs.
-    """
-    x_p = points[p]
-    diffs = points[nbrs] - x_p
-    norms = np.linalg.norm(diffs, axis=1)
-    coincident = norms == 0.0  # duplicates: connected unconditionally, unusable for the basis
-
-    # Basis of the local subspace: walk candidates in distance order and
-    # keep dim_w offsets that survive Gram-Schmidt against those already kept.
-    basis = []
-    for idx in np.flatnonzero(~coincident):
-        r = _project_out(diffs[idx], basis)
-        if r is not None:
-            basis.append(r)
-            if len(basis) == cfg.dim_w:
-                break
-    if len(basis) < cfg.dim_w:
-        raise DegenerateBasisError(
-            f"only {len(basis)} independent offsets among {len(nbrs)} candidates"
-        )
-
-    # Complement vector from a probe point outside the candidate set: the
-    # farthest one that does not lie in the subspace (argmax takes the
-    # lowest index among equal distances; a tried probe is masked out).
-    far = d2_row.copy()
-    far[p] = -np.inf
-    far[nbrs] = -np.inf
-    w_perp = None
-    while w_perp is None:
-        q = int(np.argmax(far))
-        if far[q] == -np.inf:
-            break
-        w_perp = _project_out(points[q] - x_p, basis)
-        far[q] = -np.inf
-    if w_perp is None:
-        raise DegenerateComplementError("no probe point outside the neighborhood spans the complement")
-
-    # The dim_w nearest (and any duplicates) stay unconditionally; farther
-    # candidates must fall inside the 90 +- delta_theta window against the
-    # complement vector.
-    keep = coincident.copy()
-    keep[: cfg.dim_w] = True
-    rest = np.flatnonzero(~keep)
-    if rest.size:
-        theta = _angles_deg(diffs[rest], norms[rest], w_perp)
-        keep[rest[np.abs(theta - 90.0) <= cfg.delta_theta_deg]] = True
-    return keep
-
-
 def _dots(a, b):
     """Row-wise dot products of two (m, d) stacks. Each is one np.dot of
     two vectors (matmul hands a 1 x d by d x 1 product to the same BLAS
@@ -282,96 +206,94 @@ def _dots(a, b):
 
 
 def _project_out_rows(d, basis):
-    """_project_out on a stack of vectors: row i of d against row i of
-    each (vector, squared norm) pair in ``basis``, with _project_out's
-    operations in its order, so each row is bitwise its result.
-
-    Returns (r, ok); ok is False in the rows where _project_out returns
-    None.
-    """
+    """Gram-Schmidt step on a stack: row i of d minus its projections on row
+    i of each (vector, squared norm) pair in ``basis``, in order; a zero
+    vector with squared norm 1 leaves the row as it was. Returns (r, ok), ok
+    False where the residual is numerically zero: |r| <= TOL_RANK * |d|."""
     r = d.copy()
     for b, bb in basis:
         r -= (_dots(r, b) / bb)[:, None] * b
-    ok = ~(np.sqrt(_dots(r, r)) <= TOL_RANK * np.sqrt(_dots(d, d)))  # ~(<=), not >: NaN passes, as in _project_out
+    ok = ~(np.sqrt(_dots(r, r)) <= TOL_RANK * np.sqrt(_dots(d, d)))  # ~(<=), not >: NaN passes
     return r, ok
 
 
 def _stable_block(points, rows, nbrs, d2_rows, cfg):
-    """_stable_select on a block of rows at once: (done, keep), where row i
-    of keep is bitwise _stable_select's keep-mask for point rows[i] wherever
-    done[i] is True.
+    """(block, k) keep-mask of the stable rule for the points ``rows``, with
+    candidates nbrs (ascending distance) and squared-distance rows d2_rows.
 
-    The basis walk takes only the dim_w columns the basis needs, the probe
-    is the argmax of a (block, n) copy of d2_rows with the point and its
-    candidates masked, and the window is one matrix-vector product per row,
-    of the shape _stable_select's takes (BLAS can round a row's product
-    differently in a matrix of another height). A row is not done, and is
-    left to _stable_select, when
-    - a candidate past the dim_w nearest duplicates the point, so that the
-      window's product would take another shape;
-    - its basis walk meets an offset that _project_out rejects (or runs
-      out of offsets);
-    - it has no probe, or its farthest probe lies in the subspace.
+    Each row's basis slots start as zero vectors, so rows holding fewer
+    offsets share each step of the basis walk. The window is one
+    matrix-vector product per row. Raises DegenerateBasisError or
+    DegenerateComplementError, "point p: ...", for the lowest failing row.
     """
     dim_w = cfg.dim_w
+    m, k = nbrs.shape
     x = points[rows]
     diffs = points[nbrs]
     diffs -= x[:, None, :]
-    norms = np.linalg.norm(diffs, axis=2)
-    coincident = norms == 0.0
-    keep = coincident.copy()
-    keep[:, :dim_w] = True
 
-    live = np.flatnonzero(~coincident[:, dim_w:].any(axis=1))
-    # Column j of walk is the j-th candidate that is not a duplicate; a row
-    # is dropped from the batch at the first offset its walk would skip.
-    walk = np.argsort(coincident[live], axis=1, kind="stable")[:, :dim_w]
-    basis = []
-    for j in range(dim_w):
-        r, ok = _project_out_rows(diffs[live, walk[:, j]], basis)
-        live, walk, r = live[ok], walk[ok], r[ok]
-        basis = [(b[ok], bb[ok]) for b, bb in basis]
-        basis.append((r, _dots(r, r)))
+    basis = np.zeros((dim_w,) + x.shape)
+    sq = np.ones((dim_w, m))  # squared norms, 1 in unfilled slots
+    held = np.zeros(m, dtype=np.int64)
+    pend = np.arange(m)
+    for c in range(k):  # before column c a row holds at most c offsets
+        if not pend.size:
+            break
+        at = slice(None) if len(pend) == m else pend  # views while every row is pending
+        r, ok = _project_out_rows(diffs[at, c], [(basis[s, at], sq[s, at]) for s in range(min(c, dim_w))])
+        got, r = pend[ok], r[ok]
+        basis[held[got], got] = r
+        sq[held[got], got] = _dots(r, r)
+        held[got] += 1
+        pend = pend[held[pend] < dim_w]
+    failed = held < dim_w
 
-    far = d2_rows[live]
-    at = np.arange(len(live))
-    far[at, rows[live]] = -np.inf
-    far[at[:, None], nbrs[live]] = -np.inf
-    q = np.argmax(far, axis=1)
-    w, ok = _project_out_rows(points[q] - x[live], basis)
-    ok &= far[at, q] != -np.inf
-    live, w = live[ok], w[ok]
+    # far holds the d2 rows of the rows still looking for a probe
+    far = d2_rows.copy()
+    pend = np.arange(m)
+    far[pend, rows] = -np.inf
+    far[pend[:, None], nbrs] = -np.inf
+    w = np.empty_like(x)
+    while pend.size:
+        q = np.argmax(far, axis=1)
+        at = slice(None) if len(pend) == m else pend
+        r, ok = _project_out_rows(points[q] - x[at], [(basis[s, at], sq[s, at]) for s in range(dim_w)])
+        i = np.arange(len(pend))
+        found = far[i, q] != -np.inf
+        ok &= found
+        w[pend[ok]] = r[ok]
+        failed[pend[~found]] = True
+        far[i, q] = -np.inf
+        retry = found & ~ok
+        pend, far = pend[retry], far[retry]
 
-    rest = diffs[live, dim_w:]
-    cosines = (rest @ w[:, :, None])[:, :, 0] / (norms[live, dim_w:] * np.sqrt(_dots(w, w))[:, None])
+    if failed.any():
+        i = int(np.argmax(failed))
+        if held[i] < dim_w:
+            raise DegenerateBasisError(f"point {rows[i]}: only {held[i]} independent offsets among {k} candidates")
+        raise DegenerateComplementError(f"point {rows[i]}: no probe point outside the neighborhood spans the complement")
+
+    rest = diffs[:, dim_w:]
+    norms = np.linalg.norm(rest, axis=2)
+    norms[norms == 0.0] = 1.0  # a zero offset's cosine is then 0: it stays
+    cosines = (rest @ w[:, :, None])[:, :, 0] / (norms * np.sqrt(_dots(w, w))[:, None])
     theta = np.degrees(np.arccos(np.clip(cosines, -1.0, 1.0)))
-    keep[live, dim_w:] = np.abs(theta - 90.0) <= cfg.delta_theta_deg
-    done = np.zeros(len(rows), dtype=bool)
-    done[live] = True
-    return done, keep
+    keep = np.ones((m, k), dtype=bool)
+    keep[:, dim_w:] = np.abs(theta - 90.0) <= cfg.delta_theta_deg
+    return keep
 
 
 def _stable_keep(points, nn, d2, cfg):
-    """(n, k) keep-mask of the stable rule over the kNN table nn: row p is
-    _stable_select(points, p, nn[p], d2[p], cfg), bit for bit.
-
-    Rows go through _stable_block in blocks of at most ROW_BLOCK rows,
-    whose (block, k, d) offsets stay near EDGE_BLOCK_BYTES; the rows it
-    leaves go to _stable_select, in ascending order, so the first point
-    that fails is the one named, as in a walk over every point.
-    """
+    """(n, k) keep-mask of the stable rule over the kNN table nn, by
+    _stable_block on ascending blocks of at most ROW_BLOCK rows, whose
+    (block, k, d) offsets stay near EDGE_BLOCK_BYTES; the first failing
+    point is the one named, as in a walk over every point."""
     n, k = nn.shape
     step = max(1, min(ROW_BLOCK, EDGE_BLOCK_BYTES // (8 * k * points.shape[1])))
     keep = np.empty(nn.shape, dtype=bool)
     for lo in range(0, n, step):
         blk = slice(lo, lo + step)
-        rows = np.arange(n)[blk]
-        done, keep[blk] = _stable_block(points, rows, nn[blk], d2[blk], cfg)
-        for p in rows[~done]:
-            try:
-                keep[p] = _stable_select(points, p, nn[p], d2[p], cfg)
-            except (DegenerateBasisError, DegenerateComplementError) as exc:
-                raise type(exc)(f"point {p}: {exc}") from exc
+        keep[blk] = _stable_block(points, np.arange(n)[blk], nn[blk], d2[blk], cfg)
     return keep
 
 
@@ -380,11 +302,10 @@ def build_graph(data, cfg, method="standard"):
 
     An edge (i, j) is present when either endpoint selected the other;
     weights are exact Euclidean distances. The kNN table and the stable
-    keep-mask are made in row blocks, but each row is exactly what a walk
-    over one point at a time gives (the stable argsort, _stable_select), so
-    the edges do not depend on the blocks. Selector failures are re-raised
-    with the offending point index prepended; the lowest failing point is
-    the one named. Input whose squared distances would overflow float64
+    keep-mask are made in row blocks, but each row is what a walk over one
+    point at a time gives, so the edges do not depend on the blocks.
+    Selector failures name the offending point ("point p: ..."), the lowest
+    failing one. Input whose squared distances would overflow float64
     raises NonFiniteError naming the point of largest magnitude.
     """
     if method not in METHODS:

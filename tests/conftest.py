@@ -6,6 +6,8 @@ import pytest
 
 from topostable import DataSet, graph
 
+from stable_reference import _stable_select
+
 
 def two_plane_bridge():
     """Two aligned 20x10 grids (spacing 0.15) at z=0 and z=0.4 plus one
@@ -46,11 +48,11 @@ def nearest_neighbors(data, p, k):
 
 def stable_neighbors(data, p, cfg):
     """Reference neighbor list of point p under the angle-filtered rule:
-    p's own kNN list filtered by the selector's keep-mask."""
+    p's own kNN list filtered by the one-point reference selector."""
     cfg.check(data, stable=True)
     d2_row = graph._pairwise_sq(data.points)[p]
     nbrs = nearest_neighbors(data, p, cfg.k)
-    keep = graph._stable_select(data.points, p, nbrs, d2_row, cfg)
+    keep = _stable_select(data.points, p, nbrs, d2_row, cfg)
     return [int(j) for j in nbrs[keep]]
 
 

@@ -31,7 +31,7 @@ from topostable import (
     residual_variance,
     symmetric_eigen_top,
 )
-from topostable.graph import _project_out
+from topostable.graph import _dots, _project_out_rows
 
 from conftest import cross_plane_edges
 from dijkstra_reference import dijkstra_all_pairs
@@ -134,23 +134,26 @@ def test_criterion_5_shortest_path_equivalence():
     assert worst <= 1e-12
 
 
-def test_criterion_6_numeric_kernel_properties():
-    rng = np.random.default_rng(7)
-    worst_gs = 0.0
-    for _ in range(1000):
-        x_p, x_n1, x_n2 = rng.normal(size=(3, 6))
-        v1 = _project_out(x_n1 - x_p, [])
-        v2 = _project_out(x_n2 - x_p, [v1])
-        worst_gs = max(worst_gs, abs(np.dot(v1, v2)) / (np.linalg.norm(v1) * np.linalg.norm(v2)))
+def cosines(u, v):
+    """|cos| of the angle between the rows of two stacks."""
+    return np.abs(np.sum(u * v, axis=1)) / (np.linalg.norm(u, axis=1) * np.linalg.norm(v, axis=1))
 
-    worst_res = 0.0
-    for _ in range(1000):
-        pts = rng.normal(size=(4, 6))
-        v1 = _project_out(pts[1] - pts[0], [])
-        v2 = _project_out(pts[2] - pts[0], [v1])
-        v3 = _project_out(pts[3] - pts[0], [v1, v2])
-        for b in (v1, v2):
-            worst_res = max(worst_res, abs(np.dot(v3, b)) / (np.linalg.norm(v3) * np.linalg.norm(b)))
+
+def test_criterion_6_numeric_kernel_properties():
+    # the selector's own projection step, on stacks of 1000 draws each
+    rng = np.random.default_rng(7)
+    x_p, x_n1, x_n2 = rng.normal(size=(1000, 3, 6)).transpose(1, 0, 2)
+    v1, ok1 = _project_out_rows(x_n1 - x_p, [])
+    v2, ok2 = _project_out_rows(x_n2 - x_p, [(v1, _dots(v1, v1))])
+    assert ok1.all() and ok2.all()
+    worst_gs = float(cosines(v1, v2).max())
+
+    pts = rng.normal(size=(1000, 4, 6)).transpose(1, 0, 2)
+    v1, ok1 = _project_out_rows(pts[1] - pts[0], [])
+    v2, ok2 = _project_out_rows(pts[2] - pts[0], [(v1, _dots(v1, v1))])
+    v3, ok3 = _project_out_rows(pts[3] - pts[0], [(v1, _dots(v1, v1)), (v2, _dots(v2, v2))])
+    assert ok1.all() and ok2.all() and ok3.all()
+    worst_res = float(max(cosines(v3, v1).max(), cosines(v3, v2).max()))
 
     worst_eig = 0.0
     for _ in range(100):

@@ -4,6 +4,7 @@ import shlex
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,30 @@ class TestOverflowingInput:
         assert [row.split(",")[1:] for row in rows] == [[method, "nan", "0", "20", "0", "0"] for method in ("standard", "stable")] * 2
         assert err.count(": neighbor graph: point ") == 4
         assert "compared 4 cells (4 failed)" in err
+
+
+class TestLargeFiniteInput:
+    """Coordinates large enough that residual variance's product of sums of
+    squares overflows, though no distance does: embed reports the rv of the
+    unscaled points, with no warning."""
+
+    @staticmethod
+    def embed(capsys, tmp_path, scale):
+        src = tmp_path / f"points-{scale:g}.csv"
+        pts = np.random.default_rng(0).normal(size=(20, 3)) * scale
+        src.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
+        code, _, err = run(capsys, ["embed", "--in", str(src), "--k", "5", "--out", str(tmp_path / "emb.csv")])
+        assert code == 0
+        assert "Warning" not in err
+        return float(re.search(r"residual variance (\S+)\n", err).group(1))
+
+    def test_embed_reports_the_unscaled_rv(self, capsys, tmp_path):
+        unscaled = self.embed(capsys, tmp_path, 1.0)
+        assert unscaled == 0.0390359
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = self.embed(capsys, tmp_path, 1e150)
+        assert abs(big - unscaled) <= 1e-9
 
 
 class TestCompare:

@@ -882,6 +882,21 @@ class TestResidualVariance:
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: the distances vary too little"):
             residual_variance(gm, emb)
 
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_large_finite_geodesics_give_the_unscaled_rv(self, method):
+        # at 1e150 the product of the two sums of squares overflows float64,
+        # though each sum and the correlation are finite
+        pts = np.random.default_rng(0).normal(size=(20, 3))
+        cfg = RunConfig(k=5, method=method)
+        rvs = []
+        for scale in (1.0, 1e150):
+            emb, gm, _, _ = isomap_embed(DataSet(pts * scale), cfg)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rvs.append(residual_variance(gm, emb))
+        assert 0.0 < rvs[0] < 1.0
+        assert abs(rvs[1] - rvs[0]) <= 1e-9
+
     def test_exact_embedding_zero(self):
         coords = np.random.default_rng(6).normal(size=(20, 3))
         gm = gm_from_coords(coords)

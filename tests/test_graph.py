@@ -1,4 +1,4 @@
-import contextlib
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from conftest import (
     stable_neighbors,
     swiss_roll_distance,
 )
+from stable_reference import _stable_select
 
 
 # Deterministic example sets, small enough to keep the suite fast.
@@ -62,8 +63,8 @@ class TestDataSet:
         assert np.array_equal(s.labels, [7, 5])
 
 
-# Each of these has rows that the selector blocks leave to the one-point
-# _stable_select (TestStableBlocks).
+# Degenerate rows for the stable rule: a basis walk that skips a collinear
+# offset, a duplicate of the point, and a basis that cannot be filled.
 COLLINEAR_SUBSTITUTION = np.array(
     [
         [0.0, 0.0, 0.0],
@@ -276,37 +277,55 @@ def knn_table(points, k):
 
 
 def serial_keep(points, nn, d2, cfg):
-    """The keep-mask from _stable_select, one point at a time."""
-    return np.array([graph._stable_select(points, p, nn[p], d2[p], cfg) for p in range(len(points))])
+    """The keep-mask from the reference _stable_select, one point at a time
+    in ascending order; the first point that fails raises its error with
+    "point p: " prepended, as build_graph names it."""
+    keep = []
+    for p in range(len(points)):
+        try:
+            keep.append(_stable_select(points, p, nn[p], d2[p], cfg))
+        except (DegenerateBasisError, DegenerateComplementError) as exc:
+            raise type(exc)(f"point {p}: {exc}") from exc
+    return np.array(keep)
 
 
-def serial_rows(points, nn, d2, cfg):
-    """The rows the selector blocks must leave to _stable_select, found with
-    _project_out itself: a duplicate of the point past the dim_w nearest
-    candidates, an offset the basis walk skips (or too few offsets), or a
-    farthest probe that is missing or lies in the subspace."""
-    rows = []
-    for p, nbrs in enumerate(nn):
-        diffs = points[nbrs] - points[p]
-        coincident = np.linalg.norm(diffs, axis=1) == 0.0
-        basis = []
-        for idx in np.flatnonzero(~coincident)[: cfg.dim_w]:
-            r = graph._project_out(diffs[idx], basis)
-            if r is None:
-                break
-            basis.append(r)
-        far = d2[p].copy()
-        far[p] = -np.inf
-        far[nbrs] = -np.inf
-        q = int(np.argmax(far))
-        if (
-            coincident[cfg.dim_w :].any()
-            or len(basis) < cfg.dim_w
-            or far[q] == -np.inf
-            or graph._project_out(points[q] - points[p], basis) is None
-        ):
-            rows.append(p)
-    return rows
+def outcome(select, *args):
+    """select(*args) as ("mask", keep-mask) or (error type, message)."""
+    try:
+        return "mask", select(*args)
+    except (DegenerateBasisError, DegenerateComplementError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_blocks_equal_serial(points, cfg):
+    """_stable_keep against the reference: the same mask bit for bit, or
+    the same error type and message. Returns the outcome."""
+    d2, nn = knn_table(points, cfg.k)
+    got = outcome(graph._stable_keep, points, nn, d2, cfg)
+    expected = outcome(serial_keep, points, nn, d2, cfg)
+    assert got[0] == expected[0]
+    assert np.array_equal(got[1], expected[1])
+    return expected
+
+
+def planted_points(seed):
+    """65 to 200 points in 3 to 5 dimensions, more than one selector block:
+    on the integer lattice {-3, ..., 3}^d for odd seeds (distance ties
+    everywhere), Gaussian for even ones. Up to a quarter of the rows are
+    overwritten with copies of others, and up to three runs of 3 to 5
+    consecutive rows are put on a line."""
+    rng = np.random.default_rng(seed)
+    n, dim = int(rng.integers(65, 201)), int(rng.integers(3, 6))
+    if seed % 2:
+        pts = rng.integers(-3, 4, size=(n, dim)).astype(np.float64)
+    else:
+        pts = rng.normal(size=(n, dim))
+    dups = int(rng.integers(0, n // 4))
+    pts[rng.integers(0, n, size=dups)] = pts[rng.integers(0, n, size=dups)]
+    for _ in range(int(rng.integers(0, 4))):
+        lo, run = int(rng.integers(0, n - 5)), int(rng.integers(3, 6))
+        pts[lo : lo + run] = pts[lo] + np.arange(run)[:, None] * rng.normal(size=dim)
+    return pts
 
 
 def blob_images(n, seed):
@@ -320,28 +339,10 @@ def blob_images(n, seed):
     return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
 
 
-@contextlib.contextmanager
-def stable_select_calls():
-    """A list of the points _stable_select is called for inside the block,
-    in call order."""
-    calls = []
-    select = graph._stable_select
-
-    def spy(points, p, *args):
-        calls.append(int(p))
-        return select(points, p, *args)
-
-    graph._stable_select = spy
-    try:
-        yield calls
-    finally:
-        graph._stable_select = select
-
-
 class TestStableBlocks:
-    """The stable selector's row blocks against the one-point
-    _stable_select, row by row and bit for bit, and the rows they leave to
-    it."""
+    """The stable selector's row blocks against the one-point reference
+    _stable_select (tests/stable_reference.py), row by row and bit for bit,
+    and error for error."""
 
     @pytest.fixture(scope="class")
     def swiss(self):
@@ -352,9 +353,7 @@ class TestStableBlocks:
         cfg = SelectorConfig(k=k)
         d2, nn = knn_table(swiss, k)
         before = d2.copy()
-        with stable_select_calls() as calls:
-            keep = graph._stable_keep(swiss, nn, d2, cfg)
-        assert calls == []
+        keep = graph._stable_keep(swiss, nn, d2, cfg)
         assert np.array_equal(d2, before)
         assert np.array_equal(keep, serial_keep(swiss, nn, d2, cfg))
 
@@ -363,46 +362,64 @@ class TestStableBlocks:
     )
     @pytest.mark.parametrize("k", [10, 20])
     def test_blocks_equal_serial(self, points, k):
-        cfg = SelectorConfig(k=k)
-        d2, nn = knn_table(points, k)
-        with stable_select_calls() as calls:
-            keep = graph._stable_keep(points, nn, d2, cfg)
-        assert calls == serial_rows(points, nn, d2, cfg)
-        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
+        assert assert_blocks_equal_serial(points, SelectorConfig(k=k))[0] == "mask"
 
     @pytest.mark.parametrize(
         "points",
         [COLLINEAR_SUBSTITUTION, DUPLICATE_POINT, probe_fixture(PROBE_IN_PLANE)],
         ids=["collinear substitution", "duplicate point", "probe in the plane"],
     )
-    def test_degenerate_rows_go_to_stable_select(self, points):
-        cfg = SelectorConfig(k=3)
-        d2, nn = knn_table(points, 3)
-        expected = serial_rows(points, nn, d2, cfg)
-        assert expected
-        with stable_select_calls() as calls:
-            keep = graph._stable_keep(points, nn, d2, cfg)
-        assert calls == expected
-        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
+    def test_degenerate_rows_equal_serial(self, points):
+        assert assert_blocks_equal_serial(points, SelectorConfig(k=3))[0] == "mask"
 
-    def test_all_collinear_goes_to_stable_select_and_names_the_point(self):
+    def test_all_collinear_names_the_first_point(self):
         cfg = SelectorConfig(k=3)
-        d2, nn = knn_table(ALL_COLLINEAR, 3)
-        assert serial_rows(ALL_COLLINEAR, nn, d2, cfg)[0] == 0
-        with stable_select_calls() as calls, pytest.raises(DegenerateBasisError, match="point 0:"):
+        kind, message = assert_blocks_equal_serial(ALL_COLLINEAR, cfg)
+        assert kind is DegenerateBasisError
+        with pytest.raises(DegenerateBasisError, match=f"^{re.escape(message)}$"):
             build_graph(DataSet(ALL_COLLINEAR), cfg, "stable")
-        assert calls == [0]
+        assert message == "point 0: only 1 independent offsets among 3 candidates"
 
-    def test_no_probe_leaves_every_row(self):
+    def test_no_probe_names_the_first_point(self):
         # k = n - 1: every other point is a candidate, so no row has a probe
-        points = gaussian_points(3, 6, 4)
-        cfg = SelectorConfig(k=5)
-        d2, nn = knn_table(points, 5)
-        done, _ = graph._stable_block(points, np.arange(6), nn, d2, cfg)
-        assert not done.any()
-        with stable_select_calls() as calls, pytest.raises(DegenerateComplementError, match="point 0:"):
-            graph._stable_keep(points, nn, d2, cfg)
-        assert calls == [0]
+        kind, message = assert_blocks_equal_serial(gaussian_points(3, 6, 4), SelectorConfig(k=5))
+        assert kind is DegenerateComplementError
+        assert message == "point 0: no probe point outside the neighborhood spans the complement"
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    @pytest.mark.parametrize("k", [3, 5, 10])
+    def test_integer_grid_equals_serial(self, k, dim_w):
+        # 40 points on the 27 nodes of {0, 1, 2}^3: duplicates, collinear
+        # offsets, probes in the subspace and distance ties everywhere
+        rng = np.random.default_rng(2024)
+        cfg = SelectorConfig(k=k, dim_w=dim_w)
+        for _ in range(200):
+            assert_blocks_equal_serial(rng.integers(0, 3, size=(40, 3)).astype(np.float64), cfg)
+
+    def test_planted_sets_past_one_block_equal_serial(self):
+        outcomes = []
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            points = planted_points(seed)
+            dim_w = int(rng.integers(1, 3))
+            cfg = SelectorConfig(k=int(rng.integers(dim_w + 1, 12)), dim_w=dim_w)
+            outcomes.append(assert_blocks_equal_serial(points, cfg))
+        # the family reaches masks and basis failures, some named past the
+        # first block
+        assert {kind for kind, _ in outcomes} == {"mask", DegenerateBasisError}
+        named = [int(re.match(r"point (\d+): ", m).group(1)) for kind, m in outcomes if kind != "mask"]
+        assert max(named) >= ROW_BLOCK
+
+    def test_complement_failure_past_the_first_block(self):
+        # a 10 x 10 grid in the plane z = 0 and one point above its corner:
+        # a row that has the point among its candidates has no probe off
+        # the plane, and every other row walks past the in-plane probes
+        # until it reaches it
+        grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0), [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+        points = np.vstack([grid, [[9.0, 9.0, 0.5]]])
+        kind, message = assert_blocks_equal_serial(points, SelectorConfig(k=10))
+        assert kind is DegenerateComplementError
+        assert int(re.match(r"point (\d+): ", message).group(1)) >= ROW_BLOCK
 
     @PROPERTY
     @given(seed=seeds, n=st.integers(20, 150), dim=st.integers(4, 6), dim_w=st.integers(1, 3), dups=st.integers(0, 6))
@@ -412,12 +429,7 @@ class TestStableBlocks:
         # oracle
         pts = gaussian_points(seed, n, dim)
         points = np.vstack([pts, pts[np.arange(dups) % 3]])
-        cfg = SelectorConfig(k=dim_w + 3 + 2 * dups, dim_w=dim_w)
-        d2, nn = knn_table(points, cfg.k)
-        with stable_select_calls() as calls:
-            keep = graph._stable_keep(points, nn, d2, cfg)
-        assert calls == serial_rows(points, nn, d2, cfg)
-        assert np.array_equal(keep, serial_keep(points, nn, d2, cfg))
+        assert_blocks_equal_serial(points, SelectorConfig(k=dim_w + 3 + 2 * dups, dim_w=dim_w))
 
 
 class TestBuildGraph:

@@ -12,24 +12,40 @@ from topostable.errors import (
     ZeroVarianceError,
 )
 
+from stable_reference import _angles_deg
+
+
+def project(d, *basis):
+    """graph._project_out_rows, the selector's projection step, on stacks:
+    each row of d against the same row of each basis stack. Returns (r, ok);
+    ok is False where the residual is numerically zero."""
+    return graph._project_out_rows(d, [(b, graph._dots(b, b)) for b in basis])
+
+
+def stack(*xs):
+    return (np.atleast_2d(np.asarray(x, dtype=np.float64)) for x in xs)
+
 
 def project_pair(x_p, x_n1, x_n2):
-    """v1 and v2 as the stable selector's basis walk builds them from two
-    neighbor offsets; v2 is None when the offsets are collinear."""
-    x_p, x_n1, x_n2 = (np.asarray(x, dtype=np.float64) for x in (x_p, x_n1, x_n2))
+    """v1, v2 and ok, on stacks of rows, as the stable selector's basis walk
+    builds them from two neighbor offsets; ok is False where the offsets are
+    collinear."""
+    x_p, x_n1, x_n2 = stack(x_p, x_n1, x_n2)
     v1 = x_n1 - x_p
-    return v1, graph._project_out(x_n2 - x_p, [v1])
+    return (v1, *project(x_n2 - x_p, v1))
 
 
 def residual(x_q, x_p, basis):
-    """Complement vector of the probe x_q, as the selector's probe walk
-    builds it; None when x_q lies in the spanned subspace."""
-    return graph._project_out(np.asarray(x_q, dtype=np.float64) - np.asarray(x_p, dtype=np.float64), basis)
+    """Complement vector of the probe x_q (one row), as the selector's probe
+    walk builds it; None when x_q lies in the spanned subspace."""
+    x_q, x_p = stack(x_q, x_p)
+    r, ok = project(x_q - x_p, *stack(*basis))
+    return r[0] if ok[0] else None
 
 
 def angle(u, v):
     u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
-    return float(graph._angles_deg(u, np.linalg.norm(u), v))
+    return float(_angles_deg(u, np.linalg.norm(u), v))
 
 
 def select_first(pts, cfg):
@@ -37,33 +53,36 @@ def select_first(pts, cfg):
     candidate, in index order."""
     pts = np.asarray(pts, dtype=np.float64)
     d2_row = np.sum((pts - pts[0]) ** 2, axis=1)
-    return graph._stable_select(pts, 0, np.arange(1, cfg.k + 1), d2_row, cfg)
+    return graph._stable_block(pts, np.array([0]), np.arange(1, cfg.k + 1)[None], d2_row[None], cfg)[0]
 
 
 class TestGramSchmidtPair:
     def test_projection_removes_first_component(self):
-        v1, v2 = project_pair([0, 0, 0], [1, 0, 0], [1, 1, 0])
+        v1, v2, ok = project_pair([0, 0, 0], [1, 0, 0], [1, 1, 0])
+        assert ok.all()
         assert np.allclose(v1, [1, 0, 0], atol=0)
         assert np.allclose(v2, [0, 1, 0], atol=1e-15)
 
     def test_already_orthogonal_unchanged(self):
-        v1, v2 = project_pair([0, 0, 0], [2, 0, 0], [0, 3, 0])
+        v1, v2, ok = project_pair([0, 0, 0], [2, 0, 0], [0, 3, 0])
+        assert ok.all()
         assert np.allclose(v1, [2, 0, 0], atol=0)
         assert np.allclose(v2, [0, 3, 0], atol=0)
 
     def test_collinear_raises(self):
-        # the projection step reports collinear offsets as None, and the
+        # the projection step reports collinear offsets as not ok, and the
         # selector, left without a second basis vector, raises
-        assert project_pair([0, 0, 0], [1, 0, 0], [2, 0, 0])[1] is None
+        assert not project_pair([0, 0, 0], [1, 0, 0], [2, 0, 0])[2].any()
         with pytest.raises(DegenerateBasisError):
             select_first([[0, 0, 0], [1, 0, 0], [2, 0, 0], [0, 0, 5]], SelectorConfig(k=2))
 
     def test_random_triples_orthogonal(self):
-        rng = np.random.default_rng(42)
-        for _ in range(300):
-            x_p, x_n1, x_n2 = rng.normal(size=(3, 5))
-            v1, v2 = project_pair(x_p, x_n1, x_n2)
-            assert abs(np.dot(v1, v2)) <= 1e-10 * np.linalg.norm(v1) * np.linalg.norm(v2)
+        # one stack of 300 triples (the draws of 300 single triples)
+        x_p, x_n1, x_n2 = np.random.default_rng(42).normal(size=(300, 3, 5)).transpose(1, 0, 2)
+        v1, v2, ok = project_pair(x_p, x_n1, x_n2)
+        assert ok.all()
+        for a, b in zip(v1, v2):
+            assert abs(np.dot(a, b)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(b)
 
 
 class TestResidualVector:
@@ -77,25 +96,26 @@ class TestResidualVector:
         assert np.allclose(v3, [0, 0, 5], atol=1e-14)
 
     def test_inside_subspace_raises(self):
-        # the projection step reports a probe inside the subspace as None,
-        # and the selector, left without a probe outside it, raises
+        # the projection step reports a probe inside the subspace as not
+        # ok, and the selector, left without a probe outside it, raises
         assert residual([3, 4, 0], [0, 0, 0], [np.array([1.0, 0, 0]), np.array([0, 1.0, 0])]) is None
         with pytest.raises(DegenerateComplementError):
             select_first([[0, 0, 0], [1, 0, 0], [0, 1, 0], [3, 4, 0]], SelectorConfig(k=2))
 
     def test_orthogonality_and_reprojection(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            pts = rng.normal(size=(4, 6))
-            v1, v2 = project_pair(pts[0], pts[1], pts[2])
-            v3 = residual(pts[3], pts[0], [v1, v2])
-            for b in (v1, v2):
-                assert abs(np.dot(v3, b)) <= 1e-8 * np.linalg.norm(v3) * np.linalg.norm(b)
+        # one stack of 200 sets of four points (the draws of 200 single sets)
+        pts = np.random.default_rng(3).normal(size=(200, 4, 6))
+        v1, v2, ok = project_pair(pts[:, 0], pts[:, 1], pts[:, 2])
+        v3, ok3 = project(pts[:, 3] - pts[:, 0], v1, v2)
+        assert ok.all() and ok3.all()
+        for p, a1, a2, a3 in zip(pts, v1, v2, v3):
+            for b in (a1, a2):
+                assert abs(np.dot(a3, b)) <= 1e-8 * np.linalg.norm(a3) * np.linalg.norm(b)
             # the removed part lies in span(v1, v2): re-project and compare
-            d = pts[3] - pts[0]
-            removed = d - v3
-            back = (np.dot(removed, v1) / np.dot(v1, v1)) * v1
-            back += (np.dot(removed, v2) / np.dot(v2, v2)) * v2
+            d = p[3] - p[0]
+            removed = d - a3
+            back = (np.dot(removed, a1) / np.dot(a1, a1)) * a1
+            back += (np.dot(removed, a2) / np.dot(a2, a2)) * a2
             assert np.allclose(removed, back, atol=1e-8 * np.linalg.norm(d))
 
 
