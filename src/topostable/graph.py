@@ -10,20 +10,22 @@ Both rules start from build_graph's (n, k) kNN table (_knn_indices), which
 is the stable argsort's: each row in ascending squared distance, ties
 broken by index. The stable rule turns it into a keep-mask, one row per
 point, on blocks of rows (_stable_block): a Gram-Schmidt basis walk over
-the candidates (_project_out_rows), a probe walk for the complement vector,
-and the angle window. Every row takes this one path. A duplicate of the
-point, or an offset whose squares underflow, needs none of its own: its
-offset has norm 0, so the projection rejects it from the basis (0 <=
-TOL_RANK * 0), and in the window its cosine, taken against a norm of 1, is
-at most its true norm, which rounds to 90 degrees: the candidate stays.
-The graph is the union of the kept (point, candidate) pairs.
+the candidates (_project_out_rows), the complement vector from the farthest
+probe outside the subspace, and the angle window. Every row takes this one
+path. A duplicate of the point, or an offset whose squares underflow,
+needs none of its own: its offset has norm 0, so the projection rejects it
+from the basis (0 <= TOL_RANK * 0), and in the window its cosine, taken
+against a norm of 1, is at most its true norm, which rounds to 90 degrees:
+the candidate stays. The graph is the union of the kept (point, candidate)
+pairs.
 
 The build holds one n x n buffer: the squared distances, computed in place
 over the Gram product (_pairwise_sq). The kNN table and the keep-mask are
 made a block of at most ROW_BLOCK rows at a time, and a selector block's
 (block, k, d) offsets stay near EDGE_BLOCK_BYTES, so the other scratch is
 O(ROW_BLOCK * n) plus a few EDGE_BLOCK_BYTES blocks plus the O(n * k) table
-and masks.
+and masks. A row whose farthest probe lies in its subspace holds one
+(probes, d) offset stack, which is at most the size of the input.
 """
 
 import math
@@ -222,8 +224,10 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
     candidates nbrs (ascending distance) and squared-distance rows d2_rows.
 
     Each row's basis slots start as zero vectors, so rows holding fewer
-    offsets share each step of the basis walk. The window is one
-    matrix-vector product per row. Raises DegenerateBasisError or
+    offsets share each step of the basis walk. Every row projects its
+    farthest probe; a row whose probe lies in the subspace projects all of
+    its probes at once and takes the farthest that leaves it. The window is
+    one matrix-vector product per row. Raises DegenerateBasisError or
     DegenerateComplementError, "point p: ...", for the lowest failing row.
     """
     dim_w = cfg.dim_w
@@ -248,24 +252,23 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
         pend = pend[held[pend] < dim_w]
     failed = held < dim_w
 
-    # far holds the d2 rows of the rows still looking for a probe
+    # far: the d2 rows with the point and its candidates masked, so argmax
+    # is the farthest probe, the lowest index among equal distances; a row
+    # whose probe lies in the subspace, or that has none, scans them all
     far = d2_rows.copy()
-    pend = np.arange(m)
-    far[pend, rows] = -np.inf
-    far[pend[:, None], nbrs] = -np.inf
-    w = np.empty_like(x)
-    while pend.size:
-        q = np.argmax(far, axis=1)
-        at = slice(None) if len(pend) == m else pend
-        r, ok = _project_out_rows(points[q] - x[at], [(basis[s, at], sq[s, at]) for s in range(dim_w)])
-        i = np.arange(len(pend))
-        found = far[i, q] != -np.inf
-        ok &= found
-        w[pend[ok]] = r[ok]
-        failed[pend[~found]] = True
-        far[i, q] = -np.inf
-        retry = found & ~ok
-        pend, far = pend[retry], far[retry]
+    own = np.arange(m)
+    far[own, rows] = -np.inf
+    far[own[:, None], nbrs] = -np.inf
+    q = np.argmax(far, axis=1)
+    w, ok = _project_out_rows(points[q] - x, [(basis[s], sq[s]) for s in range(dim_w)])
+    for i in np.flatnonzero(~ok | (far[own, q] == -np.inf)):
+        probes = np.flatnonzero(far[i] != -np.inf)  # ascending, so argmax keeps the tie rule
+        offs = points[probes] - x[i]
+        r, ok = _project_out_rows(offs, [(np.broadcast_to(basis[s, i], offs.shape), sq[s, i]) for s in range(dim_w)])
+        if not ok.any():
+            failed[i] = True
+            break  # no later row of the block can be the one named
+        w[i] = r[ok][np.argmax(far[i, probes[ok]])]
 
     if failed.any():
         i = int(np.argmax(failed))

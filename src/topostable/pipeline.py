@@ -168,6 +168,8 @@ def write_report_csv(rows, out):
             )
 
 
+_SVG_WIDTH, _SVG_HEIGHT = 640, 480  # pixels
+
 _PALETTE = (
     "#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd",
     "#8c564b", "#e377c2", "#7f7f7f", "#bcbd22", "#17becf",
@@ -182,7 +184,7 @@ def _axis_range(values):
     return lo - margin, hi + margin
 
 
-def write_scatter_svg(emb, labels, out, width=640, height=480):
+def write_scatter_svg(emb, labels, out):
     """Static SVG scatter of the first two embedding coordinates.
 
     One circle per point; fill color keyed by label when labels are given.
@@ -192,8 +194,8 @@ def write_scatter_svg(emb, labels, out, width=640, height=480):
     x, y = emb.coords[:, 0], emb.coords[:, 1]
     x0, x1 = _axis_range(x)
     y0, y1 = _axis_range(y)
-    px = (x - x0) / (x1 - x0) * width
-    py = (1.0 - (y - y0) / (y1 - y0)) * height
+    px = (x - x0) / (x1 - x0) * _SVG_WIDTH
+    py = (1.0 - (y - y0) / (y1 - y0)) * _SVG_HEIGHT
 
     if labels is None:
         colors = [_PALETTE[0]] * emb.coords.shape[0]
@@ -203,8 +205,8 @@ def write_scatter_svg(emb, labels, out, width=640, height=480):
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" '
+        f'width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
+        f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
         f'fill="white" stroke="black" stroke-width="1"/>',
     ]
     for cx, cy, color in zip(px, py, colors):

@@ -339,6 +339,27 @@ def blob_images(n, seed):
     return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
 
 
+def rotated_sheet(seed, n, lifts):
+    """n Gaussian points on a 2-D sheet in a random plane of R^64, with
+    ``lifts`` of them moved 0.5 to 3 off it along further axes of the
+    rotation. At dim_w = 2 a row's farthest probe on the sheet lies in its
+    subspace up to rounding, so the row tries every probe it has."""
+    rng = np.random.default_rng(seed)
+    axes, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+    points = rng.normal(size=(n, 2)) @ axes[:2]
+    for j, i in enumerate(rng.choice(n, size=lifts, replace=False)):
+        points[i] += rng.uniform(0.5, 3.0) * axes[2 + j]
+    return points
+
+
+def lifted_sheet(n):
+    """n Gaussian points in the plane z = 0 and one point at (0, 0, 1), the
+    last, which no row has among its candidates: at dim_w = 2 every row of
+    the sheet misses its farthest probe and finds the lifted point."""
+    flat = np.random.default_rng(0).normal(size=(n, 2))
+    return np.vstack([np.column_stack([flat, np.zeros(n)]), [[0.0, 0.0, 1.0]]])
+
+
 class TestStableBlocks:
     """The stable selector's row blocks against the one-point reference
     _stable_select (tests/stable_reference.py), row by row and bit for bit,
@@ -382,9 +403,15 @@ class TestStableBlocks:
 
     def test_no_probe_names_the_first_point(self):
         # k = n - 1: every other point is a candidate, so no row has a probe
-        kind, message = assert_blocks_equal_serial(gaussian_points(3, 6, 4), SelectorConfig(k=5))
+        points, cfg = gaussian_points(3, 6, 4), SelectorConfig(k=5)
+        kind, message = assert_blocks_equal_serial(points, cfg)
         assert kind is DegenerateComplementError
         assert message == "point 0: no probe point outside the neighborhood spans the complement"
+        # and a block of any one row fails by itself
+        d2, nn = knn_table(points, cfg.k)
+        for p in range(len(points)):
+            with pytest.raises(DegenerateComplementError, match=f"^point {p}: "):
+                graph._stable_block(points, np.array([p]), nn[p : p + 1], d2[p : p + 1], cfg)
 
     @pytest.mark.parametrize("dim_w", [1, 2])
     @pytest.mark.parametrize("k", [3, 5, 10])
@@ -413,13 +440,41 @@ class TestStableBlocks:
     def test_complement_failure_past_the_first_block(self):
         # a 10 x 10 grid in the plane z = 0 and one point above its corner:
         # a row that has the point among its candidates has no probe off
-        # the plane, and every other row walks past the in-plane probes
-        # until it reaches it
+        # the plane, and every other row's farthest probe lies in the
+        # plane, so the row tries all of its probes and takes the point
         grid = np.stack(np.meshgrid(np.arange(10.0), np.arange(10.0), [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
         points = np.vstack([grid, [[9.0, 9.0, 0.5]]])
         kind, message = assert_blocks_equal_serial(points, SelectorConfig(k=10))
         assert kind is DegenerateComplementError
         assert int(re.match(r"point (\d+): ", message).group(1)) >= ROW_BLOCK
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    @pytest.mark.parametrize("lifts", [0, 1, 3, 8])
+    def test_rotated_sheet_in_64d_equals_serial(self, lifts, dim_w):
+        # 150 points: three blocks of rows
+        cfg = SelectorConfig(k=10, dim_w=dim_w)
+        outcomes = [assert_blocks_equal_serial(rotated_sheet(seed, 150, lifts), cfg) for seed in range(3)]
+        if lifts or dim_w == 1:
+            assert [kind for kind, _ in outcomes] == ["mask"] * 3
+        else:  # every subspace is the sheet's plane
+            message = "point 0: no probe point outside the neighborhood spans the complement"
+            assert outcomes == [(DegenerateComplementError, message)] * 3
+
+    @pytest.mark.parametrize("dim_w", [1, 2])
+    def test_lifted_sheet_equals_serial(self, dim_w):
+        assert assert_blocks_equal_serial(lifted_sheet(400), SelectorConfig(k=10, dim_w=dim_w))[0] == "mask"
+
+    def test_lifted_sheet_tries_each_missing_row_in_one_projection(self, monkeypatch):
+        # the basis walk and the first probes take dim_w + 1 projections per
+        # block, and each row that misses its first probe takes one more
+        points, cfg = lifted_sheet(400), SelectorConfig(k=10)
+        d2, nn = knn_table(points, cfg.k)
+        calls = []
+        project = graph._project_out_rows
+        monkeypatch.setattr(graph, "_project_out_rows", lambda *args: calls.append(1) or project(*args))
+        graph._stable_keep(points, nn, d2, cfg)
+        blocks = -(-len(points) // ROW_BLOCK)
+        assert len(calls) <= blocks * (cfg.dim_w + 1) + len(points)
 
     @PROPERTY
     @given(seed=seeds, n=st.integers(20, 150), dim=st.integers(4, 6), dim_w=st.integers(1, 3), dups=st.integers(0, 6))
