@@ -4,8 +4,11 @@ All-pairs shortest paths approximate manifold geodesics; the embedding
 comes from the top eigenpairs of the doubly-centered negative half
 squared-distance matrix. The all-pairs step is one blocked numpy
 Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
-2003), whose result is bitwise that of the plain recurrence, run in the
-caller or shared with forked worker processes (see _floyd_in_place).
+2003), run in the caller or shared with forked worker processes (see
+_floyd_in_place). It takes its pivots in a nested-dissection order of the
+graph (_pivot_order; George, SIAM J. Numer. Anal. 1973), so its result is
+bitwise the plain recurrence with k in that order, and within rounding of
+the recurrence in the natural order.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it, so with the geodesic
@@ -13,6 +16,7 @@ matrix itself a run peaks at two n x n float64 buffers.
 """
 
 import contextlib
+import itertools
 import mmap
 import os
 import warnings
@@ -90,7 +94,7 @@ def _component_ids(d):
 _CHUNK = 64
 # Floyd runs in the calling process alone below this n, where forking a
 # worker costs more than it saves.
-_FORK_FROM_N = 512
+_FORK_FROM_N = 768
 # Most processes Floyd runs on, however many CPUs the process may use: the
 # only count whose gain has been measured.
 _MAX_WORKERS = 2
@@ -147,11 +151,17 @@ def _worker_count(n):
     return min(_MAX_WORKERS, _cpu_count())
 
 
-def _shared(size):
-    """A zeroed flat float64 array of size elements in a new anonymous
-    mapping that forked children share (MAP_SHARED, mmap's default). It
+def _mapped(size, dtype):
+    """A zeroed flat array of size elements of dtype in a new anonymous
+    mapping, MAP_SHARED (mmap's default), so forked children share it. It
     starts on a page, and the mapping lives as long as any view of it."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.float64)
+    itemsize = np.dtype(dtype).itemsize
+    return np.frombuffer(mmap.mmap(-1, itemsize * max(size, 1)), dtype=dtype, count=size)
+
+
+def _shared(size):
+    """_mapped(size, np.float64): the memory Floyd's forked workers write."""
+    return _mapped(size, np.float64)
 
 
 def _serve(run, t, go, done, held):
@@ -361,13 +371,162 @@ def _floyd_in_place(d, w=1):
     return d
 
 
+def _pivot_order(g):
+    """Floyd's pivot order for the graph g, from its edge list alone: a
+    nested-dissection order (George, SIAM J. Numer. Anal. 1973), as an
+    int64 permutation of range(g.n).
+
+    Each part, the whole graph first, takes two breadth-first searches by
+    hop count over its own vertices: one from its lowest vertex, whose last
+    vertex reached is the pseudo-peripheral root, and one from that root.
+    The root's level at which the cumulative count reaches half the part is
+    its separator: the vertices of the levels before it are ordered first,
+    then the rest of the part, each by the same rule, and the separator
+    last. A part that the first search does not cover is split, with no
+    separator, into the vertices it reached and then the rest, in the order
+    they were. A part of at most _CHUNK vertices keeps its order.
+
+    Every part is a range of the order, rewritten in place. The order is a
+    view of a mapping (see _mapped) that also holds each vertex's part
+    label, the search queue and the adjacency list with its offsets, 4n +
+    1 + 2E words, and the searches run in Python over memoryviews of it:
+    they make no numpy arrays, which numpy keeps cached for reuse when
+    under 1 KiB, and no heap buffer that outlives the next one. Either can
+    sit in the heap's hole that a later n x n buffer was to fill, and then
+    that buffer grows the heap by its size.
+    """
+    n, edges = g.n, g.edges
+    room = _mapped(4 * n + 1 + edges.size, np.int64)  # zeroed: every vertex starts in part 0
+    order, label, queue, start, nbrs = (
+        room[:n], room[n:2 * n], room[2 * n:3 * n], room[3 * n:4 * n + 1], room[4 * n + 1:]
+    )
+    np.cumsum(np.bincount(edges.ravel(), minlength=n), out=start[1:])
+    # each end of each edge as v * n + u for its vertex v and neighbor u,
+    # sorted in place: then u = key % n runs through v's neighbors from
+    # nbrs[start[v]] on
+    np.multiply(edges.ravel(), n, out=nbrs)
+    pairs = nbrs.reshape(-1, 2)
+    pairs[:, 0] += edges[:, 1]
+    pairs[:, 1] += edges[:, 0]
+    nbrs.sort()
+    np.remainder(nbrs, n, out=nbrs)
+    at, label, queue, start, nbrs = (memoryview(a) for a in (order, label, queue, start, nbrs))
+    for t in range(n):
+        at[t] = t
+    fresh = itertools.count(1).__next__
+
+    def search(root, part, mark, stop):
+        """Breadth-first search from root over the vertices labelled part,
+        relabelling them mark and queueing them from queue[0] on, until
+        stop are queued or none is left. Returns the range of the last
+        level in the queue."""
+        label[root] = mark
+        queue[0] = root
+        lo, hi = 0, 1
+        while hi < stop:
+            end = hi
+            for v in queue[lo:hi]:
+                for u in nbrs[start[v]:start[v + 1]]:
+                    if label[u] == part:
+                        label[u] = mark
+                        queue[end] = u
+                        end += 1
+            if end == hi:
+                break
+            lo, hi = hi, end
+        return lo, hi
+
+    def queue_rest(a, b, part, end):
+        """Queue the vertices of order[a:b] labelled part from queue[end]
+        on, in their order."""
+        for v in at[a:b]:
+            if label[v] == part:
+                queue[end] = v
+                end += 1
+
+    todo = [(0, n, 0)]  # (first place, end, label) of each part still to order
+    while todo:
+        a, b, part = todo.pop()
+        size = b - a
+        if size <= _CHUNK:
+            continue
+        near = fresh()
+        _, hi = search(min(at[a:b]), part, near, size)
+        if hi < size:  # disconnected: what the search reached, then the rest
+            queue_rest(a, b, part, hi)
+            at[a:b] = queue[:size]
+            todo += [(a, a + hi, near), (a + hi, b, part)]
+            continue
+        lo, hi = search(queue[hi - 1], near, fresh(), (size + 1) // 2)
+        queue_rest(a, b, near, hi)  # the rest of the part: the levels after the separator
+        mid = b - (hi - lo)
+        at[a:a + lo], at[a + lo:mid], at[mid:b] = queue[:lo], queue[hi:size], queue[lo:hi]
+        for x, y in ((a, a + lo), (a + lo, mid)):
+            name = fresh()
+            for v in at[x:y]:
+                label[v] = name
+            todo.append((x, y, name))
+    return order
+
+
+def _permute(d, p):
+    """Writes d[np.ix_(p, p)] over the (n, n) array d, for a permutation p
+    of range(n) held in an int64 array, through one mapped (_CHUNK, n)
+    block: the columns are permuted _CHUNK rows at a time through the
+    block, and then each cycle of p moves its rows one place along through
+    the block's first row. p is left as the identity: each row moved is
+    marked there as in place."""
+    n = d.shape[0]
+    block = _mapped(min(_CHUNK, n) * n, np.float64).reshape(min(_CHUNK, n), n)
+    for a in range(0, n, _CHUNK):
+        rows = d[a:a + _CHUNK]
+        moved = block[:rows.shape[0]]
+        rows.take(p, axis=1, out=moved, mode="clip")  # mode="raise" copies through a temporary
+        rows[...] = moved
+    row, source = block.reshape(-1)[:n], memoryview(p)  # source[u]: the row that goes to u
+    for first in range(n):
+        if source[first] == first:
+            continue
+        row[:] = d[first]
+        u = first
+        while (v := source[u]) != first:
+            d[u] = d[v]
+            source[u], u = u, v
+        d[u] = row
+        source[u] = u
+
+
 def floyd_all_pairs(g):
-    """Exact all-pairs shortest paths via Floyd-Warshall."""
+    """Exact all-pairs shortest paths via Floyd-Warshall.
+
+    The pivots go in _pivot_order(g)'s order: the weight matrix is
+    relabelled in that order, _floyd_in_place runs on it in its plain order
+    of k, and every row and column goes back to its point. So the result
+    is bitwise the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k,
+    j]) taken with k in that order, at every worker count and _CHUNK. In
+    the natural order of k each entry is the length of a shortest path
+    too, but its terms may be added in another grouping or along another
+    path of equal length, so the two differ by rounding only. In the
+    nested-dissection order the first pivots of each part reach no row of
+    the other parts, so the kernel's reach test skips those rows.
+
+    The matrix is the one n x n buffer. The order, its inverse and each
+    permutation's (_CHUNK, n) block are mappings of their own, off the heap
+    for the reason _pivot_order gives, each unmapped once used.
+    """
     n, w = g.n, _worker_count(g.n)
     # with workers, the weights go straight into the mapping they share
-    out = None if w == 1 else _shared(n * n).reshape(n, n)
-    d = _floyd_in_place(g.to_dense_weights(out=out), w)
+    d = g.to_dense_weights(out=None if w == 1 else _shared(n * n).reshape(n, n))
+    order = _pivot_order(g)
+    pos = _mapped(n, np.int64)  # each point's place in the order
+    places = memoryview(pos)
+    for place, point in enumerate(memoryview(order)):
+        places[point] = place
+    _permute(d, order)
+    del order, places  # the order's mapping goes before Floyd's scratch comes
+    _permute(_floyd_in_place(d, w), pos)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
+
 
 def largest_component(gm, data):
     """Restrict a geodesic matrix and dataset to the largest component.
@@ -435,8 +594,13 @@ def classical_mds(gm, m):
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
     if not _all_finite(gm.d):
         raise NonFiniteError("geodesic matrix spans multiple components")
-    eig = symmetric_eigen_top(double_center(gm.d), m)
+    centered = double_center(gm.d)
+    eig = symmetric_eigen_top(centered, m)
+    # made before the centered matrix is freed, so that the coordinates
+    # cannot take the start of the hole it leaves on the heap, which
+    # residual_variance's two triangles fill
     coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
+    del centered
     return Embedding(coords=coords, eigenvalues=eig.values)
 
 
@@ -448,8 +612,11 @@ def residual_variance(gm, emb):
     embedding explains the geodesic structure perfectly (up to uniform
     scaling). Both triangles are gathered row by row, in np.triu_indices
     order, into two preallocated vectors, the embedded distances one row at
-    a time, and both vectors are centered in place: no (n, n, m) difference
-    tensor, no index arrays and no centered copies. Raises
+    a time through one (n - 1, m) buffer of differences made after them,
+    and both vectors are centered in place: no (n, n, m) difference
+    tensor, no index arrays, no centered copies and no per-row temporaries
+    (numpy would keep the small ones cached, wherever they fell, for the
+    rest of the process). Raises
     ZeroVarianceError, naming the side, when either set of distances is
     constant, and also when their spreads are so small that the product of
     their squares underflows to 0; ValueError for fewer than 3 points: each
@@ -465,13 +632,16 @@ def residual_variance(gm, emb):
     coords = emb.coords
     geo = np.empty(n * (n - 1) // 2)
     euclid = np.empty_like(geo)
+    diffs = np.empty((n - 1, coords.shape[1]))
     lo = 0
     for i in range(n - 1):
         hi = lo + n - 1 - i
         geo[lo:hi] = gm.d[i, i + 1:]
-        diff = coords[i] - coords[i + 1:]
-        np.sqrt(np.einsum("jk,jk->j", diff, diff), out=euclid[lo:hi])
+        diff = np.subtract(coords[i], coords[i + 1:], out=diffs[:n - 1 - i])
+        np.einsum("jk,jk->j", diff, diff, out=euclid[lo:hi])
+        np.sqrt(euclid[lo:hi], out=euclid[lo:hi])
         lo = hi
+    del diffs
     for v, side in ((geo, "geodesic"), (euclid, "embedded")):
         # tested before centering: the mean of a constant need not round
         # back to it, and then the centered vector is not all zero

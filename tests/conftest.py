@@ -96,6 +96,17 @@ def helix_distance(params, steps=1 << 16):
     return distance
 
 
+def blob_images(n, seed):
+    """n 28 x 28 images of one Gaussian blob each (sigma 3 pixels), rounded
+    as 8-bit pixels are: points in 784-D on a 2-D manifold."""
+    rng = np.random.default_rng(seed)
+    centres = rng.uniform(5.5, 21.5, size=(n, 2))
+    axis = np.arange(28.0)
+    gx = np.exp(-((axis - centres[:, :1]) ** 2) / 18.0)
+    gy = np.exp(-((axis - centres[:, 1:]) ** 2) / 18.0)
+    return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
+
+
 def peak_bytes(fn):
     """(fn(), the highest traced memory while fn ran, in bytes above what
     was traced when it started). tracemalloc runs only for the call and is
@@ -113,7 +124,7 @@ def peak_bytes(fn):
 @pytest.fixture(scope="session", autouse=True)
 def no_child_left():
     """Fails the run if a test leaves a child process running or unreaped,
-    such as a Floyd worker (geodesic forks them from n = 512 on)."""
+    such as a Floyd worker (geodesic forks them from n = 768 on)."""
     yield
     if not hasattr(os, "WNOHANG"):  # Windows: nothing forks
         return

@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topostable import (
@@ -31,7 +31,7 @@ from topostable import (
 from topostable import geodesic, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
-from conftest import peak_bytes
+from conftest import blob_images, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -72,12 +72,18 @@ def blocks_graph(rng, sizes, p):
     return graph_from_edges(n, edge_list)
 
 
-def floyd_reference(g):
-    """The plain Floyd-Warshall recurrence: one full-matrix update per k."""
+def floyd_reference(g, order):
+    """The plain Floyd-Warshall recurrence, one full-matrix update per
+    pivot k, with k taken in the given order."""
     d = g.to_dense_weights()
-    for k in range(g.n):
+    for k in order:
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
+
+
+def pivoted_reference(g):
+    """The plain recurrence in the order floyd_all_pairs takes its pivots."""
+    return floyd_reference(g, geodesic._pivot_order(g))
 
 
 # name -> (graph builder, expected number of components or None)
@@ -210,10 +216,10 @@ def mapping_of(d):
 
 
 class TestFloydOracle:
-    """floyd_all_pairs must equal the plain recurrence entry for entry, in
-    one process and on several, in 64-row chunks and (the -chunks ids) in
-    16-row ones, with which even the small graphs span several chunks,
-    panels and workers."""
+    """floyd_all_pairs must equal the plain recurrence in its pivot order
+    entry for entry, in one process and on several, in 64-row chunks and
+    (the -chunks ids) in 16-row ones, with which even the small graphs span
+    several chunks, panels and workers, and the order several parts."""
 
     @pytest.mark.parametrize(
         "name, workers, chunk",
@@ -232,7 +238,7 @@ class TestFloydOracle:
         gm = floyd_all_pairs(g)
         if components is not None:
             assert int(gm.component_ids.max()) + 1 == components
-        assert np.array_equal(gm.d, floyd_reference(g))
+        assert np.array_equal(gm.d, pivoted_reference(g))
         assert np.array_equal(gm.d, gm.d.T)
         assert np.all(np.diag(gm.d) == 0.0)
         assert_no_children()
@@ -265,7 +271,7 @@ class TestFloydProperties:
         with pytest.MonkeyPatch.context() as mp:
             force_floyd(mp.setattr, workers)
             d = floyd_all_pairs(g).d
-        assert np.array_equal(d, floyd_reference(g))
+        assert np.array_equal(d, pivoted_reference(g))
         assert np.array_equal(d, d.T)
         assert_no_children()
 
@@ -275,7 +281,69 @@ class TestFloydProperties:
         n = 1340
         assert n >= geodesic._FORK_FROM_N and n % geodesic._CHUNK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
+
+    @pytest.mark.parametrize(
+        "points",
+        [gen_swiss_roll(1340, 1).data.points, blob_images(500, 1)],
+        ids=["swiss-roll-n1340", "784-D-blobs-n500"],
+    )
+    def test_within_rounding_of_the_natural_order(self, points):
+        # the pivot order changes how each geodesic's sum is grouped, or
+        # which of two equal paths it follows, so only rounding may differ,
+        # relative to the largest geodesic
+        g = build_graph(DataSet(points), SelectorConfig(k=10), "stable")
+        d, natural = floyd_all_pairs(g).d, floyd_reference(g, range(g.n))
+        finite = np.isfinite(natural)
+        assert np.array_equal(np.isfinite(d), finite)
+        assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
+
+
+class TestPivotOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(g=symmetric_graphs())
+    @example(g=graph_from_edges(0, []))
+    @example(g=graph_from_edges(1, []))
+    def test_a_deterministic_permutation(self, g):
+        order = geodesic._pivot_order(g)
+        assert order.dtype == np.int64
+        assert np.array_equal(np.sort(order), np.arange(g.n))
+        assert np.array_equal(geodesic._pivot_order(g), order)
+
+    def test_last_separator_splits_a_lattice_in_halves(self):
+        # on a 40 x 40 grid the search from the corner (39, 39) runs along
+        # the anti-diagonals, and the cumulative count reaches half the 1600
+        # points on the diagonal x + y = 39: the last 40 places
+        side = 40
+        idx = np.arange(side * side).reshape(side, side)
+        pairs = np.vstack([np.column_stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()]),
+                           np.column_stack([idx[:-1].ravel(), idx[1:].ravel()])])
+        g = graph_from_edges(side * side, [(i, j, 1.0) for i, j in sorted(map(tuple, pairs.tolist()))])
+        order = geodesic._pivot_order(g)
+        x, y = np.divmod(order, side)
+        assert np.all(x[-side:] + y[-side:] == side - 1)
+        half = (side * side - side) // 2
+        first, second = set(order[:half].tolist()), set(order[half:-side].tolist())
+        assert len(first) == len(second) == half
+        assert not any((i in first and j in second) or (i in second and j in first) for i, j in g.edges.tolist())
+
+
+class TestPermute:
+    @staticmethod
+    def permutations(n):
+        rng = np.random.default_rng(n)
+        yield np.arange(n)
+        yield np.roll(np.arange(n), 1)  # one n-cycle
+        for _ in range(3):
+            yield rng.permutation(n)
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    def test_equals_the_gather(self, n):
+        d = np.random.default_rng(n + 1).normal(size=(n, n))  # not symmetric: rows and columns both move
+        for pos in self.permutations(n):
+            moved = d.copy()
+            geodesic._permute(moved, pos.copy())
+            assert np.array_equal(moved, d[np.ix_(pos, pos)])
 
 
 class _ModuleProxy:
@@ -460,7 +528,7 @@ class TestFloydProcesses:
         # back
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         floyd_workers(workers)
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
         round_trips = -(-g.n // geodesic._CHUNK) * (workers - 1)
         assert len(patched_os.writes) == len(patched_os.reads) == round_trips
         # each worker exits cleanly on the EOF after the last panel
@@ -480,7 +548,7 @@ class TestFloydProcesses:
         g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
         floyd_workers(2)
         monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, fork=fork))
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
         assert_no_children()
 
     def test_fork_failure_at_start_up_reaches_the_caller(self, monkeypatch, floyd_workers, patched_os):
@@ -510,7 +578,7 @@ class TestFloydProcesses:
     def test_more_processes_than_cores(self, floyd_workers):
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
         floyd_workers(5)  # five 64-row chunks, one for each process
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
         assert_no_children()
 
 
@@ -527,6 +595,13 @@ class TestFloydMemory:
         """Bytes of w workers' (64, n) step and row blocks and the (64, n)
         pivot block, plus the alignment slack of a numpy buffer."""
         return ((2 * w + 1) * geodesic._CHUNK * n + 8) * 8
+
+    @staticmethod
+    def order_room(g):
+        """Bytes of the pivot order's mapping: the order, each vertex's part
+        label, the search queue and the adjacency list with its offsets,
+        4n + 1 + 2E words."""
+        return (4 * g.n + 1 + 2 * g.n_edges) * 8
 
     def peak_and_scratch(self):
         g = self.graph()
@@ -567,6 +642,54 @@ class TestFloydMemory:
         room = weakref.ref(mappings[1])
         del made[:], mappings
         assert room() is None
+
+    @pytest.fixture
+    def mapped(self, monkeypatch):
+        """The flat arrays over every mapping geodesic makes, in order."""
+        mapped, original = [], geodesic._mapped
+
+        def recorded(size, dtype):
+            mapped.append(original(size, dtype))
+            return mapped[-1]
+
+        monkeypatch.setattr(geodesic, "_mapped", recorded)
+        return mapped
+
+    @pytest.mark.parametrize("edges", ["none", "star", "complete", "swiss-roll"])
+    def test_pivot_order_keeps_its_scratch_in_one_mapping(self, mapped, edges):
+        # the order is a view of it, so it lives as long as the order; on
+        # the heap there are only the degree count, n words, and Python's
+        # own objects
+        n = 300
+        pairs = {
+            "none": np.zeros((0, 2), dtype=np.int64),
+            "star": np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]),
+            "complete": np.column_stack(np.triu_indices(n, 1)),
+            "swiss-roll": self.graph().edges,
+        }[edges]
+        g = NeighborGraph(n=n, edges=pairs, weights=np.ones(len(pairs)))
+        geodesic._pivot_order(g)  # numpy fills its own caches once
+        mapped.clear()
+        order, peak = peak_bytes(lambda: geodesic._pivot_order(g))
+        assert peak <= 8 * n + 16 * 1024
+        assert [len(mapping_of(flat)) for flat in mapped] == [self.order_room(g)]
+        room = weakref.ref(mapping_of(mapped.pop()))
+        assert mapping_of(order) is room()
+        del order
+        assert room() is None
+
+    def test_all_pairs_maps_the_order_and_the_permutations_and_frees_them(self, mapped):
+        # in one process: the order's room, the inverse order, and one
+        # (64, n) block for each permutation
+        g = self.graph()
+        gm = floyd_all_pairs(g)
+        n = g.n
+        sizes = [self.order_room(g), 8 * n, 8 * geodesic._CHUNK * n, 8 * geodesic._CHUNK * n]
+        rooms = [weakref.ref(mapping_of(flat)) for flat in mapped]
+        assert [len(room()) for room in rooms] == sizes
+        del mapped[:]
+        assert [room() for room in rooms] == [None] * 4
+        assert mapping_of(gm.d) is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_pairs_holds_the_matrix_and_the_scratch(self, made, floyd_workers, workers):
@@ -637,7 +760,7 @@ class TestFloydWorkerCount:
         assert geodesic._cpu_count() == expected
         floyd_workers()
         g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
         assert_no_children()
 
     @pytest.fixture
@@ -658,7 +781,7 @@ class TestFloydWorkerCount:
         # row 0 links to the first row of every other chunk, so every
         # worker has rows that reach pivot 0
         g = graph_from_edges(n, [(0, i, 1.0) for i in range(geodesic._CHUNK, n, geodesic._CHUNK)])
-        assert np.array_equal(floyd_all_pairs(g).d, floyd_reference(g))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
         assert_no_children()
 
     def test_one_process_below_the_threshold_and_capped_above(self, forks):

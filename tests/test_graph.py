@@ -12,6 +12,7 @@ from topostable.errors import DegenerateBasisError, DegenerateComplementError, K
 from topostable.graph import EDGE_BLOCK_BYTES, ROW_BLOCK
 
 from conftest import (
+    blob_images,
     cross_plane_edges,
     helix_distance,
     nearest_neighbors,
@@ -326,17 +327,6 @@ def planted_points(seed):
         lo, run = int(rng.integers(0, n - 5)), int(rng.integers(3, 6))
         pts[lo : lo + run] = pts[lo] + np.arange(run)[:, None] * rng.normal(size=dim)
     return pts
-
-
-def blob_images(n, seed):
-    """n 28 x 28 images of one Gaussian blob each (sigma 3 pixels), rounded
-    as 8-bit pixels are: points in 784-D on a 2-D manifold."""
-    rng = np.random.default_rng(seed)
-    centres = rng.uniform(5.5, 21.5, size=(n, 2))
-    axis = np.arange(28.0)
-    gx = np.exp(-((axis - centres[:, :1]) ** 2) / 18.0)
-    gy = np.exp(-((axis - centres[:, 1:]) ** 2) / 18.0)
-    return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
 
 
 def rotated_sheet(seed, n, lifts):
