@@ -8,7 +8,11 @@ Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
 _floyd_in_place). It takes its pivots in a nested-dissection order of the
 graph (_pivot_order; George, SIAM J. Numer. Anal. 1973), so its result is
 bitwise the plain recurrence with k in that order, and within rounding of
-the recurrence in the natural order.
+the recurrence in the natural order. Each panel of pivots works only in
+its reach set, the columns its pivot rows reach: an update outside it has
+an inf operand and cannot change its entry, and no step of the panel
+makes a pivot row reach further. In the nested-dissection order a panel
+reaches only its own part and the separators around it.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it, so with the geodesic
@@ -250,37 +254,43 @@ def _floyd_in_place(d, w=1):
     diagonal, in place, on w processes; returns d.
 
     d must be exactly symmetric (NeighborGraph.to_dense_weights writes each
-    edge to both entries) and free of NaN. Step k is d[i, j] = min(d[i, j],
-    d[i, k] + d[k, j]) in the plain order of k, and the result is bitwise
-    that of the plain full-matrix recurrence at every w and _CHUNK: each
-    entry gets the same operations on the same operands.
+    edge to both entries), with no negative entry and no NaN. Step k is
+    d[i, j] = min(d[i, j], d[i, k] + d[k, j]) in the plain order of k, and
+    the result is bitwise that of the plain full-matrix recurrence at every
+    w and _CHUNK: each update made gets the same operands, and each one
+    skipped has an inf operand, so min(x, x + inf) = x would not change it.
 
     Row k does not change in step k, and a row's update reads only itself
     and row k. So the steps go in panels of _CHUNK pivots, panel p's pivots
-    being row chunk p: the caller takes chunk p through the panel in place
-    over whole rows, saving each pivot row just before its step, and then
-    every other chunk takes the panel's steps against the saved rows.
+    being row chunk p: the caller takes chunk p through the panel, saving
+    each pivot row just before its step, and then every other chunk takes
+    the panel's steps against the saved rows.
+
+    A panel works only inside its reach set R, the columns j at which some
+    pivot row has a finite d[k, j] as the panel starts. Step k changes d[i,
+    j] only where d[i, k] = d[k, i] and d[k, j] are finite, so in R x R,
+    and makes a pivot row finite only where row k is, so R stays closed. A
+    chunk gathers its rows in R at R's columns into scratch, runs the steps
+    there and scatters the rows back; a chunk with no row in R is skipped.
+    A chunk other than the panel's finds, before the first step, the pivots
+    none of its rows reach, and skips their steps.
 
     The recurrence keeps d symmetric: d[i, k] + d[k, j] and d[j, k] +
     d[k, i] are the same float64 number. So a row reads d[i, k] from the
-    saved pivot row, and a chunk other than the panel's updates only the
-    block-upper triangle (columns from its own first row on) in a scratch
-    copy that stays in cache. The caller mirrors the stale rest of the
-    panel's rows before each panel, and of every chunk after the last.
-
-    A row with d[i, k] = inf cannot change in step k, so while fewer than
-    half of a chunk's rows reach k, only those are gathered and updated.
-    The panel's own chunk, whose pivot rows change, tests its reach at each
-    step; any other chunk counts it for every pivot before the first step.
+    saved pivot row, and a chunk other than the panel's takes only the
+    columns of R from its own first row in R on. The caller mirrors the
+    stale rest of the panel's rows before each panel, and of every chunk
+    after the last.
 
     Worker 0 is the caller and workers 1..w-1 are forked for the call (see
     _panels). Worker t owns the chunks t, t + w, t + 2w, ... other than the
-    panel's, and writes only those rows and its own scratch. With w > 1, d
-    must be in a shared mapping (see _shared), and the scratch and pivot
-    block get a mapping of their own, freed on return.
+    panel's, writes only those rows and its own scratch, and finds R itself
+    in the pivot rows, which the panel's own chunk leaves finite exactly on
+    R. With w > 1, d must be in a shared mapping (see _shared), and the
+    scratch and pivot block get a mapping of their own, freed on return.
 
     Each worker's scratch and the pivot block start on a 64-byte boundary:
-    a misaligned step block splits every AVX-512 store across two cache
+    a misaligned block splits every AVX-512 store across two cache
     lines. The ufunc buffer is at its smallest, 16 elements, because numpy
     copies the step add's stride-0 column d[i, k] through it whenever three
     rows fit, and nothing here casts; the caller restores its size by hand
@@ -305,64 +315,55 @@ def _floyd_in_place(d, w=1):
         a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
         d[a:b, :a] = d[:a, a:b].T
 
-    def relax(t, p, c):
-        """Panel p's steps on the rows of chunk c, by worker t: in place for
-        the panel's own chunk (c == p), else on the chunk's triangle in
-        worker t's scratch."""
-        k0 = p * _CHUNK
-        k1 = min(k0 + _CHUNK, n)
-        a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
-        panel = c == p
-        lo = 0 if panel else a
-        width = n - lo
-        triangle, step = scratch[t, :chunk * n], scratch[t, chunk * n:2 * chunk * n]
-        # a gather takes fewer than _CHUNK // 2 rows: its rows and sums
-        # share the step block
-        rows = step[chunk // 2 * n:]
-        own = np.arange(a - lo, b - lo)  # the chunk's rows, numbered as in blk
-        blk, col = d, np.empty(chunk)
-        if not panel:
-            blk = triangle[:own.size * width].reshape(own.size, width)
-            np.copyto(blk, d[lo:b, lo:])
-            reaches = pivots[:k1 - k0, lo:b] < np.inf
-            counts = np.count_nonzero(reaches, axis=1).tolist()
-        part, sums = blk[a - lo:b - lo], step[:own.size * width].reshape(own.size, width)
+    def reach_set(t, p):
+        """Panel p's reach set, found through worker t's scratch."""
+        low = np.minimum.reduce(d[p * _CHUNK:(p + 1) * _CHUNK], axis=0, out=scratch[t, :n])
+        return np.flatnonzero(low < np.inf)
+
+    def relax(t, p, c, reach):
+        """Panel p's steps on chunk c's rows in the reach set reach, by
+        worker t in its scratch: at every column of the set for the panel's
+        own chunk (c == p), else at those from the chunk's first row on."""
+        k0, k1 = p * _CHUNK, min((p + 1) * _CHUNK, n)
+        lo, hi = np.searchsorted(reach, (c * _CHUNK, (c + 1) * _CHUNK)).tolist()
+        if lo == hi:
+            return
+        first = 0 if c == p else lo  # the set's column at blk's column 0
+        cols, mine = reach[first:], reach[lo:hi]
+        height, width, at = hi - lo, cols.size, lo - first  # blk's row r is its column at + r
+        # blk's rows and d's: one slice each where d's are one, else one row at a time
+        whole = mine[-1] - mine[0] == height - 1
+        rows = ([slice(None)], [slice(mine[0], mine[-1] + 1)]) if whole else (range(height), mine)
+        blk = scratch[t, :height * width].reshape(height, width)
+        sums = scratch[t, chunk * n:chunk * n + blk.size].reshape(blk.shape)
+        for r, i in zip(*rows):
+            d[i].take(cols, axis=-1, out=blk[r], mode="clip")
+        if c != p:
+            reached = (np.minimum.reduce(pivots[:k1 - k0, lo:hi], axis=1) < np.inf).tolist()
         for k in range(k0, k1):
-            dk = pivots[k - k0, lo:]
-            if panel:
-                dk[:] = d[k]
-                reach = own[dk[own] < np.inf]
-                count = reach.size
-            else:
-                count = counts[k - k0]
-            if 2 * count >= own.size:
-                np.add(dk[a - lo:b - lo, None], dk, out=sums)
-                np.minimum(part, sums, out=part)
-            elif count:
-                if not panel:
-                    reach = np.flatnonzero(reaches[k - k0])
-                r = rows[:count * width].reshape(count, width)
-                s = step[:r.size].reshape(r.shape)
-                blk.take(reach, axis=0, out=r, mode="clip")
-                dk.take(reach, out=col[:count], mode="clip")
-                np.add(col[:count, None], dk, out=s)
-                np.minimum(r, s, out=r)
-                blk[reach] = r
-        if not panel:
-            d[lo:b, lo:] = blk
+            dk = pivots[k - k0, first:first + width]
+            if c == p:
+                dk[:] = blk[k - k0]
+            elif not reached[k - k0]:
+                continue
+            np.add(dk[at:at + height, None], dk, out=sums)
+            np.minimum(blk, sums, out=blk)
+        for r, i in zip(*rows):
+            d[i, cols] = blk[r]
 
     def run(t, p):
         """Panel p's steps on worker t's chunks."""
+        reach = reach_set(t, p)
         for c in range(t, chunks, w):
             if c != p:
-                relax(t, p, c)
+                relax(t, p, c, reach)
 
     old = np.setbufsize(16)
     try:
         with _panels(w, run) as panel:
             for p in range(chunks):
                 mirror(p)
-                relax(0, p, p)
+                relax(0, p, p, reach_set(0, p))
                 panel(p)
     finally:
         np.setbufsize(old)
@@ -507,8 +508,9 @@ def floyd_all_pairs(g):
     the natural order of k each entry is the length of a shortest path
     too, but its terms may be added in another grouping or along another
     path of equal length, so the two differ by rounding only. In the
-    nested-dissection order the first pivots of each part reach no row of
-    the other parts, so the kernel's reach test skips those rows.
+    nested-dissection order a panel's pivots reach only their own part and
+    the separators around it, so each panel's reach set, the only columns
+    and rows the kernel touches for it, is a small share of the matrix.
 
     The matrix is the one n x n buffer. The order, its inverse and each
     permutation's (_CHUNK, n) block are mappings of their own, off the heap

@@ -89,8 +89,9 @@ def pivoted_reference(g):
 # name -> (graph builder, expected number of components or None)
 ORACLE_GRAPHS = {
     "random-connected-n80": (lambda rng: random_graph(rng, 80, 0.3), 1),
-    # every component holds fewer than half the points, so no step ever
-    # has half the rows reaching k; 70 rows also span two row chunks
+    # three components with their points interleaved: in the points' own
+    # order a panel's reach set takes scattered rows of each chunk; 70 rows
+    # also span two row chunks
     "random-disconnected-blocks": (lambda rng: blocks_graph(rng, (70, 66, 5), 0.1), 3),
     "random-sparse-n100": (lambda rng: random_graph(rng, 100, 0.02), None),
     "path-n150": (lambda rng: path_graph(rng, 150), 1),
@@ -215,21 +216,24 @@ def mapping_of(d):
     return base.obj if isinstance(base, memoryview) else None
 
 
+def oracle_cases(workers):
+    """(graph name, worker count, _CHUNK) for every oracle graph, each
+    count in workers, and 64- and 16-row chunks (the -chunks ids)."""
+    return [
+        pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
+        for name in sorted(ORACLE_GRAPHS)
+        for w in workers
+        for chunk in (64, 16)
+    ]
+
+
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence in its pivot order
     entry for entry, in one process and on several, in 64-row chunks and
     (the -chunks ids) in 16-row ones, with which even the small graphs span
     several chunks, panels and workers, and the order several parts."""
 
-    @pytest.mark.parametrize(
-        "name, workers, chunk",
-        [
-            pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
-            for name in sorted(ORACLE_GRAPHS)
-            for w in (1, 2, 3, 5)
-            for chunk in (64, 16)
-        ],
-    )
+    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2, 3, 5)))
     def test_equals_plain_recurrence(self, name, workers, chunk, floyd_workers, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
@@ -297,6 +301,40 @@ class TestFloydProperties:
         finite = np.isfinite(natural)
         assert np.array_equal(np.isfinite(d), finite)
         assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
+
+
+def kernel_in_natural_order(g, w):
+    """_floyd_in_place on g's weights in the points' own order, with no
+    pivot order, on w processes: at w > 1 the matrix is in a shared
+    mapping, as the kernel asks."""
+    d = g.to_dense_weights(out=None if w == 1 else geodesic._shared(g.n * g.n).reshape(g.n, g.n))
+    return geodesic._floyd_in_place(d, w)
+
+
+class TestFloydKernelNaturalOrder:
+    """The kernel itself, called with the points in their own order, must
+    equal the plain recurrence in that order entry for entry. There the
+    panels' reach sets are scattered, so they cut row chunks partway and
+    often hold rows that are not one slice of the matrix: the path that
+    gathers and scatters a chunk's rows one at a time."""
+
+    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2)))
+    def test_oracle_graphs(self, name, workers, chunk, monkeypatch):
+        g = ORACLE_GRAPHS[name][0](np.random.default_rng(7))
+        monkeypatch.setattr(geodesic, "_CHUNK", chunk)
+        assert np.array_equal(kernel_in_natural_order(g, workers), floyd_reference(g, range(g.n)))
+        assert_no_children()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("chunk", [64, 16])
+    @settings(max_examples=40, deadline=None)
+    @given(g=symmetric_graphs())
+    def test_random_graphs(self, workers, chunk, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(geodesic, "_CHUNK", chunk)
+            d = kernel_in_natural_order(g, workers)
+        assert np.array_equal(d, floyd_reference(g, range(g.n)))
+        assert_no_children()
 
 
 class TestPivotOrder:
@@ -587,8 +625,8 @@ class TestFloydMemory:
     write, so a bound on a run that forks counts the mapping's bytes too."""
 
     @staticmethod
-    def graph():
-        return ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+    def graph(name="swissroll-stable-n300"):
+        return ORACLE_GRAPHS[name][0](np.random.default_rng(7))
 
     @staticmethod
     def scratch(n, w=1):
@@ -603,18 +641,22 @@ class TestFloydMemory:
         4n + 1 + 2E words."""
         return (4 * g.n + 1 + 2 * g.n_edges) * 8
 
-    def peak_and_scratch(self):
-        g = self.graph()
+    def peak_and_scratch(self, name):
+        g = self.graph(name)
         geodesic._floyd_in_place(g.to_dense_weights())  # numpy fills its own caches once
         d = g.to_dense_weights()
         _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
         return peak, self.scratch(g.n)
 
-    def test_peak_is_the_scratch(self):
-        # each chunk's block-upper triangle is copied into the row block, and
-        # take's default mode="raise" would add a 150 KB temporary on every
-        # gather
-        peak, scratch = self.peak_and_scratch()
+    @pytest.mark.parametrize("name", ["swissroll-stable-n300", "random-disconnected-blocks"])
+    def test_peak_is_the_scratch(self, name):
+        # in the points' own order: each chunk's rows in the panel's reach
+        # set are copied into scratch at the set's columns, as one slice or,
+        # where the blocks' interleaved points cut the chunk, one row at a
+        # time. take's default mode="raise" would add a 150 KB temporary on
+        # every gather, and a scatter through a 2-D fancy index one as large
+        # as the block
+        peak, scratch = self.peak_and_scratch(name)
         assert peak <= scratch + 16 * 1024
 
     @pytest.fixture
