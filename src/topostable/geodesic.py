@@ -594,9 +594,15 @@ def classical_mds(gm, m):
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
-    if not _all_finite(gm.d):
-        raise NonFiniteError("geodesic matrix spans multiple components")
-    centered = double_center(gm.d)
+    try:
+        centered = double_center(gm.d)
+    except NonFiniteError:
+        # double_center's one scan of the squares found inf or NaN; only
+        # then is gm.d scanned, to tell missing paths from squares that
+        # overflow
+        if not _all_finite(gm.d):
+            raise NonFiniteError("geodesic matrix spans multiple components") from None
+        raise
     eig = symmetric_eigen_top(centered, m)
     # made before the centered matrix is freed, so that the coordinates
     # cannot take the start of the hole it leaves on the heap, which

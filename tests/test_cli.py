@@ -426,3 +426,41 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == __version__
+
+
+def test_run_path_never_imports_numpy_random(capsys, tmp_path):
+    # numpy.random costs milliseconds and megabytes of RSS when first
+    # loaded, and no embed or compare run needs it. The runs go to a child,
+    # because pytest and hypothesis load numpy.random into this process.
+    roll = tmp_path / "roll.csv"
+    run(capsys, ["generate", "--manifold", "swissroll", "--n", "150", "--seed", "2", "--out", str(roll)])
+    rng = np.random.default_rng(0)
+    pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
+    write_idx_images(pi, rng.integers(0, 256, size=(80, 3, 3), dtype=np.uint8))
+    write_idx_labels(pl, list(rng.integers(0, 5, size=80)))
+    runs = [
+        ["embed", "--in", str(roll), "--k", "8", "--out", str(tmp_path / "a.csv")],
+        ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "60", "--k", "8",
+         "--out", str(tmp_path / "b.csv")],
+        ["compare", "--in", str(roll), "--k", "8,10", "--out", str(tmp_path / "c.csv")],
+    ]
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.random' in sys.modules\n"
+        "from topostable.cli import main\n"
+        f"codes = [main(argv) for argv in {runs!r}]\n"
+        "print(before, 'numpy.random' in sys.modules, codes)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after, codes = proc.stdout.split(maxsplit=2)
+    if before == "True":
+        pytest.skip(f"numpy {np.__version__} loads numpy.random on import")
+    assert codes.strip() == "[0, 0, 0]", proc.stderr
+    assert after == "False"

@@ -1004,6 +1004,13 @@ class TestNonFiniteGeodesics:
         with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
             classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
 
+    def test_overflowing_squares_are_not_missing_paths(self):
+        # finite geodesics whose squares overflow keep double_center's message
+        gm = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2)))
+        gm.d[4, 1] = gm.d[1, 4] = 1e200
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+            classical_mds(gm, 2)
+
 
 class TestResidualVariance:
     @pytest.mark.parametrize("n", [1, 2])
@@ -1129,6 +1136,17 @@ def residual_variance_reference(gm, emb):
     return max(0.0, 1.0 - r * r)
 
 
+def full_eigh_coords(b):
+    """Top two eigenpairs of b from the full eigh, each vector's
+    largest-magnitude component made positive."""
+    values, vectors = linalg._top_full(b, 2)
+    for j in range(2):
+        col = vectors[:, j]
+        if col[np.argmax(np.abs(col))] < 0.0:
+            vectors[:, j] = -col
+    return values, vectors
+
+
 class TestBackHalf:
     @pytest.mark.parametrize("method", ["standard", "stable"])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -1147,19 +1165,27 @@ class TestBackHalf:
     @pytest.mark.parametrize("method", ["standard", "stable"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_large_eigengap_embedding_matches_full_eigh(self, seed, method):
-        # the helix's lambda1 / lambda2 is 3e4 to 6e4; the iteration's stop
-        # rule is relative to lambda1, so the second column is the least
-        # accurate one the pipeline produces
+        # the helix's lambda1 / lambda2 is 3e4 to 6e4, so its second column
+        # is the least accurate one the pipeline produces; the stop rule
+        # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
         b = double_center(gm.d)
         assert linalg._top_subspace(b, 2) is not None  # the iteration answered
-        values, vectors = linalg._top_full(b, 2)
+        values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
-        for j in range(2):
-            col = vectors[:, j]
-            if col[np.argmax(np.abs(col))] < 0.0:
-                vectors[:, j] = -col
-        assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-8
+        assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
+
+    @pytest.mark.parametrize("offset", [1, 2, 3])
+    def test_large_eigengap_accuracy_does_not_depend_on_the_start(self, monkeypatch, offset):
+        # the hash sequence shifted by offset entries is another start
+        # block; the embedding meets the same bound
+        start_block = linalg._start_block
+        monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
+        emb, gm, _, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
+        b = double_center(gm.d)
+        assert linalg._top_subspace(b, 2) is not None
+        values, vectors = full_eigh_coords(b)
+        assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
 
     def test_memory_at_most_about_two_n2_buffers(self):
         # beside the geodesic matrix, classical_mds squares the distances

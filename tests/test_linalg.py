@@ -321,6 +321,17 @@ class TestEigenOracle:
         assert linalg._top_subspace(a, 2) is not None
         self.assert_matches_oracle(a, 2)
 
+    def test_bounds_below_round_off_answer_within_the_stall_bound(self, monkeypatch):
+        # bounds no residual can reach: the residuals stall at round-off,
+        # and the block answers because they are within _STALL_TOL
+        monkeypatch.setattr(linalg, "_COORD_TOL", 0.0)
+        monkeypatch.setattr(linalg, "_RESIDUAL_TOL", 1e-20)
+        a = planted(200, [100.0, 40.0, 15.0], seed=5)
+        assert linalg._top_subspace(a, 2) is not None
+        self.assert_matches_oracle(a, 2)
+        monkeypatch.setattr(linalg, "_STALL_TOL", 1e-20)
+        assert linalg._top_subspace(a, 2) is None
+
     def test_blockwise_symmetry_check(self):
         # the asymmetry sits in the last, partial column block
         a = planted(130, [10.0, 5.0])
@@ -330,6 +341,48 @@ class TestEigenOracle:
         a[3, 129] -= 1e-6
         a[3, 129] += 1e-13
         symmetric_eigen_top(a, 2)
+
+    @pytest.mark.parametrize("i, j", [(129, 3), (70, 65), (0, 64), (127, 128)])
+    def test_symmetry_check_sees_every_tile(self, i, j):
+        # below the diagonal, inside a diagonal tile, and on either side of
+        # a tile edge: each tile pair is compared once, from either side
+        a = planted(130, [10.0, 5.0])
+        a[i, j] += 1e-6
+        with pytest.raises(NotSymmetricError):
+            symmetric_eigen_top(a, 2)
+
+
+SPLITMIX_MASK = (1 << 64) - 1
+
+
+def splitmix64(k):
+    """The k-th output (k >= 1) of splitmix64 started from state 0, in
+    Python integers: the oracle of linalg._start_block."""
+    z = k * 0x9E3779B97F4A7C15 & SPLITMIX_MASK
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & SPLITMIX_MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & SPLITMIX_MASK
+    return z ^ z >> 31
+
+
+class TestStartBlock:
+    def test_oracle_outputs(self):
+        # splitmix64's published first outputs from state 0
+        assert [splitmix64(k) for k in (1, 2, 3)] == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    def test_first_values_pinned(self):
+        # a platform or numpy version that computes other bits fails here
+        assert linalg._start_block(3, 2).tolist() == [
+            [0.3833108082136426, -0.06847200295149003],
+            [-0.47356622840740226, 0.4708819781538285],
+            [-0.39365330843278756, -0.17267423578187424],
+        ]
+
+    @pytest.mark.parametrize("n, p", [(1, 1), (21, 10), (400, 11)])
+    def test_matches_the_oracle(self, n, p):
+        block = linalg._start_block(n, p)
+        expected = [(splitmix64(k) >> 11) * 2.0**-53 - 0.5 for k in range(1, n * p + 1)]
+        assert block.shape == (n, p) and block.dtype == np.float64
+        assert block.ravel().tolist() == expected
 
 
 def rv_of_three(geo, coords):
