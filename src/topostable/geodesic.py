@@ -4,26 +4,23 @@ All-pairs shortest paths approximate manifold geodesics; the embedding
 comes from the top eigenpairs of the doubly-centered negative half
 squared-distance matrix. The all-pairs step is one blocked numpy
 Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
-2003), run in the caller or shared with forked worker processes (see
-_floyd_in_place). It takes its pivots in a nested-dissection order of the
-graph (_pivot_order; George, SIAM J. Numer. Anal. 1973), so its result is
-bitwise the plain recurrence with k in that order, and within rounding of
-the recurrence in the natural order. Each panel of pivots works only in
-its reach set, the columns its pivot rows reach: an update outside it has
-an inf operand and cannot change its entry, and no step of the panel
-makes a pivot row reach further. In the nested-dissection order a panel
-reaches only its own part and the separators around it.
+2003), run in the calling process (see _floyd_in_place). It takes its
+pivots in a nested-dissection order of the graph (_pivot_order; George,
+SIAM J. Numer. Anal. 1973), so its result is bitwise the plain recurrence
+with k in that order, and within rounding of the recurrence in the
+natural order. Each panel of pivots works only in its reach set, the
+columns its pivot rows reach: an update outside it has an inf operand and
+cannot change its entry, and no step of the panel makes a pivot row reach
+further. In the nested-dissection order a panel reaches only its own part
+and the separators around it.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it, so with the geodesic
 matrix itself a run peaks at two n x n float64 buffers.
 """
 
-import contextlib
 import itertools
 import mmap
-import os
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,175 +93,32 @@ def _component_ids(d):
 # Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
 # block stays in cache.
 _CHUNK = 64
-# Floyd runs in the calling process alone below this n, where forking a
-# worker costs more than it saves.
-_FORK_FROM_N = 768
-# Most processes Floyd runs on, however many CPUs the process may use: the
-# only count whose gain has been measured.
-_MAX_WORKERS = 2
-# A container's CPU quota: cgroup v2's "quota period" line ("max" when there
-# is none), else cgroup v1's quota (-1 when there is none) and period, in
-# microseconds.
-_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-_CFS_QUOTA_PERIOD = ("/sys/fs/cgroup/cpu/cpu.cfs_quota_us", "/sys/fs/cgroup/cpu/cpu.cfs_period_us")
-
-
-def _read(path):
-    """The text of a file, or None when it cannot be read."""
-    try:
-        with open(path) as f:
-            return f.read()
-    except OSError:
-        return None
-
-
-def _quota_cpus():
-    """CPUs the cgroup CPU quota allows, rounded up and at least 1, or None
-    when there is no quota or its files cannot be read or parsed."""
-    text = _read(_CPU_MAX)
-    fields = text.split() if text is not None else [_read(path) for path in _CFS_QUOTA_PERIOD]
-    try:
-        quota, period = (int(field) for field in fields)
-    except (TypeError, ValueError):  # "max", a missing file, or garbage
-        return None
-    if quota < 0 or period <= 0:
-        return None
-    return max(1, -(-quota // period))
-
-
-def _cpu_count():
-    """CPUs this process may run on: its affinity mask where the platform
-    has one (Linux), else every CPU (macOS and Windows have no mask),
-    capped at its cgroup CPU quota when it has one. A second process on the
-    same CPU only adds the fork."""
-    if hasattr(os, "sched_getaffinity"):
-        count = len(os.sched_getaffinity(0))
-    else:
-        count = os.cpu_count() or 1
-    quota = _quota_cpus()
-    return count if quota is None else min(count, quota)
-
-
-def _worker_count(n):
-    """Processes Floyd runs on for an n x n matrix: the caller alone below
-    _FORK_FROM_N and where the platform cannot fork, else one per CPU the
-    process may use, at most _MAX_WORKERS; from _FORK_FROM_N on, that is
-    fewer than the row chunks."""
-    if n < _FORK_FROM_N or not hasattr(os, "fork"):
-        return 1
-    return min(_MAX_WORKERS, _cpu_count())
 
 
 def _mapped(size, dtype):
     """A zeroed flat array of size elements of dtype in a new anonymous
-    mapping, MAP_SHARED (mmap's default), so forked children share it. It
-    starts on a page, and the mapping lives as long as any view of it."""
+    mapping, off numpy's heap. It starts on a page, and the mapping lives
+    as long as any view of it."""
     itemsize = np.dtype(dtype).itemsize
     return np.frombuffer(mmap.mmap(-1, itemsize * max(size, 1)), dtype=dtype, count=size)
 
 
-def _shared(size):
-    """_mapped(size, np.float64): the memory Floyd's forked workers write."""
-    return _mapped(size, np.float64)
-
-
-def _serve(run, t, go, done, held):
-    """Worker t's side of Floyd, in the child forked for it, with the
-    caller's ufunc buffer size: it closes the pipe ends in held but its own,
-    then runs run(t, p) for panel p = 0, 1, ... on each byte from go and
-    answers b"." on done, or the exception text if a step raises; on EOF it
-    exits. It leaves through os._exit, so it never returns into the
-    caller's stack or runs the caller's atexit handlers and stdio flushes."""
-    code = 1
-    try:
-        for fd in held:
-            if fd not in (go, done):
-                os.close(fd)
-        p = 0
-        while os.read(go, 1):
-            run(t, p)
-            os.write(done, b".")
-            p += 1
-        code = 0
-    except BaseException as e:  # reported to the caller; the process ends below
-        os.write(done, f"{type(e).__name__}: {e}".encode(errors="replace"))
-    finally:
-        os._exit(code)
-
-
-def _fork():
-    """os.fork, without the DeprecationWarning that Python 3.12 and later
-    give in a process with other threads (numpy's BLAS pool counts), since
-    a lock one of them held stays held in the child: a Floyd worker takes
-    none of those locks. It runs ufuncs, copies and index arithmetic, never
-    BLAS; glibc and CPython reset their own locks in the child; and it
-    leaves through os._exit. The filter matches the warning's text only."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"This process \(pid=\d+\) is multi-threaded", DeprecationWarning)
-        return os.fork()
-
-
-@contextlib.contextmanager
-def _panels(w, run):
-    """Floyd's panels on w processes. Yields panel(p), which calls run(0, p)
-    in the caller and run(t, p) for t = 1..w-1 in forked workers (see
-    _serve), and returns once all of them have finished panel p: one pipe
-    byte to each worker and one back. A worker's failure is raised as a
-    RuntimeError with its exception text. The caller closes its pipe ends
-    and reaps every worker before it leaves, and a worker whose caller was
-    killed exits on the EOF that follows."""
-    held, pids, workers = [], [], []  # the caller's pipe ends; the workers
-    try:
-        for t in range(1, w):
-            go_r, go_w = os.pipe()
-            held += [go_r, go_w]
-            done_r, done_w = os.pipe()
-            held += [done_r, done_w]
-            pid = _fork()
-            if pid == 0:
-                _serve(run, t, go_r, done_w, held)
-            pids.append(pid)
-            for fd in (go_r, done_w):
-                held.remove(fd)
-                os.close(fd)
-            workers.append((t, go_w, done_r))
-
-        def panel(p):
-            for _, go, _ in workers:
-                os.write(go, b"g")
-            run(0, p)
-            for t, _, done in workers:
-                reply = os.read(done, 1)
-                if reply != b".":
-                    while more := os.read(done, 4096):
-                        reply += more
-                    text = reply.decode(errors="replace") or "it exited"
-                    raise RuntimeError(f"Floyd worker {t} failed in panel {p}: {text}")
-
-        yield panel
-    finally:
-        for fd in held:
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
-
-
-def _floyd_in_place(d, w=1):
+def _floyd_in_place(d):
     """Floyd-Warshall on a dense (n, n) weight matrix d with a zero
-    diagonal, in place, on w processes; returns d.
+    diagonal, in place; returns d.
 
     d must be exactly symmetric (NeighborGraph.to_dense_weights writes each
     edge to both entries), with no negative entry and no NaN. Step k is
     d[i, j] = min(d[i, j], d[i, k] + d[k, j]) in the plain order of k, and
     the result is bitwise that of the plain full-matrix recurrence at every
-    w and _CHUNK: each update made gets the same operands, and each one
-    skipped has an inf operand, so min(x, x + inf) = x would not change it.
+    _CHUNK: each update made gets the same operands, and each one skipped
+    has an inf operand, so min(x, x + inf) = x would not change it.
 
     Row k does not change in step k, and a row's update reads only itself
     and row k. So the steps go in panels of _CHUNK pivots, panel p's pivots
-    being row chunk p: the caller takes chunk p through the panel, saving
-    each pivot row just before its step, and then every other chunk takes
-    the panel's steps against the saved rows.
+    being row chunk p: chunk p goes through the panel first, saving each
+    pivot row just before its step, and then every other chunk takes the
+    panel's steps against the saved rows.
 
     A panel works only inside its reach set R, the columns j at which some
     pivot row has a finite d[k, j] as the panel starts. Step k changes d[i,
@@ -278,52 +132,38 @@ def _floyd_in_place(d, w=1):
     The recurrence keeps d symmetric: d[i, k] + d[k, j] and d[j, k] +
     d[k, i] are the same float64 number. So a row reads d[i, k] from the
     saved pivot row, and a chunk other than the panel's takes only the
-    columns of R from its own first row in R on. The caller mirrors the
-    stale rest of the panel's rows before each panel, and of every chunk
-    after the last.
+    columns of R from its own first row in R on. The stale rest of the
+    panel's rows is mirrored before each panel, and of every chunk after
+    the last.
 
-    Worker 0 is the caller and workers 1..w-1 are forked for the call (see
-    _panels). Worker t owns the chunks t, t + w, t + 2w, ... other than the
-    panel's, writes only those rows and its own scratch, and finds R itself
-    in the pivot rows, which the panel's own chunk leaves finite exactly on
-    R. With w > 1, d must be in a shared mapping (see _shared), and the
-    scratch and pivot block get a mapping of their own, freed on return.
-
-    Each worker's scratch and the pivot block start on a 64-byte boundary:
-    a misaligned block splits every AVX-512 store across two cache
-    lines. The ufunc buffer is at its smallest, 16 elements, because numpy
-    copies the step add's stride-0 column d[i, k] through it whenever three
-    rows fit, and nothing here casts; the caller restores its size by hand
+    The scratch and the pivot block start on a 64-byte boundary: a
+    misaligned block splits every AVX-512 store across two cache lines.
+    The ufunc buffer is at its smallest, 16 elements, because numpy copies
+    the step add's stride-0 column d[i, k] through it whenever three rows
+    fit, and nothing here casts; the caller's size is restored by hand
     (np.errstate scopes it only from numpy 2.0 on). take uses mode="clip",
     which clips nothing here, as mode="raise" copies through a temporary.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
     chunks = -(-n // _CHUNK)
-    # each worker's pair of blocks, rounded up to whole 64-byte lines, then
-    # the pivot block: in numpy's memory, with the slack to a 64-byte
-    # boundary, or in a mapping, which starts on a page
+    # the pair of blocks, rounded up to whole 64-byte lines, then the pivot
+    # block, with the slack to a 64-byte boundary
     per = -(-2 * chunk * n // 8) * 8
-    size = w * per + chunk * n
-    room = np.empty(size + 8) if w == 1 else _shared(size)
+    room = np.empty(per + chunk * n + 8)
     start = (-room.ctypes.data) % 64 // 8
-    scratch = room[start:start + w * per].reshape(w, per)
-    pivots = room[start + w * per:start + size].reshape(chunk, n)
+    scratch = room[start:start + per]
+    pivots = room[start + per:start + per + chunk * n].reshape(chunk, n)
 
     def mirror(c):
         """Chunk c's entries left of its diagonal block, from above it."""
         a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
         d[a:b, :a] = d[:a, a:b].T
 
-    def reach_set(t, p):
-        """Panel p's reach set, found through worker t's scratch."""
-        low = np.minimum.reduce(d[p * _CHUNK:(p + 1) * _CHUNK], axis=0, out=scratch[t, :n])
-        return np.flatnonzero(low < np.inf)
-
-    def relax(t, p, c, reach):
-        """Panel p's steps on chunk c's rows in the reach set reach, by
-        worker t in its scratch: at every column of the set for the panel's
-        own chunk (c == p), else at those from the chunk's first row on."""
+    def relax(p, c, reach):
+        """Panel p's steps on chunk c's rows in the reach set reach, in the
+        scratch: at every column of the set for the panel's own chunk
+        (c == p), else at those from the chunk's first row on."""
         k0, k1 = p * _CHUNK, min((p + 1) * _CHUNK, n)
         lo, hi = np.searchsorted(reach, (c * _CHUNK, (c + 1) * _CHUNK)).tolist()
         if lo == hi:
@@ -334,8 +174,8 @@ def _floyd_in_place(d, w=1):
         # blk's rows and d's: one slice each where d's are one, else one row at a time
         whole = mine[-1] - mine[0] == height - 1
         rows = ([slice(None)], [slice(mine[0], mine[-1] + 1)]) if whole else (range(height), mine)
-        blk = scratch[t, :height * width].reshape(height, width)
-        sums = scratch[t, chunk * n:chunk * n + blk.size].reshape(blk.shape)
+        blk = scratch[:height * width].reshape(height, width)
+        sums = scratch[chunk * n:chunk * n + blk.size].reshape(blk.shape)
         for r, i in zip(*rows):
             d[i].take(cols, axis=-1, out=blk[r], mode="clip")
         if c != p:
@@ -351,20 +191,16 @@ def _floyd_in_place(d, w=1):
         for r, i in zip(*rows):
             d[i, cols] = blk[r]
 
-    def run(t, p):
-        """Panel p's steps on worker t's chunks."""
-        reach = reach_set(t, p)
-        for c in range(t, chunks, w):
-            if c != p:
-                relax(t, p, c, reach)
-
     old = np.setbufsize(16)
     try:
-        with _panels(w, run) as panel:
-            for p in range(chunks):
-                mirror(p)
-                relax(0, p, p, reach_set(0, p))
-                panel(p)
+        for p in range(chunks):
+            mirror(p)
+            low = np.minimum.reduce(d[p * _CHUNK:(p + 1) * _CHUNK], axis=0, out=scratch[:n])
+            reach = np.flatnonzero(low < np.inf)
+            relax(p, p, reach)
+            for c in range(chunks):
+                if c != p:
+                    relax(p, c, reach)
     finally:
         np.setbufsize(old)
     for c in range(1, chunks):
@@ -504,21 +340,21 @@ def floyd_all_pairs(g):
     relabelled in that order, _floyd_in_place runs on it in its plain order
     of k, and every row and column goes back to its point. So the result
     is bitwise the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k,
-    j]) taken with k in that order, at every worker count and _CHUNK. In
-    the natural order of k each entry is the length of a shortest path
-    too, but its terms may be added in another grouping or along another
-    path of equal length, so the two differ by rounding only. In the
-    nested-dissection order a panel's pivots reach only their own part and
-    the separators around it, so each panel's reach set, the only columns
-    and rows the kernel touches for it, is a small share of the matrix.
+    j]) taken with k in that order, at every _CHUNK. In the natural order
+    of k each entry is the length of a shortest path too, but its terms
+    may be added in another grouping or along another path of equal
+    length, so the two differ by rounding only. In the nested-dissection
+    order a panel's pivots reach only their own part and the separators
+    around it, so each panel's reach set, the only columns and rows the
+    kernel touches for it, is a small share of the matrix.
 
-    The matrix is the one n x n buffer. The order, its inverse and each
-    permutation's (_CHUNK, n) block are mappings of their own, off the heap
-    for the reason _pivot_order gives, each unmapped once used.
+    The matrix is the one n x n buffer, on numpy's heap. The order, its
+    inverse and each permutation's (_CHUNK, n) block are mappings of their
+    own, off the heap for the reason _pivot_order gives, each unmapped once
+    used.
     """
-    n, w = g.n, _worker_count(g.n)
-    # with workers, the weights go straight into the mapping they share
-    d = g.to_dense_weights(out=None if w == 1 else _shared(n * n).reshape(n, n))
+    n = g.n
+    d = g.to_dense_weights()
     order = _pivot_order(g)
     pos = _mapped(n, np.int64)  # each point's place in the order
     places = memoryview(pos)
@@ -526,7 +362,7 @@ def floyd_all_pairs(g):
         places[point] = place
     _permute(d, order)
     del order, places  # the order's mapping goes before Floyd's scratch comes
-    _permute(_floyd_in_place(d, w), pos)
+    _permute(_floyd_in_place(d), pos)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
 
 

@@ -144,11 +144,9 @@ class NeighborGraph:
     def n_edges(self):
         return self.edges.shape[0]
 
-    def to_dense_weights(self, out=None):
-        """Dense (n, n) weight matrix: 0 on the diagonal, inf off-edges;
-        written into the float64 (n, n) array out when one is given."""
-        d = np.empty((self.n, self.n)) if out is None else out
-        d.fill(np.inf)
+    def to_dense_weights(self):
+        """Dense (n, n) weight matrix: 0 on the diagonal, inf off-edges."""
+        d = np.full((self.n, self.n), np.inf)
         np.fill_diagonal(d, 0.0)
         i, j = self.edges[:, 0], self.edges[:, 1]
         d[i, j] = self.weights

@@ -124,9 +124,9 @@ def peak_bytes(fn):
 @pytest.fixture(scope="session", autouse=True)
 def no_child_left():
     """Fails the run if a test leaves a child process running or unreaped,
-    such as a Floyd worker (geodesic forks them from n = 768 on)."""
+    such as a CLI run started with subprocess."""
     yield
-    if not hasattr(os, "WNOHANG"):  # Windows: nothing forks
+    if not hasattr(os, "WNOHANG"):  # Windows: no way to poll for one
         return
     try:
         left = os.waitpid(-1, os.WNOHANG)

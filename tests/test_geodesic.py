@@ -1,8 +1,3 @@
-import contextlib
-import mmap
-import os
-import select
-import types
 import warnings
 import weakref
 
@@ -177,36 +172,6 @@ class TestFloydDijkstraAgreement:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
 
 
-def force_floyd(setattr, w=None):
-    """Floyd runs on w processes at every n, not only from
-    geodesic._FORK_FROM_N on, as if the process had w CPUs and no cap (a
-    worker with no row chunk of its own only answers each panel); with w
-    None only the threshold is forced."""
-    setattr(geodesic, "_FORK_FROM_N", 0)
-    if w is not None:
-        setattr(geodesic, "_cpu_count", lambda: w)
-        setattr(geodesic, "_MAX_WORKERS", w)
-
-
-@pytest.fixture
-def floyd_workers(monkeypatch):
-    """floyd_workers(w): force_floyd for one test."""
-    return lambda w=None: force_floyd(monkeypatch.setattr, w)
-
-
-def assert_no_children():
-    """This process has no child, running or unreaped: Floyd reaps every
-    worker it forks before it returns or raises."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def shared_int64(size):
-    """A zeroed int64 vector in an anonymous shared mapping: a forked Floyd
-    worker can write it, and the caller read what it wrote."""
-    return np.frombuffer(mmap.mmap(-1, 8 * size), dtype=np.int64)
-
-
 def mapping_of(d):
     """The mmap whose memory the array d is, or None where numpy allocated
     it."""
@@ -216,28 +181,26 @@ def mapping_of(d):
     return base.obj if isinstance(base, memoryview) else None
 
 
-def oracle_cases(workers):
-    """(graph name, worker count, _CHUNK) for every oracle graph, each
-    count in workers, and 64- and 16-row chunks (the -chunks ids)."""
+def oracle_cases():
+    """(graph name, _CHUNK) for every oracle graph, in 64- and 16-row
+    chunks (the -chunks ids)."""
     return [
-        pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
+        pytest.param(name, chunk, id=name + ("-chunks" if chunk == 16 else ""))
         for name in sorted(ORACLE_GRAPHS)
-        for w in workers
         for chunk in (64, 16)
     ]
 
 
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence in its pivot order
-    entry for entry, in one process and on several, in 64-row chunks and
-    (the -chunks ids) in 16-row ones, with which even the small graphs span
-    several chunks, panels and workers, and the order several parts."""
+    entry for entry, in 64-row chunks and (the -chunks ids) in 16-row ones,
+    with which even the small graphs span several chunks and panels, and
+    the order several parts."""
 
-    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2, 3, 5)))
-    def test_equals_plain_recurrence(self, name, workers, chunk, floyd_workers, monkeypatch):
+    @pytest.mark.parametrize("name, chunk", oracle_cases())
+    def test_equals_plain_recurrence(self, name, chunk, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
-        floyd_workers(workers)
         monkeypatch.setattr(geodesic, "_CHUNK", chunk)
         gm = floyd_all_pairs(g)
         if components is not None:
@@ -245,7 +208,6 @@ class TestFloydOracle:
         assert np.array_equal(gm.d, pivoted_reference(g))
         assert np.array_equal(gm.d, gm.d.T)
         assert np.all(np.diag(gm.d) == 0.0)
-        assert_no_children()
 
 
 @st.composite
@@ -268,22 +230,17 @@ def symmetric_graphs(draw):
 
 
 class TestFloydProperties:
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @settings(max_examples=40, deadline=None)
     @given(g=symmetric_graphs())
-    def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
-        with pytest.MonkeyPatch.context() as mp:
-            force_floyd(mp.setattr, workers)
-            d = floyd_all_pairs(g).d
+    def test_equals_plain_recurrence_and_stays_symmetric(self, g):
+        d = floyd_all_pairs(g).d
         assert np.array_equal(d, pivoted_reference(g))
         assert np.array_equal(d, d.T)
-        assert_no_children()
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
-        # above the fork threshold, with a short last chunk, on the default
-        # worker count
+        # with a short last chunk
         n = 1340
-        assert n >= geodesic._FORK_FROM_N and n % geodesic._CHUNK
+        assert n % geodesic._CHUNK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
 
@@ -303,12 +260,10 @@ class TestFloydProperties:
         assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
 
 
-def kernel_in_natural_order(g, w):
+def kernel_in_natural_order(g):
     """_floyd_in_place on g's weights in the points' own order, with no
-    pivot order, on w processes: at w > 1 the matrix is in a shared
-    mapping, as the kernel asks."""
-    d = g.to_dense_weights(out=None if w == 1 else geodesic._shared(g.n * g.n).reshape(g.n, g.n))
-    return geodesic._floyd_in_place(d, w)
+    pivot order."""
+    return geodesic._floyd_in_place(g.to_dense_weights())
 
 
 class TestFloydKernelNaturalOrder:
@@ -318,23 +273,20 @@ class TestFloydKernelNaturalOrder:
     often hold rows that are not one slice of the matrix: the path that
     gathers and scatters a chunk's rows one at a time."""
 
-    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2)))
-    def test_oracle_graphs(self, name, workers, chunk, monkeypatch):
+    @pytest.mark.parametrize("name, chunk", oracle_cases())
+    def test_oracle_graphs(self, name, chunk, monkeypatch):
         g = ORACLE_GRAPHS[name][0](np.random.default_rng(7))
         monkeypatch.setattr(geodesic, "_CHUNK", chunk)
-        assert np.array_equal(kernel_in_natural_order(g, workers), floyd_reference(g, range(g.n)))
-        assert_no_children()
+        assert np.array_equal(kernel_in_natural_order(g), floyd_reference(g, range(g.n)))
 
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [64, 16])
     @settings(max_examples=40, deadline=None)
     @given(g=symmetric_graphs())
-    def test_random_graphs(self, workers, chunk, g):
+    def test_random_graphs(self, chunk, g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geodesic, "_CHUNK", chunk)
-            d = kernel_in_natural_order(g, workers)
+            d = kernel_in_natural_order(g)
         assert np.array_equal(d, floyd_reference(g, range(g.n)))
-        assert_no_children()
 
 
 class TestPivotOrder:
@@ -386,22 +338,19 @@ class TestPermute:
 
 class _ModuleProxy:
     """Stands in for a module geodesic uses: the names given are replaced,
-    those in hide are missing, and the rest come from the module."""
+    and the rest come from the module."""
 
-    def __init__(self, module, hide=(), **names):
+    def __init__(self, module, **names):
         self._module = module
-        self._hide = hide
         self.__dict__.update(names)
 
     def __getattr__(self, name):
-        if name in self._hide:
-            raise AttributeError(name)
         return getattr(self._module, name)
 
 
 class TestFloydBufferSize:
-    """Every process of the kernel runs with numpy's ufunc buffer below
-    three rows, and the caller gets its size back."""
+    """The kernel runs with numpy's ufunc buffer below three rows, and the
+    caller gets its size back."""
 
     def test_caller_size_restored(self):
         g = ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7))
@@ -422,217 +371,33 @@ class TestFloydBufferSize:
             floyd_all_pairs(ORACLE_GRAPHS["n65"][0](np.random.default_rng(7)))
         assert np.getbufsize() == old
 
-    def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch, floyd_workers):
-        # row 0 for the caller, row 1 for its one worker: (pid, largest
-        # buffer size seen at an add), in shared memory, since the worker
-        # is a forked copy of this process
-        seen = shared_int64(4).reshape(2, 2)
-        caller = os.getpid()
+    def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch):
+        seen = []  # the buffer size at each add
 
         def spy_add(*args, **kwargs):
-            row = seen[int(os.getpid() != caller)]
-            row[0] = os.getpid()
-            row[1] = max(row[1], np.getbufsize())
+            seen.append(np.getbufsize())
             return np.add(*args, **kwargs)
 
         g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        floyd_workers(2)
         monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=spy_add))
         floyd_all_pairs(g)
-        assert seen[0, 0] == caller and seen[1, 0] not in (0, caller)
-        assert 0 < seen[:, 1].min() and seen[:, 1].max() < 3 * g.n
-
-
-@pytest.fixture
-def patched_os(monkeypatch):
-    """geodesic's os, recording in the caller: in .writes the bytes it
-    writes (the go of each panel, to each worker), in .reads the bytes it
-    reads (each worker's answer), and in .codes the exit code of each
-    worker it reaps. A worker's own calls are recorded in its own copy."""
-    writes, reads, codes = [], [], []
-
-    def write(fd, data):
-        writes.append(data)
-        return os.write(fd, data)
-
-    def read(fd, size):
-        reads.append(os.read(fd, size))
-        return reads[-1]
-
-    def waitpid(pid, options):
-        result = os.waitpid(pid, options)
-        codes.append(os.waitstatus_to_exitcode(result[1]))
-        return result
-
-    proxy = _ModuleProxy(os, write=write, read=read, waitpid=waitpid, writes=writes, reads=reads, codes=codes)
-    monkeypatch.setattr(geodesic, "os", proxy)
-    return proxy
-
-
-class TestFloydProcesses:
-    """Floyd on several forked worker processes. A failure in any of them
-    reaches the caller, no worker outlives the call, the caller gets its
-    buffer size back, and the caller and each worker meet once per panel.
-    More processes than cores still give the plain recurrence's result."""
-
-    @pytest.fixture
-    def patched_np(self, monkeypatch, floyd_workers):
-        """geodesic's numpy, with Floyd on two processes: its setbufsize
-        records the caller's calls, as (size set, size replaced), in
-        .calls."""
-        floyd_workers(2)
-        calls = []
-
-        def setbufsize(size):
-            old = np.setbufsize(size)
-            calls.append((size, old))
-            return old
-
-        proxy = _ModuleProxy(np, setbufsize=setbufsize, calls=calls)
-        monkeypatch.setattr(geodesic, "np", proxy)
-        return proxy
-
-    @contextlib.contextmanager
-    def leaves_nothing_behind(self, patched_np):
-        bufsize = np.getbufsize()
-        yield
-        assert_no_children()
-        assert patched_np.calls == [(16, bufsize), (bufsize, 16)]
-
-    @staticmethod
-    def run():
-        # three 64-row chunks, every row reaching every pivot: in panel 0
-        # the worker relaxes chunk 1 while the caller relaxes chunk 2
-        floyd_all_pairs(random_graph(np.random.default_rng(7), 150, 0.3))
-
-    @pytest.mark.parametrize("where", ["worker", "caller"])
-    def test_step_failure_reaches_the_caller(self, patched_np, patched_os, where):
-        # the worker fails at its first step and exits with code 1; the
-        # caller once the worker has finished a panel, and the worker then
-        # exits cleanly on the EOF
-        caller = os.getpid()
-
-        def fails():
-            if os.getpid() != caller:
-                return where == "worker"
-            return where == "caller" and bool(patched_os.reads)
-
-        def add(*args, **kwargs):
-            if fails():
-                raise RuntimeError(f"step failed on the {where}")
-            return np.add(*args, **kwargs)
-
-        patched_np.add = add
-        expected = "Floyd worker 1 failed in panel 0: RuntimeError: " if where == "worker" else ""
-        with self.leaves_nothing_behind(patched_np), pytest.raises(RuntimeError, match=f"^{expected}step failed on the {where}$"):
-            self.run()
-        assert patched_os.codes == [1 if where == "worker" else 0]
-
-    def test_interrupt_on_the_caller_while_a_worker_runs(self, patched_np, patched_os):
-        caller = os.getpid()
-        started, resume = os.pipe(), os.pipe()
-        after_interrupt = shared_int64(1)  # the worker's adds after it resumed
-        resumed = []  # the caller's and the worker's own copies
-
-        def add(*args, **kwargs):
-            if os.getpid() != caller:
-                if resumed:
-                    after_interrupt[0] += 1
-                else:
-                    os.write(started[1], b"s")
-                    assert select.select([resume[0]], [], [], 10)[0]
-                    resumed.append(True)
-            elif patched_os.writes and not resumed:
-                # panel 0 has started on the worker
-                assert select.select([started[0]], [], [], 10)[0]
-                resumed.append(True)
-                os.write(resume[1], b"r")  # the worker is inside its first add
-                raise KeyboardInterrupt
-            return np.add(*args, **kwargs)
-
-        patched_np.add = add
-        try:
-            with self.leaves_nothing_behind(patched_np), pytest.raises(KeyboardInterrupt):
-                self.run()
-        finally:
-            for fd in (*started, *resume):
-                os.close(fd)
-        # the worker finished its panel before the interrupt got out
-        assert after_interrupt[0] > 1
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_one_task_per_panel_and_worker(self, floyd_workers, patched_os, workers):
-        # a worker's task for a panel is one go byte out and one done byte
-        # back
-        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        floyd_workers(workers)
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        round_trips = -(-g.n // geodesic._CHUNK) * (workers - 1)
-        assert len(patched_os.writes) == len(patched_os.reads) == round_trips
-        # each worker exits cleanly on the EOF after the last panel
-        assert patched_os.codes == [0] * (workers - 1)
-        assert_no_children()
-
-    def test_fork_in_a_process_with_threads_warns_nothing(self, monkeypatch, floyd_workers):
-        # Python 3.12 and later warn at each fork in a process with other
-        # threads, in these words; warnings are errors in this suite
-        def fork():
-            pid = os.fork()
-            if pid:
-                message = f"This process (pid={os.getpid()}) is multi-threaded, use of fork() may lead to deadlocks in the child."
-                warnings.warn(message, DeprecationWarning)
-            return pid
-
-        g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
-        floyd_workers(2)
-        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, fork=fork))
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        assert_no_children()
-
-    def test_fork_failure_at_start_up_reaches_the_caller(self, monkeypatch, floyd_workers, patched_os):
-        # the second of two workers cannot be forked: the first, already
-        # running, exits cleanly on the EOF of its pipe, and every pipe end
-        # is closed
-        forks = []
-
-        def fork():
-            forks.append(None)
-            if len(forks) == 2:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return os.fork()
-
-        def open_fds():
-            return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-        floyd_workers(3)
-        monkeypatch.setattr(geodesic, "_fork", fork)
-        before = open_fds()
-        with pytest.raises(BlockingIOError, match="Resource temporarily unavailable"):
-            self.run()
-        assert_no_children()
-        assert patched_os.codes == [0]
-        assert open_fds() == before
-
-    def test_more_processes_than_cores(self, floyd_workers):
-        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        floyd_workers(5)  # five 64-row chunks, one for each process
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        assert_no_children()
+        assert seen and 0 < min(seen) and max(seen) < 3 * g.n
 
 
 class TestFloydMemory:
-    """tracemalloc does not see the shared mapping that Floyd's workers
-    write, so a bound on a run that forks counts the mapping's bytes too."""
+    """Traced peaks of Floyd's parts: the kernel holds only its scratch
+    beside the matrix, and the pivot order and both permutations keep their
+    room in mappings of their own, off numpy's heap."""
 
     @staticmethod
     def graph(name="swissroll-stable-n300"):
         return ORACLE_GRAPHS[name][0](np.random.default_rng(7))
 
     @staticmethod
-    def scratch(n, w=1):
-        """Bytes of w workers' (64, n) step and row blocks and the (64, n)
-        pivot block, plus the alignment slack of a numpy buffer."""
-        return ((2 * w + 1) * geodesic._CHUNK * n + 8) * 8
+    def scratch(n):
+        """Bytes of the (64, n) step and row blocks and the (64, n) pivot
+        block, plus the alignment slack of a numpy buffer."""
+        return (3 * geodesic._CHUNK * n + 8) * 8
 
     @staticmethod
     def order_room(g):
@@ -658,32 +423,6 @@ class TestFloydMemory:
         # as the block
         peak, scratch = self.peak_and_scratch(name)
         assert peak <= scratch + 16 * 1024
-
-    @pytest.fixture
-    def made(self, monkeypatch):
-        """The flat arrays over the shared mappings Floyd makes, in order."""
-        made, original = [], geodesic._shared
-
-        def shared(size):
-            made.append(original(size))
-            return made[-1]
-
-        monkeypatch.setattr(geodesic, "_shared", shared)
-        return made
-
-    def test_mappings_are_the_matrix_then_the_pivots_and_scratch(self, made, floyd_workers):
-        # n = 300: n * n and 64 * n are whole 64-byte lines, so nothing pads
-        g = self.graph()
-        floyd_workers(2)
-        gm = floyd_all_pairs(g)
-        chunk, n = geodesic._CHUNK, g.n
-        mappings = [mapping_of(flat) for flat in made]
-        assert [len(m) for m in mappings] == [8 * n * n, 8 * (chunk * n + 2 * 2 * chunk * n)]
-        assert mapping_of(gm.d) is mappings[0]
-        # the scratch and pivots are freed when Floyd returns; d stays
-        room = weakref.ref(mappings[1])
-        del made[:], mappings
-        assert room() is None
 
     @pytest.fixture
     def mapped(self, monkeypatch):
@@ -721,8 +460,8 @@ class TestFloydMemory:
         assert room() is None
 
     def test_all_pairs_maps_the_order_and_the_permutations_and_frees_them(self, mapped):
-        # in one process: the order's room, the inverse order, and one
-        # (64, n) block for each permutation
+        # the order's room, the inverse order, and one (64, n) block for
+        # each permutation
         g = self.graph()
         gm = floyd_all_pairs(g)
         n = g.n
@@ -733,114 +472,11 @@ class TestFloydMemory:
         assert [room() for room in rooms] == [None] * 4
         assert mapping_of(gm.d) is None
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_all_pairs_holds_the_matrix_and_the_scratch(self, made, floyd_workers, workers):
+    def test_all_pairs_holds_the_matrix_and_the_scratch(self):
         g = self.graph()
-        floyd_workers(workers)
         floyd_all_pairs(g)  # numpy fills its own caches once
-        made.clear()
         _, peak = peak_bytes(lambda: floyd_all_pairs(g))
-        shared = sum(flat.nbytes for flat in made)
-        assert (shared == 0) == (workers == 1)
-        assert peak + shared <= 8 * g.n * g.n + self.scratch(g.n, workers) + 16 * 1024
-
-
-@pytest.fixture
-def cgroup_files(monkeypatch):
-    """cgroup_files(files): geodesic reads the cgroup files from the dict
-    files, path -> text; the others cannot be read."""
-    return lambda files: monkeypatch.setattr(geodesic, "_read", files.get)
-
-
-class TestFloydWorkerCount:
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity mask on this platform")
-    def test_affinity_mask(self, cgroup_files):
-        cgroup_files({})
-        assert geodesic._cpu_count() == len(os.sched_getaffinity(0))
-
-    @pytest.mark.parametrize(
-        "files, expected",
-        [
-            ({"/sys/fs/cgroup/cpu.max": "max 100000\n"}, 8),
-            ({"/sys/fs/cgroup/cpu.max": "150000 100000\n"}, 2),
-            ({"/sys/fs/cgroup/cpu.max": "200000 100000\n"}, 2),
-            ({"/sys/fs/cgroup/cpu.max": "1000 100000\n"}, 1),
-            ({"/sys/fs/cgroup/cpu.max": "1200000 100000\n"}, 8),
-            # v2 answers even when v1's files are there too
-            (
-                {
-                    "/sys/fs/cgroup/cpu.max": "max 100000\n",
-                    "/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "100000\n",
-                    "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n",
-                },
-                8,
-            ),
-            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "-1\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 8),
-            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "250000\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 3),
-            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "50000\n", "/sys/fs/cgroup/cpu/cpu.cfs_period_us": "100000\n"}, 1),
-            ({"/sys/fs/cgroup/cpu/cpu.cfs_quota_us": "50000\n"}, 8),
-            ({"/sys/fs/cgroup/cpu.max": "garbage\n"}, 8),
-            ({"/sys/fs/cgroup/cpu.max": "100000 0\n"}, 8),
-            ({}, 8),
-        ],
-    )
-    def test_cgroup_quota_caps_the_count(self, monkeypatch, cgroup_files, files, expected):
-        monkeypatch.setattr(geodesic, "os", types.SimpleNamespace(sched_getaffinity=lambda pid: set(range(8))))
-        cgroup_files(files)
-        assert geodesic._cpu_count() == expected
-
-    def test_unreadable_cgroup_file(self, tmp_path):
-        assert geodesic._read(tmp_path / "missing") is None
-        (tmp_path / "cpu.max").write_text("max 100000\n")
-        assert geodesic._read(tmp_path / "cpu.max") == "max 100000\n"
-
-    @pytest.mark.parametrize("cpus, expected", [(3, 3), (None, 1)])
-    def test_cpu_count_without_an_affinity_mask(self, monkeypatch, floyd_workers, cgroup_files, cpus, expected):
-        # macOS has no os.sched_getaffinity
-        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, hide=("sched_getaffinity",), cpu_count=lambda: cpus))
-        cgroup_files({})
-        assert geodesic._cpu_count() == expected
-        floyd_workers()
-        g = ORACLE_GRAPHS["n130"][0](np.random.default_rng(7))
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        assert_no_children()
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids os.fork returned in geodesic, as it runs with 8 CPUs."""
-        pids = []
-
-        def fork():
-            pids.append(os.fork())
-            return pids[-1]
-
-        monkeypatch.setattr(geodesic, "_cpu_count", lambda: 8)
-        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, fork=fork))
-        return pids
-
-    @staticmethod
-    def workers_run(n):
-        # row 0 links to the first row of every other chunk, so every
-        # worker has rows that reach pivot 0
-        g = graph_from_edges(n, [(0, i, 1.0) for i in range(geodesic._CHUNK, n, geodesic._CHUNK)])
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        assert_no_children()
-
-    def test_one_process_below_the_threshold_and_capped_above(self, forks):
-        self.workers_run(geodesic._FORK_FROM_N - 1)
-        assert forks == []
-        self.workers_run(geodesic._FORK_FROM_N)
-        assert len(forks) == geodesic._MAX_WORKERS - 1 == 1
-
-    def test_fewer_processes_than_row_chunks_from_the_threshold(self):
-        # so _worker_count needs no cap at the number of row chunks
-        assert geodesic._MAX_WORKERS < -(-geodesic._FORK_FROM_N // geodesic._CHUNK)
-
-    def test_one_process_where_the_platform_cannot_fork(self, forks, monkeypatch):
-        # Windows has no os.fork
-        monkeypatch.setattr(geodesic, "os", _ModuleProxy(os, hide=("fork",)))
-        assert geodesic._worker_count(geodesic._FORK_FROM_N) == 1
-        self.workers_run(geodesic._FORK_FROM_N)
+        assert peak <= 8 * g.n * g.n + self.scratch(g.n) + 16 * 1024
 
 
 class TestLargestComponent:

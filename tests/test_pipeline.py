@@ -21,7 +21,7 @@ from topostable import (
     write_report_csv,
     write_scatter_svg,
 )
-from topostable import geodesic, pipeline
+from topostable import pipeline
 from topostable.errors import BadDimError, DegenerateComplementError
 
 from conftest import peak_bytes
@@ -95,18 +95,6 @@ class TestIsomapEmbed:
         # the bridge point still links the planes, so one component remains
         assert kept.size == data.n
 
-    def test_floyd_processes_leave_every_output_bitwise_equal(self, monkeypatch):
-        data = gen_swiss_roll(300, 1).data
-        runs = []
-        monkeypatch.setattr(geodesic, "_FORK_FROM_N", 0)
-        for workers in (1, 2):
-            monkeypatch.setattr(geodesic, "_cpu_count", lambda: workers)
-            runs.append(isomap_embed(data, RunConfig(method="stable", k=10)))
-        (emb1, gm1, kept1, _), (emb2, gm2, kept2, _) = runs
-        assert np.array_equal(gm1.d, gm2.d)
-        assert np.array_equal(emb1.coords, emb2.coords)
-        assert np.array_equal(kept1, kept2)
-
     def test_disconnected_graph_embeds_largest_component(self):
         rng = np.random.default_rng(2)
         near = rng.normal(size=(30, 3)) * 0.1
@@ -168,37 +156,36 @@ class TestCompareMethods:
 
 
 class TestMemory:
-    """Peak traced memory of whole runs at n=400, in units of one n x n
-    float64 buffer: the geodesic matrix and one working buffer, plus the
-    O(n * k) tables."""
+    """Peak traced memory of whole runs, in units of one n x n float64
+    buffer: the geodesic matrix and one working buffer, plus the O(n * k)
+    tables."""
 
-    N = 400
-
-    @pytest.fixture(scope="class")
-    def roll(self):
-        # Floyd runs in this process: from geodesic._FORK_FROM_N on it would
-        # hold the geodesic matrix in a shared mapping, which tracemalloc
-        # does not see
-        assert self.N < geodesic._FORK_FROM_N
-        data = gen_swiss_roll(self.N, 1).data
+    @staticmethod
+    def roll(n):
+        data = gen_swiss_roll(n, 1).data
         build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
         return data
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
-    def test_embed_and_residual_variance(self, roll, method):
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_embed_and_residual_variance(self, n, method):
+        roll = self.roll(n)
+
         def run():
             emb, gm, _, _ = isomap_embed(roll, RunConfig(method=method, k=10))
             return residual_variance(gm, emb)
 
         _, peak = peak_bytes(run)
-        assert peak <= 2.4 * self.N * self.N * 8
+        assert peak <= 2.4 * n * n * 8
 
-    def test_sweep_frees_each_cell_before_the_next(self, roll):
+    def test_sweep_frees_each_cell_before_the_next(self):
         # a cell still holding the previous cell's geodesic matrix while it
         # builds its graph would reach about 4 buffers
+        n = 400
+        roll = self.roll(n)
         rows, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
         assert len(rows) == 8 and all(r.error is None for r in rows)
-        assert peak <= 2.5 * self.N * self.N * 8
+        assert peak <= 2.5 * n * n * 8
 
 
 class TestWriteEmbeddingCsv:
