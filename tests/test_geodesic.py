@@ -1,5 +1,7 @@
+import threading
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -181,33 +183,54 @@ def mapping_of(d):
     return base.obj if isinstance(base, memoryview) else None
 
 
-def oracle_cases():
-    """(graph name, _CHUNK) for every oracle graph, in 64- and 16-row
-    chunks (the -chunks ids)."""
+def on_threads(workers, call):
+    """call() on workers threads at once (one worker is this thread), its
+    results in thread order. Floyd keeps no state between calls and numpy's
+    ufunc buffer size, which it sets and restores, is per thread, so every
+    caller must get the result it would get alone."""
+    if workers == 1:
+        return [call()]
+    start = threading.Barrier(workers)
+
+    def run():
+        start.wait(timeout=30)
+        return call()
+
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run) for _ in range(workers)]
+        return [f.result() for f in futures]
+
+
+def oracle_cases(workers):
+    """(graph name, worker threads, _CHUNK) for every oracle graph, each
+    count in workers, and 64- and 16-row chunks (the -chunks ids)."""
     return [
-        pytest.param(name, chunk, id=name + ("-chunks" if chunk == 16 else ""))
+        pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
         for name in sorted(ORACLE_GRAPHS)
+        for w in workers
         for chunk in (64, 16)
     ]
 
 
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence in its pivot order
-    entry for entry, in 64-row chunks and (the -chunks ids) in 16-row ones,
-    with which even the small graphs span several chunks and panels, and
-    the order several parts."""
+    entry for entry, called from one thread and from several at once, in
+    64-row chunks and (the -chunks ids) in 16-row ones, with which even the
+    small graphs span several chunks and panels, and the order several
+    parts."""
 
-    @pytest.mark.parametrize("name, chunk", oracle_cases())
-    def test_equals_plain_recurrence(self, name, chunk, monkeypatch):
+    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2, 3, 5)))
+    def test_equals_plain_recurrence(self, name, workers, chunk, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
         monkeypatch.setattr(geodesic, "_CHUNK", chunk)
-        gm = floyd_all_pairs(g)
-        if components is not None:
-            assert int(gm.component_ids.max()) + 1 == components
-        assert np.array_equal(gm.d, pivoted_reference(g))
-        assert np.array_equal(gm.d, gm.d.T)
-        assert np.all(np.diag(gm.d) == 0.0)
+        reference = pivoted_reference(g)
+        for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
+            if components is not None:
+                assert int(gm.component_ids.max()) + 1 == components
+            assert np.array_equal(gm.d, reference)
+            assert np.array_equal(gm.d, gm.d.T)
+            assert np.all(np.diag(gm.d) == 0.0)
 
 
 @st.composite
@@ -230,12 +253,14 @@ def symmetric_graphs(draw):
 
 
 class TestFloydProperties:
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @settings(max_examples=40, deadline=None)
     @given(g=symmetric_graphs())
-    def test_equals_plain_recurrence_and_stays_symmetric(self, g):
-        d = floyd_all_pairs(g).d
-        assert np.array_equal(d, pivoted_reference(g))
-        assert np.array_equal(d, d.T)
+    def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
+        reference = pivoted_reference(g)
+        for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
+            assert np.array_equal(gm.d, reference)
+            assert np.array_equal(gm.d, gm.d.T)
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
         # with a short last chunk
@@ -271,22 +296,28 @@ class TestFloydKernelNaturalOrder:
     equal the plain recurrence in that order entry for entry. There the
     panels' reach sets are scattered, so they cut row chunks partway and
     often hold rows that are not one slice of the matrix: the path that
-    gathers and scatters a chunk's rows one at a time."""
+    gathers and scatters a chunk's rows one at a time. The -w2 cases call
+    it from two threads at once."""
 
-    @pytest.mark.parametrize("name, chunk", oracle_cases())
-    def test_oracle_graphs(self, name, chunk, monkeypatch):
+    @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2)))
+    def test_oracle_graphs(self, name, workers, chunk, monkeypatch):
         g = ORACLE_GRAPHS[name][0](np.random.default_rng(7))
         monkeypatch.setattr(geodesic, "_CHUNK", chunk)
-        assert np.array_equal(kernel_in_natural_order(g), floyd_reference(g, range(g.n)))
+        reference = floyd_reference(g, range(g.n))
+        for d in on_threads(workers, lambda: kernel_in_natural_order(g)):
+            assert np.array_equal(d, reference)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [64, 16])
     @settings(max_examples=40, deadline=None)
     @given(g=symmetric_graphs())
-    def test_random_graphs(self, chunk, g):
+    def test_random_graphs(self, workers, chunk, g):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(geodesic, "_CHUNK", chunk)
-            d = kernel_in_natural_order(g)
-        assert np.array_equal(d, floyd_reference(g, range(g.n)))
+            runs = on_threads(workers, lambda: kernel_in_natural_order(g))
+        reference = floyd_reference(g, range(g.n))
+        for d in runs:
+            assert np.array_equal(d, reference)
 
 
 class TestPivotOrder:
@@ -387,7 +418,9 @@ class TestFloydBufferSize:
 class TestFloydMemory:
     """Traced peaks of Floyd's parts: the kernel holds only its scratch
     beside the matrix, and the pivot order and both permutations keep their
-    room in mappings of their own, off numpy's heap."""
+    room in mappings of their own, off numpy's heap. tracemalloc traces
+    every thread, so callers on several threads at once are bounded
+    together."""
 
     @staticmethod
     def graph(name="swissroll-stable-n300"):
@@ -472,11 +505,15 @@ class TestFloydMemory:
         assert [room() for room in rooms] == [None] * 4
         assert mapping_of(gm.d) is None
 
-    def test_all_pairs_holds_the_matrix_and_the_scratch(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_all_pairs_holds_the_matrix_and_the_scratch(self, workers):
+        # each of the threads calling at once holds only its own; what the
+        # threads themselves take is measured on calls that do nothing
         g = self.graph()
-        floyd_all_pairs(g)  # numpy fills its own caches once
-        _, peak = peak_bytes(lambda: floyd_all_pairs(g))
-        assert peak <= 8 * g.n * g.n + self.scratch(g.n) + 16 * 1024
+        on_threads(workers, lambda: floyd_all_pairs(g))  # numpy fills its own caches once
+        threads = peak_bytes(lambda: on_threads(workers, lambda: None))[1] if workers > 1 else 0
+        _, peak = peak_bytes(lambda: on_threads(workers, lambda: floyd_all_pairs(g)))
+        assert peak <= threads + workers * (8 * g.n * g.n + self.scratch(g.n) + 16 * 1024)
 
 
 class TestLargestComponent:

@@ -166,9 +166,7 @@ class TestMemory:
         build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
         return data
 
-    @pytest.mark.parametrize("method", ["standard", "stable"])
-    @pytest.mark.parametrize("n", [400, 800])
-    def test_embed_and_residual_variance(self, n, method):
+    def embed_peak_within_bound(self, n, method):
         roll = self.roll(n)
 
         def run():
@@ -177,6 +175,14 @@ class TestMemory:
 
         _, peak = peak_bytes(run)
         assert peak <= 2.4 * n * n * 8
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_and_residual_variance(self, method):
+        self.embed_peak_within_bound(400, method)
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_and_residual_variance_at_n800(self, method):
+        self.embed_peak_within_bound(800, method)
 
     def test_sweep_frees_each_cell_before_the_next(self):
         # a cell still holding the previous cell's geodesic matrix while it
