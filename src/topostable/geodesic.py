@@ -20,7 +20,6 @@ matrix itself a run peaks at two n x n float64 buffers.
 """
 
 import itertools
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,14 +92,6 @@ def _component_ids(d):
 # Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
 # block stays in cache.
 _CHUNK = 64
-
-
-def _mapped(size, dtype):
-    """A zeroed flat array of size elements of dtype in a new anonymous
-    mapping, off numpy's heap. It starts on a page, and the mapping lives
-    as long as any view of it."""
-    itemsize = np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, itemsize * max(size, 1)), dtype=dtype, count=size)
 
 
 def _floyd_in_place(d):
@@ -224,16 +215,13 @@ def _pivot_order(g):
     they were. A part of at most _CHUNK vertices keeps its order.
 
     Every part is a range of the order, rewritten in place. The order is a
-    view of a mapping (see _mapped) that also holds each vertex's part
-    label, the search queue and the adjacency list with its offsets, 4n +
-    1 + 2E words, and the searches run in Python over memoryviews of it:
-    they make no numpy arrays, which numpy keeps cached for reuse when
-    under 1 KiB, and no heap buffer that outlives the next one. Either can
-    sit in the heap's hole that a later n x n buffer was to fill, and then
-    that buffer grows the heap by its size.
+    view of one block that also holds each vertex's part label, the search
+    queue and the adjacency list with its offsets, 4n + 1 + 2E words, and
+    the searches run in Python over memoryviews of it, which at n=1600 is
+    faster than making numpy arrays level by level: 9-14 against 16 ms.
     """
     n, edges = g.n, g.edges
-    room = _mapped(4 * n + 1 + edges.size, np.int64)  # zeroed: every vertex starts in part 0
+    room = np.zeros(4 * n + 1 + edges.size, np.int64)  # zeroed: every vertex starts in part 0
     order, label, queue, start, nbrs = (
         room[:n], room[n:2 * n], room[2 * n:3 * n], room[3 * n:4 * n + 1], room[4 * n + 1:]
     )
@@ -308,13 +296,13 @@ def _pivot_order(g):
 
 def _permute(d, p):
     """Writes d[np.ix_(p, p)] over the (n, n) array d, for a permutation p
-    of range(n) held in an int64 array, through one mapped (_CHUNK, n)
-    block: the columns are permuted _CHUNK rows at a time through the
-    block, and then each cycle of p moves its rows one place along through
-    the block's first row. p is left as the identity: each row moved is
-    marked there as in place."""
+    of range(n) held in an int64 array, through one (_CHUNK, n) block,
+    freed once used: the columns are permuted _CHUNK rows at a time
+    through the block, and then each cycle of p moves its rows one place
+    along through the block's first row. p is left as the identity: each
+    row moved is marked there as in place."""
     n = d.shape[0]
-    block = _mapped(min(_CHUNK, n) * n, np.float64).reshape(min(_CHUNK, n), n)
+    block = np.empty((min(_CHUNK, n), n))
     for a in range(0, n, _CHUNK):
         rows = d[a:a + _CHUNK]
         moved = block[:rows.shape[0]]
@@ -348,20 +336,18 @@ def floyd_all_pairs(g):
     around it, so each panel's reach set, the only columns and rows the
     kernel touches for it, is a small share of the matrix.
 
-    The matrix is the one n x n buffer, on numpy's heap. The order, its
-    inverse and each permutation's (_CHUNK, n) block are mappings of their
-    own, off the heap for the reason _pivot_order gives, each unmapped once
-    used.
+    The matrix is the one n x n buffer. The order's block, its inverse and
+    each permutation's (_CHUNK, n) block are freed once used.
     """
     n = g.n
     d = g.to_dense_weights()
     order = _pivot_order(g)
-    pos = _mapped(n, np.int64)  # each point's place in the order
+    pos = np.empty(n, np.int64)  # each point's place in the order
     places = memoryview(pos)
     for place, point in enumerate(memoryview(order)):
         places[point] = place
     _permute(d, order)
-    del order, places  # the order's mapping goes before Floyd's scratch comes
+    del order, places  # the order's block goes before Floyd's scratch comes
     _permute(_floyd_in_place(d), pos)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
 

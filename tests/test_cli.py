@@ -262,16 +262,17 @@ class TestEmbed:
         labels = np.arange(100, 140)  # one distinct label per image
         write_idx_labels(pl, list(labels))
         out = tmp_path / "emb.csv"
-        code, _, _ = run(
-            capsys,
-            ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "15", "--sample-random",
-             "--seed", "4", "--method", "standard", "--k", "6", "--out", str(out)],
-        )
-        assert code == 0
-        rows = np.array([line.split(",")[:2] for line in out.read_text().splitlines()[1:]], dtype=np.int64)
-        chosen = np.sort(np.random.default_rng(4).choice(40, size=15, replace=False))
-        assert rows.shape == (15, 2)
-        assert np.array_equal(rows[:, 1], labels[chosen][rows[:, 0]])
+        for seed_flag, seed in (([], 0), (["--seed", "4"], 4)):  # the draw's seed is 0 by default
+            code, _, _ = run(
+                capsys,
+                ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "15", "--sample-random",
+                 *seed_flag, "--method", "standard", "--k", "6", "--out", str(out)],
+            )
+            assert code == 0
+            rows = np.array([line.split(",")[:2] for line in out.read_text().splitlines()[1:]], dtype=np.int64)
+            chosen = np.sort(np.random.default_rng(seed).choice(40, size=15, replace=False))
+            assert rows.shape == (15, 2)
+            assert np.array_equal(rows[:, 1], labels[chosen][rows[:, 0]])
 
     @pytest.mark.parametrize("extra", [["--take-first", "0"], ["--take-first", "-3", "--sample-random"]])
     def test_take_first_below_one_is_data_error(self, capsys, tmp_path, extra):
@@ -311,6 +312,19 @@ class TestEmbed:
         code, _, err = run(capsys, [command, "--in", str(roll_csv), "--k", "8", "--out", str(out), *extra])
         assert code == 1
         assert f"{extra[0]} applies to IDX input only" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["embed", "compare"])
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_seed_without_sample_random_is_usage_error(self, capsys, roll_csv, tmp_path, command, kind):
+        # it seeds only the random draw, so without one it would be dropped
+        source, out = roll_csv, tmp_path / "out.csv"
+        if kind == "idx":
+            source = tmp_path / "i.idx"
+            write_idx_images(source, np.zeros((20, 3, 3), dtype=np.uint8))
+        code, _, err = run(capsys, [command, "--in", str(source), "--k", "5", "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert "--seed needs --sample-random" in err
         assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import threading
+import tracemalloc
 import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -30,6 +31,10 @@ from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
 from conftest import blob_images, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
+
+
+# one sequence of examples on every run; each test keeps its own count
+PROPERTY = settings(derandomize=True, deadline=None)
 
 
 def graph_from_edges(n, edge_list):
@@ -174,15 +179,6 @@ class TestFloydDijkstraAgreement:
                 assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
 
 
-def mapping_of(d):
-    """The mmap whose memory the array d is, or None where numpy allocated
-    it."""
-    base = d.base
-    while isinstance(base, np.ndarray):
-        base = base.base
-    return base.obj if isinstance(base, memoryview) else None
-
-
 def on_threads(workers, call):
     """call() on workers threads at once (one worker is this thread), its
     results in thread order. Floyd keeps no state between calls and numpy's
@@ -254,7 +250,7 @@ def symmetric_graphs(draw):
 
 class TestFloydProperties:
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    @settings(max_examples=40, deadline=None)
+    @settings(PROPERTY, max_examples=40)
     @given(g=symmetric_graphs())
     def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
         reference = pivoted_reference(g)
@@ -309,7 +305,7 @@ class TestFloydKernelNaturalOrder:
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("chunk", [64, 16])
-    @settings(max_examples=40, deadline=None)
+    @settings(PROPERTY, max_examples=40)
     @given(g=symmetric_graphs())
     def test_random_graphs(self, workers, chunk, g):
         with pytest.MonkeyPatch.context() as mp:
@@ -321,7 +317,7 @@ class TestFloydKernelNaturalOrder:
 
 
 class TestPivotOrder:
-    @settings(max_examples=60, deadline=None)
+    @settings(PROPERTY, max_examples=60)
     @given(g=symmetric_graphs())
     @example(g=graph_from_edges(0, []))
     @example(g=graph_from_edges(1, []))
@@ -416,11 +412,10 @@ class TestFloydBufferSize:
 
 
 class TestFloydMemory:
-    """Traced peaks of Floyd's parts: the kernel holds only its scratch
-    beside the matrix, and the pivot order and both permutations keep their
-    room in mappings of their own, off numpy's heap. tracemalloc traces
-    every thread, so callers on several threads at once are bounded
-    together."""
+    """Traced memory of Floyd's parts: the kernel holds only its scratch
+    beside the matrix, the pivot order only its one block, and a finished
+    call only its result. tracemalloc traces every thread, so callers on
+    several threads at once are bounded together."""
 
     @staticmethod
     def graph(name="swissroll-stable-n300"):
@@ -434,7 +429,7 @@ class TestFloydMemory:
 
     @staticmethod
     def order_room(g):
-        """Bytes of the pivot order's mapping: the order, each vertex's part
+        """Bytes of the pivot order's block: the order, each vertex's part
         label, the search queue and the adjacency list with its offsets,
         4n + 1 + 2E words."""
         return (4 * g.n + 1 + 2 * g.n_edges) * 8
@@ -457,23 +452,11 @@ class TestFloydMemory:
         peak, scratch = self.peak_and_scratch(name)
         assert peak <= scratch + 16 * 1024
 
-    @pytest.fixture
-    def mapped(self, monkeypatch):
-        """The flat arrays over every mapping geodesic makes, in order."""
-        mapped, original = [], geodesic._mapped
-
-        def recorded(size, dtype):
-            mapped.append(original(size, dtype))
-            return mapped[-1]
-
-        monkeypatch.setattr(geodesic, "_mapped", recorded)
-        return mapped
-
     @pytest.mark.parametrize("edges", ["none", "star", "complete", "swiss-roll"])
-    def test_pivot_order_keeps_its_scratch_in_one_mapping(self, mapped, edges):
-        # the order is a view of it, so it lives as long as the order; on
-        # the heap there are only the degree count, n words, and Python's
-        # own objects
+    def test_pivot_order_peak_is_its_room(self, edges):
+        # beside its block there are only the degree count, n words, and
+        # Python's own objects; the order is a view of the block, which
+        # lives as long as the order
         n = 300
         pairs = {
             "none": np.zeros((0, 2), dtype=np.int64),
@@ -483,27 +466,27 @@ class TestFloydMemory:
         }[edges]
         g = NeighborGraph(n=n, edges=pairs, weights=np.ones(len(pairs)))
         geodesic._pivot_order(g)  # numpy fills its own caches once
-        mapped.clear()
         order, peak = peak_bytes(lambda: geodesic._pivot_order(g))
-        assert peak <= 8 * n + 16 * 1024
-        assert [len(mapping_of(flat)) for flat in mapped] == [self.order_room(g)]
-        room = weakref.ref(mapping_of(mapped.pop()))
-        assert mapping_of(order) is room()
+        assert peak <= self.order_room(g) + 8 * n + 16 * 1024
+        room = weakref.ref(order.base)
+        assert room().nbytes == self.order_room(g)
         del order
         assert room() is None
 
-    def test_all_pairs_maps_the_order_and_the_permutations_and_frees_them(self, mapped):
-        # the order's room, the inverse order, and one (64, n) block for
-        # each permutation
+    def test_all_pairs_keeps_only_its_result(self):
+        # the order's block, its inverse and the permutation blocks are
+        # freed by the time the call returns: what stays is the matrix and
+        # the component ids
         g = self.graph()
-        gm = floyd_all_pairs(g)
-        n = g.n
-        sizes = [self.order_room(g), 8 * n, 8 * geodesic._CHUNK * n, 8 * geodesic._CHUNK * n]
-        rooms = [weakref.ref(mapping_of(flat)) for flat in mapped]
-        assert [len(room()) for room in rooms] == sizes
-        del mapped[:]
-        assert [room() for room in rooms] == [None] * 4
-        assert mapping_of(gm.d) is None
+        floyd_all_pairs(g)  # numpy fills its own caches once
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            gm = floyd_all_pairs(g)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert gm.d.nbytes + gm.component_ids.nbytes <= kept <= 8 * g.n * g.n + 8 * g.n + 16 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_pairs_holds_the_matrix_and_the_scratch(self, workers):
