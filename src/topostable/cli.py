@@ -51,7 +51,12 @@ def _add_run_flags(p, k_type, k_help):
 
 
 def _run_config(args, method, k):
-    return RunConfig(method=method, k=k, m=args.m, dim_w=args.dim_w, delta_theta_deg=args.delta_theta)
+    # RunConfig refuses a k or m below 1 whatever the data, so the commands
+    # build their configs before the input is read and refuse them as usage
+    try:
+        return RunConfig(method=method, k=k, m=args.m, dim_w=args.dim_w, delta_theta_deg=args.delta_theta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _add_input_flags(p):
@@ -100,7 +105,7 @@ def _is_idx(path):
 
 
 class UsageError(Exception):
-    """A flag that does not apply to the given input (exit code 1)."""
+    """A flag, or a flag value, the command cannot use (exit code 1)."""
 
 
 def _load_input(args):
@@ -142,8 +147,9 @@ def _cmd_generate(args):
 def _cmd_embed(args):
     if args.svg and args.m < 2:
         raise UsageError(f"--svg needs --m 2 or more: the scatter plot draws the first two coordinates, got --m {args.m}")
+    cfg = _run_config(args, args.method, args.k)
     data = _load_input(args)
-    emb, gm, kept, graph = isomap_embed(data, _run_config(args, args.method, args.k))
+    emb, gm, kept, graph = isomap_embed(data, cfg)
     write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)
     if args.svg:
         sub_labels = None if data.labels is None else data.labels[kept]
@@ -160,9 +166,10 @@ def _cmd_embed(args):
 
 
 def _cmd_compare(args):
-    data = _load_input(args)
     methods = METHODS if args.method == "both" else (args.method,)
-    rows = compare_methods(data, args.k, _run_config(args, methods[0], args.k[0]), methods=methods)
+    cfgs = [_run_config(args, methods[0], k) for k in args.k]
+    data = _load_input(args)
+    rows = compare_methods(data, args.k, cfgs[0], methods=methods)
     write_report_csv(rows, sys.stdout if args.out == "-" else args.out)
     failures = [r for r in rows if r.error is not None]
     for r in failures:

@@ -19,13 +19,21 @@ against a norm of 1, is at most its true norm, which rounds to 90 degrees:
 the candidate stays. The graph is the union of the kept (point, candidate)
 pairs.
 
-The build holds one n x n buffer: the squared distances, computed in place
-over the Gram product (_pairwise_sq). The kNN table and the keep-mask are
-made a block of at most ROW_BLOCK rows at a time, and a selector block's
-(block, k, d) offsets stay near EDGE_BLOCK_BYTES, so the other scratch is
-O(ROW_BLOCK * n) plus a few EDGE_BLOCK_BYTES blocks plus the O(n * k) table
-and masks. A row whose farthest probe lies in its subspace holds one
-(probes, d) offset stack, which is at most the size of the input.
+The table and the keep-masks come from knn_table, for the one cell of a
+build_graph call on a DataSet, or once for all the cells of a sweep, which
+then passes the KnnTable to build_graph in place of the DataSet. The table
+at a smaller k is the prefix of the table at the largest k, entry for
+entry, since both are the stable argsort's; so one table serves every k,
+and each cell's edges are what its own build would give.
+
+knn_table holds one n x n buffer: the squared distances, computed in place
+over the Gram product (_pairwise_sq), and freed when it returns. The kNN
+table and the keep-mask are made a block of at most ROW_BLOCK rows at a
+time, and a selector block's (block, k, d) offsets stay near
+EDGE_BLOCK_BYTES, so the other scratch is O(ROW_BLOCK * n) plus a few
+EDGE_BLOCK_BYTES blocks plus the O(n * k) table and masks. A row whose
+farthest probe lies in its subspace holds one (probes, d) offset stack,
+which is at most the size of the input.
 """
 
 import math
@@ -33,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError, NonFiniteError
+from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError, NonFiniteError, TopoStableError
 
 __all__ = [
     "DataSet",
@@ -298,38 +306,109 @@ def _stable_keep(points, nn, d2, cfg):
     return keep
 
 
-def build_graph(data, cfg, method="standard"):
-    """Neighborhood graph under either selection rule, symmetrized by union.
-
-    An edge (i, j) is present when either endpoint selected the other;
-    weights are exact Euclidean distances. The kNN table and the stable
-    keep-mask are made in row blocks, but each row is what a walk over one
-    point at a time gives, so the edges do not depend on the blocks.
-    Selector failures name the offending point ("point p: ..."), the lowest
-    failing one. Input whose squared distances would overflow float64
-    raises NonFiniteError naming the point of largest magnitude.
-    """
+def _check_cell(data, cfg, method):
+    """Raises build_graph's refusal of a cell, in its order: the method and
+    the settings (ValueError), k against n (KTooLargeError), then squared
+    distances that would overflow (NonFiniteError, naming the point of
+    largest magnitude)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cfg.check(data, stable=method == "stable")
-    points = data.points
-    n = data.n
-    if cfg.k >= n:
-        raise KTooLargeError(f"k={cfg.k} but only {n} points are available")
+    if cfg.k >= data.n:
+        raise KTooLargeError(f"k={cfg.k} but only {data.n} points are available")
     # every squared distance, Gram entry and selector dot product is at most
     # 4 D max|x|^2; Python floats overflow to inf without a numpy warning
+    points = data.points
     top = max(-float(points.min()), float(points.max()))
     if not math.isfinite(4.0 * data.dim * top * top):
         p = int(np.abs(points).argmax()) // data.dim
         raise NonFiniteError(f"point {p}: a coordinate of magnitude {top:.3g} overflows the squared distances in float64")
 
-    # kNN table: rows sorted by the computed squared distances. The Gram
-    # product can round the distances to two identical rows differently;
-    # the rounding then decides.
-    d2 = _pairwise_sq(points)
-    nn = _knn_indices(d2, cfg.k)
 
-    keep = _stable_keep(points, nn, d2, cfg) if method == "stable" else np.ones(nn.shape, dtype=bool)
+def _cell_key(cfg, method):
+    return method, cfg.k, cfg.dim_w, cfg.delta_theta_deg
+
+
+@dataclass(frozen=True)
+class KnnTable:
+    """What build_graph needs of a DataSet for a set of cells, made once by
+    knn_table, which build_graph takes in place of the DataSet.
+
+    nn is the (n, k) kNN table at the largest k among the cells, and the
+    table at a smaller k is its prefix. masks maps each cell, by method and
+    selector settings, to its (n, k) keep-mask, or to the error its
+    selector raised. A cell that build_graph refuses has no entry, and nn is
+    None when it refuses them all.
+    """
+
+    data: DataSet
+    nn: np.ndarray | None
+    masks: dict
+
+
+def knn_table(data, cells):
+    """The KnnTable of data for the (cfg, method) cells of build_graph.
+
+    The squared distances are computed once, the kNN table is taken at the
+    largest k among the cells that build_graph accepts, and each such cell's
+    keep-mask from that table's prefix. The n x n distances are freed on
+    return, so the table holds O(n * k) values. A selector failure is kept
+    in the cell's entry and raised by that cell's build_graph, after the
+    refusals that come first, so every cell fails as it would alone. When
+    build_graph accepts no cell, nothing is computed.
+    """
+    ready = []
+    for cfg, method in cells:
+        try:
+            _check_cell(data, cfg, method)
+        except (ValueError, TopoStableError):
+            continue
+        ready.append((cfg, method))
+    if not ready:
+        return KnnTable(data, None, {})
+    # Rows sorted by the computed squared distances. The Gram product can
+    # round the distances to two identical rows differently; the rounding
+    # then decides.
+    d2 = _pairwise_sq(data.points)
+    nn = _knn_indices(d2, max(cfg.k for cfg, _ in ready))
+    masks = {}
+    for cfg, method in ready:
+        key = _cell_key(cfg, method)
+        if key in masks:
+            continue
+        if method == "standard":
+            masks[key] = np.ones((data.n, cfg.k), dtype=bool)
+            continue
+        try:
+            masks[key] = _stable_keep(data.points, nn[:, : cfg.k], d2, cfg)
+        except (DegenerateBasisError, DegenerateComplementError) as exc:
+            masks[key] = exc
+    return KnnTable(data, nn, masks)
+
+
+def build_graph(data, cfg, method="standard"):
+    """Neighborhood graph under either selection rule, symmetrized by union.
+
+    An edge (i, j) is present when either endpoint selected the other;
+    weights are exact Euclidean distances. data is a DataSet, or a KnnTable
+    that knn_table made of one for this cell among others, so that a sweep
+    computes the distances and the kNN table once; a DataSet gets a
+    KnnTable of this one cell. The edges are the same either way, and so
+    are the errors: the cell's refusal (_check_cell) comes first, then a
+    selector failure, which names the offending point ("point p: ..."), the
+    lowest failing one. The kNN table and the stable keep-mask are made in
+    row blocks, but each row is what a walk over one point at a time gives,
+    so the edges do not depend on the blocks.
+    """
+    table = data if isinstance(data, KnnTable) else knn_table(data, [(cfg, method)])
+    data = table.data
+    _check_cell(data, cfg, method)
+    keep = table.masks[_cell_key(cfg, method)]  # a KeyError: the table was made for other cells
+    if isinstance(keep, TopoStableError):
+        raise keep
+    points = data.points
+    n = data.n
+    nn = table.nn[:, : cfg.k]
 
     # Union of the kept (p, nn[p, c]) pairs: one key per unordered pair, and
     # ascending keys are the edges in lexicographic (i, j) order.

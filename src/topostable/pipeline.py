@@ -12,7 +12,7 @@ from .geodesic import (
     largest_component,
     residual_variance,
 )
-from .graph import METHODS, SelectorConfig, build_graph
+from .graph import METHODS, SelectorConfig, build_graph, knn_table
 
 __all__ = [
     "RunConfig",
@@ -59,8 +59,14 @@ def isomap_embed(data, cfg):
     geodesic matrix is restricted to the embedded (largest) component and
     kept_indices maps its rows back to original point ids.
     """
+    return _embed(data, data, cfg)
+
+
+def _embed(data, source, cfg):
+    """isomap_embed with the graph built from source: data itself, or a
+    KnnTable that knn_table made of data for this cell among others."""
     with _stage("neighbor graph"):
-        graph = build_graph(data, cfg, cfg.method)
+        graph = build_graph(source, cfg, cfg.method)
     with _stage("shortest paths"):
         gm = floyd_all_pairs(graph)
     # rebinding gm frees the full matrix once a component has been cut out
@@ -84,25 +90,33 @@ class ReportRow:
 
 def compare_methods(data, k_values, base_cfg, methods=METHODS):
     """Run the pipeline for every (k, method) cell: a tuple of ReportRows,
-    one per cell, k by k and the methods in order within each k.
+    one per cell, k by k and the methods in order within each k. Each row
+    is what isomap_embed and residual_variance give for its cell alone.
 
-    Every cell's RunConfig is built before the first cell runs, so a k or
-    method that RunConfig refuses raises ValueError before any work. A
-    failed cell (selector degeneracy, disconnection artifacts, config
-    invalid for this data) is recorded as a marker row with residual
-    variance NaN and all points counted as dropped, instead of aborting
-    the sweep.
+    Every cell's RunConfig is built before any work, so a k or method that
+    RunConfig refuses raises ValueError first. Then one KnnTable serves
+    every cell (knn_table): the squared distances are computed once, the
+    kNN table is taken once at the largest k, each stable cell's keep-mask
+    is made from its prefix, and the n x n distances are freed before the
+    first cell runs. A failed cell (selector degeneracy, disconnection
+    artifacts, config invalid for this data) is recorded as a marker row
+    with residual variance NaN and all points counted as dropped, instead
+    of aborting the sweep.
     """
     cells = [replace(base_cfg, method=method, k=int(k)) for k in k_values for method in methods]
-    return tuple(_run_cell(data, cfg) for cfg in cells)
+    table = knn_table(data, [(cfg, cfg.method) for cfg in cells])
+    return tuple(_run_cell(table, cfg) for cfg in cells)
 
 
-def _run_cell(data, cfg):
-    """One compare_methods cell as its ReportRow. The cell's geodesic
-    matrix, embedding and graph are locals here, so they are freed before
-    the next cell builds its graph, whether this cell succeeded or not."""
+def _run_cell(table, cfg):
+    """One compare_methods cell as its ReportRow, from the sweep's
+    KnnTable. The cell's graph, geodesic matrix and embedding are locals
+    here, so they are freed before the next cell builds its graph, whether
+    this cell succeeded or not; only the table's O(n * k) arrays outlive
+    it."""
+    data = table.data
     try:
-        emb, gm, kept, graph = isomap_embed(data, cfg)
+        emb, gm, kept, graph = _embed(data, table, cfg)
         rv = residual_variance(gm, emb)
     except (TopoStableError, ValueError) as exc:
         return ReportRow(

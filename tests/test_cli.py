@@ -1,3 +1,5 @@
+import contextlib
+import io
 import os
 import re
 import shlex
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topostable import RunConfig, __version__
 from topostable.cli import build_parser, main
@@ -139,6 +143,26 @@ class TestEmbed:
         assert code == 1
         assert "--svg needs --m 2 or more" in err
         assert not out.exists() and not svg.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("embed", ["--k", "0"], "k must be positive"),
+            ("embed", ["--k", "8", "--m", "0"], "m must be positive"),
+            ("compare", ["--k", "0,10"], "k must be positive"),
+            ("compare", ["--k=10,-3"], "k must be positive"),
+            ("compare", ["--k", "10", "--m", "-1"], "m must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize("exists", [True, False])
+    def test_nonpositive_k_or_m_is_usage_error(self, capsys, roll_csv, tmp_path, command, flags, message, exists):
+        # refused whatever the data, so before the input is read: a missing
+        # file gets the same refusal
+        source, out = (roll_csv if exists else tmp_path / "missing.csv"), tmp_path / "out.csv"
+        code, _, err = run(capsys, [command, "--in", str(source), *flags, "--out", str(out)])
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_missing_input_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["embed", "--in", str(tmp_path / "nope.csv"), "--k", "8"])
@@ -403,6 +427,51 @@ class TestCompare:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(line.split(",")[1] == "stable" for line in lines[1:])
+
+
+FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
+
+# --k lists of k in range, repeated and past the 12 points, with at times
+# one item that is empty, zero or negative
+k_items = st.tuples(
+    st.lists(st.integers(1, 14).map(str), max_size=5),
+    st.none() | st.sampled_from(["", "0", "-1"]),
+    st.integers(0, 5),
+).map(lambda t: t[0] if t[1] is None else t[0][: t[2]] + [t[1]] + t[0][t[2] :])
+
+
+class TestCompareFuzz:
+    """Any --k list, --method and --m on a small CSV: exit 0, 1 or 2 with no
+    traceback, and on exit 0 one report row per cell."""
+
+    @pytest.fixture(scope="class")
+    def small_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "pts.csv"
+        pts = np.random.default_rng(7).normal(size=(12, 3))
+        path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
+        return path
+
+    @FUZZ
+    @given(
+        items=k_items,
+        joined=st.booleans(),
+        method=st.sampled_from([None, "standard", "stable", "both", "fast"]),
+        m=st.none() | st.integers(-1, 14).map(str) | st.just("two"),
+    )
+    def test_exit_code_and_rows(self, small_csv, items, joined, method, m):
+        k_text = ",".join(items)
+        argv = ["compare", "--in", str(small_csv), *([f"--k={k_text}"] if joined else ["--k", k_text])]
+        argv += [] if method is None else ["--method", method]
+        argv += [] if m is None else ["--m", m]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            cells = len([v for v in items if v != ""]) * (2 if method in (None, "both") else 1)
+            assert len(out.getvalue().splitlines()) == 1 + cells
+            assert f"compared {cells} cells" in err.getvalue()
 
 
 def readme_commands():

@@ -1,9 +1,12 @@
 import io
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from topostable import (
     DataSet,
@@ -21,8 +24,8 @@ from topostable import (
     write_report_csv,
     write_scatter_svg,
 )
-from topostable import pipeline
-from topostable.errors import BadDimError, DegenerateComplementError
+from topostable import graph, pipeline
+from topostable.errors import BadDimError, DegenerateComplementError, TopoStableError
 
 from conftest import peak_bytes
 
@@ -130,19 +133,39 @@ class TestCompareMethods:
         assert std.n_edges == stb.n_edges
         assert std.n_embedded == stb.n_embedded
 
-    def test_invalid_k_refused_before_any_cell_runs(self, monkeypatch):
+    @staticmethod
+    def watch(monkeypatch):
+        """Names of the calls that build a table or a graph, as they happen."""
         calls = []
-        real = pipeline.build_graph
+        for module, name in [(pipeline, "knn_table"), (pipeline, "build_graph"), (graph, "_pairwise_sq"), (graph, "_knn_indices")]:
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+            monkeypatch.setattr(module, name, counting)
+        return calls
 
-        monkeypatch.setattr(pipeline, "build_graph", counting)
+    def test_invalid_k_refused_before_any_cell_runs(self, monkeypatch):
+        # the table is made outside every cell's build_graph, so it is
+        # watched too: the refusal comes before any distance is computed
+        calls = self.watch(monkeypatch)
         data = gen_swiss_roll(100, 3).data
         with pytest.raises(ValueError, match="k must be positive"):
             compare_methods(data, [10, 0], RunConfig(method="standard", k=10))
         assert calls == []
+
+    def test_one_table_per_sweep(self, monkeypatch):
+        calls = self.watch(monkeypatch)
+        data = gen_swiss_roll(100, 3).data
+        rows = compare_methods(data, [10, 15, 5], RunConfig(method="standard", k=10))
+        assert all(r.error is None for r in rows)
+        assert calls == ["knn_table", "_pairwise_sq", "_knn_indices"] + ["build_graph"] * 6
+
+    def test_empty_k_list_builds_nothing(self, monkeypatch):
+        calls = self.watch(monkeypatch)
+        data = gen_swiss_roll(100, 3).data
+        assert compare_methods(data, [], RunConfig(method="standard", k=10)) == ()
+        assert [c for c in calls if c != "knn_table"] == []  # a table of no cells computes nothing
 
     def test_failed_cell_becomes_marker_row(self):
         rng = np.random.default_rng(5)
@@ -184,14 +207,81 @@ class TestMemory:
     def test_embed_and_residual_variance_at_n800(self, method):
         self.embed_peak_within_bound(800, method)
 
-    def test_sweep_frees_each_cell_before_the_next(self):
+    def sweep_peak_within_bound(self, n):
         # a cell still holding the previous cell's geodesic matrix while it
-        # builds its graph would reach about 4 buffers
-        n = 400
+        # builds its graph would reach about 4 buffers, and a sweep table
+        # whose squared distances outlived the graph stage about 3
         roll = self.roll(n)
         rows, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
         assert len(rows) == 8 and all(r.error is None for r in rows)
         assert peak <= 2.5 * n * n * 8
+
+    def test_sweep_frees_each_cell_before_the_next(self):
+        self.sweep_peak_within_bound(400)
+
+    def test_sweep_frees_each_cell_before_the_next_at_n800(self):
+        self.sweep_peak_within_bound(800)
+
+
+SWEEP = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+def cell_alone(data, cfg):
+    """The ReportRow of one cell run on its own through isomap_embed and
+    residual_variance: what compare_methods must give for that cell."""
+    try:
+        emb, gm, kept, g = isomap_embed(data, cfg)
+        rv = residual_variance(gm, emb)
+    except (TopoStableError, ValueError) as exc:
+        return ReportRow(cfg.k, cfg.method, float("nan"), 0, data.n, 0, 0, str(exc))
+    return ReportRow(cfg.k, cfg.method, rv, int(kept.size), data.n - int(kept.size), g.n_edges, emb.n_clipped)
+
+
+def graph_or_error(source, cfg):
+    """build_graph's edges and weights as bytes, or its error as (type,
+    message)."""
+    try:
+        g = build_graph(source, cfg, cfg.method)
+    except (TopoStableError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g.edges.tobytes(), g.weights.tobytes()
+
+
+def bits(row):
+    """row with rv as its hex digits: NaN equals NaN, and 0.0 differs from -0.0."""
+    return replace(row, residual_variance=float.hex(row.residual_variance))
+
+
+class TestSweepParity:
+    """A sweep shares one kNN table among its cells, and each of its rows
+    and graphs is still what that cell gives alone, bit for bit."""
+
+    @SWEEP
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(5, 24),
+        dim=st.integers(2, 5),
+        grid=st.sampled_from([None, 2, 3]),
+        dups=st.integers(0, 6),
+        delta=st.sampled_from([5.0, 30.0, 89.0]),
+        draw=st.data(),
+    )
+    def test_rows_and_graphs_equal_each_cell_alone(self, seed, n, dim, grid, dups, delta, draw):
+        # duplicated rows tie at every distance, so ties straddle the k-th
+        # neighbour; grid points tie everywhere; the k lists come unsorted,
+        # repeated and past n
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(n, dim)) if grid is None else rng.integers(0, grid, size=(n, dim)).astype(np.float64)
+        data = DataSet(np.vstack([pts, pts[rng.integers(0, n, size=dups)]]))
+        ks = draw.draw(st.lists(st.integers(1, data.n + 2), min_size=1, max_size=6), label="ks")
+        base = RunConfig(method="standard", k=1, delta_theta_deg=delta)
+        cells = [replace(base, method=method, k=k) for k in ks for method in ("standard", "stable")]
+
+        rows = compare_methods(data, ks, base)
+
+        assert [bits(r) for r in rows] == [bits(cell_alone(data, cfg)) for cfg in cells]
+        table = graph.knn_table(data, [(cfg, cfg.method) for cfg in cells])
+        assert [graph_or_error(table, cfg) for cfg in cells] == [graph_or_error(data, cfg) for cfg in cells]
 
 
 class TestWriteEmbeddingCsv:
