@@ -21,6 +21,11 @@ class ZeroVarianceError(TopoStableError):
     """Correlation is undefined because one input is constant."""
 
 
+class BadConfigError(TopoStableError, ValueError):
+    """Selector settings the data cannot take (SelectorConfig.check); a
+    ValueError too, as config refusals are."""
+
+
 class KTooLargeError(TopoStableError):
     """Requested neighbor count k >= number of points."""
 

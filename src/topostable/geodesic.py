@@ -427,8 +427,8 @@ def classical_mds(gm, m):
         raise
     eig = symmetric_eigen_top(centered, m)
     # made before the centered matrix is freed, so that the coordinates
-    # cannot take the start of the hole it leaves on the heap, which
-    # residual_variance's two triangles fill
+    # cannot take the start of the hole it leaves on the heap, where
+    # residual_variance's block scratch goes next
     coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
     del centered
     return Embedding(coords=coords, eigenvalues=eig.values)
@@ -440,49 +440,100 @@ def residual_variance(gm, emb):
     R is the Pearson correlation over the strict upper triangles, excluding
     the zero diagonal, so at least 3 points are needed. 0 means the
     embedding explains the geodesic structure perfectly (up to uniform
-    scaling). Both triangles are gathered row by row, in np.triu_indices
-    order, into two preallocated vectors, the embedded distances one row at
-    a time through one (n - 1, m) buffer of differences made after them,
-    and both vectors are centered in place: no (n, n, m) difference
-    tensor, no index arrays, no centered copies and no per-row temporaries
-    (numpy would keep the small ones cached, wherever they fell, for the
-    rest of the process). Raises
-    ZeroVarianceError, naming the side, when either set of distances is
-    constant, and also when their spreads are so small that the product of
-    their squares underflows to 0; ValueError for fewer than 3 points: each
-    message starts "residual variance undefined: ".
+    scaling).
+
+    One pass over blocks of _CHUNK rows. A block's pairs are its diagonal
+    block's strict upper triangle, taken through flat indices made once,
+    and the rectangle right of it, one contiguous copy; each side gathers
+    them into one scratch vector of _CHUNK * n values. The squared
+    embedded distances are summed one coordinate column at a time from
+    np.subtract.outer differences, with no (block, n, m) buffer, and their
+    square roots taken last. Each side's min and max are taken before
+    centering, for the constant-side test: the mean of a constant need not
+    round back to it. The block then centers its vectors on its own means
+    and takes its sums of squares and of products with np.dot, and the
+    blocks' counts, means and sums are merged by the pairwise update of
+    Chan, Golub & LeVeque (The American Statistician, 1983). So the scratch
+    is three vectors of _CHUNK * n values, with no n x n or n(n - 1)/2
+    array.
+
+    Raises ZeroVarianceError, naming the side, when either set of distances
+    is constant, and also when their spreads are so small that the product
+    of their squares underflows to 0; ValueError for fewer than 3 points:
+    each message starts "residual variance undefined: ".
     """
     n = gm.n
     if emb.coords.shape[0] != n:
         raise ValueError("embedding and geodesic matrix cover different point sets")
     if n < 3:
         raise ValueError(f"residual variance undefined: needs at least 3 points, got {n}")
-    if not _all_finite(gm.d):
+    d = np.asarray(gm.d, dtype=np.float64)
+    if not _all_finite(d):
         raise NonFiniteError("geodesic matrix spans multiple components")
-    coords = emb.coords
-    geo = np.empty(n * (n - 1) // 2)
-    euclid = np.empty_like(geo)
-    diffs = np.empty((n - 1, coords.shape[1]))
-    lo = 0
-    for i in range(n - 1):
-        hi = lo + n - 1 - i
-        geo[lo:hi] = gm.d[i, i + 1:]
-        diff = np.subtract(coords[i], coords[i + 1:], out=diffs[:n - 1 - i])
-        np.einsum("jk,jk->j", diff, diff, out=euclid[lo:hi])
-        np.sqrt(euclid[lo:hi], out=euclid[lo:hi])
-        lo = hi
-    del diffs
-    for v, side in ((geo, "geodesic"), (euclid, "embedded")):
-        # tested before centering: the mean of a constant need not round
-        # back to it, and then the centered vector is not all zero
-        if v.min() == v.max():
+    cols = emb.coords.T.copy()  # one contiguous row per coordinate column
+    chunk = min(_CHUNK, n)
+    # squares is zeroed: with no coordinate column every embedded distance is 0
+    geo, euclid, squares = np.empty(chunk * n), np.empty(chunk * n), np.zeros(chunk * n)
+
+    def upper(h):
+        """Flat indices, in h rows of n from a diagonal entry on, of the
+        strict upper triangle of the h x h block there."""
+        i, j = np.triu_indices(h, 1)
+        return i * n + j
+
+    full = upper(chunk)
+    lows, highs = [np.inf, np.inf], [-np.inf, -np.inf]
+    # Python floats: a product that overflows is inf, with no warning
+    count, mean_g, mean_e, sgg, see, sge = 0, 0.0, 0.0, 0.0, 0.0, 0.0
+    # the ufunc buffer at its smallest, as in _floyd_in_place: at numpy's
+    # default size each 2-D call here copies its operands through buffers
+    # of 64 KB it allocates, and runs three to four times slower
+    old = np.setbufsize(16)
+    try:
+        for a in range(0, n - 1, _CHUNK):  # the last row has no pair of its own
+            b = min(a + _CHUNK, n)
+            h = b - a
+            tri = full if h == chunk else upper(h)
+            t, size = tri.size, tri.size + h * (n - b)
+            g, e = geo[:size], euclid[:size]
+            # mode="raise" would copy through a temporary
+            np.take(d[a:b].reshape(-1)[a:], tri, out=g[:t], mode="clip")
+            g[t:].reshape(h, n - b)[...] = d[a:b, b:]
+            # the block's rows against columns a on, in rows of n, so that tri
+            # indexes them too; euclid holds each later column's squares
+            acc = squares[:h * n].reshape(h, n)[:, :n - a]
+            later = euclid[:h * n].reshape(h, n)[:, :n - a]
+            for c, x in enumerate(cols):
+                out = later if c else acc
+                np.subtract.outer(x[a:b], x[a:], out=out)
+                np.square(out, out=out)
+                if c:
+                    acc += later
+            np.take(squares, tri, out=e[:t], mode="clip")
+            e[t:].reshape(h, n - b)[...] = acc[:, h:]
+            np.sqrt(e, out=e)
+            for s, v in enumerate((g, e)):
+                if lows[s] >= highs[s]:  # once two distances differ, the side is not constant
+                    lows[s], highs[s] = min(lows[s], float(v.min())), max(highs[s], float(v.max()))
+            mg, me = float(g.mean()), float(e.mean())
+            g -= mg
+            e -= me
+            total = count + size
+            dg, de, weight = mg - mean_g, me - mean_e, count * size / total
+            sgg += float(np.dot(g, g)) + dg * dg * weight
+            see += float(np.dot(e, e)) + de * de * weight
+            sge += float(np.dot(g, e)) + dg * de * weight
+            mean_g += dg * (size / total)
+            mean_e += de * (size / total)
+            count = total
+    finally:
+        np.setbufsize(old)
+    for s, side in enumerate(("geodesic", "embedded")):
+        if lows[s] == highs[s]:
             raise ZeroVarianceError(f"residual variance undefined: every {side} distance is equal")
-        v -= v.mean()
-    sg = float(np.dot(geo, geo))  # Python floats: a product that overflows is inf, with no warning
-    se = float(np.dot(euclid, euclid))
-    if sg * se == 0.0:
+    if sgg * see == 0.0:
         raise ZeroVarianceError("residual variance undefined: the distances vary too little to correlate in float64")
-    # sqrt(sg) * sqrt(se) can round otherwise, so it is taken only where the product overflows
-    norm = np.sqrt(sg * se) if sg * se < np.inf else np.sqrt(sg) * np.sqrt(se)
-    r = float(np.clip(np.dot(geo, euclid) / norm, -1.0, 1.0))
+    # sqrt(sgg) * sqrt(see) can round otherwise, so it is taken only where the product overflows
+    norm = np.sqrt(sgg * see) if sgg * see < np.inf else np.sqrt(sgg) * np.sqrt(see)
+    r = float(np.clip(sge / norm, -1.0, 1.0))
     return max(0.0, 1.0 - r * r)

@@ -41,7 +41,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DegenerateComplementError, KTooLargeError, NonFiniteError, TopoStableError
+from .errors import (
+    BadConfigError,
+    DegenerateBasisError,
+    DegenerateComplementError,
+    KTooLargeError,
+    NonFiniteError,
+    TopoStableError,
+)
 
 __all__ = [
     "DataSet",
@@ -110,18 +117,19 @@ class SelectorConfig:
 
     def check(self, data, stable=True):
         """Validate against a dataset. Angle-filter fields are only
-        constrained when the stable selector will actually run."""
+        constrained when the stable selector will actually run. Raises
+        BadConfigError, which pipeline stages prefix with their name."""
         if self.k < 1:
-            raise ValueError("k must be positive")
+            raise BadConfigError("k must be positive")
         if stable:
             if self.dim_w < 1:
-                raise ValueError("dim_w must be positive")
+                raise BadConfigError("dim_w must be positive")
             if self.k < self.dim_w + 1:
-                raise ValueError("k must be at least dim_w + 1")
+                raise BadConfigError("k must be at least dim_w + 1")
             if not 0.0 < self.delta_theta_deg < 90.0:
-                raise ValueError("delta_theta_deg must lie strictly between 0 and 90")
+                raise BadConfigError("delta_theta_deg must lie strictly between 0 and 90")
             if self.dim_w >= data.dim:
-                raise ValueError("dim_w must be smaller than the ambient dimension")
+                raise BadConfigError("dim_w must be smaller than the ambient dimension")
 
 
 @dataclass(frozen=True)
@@ -307,10 +315,10 @@ def _stable_keep(points, nn, d2, cfg):
 
 
 def _check_cell(data, cfg, method):
-    """Raises build_graph's refusal of a cell, in its order: the method and
-    the settings (ValueError), k against n (KTooLargeError), then squared
-    distances that would overflow (NonFiniteError, naming the point of
-    largest magnitude)."""
+    """Raises build_graph's refusal of a cell, in its order: the method
+    (ValueError), the settings (BadConfigError), k against n
+    (KTooLargeError), then squared distances that would overflow
+    (NonFiniteError, naming the point of largest magnitude)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     cfg.check(data, stable=method == "stable")

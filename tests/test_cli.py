@@ -419,6 +419,14 @@ class TestCompare:
         assert lines[0] == "k,method,residual_variance,n_embedded,n_dropped,n_edges,clipped_dims"
         assert len(lines) == 5
 
+    def test_cell_the_selector_settings_refuse_names_its_stage(self, capsys, tmp_path):
+        src = tmp_path / "roll.csv"
+        run(capsys, ["generate", "--manifold", "swissroll", "--n", "120", "--seed", "3", "--out", str(src)])
+        code, _, err = run(capsys, ["compare", "--in", str(src), "--k", "2,8", "--dim-w", "2"])
+        assert code == 0
+        assert "cell k=2 method=stable failed: neighbor graph: k must be at least dim_w + 1\n" in err.splitlines(keepends=True)
+        assert "compared 4 cells (1 failed)" in err
+
     def test_single_method_sweep(self, capsys, tmp_path):
         src = tmp_path / "roll.csv"
         run(capsys, ["generate", "--manifold", "swissroll", "--n", "120", "--seed", "3", "--out", str(src)])

@@ -1,3 +1,4 @@
+import math
 import threading
 import tracemalloc
 import warnings
@@ -689,7 +690,53 @@ class TestResidualVariance:
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
 
-    @pytest.mark.parametrize("side, n", [(0.1, 3), (0.3, 5), (np.sqrt(2.0), 5)])
+    def test_constant_geodesics_across_blocks_raise(self):
+        n = 130  # three blocks of rows, each constant on its own
+        gm = GeodesicMatrix(d=1.0 - np.eye(n), component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
+        with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
+            residual_variance(gm, emb)
+
+    def test_geodesics_that_vary_only_in_a_later_block_are_not_constant(self):
+        n = 130
+        d = 1.0 - np.eye(n)
+        d[100, 120] = d[120, 100] = 2.0  # in the second block of rows only
+        gm = GeodesicMatrix(d=d, component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
+        assert residual_variance(gm, emb) == pytest.approx(residual_variance_fsum(gm, emb), rel=1e-12, abs=0.0)
+
+    def test_both_sides_constant_name_the_geodesics(self):
+        n = 130
+        gm = GeodesicMatrix(d=2.5 * (1.0 - np.eye(n)), component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.ones((n, 2)), eigenvalues=np.zeros(2))
+        with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
+            residual_variance(gm, emb)
+
+    def test_constant_embedding_across_blocks_raises(self):
+        n = 130
+        gm = gm_from_coords(np.random.default_rng(4).normal(size=(n, 3)))
+        emb = Embedding(coords=np.full((n, 2), 0.1), eigenvalues=np.zeros(2))
+        with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every embedded distance is equal$"):
+            residual_variance(gm, emb)
+
+    def test_non_finite_geodesics_refused_before_any_block(self):
+        # constant on both sides too, but the missing path is named first,
+        # and no block's scratch is ever allocated
+        n = 130
+        d = 1.0 - np.eye(n)
+        d[n - 1, n - 2] = np.inf
+        gm = GeodesicMatrix(d=d, component_ids=np.zeros(n, dtype=np.int64))
+        emb = Embedding(coords=np.zeros((n, 1)), eigenvalues=np.zeros(1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
+                residual_variance(gm, emb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < geodesic._CHUNK * n * 8
+
+    @pytest.mark.parametrize("side, n", [(0.1, 3), (0.3, 5), (np.sqrt(2.0), 5), (0.3, 65), (np.sqrt(2.0), 65)])
     def test_constant_geodesics_whose_mean_rounds_off_raise(self, side, n):
         # the mean of these constants does not round back to them, so they
         # leave non-zero residues once centered
@@ -780,16 +827,54 @@ def pearson_r(a, b):
     return float(np.clip(np.dot(ac, bc) / np.sqrt(sa * sb), -1.0, 1.0))
 
 
-def residual_variance_reference(gm, emb):
-    """The dense formula residual_variance replaced, kept as the oracle: the
-    (n, n, m) difference tensor, the np.triu_indices gather and a separate
-    Pearson correlation on centered copies."""
+def dense_pairs(gm, emb):
+    """Both sides' distances over the strict upper triangle, in
+    np.triu_indices order, the embedded ones from the (n, n, m) difference
+    tensor."""
     coords = emb.coords
     diff = coords[:, None, :] - coords[None, :, :]
     euclid = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     iu = np.triu_indices(gm.n, 1)
-    r = pearson_r(gm.d[iu], euclid[iu])
+    return gm.d[iu], euclid[iu]
+
+
+def residual_variance_reference(gm, emb):
+    """The dense formula residual_variance replaced: the (n, n, m)
+    difference tensor, the np.triu_indices gather and a separate Pearson
+    correlation on centered copies."""
+    r = pearson_r(*dense_pairs(gm, emb))
     return max(0.0, 1.0 - r * r)
+
+
+def residual_variance_fsum(gm, emb):
+    """The accuracy oracle: the dense formula's two vectors with every sum
+    exact. Each mean is math.fsum over the count, each centered value and
+    each product is rounded once, and each sum of them is a math.fsum."""
+    geo, euclid = dense_pairs(gm, emb)
+    geo = geo - math.fsum(geo) / geo.size
+    euclid = euclid - math.fsum(euclid) / euclid.size
+    sgg, see, sge = (math.fsum(a * b) for a, b in ((geo, geo), (euclid, euclid), (geo, euclid)))
+    r = sge / math.sqrt(sgg * see)
+    return max(0.0, 1.0 - r * r)
+
+
+def assert_rv_accurate(gm, emb):
+    """residual_variance within 1e-12 relative of the fsum oracle, a bound
+    the dense formula meets too: a reordered sum cannot equal the dense
+    formula bit for bit, so both are held to the exact sums instead."""
+    exact = residual_variance_fsum(gm, emb)
+    assert residual_variance(gm, emb) == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert residual_variance_reference(gm, emb) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+
+def projected_points(n, m):
+    """(gm, emb) for n normal points in m + 2 dimensions, embedded as a
+    noisy projection onto their first m axes, so that rv is well inside
+    (0, 1)."""
+    rng = np.random.default_rng(n)
+    points = rng.normal(size=(n, m + 2))
+    emb = Embedding(coords=points[:, :m] + 0.1 * rng.normal(size=(n, m)), eigenvalues=np.zeros(m))
+    return gm_from_coords(points), emb
 
 
 def full_eigh_coords(b):
@@ -809,14 +894,26 @@ class TestBackHalf:
     def test_residual_variance_equals_dense_formula(self, method, m):
         data = gen_swiss_roll(300, 1).data
         emb, gm, _, _ = isomap_embed(data, RunConfig(method=method, k=10, m=m))
-        assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
+        assert_rv_accurate(gm, emb)
 
-    @pytest.mark.parametrize("n, m", [(3, 1), (4, 2), (50, 5), (129, 9), (200, 17)])
+    # 63 to 65 and 127 to 129 points: one block short of, at and past a
+    # whole block of rows, and a last row with no pair of its own
+    @pytest.mark.parametrize(
+        "n, m", [(3, 1), (4, 2), (50, 5), (63, 3), (64, 2), (65, 4), (127, 2), (128, 1), (129, 9), (200, 17)]
+    )
     def test_residual_variance_equals_dense_formula_random(self, n, m):
-        rng = np.random.default_rng(n)
-        gm = gm_from_coords(rng.normal(size=(n, m + 2)))
-        emb = Embedding(coords=rng.normal(size=(n, m)), eigenvalues=np.zeros(m))
-        assert residual_variance(gm, emb) == residual_variance_reference(gm, emb)
+        assert_rv_accurate(*projected_points(n, m))
+
+    @settings(PROPERTY, max_examples=40)
+    @given(order=st.integers(3, 200).flatmap(lambda n: st.permutations(range(n))), m=st.integers(1, 3))
+    def test_relabelling_the_points_keeps_rv(self, order, m):
+        # another order of the points puts other pairs in each block, so
+        # the blocks' sums merge differently
+        gm, emb = projected_points(len(order), m)
+        p = np.array(order)
+        moved = GeodesicMatrix(d=gm.d[np.ix_(p, p)], component_ids=gm.component_ids)
+        moved_emb = Embedding(coords=emb.coords[p], eigenvalues=emb.eigenvalues)
+        assert residual_variance(moved, moved_emb) == pytest.approx(residual_variance(gm, emb), rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -846,14 +943,14 @@ class TestBackHalf:
     def test_memory_at_most_about_two_n2_buffers(self):
         # beside the geodesic matrix, classical_mds squares the distances
         # into one buffer and centers it in place; residual_variance then
-        # holds the two upper triangles, centered in place: one n x n buffer
-        # in all
-        n = 400
+        # holds three (_CHUNK, n) vectors of block scratch, about a quarter
+        # of an n x n buffer at n = 800
+        n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
         _, rv_peak = peak_bytes(lambda: residual_variance(gm, emb))
         _, peak = peak_bytes(lambda: residual_variance(gm, classical_mds(gm, 2)))
-        assert rv_peak <= 1.1 * n * n * 8
+        assert rv_peak <= 4 * geodesic._CHUNK * n * 8
         assert peak <= 1.3 * n * n * 8
 
 
