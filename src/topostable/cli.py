@@ -51,8 +51,8 @@ def _add_run_flags(p, k_type, k_help):
 
 
 def _run_config(args, method, k):
-    # RunConfig refuses a k or m below 1 whatever the data, so the commands
-    # build their configs before the input is read and refuse them as usage
+    # RunConfig refuses what no data can fix, so the commands build their
+    # configs before the input is read and refuse them as usage
     try:
         return RunConfig(method=method, k=k, m=args.m, dim_w=args.dim_w, delta_theta_deg=args.delta_theta)
     except ValueError as exc:
@@ -167,9 +167,9 @@ def _cmd_embed(args):
 
 def _cmd_compare(args):
     methods = METHODS if args.method == "both" else (args.method,)
-    cfgs = [_run_config(args, methods[0], k) for k in args.k]
+    cells = [_run_config(args, method, k) for k in args.k for method in methods]
     data = _load_input(args)
-    rows = compare_methods(data, args.k, cfgs[0], methods=methods)
+    rows = compare_methods(data, cells)
     write_report_csv(rows, sys.stdout if args.out == "-" else args.out)
     failures = [r for r in rows if r.error is not None]
     for r in failures:

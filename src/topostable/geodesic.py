@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimError, NonFiniteError, ZeroVarianceError
-from .linalg import symmetric_eigen_top
+from .linalg import _small_ufunc_buffer, symmetric_eigen_top
 
 __all__ = [
     "GeodesicMatrix",
@@ -129,11 +129,10 @@ def _floyd_in_place(d):
 
     The scratch and the pivot block start on a 64-byte boundary: a
     misaligned block splits every AVX-512 store across two cache lines.
-    The ufunc buffer is at its smallest, 16 elements, because numpy copies
-    the step add's stride-0 column d[i, k] through it whenever three rows
-    fit, and nothing here casts; the caller's size is restored by hand
-    (np.errstate scopes it only from numpy 2.0 on). take uses mode="clip",
-    which clips nothing here, as mode="raise" copies through a temporary.
+    The ufunc buffer is at its smallest (_small_ufunc_buffer), because numpy
+    copies the step add's stride-0 column d[i, k] through it whenever three
+    rows fit. take uses mode="clip", which clips nothing here, as
+    mode="raise" copies through a temporary.
     """
     n = d.shape[0]
     chunk = min(_CHUNK, n)
@@ -182,8 +181,7 @@ def _floyd_in_place(d):
         for r, i in zip(*rows):
             d[i, cols] = blk[r]
 
-    old = np.setbufsize(16)
-    try:
+    with _small_ufunc_buffer():
         for p in range(chunks):
             mirror(p)
             low = np.minimum.reduce(d[p * _CHUNK:(p + 1) * _CHUNK], axis=0, out=scratch[:n])
@@ -192,8 +190,6 @@ def _floyd_in_place(d):
             for c in range(chunks):
                 if c != p:
                     relax(p, c, reach)
-    finally:
-        np.setbufsize(old)
     for c in range(1, chunks):
         mirror(c)
     return d
@@ -391,16 +387,17 @@ def double_center(d):
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("expected a square matrix")
-    out = np.square(d)
-    # squares are >= 0 or NaN, and max propagates NaN: it is finite exactly
-    # when every entry is, without an n x n mask
-    if not np.isfinite(out.max()):
-        raise NonFiniteError("matrix has non-finite entries")
-    row, col, grand = out.mean(axis=1), out.mean(axis=0), out.mean()
-    out -= row[:, None]
-    out -= col[None, :]
-    out += grand
-    out *= -0.5
+    with _small_ufunc_buffer():
+        out = np.square(d)
+        # squares are >= 0 or NaN, and max propagates NaN: it is finite
+        # exactly when every entry is, without an n x n mask
+        if not np.isfinite(out.max()):
+            raise NonFiniteError("matrix has non-finite entries")
+        row, col, grand = out.mean(axis=1), out.mean(axis=0), out.mean()
+        out -= row[:, None]
+        out -= col[None, :]
+        out += grand
+        out *= -0.5
     return out
 
 
@@ -485,11 +482,7 @@ def residual_variance(gm, emb):
     lows, highs = [np.inf, np.inf], [-np.inf, -np.inf]
     # Python floats: a product that overflows is inf, with no warning
     count, mean_g, mean_e, sgg, see, sge = 0, 0.0, 0.0, 0.0, 0.0, 0.0
-    # the ufunc buffer at its smallest, as in _floyd_in_place: at numpy's
-    # default size each 2-D call here copies its operands through buffers
-    # of 64 KB it allocates, and runs three to four times slower
-    old = np.setbufsize(16)
-    try:
+    with _small_ufunc_buffer():  # each 2-D call here runs three to four times faster
         for a in range(0, n - 1, _CHUNK):  # the last row has no pair of its own
             b = min(a + _CHUNK, n)
             h = b - a
@@ -526,8 +519,6 @@ def residual_variance(gm, emb):
             mean_g += dg * (size / total)
             mean_e += de * (size / total)
             count = total
-    finally:
-        np.setbufsize(old)
     for s, side in enumerate(("geodesic", "embedded")):
         if lows[s] == highs[s]:
             raise ZeroVarianceError(f"residual variance undefined: every {side} distance is equal")

@@ -49,6 +49,7 @@ from .errors import (
     NonFiniteError,
     TopoStableError,
 )
+from .linalg import _small_ufunc_buffer
 
 __all__ = [
     "DataSet",
@@ -108,28 +109,23 @@ class SelectorConfig:
 
     k: candidate neighbor count. dim_w: dimension of the local subspace
     (number of nearest-neighbor offsets kept as its basis). delta_theta_deg:
-    half-width of the acceptance window around 90 degrees.
+    half-width of the acceptance window around 90 degrees. Construction
+    refuses a k below 1, _check_stable what the stable rule never takes.
     """
 
     k: int
     dim_w: int = 2
     delta_theta_deg: float = 5.0
 
-    def check(self, data, stable=True):
-        """Validate against a dataset. Angle-filter fields are only
-        constrained when the stable selector will actually run. Raises
-        BadConfigError, which pipeline stages prefix with their name."""
+    def __post_init__(self):
         if self.k < 1:
             raise BadConfigError("k must be positive")
-        if stable:
-            if self.dim_w < 1:
-                raise BadConfigError("dim_w must be positive")
-            if self.k < self.dim_w + 1:
-                raise BadConfigError("k must be at least dim_w + 1")
-            if not 0.0 < self.delta_theta_deg < 90.0:
-                raise BadConfigError("delta_theta_deg must lie strictly between 0 and 90")
-            if self.dim_w >= data.dim:
-                raise BadConfigError("dim_w must be smaller than the ambient dimension")
+
+    def _check_stable(self):
+        if self.dim_w < 1:
+            raise BadConfigError("dim_w must be positive")
+        if not 0.0 < self.delta_theta_deg < 90.0:
+            raise BadConfigError("delta_theta_deg must lie strictly between 0 and 90")
 
 
 @dataclass(frozen=True)
@@ -180,10 +176,11 @@ def _pairwise_sq(points):
     g = points @ points.T
     sq = np.diag(g).copy()
     g *= 2.0
-    for lo in range(0, len(sq), ROW_BLOCK):
-        blk = slice(lo, lo + ROW_BLOCK)
-        np.subtract(sq[blk, None] + sq[None, :], g[blk], out=g[blk])
-    np.maximum(g, 0.0, out=g)
+    with _small_ufunc_buffer():
+        for lo in range(0, len(sq), ROW_BLOCK):
+            blk = slice(lo, lo + ROW_BLOCK)
+            np.subtract(sq[blk, None] + sq[None, :], g[blk], out=g[blk])
+        np.maximum(g, 0.0, out=g)
     np.fill_diagonal(g, 0.0)
     return g
 
@@ -316,12 +313,17 @@ def _stable_keep(points, nn, d2, cfg):
 
 def _check_cell(data, cfg, method):
     """Raises build_graph's refusal of a cell, in its order: the method
-    (ValueError), the settings (BadConfigError), k against n
+    (ValueError), the stable rule's settings (BadConfigError), k against n
     (KTooLargeError), then squared distances that would overflow
     (NonFiniteError, naming the point of largest magnitude)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    cfg.check(data, stable=method == "stable")
+    if method == "stable":
+        cfg._check_stable()
+        if cfg.k < cfg.dim_w + 1:
+            raise BadConfigError("k must be at least dim_w + 1")
+        if cfg.dim_w >= data.dim:
+            raise BadConfigError("dim_w must be smaller than the ambient dimension")
     if cfg.k >= data.n:
         raise KTooLargeError(f"k={cfg.k} but only {data.n} points are available")
     # every squared distance, Gram entry and selector dot product is at most
@@ -342,11 +344,11 @@ class KnnTable:
     """What build_graph needs of a DataSet for a set of cells, made once by
     knn_table, which build_graph takes in place of the DataSet.
 
-    nn is the (n, k) kNN table at the largest k among the cells, and the
-    table at a smaller k is its prefix. masks maps each cell, by method and
-    selector settings, to its (n, k) keep-mask, or to the error its
-    selector raised. A cell that build_graph refuses has no entry, and nn is
-    None when it refuses them all.
+    nn is the (n, k) kNN table at the largest k among the cells not
+    refused, or None, and the table at a smaller k is its prefix. masks maps
+    each cell, by method and selector settings, to its (n, k) keep-mask, or
+    to its refusal or selector error, stored with no traceback: one would
+    hold knn_table's frame, and so the n x n distances.
     """
 
     data: DataSet
@@ -357,40 +359,37 @@ class KnnTable:
 def knn_table(data, cells):
     """The KnnTable of data for the (cfg, method) cells of build_graph.
 
-    The squared distances are computed once, the kNN table is taken at the
-    largest k among the cells that build_graph accepts, and each such cell's
-    keep-mask from that table's prefix. The n x n distances are freed on
-    return, so the table holds O(n * k) values. A selector failure is kept
-    in the cell's entry and raised by that cell's build_graph, after the
-    refusals that come first, so every cell fails as it would alone. When
-    build_graph accepts no cell, nothing is computed.
+    Each distinct cell is checked once (_check_cell). The squared distances
+    are computed once, the kNN table is taken at the largest k among the
+    cells not refused, and each such cell's keep-mask from that table's
+    prefix. The n x n distances are freed on return, so the table holds
+    O(n * k) values. A refusal or a selector failure is kept in the cell's
+    entry and raised by that cell's build_graph, so every cell fails as it
+    would alone. When every cell is refused, nothing is computed.
     """
-    ready = []
-    for cfg, method in cells:
+    distinct = {_cell_key(cfg, method): (cfg, method) for cfg, method in cells}
+    masks = {}
+    for key, (cfg, method) in distinct.items():
         try:
             _check_cell(data, cfg, method)
-        except (ValueError, TopoStableError):
-            continue
-        ready.append((cfg, method))
+        except (ValueError, TopoStableError) as exc:
+            masks[key] = exc.with_traceback(None)
+    ready = {key: cell for key, cell in distinct.items() if key not in masks}
     if not ready:
-        return KnnTable(data, None, {})
+        return KnnTable(data, None, masks)
     # Rows sorted by the computed squared distances. The Gram product can
     # round the distances to two identical rows differently; the rounding
     # then decides.
     d2 = _pairwise_sq(data.points)
-    nn = _knn_indices(d2, max(cfg.k for cfg, _ in ready))
-    masks = {}
-    for cfg, method in ready:
-        key = _cell_key(cfg, method)
-        if key in masks:
-            continue
+    nn = _knn_indices(d2, max(cfg.k for cfg, _ in ready.values()))
+    for key, (cfg, method) in ready.items():
         if method == "standard":
             masks[key] = np.ones((data.n, cfg.k), dtype=bool)
             continue
         try:
             masks[key] = _stable_keep(data.points, nn[:, : cfg.k], d2, cfg)
         except (DegenerateBasisError, DegenerateComplementError) as exc:
-            masks[key] = exc
+            masks[key] = exc.with_traceback(None)
     return KnnTable(data, nn, masks)
 
 
@@ -402,18 +401,17 @@ def build_graph(data, cfg, method="standard"):
     that knn_table made of one for this cell among others, so that a sweep
     computes the distances and the kNN table once; a DataSet gets a
     KnnTable of this one cell. The edges are the same either way, and so
-    are the errors: the cell's refusal (_check_cell) comes first, then a
-    selector failure, which names the offending point ("point p: ..."), the
-    lowest failing one. The kNN table and the stable keep-mask are made in
-    row blocks, but each row is what a walk over one point at a time gives,
-    so the edges do not depend on the blocks.
+    are the errors: the cell's refusal (_check_cell), or else a selector
+    failure, which names the offending point ("point p: ..."), the lowest
+    failing one. The kNN table and the stable keep-mask are made in row
+    blocks, but each row is what a walk over one point at a time gives, so
+    the edges do not depend on the blocks.
     """
     table = data if isinstance(data, KnnTable) else knn_table(data, [(cfg, method)])
-    data = table.data
-    _check_cell(data, cfg, method)
     keep = table.masks[_cell_key(cfg, method)]  # a KeyError: the table was made for other cells
-    if isinstance(keep, TopoStableError):
-        raise keep
+    if isinstance(keep, Exception):
+        raise type(keep)(*keep.args)  # a copy, so that the stored error gets no traceback
+    data = table.data
     points = data.points
     n = data.n
     nn = table.nn[:, : cfg.k]

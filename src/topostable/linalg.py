@@ -4,6 +4,7 @@ eigh when n is small or when the iteration cannot vouch for "algebraically
 largest" (see _top_subspace). A pure function of its input.
 """
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,6 +12,19 @@ import numpy as np
 from .errors import NotSymmetricError
 
 __all__ = ["EigenPairs", "symmetric_eigen_top"]
+
+
+@contextlib.contextmanager
+def _small_ufunc_buffer():
+    """numpy's ufunc buffer at its smallest, 16 elements, in the scope (for
+    steps that do not cast; np.errstate scopes it only from numpy 2.0 on):
+    at the default size a 2-D step copies a broadcast operand through 64 KB
+    buffers it allocates per call."""
+    old = np.setbufsize(16)
+    try:
+        yield
+    finally:
+        np.setbufsize(old)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """End-to-end embedding runs, method comparisons, and file outputs."""
 
 import contextlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,8 @@ __all__ = [
 class RunConfig(SelectorConfig):
     """Knobs for one pipeline run: the selector's settings (k, dim_w,
     delta_theta_deg, with their defaults) plus the method and the embedding
-    dimension m; the defaults mirror the reference experiments."""
+    dimension m; the defaults mirror the reference experiments. Settings
+    that no input can take are refused on construction (ValueError)."""
 
     method: str
     m: int = 2
@@ -39,8 +40,9 @@ class RunConfig(SelectorConfig):
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.m < 1:
             raise ValueError("m must be positive")
-        if self.k < 1:
-            raise ValueError("k must be positive")
+        super().__post_init__()
+        if self.method == "stable":
+            self._check_stable()
 
 
 @contextlib.contextmanager
@@ -88,22 +90,17 @@ class ReportRow:
     error: str | None = None
 
 
-def compare_methods(data, k_values, base_cfg, methods=METHODS):
-    """Run the pipeline for every (k, method) cell: a tuple of ReportRows,
-    one per cell, k by k and the methods in order within each k. Each row
-    is what isomap_embed and residual_variance give for its cell alone.
+def compare_methods(data, cells):
+    """A tuple of one ReportRow per cell, a RunConfig, in the cells' order:
+    what isomap_embed and residual_variance give for that cell alone.
 
-    Every cell's RunConfig is built before any work, so a k or method that
-    RunConfig refuses raises ValueError first. Then one KnnTable serves
-    every cell (knn_table): the squared distances are computed once, the
-    kNN table is taken once at the largest k, each stable cell's keep-mask
-    is made from its prefix, and the n x n distances are freed before the
-    first cell runs. A failed cell (selector degeneracy, disconnection
-    artifacts, config invalid for this data) is recorded as a marker row
-    with residual variance NaN and all points counted as dropped, instead
-    of aborting the sweep.
+    One KnnTable serves every cell (knn_table), so each distinct cell is
+    checked once, and the n x n distances are computed once and freed
+    before the first cell runs. A failed cell (selector degeneracy,
+    disconnection artifacts, config invalid for this data) is recorded as a
+    marker row with residual variance NaN and all points counted as
+    dropped, instead of aborting the sweep.
     """
-    cells = [replace(base_cfg, method=method, k=int(k)) for k in k_values for method in methods]
     table = knn_table(data, [(cfg, cfg.method) for cfg in cells])
     return tuple(_run_cell(table, cfg) for cfg in cells)
 

@@ -1,10 +1,12 @@
 import os
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from topostable import DataSet, graph
+from topostable.graph import METHODS
 
 from stable_reference import _stable_select
 
@@ -49,11 +51,18 @@ def nearest_neighbors(data, p, k):
 def stable_neighbors(data, p, cfg):
     """Reference neighbor list of point p under the angle-filtered rule:
     p's own kNN list filtered by the one-point reference selector."""
-    cfg.check(data, stable=True)
+    graph._check_cell(data, cfg, "stable")
     d2_row = graph._pairwise_sq(data.points)[p]
     nbrs = nearest_neighbors(data, p, cfg.k)
     keep = _stable_select(data.points, p, nbrs, d2_row, cfg)
     return [int(j) for j in nbrs[keep]]
+
+
+def sweep_cells(k_values, base, methods=METHODS):
+    """The RunConfigs of a sweep over k_values, k by k and the methods in
+    order within each k, each base with that method and k: the cells that
+    compare_methods takes."""
+    return [replace(base, method=method, k=int(k)) for k in k_values for method in methods]
 
 
 def short_circuit_edges(g, intrinsic):

@@ -33,7 +33,7 @@ from topostable import (
 )
 from topostable.graph import _dots, _project_out_rows
 
-from conftest import cross_plane_edges
+from conftest import cross_plane_edges, sweep_cells
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -79,7 +79,7 @@ def test_criterion_3_swiss_roll_sweep():
     data = gen_swiss_roll(800, 2).data
     k_values = [10, 15, 20, 30]
     t0 = time.perf_counter()
-    rows = compare_methods(data, k_values, RunConfig(method="standard", k=10))
+    rows = compare_methods(data, sweep_cells(k_values, RunConfig(method="standard", k=10)))
     elapsed = time.perf_counter() - t0
     rv = {(r.k, r.method): r.residual_variance for r in rows}
     wins = sum(1 for k in k_values if rv[(k, "stable")] <= rv[(k, "standard")])
@@ -196,7 +196,7 @@ def test_criterion_8_filter_neutrality():
     worst = 0.0
     counts_equal = True
     for name, sample in samples.items():
-        rows = compare_methods(sample.data, [8, 12], base)
+        rows = compare_methods(sample.data, sweep_cells([8, 12], base))
         by = {(r.k, r.method): r for r in rows}
         for k in (8, 12):
             std, stb = by[(k, "standard")], by[(k, "stable")]
@@ -240,7 +240,7 @@ def test_criterion_9_mnist_direction():
         pytest.skip("MNIST IDX files not present; set MNIST_DIR to run")
     data = load_idx(img_path, labels_path=lab_path, take_first=1000)
     k_values = list(range(6, 16))
-    rows = compare_methods(data, k_values, RunConfig(method="standard", k=6, m=2))
+    rows = compare_methods(data, sweep_cells(k_values, RunConfig(method="standard", k=6, m=2)))
     rv = {(r.k, r.method): r.residual_variance for r in rows}
     wins = sum(
         1

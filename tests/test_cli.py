@@ -152,6 +152,10 @@ class TestEmbed:
             ("compare", ["--k", "0,10"], "k must be positive"),
             ("compare", ["--k=10,-3"], "k must be positive"),
             ("compare", ["--k", "10", "--m", "-1"], "m must be positive"),
+            ("embed", ["--k", "8", "--dim-w", "0"], "dim_w must be positive"),
+            ("embed", ["--k", "8", "--delta-theta", "95"], "delta_theta_deg must lie strictly between 0 and 90"),
+            ("compare", ["--k", "8", "--dim-w", "0"], "dim_w must be positive"),
+            ("compare", ["--method", "stable", "--k", "8", "--delta-theta", "0"], "delta_theta_deg must lie strictly between 0 and 90"),
         ],
     )
     @pytest.mark.parametrize("exists", [True, False])
@@ -163,6 +167,16 @@ class TestEmbed:
         assert code == 1
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [("embed", ["--k", "8", "--dim-w", "0"]), ("compare", ["--k", "8", "--delta-theta", "95"])],
+    )
+    def test_standard_method_ignores_the_stable_settings(self, capsys, roll_csv, tmp_path, command, flags):
+        out = tmp_path / "out.csv"
+        code, _, err = run(capsys, [command, "--in", str(roll_csv), "--method", "standard", *flags, "--out", str(out)])
+        assert code == 0, err
+        assert out.exists()
 
     def test_missing_input_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, ["embed", "--in", str(tmp_path / "nope.csv"), "--k", "8"])
@@ -480,6 +494,54 @@ class TestCompareFuzz:
             cells = len([v for v in items if v != ""]) * (2 if method in (None, "both") else 1)
             assert len(out.getvalue().splitlines()) == 1 + cells
             assert f"compared {cells} cells" in err.getvalue()
+
+
+class TestEmbedFuzz:
+    """Any --k, --m, --dim-w, --delta-theta, --method and --svg of embed on
+    a small CSV: exit 0, 1 or 2 with no traceback. A usage error comes
+    before the input is read, so a missing file gets the same one."""
+
+    @pytest.fixture(scope="class")
+    def small_csv(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("fuzz") / "pts.csv"
+        pts = np.random.default_rng(7).normal(size=(12, 3))
+        path.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
+        return path
+
+    @staticmethod
+    def embed(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    @FUZZ
+    @given(
+        # values around each bound, with one that does not parse among them
+        k=st.integers(-1, 14).map(str),
+        m=st.none() | st.sampled_from(["-1", "0", "1", "2", "3", "5", "11", "12", "two"]),
+        dim_w=st.none() | st.sampled_from(["-1", "0", "1", "2", "3", "4", "1.5"]),
+        delta=st.none() | st.sampled_from(["-5", "0", "0.5", "5", "45", "89.9", "90", "95", "nan", "inf", "wide"]),
+        method=st.none() | st.sampled_from(["standard", "stable", "both"]),
+        svg=st.booleans(),
+    )
+    def test_exit_code_and_usage_errors(self, small_csv, k, m, dim_w, delta, method, svg):
+        flags = ["--k", k]
+        for flag, value in (("--m", m), ("--dim-w", dim_w), ("--delta-theta", delta), ("--method", method)):
+            flags += [] if value is None else [flag, value]
+        svg_path = small_csv.with_suffix(".svg")
+        svg_path.unlink(missing_ok=True)
+        flags += ["--svg", str(svg_path)] if svg else []
+        code, out, err = self.embed(["embed", "--in", str(small_csv), *flags])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 0:
+            width = 2 + int(m or 2)
+            assert all(len(line.split(",")) == width for line in out.splitlines())
+            assert svg_path.exists() == svg
+        elif code == 1:
+            missing = small_csv.with_name("missing.csv")
+            assert self.embed(["embed", "--in", str(missing), *flags]) == (1, "", err)
 
 
 def readme_commands():

@@ -27,7 +27,7 @@ from topostable import (
     largest_component,
     residual_variance,
 )
-from topostable import geodesic, linalg
+from topostable import geodesic, graph, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
 from conftest import blob_images, peak_bytes
@@ -376,27 +376,49 @@ class _ModuleProxy:
         return getattr(self._module, name)
 
 
+def buffer_scoped_calls():
+    """name -> (module, call, a numpy function called inside the call's
+    small-buffer scope) for each dense step that runs in one."""
+    rng = np.random.default_rng(7)
+    coords = rng.normal(size=(70, 2))
+    gm = gm_from_coords(coords)
+    emb = Embedding(coords=coords, eigenvalues=np.ones(2))
+    return {
+        "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
+        "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
+        "double_center": (geodesic, lambda: double_center(gm.d), "square"),
+        "_pairwise_sq": (graph, lambda: graph._pairwise_sq(coords), "subtract"),
+    }
+
+
 class TestFloydBufferSize:
     """The kernel runs with numpy's ufunc buffer below three rows, and the
-    caller gets its size back."""
+    caller gets its size back, from it and from every other dense step
+    that shares its small-buffer scope."""
 
-    def test_caller_size_restored(self):
-        g = ORACLE_GRAPHS["random-connected-n80"][0](np.random.default_rng(7))
+    SCOPED = ["floyd_all_pairs", "residual_variance", "double_center", "_pairwise_sq"]
+
+    @pytest.mark.parametrize("name", SCOPED)
+    def test_caller_size_restored(self, name):
+        _, call, _ = buffer_scoped_calls()[name]
         old = np.setbufsize(4096)
         try:
-            floyd_all_pairs(g)
+            call()
             assert np.getbufsize() == 4096
         finally:
             np.setbufsize(old)
 
-    def test_caller_size_restored_when_a_step_raises(self, monkeypatch):
-        def failing_add(*args, **kwargs):
+    @pytest.mark.parametrize("name", SCOPED)
+    def test_caller_size_restored_when_a_step_raises(self, monkeypatch, name):
+        module, call, step = buffer_scoped_calls()[name]
+
+        def failing_step(*args, **kwargs):
             raise RuntimeError("step failed")
 
-        monkeypatch.setattr(geodesic, "np", _ModuleProxy(np, add=failing_add))
+        monkeypatch.setattr(module, "np", _ModuleProxy(np, **{step: failing_step}))
         old = np.getbufsize()
         with pytest.raises(RuntimeError, match="step failed"):
-            floyd_all_pairs(ORACLE_GRAPHS["n65"][0](np.random.default_rng(7)))
+            call()
         assert np.getbufsize() == old
 
     def test_every_step_add_runs_below_three_rows_of_buffer(self, monkeypatch):

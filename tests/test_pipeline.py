@@ -25,9 +25,9 @@ from topostable import (
     write_scatter_svg,
 )
 from topostable import graph, pipeline
-from topostable.errors import BadDimError, DegenerateComplementError, TopoStableError
+from topostable.errors import BadConfigError, BadDimError, DegenerateComplementError, TopoStableError
 
-from conftest import peak_bytes
+from conftest import peak_bytes, sweep_cells
 
 
 def lifted_plane_cloud(n=60, seed=0):
@@ -45,6 +45,16 @@ class TestRunConfig:
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
             RunConfig(method="stable", k=5, m=0)
+
+    @pytest.mark.parametrize("settings", [{"dim_w": 0}, {"delta_theta_deg": 0.0}, {"delta_theta_deg": 95.0}])
+    def test_stable_settings_no_input_takes_refused_on_construction(self, settings):
+        with pytest.raises(BadConfigError):
+            RunConfig(method="stable", k=5, **settings)
+        RunConfig(method="standard", k=5, **settings)  # the standard rule never reads them
+
+    def test_selector_config_refuses_nonpositive_k(self):
+        with pytest.raises(BadConfigError, match="k must be positive"):
+            SelectorConfig(k=0)
 
     def test_is_the_selector_config_of_build_graph(self):
         # RunConfig carries the selector settings itself: build_graph takes it
@@ -112,7 +122,7 @@ class TestIsomapEmbed:
 class TestCompareMethods:
     def test_row_cardinality_and_order(self):
         data = gen_swiss_roll(100, 3).data
-        rows = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
+        rows = compare_methods(data, sweep_cells([5, 10], RunConfig(method="standard", k=5)))
         assert type(rows) is tuple and all(type(r) is ReportRow for r in rows)
         assert [(r.k, r.method) for r in rows] == [
             (5, "standard"), (5, "stable"), (10, "standard"), (10, "stable"),
@@ -120,14 +130,14 @@ class TestCompareMethods:
 
     def test_dropped_accounting(self):
         data = gen_swiss_roll(100, 3).data
-        rows = compare_methods(data, [5, 10], RunConfig(method="standard", k=5))
+        rows = compare_methods(data, sweep_cells([5, 10], RunConfig(method="standard", k=5)))
         for r in rows:
             assert r.n_embedded + r.n_dropped == data.n
             assert 0.0 <= r.residual_variance <= 1.0
 
     def test_wide_window_identical_methods(self):
         data = gen_swiss_roll(100, 4).data
-        rows = compare_methods(data, [8], RunConfig(method="standard", k=8, delta_theta_deg=89.9))
+        rows = compare_methods(data, sweep_cells([8], RunConfig(method="standard", k=8, delta_theta_deg=89.9)))
         std, stb = rows
         assert abs(std.residual_variance - stb.residual_variance) <= 1e-12
         assert std.n_edges == stb.n_edges
@@ -135,9 +145,12 @@ class TestCompareMethods:
 
     @staticmethod
     def watch(monkeypatch):
-        """Names of the calls that build a table or a graph, as they happen."""
+        """Names of the calls that check a cell or build a table or a graph,
+        as they happen."""
         calls = []
-        for module, name in [(pipeline, "knn_table"), (pipeline, "build_graph"), (graph, "_pairwise_sq"), (graph, "_knn_indices")]:
+        for module, name in [
+            (pipeline, "knn_table"), (pipeline, "build_graph"), (graph, "_check_cell"), (graph, "_pairwise_sq"), (graph, "_knn_indices"),
+        ]:
             def counting(*args, _real=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _real(*args)
@@ -151,26 +164,36 @@ class TestCompareMethods:
         calls = self.watch(monkeypatch)
         data = gen_swiss_roll(100, 3).data
         with pytest.raises(ValueError, match="k must be positive"):
-            compare_methods(data, [10, 0], RunConfig(method="standard", k=10))
+            compare_methods(data, sweep_cells([10, 0], RunConfig(method="standard", k=10)))
         assert calls == []
 
     def test_one_table_per_sweep(self, monkeypatch):
         calls = self.watch(monkeypatch)
         data = gen_swiss_roll(100, 3).data
-        rows = compare_methods(data, [10, 15, 5], RunConfig(method="standard", k=10))
+        rows = compare_methods(data, sweep_cells([10, 15, 5], RunConfig(method="standard", k=10)))
         assert all(r.error is None for r in rows)
-        assert calls == ["knn_table", "_pairwise_sq", "_knn_indices"] + ["build_graph"] * 6
+        assert calls == ["knn_table"] + ["_check_cell"] * 6 + ["_pairwise_sq", "_knn_indices"] + ["build_graph"] * 6
+
+    def test_each_distinct_cell_checked_once(self, monkeypatch):
+        # repeated k values share their cells' checks, and build_graph only
+        # raises what the table holds
+        calls = self.watch(monkeypatch)
+        data = gen_swiss_roll(100, 3).data
+        rows = compare_methods(data, sweep_cells([10, 1, 10, 200, 1], RunConfig(method="standard", k=10)))
+        assert [r.error is None for r in rows] == [True, True, True, False, True, True, False, False, True, False]
+        assert calls.count("_check_cell") == 6
+        assert calls.count("build_graph") == 10
 
     def test_empty_k_list_builds_nothing(self, monkeypatch):
         calls = self.watch(monkeypatch)
         data = gen_swiss_roll(100, 3).data
-        assert compare_methods(data, [], RunConfig(method="standard", k=10)) == ()
+        assert compare_methods(data, sweep_cells([], RunConfig(method="standard", k=10))) == ()
         assert [c for c in calls if c != "knn_table"] == []  # a table of no cells computes nothing
 
     def test_failed_cell_becomes_marker_row(self):
         rng = np.random.default_rng(5)
         flat = DataSet(np.column_stack([rng.normal(size=(20, 2)), np.zeros(20)]))
-        rows = compare_methods(flat, [5], RunConfig(method="standard", k=5))
+        rows = compare_methods(flat, sweep_cells([5], RunConfig(method="standard", k=5)))
         std, stb = rows
         assert std.error is None
         assert stb.error is not None
@@ -212,7 +235,7 @@ class TestMemory:
         # builds its graph would reach about 4 buffers, and a sweep table
         # whose squared distances outlived the graph stage about 3
         roll = self.roll(n)
-        rows, peak = peak_bytes(lambda: compare_methods(roll, [10, 15, 20, 30], RunConfig(method="standard", k=10)))
+        rows, peak = peak_bytes(lambda: compare_methods(roll, sweep_cells([10, 15, 20, 30], RunConfig(method="standard", k=10))))
         assert len(rows) == 8 and all(r.error is None for r in rows)
         assert peak <= 2.5 * n * n * 8
 
@@ -221,6 +244,33 @@ class TestMemory:
 
     def test_sweep_frees_each_cell_before_the_next_at_n800(self):
         self.sweep_peak_within_bound(800)
+
+    @staticmethod
+    def plane(n):
+        """n points on a plane in 3-D, where every stable cell fails: no
+        probe leaves a neighborhood's subspace."""
+        rng = np.random.default_rng(1)
+        return DataSet(np.column_stack([rng.uniform(size=(n, 2)), np.zeros(n)]))
+
+    def test_sweep_with_failing_cells_frees_the_distances(self):
+        # a failed cell's stored error holding knn_table's frame would keep
+        # the n x n distances alive through the sweep, about 3.3 buffers
+        n = 800
+        data = self.plane(n)
+        build_graph(data, SelectorConfig(k=10), "standard")  # warm-up: first-call allocations
+        rows, peak = peak_bytes(lambda: compare_methods(data, sweep_cells([10, 15], RunConfig(method="standard", k=10))))
+        assert [r.error is None for r in rows] == [True, False, True, False]
+        assert peak <= 2.5 * n * n * 8
+
+    def test_table_errors_hold_no_frame(self):
+        # not even after build_graph has raised them
+        data = self.plane(60)
+        cells = [(SelectorConfig(k=10), "stable"), (SelectorConfig(k=60), "standard"), (SelectorConfig(k=10), "fast")]
+        table = graph.knn_table(data, cells)
+        for cfg, method in cells:
+            with pytest.raises(ValueError if method == "fast" else TopoStableError):
+                build_graph(table, cfg, method)
+        assert len(table.masks) == 3 and all(e.__traceback__ is None for e in table.masks.values())
 
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=60)
@@ -275,9 +325,9 @@ class TestSweepParity:
         data = DataSet(np.vstack([pts, pts[rng.integers(0, n, size=dups)]]))
         ks = draw.draw(st.lists(st.integers(1, data.n + 2), min_size=1, max_size=6), label="ks")
         base = RunConfig(method="standard", k=1, delta_theta_deg=delta)
-        cells = [replace(base, method=method, k=k) for k in ks for method in ("standard", "stable")]
+        cells = sweep_cells(ks, base)
 
-        rows = compare_methods(data, ks, base)
+        rows = compare_methods(data, cells)
 
         assert [bits(r) for r in rows] == [bits(cell_alone(data, cfg)) for cfg in cells]
         table = graph.knn_table(data, [(cfg, cfg.method) for cfg in cells])
@@ -331,7 +381,7 @@ class TestWriteReportCsv:
     def test_schema_and_nan_marker(self):
         rng = np.random.default_rng(5)
         flat = DataSet(np.column_stack([rng.normal(size=(20, 2)), np.zeros(20)]))
-        rows = compare_methods(flat, [5], RunConfig(method="standard", k=5))
+        rows = compare_methods(flat, sweep_cells([5], RunConfig(method="standard", k=5)))
         buf = io.StringIO()
         write_report_csv(rows, buf)
         lines = buf.getvalue().splitlines()
