@@ -9,7 +9,6 @@ import os
 import stat
 import struct
 import sys
-from pathlib import Path
 
 from . import __version__
 from .datasets import IDX_IMAGE_MAGIC, gen_helix, gen_punctured_sphere, gen_swiss_roll, load_csv, load_idx
@@ -108,6 +107,11 @@ class UsageError(Exception):
     """A flag, or a flag value, the command cannot use (exit code 1)."""
 
 
+def _check_seed(seed):
+    if seed is not None and seed < 0:
+        raise UsageError(f"--seed must be non-negative, got {seed}")
+
+
 def _load_input(args):
     # the format is sniffed from the first bytes and the file is then read
     # again from the start, which a pipe cannot do
@@ -115,6 +119,7 @@ def _load_input(args):
         raise UsageError(f"--in {args.infile} is not a regular file: input is read twice, so pipes and devices are refused")
     if args.seed is not None and not args.sample_random:
         raise UsageError("--seed needs --sample-random: it seeds that draw")
+    _check_seed(args.seed)
     if _is_idx(args.infile):
         if args.sample_random and args.take_first is None:
             raise UsageError("--sample-random needs --take-first: it draws that many images")
@@ -136,6 +141,7 @@ def _load_input(args):
 
 
 def _cmd_generate(args):
+    _check_seed(args.seed)
     sample = GENERATORS[args.manifold](args.n, args.seed)
     with _open_out(sys.stdout if args.out == "-" else args.out) as fh:
         for row in sample.data.points:

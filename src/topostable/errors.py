@@ -22,8 +22,9 @@ class ZeroVarianceError(TopoStableError):
 
 
 class BadConfigError(TopoStableError, ValueError):
-    """Selector settings the data cannot take (SelectorConfig.check); a
-    ValueError too, as config refusals are."""
+    """A setting refused: one no input can take (SelectorConfig on
+    construction, and its _check_stable), or one this data cannot
+    (graph._check_cell). A ValueError too, as config refusals are."""
 
 
 class KTooLargeError(TopoStableError):

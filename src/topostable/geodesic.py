@@ -6,12 +6,12 @@ squared-distance matrix. The all-pairs step is one blocked numpy
 Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
 2003), run in the calling process (see _floyd_in_place). It takes its
 pivots in a nested-dissection order of the graph (_pivot_order; George,
-SIAM J. Numer. Anal. 1973), so its result is bitwise the plain recurrence
-with k in that order, and within rounding of the recurrence in the
-natural order. Each panel of pivots works only in its reach set, the
-columns its pivot rows reach: an update outside it has an inf operand and
-cannot change its entry, and no step of the panel makes a pivot row reach
-further. In the nested-dissection order a panel reaches only its own part
+SIAM J. Numer. Anal. 1973), made in that order and permuted back once,
+so its result is bitwise the plain recurrence with k in that order, and
+within rounding of it in the natural order. Each panel of pivots works
+only in its reach set, the columns its pivot rows reach: an update
+outside it has an inf operand and cannot change its entry, and no step of
+the panel makes a pivot row reach further. In the nested-dissection order a panel reaches only its own part
 and the separators around it.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
@@ -296,7 +296,7 @@ def _permute(d, p):
     freed once used: the columns are permuted _CHUNK rows at a time
     through the block, and then each cycle of p moves its rows one place
     along through the block's first row. p is left as the identity: each
-    row moved is marked there as in place."""
+    row moved is marked there as in place. It is Floyd's way back."""
     n = d.shape[0]
     block = np.empty((min(_CHUNK, n), n))
     for a in range(0, n, _CHUNK):
@@ -320,31 +320,25 @@ def _permute(d, p):
 def floyd_all_pairs(g):
     """Exact all-pairs shortest paths via Floyd-Warshall.
 
-    The pivots go in _pivot_order(g)'s order: the weight matrix is
-    relabelled in that order, _floyd_in_place runs on it in its plain order
-    of k, and every row and column goes back to its point. So the result
-    is bitwise the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k,
-    j]) taken with k in that order, at every _CHUNK. In the natural order
-    of k each entry is the length of a shortest path too, but its terms
-    may be added in another grouping or along another path of equal
-    length, so the two differ by rounding only. In the nested-dissection
-    order a panel's pivots reach only their own part and the separators
-    around it, so each panel's reach set, the only columns and rows the
-    kernel touches for it, is a small share of the matrix.
+    The pivots go in _pivot_order(g)'s order: the weight matrix is made in
+    that order, _floyd_in_place runs on it in its plain order of k, and
+    every row and column goes back to its point. So the result is bitwise
+    the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k, j]) taken
+    with k in that order, at every _CHUNK. In the natural order of k each
+    entry is the length of a shortest path too, but its terms may be added
+    in another grouping or along another path of equal length, so the two
+    differ by rounding only. In the nested-dissection order a panel's
+    pivots reach only their own part and the separators around it, so each
+    panel's reach set, the only columns and rows the kernel touches for it,
+    is a small share of the matrix.
 
-    The matrix is the one n x n buffer. The order's block, its inverse and
-    each permutation's (_CHUNK, n) block are freed once used.
+    The matrix is the one n x n buffer, permuted once, on its way back
+    through a (_CHUNK, n) block. The order's block goes before it comes.
     """
-    n = g.n
-    d = g.to_dense_weights()
-    order = _pivot_order(g)
-    pos = np.empty(n, np.int64)  # each point's place in the order
-    places = memoryview(pos)
-    for place, point in enumerate(memoryview(order)):
-        places[point] = place
-    _permute(d, order)
-    del order, places  # the order's block goes before Floyd's scratch comes
-    _permute(_floyd_in_place(d), pos)
+    pos = np.empty(g.n, np.int64)  # each point's place in the order
+    pos[_pivot_order(g)] = np.arange(g.n)
+    d = _floyd_in_place(g.to_dense_weights(pos))
+    _permute(d, pos)
     return GeodesicMatrix(d=d, component_ids=_component_ids(d))
 
 

@@ -156,11 +156,12 @@ class NeighborGraph:
     def n_edges(self):
         return self.edges.shape[0]
 
-    def to_dense_weights(self):
-        """Dense (n, n) weight matrix: 0 on the diagonal, inf off-edges."""
+    def to_dense_weights(self, places):
+        """Dense (n, n) weights with point i at row and column places[i], for a
+        permutation places of range(n): 0 on the diagonal, inf off-edges."""
         d = np.full((self.n, self.n), np.inf)
         np.fill_diagonal(d, 0.0)
-        i, j = self.edges[:, 0], self.edges[:, 1]
+        i, j = places[self.edges[:, 0]], places[self.edges[:, 1]]
         d[i, j] = self.weights
         d[j, i] = self.weights
         return d
@@ -311,13 +312,17 @@ def _stable_keep(points, nn, d2, cfg):
     return keep
 
 
+def _check_method(method):
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+
+
 def _check_cell(data, cfg, method):
     """Raises build_graph's refusal of a cell, in its order: the method
-    (ValueError), the stable rule's settings (BadConfigError), k against n
-    (KTooLargeError), then squared distances that would overflow
+    (_check_method), the stable rule's settings (BadConfigError), k against
+    n (KTooLargeError), then squared distances that would overflow
     (NonFiniteError, naming the point of largest magnitude)."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
+    _check_method(method)
     if method == "stable":
         cfg._check_stable()
         if cfg.k < cfg.dim_w + 1:

@@ -12,7 +12,7 @@ from .geodesic import (
     largest_component,
     residual_variance,
 )
-from .graph import METHODS, SelectorConfig, build_graph, knn_table
+from .graph import SelectorConfig, _check_method, build_graph, knn_table
 
 __all__ = [
     "RunConfig",
@@ -36,8 +36,7 @@ class RunConfig(SelectorConfig):
     m: int = 2
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        _check_method(self.method)
         if self.m < 1:
             raise ValueError("m must be positive")
         super().__post_init__()

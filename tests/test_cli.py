@@ -365,6 +365,20 @@ class TestEmbed:
         assert "--seed needs --sample-random" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["generate", "embed", "compare"])
+    def test_negative_seed_is_usage_error(self, capsys, tmp_path, command):
+        # numpy would refuse it only when the draw is made, as a data error
+        source, out = tmp_path / "i.idx", tmp_path / "out.csv"
+        write_idx_images(source, np.zeros((40, 3, 3), dtype=np.uint8))
+        if command == "generate":
+            argv = ["generate", "--manifold", "helix", "--n", "20"]
+        else:
+            argv = [command, "--in", str(source), "--k", "5", "--sample-random", "--take-first", "20"]
+        code, _, err = run(capsys, [*argv, "--seed", "-1", "--out", str(out)])
+        assert code == 1
+        assert err == "error: --seed must be non-negative, got -1\n"
+        assert not out.exists()
+
 
 class TestOverflowingInput:
     """Coordinates whose squared distances overflow float64 are a data

@@ -78,7 +78,7 @@ def blocks_graph(rng, sizes, p):
 def floyd_reference(g, order):
     """The plain Floyd-Warshall recurrence, one full-matrix update per
     pivot k, with k taken in the given order."""
-    d = g.to_dense_weights()
+    d = g.to_dense_weights(np.arange(g.n))
     for k in order:
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
@@ -285,7 +285,7 @@ class TestFloydProperties:
 def kernel_in_natural_order(g):
     """_floyd_in_place on g's weights in the points' own order, with no
     pivot order."""
-    return geodesic._floyd_in_place(g.to_dense_weights())
+    return geodesic._floyd_in_place(g.to_dense_weights(np.arange(g.n)))
 
 
 class TestFloydKernelNaturalOrder:
@@ -362,6 +362,31 @@ class TestPermute:
             moved = d.copy()
             geodesic._permute(moved, pos.copy())
             assert np.array_equal(moved, d[np.ix_(pos, pos)])
+
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("edges", ["random", "none"])
+    def test_weights_made_in_place_equal_the_gather(self, n, edges):
+        # point i at places[i] is the gather by the order the places invert
+        rng = np.random.default_rng(n + 2)
+        g = random_graph(rng, n, 0.1) if edges == "random" else graph_from_edges(n, [])
+        natural = g.to_dense_weights(np.arange(n))
+        for order in self.permutations(n):
+            places = np.empty(n, np.int64)
+            places[order] = np.arange(n)
+            assert np.array_equal(g.to_dense_weights(places), natural[np.ix_(order, order)])
+
+    def test_all_pairs_permutes_the_matrix_once(self, monkeypatch):
+        # the weights are made in the pivot order, so only the way back moves them
+        shapes, permute = [], geodesic._permute
+
+        def counting(d, p):
+            shapes.append(d.shape)
+            return permute(d, p)
+
+        monkeypatch.setattr(geodesic, "_permute", counting)
+        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
+        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
+        assert shapes == [(g.n, g.n)]
 
 
 class _ModuleProxy:
@@ -459,8 +484,8 @@ class TestFloydMemory:
 
     def peak_and_scratch(self, name):
         g = self.graph(name)
-        geodesic._floyd_in_place(g.to_dense_weights())  # numpy fills its own caches once
-        d = g.to_dense_weights()
+        geodesic._floyd_in_place(g.to_dense_weights(np.arange(g.n)))  # numpy fills its own caches once
+        d = g.to_dense_weights(np.arange(g.n))
         _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
         return peak, self.scratch(g.n)
 

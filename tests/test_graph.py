@@ -538,7 +538,7 @@ class TestBuildGraph:
         for method in ("standard", "stable"):
             g = build_graph(data, SelectorConfig(k=7), method)
             assert np.all(g.edges[:, 0] < g.edges[:, 1])
-            dense = g.to_dense_weights()
+            dense = g.to_dense_weights(np.arange(g.n))
             assert np.array_equal(dense, dense.T)
             # weights are exact Euclidean distances
             d = np.linalg.norm(data.points[g.edges[:, 0]] - data.points[g.edges[:, 1]], axis=1)

@@ -39,8 +39,12 @@ def lifted_plane_cloud(n=60, seed=0):
 
 class TestRunConfig:
     def test_rejects_bad_method(self):
-        with pytest.raises(ValueError):
+        # with one text, whether the config or the graph build finds it
+        with pytest.raises(ValueError) as config:
             RunConfig(method="fast", k=5)
+        with pytest.raises(ValueError) as build:
+            build_graph(gen_swiss_roll(20, 1).data, SelectorConfig(k=5), "fast")
+        assert str(config.value) == str(build.value) == "method must be one of ('standard', 'stable'), got 'fast'"
 
     def test_rejects_bad_m(self):
         with pytest.raises(ValueError):
