@@ -46,7 +46,6 @@ class SyntheticSample:
 
     data: DataSet
     params: np.ndarray  # (n, q) generating parameters, row-aligned
-    seed: int
 
 
 def _check_count(n):
@@ -65,7 +64,7 @@ def gen_helix(n, seed):
     t = rng.uniform(0.0, 2.0 * np.pi, n)
     r = 2.0 + np.cos(8.0 * t)
     pts = np.column_stack([r * np.cos(t), r * np.sin(t), np.sin(8.0 * t)])
-    return SyntheticSample(DataSet(pts), t.reshape(-1, 1), seed)
+    return SyntheticSample(DataSet(pts), t.reshape(-1, 1))
 
 
 def gen_swiss_roll(n, seed):
@@ -75,7 +74,7 @@ def gen_swiss_roll(n, seed):
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, n)
     h = rng.uniform(0.0, 21.0, n)
     pts = np.column_stack([t * np.cos(t), h, t * np.sin(t)])
-    return SyntheticSample(DataSet(pts), np.column_stack([t, h]), seed)
+    return SyntheticSample(DataSet(pts), np.column_stack([t, h]))
 
 
 def gen_punctured_sphere(n, seed):
@@ -90,7 +89,7 @@ def gen_punctured_sphere(n, seed):
     phi = 0.8 * np.pi * u**2
     psi = rng.uniform(0.0, 2.0 * np.pi, n)
     pts = np.column_stack([np.sin(phi) * np.cos(psi), np.sin(phi) * np.sin(psi), np.cos(phi)])
-    return SyntheticSample(DataSet(pts), np.column_stack([phi, psi]), seed)
+    return SyntheticSample(DataSet(pts), np.column_stack([phi, psi]))
 
 
 def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=0):

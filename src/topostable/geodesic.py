@@ -11,8 +11,8 @@ so its result is bitwise the plain recurrence with k in that order, and
 within rounding of it in the natural order. Each panel of pivots works
 only in its reach set, the columns its pivot rows reach: an update
 outside it has an inf operand and cannot change its entry, and no step of
-the panel makes a pivot row reach further. In the nested-dissection order a panel reaches only its own part
-and the separators around it.
+the panel makes a pivot row reach further. In the nested-dissection order
+a panel reaches only its own part and the separators around it.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it, so with the geodesic
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimError, NonFiniteError, ZeroVarianceError
-from .linalg import _small_ufunc_buffer, symmetric_eigen_top
+from .linalg import ROW_BLOCK, _small_ufunc_buffer, symmetric_eigen_top
 
 __all__ = [
     "GeodesicMatrix",
@@ -42,16 +42,28 @@ __all__ = [
 class GeodesicMatrix:
     """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
-    component_ids numbers connected components by first appearance, so the
-    component containing the lowest point index gets id 0.
+    The connected components are read from d's finite entries, not stored
+    beside it (see component_ids).
     """
 
     d: np.ndarray
-    component_ids: np.ndarray
 
     @property
     def n(self):
         return self.d.shape[0]
+
+    @property
+    def component_ids(self):
+        """Each point's connected component, read from d on every access:
+        numbered by first appearance, so the component containing the
+        lowest point index gets id 0."""
+        ids = np.full(self.n, -1, dtype=np.int64)
+        next_id = 0
+        for i in range(self.n):
+            if ids[i] < 0:
+                ids[np.isfinite(self.d[i])] = next_id
+                next_id += 1
+        return ids
 
 
 @dataclass(frozen=True)
@@ -78,22 +90,6 @@ class Embedding:
         return int(np.sum(self.eigenvalues < 0.0))
 
 
-def _component_ids(d):
-    n = d.shape[0]
-    ids = np.full(n, -1, dtype=np.int64)
-    next_id = 0
-    for i in range(n):
-        if ids[i] < 0:
-            ids[np.isfinite(d[i])] = next_id
-            next_id += 1
-    return ids
-
-
-# Rows updated per numpy call, and pivots per panel: a (_CHUNK, n) float64
-# block stays in cache.
-_CHUNK = 64
-
-
 def _floyd_in_place(d):
     """Floyd-Warshall on a dense (n, n) weight matrix d with a zero
     diagonal, in place; returns d.
@@ -102,11 +98,11 @@ def _floyd_in_place(d):
     edge to both entries), with no negative entry and no NaN. Step k is
     d[i, j] = min(d[i, j], d[i, k] + d[k, j]) in the plain order of k, and
     the result is bitwise that of the plain full-matrix recurrence at every
-    _CHUNK: each update made gets the same operands, and each one skipped
+    ROW_BLOCK: each update made gets the same operands, and each one skipped
     has an inf operand, so min(x, x + inf) = x would not change it.
 
     Row k does not change in step k, and a row's update reads only itself
-    and row k. So the steps go in panels of _CHUNK pivots, panel p's pivots
+    and row k. So the steps go in panels of ROW_BLOCK pivots, panel p's pivots
     being row chunk p: chunk p goes through the panel first, saving each
     pivot row just before its step, and then every other chunk takes the
     panel's steps against the saved rows.
@@ -135,8 +131,8 @@ def _floyd_in_place(d):
     mode="raise" copies through a temporary.
     """
     n = d.shape[0]
-    chunk = min(_CHUNK, n)
-    chunks = -(-n // _CHUNK)
+    chunk = min(ROW_BLOCK, n)
+    chunks = -(-n // ROW_BLOCK)
     # the pair of blocks, rounded up to whole 64-byte lines, then the pivot
     # block, with the slack to a 64-byte boundary
     per = -(-2 * chunk * n // 8) * 8
@@ -147,15 +143,15 @@ def _floyd_in_place(d):
 
     def mirror(c):
         """Chunk c's entries left of its diagonal block, from above it."""
-        a, b = c * _CHUNK, min((c + 1) * _CHUNK, n)
+        a, b = c * ROW_BLOCK, min((c + 1) * ROW_BLOCK, n)
         d[a:b, :a] = d[:a, a:b].T
 
     def relax(p, c, reach):
         """Panel p's steps on chunk c's rows in the reach set reach, in the
         scratch: at every column of the set for the panel's own chunk
         (c == p), else at those from the chunk's first row on."""
-        k0, k1 = p * _CHUNK, min((p + 1) * _CHUNK, n)
-        lo, hi = np.searchsorted(reach, (c * _CHUNK, (c + 1) * _CHUNK)).tolist()
+        k0, k1 = p * ROW_BLOCK, min((p + 1) * ROW_BLOCK, n)
+        lo, hi = np.searchsorted(reach, (c * ROW_BLOCK, (c + 1) * ROW_BLOCK)).tolist()
         if lo == hi:
             return
         first = 0 if c == p else lo  # the set's column at blk's column 0
@@ -184,7 +180,7 @@ def _floyd_in_place(d):
     with _small_ufunc_buffer():
         for p in range(chunks):
             mirror(p)
-            low = np.minimum.reduce(d[p * _CHUNK:(p + 1) * _CHUNK], axis=0, out=scratch[:n])
+            low = np.minimum.reduce(d[p * ROW_BLOCK:(p + 1) * ROW_BLOCK], axis=0, out=scratch[:n])
             reach = np.flatnonzero(low < np.inf)
             relax(p, p, reach)
             for c in range(chunks):
@@ -208,7 +204,7 @@ def _pivot_order(g):
     then the rest of the part, each by the same rule, and the separator
     last. A part that the first search does not cover is split, with no
     separator, into the vertices it reached and then the rest, in the order
-    they were. A part of at most _CHUNK vertices keeps its order.
+    they were. A part of at most ROW_BLOCK vertices keeps its order.
 
     Every part is a range of the order, rewritten in place. The order is a
     view of one block that also holds each vertex's part label, the search
@@ -269,7 +265,7 @@ def _pivot_order(g):
     while todo:
         a, b, part = todo.pop()
         size = b - a
-        if size <= _CHUNK:
+        if size <= ROW_BLOCK:
             continue
         near = fresh()
         _, hi = search(min(at[a:b]), part, near, size)
@@ -292,15 +288,15 @@ def _pivot_order(g):
 
 def _permute(d, p):
     """Writes d[np.ix_(p, p)] over the (n, n) array d, for a permutation p
-    of range(n) held in an int64 array, through one (_CHUNK, n) block,
-    freed once used: the columns are permuted _CHUNK rows at a time
+    of range(n) held in an int64 array, through one (ROW_BLOCK, n) block,
+    freed once used: the columns are permuted ROW_BLOCK rows at a time
     through the block, and then each cycle of p moves its rows one place
     along through the block's first row. p is left as the identity: each
     row moved is marked there as in place. It is Floyd's way back."""
     n = d.shape[0]
-    block = np.empty((min(_CHUNK, n), n))
-    for a in range(0, n, _CHUNK):
-        rows = d[a:a + _CHUNK]
+    block = np.empty((min(ROW_BLOCK, n), n))
+    for a in range(0, n, ROW_BLOCK):
+        rows = d[a:a + ROW_BLOCK]
         moved = block[:rows.shape[0]]
         rows.take(p, axis=1, out=moved, mode="clip")  # mode="raise" copies through a temporary
         rows[...] = moved
@@ -324,7 +320,7 @@ def floyd_all_pairs(g):
     that order, _floyd_in_place runs on it in its plain order of k, and
     every row and column goes back to its point. So the result is bitwise
     the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k, j]) taken
-    with k in that order, at every _CHUNK. In the natural order of k each
+    with k in that order, at every ROW_BLOCK. In the natural order of k each
     entry is the length of a shortest path too, but its terms may be added
     in another grouping or along another path of equal length, so the two
     differ by rounding only. In the nested-dissection order a panel's
@@ -333,13 +329,15 @@ def floyd_all_pairs(g):
     is a small share of the matrix.
 
     The matrix is the one n x n buffer, permuted once, on its way back
-    through a (_CHUNK, n) block. The order's block goes before it comes.
+    through a (ROW_BLOCK, n) block. The order's block goes before it comes.
+    The result holds d alone: its component ids are read from d's finite
+    entries when asked for (GeodesicMatrix.component_ids).
     """
     pos = np.empty(g.n, np.int64)  # each point's place in the order
     pos[_pivot_order(g)] = np.arange(g.n)
     d = _floyd_in_place(g.to_dense_weights(pos))
     _permute(d, pos)
-    return GeodesicMatrix(d=d, component_ids=_component_ids(d))
+    return GeodesicMatrix(d=d)
 
 
 def largest_component(gm, data):
@@ -347,19 +345,16 @@ def largest_component(gm, data):
 
     Ties are broken in favor of the component containing the smallest
     point index. Returns (sub_data, sub_gm, kept_indices) where
-    kept_indices maps restricted rows back to original ids. When nothing
-    is dropped, data and gm come back as they are, not copied.
+    kept_indices maps restricted rows back to original ids. The
+    components are read from gm.d's finite entries, once per call
+    (GeodesicMatrix.component_ids). When nothing is dropped, data and gm
+    come back as they are, not copied.
     """
-    counts = np.bincount(gm.component_ids)
-    keep_id = int(np.argmax(counts))
-    kept = np.flatnonzero(gm.component_ids == keep_id)
+    ids = gm.component_ids
+    kept = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
     if kept.size == gm.n:
         return data, gm, kept
-    sub = GeodesicMatrix(
-        d=gm.d[np.ix_(kept, kept)],
-        component_ids=np.zeros(kept.size, dtype=np.int64),
-    )
-    return data.subset(kept), sub, kept
+    return data.subset(kept), GeodesicMatrix(d=gm.d[np.ix_(kept, kept)]), kept
 
 
 def _all_finite(d):
@@ -433,10 +428,10 @@ def residual_variance(gm, emb):
     embedding explains the geodesic structure perfectly (up to uniform
     scaling).
 
-    One pass over blocks of _CHUNK rows. A block's pairs are its diagonal
+    One pass over blocks of ROW_BLOCK rows. A block's pairs are its diagonal
     block's strict upper triangle, taken through flat indices made once,
     and the rectangle right of it, one contiguous copy; each side gathers
-    them into one scratch vector of _CHUNK * n values. The squared
+    them into one scratch vector of ROW_BLOCK * n values. The squared
     embedded distances are summed one coordinate column at a time from
     np.subtract.outer differences, with no (block, n, m) buffer, and their
     square roots taken last. Each side's min and max are taken before
@@ -445,7 +440,7 @@ def residual_variance(gm, emb):
     and takes its sums of squares and of products with np.dot, and the
     blocks' counts, means and sums are merged by the pairwise update of
     Chan, Golub & LeVeque (The American Statistician, 1983). So the scratch
-    is three vectors of _CHUNK * n values, with no n x n or n(n - 1)/2
+    is three vectors of ROW_BLOCK * n values, with no n x n or n(n - 1)/2
     array.
 
     Raises ZeroVarianceError, naming the side, when either set of distances
@@ -462,7 +457,7 @@ def residual_variance(gm, emb):
     if not _all_finite(d):
         raise NonFiniteError("geodesic matrix spans multiple components")
     cols = emb.coords.T.copy()  # one contiguous row per coordinate column
-    chunk = min(_CHUNK, n)
+    chunk = min(ROW_BLOCK, n)
     # squares is zeroed: with no coordinate column every embedded distance is 0
     geo, euclid, squares = np.empty(chunk * n), np.empty(chunk * n), np.zeros(chunk * n)
 
@@ -477,8 +472,8 @@ def residual_variance(gm, emb):
     # Python floats: a product that overflows is inf, with no warning
     count, mean_g, mean_e, sgg, see, sge = 0, 0.0, 0.0, 0.0, 0.0, 0.0
     with _small_ufunc_buffer():  # each 2-D call here runs three to four times faster
-        for a in range(0, n - 1, _CHUNK):  # the last row has no pair of its own
-            b = min(a + _CHUNK, n)
+        for a in range(0, n - 1, ROW_BLOCK):  # the last row has no pair of its own
+            b = min(a + ROW_BLOCK, n)
             h = b - a
             tri = full if h == chunk else upper(h)
             t, size = tri.size, tri.size + h * (n - b)

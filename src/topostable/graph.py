@@ -49,7 +49,7 @@ from .errors import (
     NonFiniteError,
     TopoStableError,
 )
-from .linalg import _small_ufunc_buffer
+from .linalg import ROW_BLOCK, _small_ufunc_buffer
 
 __all__ = [
     "DataSet",
@@ -61,7 +61,6 @@ __all__ = [
 METHODS = ("standard", "stable")  # the selection rules build_graph offers
 
 EDGE_BLOCK_BYTES = 1 << 20  # size of one gathered block of edge ends or selector offsets
-ROW_BLOCK = 64  # most rows per step of the squared-distance fill, kNN table and selector
 
 # Relative tolerance for declaring a residual numerically zero (collinear
 # neighbors, probe point inside the subspace). Comfortably above double

@@ -14,6 +14,11 @@ from .errors import NotSymmetricError
 __all__ = ["EigenPairs", "symmetric_eigen_top"]
 
 
+# Rows per block of the blocked steps in graph, geodesic and here: a
+# (ROW_BLOCK, n) float64 block stays in cache.
+ROW_BLOCK = 64
+
+
 @contextlib.contextmanager
 def _small_ufunc_buffer():
     """numpy's ufunc buffer at its smallest, 16 elements, in the scope (for
@@ -49,8 +54,6 @@ _RESIDUAL_TOL = 1e-14
 _STALL_TOL = 1e-12
 _MAX_ITER = 100
 _RATE_SPAN = 3
-# Rows and columns per tile of the symmetry check.
-_SYM_BLOCK = 64
 # splitmix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
 # and the two multipliers of its finalizer, all uint64 so that numpy < 2
 # does not promote the arithmetic to float64.
@@ -65,14 +68,14 @@ def _check_symmetric(a):
     every pair once, and no strided read longer than a tile row."""
     n = a.shape[0]
     scale = max(a.max(), -a.min())
-    b = min(_SYM_BLOCK, n)
+    b = min(ROW_BLOCK, n)
     buf = np.empty((b, b))
     asym = 0.0
-    for i in range(0, n, _SYM_BLOCK):
-        for j in range(i, n, _SYM_BLOCK):
-            tile = a[i:i + _SYM_BLOCK, j:j + _SYM_BLOCK]
+    for i in range(0, n, ROW_BLOCK):
+        for j in range(i, n, ROW_BLOCK):
+            tile = a[i:i + ROW_BLOCK, j:j + ROW_BLOCK]
             diff = buf[:tile.shape[0], :tile.shape[1]]
-            np.subtract(tile, a[j:j + _SYM_BLOCK, i:i + _SYM_BLOCK].T, out=diff)
+            np.subtract(tile, a[j:j + ROW_BLOCK, i:i + ROW_BLOCK].T, out=diff)
             asym = max(asym, np.abs(diff, out=diff).max())
     if scale > 0.0 and asym > 1e-10 * scale:
         raise NotSymmetricError(f"relative asymmetry {asym / scale:.3e} exceeds 1e-10")

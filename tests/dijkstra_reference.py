@@ -8,7 +8,6 @@ Floyd-Warshall and runs only in the tests.
 import numpy as np
 
 from topostable import GeodesicMatrix
-from topostable.geodesic import _component_ids
 
 
 def csr_adjacency(g):
@@ -50,4 +49,4 @@ def dijkstra_all_pairs(g):
     """Exact all-pairs shortest paths; same contract as floyd_all_pairs."""
     indptr, indices, weights = csr_adjacency(g)
     d = _dijkstra_all(indptr, indices, weights, g.n)
-    return GeodesicMatrix(d=d, component_ids=_component_ids(d))
+    return GeodesicMatrix(d=d)

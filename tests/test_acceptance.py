@@ -179,7 +179,7 @@ def test_criterion_7_residual_variance_identity():
     emb = Embedding(coords=coords, eigenvalues=np.zeros(3))
     worst = 0.0
     for alpha in (1.0, 2.0, 0.3, 17.5):
-        gm = GeodesicMatrix(d=dy / alpha, component_ids=np.zeros(40, np.int64))
+        gm = GeodesicMatrix(d=dy / alpha)
         worst = max(worst, residual_variance(gm, emb))
     ok = worst <= 1e-12
     report(7, "residual-variance identity", ok, f"max rv = {worst:.2e} over scalings")

@@ -199,7 +199,7 @@ def on_threads(workers, call):
 
 
 def oracle_cases(workers):
-    """(graph name, worker threads, _CHUNK) for every oracle graph, each
+    """(graph name, worker threads, ROW_BLOCK) for every oracle graph, each
     count in workers, and 64- and 16-row chunks (the -chunks ids)."""
     return [
         pytest.param(name, w, chunk, id=(name if w == 1 else f"{name}-w{w}") + ("-chunks" if chunk == 16 else ""))
@@ -220,7 +220,7 @@ class TestFloydOracle:
     def test_equals_plain_recurrence(self, name, workers, chunk, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
-        monkeypatch.setattr(geodesic, "_CHUNK", chunk)
+        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
         reference = pivoted_reference(g)
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
             if components is not None:
@@ -262,7 +262,7 @@ class TestFloydProperties:
     def test_equals_plain_recurrence_at_a_realistic_size(self):
         # with a short last chunk
         n = 1340
-        assert n % geodesic._CHUNK
+        assert n % geodesic.ROW_BLOCK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
 
@@ -299,7 +299,7 @@ class TestFloydKernelNaturalOrder:
     @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2)))
     def test_oracle_graphs(self, name, workers, chunk, monkeypatch):
         g = ORACLE_GRAPHS[name][0](np.random.default_rng(7))
-        monkeypatch.setattr(geodesic, "_CHUNK", chunk)
+        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
         reference = floyd_reference(g, range(g.n))
         for d in on_threads(workers, lambda: kernel_in_natural_order(g)):
             assert np.array_equal(d, reference)
@@ -310,7 +310,7 @@ class TestFloydKernelNaturalOrder:
     @given(g=symmetric_graphs())
     def test_random_graphs(self, workers, chunk, g):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geodesic, "_CHUNK", chunk)
+            mp.setattr(geodesic, "ROW_BLOCK", chunk)
             runs = on_threads(workers, lambda: kernel_in_natural_order(g))
         reference = floyd_reference(g, range(g.n))
         for d in runs:
@@ -473,7 +473,7 @@ class TestFloydMemory:
     def scratch(n):
         """Bytes of the (64, n) step and row blocks and the (64, n) pivot
         block, plus the alignment slack of a numpy buffer."""
-        return (3 * geodesic._CHUNK * n + 8) * 8
+        return (3 * geodesic.ROW_BLOCK * n + 8) * 8
 
     @staticmethod
     def order_room(g):
@@ -523,8 +523,7 @@ class TestFloydMemory:
 
     def test_all_pairs_keeps_only_its_result(self):
         # the order's block, its inverse and the permutation blocks are
-        # freed by the time the call returns: what stays is the matrix and
-        # the component ids
+        # freed by the time the call returns: what stays is the matrix
         g = self.graph()
         floyd_all_pairs(g)  # numpy fills its own caches once
         tracemalloc.start()
@@ -534,7 +533,7 @@ class TestFloydMemory:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert gm.d.nbytes + gm.component_ids.nbytes <= kept <= 8 * g.n * g.n + 8 * g.n + 16 * 1024
+        assert gm.d.nbytes <= kept <= 8 * g.n * g.n + 16 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_pairs_holds_the_matrix_and_the_scratch(self, workers):
@@ -583,6 +582,21 @@ class TestLargestComponent:
         data = DataSet(np.arange(8.0).reshape(4, 2))
         _, _, kept = largest_component(floyd_all_pairs(g), data)
         assert np.array_equal(kept, [0, 2])
+
+    def test_components_read_from_the_distances(self):
+        # a matrix built by hand, with no all-pairs run: points 0 and 3 are
+        # one component, 1, 2 and 4 the other, the larger
+        d = np.full((5, 5), np.inf)
+        for part in ([0, 3], [1, 2, 4]):
+            d[np.ix_(part, part)] = 1.0
+        np.fill_diagonal(d, 0.0)
+        gm = GeodesicMatrix(d=d)
+        assert np.array_equal(gm.component_ids, [0, 1, 1, 0, 1])
+        sub_data, sub_gm, kept = largest_component(gm, DataSet(np.arange(10.0).reshape(5, 2)))
+        assert np.array_equal(kept, [1, 2, 4])
+        assert np.array_equal(sub_gm.d, 1.0 - np.eye(3))
+        assert np.array_equal(sub_gm.component_ids, [0, 0, 0])
+        assert np.array_equal(sub_data.points, [[2.0, 3.0], [4.0, 5.0], [8.0, 9.0]])
 
 
 class TestDoubleCenter:
@@ -633,12 +647,12 @@ class TestDoubleCenter:
 def gm_from_coords(coords):
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt((diff**2).sum(-1))
-    return GeodesicMatrix(d=d, component_ids=np.zeros(len(coords), dtype=np.int64))
+    return GeodesicMatrix(d=d)
 
 
 class TestClassicalMds:
     def test_two_points_half_coordinates(self):
-        gm = GeodesicMatrix(d=np.array([[0.0, 1.0], [1.0, 0.0]]), component_ids=np.zeros(2, np.int64))
+        gm = GeodesicMatrix(d=np.array([[0.0, 1.0], [1.0, 0.0]]))
         emb = classical_mds(gm, 1)
         assert emb.eigenvalues == pytest.approx([0.5], abs=1e-15)
         assert np.allclose(emb.coords.ravel(), [0.5, -0.5], atol=1e-12)
@@ -669,7 +683,7 @@ class TestClassicalMds:
     def test_nonfinite_raises(self):
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = np.inf
-        gm = GeodesicMatrix(d=d, component_ids=np.array([0, 1, 0]))
+        gm = GeodesicMatrix(d=d)
         with pytest.raises(NonFiniteError):
             classical_mds(gm, 1)
 
@@ -686,7 +700,7 @@ class TestClassicalMds:
         d = rng.uniform(0.5, 2.0, size=(8, 8))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        gm = GeodesicMatrix(d=d, component_ids=np.zeros(8, np.int64))
+        gm = GeodesicMatrix(d=d)
         emb = classical_mds(gm, 7)
         assert emb.n_clipped >= 1
         clipped = np.flatnonzero(emb.eigenvalues < 0)
@@ -719,7 +733,7 @@ class TestNonFiniteGeodesics:
 class TestResidualVariance:
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_points_refused(self, n):
-        gm = GeodesicMatrix(d=np.zeros((n, n)), component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=np.zeros((n, n)))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ValueError, match=f"at least 3 points, got {n}"):
             residual_variance(gm, emb)
@@ -732,14 +746,14 @@ class TestResidualVariance:
 
     def test_constant_geodesics_raise(self):
         # an equilateral triangle: all three geodesics are 1
-        gm = GeodesicMatrix(d=1.0 - np.eye(3), component_ids=np.zeros(3, dtype=np.int64))
+        gm = GeodesicMatrix(d=1.0 - np.eye(3))
         emb = Embedding(coords=np.array([[0.0], [1.0], [3.0]]), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
 
     def test_constant_geodesics_across_blocks_raise(self):
         n = 130  # three blocks of rows, each constant on its own
-        gm = GeodesicMatrix(d=1.0 - np.eye(n), component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=1.0 - np.eye(n))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -748,13 +762,13 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[100, 120] = d[120, 100] = 2.0  # in the second block of rows only
-        gm = GeodesicMatrix(d=d, component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=d)
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         assert residual_variance(gm, emb) == pytest.approx(residual_variance_fsum(gm, emb), rel=1e-12, abs=0.0)
 
     def test_both_sides_constant_name_the_geodesics(self):
         n = 130
-        gm = GeodesicMatrix(d=2.5 * (1.0 - np.eye(n)), component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=2.5 * (1.0 - np.eye(n)))
         emb = Embedding(coords=np.ones((n, 2)), eigenvalues=np.zeros(2))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -772,7 +786,7 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[n - 1, n - 2] = np.inf
-        gm = GeodesicMatrix(d=d, component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=d)
         emb = Embedding(coords=np.zeros((n, 1)), eigenvalues=np.zeros(1))
         tracemalloc.start()
         try:
@@ -781,7 +795,7 @@ class TestResidualVariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < geodesic._CHUNK * n * 8
+        assert peak < geodesic.ROW_BLOCK * n * 8
 
     @pytest.mark.parametrize("side, n", [(0.1, 3), (0.3, 5), (np.sqrt(2.0), 5), (0.3, 65), (np.sqrt(2.0), 65)])
     def test_constant_geodesics_whose_mean_rounds_off_raise(self, side, n):
@@ -790,7 +804,7 @@ class TestResidualVariance:
         geo = side * (1.0 - np.eye(n))
         iu = np.triu_indices(n, 1)
         assert np.any(geo[iu] - geo[iu].mean() != 0.0)
-        gm = GeodesicMatrix(d=geo, component_ids=np.zeros(n, dtype=np.int64))
+        gm = GeodesicMatrix(d=geo)
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -799,7 +813,7 @@ class TestResidualVariance:
     def test_spreads_that_underflow_raise(self, geo_scale, emb_scale):
         # not constant, but the product of the centered sums of squares is 0
         x = np.array([0.0, 1.0, 3.0, 7.0]) * geo_scale
-        gm = GeodesicMatrix(d=np.abs(x[:, None] - x[None, :]), component_ids=np.zeros(4, dtype=np.int64))
+        gm = GeodesicMatrix(d=np.abs(x[:, None] - x[None, :]))
         emb = Embedding(coords=np.array([[0.0], [1.0], [2.0], [5.0]]) * emb_scale, eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: the distances vary too little"):
             residual_variance(gm, emb)
@@ -828,7 +842,7 @@ class TestResidualVariance:
     def test_uniform_scaling_zero(self):
         coords = np.random.default_rng(7).normal(size=(15, 2))
         gm = gm_from_coords(coords)
-        scaled = GeodesicMatrix(d=2.0 * gm.d, component_ids=gm.component_ids)
+        scaled = GeodesicMatrix(d=2.0 * gm.d)
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         assert residual_variance(scaled, emb) <= 1e-12
 
@@ -846,7 +860,7 @@ class TestResidualVariance:
         gm = gm_from_coords(other)
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         rv1 = residual_variance(gm, emb)
-        rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d, component_ids=gm.component_ids), emb)
+        rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d), emb)
         assert rv1 == pytest.approx(rv2, abs=1e-12)
 
     def test_mds_round_trip_after_rigid_lift(self):
@@ -958,7 +972,7 @@ class TestBackHalf:
         # the blocks' sums merge differently
         gm, emb = projected_points(len(order), m)
         p = np.array(order)
-        moved = GeodesicMatrix(d=gm.d[np.ix_(p, p)], component_ids=gm.component_ids)
+        moved = GeodesicMatrix(d=gm.d[np.ix_(p, p)])
         moved_emb = Embedding(coords=emb.coords[p], eigenvalues=emb.eigenvalues)
         assert residual_variance(moved, moved_emb) == pytest.approx(residual_variance(gm, emb), rel=1e-12, abs=0.0)
 
@@ -990,14 +1004,14 @@ class TestBackHalf:
     def test_memory_at_most_about_two_n2_buffers(self):
         # beside the geodesic matrix, classical_mds squares the distances
         # into one buffer and centers it in place; residual_variance then
-        # holds three (_CHUNK, n) vectors of block scratch, about a quarter
+        # holds three (ROW_BLOCK, n) vectors of block scratch, about a quarter
         # of an n x n buffer at n = 800
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
         _, rv_peak = peak_bytes(lambda: residual_variance(gm, emb))
         _, peak = peak_bytes(lambda: residual_variance(gm, classical_mds(gm, 2)))
-        assert rv_peak <= 4 * geodesic._CHUNK * n * 8
+        assert rv_peak <= 4 * geodesic.ROW_BLOCK * n * 8
         assert peak <= 1.3 * n * n * 8
 
 

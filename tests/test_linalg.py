@@ -391,7 +391,7 @@ def rv_of_three(geo, coords):
     d = np.zeros((3, 3))
     d[np.triu_indices(3, 1)] = geo
     coords = np.asarray(coords, dtype=np.float64)
-    gm = GeodesicMatrix(d=d + d.T, component_ids=np.zeros(3, dtype=np.int64))
+    gm = GeodesicMatrix(d=d + d.T)
     return residual_variance(gm, Embedding(coords=coords, eigenvalues=np.zeros(coords.shape[1])))
 
 
@@ -414,9 +414,9 @@ class TestPearsonR:
     def test_affine_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            gm = GeodesicMatrix(d=rng.normal(size=(7, 7)), component_ids=np.zeros(7, dtype=np.int64))
+            gm = GeodesicMatrix(d=rng.normal(size=(7, 7)))
             emb = Embedding(coords=rng.normal(size=(7, 2)), eigenvalues=np.zeros(2))
             rv = residual_variance(gm, emb)
             for alpha, beta in ((2.0, 1.0), (-3.0, 0.5), (0.1, -7.0)):
-                moved = GeodesicMatrix(d=alpha * gm.d + beta, component_ids=gm.component_ids)
+                moved = GeodesicMatrix(d=alpha * gm.d + beta)
                 assert residual_variance(moved, emb) == pytest.approx(rv, abs=1e-10)
