@@ -41,7 +41,7 @@ class BadDimError(TopoStableError):
 
 
 class BadCountError(TopoStableError):
-    """Requested sample count below the generator minimum."""
+    """A count too small: a generator count below 10, take_first below 1, or no IDX images."""
 
 
 class BadMagicError(TopoStableError):

@@ -397,7 +397,8 @@ def classical_mds(gm, m):
     the doubly-centered matrix; negative-eigenvalue columns collapse to
     zero (see Embedding.n_clipped). gm.d is left as it is: double_center
     squares it into one new buffer and centers that in place, and only the
-    top m eigenpairs of that are computed (linalg.symmetric_eigen_top).
+    top m eigenpairs of that are computed (linalg.symmetric_eigen_top),
+    whose eigenvectors are scaled in place into the coordinates.
     """
     n = gm.n
     if not 1 <= m <= n - 1:
@@ -411,13 +412,10 @@ def classical_mds(gm, m):
         if not _all_finite(gm.d):
             raise NonFiniteError("geodesic matrix spans multiple components") from None
         raise
-    eig = symmetric_eigen_top(centered, m)
-    # made before the centered matrix is freed, so that the coordinates
-    # cannot take the start of the hole it leaves on the heap, where
-    # residual_variance's block scratch goes next
-    coords = eig.vectors * np.sqrt(np.maximum(eig.values, 0.0))[None, :]
+    values, vectors = symmetric_eigen_top(centered, m)
     del centered
-    return Embedding(coords=coords, eigenvalues=eig.values)
+    vectors *= np.sqrt(np.maximum(values, 0.0))
+    return Embedding(coords=vectors, eigenvalues=values)
 
 
 def residual_variance(gm, emb):
@@ -446,7 +444,8 @@ def residual_variance(gm, emb):
     Raises ZeroVarianceError, naming the side, when either set of distances
     is constant, and also when their spreads are so small that the product
     of their squares underflows to 0; ValueError for fewer than 3 points:
-    each message starts "residual variance undefined: ".
+    each message starts "residual variance undefined: ". Raises
+    NonFiniteError when gm.d or the coordinates hold inf or NaN.
     """
     n = gm.n
     if emb.coords.shape[0] != n:
@@ -456,6 +455,8 @@ def residual_variance(gm, emb):
     d = np.asarray(gm.d, dtype=np.float64)
     if not _all_finite(d):
         raise NonFiniteError("geodesic matrix spans multiple components")
+    if not _all_finite(emb.coords):
+        raise NonFiniteError("embedding has non-finite coordinates")
     cols = emb.coords.T.copy()  # one contiguous row per coordinate column
     chunk = min(ROW_BLOCK, n)
     # squares is zeroed: with no coordinate column every embedded distance is 0

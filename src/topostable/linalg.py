@@ -5,13 +5,12 @@ largest" (see _top_subspace). A pure function of its input.
 """
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymmetricError
+from .errors import NonFiniteError, NotSymmetricError
 
-__all__ = ["EigenPairs", "symmetric_eigen_top"]
+__all__ = ["symmetric_eigen_top"]
 
 
 # Rows per block of the blocked steps in graph, geodesic and here: a
@@ -30,14 +29,6 @@ def _small_ufunc_buffer():
         yield
     finally:
         np.setbufsize(old)
-
-
-@dataclass(frozen=True)
-class EigenPairs:
-    """Top eigenvalues (descending) with orthonormal eigenvectors as columns."""
-
-    values: np.ndarray   # (m,)
-    vectors: np.ndarray  # (n, m), column j pairs with values[j]
 
 
 # Block subspace iteration: extra columns beyond m (they widen the gap that
@@ -63,11 +54,15 @@ _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 
 
 def _check_symmetric(a):
-    """Raise NotSymmetricError when max|a - a.T| > 1e-10 max|a|, comparing
-    each tile (i, j) on and above the diagonal with tile (j, i) transposed:
-    every pair once, and no strided read longer than a tile row."""
+    """Raise NonFiniteError when a has an inf or NaN entry, and
+    NotSymmetricError when max|a - a.T| > 1e-10 max|a|, comparing each tile
+    (i, j) on and above the diagonal with tile (j, i) transposed: every
+    pair once, and no strided read longer than a tile row."""
     n = a.shape[0]
+    # max and min propagate NaN, and between them catch -inf and inf
     scale = max(a.max(), -a.min())
+    if not np.isfinite(scale):
+        raise NonFiniteError("matrix has non-finite entries")
     b = min(ROW_BLOCK, n)
     buf = np.empty((b, b))
     asym = 0.0
@@ -185,7 +180,9 @@ def _top_subspace(a, m):
 
 
 def symmetric_eigen_top(a, m):
-    """Algebraically largest m eigenpairs of a symmetric matrix.
+    """Algebraically largest m eigenpairs of a symmetric matrix, as the
+    tuple (values, vectors): values descending, shape (m,), and vectors
+    (n, m) with orthonormal columns, column j pairing with values[j].
 
     Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review 2011)
     finds them from m + 8 columns, started from a hashed block and stopped
@@ -195,7 +192,8 @@ def symmetric_eigen_top(a, m):
     the iteration cannot vouch for its answer (see _top_subspace).
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
-    is made positive so downstream outputs are reproducible.
+    is made positive so downstream outputs are reproducible. Raises
+    NonFiniteError on inf/NaN entries, NotSymmetricError on asymmetry.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -210,5 +208,5 @@ def symmetric_eigen_top(a, m):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:
             vectors[:, j] = -col
-    return EigenPairs(values=values, vectors=vectors)
+    return values, vectors
 

@@ -159,8 +159,8 @@ def test_criterion_6_numeric_kernel_properties():
     for _ in range(100):
         a = rng.normal(size=(10, 10))
         a = (a + a.T) / 2
-        eig = symmetric_eigen_top(a, 10)
-        recon = (eig.vectors * eig.values) @ eig.vectors.T
+        values, vectors = symmetric_eigen_top(a, 10)
+        recon = (vectors * values) @ vectors.T
         worst_eig = max(worst_eig, float(np.max(np.abs(recon - a))))
 
     ok = worst_gs <= 1e-10 and worst_res <= 1e-8 and worst_eig <= 1e-8

@@ -558,12 +558,17 @@ class TestEmbedFuzz:
             assert self.embed(["embed", "--in", str(missing), *flags]) == (1, "", err)
 
 
+def readme_blocks(lang):
+    """The bodies of README's ```lang fenced blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"```{lang}\n(.*?)```", text, flags=re.S)
+
+
 def readme_commands():
     """Arguments of every `topostable ...` line in README's sh blocks, with
     backslash continuations joined and comments dropped."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     commands = []
-    for block in re.findall(r"```sh\n(.*?)```", text, flags=re.S):
+    for block in readme_blocks("sh"):
         for line in block.replace("\\\n", " ").splitlines():
             if line.startswith("topostable "):
                 commands.append(shlex.split(line, comments=True)[1:])
@@ -580,6 +585,14 @@ def test_readme_commands_parse(capsys):
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README command does not parse: topostable {shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
+def test_readme_python_blocks_run():
+    # a changed return shape or name must not leave the Library section stale
+    blocks = readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
 
 
 def test_module_entry_point():

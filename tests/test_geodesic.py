@@ -797,6 +797,16 @@ class TestResidualVariance:
             tracemalloc.stop()
         assert peak < geodesic.ROW_BLOCK * n * 8
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinates_refused(self, bad):
+        # a NaN correlation would otherwise score as a perfect embedding, 0
+        n = 130
+        gm = gm_from_coords(np.random.default_rng(4).normal(size=(n, 3)))
+        coords = np.random.default_rng(5).normal(size=(n, 2))
+        coords[n - 1, 1] = bad
+        with pytest.raises(NonFiniteError, match="^embedding has non-finite coordinates$"):
+            residual_variance(gm, Embedding(coords=coords, eigenvalues=np.zeros(2)))
+
     @pytest.mark.parametrize("side, n", [(0.1, 3), (0.3, 5), (np.sqrt(2.0), 5), (0.3, 65), (np.sqrt(2.0), 65)])
     def test_constant_geodesics_whose_mean_rounds_off_raise(self, side, n):
         # the mean of these constants does not round back to them, so they

@@ -8,6 +8,7 @@ from topostable import graph, linalg
 from topostable.errors import (
     DegenerateBasisError,
     DegenerateComplementError,
+    NonFiniteError,
     NotSymmetricError,
     ZeroVarianceError,
 )
@@ -144,55 +145,63 @@ class TestAngleDeg:
 
 class TestSymmetricEigenTop:
     def test_diagonal(self):
-        eig = symmetric_eigen_top(np.diag([3.0, 1.0]), 1)
-        assert eig.values == pytest.approx([3.0])
-        assert np.allclose(np.abs(eig.vectors[:, 0]), [1, 0], atol=1e-12)
+        values, vectors = symmetric_eigen_top(np.diag([3.0, 1.0]), 1)
+        assert values == pytest.approx([3.0])
+        assert np.allclose(np.abs(vectors[:, 0]), [1, 0], atol=1e-12)
 
     def test_centered_gram_of_two_points(self):
         # hand decomposition of [[0.25,-0.25],[-0.25,0.25]]: eigenvalues 0.5 and 0
-        eig = symmetric_eigen_top([[0.25, -0.25], [-0.25, 0.25]], 2)
-        assert eig.values == pytest.approx([0.5, 0.0], abs=1e-15)
+        values, _ = symmetric_eigen_top([[0.25, -0.25], [-0.25, 0.25]], 2)
+        assert values == pytest.approx([0.5, 0.0], abs=1e-15)
 
     def test_degenerate_spectrum(self):
-        eig = symmetric_eigen_top(np.eye(4), 2)
-        assert eig.values == pytest.approx([1.0, 1.0])
-        assert np.allclose(eig.vectors.T @ eig.vectors, np.eye(2), atol=1e-10)
+        values, vectors = symmetric_eigen_top(np.eye(4), 2)
+        assert values == pytest.approx([1.0, 1.0])
+        assert np.allclose(vectors.T @ vectors, np.eye(2), atol=1e-10)
 
     def test_not_symmetric_raises(self):
         with pytest.raises(NotSymmetricError):
             symmetric_eigen_top([[1.0, 2.0], [1.0, 1.0]], 1)
+
+    @pytest.mark.parametrize("n", [10, 30])  # the full eigh, and the subspace iteration
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries_refused(self, n, bad):
+        a = np.eye(n)
+        a[0, 1] = a[1, 0] = bad
+        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+            symmetric_eigen_top(a, 2)
 
     def test_reconstruction_and_residuals(self):
         rng = np.random.default_rng(8)
         for _ in range(50):
             a = rng.normal(size=(10, 10))
             a = (a + a.T) / 2
-            eig = symmetric_eigen_top(a, 10)
-            recon = (eig.vectors * eig.values) @ eig.vectors.T
+            values, vectors = symmetric_eigen_top(a, 10)
+            recon = (vectors * values) @ vectors.T
             assert np.max(np.abs(recon - a)) <= 1e-8
             norm_a = np.linalg.norm(a)
             for j in range(10):
-                res = a @ eig.vectors[:, j] - eig.values[j] * eig.vectors[:, j]
+                res = a @ vectors[:, j] - values[j] * vectors[:, j]
                 assert np.linalg.norm(res) <= 1e-8 * norm_a
 
     def test_deterministic_and_sign_canonical(self):
         rng = np.random.default_rng(9)
         a = rng.normal(size=(6, 6))
         a = (a + a.T) / 2
-        e1 = symmetric_eigen_top(a, 6)
-        e2 = symmetric_eigen_top(a.copy(), 6)
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
+        values1, vectors1 = symmetric_eigen_top(a, 6)
+        values2, vectors2 = symmetric_eigen_top(a.copy(), 6)
+        assert np.array_equal(values1, values2)
+        assert np.array_equal(vectors1, vectors2)
         for j in range(6):
-            col = e1.vectors[:, j]
+            col = vectors1[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
     def test_descending_order(self):
         rng = np.random.default_rng(10)
         a = rng.normal(size=(8, 8))
         a = (a + a.T) / 2
-        eig = symmetric_eigen_top(a, 8)
-        assert np.all(np.diff(eig.values) <= 0)
+        values, _ = symmetric_eigen_top(a, 8)
+        assert np.all(np.diff(values) <= 0)
 
 
 def eigen_top_reference(a, m):
@@ -226,12 +235,12 @@ class TestEigenOracle:
     relative, vectors within 1e-10 under the sign rule."""
 
     def assert_matches_oracle(self, a, m):
-        eig = symmetric_eigen_top(a, m)
+        got_values, got_vectors = symmetric_eigen_top(a, m)
         values, vectors = eigen_top_reference(a, m)
-        assert eig.values.shape == (m,) and eig.vectors.shape == (a.shape[0], m)
-        assert np.all(np.abs(eig.values - values) <= 1e-12 * np.abs(values))
-        assert np.max(np.abs(eig.vectors - vectors)) <= 1e-10
-        return eig, values
+        assert got_values.shape == (m,) and got_vectors.shape == (a.shape[0], m)
+        assert np.all(np.abs(got_values - values) <= 1e-12 * np.abs(values))
+        assert np.max(np.abs(got_vectors - vectors)) <= 1e-10
+        return got_values, values
 
     @pytest.mark.parametrize("n", [60, 200])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -247,8 +256,8 @@ class TestEigenOracle:
         # eigenvalue left outside it
         a = planted(n, [-900.0, -400.0, 50.0, 20.0], seed=n)
         assert linalg._top_subspace(a, 2) is not None
-        eig, values = self.assert_matches_oracle(a, 2)
-        assert eig.values == pytest.approx([50.0, 20.0], rel=1e-12)
+        got, _ = self.assert_matches_oracle(a, 2)
+        assert got == pytest.approx([50.0, 20.0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [60, 200])
     def test_large_negative_eigenvalues_fill_the_block(self, n):
@@ -256,8 +265,8 @@ class TestEigenOracle:
         # but the top algebraic pair lies outside it: the full solver answers
         a = planted(n, [5.0, 3.0] + [-100.0 - j for j in range(10)], rest_scale=0.5, seed=n)
         assert linalg._top_subspace(a, 2) is None
-        eig, values = self.assert_matches_oracle(a, 2)
-        assert eig.values == pytest.approx([5.0, 3.0], rel=1e-12)
+        got, _ = self.assert_matches_oracle(a, 2)
+        assert got == pytest.approx([5.0, 3.0], rel=1e-12)
 
     @pytest.mark.parametrize("n", [60, 200])
     def test_fewer_positive_eigenvalues_than_m(self, n):
@@ -269,28 +278,28 @@ class TestEigenOracle:
         spectrum = [30.0] + [-50.0 - j for j in range(10)] + list(-rng.uniform(0.1, 1.0, n - 11))
         a = planted(n, spectrum, seed=n)
         assert linalg._top_subspace(a, 3) is None
-        eig, values = self.assert_matches_oracle(a, 3)
-        assert int(np.sum(eig.values < 0.0)) == int(np.sum(values < 0.0)) == 2
-        assert np.all(eig.values[1:] > -1.0)
+        got, values = self.assert_matches_oracle(a, 3)
+        assert int(np.sum(got < 0.0)) == int(np.sum(values < 0.0)) == 2
+        assert np.all(got[1:] > -1.0)
 
     def test_tied_top_pair(self):
         # a tied pair has no unique basis: compare the values and the
         # projector onto the pair's span
         a = planted(200, [50.0, 50.0, 10.0], seed=3)
-        eig = symmetric_eigen_top(a, 2)
+        got_values, got_vectors = symmetric_eigen_top(a, 2)
         values, vectors = eigen_top_reference(a, 2)
-        assert np.all(np.abs(eig.values - values) <= 1e-12 * np.abs(values))
-        assert np.max(np.abs(eig.vectors @ eig.vectors.T - vectors @ vectors.T)) <= 1e-10
-        assert np.allclose(eig.vectors.T @ eig.vectors, np.eye(2), atol=1e-12)
+        assert np.all(np.abs(got_values - values) <= 1e-12 * np.abs(values))
+        assert np.max(np.abs(got_vectors @ got_vectors.T - vectors @ vectors.T)) <= 1e-10
+        assert np.allclose(got_vectors.T @ got_vectors, np.eye(2), atol=1e-12)
 
     @pytest.mark.parametrize("n, m", [(2, 1), (10, 10), (20, 2), (40, 12)])
     def test_small_n_runs_the_full_solver(self, n, m):
         # 2 (m + 8) >= n: the full eigh answers, entry for entry the oracle
         a = planted(n, [], seed=n)
-        eig = symmetric_eigen_top(a, m)
+        got_values, got_vectors = symmetric_eigen_top(a, m)
         values, vectors = eigen_top_reference(a, m)
-        assert np.array_equal(eig.values, values)
-        assert np.array_equal(eig.vectors, vectors)
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(got_vectors, vectors)
 
     def test_stalled_iteration_falls_back_early(self, monkeypatch):
         # eigenvalues 1.0, 0.999, ...: the block's gap closes far too slowly
@@ -308,10 +317,10 @@ class TestEigenOracle:
         assert linalg._top_subspace(a, 2) is None
         assert len(calls) == linalg._RATE_SPAN + 1  # the start block and one per iteration
         monkeypatch.undo()
-        eig = symmetric_eigen_top(a, 2)
+        got_values, got_vectors = symmetric_eigen_top(a, 2)
         values, vectors = eigen_top_reference(a, 2)
-        assert np.array_equal(eig.values, values)
-        assert np.array_equal(eig.vectors, vectors)
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(got_vectors, vectors)
 
     def test_slow_iteration_within_the_cap_answers(self):
         # lambda_11 / lambda_2 = 0.6: dozens of iterations, but the measured
