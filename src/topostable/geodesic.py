@@ -6,17 +6,20 @@ squared-distance matrix. The all-pairs step is one blocked numpy
 Floyd-Warshall (floyd_all_pairs; Venkataraman, Sahni & Mukhopadhyaya, JEA
 2003), run in the calling process (see _floyd_in_place). It takes its
 pivots in a nested-dissection order of the graph (_pivot_order; George,
-SIAM J. Numer. Anal. 1973), made in that order and permuted back once,
-so its result is bitwise the plain recurrence with k in that order, and
-within rounding of it in the natural order. Each panel of pivots works
-only in its reach set, the columns its pivot rows reach: an update
-outside it has an inf operand and cannot change its entry, and no step of
-the panel makes a pivot row reach further. In the nested-dissection order
-a panel reaches only its own part and the separators around it.
+SIAM J. Numer. Anal. 1973), made in that order and left in it
+(GeodesicMatrix.points), so read by point its result is bitwise the plain
+recurrence with k in that order, and within rounding of it in the natural
+order. Each panel of pivots works only in its reach set, the columns its
+pivot rows reach: an update outside it has an inf operand and cannot
+change its entry, and no step of the panel makes a pivot row reach
+further. In the nested-dissection order a panel reaches only its own part
+and the separators around it.
 
 Past all-pairs shortest paths, each stage holds at most one n x n buffer
 beyond the geodesic matrix and none modifies it, so with the geodesic
-matrix itself a run peaks at two n x n float64 buffers.
+matrix itself a run peaks at two n x n float64 buffers. None puts the
+rows back in the points' order: classical scaling follows a relabelling
+of the points and the residual variance does not change under one.
 """
 
 import itertools
@@ -42,11 +45,18 @@ __all__ = [
 class GeodesicMatrix:
     """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
-    The connected components are read from d's finite entries, not stored
-    beside it (see component_ids).
+    Row and column r of d are point points[r], an int64 array: floyd_all_pairs
+    leaves them in its pivot order, and a matrix built by hand defaults to
+    the points' own order, range(n). The connected components are read
+    from d's finite entries, not stored beside it (see component_ids).
     """
 
     d: np.ndarray
+    points: np.ndarray = None
+
+    def __post_init__(self):
+        if self.points is None:
+            object.__setattr__(self, "points", np.arange(self.n, dtype=np.int64))
 
     @property
     def n(self):
@@ -54,9 +64,10 @@ class GeodesicMatrix:
 
     @property
     def component_ids(self):
-        """Each point's connected component, read from d on every access:
-        numbered by first appearance, so the component containing the
-        lowest point index gets id 0."""
+        """Each row's connected component, read from d on every access:
+        numbered by first appearance in row order. In the points' own
+        order and in floyd_all_pairs' (see _pivot_order) that is the order
+        of each component's lowest point id."""
         ids = np.full(self.n, -1, dtype=np.int64)
         next_id = 0
         for i in range(self.n):
@@ -204,7 +215,10 @@ def _pivot_order(g):
     then the rest of the part, each by the same rule, and the separator
     last. A part that the first search does not cover is split, with no
     separator, into the vertices it reached and then the rest, in the order
-    they were. A part of at most ROW_BLOCK vertices keeps its order.
+    they were. A part of at most ROW_BLOCK vertices keeps its order. So
+    the connected components come in the order of their lowest vertex:
+    every search starts from its part's lowest vertex, what it reaches is
+    one component, and the rest keeps its ascending order.
 
     Every part is a range of the order, rewritten in place. The order is a
     view of one block that also holds each vertex's part label, the search
@@ -286,75 +300,48 @@ def _pivot_order(g):
     return order
 
 
-def _permute(d, p):
-    """Writes d[np.ix_(p, p)] over the (n, n) array d, for a permutation p
-    of range(n) held in an int64 array, through one (ROW_BLOCK, n) block,
-    freed once used: the columns are permuted ROW_BLOCK rows at a time
-    through the block, and then each cycle of p moves its rows one place
-    along through the block's first row. p is left as the identity: each
-    row moved is marked there as in place. It is Floyd's way back."""
-    n = d.shape[0]
-    block = np.empty((min(ROW_BLOCK, n), n))
-    for a in range(0, n, ROW_BLOCK):
-        rows = d[a:a + ROW_BLOCK]
-        moved = block[:rows.shape[0]]
-        rows.take(p, axis=1, out=moved, mode="clip")  # mode="raise" copies through a temporary
-        rows[...] = moved
-    row, source = block.reshape(-1)[:n], memoryview(p)  # source[u]: the row that goes to u
-    for first in range(n):
-        if source[first] == first:
-            continue
-        row[:] = d[first]
-        u = first
-        while (v := source[u]) != first:
-            d[u] = d[v]
-            source[u], u = u, v
-        d[u] = row
-        source[u] = u
-
-
 def floyd_all_pairs(g):
-    """Exact all-pairs shortest paths via Floyd-Warshall.
+    """Exact all-pairs shortest paths via Floyd-Warshall, in the pivot order.
 
     The pivots go in _pivot_order(g)'s order: the weight matrix is made in
-    that order, _floyd_in_place runs on it in its plain order of k, and
-    every row and column goes back to its point. So the result is bitwise
-    the plain recurrence d[i, j] = min(d[i, j], d[i, k] + d[k, j]) taken
-    with k in that order, at every ROW_BLOCK. In the natural order of k each
-    entry is the length of a shortest path too, but its terms may be added
-    in another grouping or along another path of equal length, so the two
-    differ by rounding only. In the nested-dissection order a panel's
-    pivots reach only their own part and the separators around it, so each
-    panel's reach set, the only columns and rows the kernel touches for it,
-    is a small share of the matrix.
+    that order, _floyd_in_place runs on it in its plain order of k, and the
+    result stays in that order, row r being point points[r]. Read by point,
+    it is bitwise the plain recurrence d[i, j] = min(d[i, j], d[i, k] +
+    d[k, j]) taken with k in that order, at every ROW_BLOCK. In the natural
+    order of k each entry is the length of a shortest path too, but its
+    terms may be added in another grouping or along another path of equal
+    length, so the two differ by rounding only. In the nested-dissection
+    order a panel's pivots reach only their own part and the separators
+    around it, so each panel's reach set, the only columns and rows the
+    kernel touches for it, is a small share of the matrix.
 
-    The matrix is the one n x n buffer, permuted once, on its way back
-    through a (ROW_BLOCK, n) block. The order's block goes before it comes.
-    The result holds d alone: its component ids are read from d's finite
-    entries when asked for (GeodesicMatrix.component_ids).
+    The matrix is the one n x n buffer. The order's block goes before it
+    comes: points is a copy, as a view would keep the block alive. Component
+    ids are read from d when asked for (GeodesicMatrix.component_ids).
     """
-    pos = np.empty(g.n, np.int64)  # each point's place in the order
-    pos[_pivot_order(g)] = np.arange(g.n)
-    d = _floyd_in_place(g.to_dense_weights(pos))
-    _permute(d, pos)
-    return GeodesicMatrix(d=d)
+    points = _pivot_order(g).copy()
+    places = np.empty(g.n, np.int64)  # each point's place in the order
+    places[points] = np.arange(g.n)
+    return GeodesicMatrix(d=_floyd_in_place(g.to_dense_weights(places)), points=points)
 
 
 def largest_component(gm, data):
     """Restrict a geodesic matrix and dataset to the largest component.
 
-    Ties are broken in favor of the component containing the smallest
-    point index. Returns (sub_data, sub_gm, kept_indices) where
-    kept_indices maps restricted rows back to original ids. The
-    components are read from gm.d's finite entries, once per call
-    (GeodesicMatrix.component_ids). When nothing is dropped, data and gm
-    come back as they are, not copied.
+    Ties go to the component whose rows come first, which in the points'
+    own order and in floyd_all_pairs' is the one holding the lowest point
+    id (GeodesicMatrix.component_ids). Returns (sub_data, sub_gm, kept)
+    where kept holds the point ids of sub_gm's rows, in gm's row order,
+    and sub_data those points in that order. The components are read from
+    gm.d's finite entries, once per call. When nothing is dropped, gm comes
+    back as it is, not copied.
     """
     ids = gm.component_ids
-    kept = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
-    if kept.size == gm.n:
-        return data, gm, kept
-    return data.subset(kept), GeodesicMatrix(d=gm.d[np.ix_(kept, kept)]), kept
+    rows = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
+    kept = gm.points[rows]
+    if rows.size < gm.n:
+        gm = GeodesicMatrix(d=gm.d[np.ix_(rows, rows)], points=kept)
+    return data.subset(kept), gm, kept
 
 
 def _all_finite(d):

@@ -58,7 +58,9 @@ def isomap_embed(data, cfg):
 
     Returns (embedding, geodesic_matrix, kept_indices, graph) where the
     geodesic matrix is restricted to the embedded (largest) component and
-    kept_indices maps its rows back to original point ids.
+    kept_indices holds the point id of each of its rows and of each
+    embedding row. The rows are in floyd_all_pairs' pivot order, not
+    sorted: kept_indices equals geodesic_matrix.points.
     """
     return _embed(data, data, cfg)
 
@@ -150,18 +152,20 @@ def _open_out(path_or_file):
 
 
 def write_embedding_csv(emb, kept_indices, labels, out):
-    """Embedding rows as `index,label,y1..ym` with 17 significant digits.
+    """Embedding rows as `index,label,y1..ym` with 17 significant digits,
+    in ascending point id.
 
-    kept_indices maps embedding rows to original point ids; labels (length
-    of the original dataset) may be None, in which case -1 is written so the
-    file stays fully numeric.
+    kept_indices maps embedding rows, in any order, to original point ids;
+    labels (length of the original dataset) may be None, in which case -1
+    is written so the file stays fully numeric.
     """
     kept_indices = np.asarray(kept_indices, dtype=np.int64)
     if kept_indices.size != emb.coords.shape[0]:
         raise ValueError("kept_indices length must match the embedding row count")
+    order = np.argsort(kept_indices, kind="stable")
     with _open_out(out) as fh:
         fh.write("index,label," + ",".join(f"y{j + 1}" for j in range(emb.m)) + "\n")
-        for row, orig in enumerate(kept_indices):
+        for row, orig in zip(order, kept_indices[order]):
             lab = -1 if labels is None else int(labels[orig])
             coords = ",".join(_fmt(c) for c in emb.coords[row])
             fh.write(f"{int(orig)},{lab},{coords}\n")
@@ -197,7 +201,8 @@ def _axis_range(values):
 def write_scatter_svg(emb, labels, out):
     """Static SVG scatter of the first two embedding coordinates.
 
-    One circle per point; fill color keyed by label when labels are given.
+    One circle per embedding row, drawn in row order; fill color keyed by
+    label when labels are given, one per row.
     """
     if emb.m < 2:
         raise BadDimError("scatter plot needs an embedding with m >= 2")

@@ -116,6 +116,14 @@ def blob_images(n, seed):
     return np.rint(255.0 * gy[:, :, None] * gx[:, None, :]).reshape(n, 784)
 
 
+def in_rows(gm, d):
+    """d, an (n, n) matrix over the points in their own order, with its rows
+    and columns in gm's: row r for point gm.points[r]. floyd_all_pairs
+    leaves its result in its pivot order, so a reference made in the
+    points' order is compared with it through this gather."""
+    return d[np.ix_(gm.points, gm.points)]
+
+
 def peak_bytes(fn):
     """(fn(), the highest traced memory while fn ran, in bytes above what
     was traced when it started). tracemalloc runs only for the call and is

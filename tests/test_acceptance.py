@@ -33,7 +33,7 @@ from topostable import (
 )
 from topostable.graph import _dots, _project_out_rows
 
-from conftest import cross_plane_edges, sweep_cells
+from conftest import cross_plane_edges, in_rows, sweep_cells
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -123,8 +123,8 @@ def test_criterion_5_shortest_path_equivalence():
         edges = np.column_stack([iu[0][mask], iu[1][mask]]).astype(np.int64)
         weights = rng.uniform(0.1, 1.0, int(mask.sum()))
         g = NeighborGraph(n=n, edges=edges, weights=weights)
-        df = floyd_all_pairs(g).d
-        dd = dijkstra_all_pairs(g).d
+        gm = floyd_all_pairs(g)
+        df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         if finite.any():

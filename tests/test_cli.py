@@ -136,6 +136,27 @@ class TestEmbed:
         assert embedded > 100
         assert svg.read_text().startswith("<svg")
 
+    def test_dropped_cloud_csv_is_sorted_and_svg_matches(self, capsys, tmp_path):
+        # two 9 x 9 grids far apart, so the kNN graph has two tied components
+        # of more than ROW_BLOCK points together, their rows shuffled: the
+        # rows come out of the pivot order, the file in point order
+        grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(9.0)), -1).reshape(-1, 2)
+        clouds = np.vstack([grid, grid + 1000.0])
+        rng = np.random.default_rng(4)
+        points = np.column_stack([clouds, rng.uniform(0.0, 0.1, len(clouds))])[rng.permutation(len(clouds))]
+        path, out, svg = tmp_path / "clouds.csv", tmp_path / "emb.csv", tmp_path / "emb.svg"
+        np.savetxt(path, points, delimiter=",")
+        code, _, err = run(
+            capsys,
+            ["embed", "--in", str(path), "--method", "standard", "--k", "6",
+             "--out", str(out), "--svg", str(svg)],
+        )
+        assert code == 0
+        assert "embedded 81/162 points" in err
+        index = np.array([int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]])
+        assert np.array_equal(index, np.flatnonzero((points[:, 0] < 500.0) == (points[0, 0] < 500.0)))
+        assert svg.read_text().count("<circle") == index.size
+
     def test_svg_of_one_dimension_is_usage_error(self, capsys, roll_csv, tmp_path):
         # refused before the input is read, so no embedding is written
         out, svg = tmp_path / "emb.csv", tmp_path / "emb.svg"

@@ -30,7 +30,7 @@ from topostable import (
 from topostable import geodesic, graph, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
-from conftest import blob_images, peak_bytes
+from conftest import blob_images, in_rows, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -139,8 +139,8 @@ class TestAllPairs:
 class TestFloydDijkstraAgreement:
     def test_random_sparse_n50(self):
         g = random_graph(np.random.default_rng(1), 50, 0.1)
-        df = floyd_all_pairs(g).d
-        dd = dijkstra_all_pairs(g).d
+        gm = floyd_all_pairs(g)
+        df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -150,8 +150,8 @@ class TestFloydDijkstraAgreement:
         for _ in range(20):
             n = int(rng.integers(2, 60))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
-            df = floyd_all_pairs(g).d
-            dd = dijkstra_all_pairs(g).d
+            gm = floyd_all_pairs(g)
+            df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             if finite.any():
@@ -161,8 +161,8 @@ class TestFloydDijkstraAgreement:
         rng = np.random.default_rng(2)
         for n, p in ((20, 0.3), (40, 0.15)):
             g = random_graph(rng, n, p)
-            df = floyd_all_pairs(g).d
-            dd = dijkstra_all_pairs(g).d
+            gm = floyd_all_pairs(g)
+            df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -211,10 +211,10 @@ def oracle_cases(workers):
 
 class TestFloydOracle:
     """floyd_all_pairs must equal the plain recurrence in its pivot order
-    entry for entry, called from one thread and from several at once, in
-    64-row chunks and (the -chunks ids) in 16-row ones, with which even the
-    small graphs span several chunks and panels, and the order several
-    parts."""
+    entry for entry, read through its points (in_rows), called from one
+    thread and from several at once, in 64-row chunks and (the -chunks ids)
+    in 16-row ones, with which even the small graphs span several chunks
+    and panels, and the order several parts."""
 
     @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2, 3, 5)))
     def test_equals_plain_recurrence(self, name, workers, chunk, monkeypatch):
@@ -225,7 +225,7 @@ class TestFloydOracle:
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
             if components is not None:
                 assert int(gm.component_ids.max()) + 1 == components
-            assert np.array_equal(gm.d, reference)
+            assert np.array_equal(gm.d, in_rows(gm, reference))
             assert np.array_equal(gm.d, gm.d.T)
             assert np.all(np.diag(gm.d) == 0.0)
 
@@ -256,7 +256,7 @@ class TestFloydProperties:
     def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
         reference = pivoted_reference(g)
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
-            assert np.array_equal(gm.d, reference)
+            assert np.array_equal(gm.d, in_rows(gm, reference))
             assert np.array_equal(gm.d, gm.d.T)
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
@@ -264,7 +264,8 @@ class TestFloydProperties:
         n = 1340
         assert n % geodesic.ROW_BLOCK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
+        gm = floyd_all_pairs(g)
+        assert np.array_equal(gm.d, in_rows(gm, pivoted_reference(g)))
 
     @pytest.mark.parametrize(
         "points",
@@ -276,7 +277,8 @@ class TestFloydProperties:
         # which of two equal paths it follows, so only rounding may differ,
         # relative to the largest geodesic
         g = build_graph(DataSet(points), SelectorConfig(k=10), "stable")
-        d, natural = floyd_all_pairs(g).d, floyd_reference(g, range(g.n))
+        gm = floyd_all_pairs(g)
+        d, natural = gm.d, in_rows(gm, floyd_reference(g, range(g.n)))
         finite = np.isfinite(natural)
         assert np.array_equal(np.isfinite(d), finite)
         assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
@@ -356,14 +358,6 @@ class TestPermute:
             yield rng.permutation(n)
 
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
-    def test_equals_the_gather(self, n):
-        d = np.random.default_rng(n + 1).normal(size=(n, n))  # not symmetric: rows and columns both move
-        for pos in self.permutations(n):
-            moved = d.copy()
-            geodesic._permute(moved, pos.copy())
-            assert np.array_equal(moved, d[np.ix_(pos, pos)])
-
-    @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("edges", ["random", "none"])
     def test_weights_made_in_place_equal_the_gather(self, n, edges):
         # point i at places[i] is the gather by the order the places invert
@@ -374,19 +368,6 @@ class TestPermute:
             places = np.empty(n, np.int64)
             places[order] = np.arange(n)
             assert np.array_equal(g.to_dense_weights(places), natural[np.ix_(order, order)])
-
-    def test_all_pairs_permutes_the_matrix_once(self, monkeypatch):
-        # the weights are made in the pivot order, so only the way back moves them
-        shapes, permute = [], geodesic._permute
-
-        def counting(d, p):
-            shapes.append(d.shape)
-            return permute(d, p)
-
-        monkeypatch.setattr(geodesic, "_permute", counting)
-        g = ORACLE_GRAPHS["swissroll-stable-n300"][0](np.random.default_rng(7))
-        assert np.array_equal(floyd_all_pairs(g).d, pivoted_reference(g))
-        assert shapes == [(g.n, g.n)]
 
 
 class _ModuleProxy:
@@ -522,8 +503,8 @@ class TestFloydMemory:
         assert room() is None
 
     def test_all_pairs_keeps_only_its_result(self):
-        # the order's block, its inverse and the permutation blocks are
-        # freed by the time the call returns: what stays is the matrix
+        # the order's block and its inverse are freed by the time the call
+        # returns: what stays is the matrix and its copy of the order
         g = self.graph()
         floyd_all_pairs(g)  # numpy fills its own caches once
         tracemalloc.start()
@@ -562,11 +543,15 @@ class TestLargestComponent:
         assert np.all(np.isfinite(sub_gm.d))
 
     def test_nothing_dropped_returns_inputs(self):
-        g = graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0)])
-        data = DataSet(np.arange(6.0).reshape(3, 2))
+        # past ROW_BLOCK points the pivot order is not the points' own
+        g = path_graph(np.random.default_rng(3), 150)
+        data = DataSet(np.arange(300.0).reshape(150, 2))
         gm = floyd_all_pairs(g)
-        sub_data, sub_gm, _ = largest_component(gm, data)
-        assert sub_gm is gm and sub_data is data
+        assert not np.array_equal(gm.points, np.arange(g.n))
+        sub_data, sub_gm, kept = largest_component(gm, data)
+        assert sub_gm is gm
+        assert np.array_equal(kept, gm.points)
+        assert np.array_equal(sub_data.points, data.subset(gm.points).points)
 
     def test_dropping_copies(self):
         g = graph_from_edges(5, [(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)])
@@ -582,6 +567,27 @@ class TestLargestComponent:
         data = DataSet(np.arange(8.0).reshape(4, 2))
         _, _, kept = largest_component(floyd_all_pairs(g), data)
         assert np.array_equal(kept, [0, 2])
+
+    @pytest.mark.parametrize("chunk", [64, 16])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_through_floyd_keeps_component_of_lowest_index(self, seed, chunk, monkeypatch):
+        # three tied components of 70 points, their ids interleaved, each
+        # split off by the pivot order, and three small ones that it leaves
+        # as one part of at most ROW_BLOCK points in their own order
+        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
+        rng = np.random.default_rng(seed)
+        g = blocks_graph(rng, (70, 70, 70, 5, 3, 1), 0.1)
+        data = DataSet(rng.normal(size=(g.n, 2)))
+        ids = dijkstra_all_pairs(g).component_ids  # in the points' own order
+        tied = np.flatnonzero(np.bincount(ids) == 70)
+        lowest = min(int(np.flatnonzero(ids == c)[0]) for c in tied)
+        gm = floyd_all_pairs(g)
+        assert not np.array_equal(gm.points, np.arange(g.n))
+        sub_data, sub_gm, kept = largest_component(gm, data)
+        assert np.array_equal(np.sort(kept), np.flatnonzero(ids == ids[lowest]))
+        assert np.array_equal(sub_gm.points, kept)
+        assert np.array_equal(sub_gm.d, in_rows(sub_gm, pivoted_reference(g)))
+        assert np.array_equal(sub_data.points, data.points[kept])
 
     def test_components_read_from_the_distances(self):
         # a matrix built by hand, with no all-pairs run: points 0 and 3 are
@@ -1031,7 +1037,7 @@ class TestPipelineGraphIntegration:
         data = DataSet(rng.normal(size=(40, 3)))
         g = build_graph(data, SelectorConfig(k=6), "standard")
         gm_f = floyd_all_pairs(g)
-        gm_d = dijkstra_all_pairs(g)
+        d_d = in_rows(gm_f, dijkstra_all_pairs(g).d)
         finite = np.isfinite(gm_f.d)
-        assert np.array_equal(finite, np.isfinite(gm_d.d))
-        assert np.max(np.abs(gm_f.d[finite] - gm_d.d[finite])) <= 1e-12
+        assert np.array_equal(finite, np.isfinite(d_d))
+        assert np.max(np.abs(gm_f.d[finite] - d_d[finite])) <= 1e-12

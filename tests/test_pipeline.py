@@ -360,6 +360,19 @@ class TestWriteEmbeddingCsv:
         assert np.max(np.abs(data.points[:, 2:] - coords)) <= 1e-15
         assert np.array_equal(data.points[:, 1], np.arange(12) % 3)
 
+    def test_rows_in_ascending_point_id_whatever_their_order(self):
+        # isomap_embed's rows are in the pivot order: the file is not
+        rng = np.random.default_rng(8)
+        kept = np.sort(rng.choice(40, size=25, replace=False))
+        coords = rng.normal(size=(25, 2))
+        labels = rng.integers(0, 4, size=40)
+        files = []
+        for rows in (np.arange(25), rng.permutation(25)):
+            buf = io.StringIO()
+            write_embedding_csv(Embedding(coords=coords[rows], eigenvalues=np.ones(2)), kept[rows], labels, buf)
+            files.append(buf.getvalue())
+        assert files[0] == files[1]
+
     def test_empty_embedding_header_only(self):
         emb = Embedding(coords=np.zeros((0, 2)), eigenvalues=np.zeros(2))
         buf = io.StringIO()
