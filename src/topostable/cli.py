@@ -155,11 +155,10 @@ def _cmd_embed(args):
         raise UsageError(f"--svg needs --m 2 or more: the scatter plot draws the first two coordinates, got --m {args.m}")
     cfg = _run_config(args, args.method, args.k)
     data = _load_input(args)
-    emb, gm, kept, graph = isomap_embed(data, cfg)
-    write_embedding_csv(emb, kept, data.labels, sys.stdout if args.out == "-" else args.out)
+    emb, gm, graph = isomap_embed(data, cfg)
+    write_embedding_csv(emb, gm.points, data.labels, sys.stdout if args.out == "-" else args.out)
     if args.svg:
-        sub_labels = None if data.labels is None else data.labels[kept]
-        write_scatter_svg(emb, sub_labels, args.svg)
+        write_scatter_svg(emb, None if data.labels is None else data.labels[gm.points], args.svg)
     # the outputs stand without rv: an undefined rv (too few points, or
     # constant distances) is reported and exits 0, as compare records a
     # NaN cell
@@ -167,7 +166,7 @@ def _cmd_embed(args):
         quality = f"residual variance {residual_variance(gm, emb):.6g}"
     except (ZeroVarianceError, ValueError) as exc:
         quality = str(exc)
-    print(f"embedded {kept.size}/{data.n} points, {graph.n_edges} edges, {quality}", file=sys.stderr)
+    print(f"embedded {gm.n}/{data.n} points, {graph.n_edges} edges, {quality}", file=sys.stderr)
     return 0
 
 

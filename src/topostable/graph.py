@@ -230,8 +230,8 @@ def _project_out_rows(d, basis):
     return r, ok
 
 
-def _stable_block(points, rows, nbrs, d2_rows, cfg):
-    """(block, k) keep-mask of the stable rule for the points ``rows``, with
+def _stable_block(points, lo, nbrs, d2_rows, cfg):
+    """(m, k) keep-mask of the stable rule for points[lo:lo + m], with
     candidates nbrs (ascending distance) and squared-distance rows d2_rows.
 
     Each row's basis slots start as zero vectors, so rows holding fewer
@@ -243,7 +243,7 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
     """
     dim_w = cfg.dim_w
     m, k = nbrs.shape
-    x = points[rows]
+    x = points[lo:lo + m]
     diffs = points[nbrs]
     diffs -= x[:, None, :]
 
@@ -268,7 +268,7 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
     # whose probe lies in the subspace, or that has none, scans them all
     far = d2_rows.copy()
     own = np.arange(m)
-    far[own, rows] = -np.inf
+    far[own, lo + own] = -np.inf
     far[own[:, None], nbrs] = -np.inf
     q = np.argmax(far, axis=1)
     w, ok = _project_out_rows(points[q] - x, [(basis[s], sq[s]) for s in range(dim_w)])
@@ -284,8 +284,8 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
     if failed.any():
         i = int(np.argmax(failed))
         if held[i] < dim_w:
-            raise DegenerateBasisError(f"point {rows[i]}: only {held[i]} independent offsets among {k} candidates")
-        raise DegenerateComplementError(f"point {rows[i]}: no probe point outside the neighborhood spans the complement")
+            raise DegenerateBasisError(f"point {lo + i}: only {held[i]} independent offsets among {k} candidates")
+        raise DegenerateComplementError(f"point {lo + i}: no probe point outside the neighborhood spans the complement")
 
     rest = diffs[:, dim_w:]
     norms = np.linalg.norm(rest, axis=2)
@@ -299,15 +299,14 @@ def _stable_block(points, rows, nbrs, d2_rows, cfg):
 
 def _stable_keep(points, nn, d2, cfg):
     """(n, k) keep-mask of the stable rule over the kNN table nn, by
-    _stable_block on ascending blocks of at most ROW_BLOCK rows, whose
+    _stable_block on ascending row ranges of at most ROW_BLOCK rows, whose
     (block, k, d) offsets stay near EDGE_BLOCK_BYTES; the first failing
     point is the one named, as in a walk over every point."""
     n, k = nn.shape
     step = max(1, min(ROW_BLOCK, EDGE_BLOCK_BYTES // (8 * k * points.shape[1])))
     keep = np.empty(nn.shape, dtype=bool)
     for lo in range(0, n, step):
-        blk = slice(lo, lo + step)
-        keep[blk] = _stable_block(points, np.arange(n)[blk], nn[blk], d2[blk], cfg)
+        keep[lo:lo + step] = _stable_block(points, lo, nn[lo:lo + step], d2[lo:lo + step], cfg)
     return keep
 
 

@@ -56,27 +56,27 @@ def _stage(name):
 def isomap_embed(data, cfg):
     """Full pipeline: neighbor graph, geodesics, largest component, MDS.
 
-    Returns (embedding, geodesic_matrix, kept_indices, graph) where the
-    geodesic matrix is restricted to the embedded (largest) component and
-    kept_indices holds the point id of each of its rows and of each
-    embedding row. The rows are in floyd_all_pairs' pivot order, not
-    sorted: kept_indices equals geodesic_matrix.points.
+    Returns (embedding, geodesic_matrix, graph), the geodesic matrix
+    restricted to the embedded (largest) component: geodesic_matrix.points[r]
+    is the point id of its row r and of embedding row r, in floyd_all_pairs'
+    pivot order, not sorted.
     """
     return _embed(data, data, cfg)
 
 
 def _embed(data, source, cfg):
-    """isomap_embed with the graph built from source: data itself, or a
-    KnnTable that knn_table made of data for this cell among others."""
+    """isomap_embed's three values, with the graph built from source: data
+    itself, or a KnnTable that knn_table made of data for this cell among
+    others."""
     with _stage("neighbor graph"):
         graph = build_graph(source, cfg, cfg.method)
     with _stage("shortest paths"):
         gm = floyd_all_pairs(graph)
     # rebinding gm frees the full matrix once a component has been cut out
-    _, gm, kept = largest_component(gm, data)
+    _, gm, _ = largest_component(gm, data)
     with _stage("classical MDS"):
         emb = classical_mds(gm, cfg.m)
-    return emb, gm, kept, graph
+    return emb, gm, graph
 
 
 @dataclass(frozen=True)
@@ -114,7 +114,7 @@ def _run_cell(table, cfg):
     it."""
     data = table.data
     try:
-        emb, gm, kept, graph = _embed(data, table, cfg)
+        emb, gm, graph = _embed(data, table, cfg)
         rv = residual_variance(gm, emb)
     except (TopoStableError, ValueError) as exc:
         return ReportRow(
@@ -131,8 +131,8 @@ def _run_cell(table, cfg):
         k=cfg.k,
         method=cfg.method,
         residual_variance=rv,
-        n_embedded=int(kept.size),
-        n_dropped=data.n - int(kept.size),
+        n_embedded=gm.n,
+        n_dropped=data.n - gm.n,
         n_edges=graph.n_edges,
         clipped_dims=emb.n_clipped,
     )
@@ -151,21 +151,21 @@ def _open_out(path_or_file):
             yield fh
 
 
-def write_embedding_csv(emb, kept_indices, labels, out):
+def write_embedding_csv(emb, points, labels, out):
     """Embedding rows as `index,label,y1..ym` with 17 significant digits,
     in ascending point id.
 
-    kept_indices maps embedding rows, in any order, to original point ids;
-    labels (length of the original dataset) may be None, in which case -1
-    is written so the file stays fully numeric.
+    points maps embedding rows, in any order, to original point ids, as
+    GeodesicMatrix.points does; labels (length of the original dataset) may
+    be None, in which case -1 is written so the file stays fully numeric.
     """
-    kept_indices = np.asarray(kept_indices, dtype=np.int64)
-    if kept_indices.size != emb.coords.shape[0]:
-        raise ValueError("kept_indices length must match the embedding row count")
-    order = np.argsort(kept_indices, kind="stable")
+    points = np.asarray(points, dtype=np.int64)
+    if points.size != emb.coords.shape[0]:
+        raise ValueError("points length must match the embedding row count")
+    order = np.argsort(points, kind="stable")
     with _open_out(out) as fh:
         fh.write("index,label," + ",".join(f"y{j + 1}" for j in range(emb.m)) + "\n")
-        for row, orig in zip(order, kept_indices[order]):
+        for row, orig in zip(order, points[order]):
             lab = -1 if labels is None else int(labels[orig])
             coords = ",".join(_fmt(c) for c in emb.coords[row])
             fh.write(f"{int(orig)},{lab},{coords}\n")

@@ -65,12 +65,12 @@ def test_criterion_2_mds_round_trip():
     q, _ = np.linalg.qr(rng.normal(size=(10, 10)))
     data = DataSet(np.hstack([cloud, np.zeros((100, 8))]) @ q.T + rng.normal(size=10))
     t0 = time.perf_counter()
-    emb, gm, kept, _ = isomap_embed(data, RunConfig(method="standard", k=99, m=2))
+    emb, gm, _ = isomap_embed(data, RunConfig(method="standard", k=99, m=2))
     rv = residual_variance(gm, emb)
     elapsed = time.perf_counter() - t0
-    ok = rv <= 1e-10 and kept.size == 100 and elapsed < 5.0
+    ok = rv <= 1e-10 and gm.n == 100 and elapsed < 5.0
     report(2, "MDS oracle round-trip", ok, f"rv={rv:.3e}, {elapsed:.2f}s")
-    assert kept.size == 100
+    assert gm.n == 100
     assert rv <= 1e-10
     assert elapsed < 5.0
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from topostable import RunConfig, __version__
+from topostable import RunConfig, __version__, gen_swiss_roll
 from topostable.cli import build_parser, main
 
 from test_datasets import write_idx_images, write_idx_labels
@@ -452,6 +452,36 @@ class TestLargeFiniteInput:
             warnings.simplefilter("error")
             big = self.embed(capsys, tmp_path, 1e150)
         assert abs(big - unscaled) <= 1e-9
+
+
+class TestExtremeScaleInput:
+    """A Swiss roll scaled by 2^e, far from 1 though its squared distances
+    stay normal floats: embed writes the unscaled run's coordinates scaled
+    by 2^e, and prints no warning. The runs go to a child, so that its
+    stderr is what a user sees."""
+
+    @staticmethod
+    def embed(tmp_path, e):
+        src, out = tmp_path / f"roll{e}.csv", tmp_path / f"emb{e}.csv"
+        pts = np.ldexp(gen_swiss_roll(200, 1).data.points, e)
+        src.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
+        proc = subprocess.run(
+            [sys.executable, "-m", "topostable", "embed", "--in", str(src), "--method", "standard", "--k", "10",
+             "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Warning" not in proc.stderr
+        return np.loadtxt(out, delimiter=",", skiprows=1)
+
+    @pytest.mark.parametrize("e", [-280, 280])
+    def test_embed_writes_the_scaled_coordinates(self, tmp_path, e):
+        ref, got = self.embed(tmp_path, 0), self.embed(tmp_path, e)
+        assert np.array_equal(got[:, :2], ref[:, :2])
+        want = np.ldexp(ref[:, 2:], e)
+        assert np.max(np.abs(got[:, 2:] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestCompare:

@@ -837,17 +837,19 @@ class TestResidualVariance:
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_large_finite_geodesics_give_the_unscaled_rv(self, method):
         # at 1e150 the product of the two sums of squares overflows float64,
-        # though each sum and the correlation are finite
-        pts = np.random.default_rng(0).normal(size=(20, 3))
-        cfg = RunConfig(k=5, method=method)
-        rvs = []
-        for scale in (1.0, 1e150):
-            emb, gm, _, _ = isomap_embed(DataSet(pts * scale), cfg)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rvs.append(residual_variance(gm, emb))
-        assert 0.0 < rvs[0] < 1.0
-        assert abs(rvs[1] - rvs[0]) <= 1e-9
+        # though each sum and the correlation are finite; at n = 20 MDS runs
+        # the full eigh, at n = 100 the subspace iteration
+        for n in (20, 100):
+            pts = np.random.default_rng(0).normal(size=(n, 3))
+            cfg = RunConfig(k=5, method=method)
+            rvs = []
+            for scale in (1.0, 1e150):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    emb, gm, _ = isomap_embed(DataSet(pts * scale), cfg)
+                    rvs.append(residual_variance(gm, emb))
+            assert 0.0 < rvs[0] < 1.0
+            assert abs(rvs[1] - rvs[0]) <= 1e-9
 
     def test_exact_embedding_zero(self):
         coords = np.random.default_rng(6).normal(size=(20, 3))
@@ -970,7 +972,7 @@ class TestBackHalf:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_residual_variance_equals_dense_formula(self, method, m):
         data = gen_swiss_roll(300, 1).data
-        emb, gm, _, _ = isomap_embed(data, RunConfig(method=method, k=10, m=m))
+        emb, gm, _ = isomap_embed(data, RunConfig(method=method, k=10, m=m))
         assert_rv_accurate(gm, emb)
 
     # 63 to 65 and 127 to 129 points: one block short of, at and past a
@@ -998,7 +1000,7 @@ class TestBackHalf:
         # the helix's lambda1 / lambda2 is 3e4 to 6e4, so its second column
         # is the least accurate one the pipeline produces; the stop rule
         # bounds it from the residual and the gap, not relative to lambda1
-        emb, gm, _, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
+        emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
         b = double_center(gm.d)
         assert linalg._top_subspace(b, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
@@ -1011,7 +1013,7 @@ class TestBackHalf:
         # block; the embedding meets the same bound
         start_block = linalg._start_block
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
-        emb, gm, _, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
+        emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
         b = double_center(gm.d)
         assert linalg._top_subspace(b, 2) is not None
         values, vectors = full_eigh_coords(b)

@@ -401,7 +401,7 @@ class TestStableBlocks:
         d2, nn = knn_table(points, cfg.k)
         for p in range(len(points)):
             with pytest.raises(DegenerateComplementError, match=f"^point {p}: "):
-                graph._stable_block(points, np.array([p]), nn[p : p + 1], d2[p : p + 1], cfg)
+                graph._stable_block(points, p, nn[p : p + 1], d2[p : p + 1], cfg)
 
     @pytest.mark.parametrize("dim_w", [1, 2])
     @pytest.mark.parametrize("k", [3, 5, 10])

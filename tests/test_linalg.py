@@ -1,9 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from topostable import Embedding, GeodesicMatrix, SelectorConfig, residual_variance, symmetric_eigen_top
+from topostable import (
+    DataSet,
+    Embedding,
+    GeodesicMatrix,
+    RunConfig,
+    SelectorConfig,
+    gen_swiss_roll,
+    isomap_embed,
+    residual_variance,
+    symmetric_eigen_top,
+)
 from topostable import graph, linalg
 from topostable.errors import (
     DegenerateBasisError,
@@ -54,7 +65,7 @@ def select_first(pts, cfg):
     candidate, in index order."""
     pts = np.asarray(pts, dtype=np.float64)
     d2_row = np.sum((pts - pts[0]) ** 2, axis=1)
-    return graph._stable_block(pts, np.array([0]), np.arange(1, cfg.k + 1)[None], d2_row[None], cfg)[0]
+    return graph._stable_block(pts, 0, np.arange(1, cfg.k + 1)[None], d2_row[None], cfg)[0]
 
 
 class TestGramSchmidtPair:
@@ -371,6 +382,30 @@ def splitmix64(k):
     z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & SPLITMIX_MASK
     z = (z ^ z >> 27) * 0x94D049BB133111EB & SPLITMIX_MASK
     return z ^ z >> 31
+
+
+class TestStopRuleScale:
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("e", [-500, -280, 0, 280, 490])
+    def test_scaled_input_gives_the_scaled_embedding(self, monkeypatch, method, e):
+        # the residual norms square entries of size |lambda|max, which
+        # underflow to 0 from about 2^-270 times the roll's scale (a false
+        # stop on the start block) and overflow from 2^280 (warnings, then
+        # the full solver) unless taken in units of a power of two
+        pts = gen_swiss_roll(400, 1).data.points
+        cfg = RunConfig(method=method, k=10)
+        ref, ref_gm, _ = isomap_embed(DataSet(pts), cfg)
+
+        def no_full_solver(a, m):
+            raise AssertionError("the full solver ran")
+
+        monkeypatch.setattr(linalg, "_top_full", no_full_solver)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            emb, gm, _ = isomap_embed(DataSet(np.ldexp(pts, e)), cfg)
+        assert np.array_equal(gm.points, ref_gm.points)
+        want = np.ldexp(ref.coords, e)
+        assert np.max(np.abs(emb.coords - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestStartBlock:

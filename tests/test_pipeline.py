@@ -74,8 +74,8 @@ class TestIsomapEmbed:
     def test_complete_graph_round_trip(self):
         data = lifted_plane_cloud()
         cfg = RunConfig(method="standard", k=data.n - 1, m=2)
-        emb, gm, kept, graph = isomap_embed(data, cfg)
-        assert kept.size == data.n
+        emb, gm, graph = isomap_embed(data, cfg)
+        assert gm.n == data.n
         assert graph.n_edges == data.n * (data.n - 1) // 2
         assert residual_variance(gm, emb) <= 1e-10
 
@@ -83,7 +83,7 @@ class TestIsomapEmbed:
         data = gen_swiss_roll(300, 1).data
         rvs = {}
         for method in ("standard", "stable"):
-            emb, gm, kept, _ = isomap_embed(data, RunConfig(method=method, k=12))
+            emb, gm, _ = isomap_embed(data, RunConfig(method=method, k=12))
             rvs[method] = residual_variance(gm, emb)
         assert rvs["stable"] <= rvs["standard"]
 
@@ -91,9 +91,9 @@ class TestIsomapEmbed:
         data = gen_swiss_roll(120, 5).data
         runs = []
         for _ in range(2):
-            emb, gm, kept, graph = isomap_embed(data, RunConfig(method="stable", k=8))
+            emb, gm, graph = isomap_embed(data, RunConfig(method="stable", k=8))
             buf = io.StringIO()
-            write_embedding_csv(emb, kept, None, buf)
+            write_embedding_csv(emb, gm.points, None, buf)
             runs.append(buf.getvalue())
         assert runs[0] == runs[1]
 
@@ -107,19 +107,19 @@ class TestIsomapEmbed:
         from conftest import cross_plane_edges
 
         data, side = bridge_fixture
-        emb, gm, kept, graph = isomap_embed(data, RunConfig(method="stable", k=8))
+        emb, gm, graph = isomap_embed(data, RunConfig(method="stable", k=8))
         assert cross_plane_edges(graph, side) == 0
         # the bridge point still links the planes, so one component remains
-        assert kept.size == data.n
+        assert gm.n == data.n
 
     def test_disconnected_graph_embeds_largest_component(self):
         rng = np.random.default_rng(2)
         near = rng.normal(size=(30, 3)) * 0.1
         far = rng.normal(size=(10, 3)) * 0.1 + 100.0
         data = DataSet(np.vstack([near, far]))
-        emb, gm, kept, graph = isomap_embed(data, RunConfig(method="standard", k=3))
-        assert kept.size == 30
-        assert np.all(kept < 30)
+        emb, gm, graph = isomap_embed(data, RunConfig(method="standard", k=3))
+        assert gm.n == emb.coords.shape[0] == 30
+        assert np.all(gm.points < 30)
         assert np.all(np.isfinite(gm.d))
 
 
@@ -220,7 +220,7 @@ class TestMemory:
         roll = self.roll(n)
 
         def run():
-            emb, gm, _, _ = isomap_embed(roll, RunConfig(method=method, k=10))
+            emb, gm, _ = isomap_embed(roll, RunConfig(method=method, k=10))
             return residual_variance(gm, emb)
 
         _, peak = peak_bytes(run)
@@ -284,11 +284,11 @@ def cell_alone(data, cfg):
     """The ReportRow of one cell run on its own through isomap_embed and
     residual_variance: what compare_methods must give for that cell."""
     try:
-        emb, gm, kept, g = isomap_embed(data, cfg)
+        emb, gm, g = isomap_embed(data, cfg)
         rv = residual_variance(gm, emb)
     except (TopoStableError, ValueError) as exc:
         return ReportRow(cfg.k, cfg.method, float("nan"), 0, data.n, 0, 0, str(exc))
-    return ReportRow(cfg.k, cfg.method, rv, int(kept.size), data.n - int(kept.size), g.n_edges, emb.n_clipped)
+    return ReportRow(cfg.k, cfg.method, rv, gm.n, data.n - gm.n, g.n_edges, emb.n_clipped)
 
 
 def graph_or_error(source, cfg):
