@@ -62,8 +62,7 @@ def _add_input_flags(p):
     p.add_argument("--in", dest="infile", required=True, help="input CSV or IDX image file")
     p.add_argument("--labels", help="IDX label file (IDX input only)")
     p.add_argument("--take-first", type=int, help="keep only the first N images (IDX input only)")
-    p.add_argument("--sample-random", action="store_true", help="random subset instead of first N (IDX input only)")
-    p.add_argument("--seed", type=int, default=None, help="seed for --sample-random (only with it; default 0)")
+    p.add_argument("--seed", type=int, help="keep a uniform draw of --take-first images seeded by this (IDX input only)")
 
 
 def build_parser():
@@ -117,23 +116,15 @@ def _load_input(args):
     # again from the start, which a pipe cannot do
     if not stat.S_ISREG(os.stat(args.infile).st_mode):
         raise UsageError(f"--in {args.infile} is not a regular file: input is read twice, so pipes and devices are refused")
-    if args.seed is not None and not args.sample_random:
-        raise UsageError("--seed needs --sample-random: it seeds that draw")
     _check_seed(args.seed)
     if _is_idx(args.infile):
-        if args.sample_random and args.take_first is None:
-            raise UsageError("--sample-random needs --take-first: it draws that many images")
-        return load_idx(
-            args.infile,
-            labels_path=args.labels,
-            take_first=args.take_first,
-            sample_random=args.sample_random,
-            seed=0 if args.seed is None else args.seed,
-        )
+        if args.seed is not None and args.take_first is None:
+            raise UsageError("--seed needs --take-first: it draws that many images")
+        return load_idx(args.infile, labels_path=args.labels, take_first=args.take_first, seed=args.seed)
     for flag, given in (
         ("--labels", args.labels is not None),
         ("--take-first", args.take_first is not None),
-        ("--sample-random", args.sample_random),
+        ("--seed", args.seed is not None),
     ):
         if given:
             raise UsageError(f"{flag} applies to IDX input only, and {args.infile} is not an IDX image file")

@@ -92,12 +92,14 @@ def gen_punctured_sphere(n, seed):
     return SyntheticSample(DataSet(pts), np.column_stack([phi, psi]))
 
 
-def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=0):
+def load_idx(path, labels_path=None, take_first=None, seed=None):
     """DataSet from an IDX image file (big-endian, magic 2051).
 
     Pixels are scaled to [0, 1]. A companion label file (magic 2049) fills
-    labels. take_first keeps the first n images; with sample_random=True it
-    instead keeps a seeded uniform subset (original order preserved).
+    labels. take_first keeps the first n images; given a seed, it instead
+    keeps a uniform draw of n images seeded by it, in file order. Without
+    take_first every image is kept, seed or not: a uniform draw of all of
+    them in file order is that same set.
     Both headers and payload lengths are checked first; then only the kept
     rows are read, as bytes, and only they are converted to float64, so the
     input costs keep x rows x cols x 8 B rather than the whole file's worth.
@@ -123,7 +125,7 @@ def load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=
                 raise DimensionMismatchError(f"{lcount} labels for {count} images")
             if lsize - 8 < lcount:
                 raise TruncatedFileError(f"{labels_path}: expected {lcount} label bytes, found {lsize - 8}")
-        chosen = _chosen_rows(count, take_first, sample_random, seed)
+        chosen = _chosen_rows(count, take_first, seed)
         points = _read_rows(images, path, 16, width, count, chosen).astype(np.float64)
         points /= 255.0
         kept_labels = None
@@ -158,12 +160,12 @@ def _idx_header(fh, path, kind, magic):
     return fields
 
 
-def _chosen_rows(count, take_first, sample_random, seed):
+def _chosen_rows(count, take_first, seed):
     """Sorted indices of the rows load_idx keeps, or None for all of them."""
     if take_first is None:
         return None
     keep = min(int(take_first), count)
-    if sample_random:
+    if seed is not None:
         return np.sort(np.random.default_rng(seed).choice(count, size=keep, replace=False))
     return np.arange(keep)
 

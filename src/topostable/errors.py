@@ -22,9 +22,10 @@ class ZeroVarianceError(TopoStableError):
 
 
 class BadConfigError(TopoStableError, ValueError):
-    """A setting refused: one no input can take (SelectorConfig on
-    construction, and its _check_stable), or one this data cannot
-    (graph._check_cell). A ValueError too, as config refusals are."""
+    """A setting refused: one no input can take (SelectorConfig and
+    RunConfig on construction, SelectorConfig._check_stable and
+    graph._check_method), or one this data cannot (graph._check_cell). A
+    ValueError too, as config refusals are."""
 
 
 class KTooLargeError(TopoStableError):

@@ -429,8 +429,8 @@ def residual_variance(gm, emb):
     array.
 
     Raises ZeroVarianceError, naming the side, when either set of distances
-    is constant, and also when their spreads are so small that the product
-    of their squares underflows to 0; ValueError for fewer than 3 points:
+    is constant, and also when a side's spread is so small that its sum of
+    squares is not a normal float; ValueError for fewer than 3 points:
     each message starts "residual variance undefined: ". Raises
     NonFiniteError when gm.d or the coordinates hold inf or NaN.
     """
@@ -499,9 +499,10 @@ def residual_variance(gm, emb):
     for s, side in enumerate(("geodesic", "embedded")):
         if lows[s] == highs[s]:
             raise ZeroVarianceError(f"residual variance undefined: every {side} distance is equal")
-    if sgg * see == 0.0:
+    tiny = np.finfo(float).tiny
+    if min(sgg, see) < tiny:
         raise ZeroVarianceError("residual variance undefined: the distances vary too little to correlate in float64")
-    # sqrt(sgg) * sqrt(see) can round otherwise, so it is taken only where the product overflows
-    norm = np.sqrt(sgg * see) if sgg * see < np.inf else np.sqrt(sgg) * np.sqrt(see)
+    # sqrt(sgg) * sqrt(see) can round otherwise, so it is taken only where the product is not a normal float
+    norm = np.sqrt(sgg * see) if tiny <= sgg * see < np.inf else np.sqrt(sgg) * np.sqrt(see)
     r = float(np.clip(sge / norm, -1.0, 1.0))
     return max(0.0, 1.0 - r * r)

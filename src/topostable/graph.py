@@ -312,12 +312,12 @@ def _stable_keep(points, nn, d2, cfg):
 
 def _check_method(method):
     if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        raise BadConfigError(f"method must be one of {METHODS}, got {method!r}")
 
 
 def _check_cell(data, cfg, method):
     """Raises build_graph's refusal of a cell, in its order: the method
-    (_check_method), the stable rule's settings (BadConfigError), k against
+    (_check_method) and the stable rule's settings (BadConfigError), k against
     n (KTooLargeError), then squared distances that would overflow
     (NonFiniteError, naming the point of largest magnitude)."""
     _check_method(method)

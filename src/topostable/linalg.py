@@ -159,13 +159,14 @@ def _top_subspace(a, m):
         theta, v = theta[order], v[:, order]
         ax = aq @ v  # a @ (q @ v): the Ritz vectors' image, the next block
         x = q @ v[:, :m]
-        # units of the power of two at |theta|max: exact, and no norm under- or overflows
-        s = np.ldexp(1.0, -np.frexp(np.max(np.abs(theta)))[1])
-        res = np.linalg.norm((ax[:, :m] - x * theta[:m]) * s, axis=0)
-        bounds = _residual_bounds(theta * s, m)
+        # units of the power of two at |theta|max, by ldexp: exact, and no norm under- or overflows
+        e = np.frexp(np.max(np.abs(theta)))[1]
+        res = np.linalg.norm(np.ldexp(ax[:, :m] - x * theta[:m], -e), axis=0)
+        unit_theta = np.ldexp(theta, -e)
+        bounds = _residual_bounds(unit_theta, m)
         done = np.all(res <= bounds)
         if not done:
-            worst.append(np.max(res) / np.max(np.abs(theta * s)))
+            worst.append(np.max(res) / np.max(np.abs(unit_theta)))
             if it >= _RATE_SPAN:
                 rate = (worst[-1] / worst[-1 - _RATE_SPAN]) ** (1.0 / _RATE_SPAN)
                 if rate >= 1.0 or it - np.log(np.max(res / bounds)) / np.log(rate) > _MAX_ITER:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDimError, TopoStableError
+from .errors import BadConfigError, BadDimError, TopoStableError
 from .geodesic import (
     classical_mds,
     floyd_all_pairs,
@@ -30,7 +30,7 @@ class RunConfig(SelectorConfig):
     """Knobs for one pipeline run: the selector's settings (k, dim_w,
     delta_theta_deg, with their defaults) plus the method and the embedding
     dimension m; the defaults mirror the reference experiments. Settings
-    that no input can take are refused on construction (ValueError)."""
+    that no input can take are refused on construction (BadConfigError)."""
 
     method: str
     m: int = 2
@@ -38,7 +38,7 @@ class RunConfig(SelectorConfig):
     def __post_init__(self):
         _check_method(self.method)
         if self.m < 1:
-            raise ValueError("m must be positive")
+            raise BadConfigError("m must be positive")
         super().__post_init__()
         if self.method == "stable":
             self._check_stable()

@@ -321,11 +321,11 @@ class TestEmbed:
         labels = np.arange(100, 140)  # one distinct label per image
         write_idx_labels(pl, list(labels))
         out = tmp_path / "emb.csv"
-        for seed_flag, seed in (([], 0), (["--seed", "4"], 4)):  # the draw's seed is 0 by default
+        for seed in (0, 4):
             code, _, _ = run(
                 capsys,
-                ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "15", "--sample-random",
-                 *seed_flag, "--method", "standard", "--k", "6", "--out", str(out)],
+                ["embed", "--in", str(pi), "--labels", str(pl), "--take-first", "15", "--seed", str(seed),
+                 "--method", "standard", "--k", "6", "--out", str(out)],
             )
             assert code == 0
             rows = np.array([line.split(",")[:2] for line in out.read_text().splitlines()[1:]], dtype=np.int64)
@@ -333,7 +333,7 @@ class TestEmbed:
             assert rows.shape == (15, 2)
             assert np.array_equal(rows[:, 1], labels[chosen][rows[:, 0]])
 
-    @pytest.mark.parametrize("extra", [["--take-first", "0"], ["--take-first", "-3", "--sample-random"]])
+    @pytest.mark.parametrize("extra", [["--take-first", "0"], ["--take-first", "-3", "--seed", "2"]])
     def test_take_first_below_one_is_data_error(self, capsys, tmp_path, extra):
         pi = tmp_path / "i.idx"
         write_idx_images(pi, np.zeros((20, 3, 3), dtype=np.uint8))
@@ -349,21 +349,22 @@ class TestEmbed:
         assert f"{pi}: 1x1 images have 1 pixel, need at least 2" in err
 
     @pytest.mark.parametrize("command", ["embed", "compare"])
-    def test_sample_random_without_take_first_is_usage_error(self, capsys, tmp_path, command):
-        # without a count the loader would keep every image, not a sample
+    def test_seed_without_take_first_is_usage_error(self, capsys, tmp_path, command):
+        # without a count the loader keeps every image, and the seed draws nothing
         pi, out = tmp_path / "i.idx", tmp_path / "out.csv"
         write_idx_images(pi, np.zeros((20, 3, 3), dtype=np.uint8))
-        code, _, err = run(capsys, [command, "--in", str(pi), "--k", "5", "--sample-random", "--out", str(out)])
+        code, _, err = run(capsys, [command, "--in", str(pi), "--k", "5", "--seed", "3", "--out", str(out)])
         assert code == 1
-        assert "--sample-random needs --take-first" in err
+        assert "--seed needs --take-first" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, extra",
         [
             ("embed", ["--take-first", "10"]),
-            ("compare", ["--sample-random"]),
+            ("compare", ["--seed", "3"]),
             ("embed", ["--labels", "labels.idx"]),
+            ("embed", ["--seed", "0"]),
         ],
     )
     def test_idx_only_flag_on_csv_is_usage_error(self, capsys, roll_csv, tmp_path, command, extra):
@@ -371,19 +372,6 @@ class TestEmbed:
         code, _, err = run(capsys, [command, "--in", str(roll_csv), "--k", "8", "--out", str(out), *extra])
         assert code == 1
         assert f"{extra[0]} applies to IDX input only" in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("command", ["embed", "compare"])
-    @pytest.mark.parametrize("kind", ["csv", "idx"])
-    def test_seed_without_sample_random_is_usage_error(self, capsys, roll_csv, tmp_path, command, kind):
-        # it seeds only the random draw, so without one it would be dropped
-        source, out = roll_csv, tmp_path / "out.csv"
-        if kind == "idx":
-            source = tmp_path / "i.idx"
-            write_idx_images(source, np.zeros((20, 3, 3), dtype=np.uint8))
-        code, _, err = run(capsys, [command, "--in", str(source), "--k", "5", "--seed", "-1", "--out", str(out)])
-        assert code == 1
-        assert "--seed needs --sample-random" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["generate", "embed", "compare"])
@@ -394,7 +382,7 @@ class TestEmbed:
         if command == "generate":
             argv = ["generate", "--manifold", "helix", "--n", "20"]
         else:
-            argv = [command, "--in", str(source), "--k", "5", "--sample-random", "--take-first", "20"]
+            argv = [command, "--in", str(source), "--k", "5", "--take-first", "20"]
         code, _, err = run(capsys, [*argv, "--seed", "-1", "--out", str(out)])
         assert code == 1
         assert err == "error: --seed must be non-negative, got -1\n"

@@ -120,7 +120,7 @@ def write_idx_labels(path, labels):
     path.write_bytes(struct.pack(">II", 2049, len(labels)) + bytes(labels))
 
 
-def reference_load_idx(path, labels_path=None, take_first=None, sample_random=False, seed=0):
+def reference_load_idx(path, labels_path=None, take_first=None, seed=None):
     """The full-decode loader on valid files: every image to float64, then
     the kept rows. (points, labels)."""
     raw = Path(path).read_bytes()
@@ -132,7 +132,7 @@ def reference_load_idx(path, labels_path=None, take_first=None, sample_random=Fa
         labels = np.frombuffer(Path(labels_path).read_bytes(), dtype=np.uint8, count=count, offset=8).astype(np.int64)
     if take_first is not None:
         keep = min(int(take_first), count)
-        if sample_random:
+        if seed is not None:
             idx = np.sort(np.random.default_rng(seed).choice(count, size=keep, replace=False))
         else:
             idx = np.arange(keep)
@@ -218,20 +218,20 @@ class TestLoadIdx:
         assert np.array_equal(data.labels, [0, 1, 2])
         assert np.array_equal(data.points, images.reshape(5, 4)[:3] / 255.0)
 
-    @pytest.mark.parametrize("sample_random", [False, True])
+    @pytest.mark.parametrize("drawn", [False, True])
     @pytest.mark.parametrize("take_first", [0, -3])
-    def test_take_first_below_one_rejected(self, tmp_path, take_first, sample_random):
+    def test_take_first_below_one_rejected(self, tmp_path, take_first, drawn):
         pi = tmp_path / "i.idx"
         write_idx_images(pi, np.zeros((5, 2, 2), dtype=np.uint8))
         with pytest.raises(BadCountError, match=f"got {take_first}$"):
-            load_idx(pi, take_first=take_first, sample_random=sample_random)
+            load_idx(pi, take_first=take_first, seed=5 if drawn else None)
 
     def test_random_subset_deterministic_and_ordered(self, tmp_path):
         images = np.arange(10 * 4, dtype=np.uint8).reshape(10, 2, 2)
         pi = tmp_path / "i.idx"
         write_idx_images(pi, images)
-        a = load_idx(pi, take_first=4, sample_random=True, seed=11)
-        b = load_idx(pi, take_first=4, sample_random=True, seed=11)
+        a = load_idx(pi, take_first=4, seed=11)
+        b = load_idx(pi, take_first=4, seed=11)
         assert np.array_equal(a.points, b.points)
         # subset rows appear in original file order
         row_ids = [int(r[0] * 255) // 4 for r in a.points]
@@ -250,19 +250,20 @@ class TestLoadIdx:
 
     @pytest.mark.parametrize("with_labels", [False, True])
     @pytest.mark.parametrize(
-        "take_first, sample_random, seed",
-        [(None, False, 0)]
+        "take_first, drawn, seed",
+        [(None, False, 0), (None, True, 3)]  # a seed without take_first keeps every image
         + [(t, False, 0) for t in (1, 17, ORACLE_COUNT, ORACLE_COUNT + 5)]
         + [(t, True, s) for t in (1, 17, ORACLE_COUNT, ORACLE_COUNT + 5) for s in (3, 11)],
     )
-    def test_matches_full_decode(self, tmp_path, take_first, sample_random, seed, with_labels):
+    def test_matches_full_decode(self, tmp_path, take_first, drawn, seed, with_labels):
+        seed = seed if drawn else None  # the first rows unless drawn
         rng = np.random.default_rng(21)
         pi, pl = tmp_path / "i.idx", tmp_path / "l.idx"
         write_idx_images(pi, rng.integers(0, 256, size=(self.ORACLE_COUNT, 5, 4), dtype=np.uint8))
         write_idx_labels(pl, list(rng.integers(0, 10, size=self.ORACLE_COUNT)))
         labels_path = pl if with_labels else None
-        data = load_idx(pi, labels_path=labels_path, take_first=take_first, sample_random=sample_random, seed=seed)
-        points, labels = reference_load_idx(pi, labels_path, take_first, sample_random, seed)
+        data = load_idx(pi, labels_path=labels_path, take_first=take_first, seed=seed)
+        points, labels = reference_load_idx(pi, labels_path, take_first, seed)
         assert data.points.dtype == np.float64 and np.array_equal(data.points, points)
         if with_labels:
             assert data.labels.dtype == np.int64 and np.array_equal(data.labels, labels)
@@ -316,10 +317,10 @@ class TestLoadIdx:
         write_idx_labels(pl, list(rng.integers(0, 10, size=12)))
         fi, fl = tmp_path / "i.fifo", tmp_path / "l.fifo"
         writers = [feed_fifo(fi, pi.read_bytes()), feed_fifo(fl, pl.read_bytes())]
-        data = load_idx(fi, labels_path=fl, take_first=5, sample_random=True, seed=2)
+        data = load_idx(fi, labels_path=fl, take_first=5, seed=2)
         for writer in writers:
             writer.join(timeout=5)
-        points, labels = reference_load_idx(pi, pl, 5, True, 2)
+        points, labels = reference_load_idx(pi, pl, 5, 2)
         assert np.array_equal(data.points, points)
         assert np.array_equal(data.labels, labels)
 
@@ -442,16 +443,15 @@ class TestLoaderFuzz:
         cut=st.none() | st.integers(0, 40),
         labels=st.none() | st.tuples(magic, u32, st.binary(max_size=8), st.none() | st.integers(0, 12)),
         take_first=st.none() | st.integers(-2, 6),
-        sample_random=st.booleans(),
-        seed=st.integers(0, 3),
+        seed=st.none() | st.integers(0, 3),
     )
-    def test_load_idx(self, fuzz_dir, head, payload, cut, labels, take_first, sample_random, seed):
+    def test_load_idx(self, fuzz_dir, head, payload, cut, labels, take_first, seed):
         pi, pl = fuzz_dir / "i.idx", fuzz_dir / "l.idx"
         _idx_file(pi, ">IIII", head, payload, cut)
         if labels is not None:
             _idx_file(pl, ">II", labels[:2], labels[2], labels[3])
         try:
-            data = load_idx(pi, pl if labels is not None else None, take_first, sample_random, seed)
+            data = load_idx(pi, pl if labels is not None else None, take_first, seed)
             assert isinstance(data, DataSet)
         except TopoStableError:
             pass

@@ -825,14 +825,30 @@ class TestResidualVariance:
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
 
-    @pytest.mark.parametrize("geo_scale, emb_scale", [(1e-170, 1.0), (1e-100, 1e-100)])
-    def test_spreads_that_underflow_raise(self, geo_scale, emb_scale):
-        # not constant, but the product of the centered sums of squares is 0
+    @staticmethod
+    def scaled_line(geo_scale, emb_scale):
+        """Geodesics of 4 points on a line and a 1-D embedding of them, not
+        constant and not a perfect fit, at the given scales."""
         x = np.array([0.0, 1.0, 3.0, 7.0]) * geo_scale
         gm = GeodesicMatrix(d=np.abs(x[:, None] - x[None, :]))
         emb = Embedding(coords=np.array([[0.0], [1.0], [2.0], [5.0]]) * emb_scale, eigenvalues=np.zeros(1))
+        return gm, emb
+
+    @pytest.mark.parametrize("geo_scale, emb_scale", [(1e-170, 1.0), (1.0, 1e-160)])
+    def test_spreads_that_underflow_raise(self, geo_scale, emb_scale):
+        # not constant, but a side's centered sum of squares is not a normal
+        # float (at 1e-160 the embedded distances are square roots of
+        # subnormals; at 1e-170 they would round to one value)
+        gm, emb = self.scaled_line(geo_scale, emb_scale)
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: the distances vary too little"):
             residual_variance(gm, emb)
+
+    def test_subnormal_product_of_normal_spreads_gives_the_unscaled_rv(self):
+        # each sum of squares is near 1e-200, a normal float, and their
+        # product near 1e-400 is not: it underflows to 0
+        want = residual_variance(*self.scaled_line(1.0, 1.0))
+        assert 0.0 < want < 1.0
+        assert abs(residual_variance(*self.scaled_line(1e-100, 1e-100)) - want) <= 1e-15
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_large_finite_geodesics_give_the_unscaled_rv(self, method):

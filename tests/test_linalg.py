@@ -385,13 +385,11 @@ def splitmix64(k):
 
 
 class TestStopRuleScale:
-    @pytest.mark.parametrize("method", ["standard", "stable"])
-    @pytest.mark.parametrize("e", [-500, -280, 0, 280, 490])
-    def test_scaled_input_gives_the_scaled_embedding(self, monkeypatch, method, e):
-        # the residual norms square entries of size |lambda|max, which
-        # underflow to 0 from about 2^-270 times the roll's scale (a false
-        # stop on the start block) and overflow from 2^280 (warnings, then
-        # the full solver) unless taken in units of a power of two
+    @staticmethod
+    def scaled_error(monkeypatch, method, e):
+        """Largest coordinate error of the embedding of the roll x 2^e against
+        the unscaled one x 2^e, over its largest coordinate; run with
+        warnings as errors and the full solver patched to fail."""
         pts = gen_swiss_roll(400, 1).data.points
         cfg = RunConfig(method=method, k=10)
         ref, ref_gm, _ = isomap_embed(DataSet(pts), cfg)
@@ -405,7 +403,32 @@ class TestStopRuleScale:
             emb, gm, _ = isomap_embed(DataSet(np.ldexp(pts, e)), cfg)
         assert np.array_equal(gm.points, ref_gm.points)
         want = np.ldexp(ref.coords, e)
-        assert np.max(np.abs(emb.coords - want)) <= 1e-12 * np.max(np.abs(want))
+        return np.max(np.abs(emb.coords - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("e", [-500, -280, 0, 280, 490])
+    def test_scaled_input_gives_the_scaled_embedding(self, monkeypatch, method, e):
+        # the residual norms square entries of size |lambda|max, which
+        # underflow to 0 from about 2^-270 times the roll's scale (a false
+        # stop on the start block) and overflow from 2^280 (warnings, then
+        # the full solver) unless taken in units of a power of two
+        assert self.scaled_error(monkeypatch, method, e) <= 1e-12
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_subnormal_spectrum_gives_the_scaled_embedding(self, monkeypatch, method):
+        # at 2^-520 every eigenvalue is subnormal: the inverse of the power
+        # of two at |lambda|max overflows, and the centered squared
+        # geodesics keep fewer digits, hence the looser bound
+        assert self.scaled_error(monkeypatch, method, -520) <= 1e-11
+
+    def test_subnormal_eigenvalues_are_found(self):
+        # (1..40) x 2^-1040 lie below 2^-1022; n = 40 runs the subspace iteration
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, vectors = symmetric_eigen_top(np.diag(np.ldexp(np.arange(1.0, 41.0), -1040)), 2)
+        # subnormals are spaced 2^-1074, so at 2^-1040 about 34 bits are left
+        assert np.allclose(np.ldexp(values, 1040), [40.0, 39.0], rtol=1e-9, atol=0.0)
+        assert np.allclose(vectors, np.eye(40)[:, [39, 38]], rtol=0.0, atol=1e-9)
 
 
 class TestStartBlock:
