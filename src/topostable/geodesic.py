@@ -15,11 +15,14 @@ change its entry, and no step of the panel makes a pivot row reach
 further. In the nested-dissection order a panel reaches only its own part
 and the separators around it.
 
-Past all-pairs shortest paths, each stage holds at most one n x n buffer
-beyond the geodesic matrix and none modifies it, so with the geodesic
-matrix itself a run peaks at two n x n float64 buffers. None puts the
-rows back in the points' order: classical scaling follows a relabelling
-of the points and the residual variance does not change under one.
+Past all-pairs shortest paths no stage modifies the geodesic matrix.
+Classical scaling holds the centered matrix once, as its upper row blocks
+(linalg.SymmetricBlocks), about half an n x n buffer, so with the geodesic
+matrix itself a run peaks at about 1.5 n x n float64 buffers; only the full
+eigh it falls back on makes whole n x n matrices beside them. None puts
+the rows back in the points' order: classical scaling follows a
+relabelling of the points and the residual variance does not change under
+one.
 """
 
 import itertools
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimError, NonFiniteError, ZeroVarianceError
-from .linalg import ROW_BLOCK, _small_ufunc_buffer, symmetric_eigen_top
+from .linalg import ROW_BLOCK, SymmetricBlocks, _check_symmetric, _small_ufunc_buffer, symmetric_eigen_top
 
 __all__ = [
     "GeodesicMatrix",
@@ -352,28 +355,49 @@ def _all_finite(d):
 
 def double_center(d):
     """-H S H / 2 with S the entrywise squares of the distances d and H the
-    centering matrix I - ones/n.
+    centering matrix I - ones/n, as a linalg.SymmetricBlocks: stored once,
+    as its upper row blocks, about half an n x n buffer.
 
-    Row and column sums of the result are zero (up to round-off). Raises
-    NonFiniteError on inf/NaN entries or squares: restrict to one component
-    first. The squares go into the one new buffer, their row, column and
-    grand means are taken, and then that buffer is centered in place; d is
-    not modified.
+    Row and column sums of the result are zero (up to round-off). With r
+    the row means of S and g their mean, the result is -S/2 + u 1' + 1 u',
+    u = r/2 - g/4: the column means are the row means, as d is symmetric.
+    The row means are taken a block of ROW_BLOCK rows at a time, squared
+    into a (ROW_BLOCK, n) scratch, the same bits as S.mean(axis=1). They
+    are finite exactly when every square is and no row's sum overflows;
+    else NonFiniteError (restrict to one component first). Then d is
+    refused with NotSymmetricError when max|d - d.T| > 1e-10 max|d|
+    (linalg._check_symmetric, max|d| being the square root of the largest
+    square), before any block is made. Each block is then squared from d,
+    halved and has u_i + u_j added from that scratch, which is the same
+    number both ways; its diagonal tile's lower triangle is copied from its
+    upper one, so the result is exactly symmetric even where d is only
+    within the bound. d is not modified.
     """
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError("expected a square matrix")
+    n = d.shape[0]
+    row = np.empty(n)
+    scratch = np.empty((min(ROW_BLOCK, n), n))
+    top = 0.0
+    for a in range(0, n, ROW_BLOCK):
+        sq = np.square(d[a:a + ROW_BLOCK], out=scratch[:min(ROW_BLOCK, n - a)])
+        sq.mean(axis=1, out=row[a:a + ROW_BLOCK])
+        top = max(top, sq.max())
+    if not np.isfinite(row.max()):  # max propagates NaN
+        raise NonFiniteError("matrix has non-finite entries")
+    _check_symmetric(d, np.sqrt(top))
+    u = 0.5 * row - 0.25 * row.mean()
+    out = SymmetricBlocks.empty(n)
     with _small_ufunc_buffer():
-        out = np.square(d)
-        # squares are >= 0 or NaN, and max propagates NaN: it is finite
-        # exactly when every entry is, without an n x n mask
-        if not np.isfinite(out.max()):
-            raise NonFiniteError("matrix has non-finite entries")
-        row, col, grand = out.mean(axis=1), out.mean(axis=0), out.mean()
-        out -= row[:, None]
-        out -= col[None, :]
-        out += grand
-        out *= -0.5
+        for a, blk in out.blocks():
+            h = blk.shape[0]
+            np.square(d[a:a + h, a:], out=blk)
+            blk *= -0.5
+            blk += np.add.outer(u[a:a + h], u[a:], out=scratch[:h, :n - a])
+            tile = blk[:, :h]
+            lower = np.tril_indices(h, -1)
+            tile[lower] = tile.T[lower]
     return out
 
 
@@ -383,9 +407,10 @@ def classical_mds(gm, m):
     Coordinate column j is sqrt(max(lambda_j, 0)) times eigenvector j of
     the doubly-centered matrix; negative-eigenvalue columns collapse to
     zero (see Embedding.n_clipped). gm.d is left as it is: double_center
-    squares it into one new buffer and centers that in place, and only the
-    top m eigenpairs of that are computed (linalg.symmetric_eigen_top),
-    whose eigenvectors are scaled in place into the coordinates.
+    refuses an asymmetric one and writes the centered squares once, as
+    their upper row blocks, and only the top m eigenpairs of that are
+    computed (linalg.symmetric_eigen_top), whose eigenvectors are scaled in
+    place into the coordinates.
     """
     n = gm.n
     if not 1 <= m <= n - 1:
@@ -393,9 +418,9 @@ def classical_mds(gm, m):
     try:
         centered = double_center(gm.d)
     except NonFiniteError:
-        # double_center's one scan of the squares found inf or NaN; only
-        # then is gm.d scanned, to tell missing paths from squares that
-        # overflow
+        # double_center found inf or NaN in gm.d or in its squares; only
+        # then is gm.d scanned again, to tell missing paths from squares
+        # that overflow
         if not _all_finite(gm.d):
             raise NonFiniteError("geodesic matrix spans multiple components") from None
         raise

@@ -31,9 +31,10 @@ over the Gram product (_pairwise_sq), and freed when it returns. The kNN
 table and the keep-mask are made a block of at most ROW_BLOCK rows at a
 time, and a selector block's (block, k, d) offsets stay near
 EDGE_BLOCK_BYTES, so the other scratch is O(ROW_BLOCK * n) plus a few
-EDGE_BLOCK_BYTES blocks plus the O(n * k) table and masks. A row whose
-farthest probe lies in its subspace holds one (probes, d) offset stack,
-which is at most the size of the input.
+EDGE_BLOCK_BYTES blocks plus the O(n * k) table and masks. The rows whose
+farthest probe lies in their subspace take their offsets to every point in
+chunks of rows, two (rows, d, n) buffers near EDGE_BLOCK_BYTES each, or of
+one row's when that is more: at most twice the size of the input.
 """
 
 import math
@@ -236,10 +237,18 @@ def _stable_block(points, lo, nbrs, d2_rows, cfg):
 
     Each row's basis slots start as zero vectors, so rows holding fewer
     offsets share each step of the basis walk. Every row projects its
-    farthest probe; a row whose probe lies in the subspace projects all of
-    its probes at once and takes the farthest that leaves it. The window is
-    one matrix-vector product per row. Raises DegenerateBasisError or
-    DegenerateComplementError, "point p: ...", for the lowest failing row.
+    farthest probe. The rows whose probe lies in the subspace (or that have
+    none) then screen all of their probes at once, a chunk of rows at a
+    time: the same projection steps, on (rows, d, n) offsets, with each
+    basis vector's dots as one product per row. Their rounding differs
+    from _project_out_rows' by about d ulps of the offset, so a residual
+    below half of TOL_RANK times the offset is inside by _project_out_rows
+    too. The rest go to _project_out_rows farthest first, the lowest index
+    among equal distances, and a row takes the first that leaves the
+    subspace: the farthest such probe, as projecting them all would give.
+    The window is one matrix-vector product per row. Raises
+    DegenerateBasisError or DegenerateComplementError, "point p: ...", for
+    the lowest failing row.
     """
     dim_w = cfg.dim_w
     m, k = nbrs.shape
@@ -265,21 +274,41 @@ def _stable_block(points, lo, nbrs, d2_rows, cfg):
 
     # far: the d2 rows with the point and its candidates masked, so argmax
     # is the farthest probe, the lowest index among equal distances; a row
-    # whose probe lies in the subspace, or that has none, scans them all
+    # whose probe lies in the subspace, or that has none, screens them all
     far = d2_rows.copy()
     own = np.arange(m)
     far[own, lo + own] = -np.inf
     far[own[:, None], nbrs] = -np.inf
     q = np.argmax(far, axis=1)
     w, ok = _project_out_rows(points[q] - x, [(basis[s], sq[s]) for s in range(dim_w)])
-    for i in np.flatnonzero(~ok | (far[own, q] == -np.inf)):
-        probes = np.flatnonzero(far[i] != -np.inf)  # ascending, so argmax keeps the tie rule
-        offs = points[probes] - x[i]
-        r, ok = _project_out_rows(offs, [(np.broadcast_to(basis[s, i], offs.shape), sq[s, i]) for s in range(dim_w)])
-        if not ok.any():
-            failed[i] = True
+    miss = np.flatnonzero(~ok | (far[own, q] == -np.inf))
+    step = max(1, EDGE_BLOCK_BYTES // (8 * points.size))
+    room = np.empty((2, min(step, miss.size)) + points.T.shape)  # made once: fresh pages cost more than the steps
+    for c in range(0, miss.size, step):
+        rows = miss[c:c + step]
+        # the screen: every offset of these rows, (rows, d, n), through the
+        # projection steps
+        res, term = room[:, :rows.size]
+        np.subtract(points.T, x[rows, :, None], out=res)
+        oo = np.einsum("cdn,cdn->cn", res, res)
+        for s in range(dim_w):
+            b = basis[s, rows]
+            res -= np.multiply(b[:, :, None], (b[:, None, :] @ res) / sq[s, rows, None, None], out=term)
+        inside = np.einsum("cdn,cdn->cn", res, res) <= (0.5 * TOL_RANK) ** 2 * oo
+        dist = np.where(inside, -np.inf, far[rows])
+        pend = np.arange(rows.size)
+        while pend.size:
+            t = np.argmax(dist[pend], axis=1)
+            none = dist[pend, t] == -np.inf
+            failed[rows[pend[none]]] = True
+            pend, t = pend[~none], t[~none]
+            at = rows[pend]
+            r, ok = _project_out_rows(points[t] - x[at], [(basis[s, at], sq[s, at]) for s in range(dim_w)])
+            w[at[ok]] = r[ok]
+            dist[pend, t] = -np.inf
+            pend = pend[~ok]
+        if failed[rows].any():
             break  # no later row of the block can be the one named
-        w[i] = r[ok][np.argmax(far[i, probes[ok]])]
 
     if failed.any():
         i = int(np.argmax(failed))

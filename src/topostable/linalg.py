@@ -1,10 +1,14 @@
 """Top eigenpairs of a symmetric matrix, the one numeric step classical MDS
 needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
 eigh when n is small or when the iteration cannot vouch for "algebraically
-largest" (see _top_subspace). A pure function of its input.
+largest" (see _top_subspace). A pure function of its input, which is a
+dense matrix or one stored once as its upper row blocks (SymmetricBlocks,
+the form geodesic.double_center fills): the iteration needs only the
+matrix's product with a block of vectors.
 """
 
 import contextlib
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +35,59 @@ def _small_ufunc_buffer():
         np.setbufsize(old)
 
 
+@dataclass(frozen=True)
+class SymmetricBlocks:
+    """A symmetric n x n matrix stored once, as its upper row blocks.
+
+    Block b holds rows [a, a + h) at columns [a, n), a = ROW_BLOCK b and h =
+    min(ROW_BLOCK, n - a), row-major; the blocks lie one after another in
+    the flat buffer buf, (n^2 + ROW_BLOCK n) / 2 words when ROW_BLOCK
+    divides n. Each diagonal tile is held whole and is symmetric itself.
+    This is the packed-symmetric idea of the Rectangular Full Packed format
+    (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 2010), in row
+    blocks, so that every block is a plain strided matrix for BLAS.
+    """
+
+    n: int
+    buf: np.ndarray
+
+    @classmethod
+    def empty(cls, n):
+        return cls(n, np.empty(sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK))))
+
+    def blocks(self):
+        """(a, block) for each row block: block views rows [a, a + h) at
+        columns [a, n), its diagonal tile first."""
+        at = 0
+        for a in range(0, self.n, ROW_BLOCK):
+            h, w = min(ROW_BLOCK, self.n - a), self.n - a
+            yield a, self.buf[at:at + h * w].reshape(h, w)
+            at += h * w
+
+    def __matmul__(self, q):
+        """The matrix times the (n, p) array q, two GEMMs per block: its rows
+        times q, and the transpose of its part right of the diagonal tile,
+        the rows below the tile, times q; so each tile counts once. The
+        second is formed as (q.T @ part).T: at n = 3200 it touches 1.25 MB
+        of OpenBLAS scratch where part.T @ q touches 4.9 MB, and it is the
+        faster of the two there."""
+        y = np.zeros((self.n, q.shape[1]))
+        for a, blk in self.blocks():
+            h = blk.shape[0]
+            y[a:a + h] += blk @ q[a:]
+            y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
+        return y
+
+    def dense(self):
+        """The whole matrix, as a new (n, n) array."""
+        out = np.empty((self.n, self.n))
+        for a, blk in self.blocks():
+            h = blk.shape[0]
+            out[a:a + h, a:] = blk
+            out[a + h:, a:a + h] = blk[:, h:].T
+        return out
+
+
 # Block subspace iteration: extra columns beyond m (they widen the gap that
 # sets the convergence rate), the error allowed in each coordinate column
 # relative to sqrt(|lambda|max) and the residual bound relative to
@@ -53,32 +110,41 @@ _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 
 
-def _check_symmetric(a):
-    """Raise NonFiniteError when a has an inf or NaN entry, and
-    NotSymmetricError when max|a - a.T| > 1e-10 max|a|, comparing each tile
-    (i, j) on and above the diagonal with tile (j, i) transposed: every
-    pair once, and no strided read longer than a tile row."""
-    n = a.shape[0]
-    # max and min propagate NaN, and between them catch -inf and inf
+def _check_finite(a):
+    """Raise NonFiniteError when a has an inf or NaN entry; else return
+    max|a|. max and min propagate NaN, and between them catch -inf and
+    inf, without a mask of a's size."""
     scale = max(a.max(), -a.min())
     if not np.isfinite(scale):
         raise NonFiniteError("matrix has non-finite entries")
-    b = min(ROW_BLOCK, n)
-    buf = np.empty((b, b))
+    return scale
+
+
+def _check_symmetric(a, scale):
+    """Raise NotSymmetricError when max|a - a.T| > 1e-10 scale, for a
+    finite square matrix a and scale = max|a| (see _check_finite). Each
+    block of ROW_BLOCK rows [i, j) is copied, at its columns up to j,
+    transposed into a scratch of (j, j - i) and compared with the column
+    strip a[:j, i:j]: every pair, diagonal tiles included, and the one
+    strided read is the copy's. Run at numpy's default ufunc buffer size,
+    at which that copy takes about a third of the time it takes at the
+    smallest."""
+    n = a.shape[0]
+    scratch = np.empty((n, min(ROW_BLOCK, n)))
     asym = 0.0
     for i in range(0, n, ROW_BLOCK):
-        for j in range(i, n, ROW_BLOCK):
-            tile = a[i:i + ROW_BLOCK, j:j + ROW_BLOCK]
-            diff = buf[:tile.shape[0], :tile.shape[1]]
-            np.subtract(tile, a[j:j + ROW_BLOCK, i:i + ROW_BLOCK].T, out=diff)
-            asym = max(asym, np.abs(diff, out=diff).max())
+        j = min(i + ROW_BLOCK, n)
+        diff = scratch[:j, :j - i]
+        diff[...] = a[i:j, :j].T
+        diff -= a[:j, i:j]
+        asym = max(asym, np.abs(diff, out=diff).max())
     if scale > 0.0 and asym > 1e-10 * scale:
         raise NotSymmetricError(f"relative asymmetry {asym / scale:.3e} exceeds 1e-10")
 
 
 def _top_full(a, m):
-    """Top m eigenpairs from the full eigh of the symmetrized matrix."""
-    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
+    """Top m eigenpairs from the full eigh of the symmetric matrix a."""
+    values, vectors = np.linalg.eigh(a)
     order = np.argsort(-values, kind="stable")[:m]
     return values[order], vectors[:, order]
 
@@ -126,31 +192,29 @@ def _residual_bounds(theta, m):
     return bounds
 
 
-def _top_subspace(a, m):
-    """Top m eigenpairs by block subspace iteration with Rayleigh-Ritz, or
-    None when the full solver must decide.
+def _top_subspace(product, n, m):
+    """Top m eigenpairs of a symmetric n x n matrix a, given as the function
+    product(q) = a @ q on (n, p) arrays q, by block subspace iteration with
+    Rayleigh-Ritz, or None when the full solver must decide.
 
     The block holds m + _OVERSAMPLE columns from a hashed start
     (_start_block) and converges to the eigenvectors of largest |lambda|.
-    Each product a @ q is formed as (q.T @ a).T, which a symmetric a allows
-    and which touches less BLAS scratch. The iteration stops once every
-    top-m residual |a x - lambda x| is within its bound (_residual_bounds).
-    When the rate at which the worst residual fell over the last
-    _RATE_SPAN iterations would not bring every residual within its bound
-    by the cap (round-off, or a slow block), the block still answers if
-    every residual is at most _STALL_TOL times the largest |Ritz value|. It
-    gives up (None) otherwise (a stalled block costs a few iterations, not
-    the whole cap, before the full solver), when the cap is hit, or when
-    lambda_m <= the smallest |Ritz value| in the block, which includes
-    lambda_m <= 0. Every eigenvalue left outside the converged block is at
-    most that smallest |Ritz value| in magnitude, so only above it is the
-    answer the algebraically largest m, and only then is the count of
-    clipped (negative) values exact.
+    The iteration stops once every top-m residual |a x - lambda x| is within
+    its bound (_residual_bounds). When the rate at which the worst residual
+    fell over the last _RATE_SPAN iterations would not bring every residual
+    within its bound by the cap (round-off, or a slow block), the block
+    still answers if every residual is at most _STALL_TOL times the largest
+    |Ritz value|. It gives up (None) otherwise (a stalled block costs a few
+    iterations, not the whole cap, before the full solver), when the cap is
+    hit, or when lambda_m <= the smallest |Ritz value| in the block, which
+    includes lambda_m <= 0. Every eigenvalue left outside the converged
+    block is at most that smallest |Ritz value| in magnitude, so only above
+    it is the answer the algebraically largest m, and only then is the count
+    of clipped (negative) values exact.
     """
-    n = a.shape[0]
     p = m + _OVERSAMPLE
     q, _ = np.linalg.qr(_start_block(n, p))
-    aq = (q.T @ a).T
+    aq = product(q)
     worst = []  # largest top-m residual over the largest |Ritz value|, per iteration
     for it in range(_MAX_ITER):
         t = q.T @ aq
@@ -178,7 +242,7 @@ def _top_subspace(a, m):
                 return None
             return theta[:m], x
         q, _ = np.linalg.qr(ax)
-        aq = (q.T @ a).T
+        aq = product(q)
     return None
 
 
@@ -187,29 +251,44 @@ def symmetric_eigen_top(a, m):
     tuple (values, vectors): values descending, shape (m,), and vectors
     (n, m) with orthonormal columns, column j pairing with values[j].
 
-    Block subspace iteration (Halko, Martinsson & Tropp, SIAM Review 2011)
-    finds them from m + 8 columns, started from a hashed block and stopped
-    once each coordinate column sqrt(lambda_j) v_j is within 1e-12
-    sqrt(|lambda|max) of the exact one, or its residual is at round-off
-    level; a full eigh takes over when n is small (2(m + 8) >= n) or when
-    the iteration cannot vouch for its answer (see _top_subspace).
+    a is a dense square matrix, or a SymmetricBlocks. Block subspace
+    iteration (Halko, Martinsson & Tropp, SIAM Review 2011) finds them from
+    m + 8 columns, started from a hashed block and stopped once each
+    coordinate column sqrt(lambda_j) v_j is within 1e-12 sqrt(|lambda|max)
+    of the exact one, or its residual is at round-off level; a full eigh
+    takes over when n is small (2(m + 8) >= n) or when the iteration cannot
+    vouch for its answer (see _top_subspace). On a dense a the products are
+    formed as (q.T @ a).T, which a symmetric a allows and which touches less
+    BLAS scratch, and the full eigh takes (a + a.T) / 2. A SymmetricBlocks
+    is symmetric by construction: it is not checked for symmetry, its
+    products are two GEMMs per row block over half the bytes, and the full
+    eigh takes its dense() form as it is, an n x n matrix beside it only
+    there.
+
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
     is made positive so downstream outputs are reproducible. Raises
-    NonFiniteError on inf/NaN entries, NotSymmetricError on asymmetry.
+    NonFiniteError on inf/NaN entries, NotSymmetricError on a dense a's
+    asymmetry.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    n = a.shape[0]
+    packed = isinstance(a, SymmetricBlocks)
+    if not packed:
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("expected a square matrix")
+    n = a.n if packed else a.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    _check_symmetric(a)
-    top = _top_subspace(a, m) if 2 * (m + _OVERSAMPLE) < n else None
-    values, vectors = top if top is not None else _top_full(a, m)
+    if packed:
+        _check_finite(a.buf)
+        product, full = a.__matmul__, a.dense
+    else:
+        _check_symmetric(a, _check_finite(a))
+        product, full = (lambda q: (q.T @ a).T), (lambda: (a + a.T) / 2.0)
+    top = _top_subspace(product, n, m) if 2 * (m + _OVERSAMPLE) < n else None
+    values, vectors = top if top is not None else _top_full(full(), m)
     for j in range(m):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:
             vectors[:, j] = -col
     return values, vectors
-

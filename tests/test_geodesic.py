@@ -28,7 +28,7 @@ from topostable import (
     residual_variance,
 )
 from topostable import geodesic, graph, linalg
-from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
+from topostable.errors import BadDimError, NonFiniteError, NotSymmetricError, ZeroVarianceError
 
 from conftest import blob_images, in_rows, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
@@ -392,7 +392,7 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (geodesic, lambda: double_center(gm.d), "square"),
+        "double_center": (geodesic, lambda: double_center(gm.d), "tril_indices"),
         "_pairwise_sq": (graph, lambda: graph._pairwise_sq(coords), "subtract"),
     }
 
@@ -607,11 +607,11 @@ class TestLargestComponent:
 
 class TestDoubleCenter:
     def test_two_point_hand_case(self):
-        out = double_center([[0.0, 1.0], [1.0, 0.0]])
+        out = double_center([[0.0, 1.0], [1.0, 0.0]]).dense()
         assert np.allclose(out, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_zero_matrix(self):
-        assert np.array_equal(double_center(np.zeros((3, 3))), np.zeros((3, 3)))
+        assert np.array_equal(double_center(np.zeros((3, 3))).dense(), np.zeros((3, 3)))
 
     def test_infinite_entry_raises(self):
         s = np.zeros((3, 3))
@@ -627,27 +627,59 @@ class TestDoubleCenter:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 65, 130])
     def test_equals_centering_of_the_squares(self, n):
-        # the squares are written into the centering buffer and the means
-        # taken from it: the same operations as centering np.square(d)
+        # the row means taken a block of rows at a time are S.mean(axis=1)'s
+        # bits, and each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4
         rng = np.random.default_rng(n)
         d = gm_from_coords(rng.normal(size=(n, 3))).d
         s = np.square(d)
-        expected = s - s.mean(axis=1)[:, None]
-        expected -= s.mean(axis=0)[None, :]
-        expected += s.mean()
-        expected *= -0.5
-        assert np.array_equal(double_center(d), expected)
+        r = s.mean(axis=1)
+        u = 0.5 * r - 0.25 * r.mean()
+        expected = s * -0.5
+        expected += np.add.outer(u, u)
+        assert np.array_equal(double_center(d).dense(), expected)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 10, size=(20, 20))
         s = (a + a.T) / 2
         np.fill_diagonal(s, 0.0)
-        out = double_center(s)
+        out = double_center(s).dense()
         scale = np.linalg.norm(out)
         assert np.max(np.abs(out.sum(axis=0))) <= 1e-9 * scale
         assert np.max(np.abs(out.sum(axis=1))) <= 1e-9 * scale
         assert np.allclose(out, out.T, atol=1e-12 * scale)
+
+    @settings(PROPERTY, max_examples=28)
+    @given(n=st.sampled_from([1, 2, 63, 64, 65, 130, 200]), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_blocks_hold_the_centered_matrix(self, n, seed, scale):
+        # one block short of, at and past a whole block of rows, and two
+        # and three blocks with a partial last one
+        rng = np.random.default_rng(seed)
+        d = gm_from_coords(scale * rng.normal(size=(n, 3))).d
+        packed = double_center(d)
+        assert isinstance(packed, linalg.SymmetricBlocks) and packed.n == n
+        assert packed.buf.size <= (n * n + linalg.ROW_BLOCK * n) // 2
+        b = packed.dense()
+        h = np.eye(n) - 1.0 / n
+        reference = -0.5 * h @ np.square(d) @ h
+        top = np.max(np.abs(b))
+        assert np.array_equal(b, b.T)
+        assert np.max(np.abs(b - reference)) <= 1e-12 * top
+        assert np.max(np.abs(b.sum(axis=1))) <= 1e-12 * top
+        q = rng.normal(size=(n, 10))
+        assert np.max(np.abs(packed @ q - b @ q)) <= 1e-12 * np.max(np.abs(b @ q))
+
+    @pytest.mark.parametrize("i, j", [(0, 1), (64, 3), (129, 128), (5, 199)])
+    def test_asymmetric_distances_refused(self, i, j):
+        # one entry off by 1e-6 of max|d|, in a diagonal tile or across
+        # tiles, above or below the diagonal; 1e-13 passes
+        d = gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d
+        d[i, j] += 1e-6 * d.max()
+        with pytest.raises(NotSymmetricError, match="exceeds 1e-10$"):
+            double_center(d)
+        d[i, j] = d[j, i] * (1.0 + 1e-13)
+        double_center(d)
 
 
 def gm_from_coords(coords):
@@ -692,6 +724,14 @@ class TestClassicalMds:
         gm = GeodesicMatrix(d=d)
         with pytest.raises(NonFiniteError):
             classical_mds(gm, 1)
+
+    def test_asymmetric_geodesics_refused(self):
+        # a GeodesicMatrix built by hand; the blocks read only d's upper
+        # part, so without the refusal this would embed
+        gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
+        gm.d[50, 7] *= 1.0 + 1e-6
+        with pytest.raises(NotSymmetricError):
+            classical_mds(gm, 2)
 
     def test_geodesic_matrix_not_modified(self):
         gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
@@ -973,9 +1013,9 @@ def projected_points(n, m):
 
 
 def full_eigh_coords(b):
-    """Top two eigenpairs of b from the full eigh, each vector's
-    largest-magnitude component made positive."""
-    values, vectors = linalg._top_full(b, 2)
+    """Top two eigenpairs of the SymmetricBlocks b from the full eigh, each
+    vector's largest-magnitude component made positive."""
+    values, vectors = linalg._top_full(b.dense(), 2)
     for j in range(2):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:
@@ -1018,7 +1058,7 @@ class TestBackHalf:
         # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
         b = double_center(gm.d)
-        assert linalg._top_subspace(b, 2) is not None  # the iteration answered
+        assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
@@ -1031,22 +1071,38 @@ class TestBackHalf:
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
         emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
         b = double_center(gm.d)
-        assert linalg._top_subspace(b, 2) is not None
+        assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None
         values, vectors = full_eigh_coords(b)
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
 
     def test_memory_at_most_about_two_n2_buffers(self):
-        # beside the geodesic matrix, classical_mds squares the distances
-        # into one buffer and centers it in place; residual_variance then
-        # holds three (ROW_BLOCK, n) vectors of block scratch, about a quarter
-        # of an n x n buffer at n = 800
+        # beside the geodesic matrix, classical_mds holds the centered
+        # matrix's upper row blocks, (n^2 + 64 n) / 2 words, and a
+        # (ROW_BLOCK, n) scratch: 0.636 n^2 words measured at n = 800; a
+        # whole n x n centered matrix would reach 1.07. residual_variance
+        # then holds three (ROW_BLOCK, n) vectors of block scratch, about a
+        # quarter of an n x n buffer at n = 800
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
         _, rv_peak = peak_bytes(lambda: residual_variance(gm, emb))
         _, peak = peak_bytes(lambda: residual_variance(gm, classical_mds(gm, 2)))
         assert rv_peak <= 4 * geodesic.ROW_BLOCK * n * 8
-        assert peak <= 1.3 * n * n * 8
+        assert peak <= 0.7 * n * n * 8
+
+    def test_full_eigh_fallback_memory(self, monkeypatch):
+        # when the iteration cannot vouch for its answer, the full eigh takes
+        # the blocks' dense form as it is, with no symmetrized copy: the
+        # blocks, that matrix and eigh's n x n eigenvectors, 2.55 n^2 words
+        # measured at n = 800, where (a + a.T) / 2 beside a whole centered
+        # matrix reached 3.0
+        n = 800
+        gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
+        monkeypatch.setattr(linalg, "_top_subspace", lambda product, n, m: None)
+        emb, peak = peak_bytes(lambda: classical_mds(gm, 2))
+        assert peak <= 2.7 * n * n * 8
+        monkeypatch.undo()
+        assert np.max(np.abs(emb.coords - classical_mds(gm, 2).coords)) <= 1e-9 * np.max(np.abs(emb.coords))
 
 
 class TestPipelineGraphIntegration:

@@ -342,6 +342,18 @@ def rotated_sheet(seed, n, lifts):
     return points
 
 
+def rim_sheet(seed):
+    """150 Gaussian points in the plane z = 0 and ten at radius 5 around
+    them, lifted 0.3 to 4 times 1e-9 of their radius: their offsets from
+    the sheet leave its plane by about TOL_RANK of their length, on either
+    side of it."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 10)
+    lifts = 5.0e-9 * np.array([0.3, 0.6, 0.9, 1.1, 1.4, 1.8, 2.5, 4.0, 0.5, 1.0])
+    rim = np.column_stack([5.0 * np.cos(angles), 5.0 * np.sin(angles), lifts])
+    return np.vstack([np.column_stack([rng.normal(size=(150, 2)), np.zeros(150)]), rim])
+
+
 def lifted_sheet(n):
     """n Gaussian points in the plane z = 0 and one point at (0, 0, 1), the
     last, which no row has among its candidates: at dim_w = 2 every row of
@@ -453,6 +465,13 @@ class TestStableBlocks:
     @pytest.mark.parametrize("dim_w", [1, 2])
     def test_lifted_sheet_equals_serial(self, dim_w):
         assert assert_blocks_equal_serial(lifted_sheet(400), SelectorConfig(k=10, dim_w=dim_w))[0] == "mask"
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_probes_near_the_rank_bound_equal_serial(self, seed):
+        # the rows of the sheet miss their farthest probes; the rim's are
+        # too near the bound for the scan's screen to decide, so
+        # _project_out_rows decides them, farthest first, and rejects some
+        assert assert_blocks_equal_serial(rim_sheet(seed), SelectorConfig(k=10))[0] == "mask"
 
     def test_lifted_sheet_tries_each_missing_row_in_one_projection(self, monkeypatch):
         # the basis walk and the first probes take dim_w + 1 projections per

@@ -231,6 +231,20 @@ def eigen_top_reference(a, m):
     return values, vectors
 
 
+def top_subspace(a, m):
+    """linalg._top_subspace on the dense matrix a, through the product that
+    symmetric_eigen_top forms for a dense matrix."""
+    return linalg._top_subspace(lambda q: (q.T @ a).T, a.shape[0], m)
+
+
+def pack(a):
+    """The symmetric matrix a as a linalg.SymmetricBlocks."""
+    packed = linalg.SymmetricBlocks.empty(a.shape[0])
+    for lo, blk in packed.blocks():
+        blk[...] = a[lo:lo + blk.shape[0], lo:]
+    return packed
+
+
 def planted(n, top, rest_scale=1.0, seed=0):
     """Symmetric n x n matrix with eigenvalues ``top`` followed by n - len(top)
     values uniform in [-rest_scale, rest_scale], in a random orthonormal basis."""
@@ -245,10 +259,12 @@ class TestEigenOracle:
     """symmetric_eigen_top against the full-eigh oracle: values within 1e-12
     relative, vectors within 1e-10 under the sign rule."""
 
-    def assert_matches_oracle(self, a, m):
+    def assert_matches_oracle(self, a, m, dense=None):
+        """dense: a as a dense matrix, when a is not one."""
+        dense = a if dense is None else dense
         got_values, got_vectors = symmetric_eigen_top(a, m)
-        values, vectors = eigen_top_reference(a, m)
-        assert got_values.shape == (m,) and got_vectors.shape == (a.shape[0], m)
+        values, vectors = eigen_top_reference(dense, m)
+        assert got_values.shape == (m,) and got_vectors.shape == (dense.shape[0], m)
         assert np.all(np.abs(got_values - values) <= 1e-12 * np.abs(values))
         assert np.max(np.abs(got_vectors - vectors)) <= 1e-10
         return got_values, values
@@ -257,7 +273,7 @@ class TestEigenOracle:
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_planted_spectrum(self, n, m):
         a = planted(n, [100.0, 40.0, 15.0], seed=n + m)
-        assert linalg._top_subspace(a, m) is not None  # the iteration answered
+        assert top_subspace(a, m) is not None  # the iteration answered
         self.assert_matches_oracle(a, m)
 
     @pytest.mark.parametrize("n", [60, 200])
@@ -266,7 +282,7 @@ class TestEigenOracle:
         # but the top two algebraic values still lie above every
         # eigenvalue left outside it
         a = planted(n, [-900.0, -400.0, 50.0, 20.0], seed=n)
-        assert linalg._top_subspace(a, 2) is not None
+        assert top_subspace(a, 2) is not None
         got, _ = self.assert_matches_oracle(a, 2)
         assert got == pytest.approx([50.0, 20.0], rel=1e-12)
 
@@ -275,7 +291,7 @@ class TestEigenOracle:
         # ten dominant negatives fill the block and it converges to them,
         # but the top algebraic pair lies outside it: the full solver answers
         a = planted(n, [5.0, 3.0] + [-100.0 - j for j in range(10)], rest_scale=0.5, seed=n)
-        assert linalg._top_subspace(a, 2) is None
+        assert top_subspace(a, 2) is None
         got, _ = self.assert_matches_oracle(a, 2)
         assert got == pytest.approx([5.0, 3.0], rel=1e-12)
 
@@ -288,7 +304,7 @@ class TestEigenOracle:
         rng = np.random.default_rng(n)
         spectrum = [30.0] + [-50.0 - j for j in range(10)] + list(-rng.uniform(0.1, 1.0, n - 11))
         a = planted(n, spectrum, seed=n)
-        assert linalg._top_subspace(a, 3) is None
+        assert top_subspace(a, 3) is None
         got, values = self.assert_matches_oracle(a, 3)
         assert int(np.sum(got < 0.0)) == int(np.sum(values < 0.0)) == 2
         assert np.all(got[1:] > -1.0)
@@ -325,7 +341,7 @@ class TestEigenOracle:
             return qr(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
-        assert linalg._top_subspace(a, 2) is None
+        assert top_subspace(a, 2) is None
         assert len(calls) == linalg._RATE_SPAN + 1  # the start block and one per iteration
         monkeypatch.undo()
         got_values, got_vectors = symmetric_eigen_top(a, 2)
@@ -338,7 +354,7 @@ class TestEigenOracle:
         # rate reaches the bound within the cap, so the iteration answers
         top = [1.0, 0.99, *np.linspace(0.98, 0.9, 8), 0.6 * 0.99]
         a = planted(200, top, rest_scale=0.3, seed=7)
-        assert linalg._top_subspace(a, 2) is not None
+        assert top_subspace(a, 2) is not None
         self.assert_matches_oracle(a, 2)
 
     def test_bounds_below_round_off_answer_within_the_stall_bound(self, monkeypatch):
@@ -347,10 +363,10 @@ class TestEigenOracle:
         monkeypatch.setattr(linalg, "_COORD_TOL", 0.0)
         monkeypatch.setattr(linalg, "_RESIDUAL_TOL", 1e-20)
         a = planted(200, [100.0, 40.0, 15.0], seed=5)
-        assert linalg._top_subspace(a, 2) is not None
+        assert top_subspace(a, 2) is not None
         self.assert_matches_oracle(a, 2)
         monkeypatch.setattr(linalg, "_STALL_TOL", 1e-20)
-        assert linalg._top_subspace(a, 2) is None
+        assert top_subspace(a, 2) is None
 
     def test_blockwise_symmetry_check(self):
         # the asymmetry sits in the last, partial column block
@@ -361,6 +377,19 @@ class TestEigenOracle:
         a[3, 129] -= 1e-6
         a[3, 129] += 1e-13
         symmetric_eigen_top(a, 2)
+
+    @pytest.mark.parametrize("n", [20, 130])  # the full eigh, and the subspace iteration
+    def test_packed_matrix_gives_the_dense_answer(self, n):
+        a = planted(n, [10.0, 5.0, 2.0], seed=n)
+        self.assert_matches_oracle(pack(a), 2, a)
+
+    @pytest.mark.parametrize("n", [20, 130])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_packed_non_finite_entries_refused(self, n, bad):
+        packed = pack(planted(n, [10.0, 5.0]))
+        packed.buf[-1] = bad
+        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+            symmetric_eigen_top(packed, 2)
 
     @pytest.mark.parametrize("i, j", [(129, 3), (70, 65), (0, 64), (127, 128)])
     def test_symmetry_check_sees_every_tile(self, i, j):

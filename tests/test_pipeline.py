@@ -207,8 +207,10 @@ class TestCompareMethods:
 
 class TestMemory:
     """Peak traced memory of whole runs, in units of one n x n float64
-    buffer: the geodesic matrix and one working buffer, plus the O(n * k)
-    tables."""
+    buffer: the geodesic matrix and the centered matrix's upper row blocks,
+    about half a buffer, plus the O(n * k) tables and the (ROW_BLOCK, n)
+    scratch, which weigh more at smaller n. Each bound is the peak measured
+    at that n, both methods, plus about 0.1."""
 
     @staticmethod
     def roll(n):
@@ -216,7 +218,9 @@ class TestMemory:
         build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
         return data
 
-    def embed_peak_within_bound(self, n, method):
+    def embed_peak_within_bound(self, n, method, bound):
+        # a whole n x n centered matrix in place of its row blocks reached
+        # 2.09 at n = 800
         roll = self.roll(n)
 
         def run():
@@ -224,30 +228,30 @@ class TestMemory:
             return residual_variance(gm, emb)
 
         _, peak = peak_bytes(run)
-        assert peak <= 2.4 * n * n * 8
+        assert peak <= bound * n * n * 8
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance(self, method):
-        self.embed_peak_within_bound(400, method)
+        self.embed_peak_within_bound(400, method, 1.95)  # measured 1.84-1.86
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance_at_n800(self, method):
-        self.embed_peak_within_bound(800, method)
+        self.embed_peak_within_bound(800, method, 1.75)  # measured 1.66
 
-    def sweep_peak_within_bound(self, n):
-        # a cell still holding the previous cell's geodesic matrix while it
-        # builds its graph would reach about 4 buffers, and a sweep table
-        # whose squared distances outlived the graph stage about 3
+    def sweep_peak_within_bound(self, n, bound):
+        # a cell still holding the previous cell's geodesic matrix, or a
+        # sweep table whose squared distances outlived the graph stage, keeps
+        # one more n x n buffer through the next cell's peak
         roll = self.roll(n)
         rows, peak = peak_bytes(lambda: compare_methods(roll, sweep_cells([10, 15, 20, 30], RunConfig(method="standard", k=10))))
         assert len(rows) == 8 and all(r.error is None for r in rows)
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= bound * n * n * 8
 
     def test_sweep_frees_each_cell_before_the_next(self):
-        self.sweep_peak_within_bound(400)
+        self.sweep_peak_within_bound(400, 2.15)  # measured 2.07
 
     def test_sweep_frees_each_cell_before_the_next_at_n800(self):
-        self.sweep_peak_within_bound(800)
+        self.sweep_peak_within_bound(800, 1.85)  # measured 1.77
 
     @staticmethod
     def plane(n):
