@@ -15,14 +15,14 @@ change its entry, and no step of the panel makes a pivot row reach
 further. In the nested-dissection order a panel reaches only its own part
 and the separators around it.
 
-Past all-pairs shortest paths no stage modifies the geodesic matrix.
-Classical scaling holds the centered matrix once, as its upper row blocks
-(linalg.SymmetricBlocks), about half an n x n buffer, so with the geodesic
-matrix itself a run peaks at about 1.5 n x n float64 buffers; only the full
-eigh it falls back on makes whole n x n matrices beside them. None puts
-the rows back in the points' order: classical scaling follows a
-relabelling of the points and the residual variance does not change under
-one.
+Classical scaling runs on the geodesic matrix squared in place, through
+the doubly-centered matrix as an operator over it (double_center), and
+takes the square roots back bitwise (see classical_mds). With only
+(ROW_BLOCK, n) scratch beside it, a run peaks in Floyd, at about 1.1 n x n
+float64 buffers; only the full eigh it falls back on makes whole n x n
+matrices beside it. None puts the rows back in the points' order: classical scaling
+follows a relabelling of the points and the residual variance does not
+change under one.
 """
 
 import itertools
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadDimError, NonFiniteError, ZeroVarianceError
-from .linalg import ROW_BLOCK, SymmetricBlocks, _check_symmetric, _small_ufunc_buffer, symmetric_eigen_top
+from .linalg import ROW_BLOCK, CenteredSquares, _check_finite, _checked_row_means, _small_ufunc_buffer, symmetric_eigen_top
 
 __all__ = [
     "GeodesicMatrix",
@@ -353,52 +353,56 @@ def _all_finite(d):
     return bool(np.isfinite(d.min()) and np.isfinite(d.max()))
 
 
-def double_center(d):
-    """-H S H / 2 with S the entrywise squares of the distances d and H the
-    centering matrix I - ones/n, as a linalg.SymmetricBlocks: stored once,
-    as its upper row blocks, about half an n x n buffer.
-
-    Row and column sums of the result are zero (up to round-off). With r
-    the row means of S and g their mean, the result is -S/2 + u 1' + 1 u',
-    u = r/2 - g/4: the column means are the row means, as d is symmetric.
-    The row means are taken a block of ROW_BLOCK rows at a time, squared
-    into a (ROW_BLOCK, n) scratch, the same bits as S.mean(axis=1). They
-    are finite exactly when every square is and no row's sum overflows;
-    else NonFiniteError (restrict to one component first). Then d is
-    refused with NotSymmetricError when max|d - d.T| > 1e-10 max|d|
-    (linalg._check_symmetric, max|d| being the square root of the largest
-    square), before any block is made. Each block is then squared from d,
-    halved and has u_i + u_j added from that scratch, which is the same
-    number both ways; its diagonal tile's lower triangle is copied from its
-    upper one, so the result is exactly symmetric even where d is only
-    within the bound. d is not modified.
+def double_center(s):
+    """-H S H / 2 with S the squared distances s and H the centering matrix
+    I - ones/n, as a linalg.CenteredSquares over s itself: no copy, and no
+    n x n matrix beside it. With r the row means of S and g their mean, it
+    is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column means being the row
+    means. One pass over blocks of ROW_BLOCK rows (linalg._checked_row_means)
+    takes the row means, S.mean(axis=1)'s bits, and refuses before any
+    product: an inf or NaN entry, or a row whose sum overflows, with
+    NonFiniteError (restrict to one component first), and max|S - S.T| >
+    1e-10 max|S| with NotSymmetricError. s is not modified.
     """
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+    s = np.asarray(s, dtype=np.float64)
+    if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ValueError("expected a square matrix")
-    n = d.shape[0]
-    row = np.empty(n)
-    scratch = np.empty((min(ROW_BLOCK, n), n))
-    top = 0.0
-    for a in range(0, n, ROW_BLOCK):
-        sq = np.square(d[a:a + ROW_BLOCK], out=scratch[:min(ROW_BLOCK, n - a)])
-        sq.mean(axis=1, out=row[a:a + ROW_BLOCK])
-        top = max(top, sq.max())
-    if not np.isfinite(row.max()):  # max propagates NaN
-        raise NonFiniteError("matrix has non-finite entries")
-    _check_symmetric(d, np.sqrt(top))
-    u = 0.5 * row - 0.25 * row.mean()
-    out = SymmetricBlocks.empty(n)
-    with _small_ufunc_buffer():
-        for a, blk in out.blocks():
-            h = blk.shape[0]
-            np.square(d[a:a + h, a:], out=blk)
-            blk *= -0.5
-            blk += np.add.outer(u[a:a + h], u[a:], out=scratch[:h, :n - a])
-            tile = blk[:, :h]
-            lower = np.tril_indices(h, -1)
-            tile[lower] = tile.T[lower]
-    return out
+    row = _checked_row_means(s)
+    _check_finite(row)
+    return CenteredSquares(s, 0.5 * row - 0.25 * row.mean())
+
+
+def _square_in_place(d):
+    """Square the geodesic matrix d in place if the square roots give it
+    back bitwise, and say whether it did: d must be a writeable, contiguous
+    float64 array whose every entry is 0 or in [2^-511, 2^511), where
+    sqrt(fl(x^2)) = x in binary64 (x^2 neither overflows nor is subnormal).
+
+    One pass over blocks of ROW_BLOCK rows, on d's bits as uint64, which
+    order non-negative floats as their values do: a block whose largest
+    bits are below 2^511's, and whose bits less one (in a scratch, 0
+    wrapping to the top) are at least 2^-511's less one, is squared while
+    in cache. At the first other block the squared ones take their roots
+    back, and from there each block takes the finite test, its min and max:
+    inf or NaN raises NonFiniteError (restrict to one component first).
+    """
+    exact = d.dtype == np.float64 and d.flags.writeable and (d.flags.c_contiguous or d.flags.f_contiguous)
+    if exact:
+        bits, (low, high) = d.view(np.uint64), np.array([2.0**-511, 2.0**511]).view(np.uint64)
+        scratch = np.empty((min(ROW_BLOCK, d.shape[0]), d.shape[1]), np.uint64)
+    for a in range(0, d.shape[0], ROW_BLOCK):
+        rows = d[a:a + ROW_BLOCK]
+        if exact:
+            blk = bits[a:a + ROW_BLOCK]
+            less_one = np.subtract(blk, 1, out=scratch[:blk.shape[0]])
+            if blk.max() < high and less_one.min() >= low - 1:
+                np.square(rows, out=rows)
+                continue
+            exact = False
+            np.sqrt(d[:a], out=d[:a])
+        if not _all_finite(rows):
+            raise NonFiniteError("geodesic matrix spans multiple components")
+    return exact
 
 
 def classical_mds(gm, m):
@@ -406,26 +410,26 @@ def classical_mds(gm, m):
 
     Coordinate column j is sqrt(max(lambda_j, 0)) times eigenvector j of
     the doubly-centered matrix; negative-eigenvalue columns collapse to
-    zero (see Embedding.n_clipped). gm.d is left as it is: double_center
-    refuses an asymmetric one and writes the centered squares once, as
-    their upper row blocks, and only the top m eigenpairs of that are
-    computed (linalg.symmetric_eigen_top), whose eigenvectors are scaled in
-    place into the coordinates.
+    zero (see Embedding.n_clipped). Only the top m eigenpairs of
+    double_center's operator are computed (linalg.symmetric_eigen_top),
+    whose eigenvectors are scaled in place into the coordinates.
+
+    gm.d holds the squares while MDS runs: _square_in_place squares it, and
+    a finally takes the square roots back, its own bits. A gm.d that would
+    not come back bitwise (an entry 0 < x < 2^-511 or x >= 2^511, or a
+    read-only, non-float64 or strided array) is squared into a new buffer.
     """
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
+    d = np.asarray(gm.d)
+    in_place = _square_in_place(d)
+    s = d if in_place else np.square(d, dtype=np.float64)
     try:
-        centered = double_center(gm.d)
-    except NonFiniteError:
-        # double_center found inf or NaN in gm.d or in its squares; only
-        # then is gm.d scanned again, to tell missing paths from squares
-        # that overflow
-        if not _all_finite(gm.d):
-            raise NonFiniteError("geodesic matrix spans multiple components") from None
-        raise
-    values, vectors = symmetric_eigen_top(centered, m)
-    del centered
+        values, vectors = symmetric_eigen_top(double_center(s), m)
+    finally:
+        if in_place:
+            np.sqrt(d, out=d)
     vectors *= np.sqrt(np.maximum(values, 0.0))
     return Embedding(coords=vectors, eigenvalues=values)
 

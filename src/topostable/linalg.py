@@ -2,9 +2,10 @@
 needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
 eigh when n is small or when the iteration cannot vouch for "algebraically
 largest" (see _top_subspace). A pure function of its input, which is a
-dense matrix or one stored once as its upper row blocks (SymmetricBlocks,
-the form geodesic.double_center fills): the iteration needs only the
-matrix's product with a block of vectors.
+dense matrix or the doubly-centered squares as an operator
+(CenteredSquares, which geodesic.double_center makes over the squares
+themselves): the iteration needs only the matrix's product with a block of
+vectors, so the centered matrix is never stored.
 """
 
 import contextlib
@@ -36,55 +37,41 @@ def _small_ufunc_buffer():
 
 
 @dataclass(frozen=True)
-class SymmetricBlocks:
-    """A symmetric n x n matrix stored once, as its upper row blocks.
-
-    Block b holds rows [a, a + h) at columns [a, n), a = ROW_BLOCK b and h =
-    min(ROW_BLOCK, n - a), row-major; the blocks lie one after another in
-    the flat buffer buf, (n^2 + ROW_BLOCK n) / 2 words when ROW_BLOCK
-    divides n. Each diagonal tile is held whole and is symmetric itself.
-    This is the packed-symmetric idea of the Rectangular Full Packed format
-    (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 2010), in row
-    blocks, so that every block is a plain strided matrix for BLAS.
+class CenteredSquares:
+    """B = -H S H / 2 for the n x n squared distances s, H = I - ones/n,
+    never stored: s itself, not a copy, and u = r/2 - g/4 from s's row
+    means r and their mean g (geodesic.double_center makes it). B q is
+    -H (S (H q)) / 2, one GEMM on s, taken as (q.T @ s).T, which s's
+    symmetry allows and which touches less BLAS scratch than s @ q. dense()
+    is B, -s/2 + (u_i + u_j), exactly symmetric wherever s is; only the
+    full eigh takes it.
     """
 
-    n: int
-    buf: np.ndarray
+    s: np.ndarray
+    u: np.ndarray
 
-    @classmethod
-    def empty(cls, n):
-        return cls(n, np.empty(sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK))))
-
-    def blocks(self):
-        """(a, block) for each row block: block views rows [a, a + h) at
-        columns [a, n), its diagonal tile first."""
-        at = 0
-        for a in range(0, self.n, ROW_BLOCK):
-            h, w = min(ROW_BLOCK, self.n - a), self.n - a
-            yield a, self.buf[at:at + h * w].reshape(h, w)
-            at += h * w
+    @property
+    def n(self):
+        return self.s.shape[0]
 
     def __matmul__(self, q):
-        """The matrix times the (n, p) array q, two GEMMs per block: its rows
-        times q, and the transpose of its part right of the diagonal tile,
-        the rows below the tile, times q; so each tile counts once. The
-        second is formed as (q.T @ part).T: at n = 3200 it touches 1.25 MB
-        of OpenBLAS scratch where part.T @ q touches 4.9 MB, and it is the
-        faster of the two there."""
-        y = np.zeros((self.n, q.shape[1]))
-        for a, blk in self.blocks():
-            h = blk.shape[0]
-            y[a:a + h] += blk @ q[a:]
-            y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
-        return y
+        q = q - q.mean(axis=0)
+        y = q.T @ self.s
+        y -= y.mean(axis=1, keepdims=True)
+        y *= -0.5
+        return y.T
 
     def dense(self):
-        """The whole matrix, as a new (n, n) array."""
-        out = np.empty((self.n, self.n))
-        for a, blk in self.blocks():
-            h = blk.shape[0]
-            out[a:a + h, a:] = blk
-            out[a + h:, a:a + h] = blk[:, h:].T
+        """B as a new (n, n) array, filled a block of ROW_BLOCK rows at a
+        time through a (ROW_BLOCK, n) scratch."""
+        n, u = self.n, self.u
+        out = np.empty((n, n))
+        scratch = np.empty((min(ROW_BLOCK, n), n))
+        with _small_ufunc_buffer():
+            for a in range(0, n, ROW_BLOCK):
+                blk = out[a:a + ROW_BLOCK]
+                np.multiply(self.s[a:a + ROW_BLOCK], -0.5, out=blk)
+                blk += np.add.outer(u[a:a + ROW_BLOCK], u, out=scratch[:blk.shape[0]])
         return out
 
 
@@ -120,26 +107,32 @@ def _check_finite(a):
     return scale
 
 
-def _check_symmetric(a, scale):
-    """Raise NotSymmetricError when max|a - a.T| > 1e-10 scale, for a
-    finite square matrix a and scale = max|a| (see _check_finite). Each
-    block of ROW_BLOCK rows [i, j) is copied, at its columns up to j,
-    transposed into a scratch of (j, j - i) and compared with the column
-    strip a[:j, i:j]: every pair, diagonal tiles included, and the one
-    strided read is the copy's. Run at numpy's default ufunc buffer size,
-    at which that copy takes about a third of the time it takes at the
-    smallest."""
+def _checked_row_means(a):
+    """a.mean(axis=1)'s bits for a square a, from one pass over blocks of
+    ROW_BLOCK rows [i, j) that also refuses a non-finite a (NonFiniteError,
+    _check_finite on each block's rows) and, after the pass, an asymmetric
+    one (NotSymmetricError, max|a - a.T| > 1e-10 max|a|). Each block's part
+    left of column j is copied, transposed, into a (j, j - i) scratch while
+    its rows are in cache, and compared with the column strip a[:j, i:j]:
+    every pair once, diagonal tiles included. Run at numpy's default ufunc
+    buffer size, at which that copy takes a third of the time it takes at
+    the smallest."""
     n = a.shape[0]
+    means = np.empty(n)
     scratch = np.empty((n, min(ROW_BLOCK, n)))
-    asym = 0.0
+    scale = asym = 0.0
     for i in range(0, n, ROW_BLOCK):
         j = min(i + ROW_BLOCK, n)
+        rows = a[i:j]
+        rows.mean(axis=1, out=means[i:j])
+        scale = max(scale, _check_finite(rows))
         diff = scratch[:j, :j - i]
-        diff[...] = a[i:j, :j].T
+        diff[...] = rows[:, :j].T
         diff -= a[:j, i:j]
         asym = max(asym, np.abs(diff, out=diff).max())
     if scale > 0.0 and asym > 1e-10 * scale:
         raise NotSymmetricError(f"relative asymmetry {asym / scale:.3e} exceeds 1e-10")
+    return means
 
 
 def _top_full(a, m):
@@ -251,7 +244,7 @@ def symmetric_eigen_top(a, m):
     tuple (values, vectors): values descending, shape (m,), and vectors
     (n, m) with orthonormal columns, column j pairing with values[j].
 
-    a is a dense square matrix, or a SymmetricBlocks. Block subspace
+    a is a dense square matrix, or a CenteredSquares. Block subspace
     iteration (Halko, Martinsson & Tropp, SIAM Review 2011) finds them from
     m + 8 columns, started from a hashed block and stopped once each
     coordinate column sqrt(lambda_j) v_j is within 1e-12 sqrt(|lambda|max)
@@ -259,31 +252,30 @@ def symmetric_eigen_top(a, m):
     takes over when n is small (2(m + 8) >= n) or when the iteration cannot
     vouch for its answer (see _top_subspace). On a dense a the products are
     formed as (q.T @ a).T, which a symmetric a allows and which touches less
-    BLAS scratch, and the full eigh takes (a + a.T) / 2. A SymmetricBlocks
-    is symmetric by construction: it is not checked for symmetry, its
-    products are two GEMMs per row block over half the bytes, and the full
-    eigh takes its dense() form as it is, an n x n matrix beside it only
-    there.
+    BLAS scratch, and the full eigh takes (a + a.T) / 2. A CenteredSquares
+    is checked by geodesic.double_center, which makes it: here it is not
+    checked again, its products are its own (one GEMM on the squares), and
+    the full eigh takes its dense() form as it is, the only n x n matrix
+    made beside the squares, and only there.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
     is made positive so downstream outputs are reproducible. Raises
-    NonFiniteError on inf/NaN entries, NotSymmetricError on a dense a's
+    NonFiniteError on a dense a's inf/NaN entries, NotSymmetricError on its
     asymmetry.
     """
-    packed = isinstance(a, SymmetricBlocks)
-    if not packed:
+    centered = isinstance(a, CenteredSquares)
+    if not centered:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("expected a square matrix")
-    n = a.n if packed else a.shape[0]
+    n = a.n if centered else a.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if packed:
-        _check_finite(a.buf)
+    if centered:
         product, full = a.__matmul__, a.dense
     else:
-        _check_symmetric(a, _check_finite(a))
+        _checked_row_means(a)  # for its refusals; the means go unused here
         product, full = (lambda q: (q.T @ a).T), (lambda: (a + a.T) / 2.0)
     top = _top_subspace(product, n, m) if 2 * (m + _OVERSAMPLE) < n else None
     values, vectors = top if top is not None else _top_full(full(), m)

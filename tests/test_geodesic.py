@@ -348,7 +348,7 @@ class TestPivotOrder:
         assert not any((i in first and j in second) or (i in second and j in first) for i, j in g.edges.tolist())
 
 
-class TestPermute:
+class TestToDenseWeights:
     @staticmethod
     def permutations(n):
         rng = np.random.default_rng(n)
@@ -392,7 +392,7 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (geodesic, lambda: double_center(gm.d), "tril_indices"),
+        "double_center": (linalg, lambda: double_center(np.square(gm.d)).dense(), "multiply"),
         "_pairwise_sq": (graph, lambda: graph._pairwise_sq(coords), "subtract"),
     }
 
@@ -630,13 +630,12 @@ class TestDoubleCenter:
         # the row means taken a block of rows at a time are S.mean(axis=1)'s
         # bits, and each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4
         rng = np.random.default_rng(n)
-        d = gm_from_coords(rng.normal(size=(n, 3))).d
-        s = np.square(d)
+        s = np.square(gm_from_coords(rng.normal(size=(n, 3))).d)
         r = s.mean(axis=1)
         u = 0.5 * r - 0.25 * r.mean()
         expected = s * -0.5
         expected += np.add.outer(u, u)
-        assert np.array_equal(double_center(d).dense(), expected)
+        assert np.array_equal(double_center(s).dense(), expected)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
@@ -656,30 +655,30 @@ class TestDoubleCenter:
         # one block short of, at and past a whole block of rows, and two
         # and three blocks with a partial last one
         rng = np.random.default_rng(seed)
-        d = gm_from_coords(scale * rng.normal(size=(n, 3))).d
-        packed = double_center(d)
-        assert isinstance(packed, linalg.SymmetricBlocks) and packed.n == n
-        assert packed.buf.size <= (n * n + linalg.ROW_BLOCK * n) // 2
-        b = packed.dense()
+        s = np.square(gm_from_coords(scale * rng.normal(size=(n, 3))).d)
+        op = double_center(s)
+        assert isinstance(op, linalg.CenteredSquares) and op.n == n
+        assert op.s is s  # the operator is over the squares themselves, not a copy
+        b = op.dense()
         h = np.eye(n) - 1.0 / n
-        reference = -0.5 * h @ np.square(d) @ h
+        reference = -0.5 * h @ s @ h
         top = np.max(np.abs(b))
         assert np.array_equal(b, b.T)
         assert np.max(np.abs(b - reference)) <= 1e-12 * top
         assert np.max(np.abs(b.sum(axis=1))) <= 1e-12 * top
         q = rng.normal(size=(n, 10))
-        assert np.max(np.abs(packed @ q - b @ q)) <= 1e-12 * np.max(np.abs(b @ q))
+        assert np.max(np.abs(op @ q - b @ q)) <= 1e-12 * np.max(np.abs(b @ q))
 
     @pytest.mark.parametrize("i, j", [(0, 1), (64, 3), (129, 128), (5, 199)])
     def test_asymmetric_distances_refused(self, i, j):
-        # one entry off by 1e-6 of max|d|, in a diagonal tile or across
-        # tiles, above or below the diagonal; 1e-13 passes
-        d = gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d
-        d[i, j] += 1e-6 * d.max()
+        # one squared distance off by 1e-6 of max|S|, in a diagonal tile or
+        # across tiles, above or below the diagonal; 1e-13 passes
+        s = np.square(gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d)
+        s[i, j] += 1e-6 * s.max()
         with pytest.raises(NotSymmetricError, match="exceeds 1e-10$"):
-            double_center(d)
-        d[i, j] = d[j, i] * (1.0 + 1e-13)
-        double_center(d)
+            double_center(s)
+        s[i, j] = s[j, i] * (1.0 + 1e-13)
+        double_center(s)
 
 
 def gm_from_coords(coords):
@@ -726,12 +725,14 @@ class TestClassicalMds:
             classical_mds(gm, 1)
 
     def test_asymmetric_geodesics_refused(self):
-        # a GeodesicMatrix built by hand; the blocks read only d's upper
-        # part, so without the refusal this would embed
+        # a GeodesicMatrix built by hand; the product reads both halves of
+        # the squares, so without the refusal its operator is not symmetric
         gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
         gm.d[50, 7] *= 1.0 + 1e-6
+        before = gm.d.copy()
         with pytest.raises(NotSymmetricError):
             classical_mds(gm, 2)
+        assert same_bits(gm.d, before)  # refused on the squares, and given back
 
     def test_geodesic_matrix_not_modified(self):
         gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
@@ -774,6 +775,107 @@ class TestNonFiniteGeodesics:
         gm.d[4, 1] = gm.d[1, 4] = 1e200
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
+
+
+def same_bits(a, b):
+    """Whether a and b are the same array bit for bit: dtype, shape and
+    bytes, so -0.0 differs from 0.0 and each NaN payload counts."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestSquaresInPlace:
+    """classical_mds squares gm.d in place and gives it back bitwise, or
+    squares it into a new buffer where the square roots would not."""
+
+    @staticmethod
+    def embeds_and_restores(gm, m=2):
+        before = gm.d.copy()
+        emb = classical_mds(gm, m)
+        assert same_bits(gm.d, before)
+        return emb
+
+    @pytest.mark.parametrize("k", [10, 15, 20, 30])
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_workload_cells(self, k, method):
+        # every sweep cell, on the roll at n = 800; the embed workload's cell
+        # (k = 10, stable) is one of them
+        data = gen_swiss_roll(800, 1).data
+        _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=k), method)), data)
+        assert geodesic._square_in_place(gm.d.copy())  # the path under test
+        self.embeds_and_restores(gm)
+
+    def test_tiny_pair_takes_the_copy(self):
+        # one pair at 1e-160 in a unit-scale cloud: its square, 1e-320, is
+        # subnormal, and its root would not be 1e-160
+        gm = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3)))
+        gm.d[3, 66] = gm.d[66, 3] = 1e-160
+        assert np.sqrt(np.square(1e-160)) != 1e-160
+        self.embeds_and_restores(gm)
+
+    @pytest.mark.parametrize("x", [2.0**512, 1e200], ids=["2^512", "1e200"])
+    def test_squares_that_overflow_take_the_copy(self, x):
+        gm = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3)))
+        gm.d[5, 1] = gm.d[1, 5] = x
+        before = gm.d.copy()
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+            classical_mds(gm, 2)
+        assert same_bits(gm.d, before)
+
+    def test_read_only_geodesics(self):
+        gm = gm_from_coords(np.random.default_rng(9).normal(size=(70, 3)))
+        gm.d.setflags(write=False)
+        want = classical_mds(GeodesicMatrix(d=gm.d.copy()), 2)
+        assert np.array_equal(self.embeds_and_restores(gm).coords, want.coords)
+
+    def test_integer_geodesics(self):
+        # points 0, 1, ..., n - 1 on a line: integer distances, a 1-D embedding
+        n = 70
+        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+        emb = self.embeds_and_restores(GeodesicMatrix(d=d), 1)
+        want = classical_mds(GeodesicMatrix(d=d.astype(np.float64)), 1)
+        assert np.array_equal(emb.coords, want.coords)
+
+    def test_restored_when_the_solver_raises(self, monkeypatch):
+        def failing_solver(product, n, m):
+            raise RuntimeError("solver failed")
+
+        monkeypatch.setattr(linalg, "_top_subspace", failing_solver)
+        gm = gm_from_coords(np.random.default_rng(10).normal(size=(70, 3)))
+        before = gm.d.copy()
+        with pytest.raises(RuntimeError, match="solver failed"):
+            classical_mds(gm, 2)
+        assert same_bits(gm.d, before)
+
+    @settings(PROPERTY, max_examples=300)
+    @given(e=st.integers(-511, 510), fraction=st.integers(0, 2**52 - 1))
+    @example(e=-511, fraction=0)  # 2^-511
+    @example(e=-511, fraction=1)  # its upper neighbour
+    @example(e=510, fraction=2**52 - 1)  # 2^511's lower neighbour
+    def test_roots_of_squares_in_the_range(self, e, fraction):
+        # every float in [2^-511, 2^511) is 2^e (1 + fraction 2^-52) for one such pair
+        x = math.ldexp(1.0 + math.ldexp(fraction, -52), e)
+        assert 2.0**-511 <= x < 2.0**511
+        assert math.sqrt(x * x) == x
+
+    @pytest.mark.parametrize("row", [0, 64, 129])  # the first, the second and the last, partial block
+    @pytest.mark.parametrize("x, squares", [
+        pytest.param(0.0, True, id="zero"),
+        pytest.param(2.0**-511, True, id="low"),
+        pytest.param(np.nextafter(2.0**-511, 0.0), False, id="below-low"),
+        pytest.param(np.nextafter(2.0**511, 0.0), True, id="below-high"),
+        pytest.param(2.0**511, False, id="high"),
+        pytest.param(-0.0, False, id="minus-zero"),
+        pytest.param(-1.0, False, id="negative"),
+    ])
+    def test_blocked_pass_picks_the_copy_outside_the_range(self, row, x, squares):
+        d = gm_from_coords(np.random.default_rng(11).normal(size=(130, 3))).d
+        d[row, 7] = x
+        before = d.copy()
+        assert geodesic._square_in_place(d) == squares
+        if squares:
+            assert same_bits(d, np.square(before))
+        else:  # the blocks squared before the one with x take their roots back
+            assert same_bits(d, before)
 
 
 class TestResidualVariance:
@@ -1013,7 +1115,7 @@ def projected_points(n, m):
 
 
 def full_eigh_coords(b):
-    """Top two eigenpairs of the SymmetricBlocks b from the full eigh, each
+    """Top two eigenpairs of the CenteredSquares b from the full eigh, each
     vector's largest-magnitude component made positive."""
     values, vectors = linalg._top_full(b.dense(), 2)
     for j in range(2):
@@ -1057,7 +1159,7 @@ class TestBackHalf:
         # is the least accurate one the pipeline produces; the stop rule
         # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
-        b = double_center(gm.d)
+        b = double_center(np.square(gm.d))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
@@ -1070,37 +1172,38 @@ class TestBackHalf:
         start_block = linalg._start_block
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
         emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
-        b = double_center(gm.d)
+        b = double_center(np.square(gm.d))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None
         values, vectors = full_eigh_coords(b)
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
 
     def test_memory_at_most_about_two_n2_buffers(self):
-        # beside the geodesic matrix, classical_mds holds the centered
-        # matrix's upper row blocks, (n^2 + 64 n) / 2 words, and a
-        # (ROW_BLOCK, n) scratch: 0.636 n^2 words measured at n = 800; a
-        # whole n x n centered matrix would reach 1.07. residual_variance
-        # then holds three (ROW_BLOCK, n) vectors of block scratch, about a
-        # quarter of an n x n buffer at n = 800
+        # classical_mds squares the geodesic matrix in place and holds only
+        # (ROW_BLOCK, n) scratch beside it, 0.12 n^2 words measured at n =
+        # 800; the centered matrix's upper row blocks reached 0.636, and a
+        # whole n x n one 1.07. residual_variance then holds three
+        # (ROW_BLOCK, n) vectors of block scratch, about a quarter of an n x
+        # n buffer at n = 800, which sets the peak: 0.259 measured
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
         _, rv_peak = peak_bytes(lambda: residual_variance(gm, emb))
         _, peak = peak_bytes(lambda: residual_variance(gm, classical_mds(gm, 2)))
         assert rv_peak <= 4 * geodesic.ROW_BLOCK * n * 8
-        assert peak <= 0.7 * n * n * 8
+        assert peak <= 0.35 * n * n * 8
 
     def test_full_eigh_fallback_memory(self, monkeypatch):
         # when the iteration cannot vouch for its answer, the full eigh takes
-        # the blocks' dense form as it is, with no symmetrized copy: the
-        # blocks, that matrix and eigh's n x n eigenvectors, 2.55 n^2 words
-        # measured at n = 800, where (a + a.T) / 2 beside a whole centered
-        # matrix reached 3.0
+        # the operator's dense form as it is, with no symmetrized copy: that
+        # matrix and eigh's n x n eigenvectors, 2.01 n^2 words measured at n
+        # = 800 beside the squares in place; with the centered matrix's row
+        # blocks beside them it reached 2.55, and with (a + a.T) / 2 beside a
+        # whole centered matrix 3.0
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         monkeypatch.setattr(linalg, "_top_subspace", lambda product, n, m: None)
         emb, peak = peak_bytes(lambda: classical_mds(gm, 2))
-        assert peak <= 2.7 * n * n * 8
+        assert peak <= 2.1 * n * n * 8
         monkeypatch.undo()
         assert np.max(np.abs(emb.coords - classical_mds(gm, 2).coords)) <= 1e-9 * np.max(np.abs(emb.coords))
 

@@ -10,6 +10,7 @@ from topostable import (
     GeodesicMatrix,
     RunConfig,
     SelectorConfig,
+    double_center,
     gen_swiss_roll,
     isomap_embed,
     residual_variance,
@@ -237,12 +238,11 @@ def top_subspace(a, m):
     return linalg._top_subspace(lambda q: (q.T @ a).T, a.shape[0], m)
 
 
-def pack(a):
-    """The symmetric matrix a as a linalg.SymmetricBlocks."""
-    packed = linalg.SymmetricBlocks.empty(a.shape[0])
-    for lo, blk in packed.blocks():
-        blk[...] = a[lo:lo + blk.shape[0], lo:]
-    return packed
+def squared_distances(n, seed=0):
+    """The squared distances of n normal points in 6-D, whose doubly-centered
+    matrix has six distinct positive eigenvalues and n - 6 at round-off."""
+    points = np.random.default_rng(seed).normal(size=(n, 6)) * np.arange(6.0, 0.0, -1.0)
+    return np.square(points[:, None, :] - points[None, :, :]).sum(axis=-1)
 
 
 def planted(n, top, rest_scale=1.0, seed=0):
@@ -380,16 +380,18 @@ class TestEigenOracle:
 
     @pytest.mark.parametrize("n", [20, 130])  # the full eigh, and the subspace iteration
     def test_packed_matrix_gives_the_dense_answer(self, n):
-        a = planted(n, [10.0, 5.0, 2.0], seed=n)
-        self.assert_matches_oracle(pack(a), 2, a)
+        # the doubly-centered operator over the squares against the oracle
+        # on its dense form
+        op = double_center(squared_distances(n, seed=n))
+        self.assert_matches_oracle(op, 2, op.dense())
 
     @pytest.mark.parametrize("n", [20, 130])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_packed_non_finite_entries_refused(self, n, bad):
-        packed = pack(planted(n, [10.0, 5.0]))
-        packed.buf[-1] = bad
+        s = squared_distances(n)
+        s[-1, -1] = bad
         with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
-            symmetric_eigen_top(packed, 2)
+            symmetric_eigen_top(double_center(s), 2)
 
     @pytest.mark.parametrize("i, j", [(129, 3), (70, 65), (0, 64), (127, 128)])
     def test_symmetry_check_sees_every_tile(self, i, j):

@@ -207,10 +207,10 @@ class TestCompareMethods:
 
 class TestMemory:
     """Peak traced memory of whole runs, in units of one n x n float64
-    buffer: the geodesic matrix and the centered matrix's upper row blocks,
-    about half a buffer, plus the O(n * k) tables and the (ROW_BLOCK, n)
-    scratch, which weigh more at smaller n. Each bound is the peak measured
-    at that n, both methods, plus about 0.1."""
+    buffer: the geodesic matrix, which classical scaling squares in place,
+    plus the O(n * k) tables and the (ROW_BLOCK, n) scratch, which weigh
+    more at smaller n. Each bound is the peak measured at that n, both
+    methods, plus about 0.1."""
 
     @staticmethod
     def roll(n):
@@ -219,8 +219,8 @@ class TestMemory:
         return data
 
     def embed_peak_within_bound(self, n, method, bound):
-        # a whole n x n centered matrix in place of its row blocks reached
-        # 2.09 at n = 800
+        # the centered matrix's upper row blocks beside the geodesics reached
+        # 1.66 at n = 800, and a whole n x n centered matrix 2.09
         roll = self.roll(n)
 
         def run():
@@ -232,11 +232,11 @@ class TestMemory:
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance(self, method):
-        self.embed_peak_within_bound(400, method, 1.95)  # measured 1.84-1.86
+        self.embed_peak_within_bound(400, method, 1.7)  # measured 1.58-1.60
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance_at_n800(self, method):
-        self.embed_peak_within_bound(800, method, 1.75)  # measured 1.66
+        self.embed_peak_within_bound(800, method, 1.4)  # measured 1.28
 
     def sweep_peak_within_bound(self, n, bound):
         # a cell still holding the previous cell's geodesic matrix, or a
@@ -248,10 +248,10 @@ class TestMemory:
         assert peak <= bound * n * n * 8
 
     def test_sweep_frees_each_cell_before_the_next(self):
-        self.sweep_peak_within_bound(400, 2.15)  # measured 2.07
+        self.sweep_peak_within_bound(400, 1.9)  # measured 1.81
 
     def test_sweep_frees_each_cell_before_the_next_at_n800(self):
-        self.sweep_peak_within_bound(800, 1.85)  # measured 1.77
+        self.sweep_peak_within_bound(800, 1.5)  # measured 1.39
 
     @staticmethod
     def plane(n):
