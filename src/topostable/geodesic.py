@@ -15,14 +15,17 @@ change its entry, and no step of the panel makes a pivot row reach
 further. In the nested-dissection order a panel reaches only its own part
 and the separators around it.
 
-Classical scaling runs on the geodesic matrix squared in place, through
-the doubly-centered matrix as an operator over it (double_center), and
-takes the square roots back bitwise (see classical_mds). With only
-(ROW_BLOCK, n) scratch beside it, a run peaks in Floyd, at about 1.1 n x n
-float64 buffers; only the full eigh it falls back on makes whole n x n
-matrices beside it. None puts the rows back in the points' order: classical scaling
-follows a relabelling of the points and the residual variance does not
-change under one.
+The geodesic matrix is symmetric, and is stored once, as its upper row
+blocks (linalg.SymmetricBlocks, whose block height, linalg.ROW_BLOCK, every
+step here reads from linalg when called): about half an n x n float64
+buffer, which Floyd fills and every later step reads in place. Classical
+scaling runs on it squared in place, through the doubly-centered matrix as
+an operator over it (double_center), and takes the square roots back
+bitwise (see classical_mds). With only (ROW_BLOCK, n) scratch beside it, a
+run peaks in Floyd, at about 0.65 n x n buffers; only the full eigh it
+falls back on makes whole n x n matrices. None puts the rows back in the
+points' order: classical scaling follows a relabelling of the points and
+the residual variance does not change under one.
 """
 
 import itertools
@@ -30,8 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .errors import BadDimError, NonFiniteError, ZeroVarianceError
-from .linalg import ROW_BLOCK, CenteredSquares, _check_finite, _checked_row_means, _small_ufunc_buffer, symmetric_eigen_top
+from .linalg import (
+    CenteredSquares,
+    SymmetricBlocks,
+    _check_finite,
+    _row_means,
+    _small_ufunc_buffer,
+    symmetric_eigen_top,
+)
 
 __all__ = [
     "GeodesicMatrix",
@@ -48,34 +59,44 @@ __all__ = [
 class GeodesicMatrix:
     """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
-    Row and column r of d are point points[r], an int64 array: floyd_all_pairs
+    d is a linalg.SymmetricBlocks, the matrix stored once as its upper row
+    blocks; an (n, n) array given as d is packed from its upper triangle
+    once it is found symmetric (SymmetricBlocks.of: NotSymmetricError, or
+    NonFiniteError for an inf or NaN that its mirror entry does not match).
+    Only tests and the full eigh make the whole matrix (d.dense()). Row and
+    column r of d are point points[r], an int64 array: floyd_all_pairs
     leaves them in its pivot order, and a matrix built by hand defaults to
-    the points' own order, range(n). The connected components are read
-    from d's finite entries, not stored beside it (see component_ids).
+    the points' own order, range(n). The connected components are read from
+    d's finite entries, not stored beside it (see component_ids).
     """
 
-    d: np.ndarray
+    d: SymmetricBlocks
     points: np.ndarray = None
 
     def __post_init__(self):
+        object.__setattr__(self, "d", SymmetricBlocks.of(self.d))
         if self.points is None:
             object.__setattr__(self, "points", np.arange(self.n, dtype=np.int64))
 
     @property
     def n(self):
-        return self.d.shape[0]
+        return self.d.n
 
     @property
     def component_ids(self):
         """Each row's connected component, read from d on every access:
         numbered by first appearance in row order. In the points' own
         order and in floyd_all_pairs' (see _pivot_order) that is the order
-        of each component's lowest point id."""
-        ids = np.full(self.n, -1, dtype=np.int64)
+        of each component's lowest point id. Only the upper part of each
+        component's first row is read: every lower row is labelled, so the
+        component's other rows are higher."""
+        d, n = self.d, self.n
+        ids = np.full(n, -1, dtype=np.int64)
         next_id = 0
-        for i in range(self.n):
+        for i in range(n):
             if ids[i] < 0:
-                ids[np.isfinite(self.d[i])] = next_id
+                at = d.flat(i, i)
+                ids[i + np.flatnonzero(np.isfinite(d.buf[at:at + n - i]))] = next_id
                 next_id += 1
         return ids
 
@@ -105,15 +126,14 @@ class Embedding:
 
 
 def _floyd_in_place(d):
-    """Floyd-Warshall on a dense (n, n) weight matrix d with a zero
+    """Floyd-Warshall on a linalg.SymmetricBlocks d of weights with a zero
     diagonal, in place; returns d.
 
-    d must be exactly symmetric (NeighborGraph.to_dense_weights writes each
-    edge to both entries), with no negative entry and no NaN. Step k is
-    d[i, j] = min(d[i, j], d[i, k] + d[k, j]) in the plain order of k, and
-    the result is bitwise that of the plain full-matrix recurrence at every
-    ROW_BLOCK: each update made gets the same operands, and each one skipped
-    has an inf operand, so min(x, x + inf) = x would not change it.
+    d must hold no negative entry and no NaN. Step k is d[i, j] = min(d[i,
+    j], d[i, k] + d[k, j]) in the plain order of k, and the result is bitwise
+    that of the plain full-matrix recurrence at every ROW_BLOCK: each update
+    made gets the same operands, and each one skipped has an inf operand, so
+    min(x, x + inf) = x would not change it.
 
     Row k does not change in step k, and a row's update reads only itself
     and row k. So the steps go in panels of ROW_BLOCK pivots, panel p's pivots
@@ -128,14 +148,19 @@ def _floyd_in_place(d):
     chunk gathers its rows in R at R's columns into scratch, runs the steps
     there and scatters the rows back; a chunk with no row in R is skipped.
     A chunk other than the panel's finds, before the first step, the pivots
-    none of its rows reach, and skips their steps.
+    none of its rows reach, and skips their steps. R's part left of the
+    panel's block is read from the blocks above, in their columns of the
+    panel, but only from the blocks that may reach it (near): a panel's
+    steps make finite only entries of R x R.
 
     The recurrence keeps d symmetric: d[i, k] + d[k, j] and d[j, k] +
     d[k, i] are the same float64 number. So a row reads d[i, k] from the
     saved pivot row, and a chunk other than the panel's takes only the
-    columns of R from its own first row in R on. The stale rest of the
-    panel's rows is mirrored before each panel, and of every chunk after
-    the last.
+    columns of R from its own first row in R on, all in its own block. The
+    panel's own rows take their part left of their block from the earlier
+    blocks' columns of the panel, transposed, at R's rows only, and scatter
+    back only their own block's part: the earlier chunks' steps write the
+    same numbers above.
 
     The scratch and the pivot block start on a 64-byte boundary: a
     misaligned block splits every AVX-512 store across two cache lines.
@@ -144,9 +169,9 @@ def _floyd_in_place(d):
     rows fit. take uses mode="clip", which clips nothing here, as
     mode="raise" copies through a temporary.
     """
-    n = d.shape[0]
-    chunk = min(ROW_BLOCK, n)
-    chunks = -(-n // ROW_BLOCK)
+    n, block = d.n, linalg.ROW_BLOCK  # the height of d's row blocks
+    blocks = [blk for _, blk in d.blocks()]
+    chunk, chunks = min(block, n), len(blocks)
     # the pair of blocks, rounded up to whole 64-byte lines, then the pivot
     # block, with the slack to a 64-byte boundary
     per = -(-2 * chunk * n // 8) * 8
@@ -155,29 +180,44 @@ def _floyd_in_place(d):
     scratch = room[start:start + per]
     pivots = room[start + per:start + per + chunk * n].reshape(chunk, n)
 
-    def mirror(c):
-        """Chunk c's entries left of its diagonal block, from above it."""
-        a, b = c * ROW_BLOCK, min((c + 1) * ROW_BLOCK, n)
-        d[a:b, :a] = d[:a, a:b].T
-
     def relax(p, c, reach):
         """Panel p's steps on chunk c's rows in the reach set reach, in the
         scratch: at every column of the set for the panel's own chunk
         (c == p), else at those from the chunk's first row on."""
-        k0, k1 = p * ROW_BLOCK, min((p + 1) * ROW_BLOCK, n)
-        lo, hi = np.searchsorted(reach, (c * ROW_BLOCK, (c + 1) * ROW_BLOCK)).tolist()
+        k0, k1 = p * block, min((p + 1) * block, n)
+        a, own = c * block, blocks[c]
+        lo, hi = np.searchsorted(reach, (a, a + block)).tolist()
         if lo == hi:
             return
         first = 0 if c == p else lo  # the set's column at blk's column 0
-        cols, mine = reach[first:], reach[lo:hi]
-        height, width, at = hi - lo, cols.size, lo - first  # blk's row r is its column at + r
-        # blk's rows and d's: one slice each where d's are one, else one row at a time
+        mine, upper = reach[lo:hi] - a, reach[lo:] - a  # in own's rows and columns
+        height, width, at = hi - lo, reach.size - first, lo - first  # blk's row r is its column at + r
+        # blk's rows and own's: one slice each where own's are one, else one row at a time
         whole = mine[-1] - mine[0] == height - 1
         rows = ([slice(None)], [slice(mine[0], mine[-1] + 1)]) if whole else (range(height), mine)
         blk = scratch[:height * width].reshape(height, width)
-        sums = scratch[chunk * n:chunk * n + blk.size].reshape(blk.shape)
+        spare = scratch[chunk * n:2 * chunk * n]  # sums in the steps, free until then
+        sums = spare[:blk.size].reshape(blk.shape)
+        # take copies through a temporary into a strided out, so the panel's
+        # own part goes through spare
+        part = spare[:height * (width - at)].reshape(height, width - at) if at else blk
         for r, i in zip(*rows):
-            d[i].take(cols, axis=-1, out=blk[r], mode="clip")
+            own[i].take(upper, axis=-1, out=part[r], mode="clip")
+        if at:
+            # the panel's rows left of its block: from each block above, its
+            # rows in reach at the panel's columns, through spare (take would
+            # copy a strided source), transposed
+            blk[:, at:] = part
+            strip, left = spare[:2 * block * height].reshape(2, -1)
+            strip = strip.reshape(block, height)
+            ends = np.searchsorted(reach[:lo], np.arange(block, a + 1, block)).tolist()
+            for e, (s, t) in enumerate(zip([0] + ends, ends)):
+                if s < t:
+                    top = e * block
+                    strip[...] = blocks[e][:, a - top:a - top + height]
+                    picked = left[:(t - s) * height].reshape(t - s, height)
+                    strip.take(reach[s:t] - top, axis=0, out=picked, mode="clip")
+                    blk[:, s:t] = picked.T
         if c != p:
             reached = (np.minimum.reduce(pivots[:k1 - k0, lo:hi], axis=1) < np.inf).tolist()
         for k in range(k0, k1):
@@ -189,19 +229,29 @@ def _floyd_in_place(d):
             np.add(dk[at:at + height, None], dk, out=sums)
             np.minimum(blk, sums, out=blk)
         for r, i in zip(*rows):
-            d[i, cols] = blk[r]
+            own[i, upper] = blk[r, at:]
 
+    # near[e, c]: whether block e may hold a finite entry at chunk c's
+    # columns, from the weights and then each panel's reach set with itself
+    near = np.zeros((chunks, chunks), dtype=bool)
+    for e, (a, blk) in enumerate(d.blocks()):
+        near[e, e:] = np.minimum.reduceat(np.minimum.reduce(blk, axis=0), np.arange(0, n - a, block)) < np.inf
     with _small_ufunc_buffer():
         for p in range(chunks):
-            mirror(p)
-            low = np.minimum.reduce(d[p * ROW_BLOCK:(p + 1) * ROW_BLOCK], axis=0, out=scratch[:n])
+            a, h = p * block, blocks[p].shape[0]
+            low = scratch[:n]
+            low[:a] = np.inf
+            for e in np.flatnonzero(near[:p, p]).tolist():
+                top = e * block
+                np.minimum.reduce(blocks[e][:, a - top:a - top + h], axis=1, out=low[top:top + block])
+            np.minimum.reduce(blocks[p], axis=0, out=low[a:])
             reach = np.flatnonzero(low < np.inf)
+            hit = np.unique(reach // block)
+            near[np.ix_(hit, hit)] = True
             relax(p, p, reach)
             for c in range(chunks):
                 if c != p:
                     relax(p, c, reach)
-    for c in range(1, chunks):
-        mirror(c)
     return d
 
 
@@ -282,7 +332,7 @@ def _pivot_order(g):
     while todo:
         a, b, part = todo.pop()
         size = b - a
-        if size <= ROW_BLOCK:
+        if size <= linalg.ROW_BLOCK:
             continue
         near = fresh()
         _, hi = search(min(at[a:b]), part, near, size)
@@ -318,14 +368,27 @@ def floyd_all_pairs(g):
     around it, so each panel's reach set, the only columns and rows the
     kernel touches for it, is a small share of the matrix.
 
-    The matrix is the one n x n buffer. The order's block goes before it
-    comes: points is a copy, as a view would keep the block alive. Component
-    ids are read from d when asked for (GeodesicMatrix.component_ids).
+    The matrix is held once, as its upper row blocks (_weights fills them,
+    linalg.SymmetricBlocks), about (n^2 + ROW_BLOCK n) / 2 words, and no n x
+    n buffer is made. The order's block goes before it comes: points is a
+    copy, as a view would keep the block alive. Component ids are read from
+    d when asked for (GeodesicMatrix.component_ids).
     """
     points = _pivot_order(g).copy()
     places = np.empty(g.n, np.int64)  # each point's place in the order
     places[points] = np.arange(g.n)
-    return GeodesicMatrix(d=_floyd_in_place(g.to_dense_weights(places)), points=points)
+    return GeodesicMatrix(d=_floyd_in_place(_weights(g, places)), points=points)
+
+
+def _weights(g, places):
+    """g's weights as a linalg.SymmetricBlocks with point i at row and
+    column places[i], for a permutation places of range(g.n): 0 on the
+    diagonal, inf off the edges (SymmetricBlocks.put)."""
+    d = SymmetricBlocks.full(g.n, np.inf)
+    diag = np.arange(g.n)
+    d.buf[d.flat(diag, diag)] = 0.0
+    d.put(places[g.edges[:, 0]], places[g.edges[:, 1]], g.weights)
+    return d
 
 
 def largest_component(gm, data):
@@ -336,71 +399,72 @@ def largest_component(gm, data):
     id (GeodesicMatrix.component_ids). Returns (sub_data, sub_gm, kept)
     where kept holds the point ids of sub_gm's rows, in gm's row order,
     and sub_data those points in that order. The components are read from
-    gm.d's finite entries, once per call. When nothing is dropped, gm comes
-    back as it is, not copied.
+    gm.d's finite entries, once per call, and the kept rows' upper parts
+    are gathered into a new packed matrix (SymmetricBlocks.take). When
+    nothing is dropped, gm comes back as it is, not copied.
     """
     ids = gm.component_ids
     rows = np.flatnonzero(ids == np.argmax(np.bincount(ids)))
     kept = gm.points[rows]
     if rows.size < gm.n:
-        gm = GeodesicMatrix(d=gm.d[np.ix_(rows, rows)], points=kept)
+        gm = GeodesicMatrix(d=gm.d.take(rows), points=kept)
     return data.subset(kept), gm, kept
 
 
 def _all_finite(d):
-    """Whether every entry of d is finite, without an n x n mask: min and
-    max propagate NaN, and between them catch -inf and inf."""
+    """Whether every entry of d is finite, without a mask of d's size: min
+    and max propagate NaN, and between them catch -inf and inf."""
     return bool(np.isfinite(d.min()) and np.isfinite(d.max()))
 
 
 def double_center(s):
-    """-H S H / 2 with S the squared distances s and H the centering matrix
-    I - ones/n, as a linalg.CenteredSquares over s itself: no copy, and no
-    n x n matrix beside it. With r the row means of S and g their mean, it
-    is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column means being the row
-    means. One pass over blocks of ROW_BLOCK rows (linalg._checked_row_means)
-    takes the row means, S.mean(axis=1)'s bits, and refuses before any
-    product: an inf or NaN entry, or a row whose sum overflows, with
-    NonFiniteError (restrict to one component first), and max|S - S.T| >
-    1e-10 max|S| with NotSymmetricError. s is not modified.
+    """-H S H / 2 with S the squared distances s and H the centering matrix I -
+    ones/n, as a linalg.CenteredSquares over s itself: no copy, and no n x n
+    matrix beside it. s is a linalg.SymmetricBlocks, symmetric by
+    construction and not checked, or an (n, n) array, refused when it is not
+    symmetric and packed from its upper triangle (SymmetricBlocks.of:
+    NotSymmetricError beyond 1e-10 max|s|). With r the row means of S and g
+    their mean, it is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column means
+    being the row means. One pass over s's blocks (linalg._row_means) takes
+    the row means and refuses before any product: an inf or NaN entry, or a
+    row whose sum overflows, with NonFiniteError (restrict to one component
+    first). s is not modified.
     """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ValueError("expected a square matrix")
-    row = _checked_row_means(s)
+    s = SymmetricBlocks.of(s)
+    row = _row_means(s)
     _check_finite(row)
     return CenteredSquares(s, 0.5 * row - 0.25 * row.mean())
 
 
 def _square_in_place(d):
-    """Square the geodesic matrix d in place if the square roots give it
-    back bitwise, and say whether it did: d must be a writeable, contiguous
-    float64 array whose every entry is 0 or in [2^-511, 2^511), where
-    sqrt(fl(x^2)) = x in binary64 (x^2 neither overflows nor is subnormal).
+    """Square the geodesic matrix d, a linalg.SymmetricBlocks, in place if
+    the square roots give it back bitwise, and say whether it did: every
+    entry must be 0 or in [2^-511, 2^511), where sqrt(fl(x^2)) = x in
+    binary64 (x^2 neither overflows nor is subnormal).
 
-    One pass over blocks of ROW_BLOCK rows, on d's bits as uint64, which
-    order non-negative floats as their values do: a block whose largest
-    bits are below 2^511's, and whose bits less one (in a scratch, 0
-    wrapping to the top) are at least 2^-511's less one, is squared while
-    in cache. At the first other block the squared ones take their roots
-    back, and from there each block takes the finite test, its min and max:
-    inf or NaN raises NonFiniteError (restrict to one component first).
+    One pass over d's buffer in pieces of ROW_BLOCK n words, on its bits as
+    uint64, which order non-negative floats as their values do: a piece
+    whose largest bits are below 2^511's, and whose bits less one (in a
+    scratch, 0 wrapping to the top) are at least 2^-511's less one, is
+    squared while in cache. At the first other piece the squared ones take
+    their roots back, and from there each piece takes the finite test, its
+    min and max: inf or NaN raises NonFiniteError (restrict to one
+    component first).
     """
-    exact = d.dtype == np.float64 and d.flags.writeable and (d.flags.c_contiguous or d.flags.f_contiguous)
-    if exact:
-        bits, (low, high) = d.view(np.uint64), np.array([2.0**-511, 2.0**511]).view(np.uint64)
-        scratch = np.empty((min(ROW_BLOCK, d.shape[0]), d.shape[1]), np.uint64)
-    for a in range(0, d.shape[0], ROW_BLOCK):
-        rows = d[a:a + ROW_BLOCK]
+    buf, step = d.buf, linalg.ROW_BLOCK * d.n
+    bits, (low, high) = buf.view(np.uint64), np.array([2.0**-511, 2.0**511]).view(np.uint64)
+    scratch = np.empty(min(step, buf.size), np.uint64)
+    exact = True
+    for a in range(0, buf.size, step):
+        piece = buf[a:a + step]
         if exact:
-            blk = bits[a:a + ROW_BLOCK]
-            less_one = np.subtract(blk, 1, out=scratch[:blk.shape[0]])
-            if blk.max() < high and less_one.min() >= low - 1:
-                np.square(rows, out=rows)
+            less_one = np.subtract(bits[a:a + step], 1, out=scratch[:piece.size])
+            if bits[a:a + step].max() < high and less_one.min() >= low - 1:
+                np.square(piece, out=piece)
                 continue
             exact = False
-            np.sqrt(d[:a], out=d[:a])
-        if not _all_finite(rows):
+            np.sqrt(buf[:a], out=buf[:a])
+        if not _all_finite(piece):
             raise NonFiniteError("geodesic matrix spans multiple components")
     return exact
 
@@ -416,20 +480,20 @@ def classical_mds(gm, m):
 
     gm.d holds the squares while MDS runs: _square_in_place squares it, and
     a finally takes the square roots back, its own bits. A gm.d that would
-    not come back bitwise (an entry 0 < x < 2^-511 or x >= 2^511, or a
-    read-only, non-float64 or strided array) is squared into a new buffer.
+    not come back bitwise (an entry 0 < x < 2^-511 or x >= 2^511) is
+    squared into a new buffer.
     """
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
-    d = np.asarray(gm.d)
+    d = gm.d
     in_place = _square_in_place(d)
-    s = d if in_place else np.square(d, dtype=np.float64)
+    s = d if in_place else SymmetricBlocks(n, np.square(d.buf))
     try:
         values, vectors = symmetric_eigen_top(double_center(s), m)
     finally:
         if in_place:
-            np.sqrt(d, out=d)
+            np.sqrt(d.buf, out=d.buf)
     vectors *= np.sqrt(np.maximum(values, 0.0))
     return Embedding(coords=vectors, eigenvalues=values)
 
@@ -442,13 +506,13 @@ def residual_variance(gm, emb):
     embedding explains the geodesic structure perfectly (up to uniform
     scaling).
 
-    One pass over blocks of ROW_BLOCK rows. A block's pairs are its diagonal
-    block's strict upper triangle, taken through flat indices made once,
-    and the rectangle right of it, one contiguous copy; each side gathers
-    them into one scratch vector of ROW_BLOCK * n values. The squared
-    embedded distances are summed one coordinate column at a time from
-    np.subtract.outer differences, with no (block, n, m) buffer, and their
-    square roots taken last. Each side's min and max are taken before
+    One pass over gm.d's row blocks (linalg.SymmetricBlocks). A block's
+    pairs are its diagonal tile's strict upper triangle, taken through flat
+    indices, and the rectangle right of the tile, one contiguous copy; each
+    side gathers them into one scratch vector of ROW_BLOCK * n values. The
+    squared embedded distances are summed one coordinate column at a time
+    from np.subtract.outer differences, with no (block, n, m) buffer, and
+    their square roots taken last. Each side's min and max are taken before
     centering, for the constant-side test: the mean of a constant need not
     round back to it. The block then centers its vectors on its own means
     and takes its sums of squares and of products with np.dot, and the
@@ -468,48 +532,42 @@ def residual_variance(gm, emb):
         raise ValueError("embedding and geodesic matrix cover different point sets")
     if n < 3:
         raise ValueError(f"residual variance undefined: needs at least 3 points, got {n}")
-    d = np.asarray(gm.d, dtype=np.float64)
-    if not _all_finite(d):
+    if not _all_finite(gm.d.buf):
         raise NonFiniteError("geodesic matrix spans multiple components")
     if not _all_finite(emb.coords):
         raise NonFiniteError("embedding has non-finite coordinates")
     cols = emb.coords.T.copy()  # one contiguous row per coordinate column
-    chunk = min(ROW_BLOCK, n)
+    chunk = min(linalg.ROW_BLOCK, n)
     # squares is zeroed: with no coordinate column every embedded distance is 0
     geo, euclid, squares = np.empty(chunk * n), np.empty(chunk * n), np.zeros(chunk * n)
-
-    def upper(h):
-        """Flat indices, in h rows of n from a diagonal entry on, of the
-        strict upper triangle of the h x h block there."""
-        i, j = np.triu_indices(h, 1)
-        return i * n + j
-
-    full = upper(chunk)
+    full = np.triu_indices(chunk, 1)
     lows, highs = [np.inf, np.inf], [-np.inf, -np.inf]
     # Python floats: a product that overflows is inf, with no warning
     count, mean_g, mean_e, sgg, see, sge = 0, 0.0, 0.0, 0.0, 0.0, 0.0
     with _small_ufunc_buffer():  # each 2-D call here runs three to four times faster
-        for a in range(0, n - 1, ROW_BLOCK):  # the last row has no pair of its own
-            b = min(a + ROW_BLOCK, n)
-            h = b - a
-            tri = full if h == chunk else upper(h)
-            t, size = tri.size, tri.size + h * (n - b)
+        for a, blk in gm.d.blocks():
+            h, w = blk.shape
+            if w < 2:  # the last row alone has no pair of its own
+                break
+            i, j = full if h == chunk else np.triu_indices(h, 1)
+            tri = i * w + j  # the tile's strict upper triangle, in rows of w
+            t, size = tri.size, tri.size + h * (w - h)
             g, e = geo[:size], euclid[:size]
             # mode="raise" would copy through a temporary
-            np.take(d[a:b].reshape(-1)[a:], tri, out=g[:t], mode="clip")
-            g[t:].reshape(h, n - b)[...] = d[a:b, b:]
-            # the block's rows against columns a on, in rows of n, so that tri
-            # indexes them too; euclid holds each later column's squares
-            acc = squares[:h * n].reshape(h, n)[:, :n - a]
-            later = euclid[:h * n].reshape(h, n)[:, :n - a]
+            np.take(blk.reshape(-1), tri, out=g[:t], mode="clip")
+            g[t:].reshape(h, w - h)[...] = blk[:, h:]
+            # the block's rows against columns a on, in rows of w, so that
+            # tri indexes them too; euclid holds each later column's squares
+            acc = squares[:h * w].reshape(h, w)
+            later = euclid[:h * w].reshape(h, w)
             for c, x in enumerate(cols):
                 out = later if c else acc
-                np.subtract.outer(x[a:b], x[a:], out=out)
+                np.subtract.outer(x[a:a + h], x[a:], out=out)
                 np.square(out, out=out)
                 if c:
                     acc += later
             np.take(squares, tri, out=e[:t], mode="clip")
-            e[t:].reshape(h, n - b)[...] = acc[:, h:]
+            e[t:].reshape(h, w - h)[...] = acc[:, h:]
             np.sqrt(e, out=e)
             for s, v in enumerate((g, e)):
                 if lows[s] >= highs[s]:  # once two distances differ, the side is not constant

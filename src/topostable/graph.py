@@ -26,15 +26,16 @@ at a smaller k is the prefix of the table at the largest k, entry for
 entry, since both are the stable argsort's; so one table serves every k,
 and each cell's edges are what its own build would give.
 
-knn_table holds one n x n buffer: the squared distances, computed in place
-over the Gram product (_pairwise_sq), and freed when it returns. The kNN
-table and the keep-mask are made a block of at most ROW_BLOCK rows at a
-time, and a selector block's (block, k, d) offsets stay near
-EDGE_BLOCK_BYTES, so the other scratch is O(ROW_BLOCK * n) plus a few
-EDGE_BLOCK_BYTES blocks plus the O(n * k) table and masks. The rows whose
-farthest probe lies in their subspace take their offsets to every point in
-chunks of rows, two (rows, d, n) buffers near EDGE_BLOCK_BYTES each, or of
-one row's when that is more: at most twice the size of the input.
+knn_table holds no n x n buffer: the squared distances are made a block of
+ROW_BLOCK rows at a time over that block's Gram product (_pairwise_sq), and
+each block's kNN rows and every stable cell's keep-mask rows are taken
+before the next block overwrites them. A selector block's (block, k, d)
+offsets stay near EDGE_BLOCK_BYTES, so the scratch is O(ROW_BLOCK * n) plus
+a few EDGE_BLOCK_BYTES blocks plus the O(n * k) table and masks. The rows
+whose farthest probe lies in their subspace take their offsets to every
+point in chunks of rows, two (rows, d, n) buffers near EDGE_BLOCK_BYTES
+each, or of one row's when that is more: at most twice the size of the
+input.
 """
 
 import math
@@ -156,59 +157,80 @@ class NeighborGraph:
     def n_edges(self):
         return self.edges.shape[0]
 
-    def to_dense_weights(self, places):
-        """Dense (n, n) weights with point i at row and column places[i], for a
-        permutation places of range(n): 0 on the diagonal, inf off-edges."""
-        d = np.full((self.n, self.n), np.inf)
-        np.fill_diagonal(d, 0.0)
-        i, j = places[self.edges[:, 0]], places[self.edges[:, 1]]
-        d[i, j] = self.weights
-        d[j, i] = self.weights
-        return d
-
 
 def _pairwise_sq(points):
-    """Squared Euclidean distances via the Gram matrix (fast, used for
-    ordering only; edge weights are recomputed exactly per pair).
+    """The squared Euclidean distances of the points, ROW_BLOCK rows at a
+    time, for ordering only; edge weights are recomputed exactly per pair.
+    Yields (lo, rows): rows holds those of points lo, lo + 1, ... to every
+    point, a view of one (ROW_BLOCK, n) buffer that the next block
+    overwrites, so no n x n buffer is made.
 
-    Entry (i, j) is (sq_i + sq_j) - 2 g_ij, written over the Gram product
-    g one block of rows at a time, so the result is the only n x n buffer.
+    A coordinate whose range does not hold 0 is first moved by the middle
+    of that range, so that the Gram terms do not cancel far from the
+    origin; a range that holds 0 is within its width of 0 already, and the
+    middle of a range on a grid of halves or integers is on that grid, so
+    distances there stay exact. Entry (i, j) is then (sq_i + sq_j) - 2 g_ij,
+    g_ij from the block's Gram product with every point and sq_i from the
+    diagonal of the Gram product of i's block with itself, clamped at 0,
+    and 0 at the point itself. Moved points are made a chunk at a time, the
+    block's rows and then the columns in chunks of at most a block's
+    ROW_BLOCK * n words, so that they never take more room than the block
+    itself: one chunk holds every point in at most ROW_BLOCK dimensions.
+    Points that need no move go to the Gram products as they are.
     """
-    g = points @ points.T
-    sq = np.diag(g).copy()
-    g *= 2.0
-    with _small_ufunc_buffer():
-        for lo in range(0, len(sq), ROW_BLOCK):
-            blk = slice(lo, lo + ROW_BLOCK)
-            np.subtract(sq[blk, None] + sq[None, :], g[blk], out=g[blk])
-        np.maximum(g, 0.0, out=g)
-    np.fill_diagonal(g, 0.0)
-    return g
+    n, dim = points.shape
+    low, high = points.min(axis=0), points.max(axis=0)
+    middle = np.where((low > 0.0) | (high < 0.0), 0.5 * (low + high), 0.0)
+    moving = bool(middle.any())
+    step = max(1, ROW_BLOCK * n // dim) if moving else n  # points per chunk of columns
 
+    def moved(x):
+        return x - middle if moving else x
 
-def _knn_indices(d2, k):
-    """(n, k) kNN table: each row's other points in ascending d2, ties
-    broken by index, cut at k. It is the stable argsort's table, entry for
-    entry, and d2 is left as it was.
-
-    The diagonal is set to -1 so that self comes first and is dropped, then
-    restored to 0. In each block of ROW_BLOCK rows, argpartition finds the
-    (k + 1)-th smallest value of each row, the cut. Every entry up to and
-    including the cut is kept, so every tie at the cut comes along, and the
-    kept entries are sorted by (value, index); the first k + 1 of them are
-    the stable argsort's first k + 1.
-    """
-    n = d2.shape[0]
-    np.fill_diagonal(d2, -1.0)
-    nn = np.empty((n, k), dtype=np.int64)
+    sq = np.empty(n)
     for lo in range(0, n, ROW_BLOCK):
-        blk = d2[lo : lo + ROW_BLOCK]
+        x = moved(points[lo:lo + ROW_BLOCK])
+        sq[lo:lo + len(x)] = np.diag(x @ x.T)
+    out = np.empty((min(ROW_BLOCK, n), n))
+    for lo in range(0, n, ROW_BLOCK):
+        x = moved(points[lo:lo + ROW_BLOCK])
+        g = out[:len(x)]
+        for c in range(0, n, step):
+            np.matmul(x, moved(points[c:c + step]).T, out=g[:, c:c + step])
+        g *= 2.0
+        with _small_ufunc_buffer():
+            np.subtract(sq[lo:lo + ROW_BLOCK, None] + sq[None, :], g, out=g)
+            np.maximum(g, 0.0, out=g)
+        own = np.arange(len(x))
+        g[own, lo + own] = 0.0
+        yield lo, g
+
+
+def _knn_indices(d2, k, lo=0):
+    """(h, k) kNN rows of the points lo, ..., lo + h - 1, whose squared
+    distances to every point are d2's h rows: each row's other points in
+    ascending d2, ties broken by index, cut at k. It is the stable
+    argsort's table, entry for entry, and d2 is left as it was.
+
+    Each point's own entry is set to -1 so that self comes first and is
+    dropped, then restored to 0. In each block of ROW_BLOCK rows,
+    argpartition finds the (k + 1)-th smallest value of each row, the cut.
+    Every entry up to and including the cut is kept, so every tie at the
+    cut comes along, and the kept entries are sorted by (value, index); the
+    first k + 1 of them are the stable argsort's first k + 1.
+    """
+    h, n = d2.shape
+    own = np.arange(h)
+    d2[own, lo + own] = -1.0
+    nn = np.empty((h, k), dtype=np.int64)
+    for top in range(0, h, ROW_BLOCK):
+        blk = d2[top : top + ROW_BLOCK]
         cut = np.take_along_axis(blk, np.argpartition(blk, k, axis=1)[:, k : k + 1], axis=1)
         rows, cols = np.divmod(np.flatnonzero(blk <= cut), n)  # rows ascend
         order = np.lexsort((cols, blk[rows, cols], rows))
         first = np.searchsorted(rows, np.arange(len(blk)))
-        nn[lo : lo + ROW_BLOCK] = cols[order[first[:, None] + np.arange(1, k + 1)]]
-    np.fill_diagonal(d2, 0.0)
+        nn[top : top + ROW_BLOCK] = cols[order[first[:, None] + np.arange(1, k + 1)]]
+    d2[own, lo + own] = 0.0
     return nn
 
 
@@ -326,16 +348,17 @@ def _stable_block(points, lo, nbrs, d2_rows, cfg):
     return keep
 
 
-def _stable_keep(points, nn, d2, cfg):
-    """(n, k) keep-mask of the stable rule over the kNN table nn, by
+def _stable_keep(points, nn, d2, cfg, lo=0):
+    """(h, k) keep-mask of the stable rule for the points lo, ..., lo + h -
+    1, over their kNN rows nn and squared-distance rows d2, by
     _stable_block on ascending row ranges of at most ROW_BLOCK rows, whose
     (block, k, d) offsets stay near EDGE_BLOCK_BYTES; the first failing
     point is the one named, as in a walk over every point."""
-    n, k = nn.shape
+    h, k = nn.shape
     step = max(1, min(ROW_BLOCK, EDGE_BLOCK_BYTES // (8 * k * points.shape[1])))
     keep = np.empty(nn.shape, dtype=bool)
-    for lo in range(0, n, step):
-        keep[lo:lo + step] = _stable_block(points, lo, nn[lo:lo + step], d2[lo:lo + step], cfg)
+    for top in range(0, h, step):
+        keep[top:top + step] = _stable_block(points, lo + top, nn[top:top + step], d2[top:top + step], cfg)
     return keep
 
 
@@ -380,7 +403,7 @@ class KnnTable:
     refused, or None, and the table at a smaller k is its prefix. masks maps
     each cell, by method and selector settings, to its (n, k) keep-mask, or
     to its refusal or selector error, stored with no traceback: one would
-    hold knn_table's frame, and so the n x n distances.
+    hold knn_table's frame, and so its block of distances.
     """
 
     data: DataSet
@@ -392,12 +415,15 @@ def knn_table(data, cells):
     """The KnnTable of data for the (cfg, method) cells of build_graph.
 
     Each distinct cell is checked once (_check_cell). The squared distances
-    are computed once, the kNN table is taken at the largest k among the
-    cells not refused, and each such cell's keep-mask from that table's
-    prefix. The n x n distances are freed on return, so the table holds
+    are computed once, a block of ROW_BLOCK rows at a time (_pairwise_sq),
+    and each block gives its rows of the kNN table, at the largest k among
+    the cells not refused, and then each stable cell's keep-mask rows from
+    that table's prefix. So no n x n buffer is made, and the table holds
     O(n * k) values. A refusal or a selector failure is kept in the cell's
     entry and raised by that cell's build_graph, so every cell fails as it
-    would alone. When every cell is refused, nothing is computed.
+    would alone: a stable cell's first failing block names its lowest
+    failing point, and the cell takes no later block. When every cell is
+    refused, nothing is computed.
     """
     distinct = {_cell_key(cfg, method): (cfg, method) for cfg, method in cells}
     masks = {}
@@ -409,19 +435,25 @@ def knn_table(data, cells):
     ready = {key: cell for key, cell in distinct.items() if key not in masks}
     if not ready:
         return KnnTable(data, None, masks)
+    n, kmax = data.n, max(cfg.k for cfg, _ in ready.values())
+    nn = np.empty((n, kmax), dtype=np.int64)
+    # each stable cell's keep-mask, filled block by block until the cell fails
+    stable = {key: (cfg, np.empty((n, cfg.k), dtype=bool)) for key, (cfg, m) in ready.items() if m == "stable"}
     # Rows sorted by the computed squared distances. The Gram product can
     # round the distances to two identical rows differently; the rounding
     # then decides.
-    d2 = _pairwise_sq(data.points)
-    nn = _knn_indices(d2, max(cfg.k for cfg, _ in ready.values()))
+    for lo, d2 in _pairwise_sq(data.points):
+        hi = lo + len(d2)
+        nn[lo:hi] = _knn_indices(d2, kmax, lo)
+        for key, (cfg, keep) in list(stable.items()):
+            try:
+                keep[lo:hi] = _stable_keep(data.points, nn[lo:hi, : cfg.k], d2, cfg, lo)
+            except (DegenerateBasisError, DegenerateComplementError) as exc:
+                masks[key] = exc.with_traceback(None)
+                del stable[key]
     for key, (cfg, method) in ready.items():
-        if method == "standard":
-            masks[key] = np.ones((data.n, cfg.k), dtype=bool)
-            continue
-        try:
-            masks[key] = _stable_keep(data.points, nn[:, : cfg.k], d2, cfg)
-        except (DegenerateBasisError, DegenerateComplementError) as exc:
-            masks[key] = exc.with_traceback(None)
+        if key not in masks:
+            masks[key] = stable[key][1] if method == "stable" else np.ones((n, cfg.k), dtype=bool)
     return KnnTable(data, nn, masks)
 
 

@@ -4,8 +4,9 @@ eigh when n is small or when the iteration cannot vouch for "algebraically
 largest" (see _top_subspace). A pure function of its input, which is a
 dense matrix or the doubly-centered squares as an operator
 (CenteredSquares, which geodesic.double_center makes over the squares
-themselves): the iteration needs only the matrix's product with a block of
-vectors, so the centered matrix is never stored.
+themselves, stored once as their upper row blocks, SymmetricBlocks): the
+iteration needs only the matrix's product with a block of vectors, so the
+centered matrix is never stored.
 """
 
 import contextlib
@@ -37,40 +38,138 @@ def _small_ufunc_buffer():
 
 
 @dataclass(frozen=True)
-class CenteredSquares:
-    """B = -H S H / 2 for the n x n squared distances s, H = I - ones/n,
-    never stored: s itself, not a copy, and u = r/2 - g/4 from s's row
-    means r and their mean g (geodesic.double_center makes it). B q is
-    -H (S (H q)) / 2, one GEMM on s, taken as (q.T @ s).T, which s's
-    symmetry allows and which touches less BLAS scratch than s @ q. dense()
-    is B, -s/2 + (u_i + u_j), exactly symmetric wherever s is; only the
-    full eigh takes it.
+class SymmetricBlocks:
+    """A symmetric n x n matrix stored once, as its upper row blocks.
+
+    Block b holds rows [a, a + h) at columns [a, n), a = ROW_BLOCK b and h =
+    min(ROW_BLOCK, n - a), row-major; the blocks lie one after another in
+    the flat float64 buffer buf, (n^2 + ROW_BLOCK n) / 2 words when
+    ROW_BLOCK divides n. Each diagonal tile is held whole and is symmetric
+    itself. This is the packed-symmetric idea of the Rectangular Full Packed
+    format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 2010), in row
+    blocks, so that every block is a plain strided matrix for BLAS.
     """
 
-    s: np.ndarray
+    n: int
+    buf: np.ndarray
+
+    @classmethod
+    def full(cls, n, value):
+        """Every entry value."""
+        return cls(n, np.full(sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK)), value))
+
+    @classmethod
+    def of(cls, a):
+        """a itself when it is a SymmetricBlocks, else the square array a
+        packed from its upper triangle, into a new buffer, once the whole
+        array is checked to be symmetric (_check_symmetric with inf and NaN
+        allowed where their mirror entries match)."""
+        if isinstance(a, cls):
+            return a
+        a = np.asarray(a, dtype=np.float64)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError("expected a square matrix")
+        _check_symmetric(a, finite=False)
+        out = cls.full(a.shape[0], 0.0)
+        for lo, blk in out.blocks():
+            blk[...] = a[lo:lo + blk.shape[0], lo:]
+            tile = blk[:, :blk.shape[0]]
+            lower = np.tril_indices(blk.shape[0], -1)
+            tile[lower] = tile.T[lower]
+        return out
+
+    def blocks(self):
+        """(a, block) for each row block: block views rows [a, a + h) at
+        columns [a, n), its diagonal tile first."""
+        at = 0
+        for a in range(0, self.n, ROW_BLOCK):
+            h, w = min(ROW_BLOCK, self.n - a), self.n - a
+            yield a, self.buf[at:at + h * w].reshape(h, w)
+            at += h * w
+
+    def flat(self, i, j):
+        """buf's index of entry (i, j), for j at or right of the first column
+        of row i's block (j >= i suffices): the blocks before it hold
+        ROW_BLOCK rows each. i and j may be arrays."""
+        c = i // ROW_BLOCK
+        a = c * ROW_BLOCK
+        return ROW_BLOCK * (c * self.n - ROW_BLOCK * c * (c - 1) // 2) + (i - a) * (self.n - a) + (j - a)
+
+    def put(self, i, j, values):
+        """Set entries (i, j) and (j, i) to values, for int arrays i and j of
+        values' length, at each place the blocks hold them: both places in
+        a diagonal tile, else the one in the higher block."""
+        for x, y in ((i, j), (j, i)):
+            held = y // ROW_BLOCK >= x // ROW_BLOCK
+            self.buf[self.flat(x[held], y[held])] = values[held]
+
+    def take(self, rows):
+        """The matrix at rows and the same columns, as a new SymmetricBlocks,
+        each block gathered from buf through a (ROW_BLOCK, len(rows)) index."""
+        rows = np.asarray(rows, dtype=np.int64)
+        out = SymmetricBlocks.full(rows.size, 0.0)
+        for a, blk in out.blocks():
+            i, j = rows[a:a + blk.shape[0], None], rows[None, a:]
+            np.take(self.buf, self.flat(np.minimum(i, j), np.maximum(i, j)), out=blk)
+        return out
+
+    def __matmul__(self, q):
+        """The matrix times the (n, p) array q, two GEMMs per block: its rows
+        times q, and the transpose of its part right of the diagonal tile,
+        the rows below the tile, times q; so each tile counts once. The
+        second is formed as (q.T @ part).T: at n = 3200 it touches 1.25 MB
+        of OpenBLAS scratch where part.T @ q touches 4.9 MB, and it is the
+        faster of the two there."""
+        y = np.zeros((self.n, q.shape[1]))
+        for a, blk in self.blocks():
+            h = blk.shape[0]
+            y[a:a + h] += blk @ q[a:]
+            y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
+        return y
+
+    def dense(self):
+        """The whole matrix, as a new (n, n) array."""
+        out = np.empty((self.n, self.n))
+        for a, blk in self.blocks():
+            h = blk.shape[0]
+            out[a:a + h, a:] = blk
+            out[a + h:, a:a + h] = blk[:, h:].T
+        return out
+
+
+@dataclass(frozen=True)
+class CenteredSquares:
+    """B = -H S H / 2 for the squared distances s, a SymmetricBlocks, H = I -
+    ones/n, never stored: s itself, not a copy, and u = r/2 - g/4 from s's
+    row means r and their mean g (geodesic.double_center makes it). B q is
+    -H (S (H q)) / 2, two GEMMs per block of s (SymmetricBlocks.@). dense()
+    is B, -s/2 + (u_i + u_j), exactly symmetric; only the full eigh takes
+    it.
+    """
+
+    s: SymmetricBlocks
     u: np.ndarray
 
     @property
     def n(self):
-        return self.s.shape[0]
+        return self.s.n
 
     def __matmul__(self, q):
-        q = q - q.mean(axis=0)
-        y = q.T @ self.s
-        y -= y.mean(axis=1, keepdims=True)
+        y = self.s @ (q - q.mean(axis=0))
+        y -= y.mean(axis=0)
         y *= -0.5
-        return y.T
+        return y
 
     def dense(self):
-        """B as a new (n, n) array, filled a block of ROW_BLOCK rows at a
-        time through a (ROW_BLOCK, n) scratch."""
+        """B as a new (n, n) array: s.dense(), then a block of ROW_BLOCK rows
+        at a time through a (ROW_BLOCK, n) scratch."""
         n, u = self.n, self.u
-        out = np.empty((n, n))
+        out = self.s.dense()
         scratch = np.empty((min(ROW_BLOCK, n), n))
         with _small_ufunc_buffer():
             for a in range(0, n, ROW_BLOCK):
                 blk = out[a:a + ROW_BLOCK]
-                np.multiply(self.s[a:a + ROW_BLOCK], -0.5, out=blk)
+                np.multiply(blk, -0.5, out=blk)
                 blk += np.add.outer(u[a:a + ROW_BLOCK], u, out=scratch[:blk.shape[0]])
         return out
 
@@ -107,32 +206,53 @@ def _check_finite(a):
     return scale
 
 
-def _checked_row_means(a):
-    """a.mean(axis=1)'s bits for a square a, from one pass over blocks of
-    ROW_BLOCK rows [i, j) that also refuses a non-finite a (NonFiniteError,
-    _check_finite on each block's rows) and, after the pass, an asymmetric
-    one (NotSymmetricError, max|a - a.T| > 1e-10 max|a|). Each block's part
-    left of column j is copied, transposed, into a (j, j - i) scratch while
-    its rows are in cache, and compared with the column strip a[:j, i:j]:
-    every pair once, diagonal tiles included. Run at numpy's default ufunc
-    buffer size, at which that copy takes a third of the time it takes at
-    the smallest."""
+def _row_means(s):
+    """The row means of the SymmetricBlocks s, from one pass over its blocks
+    that also refuses a non-finite s (NonFiniteError, _check_finite on each
+    block). A block adds its row sums to its own rows, and its column sums
+    right of its diagonal tile to the rows below the tile."""
+    sums = np.zeros(s.n)
+    for a, blk in s.blocks():
+        _check_finite(blk)
+        h = blk.shape[0]
+        sums[a:a + h] += blk.sum(axis=1)
+        sums[a + h:] += blk[:, h:].sum(axis=0)
+    return sums / s.n
+
+
+def _check_symmetric(a, finite=True):
+    """Raise NotSymmetricError when max|a - a.T| > 1e-10 max|a| over the
+    square matrix a's finite entries. With finite, raise NonFiniteError
+    first when a has an inf or NaN entry; without, when one faces an entry
+    that is not the same inf, or not NaN. Each block of ROW_BLOCK rows [i,
+    j) is checked for finite entries and its part left of column j is
+    copied, transposed, into a (j, j - i) scratch while its rows are in
+    cache, and compared with the column strip a[:j, i:j]: every pair once,
+    diagonal tiles included. Run at numpy's default ufunc buffer size, at
+    which that copy takes a third of the time it takes at the smallest."""
     n = a.shape[0]
-    means = np.empty(n)
     scratch = np.empty((n, min(ROW_BLOCK, n)))
     scale = asym = 0.0
     for i in range(0, n, ROW_BLOCK):
         j = min(i + ROW_BLOCK, n)
-        rows = a[i:j]
-        rows.mean(axis=1, out=means[i:j])
-        scale = max(scale, _check_finite(rows))
+        rows, strip = a[i:j], a[:j, i:j]
         diff = scratch[:j, :j - i]
         diff[...] = rows[:, :j].T
-        diff -= a[:j, i:j]
+        if finite:
+            scale = max(scale, _check_finite(rows))
+            diff -= strip
+        else:
+            held = np.isfinite(rows)
+            scale = max(scale, np.abs(rows[held]).max(initial=0.0))
+            held = np.isfinite(diff)
+            facing = np.array_equal(diff[~held], strip[~held], equal_nan=True)
+            if not (np.array_equal(held, np.isfinite(strip)) and facing):
+                raise NonFiniteError("matrix has non-finite entries that its transpose does not match")
+            np.subtract(diff, strip, out=diff, where=held)
+            diff[~held] = 0.0
         asym = max(asym, np.abs(diff, out=diff).max())
     if scale > 0.0 and asym > 1e-10 * scale:
         raise NotSymmetricError(f"relative asymmetry {asym / scale:.3e} exceeds 1e-10")
-    return means
 
 
 def _top_full(a, m):
@@ -254,9 +374,9 @@ def symmetric_eigen_top(a, m):
     formed as (q.T @ a).T, which a symmetric a allows and which touches less
     BLAS scratch, and the full eigh takes (a + a.T) / 2. A CenteredSquares
     is checked by geodesic.double_center, which makes it: here it is not
-    checked again, its products are its own (one GEMM on the squares), and
-    the full eigh takes its dense() form as it is, the only n x n matrix
-    made beside the squares, and only there.
+    checked again, its products are its own (two GEMMs per row block of the
+    squares), and the full eigh takes its dense() form as it is, the only n
+    x n matrix made beside the squares, and only there.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
@@ -275,7 +395,7 @@ def symmetric_eigen_top(a, m):
     if centered:
         product, full = a.__matmul__, a.dense
     else:
-        _checked_row_means(a)  # for its refusals; the means go unused here
+        _check_symmetric(a)
         product, full = (lambda q: (q.T @ a).T), (lambda: (a + a.T) / 2.0)
     top = _top_subspace(product, n, m) if 2 * (m + _OVERSAMPLE) < n else None
     values, vectors = top if top is not None else _top_full(full(), m)

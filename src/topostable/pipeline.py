@@ -96,8 +96,8 @@ def compare_methods(data, cells):
     what isomap_embed and residual_variance give for that cell alone.
 
     One KnnTable serves every cell (knn_table), so each distinct cell is
-    checked once, and the n x n distances are computed once and freed
-    before the first cell runs. A failed cell (selector degeneracy,
+    checked once, and the distances are computed once, a block of rows at a
+    time, before the first cell runs. A failed cell (selector degeneracy,
     disconnection artifacts, config invalid for this data) is recorded as a
     marker row with residual variance NaN and all points counted as
     dropped, instead of aborting the sweep.

@@ -41,10 +41,16 @@ def cross_plane_edges(g, side):
     return int(np.sum((s0 != s1) & (s0 != 2) & (s1 != 2)))
 
 
+def pairwise_sq(points):
+    """The squared distances the graph orders by, as one (n, n) array:
+    graph._pairwise_sq's row blocks, stacked."""
+    return np.vstack([rows.copy() for _, rows in graph._pairwise_sq(points)])
+
+
 def nearest_neighbors(data, p, k):
     """Reference kNN list of point p, sorted on its own: row p of the
     computed squared distances in stable (index) order, with p dropped."""
-    order = np.argsort(graph._pairwise_sq(data.points)[p], kind="stable")
+    order = np.argsort(pairwise_sq(data.points)[p], kind="stable")
     return order[order != p][:k]
 
 
@@ -52,7 +58,7 @@ def stable_neighbors(data, p, cfg):
     """Reference neighbor list of point p under the angle-filtered rule:
     p's own kNN list filtered by the one-point reference selector."""
     graph._check_cell(data, cfg, "stable")
-    d2_row = graph._pairwise_sq(data.points)[p]
+    d2_row = pairwise_sq(data.points)[p]
     nbrs = nearest_neighbors(data, p, cfg.k)
     keep = _stable_select(data.points, p, nbrs, d2_row, cfg)
     return [int(j) for j in nbrs[keep]]

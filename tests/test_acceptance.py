@@ -124,7 +124,7 @@ def test_criterion_5_shortest_path_equivalence():
         weights = rng.uniform(0.1, 1.0, int(mask.sum()))
         g = NeighborGraph(n=n, edges=edges, weights=weights)
         gm = floyd_all_pairs(g)
-        df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
+        df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         if finite.any():

@@ -75,10 +75,20 @@ def blocks_graph(rng, sizes, p):
     return graph_from_edges(n, edge_list)
 
 
+def dense_weights(g):
+    """g's (n, n) weights in the points' own order: 0 on the diagonal, inf
+    off the edges, each edge at both of its entries."""
+    d = np.full((g.n, g.n), np.inf)
+    np.fill_diagonal(d, 0.0)
+    d[g.edges[:, 0], g.edges[:, 1]] = g.weights
+    d[g.edges[:, 1], g.edges[:, 0]] = g.weights
+    return d
+
+
 def floyd_reference(g, order):
     """The plain Floyd-Warshall recurrence, one full-matrix update per
     pivot k, with k taken in the given order."""
-    d = g.to_dense_weights(np.arange(g.n))
+    d = dense_weights(g)
     for k in order:
         np.minimum(d, d[:, k, None] + d[None, k, :], out=d)
     return d
@@ -115,24 +125,24 @@ ORACLE_GRAPHS = {
 class TestAllPairs:
     def test_single_path(self, apsp):
         gm = apsp(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]))
-        assert gm.d[0, 2] == 3.0
+        assert gm.d.dense()[0, 2] == 3.0
         assert np.array_equal(gm.component_ids, [0, 0, 0])
 
     def test_disconnected(self, apsp):
         gm = apsp(graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
-        assert np.isinf(gm.d[0, 2]) and np.isinf(gm.d[1, 3])
-        assert gm.d[0, 1] == 1.0
+        assert np.isinf(gm.d.dense()[0, 2]) and np.isinf(gm.d.dense()[1, 3])
+        assert gm.d.dense()[0, 1] == 1.0
         assert np.array_equal(gm.component_ids, [0, 0, 1, 1])
 
     def test_triangle_heavy_edge_bypassed(self, apsp):
         gm = apsp(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]))
-        assert gm.d[0, 2] == 2.0
+        assert gm.d.dense()[0, 2] == 2.0
 
     def test_empty_graph(self, apsp):
         gm = apsp(graph_from_edges(3, []))
         off = ~np.eye(3, dtype=bool)
-        assert np.all(np.isinf(gm.d[off]))
-        assert np.all(np.diag(gm.d) == 0.0)
+        assert np.all(np.isinf(gm.d.dense()[off]))
+        assert np.all(np.diag(gm.d.dense()) == 0.0)
         assert np.array_equal(gm.component_ids, [0, 1, 2])
 
 
@@ -140,7 +150,7 @@ class TestFloydDijkstraAgreement:
     def test_random_sparse_n50(self):
         g = random_graph(np.random.default_rng(1), 50, 0.1)
         gm = floyd_all_pairs(g)
-        df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
+        df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -151,7 +161,7 @@ class TestFloydDijkstraAgreement:
             n = int(rng.integers(2, 60))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
             gm = floyd_all_pairs(g)
-            df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
+            df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             if finite.any():
@@ -162,7 +172,7 @@ class TestFloydDijkstraAgreement:
         for n, p in ((20, 0.3), (40, 0.15)):
             g = random_graph(rng, n, p)
             gm = floyd_all_pairs(g)
-            df, dd = gm.d, in_rows(gm, dijkstra_all_pairs(g).d)
+            df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -171,13 +181,13 @@ class TestFloydDijkstraAgreement:
         rng = np.random.default_rng(3)
         g = random_graph(rng, 40, 0.15)
         gm = floyd_all_pairs(g)
-        assert np.array_equal(gm.d, gm.d.T)
-        assert np.all(np.diag(gm.d) == 0.0)
-        finite = np.isfinite(gm.d)
+        assert np.array_equal(gm.d.dense(), gm.d.dense().T)
+        assert np.all(np.diag(gm.d.dense()) == 0.0)
+        finite = np.isfinite(gm.d.dense())
         for _ in range(200):
             i, j, k = rng.integers(0, 40, size=3)
             if finite[i, j] and finite[i, k] and finite[k, j]:
-                assert gm.d[i, j] <= gm.d[i, k] + gm.d[k, j] + 1e-9
+                assert gm.d.dense()[i, j] <= gm.d.dense()[i, k] + gm.d.dense()[k, j] + 1e-9
 
 
 def on_threads(workers, call):
@@ -220,14 +230,15 @@ class TestFloydOracle:
     def test_equals_plain_recurrence(self, name, workers, chunk, monkeypatch):
         build, components = ORACLE_GRAPHS[name]
         g = build(np.random.default_rng(7))
-        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
+        monkeypatch.setattr(linalg, "ROW_BLOCK", chunk)
         reference = pivoted_reference(g)
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
             if components is not None:
                 assert int(gm.component_ids.max()) + 1 == components
-            assert np.array_equal(gm.d, in_rows(gm, reference))
-            assert np.array_equal(gm.d, gm.d.T)
-            assert np.all(np.diag(gm.d) == 0.0)
+            d = gm.d.dense()
+            assert np.array_equal(d, in_rows(gm, reference))
+            assert np.array_equal(d, d.T)
+            assert np.all(np.diag(d) == 0.0)
 
 
 @st.composite
@@ -256,16 +267,16 @@ class TestFloydProperties:
     def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
         reference = pivoted_reference(g)
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
-            assert np.array_equal(gm.d, in_rows(gm, reference))
-            assert np.array_equal(gm.d, gm.d.T)
+            assert np.array_equal(gm.d.dense(), in_rows(gm, reference))
+            assert np.array_equal(gm.d.dense(), gm.d.dense().T)
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
         # with a short last chunk
         n = 1340
-        assert n % geodesic.ROW_BLOCK
+        assert n % linalg.ROW_BLOCK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         gm = floyd_all_pairs(g)
-        assert np.array_equal(gm.d, in_rows(gm, pivoted_reference(g)))
+        assert np.array_equal(gm.d.dense(), in_rows(gm, pivoted_reference(g)))
 
     @pytest.mark.parametrize(
         "points",
@@ -278,7 +289,7 @@ class TestFloydProperties:
         # relative to the largest geodesic
         g = build_graph(DataSet(points), SelectorConfig(k=10), "stable")
         gm = floyd_all_pairs(g)
-        d, natural = gm.d, in_rows(gm, floyd_reference(g, range(g.n)))
+        d, natural = gm.d.dense(), in_rows(gm, floyd_reference(g, range(g.n)))
         finite = np.isfinite(natural)
         assert np.array_equal(np.isfinite(d), finite)
         assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
@@ -286,8 +297,8 @@ class TestFloydProperties:
 
 def kernel_in_natural_order(g):
     """_floyd_in_place on g's weights in the points' own order, with no
-    pivot order."""
-    return geodesic._floyd_in_place(g.to_dense_weights(np.arange(g.n)))
+    pivot order, as an (n, n) array."""
+    return geodesic._floyd_in_place(geodesic._weights(g, np.arange(g.n))).dense()
 
 
 class TestFloydKernelNaturalOrder:
@@ -301,7 +312,7 @@ class TestFloydKernelNaturalOrder:
     @pytest.mark.parametrize("name, workers, chunk", oracle_cases((1, 2)))
     def test_oracle_graphs(self, name, workers, chunk, monkeypatch):
         g = ORACLE_GRAPHS[name][0](np.random.default_rng(7))
-        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
+        monkeypatch.setattr(linalg, "ROW_BLOCK", chunk)
         reference = floyd_reference(g, range(g.n))
         for d in on_threads(workers, lambda: kernel_in_natural_order(g)):
             assert np.array_equal(d, reference)
@@ -312,7 +323,7 @@ class TestFloydKernelNaturalOrder:
     @given(g=symmetric_graphs())
     def test_random_graphs(self, workers, chunk, g):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(geodesic, "ROW_BLOCK", chunk)
+            mp.setattr(linalg, "ROW_BLOCK", chunk)
             runs = on_threads(workers, lambda: kernel_in_natural_order(g))
         reference = floyd_reference(g, range(g.n))
         for d in runs:
@@ -360,14 +371,15 @@ class TestToDenseWeights:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("edges", ["random", "none"])
     def test_weights_made_in_place_equal_the_gather(self, n, edges):
-        # point i at places[i] is the gather by the order the places invert
+        # point i at places[i] is the gather by the order the places invert,
+        # each edge written to the one or two entries the blocks hold
         rng = np.random.default_rng(n + 2)
         g = random_graph(rng, n, 0.1) if edges == "random" else graph_from_edges(n, [])
-        natural = g.to_dense_weights(np.arange(n))
+        natural = dense_weights(g)
         for order in self.permutations(n):
             places = np.empty(n, np.int64)
             places[order] = np.arange(n)
-            assert np.array_equal(g.to_dense_weights(places), natural[np.ix_(order, order)])
+            assert np.array_equal(geodesic._weights(g, places).dense(), natural[np.ix_(order, order)])
 
 
 class _ModuleProxy:
@@ -392,8 +404,8 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (linalg, lambda: double_center(np.square(gm.d)).dense(), "multiply"),
-        "_pairwise_sq": (graph, lambda: graph._pairwise_sq(coords), "subtract"),
+        "double_center": (linalg, lambda: double_center(np.square(gm.d.dense())).dense(), "multiply"),
+        "_pairwise_sq": (graph, lambda: list(graph._pairwise_sq(coords)), "subtract"),
     }
 
 
@@ -442,8 +454,8 @@ class TestFloydBufferSize:
 
 class TestFloydMemory:
     """Traced memory of Floyd's parts: the kernel holds only its scratch
-    beside the matrix, the pivot order only its one block, and a finished
-    call only its result. tracemalloc traces every thread, so callers on
+    beside the packed matrix, the pivot order only its one block, and a
+    finished call only its result. tracemalloc traces every thread, so callers on
     several threads at once are bounded together."""
 
     @staticmethod
@@ -454,7 +466,12 @@ class TestFloydMemory:
     def scratch(n):
         """Bytes of the (64, n) step and row blocks and the (64, n) pivot
         block, plus the alignment slack of a numpy buffer."""
-        return (3 * geodesic.ROW_BLOCK * n + 8) * 8
+        return (3 * linalg.ROW_BLOCK * n + 8) * 8
+
+    @staticmethod
+    def packed(n):
+        """Bytes of an n x n matrix as its upper row blocks."""
+        return linalg.SymmetricBlocks.full(n, 0.0).buf.nbytes
 
     @staticmethod
     def order_room(g):
@@ -465,8 +482,8 @@ class TestFloydMemory:
 
     def peak_and_scratch(self, name):
         g = self.graph(name)
-        geodesic._floyd_in_place(g.to_dense_weights(np.arange(g.n)))  # numpy fills its own caches once
-        d = g.to_dense_weights(np.arange(g.n))
+        geodesic._floyd_in_place(geodesic._weights(g, np.arange(g.n)))  # numpy fills its own caches once
+        d = geodesic._weights(g, np.arange(g.n))
         _, peak = peak_bytes(lambda: geodesic._floyd_in_place(d))
         return peak, self.scratch(g.n)
 
@@ -504,7 +521,7 @@ class TestFloydMemory:
 
     def test_all_pairs_keeps_only_its_result(self):
         # the order's block and its inverse are freed by the time the call
-        # returns: what stays is the matrix and its copy of the order
+        # returns: what stays is the packed matrix and its copy of the order
         g = self.graph()
         floyd_all_pairs(g)  # numpy fills its own caches once
         tracemalloc.start()
@@ -514,7 +531,7 @@ class TestFloydMemory:
             kept = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert gm.d.nbytes <= kept <= 8 * g.n * g.n + 16 * 1024
+        assert gm.d.buf.nbytes <= kept <= gm.d.buf.nbytes + 16 * 1024
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_all_pairs_holds_the_matrix_and_the_scratch(self, workers):
@@ -524,7 +541,7 @@ class TestFloydMemory:
         on_threads(workers, lambda: floyd_all_pairs(g))  # numpy fills its own caches once
         threads = peak_bytes(lambda: on_threads(workers, lambda: None))[1] if workers > 1 else 0
         _, peak = peak_bytes(lambda: on_threads(workers, lambda: floyd_all_pairs(g)))
-        assert peak <= threads + workers * (8 * g.n * g.n + self.scratch(g.n) + 16 * 1024)
+        assert peak <= threads + workers * (self.packed(g.n) + self.scratch(g.n) + 0.1 * 8 * g.n * g.n)
 
 
 class TestLargestComponent:
@@ -540,7 +557,7 @@ class TestLargestComponent:
         data = DataSet(np.arange(10.0).reshape(5, 2))
         _, sub_gm, kept = largest_component(floyd_all_pairs(g), data)
         assert np.array_equal(kept, [0, 1, 2])
-        assert np.all(np.isfinite(sub_gm.d))
+        assert np.all(np.isfinite(sub_gm.d.dense()))
 
     def test_nothing_dropped_returns_inputs(self):
         # past ROW_BLOCK points the pivot order is not the points' own
@@ -558,9 +575,9 @@ class TestLargestComponent:
         data = DataSet(np.arange(10.0).reshape(5, 2))
         gm = floyd_all_pairs(g)
         sub_data, sub_gm, _ = largest_component(gm, data)
-        assert not np.shares_memory(sub_gm.d, gm.d)
+        assert not np.shares_memory(sub_gm.d.buf, gm.d.buf)
         assert not np.shares_memory(sub_data.points, data.points)
-        assert np.array_equal(sub_gm.d, gm.d[:3, :3])
+        assert np.array_equal(sub_gm.d.dense(), gm.d.dense()[:3, :3])
 
     def test_tie_keeps_component_of_lowest_index(self):
         g = graph_from_edges(4, [(0, 2, 1.0), (1, 3, 1.0)])
@@ -574,7 +591,7 @@ class TestLargestComponent:
         # three tied components of 70 points, their ids interleaved, each
         # split off by the pivot order, and three small ones that it leaves
         # as one part of at most ROW_BLOCK points in their own order
-        monkeypatch.setattr(geodesic, "ROW_BLOCK", chunk)
+        monkeypatch.setattr(linalg, "ROW_BLOCK", chunk)
         rng = np.random.default_rng(seed)
         g = blocks_graph(rng, (70, 70, 70, 5, 3, 1), 0.1)
         data = DataSet(rng.normal(size=(g.n, 2)))
@@ -586,7 +603,7 @@ class TestLargestComponent:
         sub_data, sub_gm, kept = largest_component(gm, data)
         assert np.array_equal(np.sort(kept), np.flatnonzero(ids == ids[lowest]))
         assert np.array_equal(sub_gm.points, kept)
-        assert np.array_equal(sub_gm.d, in_rows(sub_gm, pivoted_reference(g)))
+        assert np.array_equal(sub_gm.d.dense(), in_rows(sub_gm, pivoted_reference(g)))
         assert np.array_equal(sub_data.points, data.points[kept])
 
     def test_components_read_from_the_distances(self):
@@ -600,7 +617,7 @@ class TestLargestComponent:
         assert np.array_equal(gm.component_ids, [0, 1, 1, 0, 1])
         sub_data, sub_gm, kept = largest_component(gm, DataSet(np.arange(10.0).reshape(5, 2)))
         assert np.array_equal(kept, [1, 2, 4])
-        assert np.array_equal(sub_gm.d, 1.0 - np.eye(3))
+        assert np.array_equal(sub_gm.d.dense(), 1.0 - np.eye(3))
         assert np.array_equal(sub_gm.component_ids, [0, 0, 0])
         assert np.array_equal(sub_data.points, [[2.0, 3.0], [4.0, 5.0], [8.0, 9.0]])
 
@@ -627,11 +644,20 @@ class TestDoubleCenter:
 
     @pytest.mark.parametrize("n", [1, 2, 63, 65, 130])
     def test_equals_centering_of_the_squares(self, n):
-        # the row means taken a block of rows at a time are S.mean(axis=1)'s
-        # bits, and each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4
+        # each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4, r the
+        # row means as the blocks sum them: each block's rows at their
+        # columns from the block's first on, and the columns right of its
+        # diagonal tile for the rows below the tile. Those means are within
+        # rounding of S.mean's, which sums each row in another order
         rng = np.random.default_rng(n)
-        s = np.square(gm_from_coords(rng.normal(size=(n, 3))).d)
-        r = s.mean(axis=1)
+        s = np.square(gm_from_coords(rng.normal(size=(n, 3))).d.dense())
+        sums = np.zeros(n)
+        for a in range(0, n, linalg.ROW_BLOCK):
+            b = min(a + linalg.ROW_BLOCK, n)
+            sums[a:b] += s[a:b, a:].sum(axis=1)
+            sums[b:] += s[a:b, b:].sum(axis=0)
+        r = sums / n
+        assert np.max(np.abs(r - s.mean(axis=1)) / s.mean(axis=1).clip(min=np.finfo(float).tiny)) <= 1e-15
         u = 0.5 * r - 0.25 * r.mean()
         expected = s * -0.5
         expected += np.add.outer(u, u)
@@ -655,10 +681,11 @@ class TestDoubleCenter:
         # one block short of, at and past a whole block of rows, and two
         # and three blocks with a partial last one
         rng = np.random.default_rng(seed)
-        s = np.square(gm_from_coords(scale * rng.normal(size=(n, 3))).d)
-        op = double_center(s)
+        s = np.square(gm_from_coords(scale * rng.normal(size=(n, 3))).d.dense())
+        packed = linalg.SymmetricBlocks.of(s)
+        op = double_center(packed)
         assert isinstance(op, linalg.CenteredSquares) and op.n == n
-        assert op.s is s  # the operator is over the squares themselves, not a copy
+        assert op.s is packed  # the operator is over the squares themselves, not a copy
         b = op.dense()
         h = np.eye(n) - 1.0 / n
         reference = -0.5 * h @ s @ h
@@ -673,7 +700,7 @@ class TestDoubleCenter:
     def test_asymmetric_distances_refused(self, i, j):
         # one squared distance off by 1e-6 of max|S|, in a diagonal tile or
         # across tiles, above or below the diagonal; 1e-13 passes
-        s = np.square(gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d)
+        s = np.square(gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d.dense())
         s[i, j] += 1e-6 * s.max()
         with pytest.raises(NotSymmetricError, match="exceeds 1e-10$"):
             double_center(s)
@@ -700,7 +727,7 @@ class TestClassicalMds:
         gm = gm_from_coords(coords)
         emb = classical_mds(gm, 2)
         rec = gm_from_coords(emb.coords)
-        assert np.max(np.abs(rec.d - gm.d)) <= 1e-8
+        assert np.max(np.abs(rec.d.dense() - gm.d.dense())) <= 1e-8
 
     def test_column_scaling_and_orthogonality(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -725,20 +752,21 @@ class TestClassicalMds:
             classical_mds(gm, 1)
 
     def test_asymmetric_geodesics_refused(self):
-        # a GeodesicMatrix built by hand; the product reads both halves of
-        # the squares, so without the refusal its operator is not symmetric
-        gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
-        gm.d[50, 7] *= 1.0 + 1e-6
-        before = gm.d.copy()
+        # a geodesic matrix given by hand as an (n, n) array: the blocks keep
+        # its upper triangle only, so it is refused as it is packed, and
+        # not modified
+        d = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3))).d.dense()
+        d[50, 7] *= 1.0 + 1e-6
+        before = d.copy()
         with pytest.raises(NotSymmetricError):
-            classical_mds(gm, 2)
-        assert same_bits(gm.d, before)  # refused on the squares, and given back
+            GeodesicMatrix(d=d)
+        assert same_bits(d, before)
 
     def test_geodesic_matrix_not_modified(self):
         gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
-        before = gm.d.copy()
+        before = gm.d.buf.copy()
         classical_mds(gm, 2)
-        assert np.array_equal(gm.d, before)
+        assert np.array_equal(gm.d.buf, before)
 
     def test_negative_eigenvalues_clipped(self):
         # a random non-metric "distance" matrix is indefinite after double
@@ -763,16 +791,31 @@ class TestNonFiniteGeodesics:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("stage", ["mds", "rv"])
     def test_refused(self, stage, value):
-        gm = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2)))
-        emb = classical_mds(gm, 2)
-        gm.d[4, 1] = value
+        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
+        emb = classical_mds(GeodesicMatrix(d=d), 2)
+        d[4, 1] = d[1, 4] = value
+        gm = GeodesicMatrix(d=d)
         with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
             classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("i, j", [(4, 1), (1, 4)])
+    def test_unmatched_by_its_mirror_refused(self, i, j, value):
+        # an inf or NaN on one side of the diagonal only, or facing another
+        # one, is refused as the array is packed
+        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
+        d[i, j] = value
+        with pytest.raises(NonFiniteError, match="transpose does not match$"):
+            GeodesicMatrix(d=d)
+        d[j, i] = -np.inf if value == np.inf else np.inf
+        with pytest.raises(NonFiniteError, match="transpose does not match$"):
+            GeodesicMatrix(d=d)
+
     def test_overflowing_squares_are_not_missing_paths(self):
         # finite geodesics whose squares overflow keep double_center's message
-        gm = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2)))
-        gm.d[4, 1] = gm.d[1, 4] = 1e200
+        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
+        d[4, 1] = d[1, 4] = 1e200
+        gm = GeodesicMatrix(d=d)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
@@ -784,14 +827,14 @@ def same_bits(a, b):
 
 
 class TestSquaresInPlace:
-    """classical_mds squares gm.d in place and gives it back bitwise, or
+    """classical_mds squares gm.d.dense() in place and gives it back bitwise, or
     squares it into a new buffer where the square roots would not."""
 
     @staticmethod
     def embeds_and_restores(gm, m=2):
-        before = gm.d.copy()
+        before = gm.d.buf.copy()
         emb = classical_mds(gm, m)
-        assert same_bits(gm.d, before)
+        assert same_bits(gm.d.buf, before)
         return emb
 
     @pytest.mark.parametrize("k", [10, 15, 20, 30])
@@ -801,31 +844,35 @@ class TestSquaresInPlace:
         # (k = 10, stable) is one of them
         data = gen_swiss_roll(800, 1).data
         _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=k), method)), data)
-        assert geodesic._square_in_place(gm.d.copy())  # the path under test
+        assert geodesic._square_in_place(linalg.SymmetricBlocks(gm.n, gm.d.buf.copy()))  # the path under test
         self.embeds_and_restores(gm)
 
     def test_tiny_pair_takes_the_copy(self):
         # one pair at 1e-160 in a unit-scale cloud: its square, 1e-320, is
         # subnormal, and its root would not be 1e-160
-        gm = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3)))
-        gm.d[3, 66] = gm.d[66, 3] = 1e-160
+        d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
+        d[3, 66] = d[66, 3] = 1e-160
+        gm = GeodesicMatrix(d=d)
         assert np.sqrt(np.square(1e-160)) != 1e-160
         self.embeds_and_restores(gm)
 
     @pytest.mark.parametrize("x", [2.0**512, 1e200], ids=["2^512", "1e200"])
     def test_squares_that_overflow_take_the_copy(self, x):
-        gm = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3)))
-        gm.d[5, 1] = gm.d[1, 5] = x
-        before = gm.d.copy()
+        d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
+        d[5, 1] = d[1, 5] = x
+        gm = GeodesicMatrix(d=d)
+        before = gm.d.buf.copy()
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
-        assert same_bits(gm.d, before)
+        assert same_bits(gm.d.buf, before)
 
     def test_read_only_geodesics(self):
-        gm = gm_from_coords(np.random.default_rng(9).normal(size=(70, 3)))
-        gm.d.setflags(write=False)
-        want = classical_mds(GeodesicMatrix(d=gm.d.copy()), 2)
-        assert np.array_equal(self.embeds_and_restores(gm).coords, want.coords)
+        # an (n, n) array given by hand is packed into the matrix's own
+        # buffer, which is squared in place; the array is not written
+        d = gm_from_coords(np.random.default_rng(9).normal(size=(70, 3))).d.dense()
+        d.setflags(write=False)
+        want = classical_mds(GeodesicMatrix(d=d.copy()), 2)
+        assert np.array_equal(self.embeds_and_restores(GeodesicMatrix(d=d)).coords, want.coords)
 
     def test_integer_geodesics(self):
         # points 0, 1, ..., n - 1 on a line: integer distances, a 1-D embedding
@@ -841,10 +888,10 @@ class TestSquaresInPlace:
 
         monkeypatch.setattr(linalg, "_top_subspace", failing_solver)
         gm = gm_from_coords(np.random.default_rng(10).normal(size=(70, 3)))
-        before = gm.d.copy()
+        before = gm.d.buf.copy()
         with pytest.raises(RuntimeError, match="solver failed"):
             classical_mds(gm, 2)
-        assert same_bits(gm.d, before)
+        assert same_bits(gm.d.buf, before)
 
     @settings(PROPERTY, max_examples=300)
     @given(e=st.integers(-511, 510), fraction=st.integers(0, 2**52 - 1))
@@ -857,7 +904,9 @@ class TestSquaresInPlace:
         assert 2.0**-511 <= x < 2.0**511
         assert math.sqrt(x * x) == x
 
-    @pytest.mark.parametrize("row", [0, 64, 129])  # the first, the second and the last, partial block
+    # entry (row, 129) of 130 rows: in the first piece of ROW_BLOCK * n
+    # words, and in the second, last and partial one, at its start and end
+    @pytest.mark.parametrize("row", [0, 64, 129])
     @pytest.mark.parametrize("x, squares", [
         pytest.param(0.0, True, id="zero"),
         pytest.param(2.0**-511, True, id="low"),
@@ -869,13 +918,13 @@ class TestSquaresInPlace:
     ])
     def test_blocked_pass_picks_the_copy_outside_the_range(self, row, x, squares):
         d = gm_from_coords(np.random.default_rng(11).normal(size=(130, 3))).d
-        d[row, 7] = x
-        before = d.copy()
+        d.buf[d.flat(row, 129)] = x
+        before = d.buf.copy()
         assert geodesic._square_in_place(d) == squares
         if squares:
-            assert same_bits(d, np.square(before))
-        else:  # the blocks squared before the one with x take their roots back
-            assert same_bits(d, before)
+            assert same_bits(d.buf, np.square(before))
+        else:  # the pieces squared before the one with x take their roots back
+            assert same_bits(d.buf, before)
 
 
 class TestResidualVariance:
@@ -933,7 +982,7 @@ class TestResidualVariance:
         # and no block's scratch is ever allocated
         n = 130
         d = 1.0 - np.eye(n)
-        d[n - 1, n - 2] = np.inf
+        d[n - 1, n - 2] = d[n - 2, n - 1] = np.inf
         gm = GeodesicMatrix(d=d)
         emb = Embedding(coords=np.zeros((n, 1)), eigenvalues=np.zeros(1))
         tracemalloc.start()
@@ -943,7 +992,7 @@ class TestResidualVariance:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < geodesic.ROW_BLOCK * n * 8
+        assert peak < linalg.ROW_BLOCK * n * 8
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_coordinates_refused(self, bad):
@@ -1018,7 +1067,7 @@ class TestResidualVariance:
     def test_uniform_scaling_zero(self):
         coords = np.random.default_rng(7).normal(size=(15, 2))
         gm = gm_from_coords(coords)
-        scaled = GeodesicMatrix(d=2.0 * gm.d)
+        scaled = GeodesicMatrix(d=2.0 * gm.d.dense())
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         assert residual_variance(scaled, emb) <= 1e-12
 
@@ -1036,7 +1085,7 @@ class TestResidualVariance:
         gm = gm_from_coords(other)
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         rv1 = residual_variance(gm, emb)
-        rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d), emb)
+        rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d.dense()), emb)
         assert rv1 == pytest.approx(rv2, abs=1e-12)
 
     def test_mds_round_trip_after_rigid_lift(self):
@@ -1072,7 +1121,7 @@ def dense_pairs(gm, emb):
     diff = coords[:, None, :] - coords[None, :, :]
     euclid = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     iu = np.triu_indices(gm.n, 1)
-    return gm.d[iu], euclid[iu]
+    return gm.d.dense()[iu], euclid[iu]
 
 
 def residual_variance_reference(gm, emb):
@@ -1148,7 +1197,7 @@ class TestBackHalf:
         # the blocks' sums merge differently
         gm, emb = projected_points(len(order), m)
         p = np.array(order)
-        moved = GeodesicMatrix(d=gm.d[np.ix_(p, p)])
+        moved = GeodesicMatrix(d=gm.d.dense()[np.ix_(p, p)])
         moved_emb = Embedding(coords=emb.coords[p], eigenvalues=emb.eigenvalues)
         assert residual_variance(moved, moved_emb) == pytest.approx(residual_variance(gm, emb), rel=1e-12, abs=0.0)
 
@@ -1159,7 +1208,7 @@ class TestBackHalf:
         # is the least accurate one the pipeline produces; the stop rule
         # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
-        b = double_center(np.square(gm.d))
+        b = double_center(np.square(gm.d.dense()))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
@@ -1172,31 +1221,32 @@ class TestBackHalf:
         start_block = linalg._start_block
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
         emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
-        b = double_center(np.square(gm.d))
+        b = double_center(np.square(gm.d.dense()))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None
         values, vectors = full_eigh_coords(b)
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
 
     def test_memory_at_most_about_two_n2_buffers(self):
-        # classical_mds squares the geodesic matrix in place and holds only
-        # (ROW_BLOCK, n) scratch beside it, 0.12 n^2 words measured at n =
-        # 800; the centered matrix's upper row blocks reached 0.636, and a
-        # whole n x n one 1.07. residual_variance then holds three
-        # (ROW_BLOCK, n) vectors of block scratch, about a quarter of an n x
-        # n buffer at n = 800, which sets the peak: 0.259 measured
+        # classical_mds squares the packed geodesic matrix in place and
+        # holds only (ROW_BLOCK, n) scratch beside it, 0.091 n^2 words
+        # measured at n = 800 (0.12 on a whole n x n one); the centered
+        # matrix's upper row blocks reached 0.636, and a whole n x n one
+        # 1.07. residual_variance then holds three (ROW_BLOCK, n) vectors of
+        # block scratch, about a quarter of an n x n buffer at n = 800,
+        # which sets the peak: 0.263 measured
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
         _, rv_peak = peak_bytes(lambda: residual_variance(gm, emb))
         _, peak = peak_bytes(lambda: residual_variance(gm, classical_mds(gm, 2)))
-        assert rv_peak <= 4 * geodesic.ROW_BLOCK * n * 8
+        assert rv_peak <= 4 * linalg.ROW_BLOCK * n * 8
         assert peak <= 0.35 * n * n * 8
 
     def test_full_eigh_fallback_memory(self, monkeypatch):
         # when the iteration cannot vouch for its answer, the full eigh takes
         # the operator's dense form as it is, with no symmetrized copy: that
         # matrix and eigh's n x n eigenvectors, 2.01 n^2 words measured at n
-        # = 800 beside the squares in place; with the centered matrix's row
+        # = 800 beside the packed squares in place; with the centered matrix's row
         # blocks beside them it reached 2.55, and with (a + a.T) / 2 beside a
         # whole centered matrix 3.0
         n = 800
@@ -1214,7 +1264,7 @@ class TestPipelineGraphIntegration:
         data = DataSet(rng.normal(size=(40, 3)))
         g = build_graph(data, SelectorConfig(k=6), "standard")
         gm_f = floyd_all_pairs(g)
-        d_d = in_rows(gm_f, dijkstra_all_pairs(g).d)
-        finite = np.isfinite(gm_f.d)
+        d_d = in_rows(gm_f, dijkstra_all_pairs(g).d.dense())
+        finite = np.isfinite(gm_f.d.dense())
         assert np.array_equal(finite, np.isfinite(d_d))
-        assert np.max(np.abs(gm_f.d[finite] - d_d[finite])) <= 1e-12
+        assert np.max(np.abs(gm_f.d.dense()[finite] - d_d[finite])) <= 1e-12

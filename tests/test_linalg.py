@@ -512,9 +512,10 @@ class TestPearsonR:
     def test_affine_invariance(self):
         rng = np.random.default_rng(12)
         for _ in range(50):
-            gm = GeodesicMatrix(d=rng.normal(size=(7, 7)))
+            a = rng.normal(size=(7, 7))
+            gm = GeodesicMatrix(d=a + a.T)
             emb = Embedding(coords=rng.normal(size=(7, 2)), eigenvalues=np.zeros(2))
             rv = residual_variance(gm, emb)
             for alpha, beta in ((2.0, 1.0), (-3.0, 0.5), (0.1, -7.0)):
-                moved = GeodesicMatrix(d=alpha * gm.d + beta)
+                moved = GeodesicMatrix(d=alpha * gm.d.dense() + beta)
                 assert residual_variance(moved, emb) == pytest.approx(rv, abs=1e-10)

@@ -24,7 +24,7 @@ from topostable import (
     write_report_csv,
     write_scatter_svg,
 )
-from topostable import graph, pipeline
+from topostable import graph, linalg, pipeline
 from topostable.errors import BadConfigError, BadDimError, DegenerateComplementError, TopoStableError
 
 from conftest import peak_bytes, sweep_cells
@@ -120,7 +120,7 @@ class TestIsomapEmbed:
         emb, gm, graph = isomap_embed(data, RunConfig(method="standard", k=3))
         assert gm.n == emb.coords.shape[0] == 30
         assert np.all(gm.points < 30)
-        assert np.all(np.isfinite(gm.d))
+        assert np.all(np.isfinite(gm.d.buf))
 
 
 class TestCompareMethods:
@@ -176,7 +176,8 @@ class TestCompareMethods:
         data = gen_swiss_roll(100, 3).data
         rows = compare_methods(data, sweep_cells([10, 15, 5], RunConfig(method="standard", k=10)))
         assert all(r.error is None for r in rows)
-        assert calls == ["knn_table"] + ["_check_cell"] * 6 + ["_pairwise_sq", "_knn_indices"] + ["build_graph"] * 6
+        # one pass over the distances' two row blocks
+        assert calls == ["knn_table"] + ["_check_cell"] * 6 + ["_pairwise_sq"] + ["_knn_indices"] * 2 + ["build_graph"] * 6
 
     def test_each_distinct_cell_checked_once(self, monkeypatch):
         # repeated k values share their cells' checks, and build_graph only
@@ -207,10 +208,11 @@ class TestCompareMethods:
 
 class TestMemory:
     """Peak traced memory of whole runs, in units of one n x n float64
-    buffer: the geodesic matrix, which classical scaling squares in place,
-    plus the O(n * k) tables and the (ROW_BLOCK, n) scratch, which weigh
-    more at smaller n. Each bound is the peak measured at that n, both
-    methods, plus about 0.1."""
+    buffer: the geodesic matrix as its upper row blocks, about half a
+    buffer, which classical scaling squares in place, plus the O(n * k)
+    tables and the (ROW_BLOCK, n) scratch, which weigh more at smaller n.
+    Each bound is the peak measured at that n, both methods, plus about
+    0.1."""
 
     @staticmethod
     def roll(n):
@@ -219,8 +221,9 @@ class TestMemory:
         return data
 
     def embed_peak_within_bound(self, n, method, bound):
-        # the centered matrix's upper row blocks beside the geodesics reached
-        # 1.66 at n = 800, and a whole n x n centered matrix 2.09
+        # whole n x n geodesics reached 1.28 at n = 800, with the centered
+        # matrix's upper row blocks beside them 1.66, and with a whole n x n
+        # centered matrix 2.09
         roll = self.roll(n)
 
         def run():
@@ -232,11 +235,11 @@ class TestMemory:
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance(self, method):
-        self.embed_peak_within_bound(400, method, 1.7)  # measured 1.58-1.60
+        self.embed_peak_within_bound(400, method, 1.3)  # measured 1.17-1.20
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance_at_n800(self, method):
-        self.embed_peak_within_bound(800, method, 1.4)  # measured 1.28
+        self.embed_peak_within_bound(800, method, 0.93)  # measured 0.82-0.83
 
     def sweep_peak_within_bound(self, n, bound):
         # a cell still holding the previous cell's geodesic matrix, or a
@@ -248,10 +251,10 @@ class TestMemory:
         assert peak <= bound * n * n * 8
 
     def test_sweep_frees_each_cell_before_the_next(self):
-        self.sweep_peak_within_bound(400, 1.9)  # measured 1.81
+        self.sweep_peak_within_bound(400, 1.5)  # measured 1.41
 
     def test_sweep_frees_each_cell_before_the_next_at_n800(self):
-        self.sweep_peak_within_bound(800, 1.5)  # measured 1.39
+        self.sweep_peak_within_bound(800, 1.03)  # measured 0.93
 
     @staticmethod
     def plane(n):
@@ -262,13 +265,13 @@ class TestMemory:
 
     def test_sweep_with_failing_cells_frees_the_distances(self):
         # a failed cell's stored error holding knn_table's frame would keep
-        # the n x n distances alive through the sweep, about 3.3 buffers
+        # its distance rows alive through the sweep; measured 0.86
         n = 800
         data = self.plane(n)
         build_graph(data, SelectorConfig(k=10), "standard")  # warm-up: first-call allocations
         rows, peak = peak_bytes(lambda: compare_methods(data, sweep_cells([10, 15], RunConfig(method="standard", k=10))))
         assert [r.error is None for r in rows] == [True, False, True, False]
-        assert peak <= 2.5 * n * n * 8
+        assert peak <= 0.96 * n * n * 8
 
     def test_table_errors_hold_no_frame(self):
         # not even after build_graph has raised them
@@ -279,6 +282,41 @@ class TestMemory:
             with pytest.raises(ValueError if method == "fast" else TopoStableError):
                 build_graph(table, cfg, method)
         assert len(table.masks) == 3 and all(e.__traceback__ is None for e in table.masks.values())
+
+
+class TestNoDenseMatrix:
+    """The run keeps its geodesics as their upper row blocks throughout:
+    SymmetricBlocks.dense, the one way from them to an n x n array, raises
+    here. n is large enough that MDS takes the subspace iteration, not the
+    full eigh."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_dense(self, monkeypatch):
+        def dense(self):
+            raise AssertionError(f"a {self.n} x {self.n} matrix was made")
+
+        monkeypatch.setattr(linalg.SymmetricBlocks, "dense", dense)
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_and_residual_variance(self, method):
+        emb, gm, _ = isomap_embed(gen_swiss_roll(300, 1).data, RunConfig(method=method, k=10))
+        assert 0.0 < residual_variance(gm, emb) < 1.0
+
+    def test_sweep_with_a_failing_cell(self):
+        # on a plane no probe leaves a neighborhood's subspace, so every
+        # stable cell fails while the standard ones embed
+        rng = np.random.default_rng(1)
+        data = DataSet(np.column_stack([rng.uniform(size=(200, 2)), np.zeros(200)]))
+        rows = compare_methods(data, sweep_cells([10, 15], RunConfig(method="standard", k=10)))
+        assert [r.error is None for r in rows] == [True, False, True, False]
+
+    def test_disconnected_input_drops_points(self):
+        # the kept rows' upper parts are gathered into a new packed matrix
+        rng = np.random.default_rng(2)
+        data = DataSet(np.vstack([rng.normal(size=(150, 3)), rng.normal(size=(40, 3)) + 100.0]))
+        emb, gm, _ = isomap_embed(data, RunConfig(method="standard", k=5))
+        assert gm.n == 150 and np.all(gm.points < 150)
+        assert 0.0 <= residual_variance(gm, emb) < 1.0
 
 
 SWEEP = settings(derandomize=True, deadline=None, max_examples=60)
