@@ -13,10 +13,6 @@ class DegenerateComplementError(TopoStableError):
     """Probe point lies (numerically) inside the local subspace; no complement vector."""
 
 
-class NotSymmetricError(TopoStableError):
-    """Matrix asymmetry exceeds tolerance."""
-
-
 class ZeroVarianceError(TopoStableError):
     """Correlation is undefined because one input is constant."""
 

@@ -60,23 +60,28 @@ class GeodesicMatrix:
     """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
     d is a linalg.SymmetricBlocks, the matrix stored once as its upper row
-    blocks; an (n, n) array given as d is packed from its upper triangle
-    once it is found symmetric (SymmetricBlocks.of: NotSymmetricError, or
-    NonFiniteError for an inf or NaN that its mirror entry does not match).
-    Only tests and the full eigh make the whole matrix (d.dense()). Row and
-    column r of d are point points[r], an int64 array: floyd_all_pairs
-    leaves them in its pivot order, and a matrix built by hand defaults to
-    the points' own order, range(n). The connected components are read from
-    d's finite entries, not stored beside it (see component_ids).
+    blocks, symmetric by construction; anything else raises TypeError. Only
+    tests and the full eigh make the whole matrix (d.dense()). Row and
+    column r of d are point points[r], a 1-D integer array of length n
+    (TypeError for another type or dtype, ValueError for another shape):
+    floyd_all_pairs leaves them in its pivot order, and a matrix built by
+    hand defaults to the points' own order, range(n). The connected
+    components are read from d's finite entries, not stored beside it (see
+    component_ids).
     """
 
     d: SymmetricBlocks
     points: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "d", SymmetricBlocks.of(self.d))
-        if self.points is None:
-            object.__setattr__(self, "points", np.arange(self.n, dtype=np.int64))
+        if not isinstance(self.d, SymmetricBlocks):
+            raise TypeError(f"d must be a linalg.SymmetricBlocks, got {type(self.d).__name__}")
+        points = np.arange(self.n, dtype=np.int64) if self.points is None else self.points
+        if not (isinstance(points, np.ndarray) and np.issubdtype(points.dtype, np.integer)):
+            raise TypeError(f"points must be an integer array, got {getattr(points, 'dtype', type(points).__name__)}")
+        if points.shape != (self.n,):
+            raise ValueError(f"points must be 1-D with one id for each of the {self.n} rows, got shape {points.shape}")
+        object.__setattr__(self, "points", points)
 
     @property
     def n(self):
@@ -421,16 +426,15 @@ def double_center(s):
     """-H S H / 2 with S the squared distances s and H the centering matrix I -
     ones/n, as a linalg.CenteredSquares over s itself: no copy, and no n x n
     matrix beside it. s is a linalg.SymmetricBlocks, symmetric by
-    construction and not checked, or an (n, n) array, refused when it is not
-    symmetric and packed from its upper triangle (SymmetricBlocks.of:
-    NotSymmetricError beyond 1e-10 max|s|). With r the row means of S and g
-    their mean, it is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column means
-    being the row means. One pass over s's blocks (linalg._row_means) takes
-    the row means and refuses before any product: an inf or NaN entry, or a
-    row whose sum overflows, with NonFiniteError (restrict to one component
-    first). s is not modified.
+    construction; anything else raises TypeError. With r the row means of S
+    and g their mean, it is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column
+    means being the row means. One pass over s's blocks (linalg._row_means)
+    takes the row means and refuses before any product: an inf or NaN entry,
+    or a row whose sum overflows, with NonFiniteError (restrict to one
+    component first). s is not modified.
     """
-    s = SymmetricBlocks.of(s)
+    if not isinstance(s, SymmetricBlocks):
+        raise TypeError(f"s must be a linalg.SymmetricBlocks, got {type(s).__name__}")
     row = _row_means(s)
     _check_finite(row)
     return CenteredSquares(s, 0.5 * row - 0.25 * row.mean())

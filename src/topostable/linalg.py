@@ -1,12 +1,13 @@
 """Top eigenpairs of a symmetric matrix, the one numeric step classical MDS
 needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
 eigh when n is small or when the iteration cannot vouch for "algebraically
-largest" (see _top_subspace). A pure function of its input, which is a
-dense matrix or the doubly-centered squares as an operator
-(CenteredSquares, which geodesic.double_center makes over the squares
-themselves, stored once as their upper row blocks, SymmetricBlocks): the
-iteration needs only the matrix's product with a block of vectors, so the
-centered matrix is never stored.
+largest" (see _top_subspace). A pure function of its input, a packed
+symmetric matrix: one stored once as its upper row blocks
+(SymmetricBlocks), or the doubly-centered squares as an operator over such
+blocks (CenteredSquares, which geodesic.double_center makes over the
+squares themselves). The iteration needs only the matrix's product with a
+block of vectors, so the centered matrix is never stored. No dense (n, n)
+array is taken as input.
 """
 
 import contextlib
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteError, NotSymmetricError
+from .errors import NonFiniteError
 
 __all__ = ["symmetric_eigen_top"]
 
@@ -57,26 +58,6 @@ class SymmetricBlocks:
     def full(cls, n, value):
         """Every entry value."""
         return cls(n, np.full(sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK)), value))
-
-    @classmethod
-    def of(cls, a):
-        """a itself when it is a SymmetricBlocks, else the square array a
-        packed from its upper triangle, into a new buffer, once the whole
-        array is checked to be symmetric (_check_symmetric with inf and NaN
-        allowed where their mirror entries match)."""
-        if isinstance(a, cls):
-            return a
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-        _check_symmetric(a, finite=False)
-        out = cls.full(a.shape[0], 0.0)
-        for lo, blk in out.blocks():
-            blk[...] = a[lo:lo + blk.shape[0], lo:]
-            tile = blk[:, :blk.shape[0]]
-            lower = np.tril_indices(blk.shape[0], -1)
-            tile[lower] = tile.T[lower]
-        return out
 
     def blocks(self):
         """(a, block) for each row block: block views rows [a, a + h) at
@@ -220,41 +201,6 @@ def _row_means(s):
     return sums / s.n
 
 
-def _check_symmetric(a, finite=True):
-    """Raise NotSymmetricError when max|a - a.T| > 1e-10 max|a| over the
-    square matrix a's finite entries. With finite, raise NonFiniteError
-    first when a has an inf or NaN entry; without, when one faces an entry
-    that is not the same inf, or not NaN. Each block of ROW_BLOCK rows [i,
-    j) is checked for finite entries and its part left of column j is
-    copied, transposed, into a (j, j - i) scratch while its rows are in
-    cache, and compared with the column strip a[:j, i:j]: every pair once,
-    diagonal tiles included. Run at numpy's default ufunc buffer size, at
-    which that copy takes a third of the time it takes at the smallest."""
-    n = a.shape[0]
-    scratch = np.empty((n, min(ROW_BLOCK, n)))
-    scale = asym = 0.0
-    for i in range(0, n, ROW_BLOCK):
-        j = min(i + ROW_BLOCK, n)
-        rows, strip = a[i:j], a[:j, i:j]
-        diff = scratch[:j, :j - i]
-        diff[...] = rows[:, :j].T
-        if finite:
-            scale = max(scale, _check_finite(rows))
-            diff -= strip
-        else:
-            held = np.isfinite(rows)
-            scale = max(scale, np.abs(rows[held]).max(initial=0.0))
-            held = np.isfinite(diff)
-            facing = np.array_equal(diff[~held], strip[~held], equal_nan=True)
-            if not (np.array_equal(held, np.isfinite(strip)) and facing):
-                raise NonFiniteError("matrix has non-finite entries that its transpose does not match")
-            np.subtract(diff, strip, out=diff, where=held)
-            diff[~held] = 0.0
-        asym = max(asym, np.abs(diff, out=diff).max())
-    if scale > 0.0 and asym > 1e-10 * scale:
-        raise NotSymmetricError(f"relative asymmetry {asym / scale:.3e} exceeds 1e-10")
-
-
 def _top_full(a, m):
     """Top m eigenpairs from the full eigh of the symmetric matrix a."""
     values, vectors = np.linalg.eigh(a)
@@ -364,41 +310,34 @@ def symmetric_eigen_top(a, m):
     tuple (values, vectors): values descending, shape (m,), and vectors
     (n, m) with orthonormal columns, column j pairing with values[j].
 
-    a is a dense square matrix, or a CenteredSquares. Block subspace
-    iteration (Halko, Martinsson & Tropp, SIAM Review 2011) finds them from
-    m + 8 columns, started from a hashed block and stopped once each
-    coordinate column sqrt(lambda_j) v_j is within 1e-12 sqrt(|lambda|max)
-    of the exact one, or its residual is at round-off level; a full eigh
+    a is a SymmetricBlocks or a CenteredSquares, read, past the finite check
+    below, only through its n, its @ and its dense(); anything else, an
+    array included, raises TypeError. Block subspace iteration (Halko, Martinsson & Tropp, SIAM
+    Review 2011) finds them from m + 8 columns, started from a hashed block
+    and stopped once each coordinate column sqrt(lambda_j) v_j is within
+    1e-12 sqrt(|lambda|max) of the exact one, or its residual is at
+    round-off level; a full eigh of a.dense(), the only n x n matrix made,
     takes over when n is small (2(m + 8) >= n) or when the iteration cannot
-    vouch for its answer (see _top_subspace). On a dense a the products are
-    formed as (q.T @ a).T, which a symmetric a allows and which touches less
-    BLAS scratch, and the full eigh takes (a + a.T) / 2. A CenteredSquares
-    is checked by geodesic.double_center, which makes it: here it is not
-    checked again, its products are its own (two GEMMs per row block of the
-    squares), and the full eigh takes its dense() form as it is, the only n
-    x n matrix made beside the squares, and only there.
+    vouch for its answer (see _top_subspace). A SymmetricBlocks is refused
+    with NonFiniteError when it holds an inf or NaN, which neither path
+    refuses by itself: on the identity with one NaN pair the full eigh gives
+    the eigenvalues 1, 1 at n = 10, and the iteration numpy's LinAlgError at
+    n = 30. A CenteredSquares is checked by geodesic.double_center, which
+    makes it, and not again here.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
-    is made positive so downstream outputs are reproducible. Raises
-    NonFiniteError on a dense a's inf/NaN entries, NotSymmetricError on its
-    asymmetry.
+    is made positive so downstream outputs are reproducible.
     """
-    centered = isinstance(a, CenteredSquares)
-    if not centered:
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("expected a square matrix")
-    n = a.n if centered else a.shape[0]
+    if not isinstance(a, (SymmetricBlocks, CenteredSquares)):
+        raise TypeError(f"expected a SymmetricBlocks or a CenteredSquares, got {type(a).__name__}")
+    n = a.n
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if centered:
-        product, full = a.__matmul__, a.dense
-    else:
-        _check_symmetric(a)
-        product, full = (lambda q: (q.T @ a).T), (lambda: (a + a.T) / 2.0)
-    top = _top_subspace(product, n, m) if 2 * (m + _OVERSAMPLE) < n else None
-    values, vectors = top if top is not None else _top_full(full(), m)
+    if isinstance(a, SymmetricBlocks):
+        _check_finite(a.buf)
+    top = _top_subspace(a.__matmul__, n, m) if 2 * (m + _OVERSAMPLE) < n else None
+    values, vectors = top if top is not None else _top_full(a.dense(), m)
     for j in range(m):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:

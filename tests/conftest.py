@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topostable import DataSet, graph
+from topostable import DataSet, graph, linalg
 from topostable.graph import METHODS
 
 from stable_reference import _stable_select
@@ -128,6 +128,21 @@ def in_rows(gm, d):
     leaves its result in its pivot order, so a reference made in the
     points' order is compared with it through this gather."""
     return d[np.ix_(gm.points, gm.points)]
+
+
+def pack(a):
+    """The square array a as a linalg.SymmetricBlocks, packed from its upper
+    triangle into a new buffer: each block takes a's rows at its columns,
+    and each diagonal tile's lower part is its upper part mirrored. a's
+    lower triangle is not read, so it is not checked either."""
+    a = np.asarray(a, dtype=np.float64)
+    out = linalg.SymmetricBlocks.full(a.shape[0], 0.0)
+    for lo, blk in out.blocks():
+        blk[...] = a[lo:lo + blk.shape[0], lo:]
+        tile = blk[:, :blk.shape[0]]
+        lower = np.tril_indices(blk.shape[0], -1)
+        tile[lower] = tile.T[lower]
+    return out
 
 
 def peak_bytes(fn):

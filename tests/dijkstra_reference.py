@@ -9,6 +9,8 @@ import numpy as np
 
 from topostable import GeodesicMatrix
 
+from conftest import pack
+
 
 def csr_adjacency(g):
     """CSR arrays (indptr, indices, weights) of a NeighborGraph with both
@@ -49,4 +51,4 @@ def dijkstra_all_pairs(g):
     """Exact all-pairs shortest paths; same contract as floyd_all_pairs."""
     indptr, indices, weights = csr_adjacency(g)
     d = _dijkstra_all(indptr, indices, weights, g.n)
-    return GeodesicMatrix(d=d)
+    return GeodesicMatrix(d=pack(d))

@@ -28,9 +28,9 @@ from topostable import (
     residual_variance,
 )
 from topostable import geodesic, graph, linalg
-from topostable.errors import BadDimError, NonFiniteError, NotSymmetricError, ZeroVarianceError
+from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
-from conftest import blob_images, in_rows, peak_bytes
+from conftest import blob_images, in_rows, pack, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -404,7 +404,7 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (linalg, lambda: double_center(np.square(gm.d.dense())).dense(), "multiply"),
+        "double_center": (linalg, lambda: double_center(pack(np.square(gm.d.dense()))).dense(), "multiply"),
         "_pairwise_sq": (graph, lambda: list(graph._pairwise_sq(coords)), "subtract"),
     }
 
@@ -613,7 +613,7 @@ class TestLargestComponent:
         for part in ([0, 3], [1, 2, 4]):
             d[np.ix_(part, part)] = 1.0
         np.fill_diagonal(d, 0.0)
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         assert np.array_equal(gm.component_ids, [0, 1, 1, 0, 1])
         sub_data, sub_gm, kept = largest_component(gm, DataSet(np.arange(10.0).reshape(5, 2)))
         assert np.array_equal(kept, [1, 2, 4])
@@ -622,25 +622,58 @@ class TestLargestComponent:
         assert np.array_equal(sub_data.points, [[2.0, 3.0], [4.0, 5.0], [8.0, 9.0]])
 
 
+class TestGeodesicMatrixInput:
+    """GeodesicMatrix takes its distances packed (linalg.SymmetricBlocks)
+    and one integer point id per row, and refuses anything else as it is
+    made, not later in largest_component or the CSV writer."""
+
+    @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
+    def test_dense_distances_refused(self, d):
+        with pytest.raises(TypeError, match="^d must be a linalg.SymmetricBlocks, got "):
+            GeodesicMatrix(d=d)
+
+    @pytest.mark.parametrize("points", [np.arange(2), np.arange(5)[None, :], np.arange(6)],
+                             ids=["short", "2-D", "long"])
+    def test_points_of_another_shape_refused(self, points):
+        with pytest.raises(ValueError, match=r"^points must be 1-D with one id for each of the 5 rows, got shape "):
+            GeodesicMatrix(d=pack(np.zeros((5, 5))), points=points)
+
+    @pytest.mark.parametrize("points", [np.array([0.5, 1.0, 2.0, 3.0, 4.0]), np.ones(5, dtype=bool), [0, 1, 2, 3, 4]],
+                             ids=["float", "bool", "list"])
+    def test_points_not_integer_ids_refused(self, points):
+        with pytest.raises(TypeError, match="^points must be an integer array, got "):
+            GeodesicMatrix(d=pack(np.zeros((5, 5))), points=points)
+
+    def test_points_kept_as_given(self):
+        points = np.array([4, 0, 3, 1, 2], dtype=np.int32)
+        assert GeodesicMatrix(d=pack(np.zeros((5, 5))), points=points).points is points
+        assert np.array_equal(GeodesicMatrix(d=pack(np.zeros((5, 5)))).points, np.arange(5))
+
+
 class TestDoubleCenter:
     def test_two_point_hand_case(self):
-        out = double_center([[0.0, 1.0], [1.0, 0.0]]).dense()
+        out = double_center(pack([[0.0, 1.0], [1.0, 0.0]])).dense()
         assert np.allclose(out, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
 
     def test_zero_matrix(self):
-        assert np.array_equal(double_center(np.zeros((3, 3))).dense(), np.zeros((3, 3)))
+        assert np.array_equal(double_center(pack(np.zeros((3, 3)))).dense(), np.zeros((3, 3)))
 
     def test_infinite_entry_raises(self):
         s = np.zeros((3, 3))
         s[0, 1] = s[1, 0] = np.inf
         with pytest.raises(NonFiniteError):
+            double_center(pack(s))
+
+    @pytest.mark.parametrize("s", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
+    def test_dense_squares_refused(self, s):
+        with pytest.raises(TypeError, match="^s must be a linalg.SymmetricBlocks, got "):
             double_center(s)
 
     def test_input_not_modified(self):
-        s = np.array([[0.0, 1.0, 4.0], [1.0, 0.0, 9.0], [4.0, 9.0, 0.0]])
-        before = s.copy()
+        s = pack([[0.0, 1.0, 4.0], [1.0, 0.0, 9.0], [4.0, 9.0, 0.0]])
+        before = s.buf.copy()
         double_center(s)
-        assert np.array_equal(s, before)
+        assert np.array_equal(s.buf, before)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 65, 130])
     def test_equals_centering_of_the_squares(self, n):
@@ -661,14 +694,14 @@ class TestDoubleCenter:
         u = 0.5 * r - 0.25 * r.mean()
         expected = s * -0.5
         expected += np.add.outer(u, u)
-        assert np.array_equal(double_center(s).dense(), expected)
+        assert np.array_equal(double_center(pack(s)).dense(), expected)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 10, size=(20, 20))
         s = (a + a.T) / 2
         np.fill_diagonal(s, 0.0)
-        out = double_center(s).dense()
+        out = double_center(pack(s)).dense()
         scale = np.linalg.norm(out)
         assert np.max(np.abs(out.sum(axis=0))) <= 1e-9 * scale
         assert np.max(np.abs(out.sum(axis=1))) <= 1e-9 * scale
@@ -682,7 +715,7 @@ class TestDoubleCenter:
         # and three blocks with a partial last one
         rng = np.random.default_rng(seed)
         s = np.square(gm_from_coords(scale * rng.normal(size=(n, 3))).d.dense())
-        packed = linalg.SymmetricBlocks.of(s)
+        packed = pack(s)
         op = double_center(packed)
         assert isinstance(op, linalg.CenteredSquares) and op.n == n
         assert op.s is packed  # the operator is over the squares themselves, not a copy
@@ -696,27 +729,17 @@ class TestDoubleCenter:
         q = rng.normal(size=(n, 10))
         assert np.max(np.abs(op @ q - b @ q)) <= 1e-12 * np.max(np.abs(b @ q))
 
-    @pytest.mark.parametrize("i, j", [(0, 1), (64, 3), (129, 128), (5, 199)])
-    def test_asymmetric_distances_refused(self, i, j):
-        # one squared distance off by 1e-6 of max|S|, in a diagonal tile or
-        # across tiles, above or below the diagonal; 1e-13 passes
-        s = np.square(gm_from_coords(np.random.default_rng(6).normal(size=(200, 3))).d.dense())
-        s[i, j] += 1e-6 * s.max()
-        with pytest.raises(NotSymmetricError, match="exceeds 1e-10$"):
-            double_center(s)
-        s[i, j] = s[j, i] * (1.0 + 1e-13)
-        double_center(s)
 
 
 def gm_from_coords(coords):
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt((diff**2).sum(-1))
-    return GeodesicMatrix(d=d)
+    return GeodesicMatrix(d=pack(d))
 
 
 class TestClassicalMds:
     def test_two_points_half_coordinates(self):
-        gm = GeodesicMatrix(d=np.array([[0.0, 1.0], [1.0, 0.0]]))
+        gm = GeodesicMatrix(d=pack(np.array([[0.0, 1.0], [1.0, 0.0]])))
         emb = classical_mds(gm, 1)
         assert emb.eigenvalues == pytest.approx([0.5], abs=1e-15)
         assert np.allclose(emb.coords.ravel(), [0.5, -0.5], atol=1e-12)
@@ -747,20 +770,9 @@ class TestClassicalMds:
     def test_nonfinite_raises(self):
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = np.inf
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         with pytest.raises(NonFiniteError):
             classical_mds(gm, 1)
-
-    def test_asymmetric_geodesics_refused(self):
-        # a geodesic matrix given by hand as an (n, n) array: the blocks keep
-        # its upper triangle only, so it is refused as it is packed, and
-        # not modified
-        d = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3))).d.dense()
-        d[50, 7] *= 1.0 + 1e-6
-        before = d.copy()
-        with pytest.raises(NotSymmetricError):
-            GeodesicMatrix(d=d)
-        assert same_bits(d, before)
 
     def test_geodesic_matrix_not_modified(self):
         gm = gm_from_coords(np.random.default_rng(12).normal(size=(60, 3)))
@@ -775,7 +787,7 @@ class TestClassicalMds:
         d = rng.uniform(0.5, 2.0, size=(8, 8))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         emb = classical_mds(gm, 7)
         assert emb.n_clipped >= 1
         clipped = np.flatnonzero(emb.eigenvalues < 0)
@@ -792,30 +804,17 @@ class TestNonFiniteGeodesics:
     @pytest.mark.parametrize("stage", ["mds", "rv"])
     def test_refused(self, stage, value):
         d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
-        emb = classical_mds(GeodesicMatrix(d=d), 2)
+        emb = classical_mds(GeodesicMatrix(d=pack(d)), 2)
         d[4, 1] = d[1, 4] = value
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
             classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
-
-    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
-    @pytest.mark.parametrize("i, j", [(4, 1), (1, 4)])
-    def test_unmatched_by_its_mirror_refused(self, i, j, value):
-        # an inf or NaN on one side of the diagonal only, or facing another
-        # one, is refused as the array is packed
-        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
-        d[i, j] = value
-        with pytest.raises(NonFiniteError, match="transpose does not match$"):
-            GeodesicMatrix(d=d)
-        d[j, i] = -np.inf if value == np.inf else np.inf
-        with pytest.raises(NonFiniteError, match="transpose does not match$"):
-            GeodesicMatrix(d=d)
 
     def test_overflowing_squares_are_not_missing_paths(self):
         # finite geodesics whose squares overflow keep double_center's message
         d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
         d[4, 1] = d[1, 4] = 1e200
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
@@ -827,7 +826,7 @@ def same_bits(a, b):
 
 
 class TestSquaresInPlace:
-    """classical_mds squares gm.d.dense() in place and gives it back bitwise, or
+    """classical_mds squares gm.d in place and gives it back bitwise, or
     squares it into a new buffer where the square roots would not."""
 
     @staticmethod
@@ -852,7 +851,7 @@ class TestSquaresInPlace:
         # subnormal, and its root would not be 1e-160
         d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
         d[3, 66] = d[66, 3] = 1e-160
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         assert np.sqrt(np.square(1e-160)) != 1e-160
         self.embeds_and_restores(gm)
 
@@ -860,27 +859,11 @@ class TestSquaresInPlace:
     def test_squares_that_overflow_take_the_copy(self, x):
         d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
         d[5, 1] = d[1, 5] = x
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         before = gm.d.buf.copy()
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
         assert same_bits(gm.d.buf, before)
-
-    def test_read_only_geodesics(self):
-        # an (n, n) array given by hand is packed into the matrix's own
-        # buffer, which is squared in place; the array is not written
-        d = gm_from_coords(np.random.default_rng(9).normal(size=(70, 3))).d.dense()
-        d.setflags(write=False)
-        want = classical_mds(GeodesicMatrix(d=d.copy()), 2)
-        assert np.array_equal(self.embeds_and_restores(GeodesicMatrix(d=d)).coords, want.coords)
-
-    def test_integer_geodesics(self):
-        # points 0, 1, ..., n - 1 on a line: integer distances, a 1-D embedding
-        n = 70
-        d = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-        emb = self.embeds_and_restores(GeodesicMatrix(d=d), 1)
-        want = classical_mds(GeodesicMatrix(d=d.astype(np.float64)), 1)
-        assert np.array_equal(emb.coords, want.coords)
 
     def test_restored_when_the_solver_raises(self, monkeypatch):
         def failing_solver(product, n, m):
@@ -930,7 +913,7 @@ class TestSquaresInPlace:
 class TestResidualVariance:
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_points_refused(self, n):
-        gm = GeodesicMatrix(d=np.zeros((n, n)))
+        gm = GeodesicMatrix(d=pack(np.zeros((n, n))))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ValueError, match=f"at least 3 points, got {n}"):
             residual_variance(gm, emb)
@@ -943,14 +926,14 @@ class TestResidualVariance:
 
     def test_constant_geodesics_raise(self):
         # an equilateral triangle: all three geodesics are 1
-        gm = GeodesicMatrix(d=1.0 - np.eye(3))
+        gm = GeodesicMatrix(d=pack(1.0 - np.eye(3)))
         emb = Embedding(coords=np.array([[0.0], [1.0], [3.0]]), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
 
     def test_constant_geodesics_across_blocks_raise(self):
         n = 130  # three blocks of rows, each constant on its own
-        gm = GeodesicMatrix(d=1.0 - np.eye(n))
+        gm = GeodesicMatrix(d=pack(1.0 - np.eye(n)))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -959,13 +942,13 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[100, 120] = d[120, 100] = 2.0  # in the second block of rows only
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         assert residual_variance(gm, emb) == pytest.approx(residual_variance_fsum(gm, emb), rel=1e-12, abs=0.0)
 
     def test_both_sides_constant_name_the_geodesics(self):
         n = 130
-        gm = GeodesicMatrix(d=2.5 * (1.0 - np.eye(n)))
+        gm = GeodesicMatrix(d=pack(2.5 * (1.0 - np.eye(n))))
         emb = Embedding(coords=np.ones((n, 2)), eigenvalues=np.zeros(2))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -983,7 +966,7 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[n - 1, n - 2] = d[n - 2, n - 1] = np.inf
-        gm = GeodesicMatrix(d=d)
+        gm = GeodesicMatrix(d=pack(d))
         emb = Embedding(coords=np.zeros((n, 1)), eigenvalues=np.zeros(1))
         tracemalloc.start()
         try:
@@ -1011,7 +994,7 @@ class TestResidualVariance:
         geo = side * (1.0 - np.eye(n))
         iu = np.triu_indices(n, 1)
         assert np.any(geo[iu] - geo[iu].mean() != 0.0)
-        gm = GeodesicMatrix(d=geo)
+        gm = GeodesicMatrix(d=pack(geo))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -1021,7 +1004,7 @@ class TestResidualVariance:
         """Geodesics of 4 points on a line and a 1-D embedding of them, not
         constant and not a perfect fit, at the given scales."""
         x = np.array([0.0, 1.0, 3.0, 7.0]) * geo_scale
-        gm = GeodesicMatrix(d=np.abs(x[:, None] - x[None, :]))
+        gm = GeodesicMatrix(d=pack(np.abs(x[:, None] - x[None, :])))
         emb = Embedding(coords=np.array([[0.0], [1.0], [2.0], [5.0]]) * emb_scale, eigenvalues=np.zeros(1))
         return gm, emb
 
@@ -1067,7 +1050,7 @@ class TestResidualVariance:
     def test_uniform_scaling_zero(self):
         coords = np.random.default_rng(7).normal(size=(15, 2))
         gm = gm_from_coords(coords)
-        scaled = GeodesicMatrix(d=2.0 * gm.d.dense())
+        scaled = GeodesicMatrix(d=pack(2.0 * gm.d.dense()))
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         assert residual_variance(scaled, emb) <= 1e-12
 
@@ -1085,7 +1068,7 @@ class TestResidualVariance:
         gm = gm_from_coords(other)
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         rv1 = residual_variance(gm, emb)
-        rv2 = residual_variance(GeodesicMatrix(d=3.7 * gm.d.dense()), emb)
+        rv2 = residual_variance(GeodesicMatrix(d=pack(3.7 * gm.d.dense())), emb)
         assert rv1 == pytest.approx(rv2, abs=1e-12)
 
     def test_mds_round_trip_after_rigid_lift(self):
@@ -1197,7 +1180,7 @@ class TestBackHalf:
         # the blocks' sums merge differently
         gm, emb = projected_points(len(order), m)
         p = np.array(order)
-        moved = GeodesicMatrix(d=gm.d.dense()[np.ix_(p, p)])
+        moved = GeodesicMatrix(d=pack(gm.d.dense()[np.ix_(p, p)]))
         moved_emb = Embedding(coords=emb.coords[p], eigenvalues=emb.eigenvalues)
         assert residual_variance(moved, moved_emb) == pytest.approx(residual_variance(gm, emb), rel=1e-12, abs=0.0)
 
@@ -1208,7 +1191,7 @@ class TestBackHalf:
         # is the least accurate one the pipeline produces; the stop rule
         # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
-        b = double_center(np.square(gm.d.dense()))
+        b = double_center(pack(np.square(gm.d.dense())))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
@@ -1221,7 +1204,7 @@ class TestBackHalf:
         start_block = linalg._start_block
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
         emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
-        b = double_center(np.square(gm.d.dense()))
+        b = double_center(pack(np.square(gm.d.dense())))
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None
         values, vectors = full_eigh_coords(b)
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9

@@ -16,6 +16,8 @@ from topostable import (
     SelectorConfig,
     build_graph,
     compare_methods,
+    gen_helix,
+    gen_punctured_sphere,
     gen_swiss_roll,
     isomap_embed,
     load_csv,
@@ -378,6 +380,70 @@ class TestSweepParity:
         assert [bits(r) for r in rows] == [bits(cell_alone(data, cfg)) for cfg in cells]
         table = graph.knn_table(data, [(cfg, cfg.method) for cfg in cells])
         assert [graph_or_error(table, cfg) for cfg in cells] == [graph_or_error(data, cfg) for cfg in cells]
+
+
+INVARIANCE = settings(derandomize=True, deadline=None, max_examples=25)
+SHAPES = {"roll": gen_swiss_roll, "helix": gen_helix, "sphere": gen_punctured_sphere}
+
+
+def run_by_id(points, ids, cfg):
+    """isomap_embed and residual_variance on points, read by point id, row
+    a of points being point ids[a]: (kept ids sorted, edges as a set of id
+    pairs, coordinates in id order with zero rows for dropped points, rv),
+    or the type of the error either one raised."""
+    try:
+        emb, gm, g = isomap_embed(DataSet(points), cfg)
+        rv = residual_variance(gm, emb)
+    except (TopoStableError, ValueError) as exc:
+        return type(exc)
+    coords = np.zeros((len(ids), emb.m))
+    coords[ids[gm.points]] = emb.coords
+    edges = {tuple(sorted(pair)) for pair in ids[g.edges].tolist()}
+    return np.sort(ids[gm.points]), edges, coords, rv
+
+
+class TestInvariance:
+    """The whole pipeline follows a transform of its input: read by point
+    id, isomap_embed plus residual_variance keep the same points and edges,
+    coordinates within 1e-8 of max|coord| (the sign rule makes each
+    eigenvector's largest entry positive, so it follows the points), and rv
+    within 1e-9 relative; or both runs raise the same error type. A
+    permutation moves Floyd's pivot order and an orthogonal map rounds the
+    points, so both move the rounding; the translation is exact (the points
+    on a grid of 2^-20, moved by a multiple of it), so it moves nothing."""
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    @pytest.mark.parametrize("transform", ["permutation", "orthogonal", "translation"])
+    @INVARIANCE
+    @given(shape=st.sampled_from(sorted(SHAPES)), n=st.integers(60, 300), k=st.integers(5, 12),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pipeline_follows_the_transform(self, transform, method, shape, n, k, seed):
+        rng = np.random.default_rng(seed)
+        points = SHAPES[shape](n, seed).data.points
+        ids = np.arange(n)
+        if transform == "permutation":
+            ids = rng.permutation(n)
+            moved = points[ids]
+        elif transform == "orthogonal":
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            moved = points @ q.T
+        else:
+            points = np.ldexp(np.rint(np.ldexp(points, 20)), -20)
+            shift = np.ldexp(rng.integers(-2**29, 2**29, size=3).astype(np.float64), -20)
+            moved = points + shift
+            assert np.array_equal(moved - shift, points)  # the shift rounds nothing
+        cfg = RunConfig(method=method, k=k)
+        want, got = run_by_id(points, np.arange(n), cfg), run_by_id(moved, ids, cfg)
+        if isinstance(want, type) or isinstance(got, type):
+            assert want is got
+            return
+        (kept, edges, coords, rv), (kept_moved, edges_moved, coords_moved, rv_moved) = want, got
+        assert np.array_equal(kept, kept_moved)
+        assert edges == edges_moved
+        assert np.max(np.abs(coords_moved - coords)) <= 1e-8 * np.max(np.abs(coords))
+        # rv is 1 - r^2, which resolves no finer than 1.0's ulps: a few of
+        # them are a large share of an rv near 1e-7, as the helix gives
+        assert abs(rv_moved - rv) <= 1e-9 * rv + 4 * np.finfo(float).eps
 
 
 class TestWriteEmbeddingCsv:
