@@ -19,11 +19,11 @@ The geodesic matrix is symmetric, and is stored once, as its upper row
 blocks (linalg.SymmetricBlocks, whose block height, linalg.ROW_BLOCK, every
 step here reads from linalg when called): about half an n x n float64
 buffer, which Floyd fills and every later step reads in place. Classical
-scaling runs on it squared in place, through the doubly-centered matrix as
-an operator over it (double_center), and takes the square roots back
-bitwise (see classical_mds). With only (ROW_BLOCK, n) scratch beside it, a
-run peaks in Floyd, at about 0.65 n x n buffers; only the full eigh it
-falls back on makes whole n x n matrices. None puts the rows back in the
+scaling only reads it, through the doubly-centered squares as an operator
+over it (double_center), which squares it a row block at a time inside
+each product. With only (ROW_BLOCK, n) scratch beside it, a run peaks in
+Floyd, at about 0.65 n x n buffers; only the full eigh it falls back on
+makes whole n x n matrices. None puts the rows back in the
 points' order: classical scaling follows a relabelling of the points and
 the residual variance does not change under one.
 """
@@ -34,12 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import BadDimError, NonFiniteError, ZeroVarianceError
+from .errors import BadDimError, ZeroVarianceError
 from .linalg import (
     CenteredSquares,
     SymmetricBlocks,
     _check_finite,
-    _row_means,
     _small_ufunc_buffer,
     symmetric_eigen_top,
 )
@@ -416,61 +415,20 @@ def largest_component(gm, data):
     return data.subset(kept), gm, kept
 
 
-def _all_finite(d):
-    """Whether every entry of d is finite, without a mask of d's size: min
-    and max propagate NaN, and between them catch -inf and inf."""
-    return bool(np.isfinite(d.min()) and np.isfinite(d.max()))
-
-
-def double_center(s):
-    """-H S H / 2 with S the squared distances s and H the centering matrix I -
-    ones/n, as a linalg.CenteredSquares over s itself: no copy, and no n x n
-    matrix beside it. s is a linalg.SymmetricBlocks, symmetric by
-    construction; anything else raises TypeError. With r the row means of S
-    and g their mean, it is -S/2 + u 1' + 1 u', u = r/2 - g/4, the column
-    means being the row means. One pass over s's blocks (linalg._row_means)
-    takes the row means and refuses before any product: an inf or NaN entry,
-    or a row whose sum overflows, with NonFiniteError (restrict to one
-    component first). s is not modified.
+def double_center(d):
+    """-H S H / 2 with S the squares of the distances d and H the centering
+    matrix I - ones/n, as a linalg.CenteredSquares over d itself: d is only
+    read, and neither S nor an n x n matrix is made beside it; each product
+    squares d a row block at a time. d is a linalg.SymmetricBlocks, symmetric
+    by construction; anything else raises TypeError. One pass over d
+    refuses an inf or NaN entry with NonFiniteError (restrict to one
+    component first); squares that overflow in a product are refused there,
+    with NonFiniteError too.
     """
-    if not isinstance(s, SymmetricBlocks):
-        raise TypeError(f"s must be a linalg.SymmetricBlocks, got {type(s).__name__}")
-    row = _row_means(s)
-    _check_finite(row)
-    return CenteredSquares(s, 0.5 * row - 0.25 * row.mean())
-
-
-def _square_in_place(d):
-    """Square the geodesic matrix d, a linalg.SymmetricBlocks, in place if
-    the square roots give it back bitwise, and say whether it did: every
-    entry must be 0 or in [2^-511, 2^511), where sqrt(fl(x^2)) = x in
-    binary64 (x^2 neither overflows nor is subnormal).
-
-    One pass over d's buffer in pieces of ROW_BLOCK n words, on its bits as
-    uint64, which order non-negative floats as their values do: a piece
-    whose largest bits are below 2^511's, and whose bits less one (in a
-    scratch, 0 wrapping to the top) are at least 2^-511's less one, is
-    squared while in cache. At the first other piece the squared ones take
-    their roots back, and from there each piece takes the finite test, its
-    min and max: inf or NaN raises NonFiniteError (restrict to one
-    component first).
-    """
-    buf, step = d.buf, linalg.ROW_BLOCK * d.n
-    bits, (low, high) = buf.view(np.uint64), np.array([2.0**-511, 2.0**511]).view(np.uint64)
-    scratch = np.empty(min(step, buf.size), np.uint64)
-    exact = True
-    for a in range(0, buf.size, step):
-        piece = buf[a:a + step]
-        if exact:
-            less_one = np.subtract(bits[a:a + step], 1, out=scratch[:piece.size])
-            if bits[a:a + step].max() < high and less_one.min() >= low - 1:
-                np.square(piece, out=piece)
-                continue
-            exact = False
-            np.sqrt(buf[:a], out=buf[:a])
-        if not _all_finite(piece):
-            raise NonFiniteError("geodesic matrix spans multiple components")
-    return exact
+    if not isinstance(d, SymmetricBlocks):
+        raise TypeError(f"d must be a linalg.SymmetricBlocks, got {type(d).__name__}")
+    _check_finite(d.buf, "geodesic matrix spans multiple components")
+    return CenteredSquares(d)
 
 
 def classical_mds(gm, m):
@@ -479,25 +437,14 @@ def classical_mds(gm, m):
     Coordinate column j is sqrt(max(lambda_j, 0)) times eigenvector j of
     the doubly-centered matrix; negative-eigenvalue columns collapse to
     zero (see Embedding.n_clipped). Only the top m eigenpairs of
-    double_center's operator are computed (linalg.symmetric_eigen_top),
-    whose eigenvectors are scaled in place into the coordinates.
-
-    gm.d holds the squares while MDS runs: _square_in_place squares it, and
-    a finally takes the square roots back, its own bits. A gm.d that would
-    not come back bitwise (an entry 0 < x < 2^-511 or x >= 2^511) is
-    squared into a new buffer.
+    double_center's operator over gm.d are computed
+    (linalg.symmetric_eigen_top), whose eigenvectors are scaled in place
+    into the coordinates. gm.d is only read.
     """
     n = gm.n
     if not 1 <= m <= n - 1:
         raise BadDimError(f"m must be in [1, {n - 1}], got {m}")
-    d = gm.d
-    in_place = _square_in_place(d)
-    s = d if in_place else SymmetricBlocks(n, np.square(d.buf))
-    try:
-        values, vectors = symmetric_eigen_top(double_center(s), m)
-    finally:
-        if in_place:
-            np.sqrt(d.buf, out=d.buf)
+    values, vectors = symmetric_eigen_top(double_center(gm.d), m)
     vectors *= np.sqrt(np.maximum(values, 0.0))
     return Embedding(coords=vectors, eigenvalues=values)
 
@@ -536,10 +483,8 @@ def residual_variance(gm, emb):
         raise ValueError("embedding and geodesic matrix cover different point sets")
     if n < 3:
         raise ValueError(f"residual variance undefined: needs at least 3 points, got {n}")
-    if not _all_finite(gm.d.buf):
-        raise NonFiniteError("geodesic matrix spans multiple components")
-    if not _all_finite(emb.coords):
-        raise NonFiniteError("embedding has non-finite coordinates")
+    _check_finite(gm.d.buf, "geodesic matrix spans multiple components")
+    _check_finite(emb.coords, "embedding has non-finite coordinates")
     cols = emb.coords.T.copy()  # one contiguous row per coordinate column
     chunk = min(linalg.ROW_BLOCK, n)
     # squares is zeroed: with no coordinate column every embedded distance is 0

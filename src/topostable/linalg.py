@@ -3,11 +3,12 @@ needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
 eigh when n is small or when the iteration cannot vouch for "algebraically
 largest" (see _top_subspace). A pure function of its input, a packed
 symmetric matrix: one stored once as its upper row blocks
-(SymmetricBlocks), or the doubly-centered squares as an operator over such
-blocks (CenteredSquares, which geodesic.double_center makes over the
-squares themselves). The iteration needs only the matrix's product with a
-block of vectors, so the centered matrix is never stored. No dense (n, n)
-array is taken as input.
+(SymmetricBlocks), or the doubly-centered squares of such a matrix of
+distances as an operator over the distances themselves (CenteredSquares,
+which geodesic.double_center makes). The iteration needs only the matrix's
+product with a block of vectors, so neither the squares nor the centered
+matrix is stored, and the input is only read. No dense (n, n) array is
+taken as input.
 """
 
 import contextlib
@@ -38,6 +39,11 @@ def _small_ufunc_buffer():
         np.setbufsize(old)
 
 
+def _packed_size(n):
+    """The words of an n x n SymmetricBlocks' buffer."""
+    return sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK))
+
+
 @dataclass(frozen=True)
 class SymmetricBlocks:
     """A symmetric n x n matrix stored once, as its upper row blocks.
@@ -49,15 +55,30 @@ class SymmetricBlocks:
     itself. This is the packed-symmetric idea of the Rectangular Full Packed
     format (Gustavson, Wasniewski, Dongarra & Langou, ACM TOMS 2010), in row
     blocks, so that every block is a plain strided matrix for BLAS.
+
+    buf must be a float64 ndarray (TypeError otherwise), 1-D, contiguous
+    and of exactly that size for n (ValueError otherwise). It may be
+    read-only wherever it is only read: put writes to it, and Floyd to the
+    weights it makes, but largest_component, classical scaling and the
+    residual variance do not.
     """
 
     n: int
     buf: np.ndarray
 
+    def __post_init__(self):
+        buf = self.buf
+        if not (isinstance(buf, np.ndarray) and buf.dtype == np.float64):
+            raise TypeError(f"buf must be a float64 array, got {getattr(buf, 'dtype', type(buf).__name__)}")
+        size = _packed_size(self.n)
+        if buf.ndim != 1 or not buf.flags.c_contiguous or buf.size != size:
+            raise ValueError(f"buf for n = {self.n} must be 1-D and contiguous with {size} entries, "
+                             f"got {buf.size} in shape {buf.shape}")
+
     @classmethod
     def full(cls, n, value):
         """Every entry value."""
-        return cls(n, np.full(sum(min(ROW_BLOCK, n - a) * (n - a) for a in range(0, n, ROW_BLOCK)), value))
+        return cls(n, np.full(_packed_size(n), value))
 
     def blocks(self):
         """(a, block) for each row block: block views rows [a, a + h) at
@@ -95,18 +116,8 @@ class SymmetricBlocks:
         return out
 
     def __matmul__(self, q):
-        """The matrix times the (n, p) array q, two GEMMs per block: its rows
-        times q, and the transpose of its part right of the diagonal tile,
-        the rows below the tile, times q; so each tile counts once. The
-        second is formed as (q.T @ part).T: at n = 3200 it touches 1.25 MB
-        of OpenBLAS scratch where part.T @ q touches 4.9 MB, and it is the
-        faster of the two there."""
-        y = np.zeros((self.n, q.shape[1]))
-        for a, blk in self.blocks():
-            h = blk.shape[0]
-            y[a:a + h] += blk @ q[a:]
-            y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
-        return y
+        """The matrix times the (n, p) array q (_times)."""
+        return _times(self.blocks(), self.n, q)
 
     def dense(self):
         """The whole matrix, as a new (n, n) array."""
@@ -118,34 +129,61 @@ class SymmetricBlocks:
         return out
 
 
+def _times(blocks, n, q):
+    """The symmetric n x n matrix whose upper row blocks are blocks, (a,
+    block) pairs as SymmetricBlocks.blocks yields them, times the (n, p)
+    array q, two GEMMs per block: its rows times q, and the transpose of its
+    part right of the diagonal tile, the rows below the tile, times q; so
+    each tile counts once. The second is formed as (q.T @ part).T: at n =
+    3200 it touches 1.25 MB of OpenBLAS scratch where part.T @ q touches 4.9
+    MB, and it is the faster of the two there."""
+    y = np.zeros((n, q.shape[1]))
+    for a, blk in blocks:
+        h = blk.shape[0]
+        y[a:a + h] += blk @ q[a:]
+        y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
+    return y
+
+
 @dataclass(frozen=True)
 class CenteredSquares:
-    """B = -H S H / 2 for the squared distances s, a SymmetricBlocks, H = I -
-    ones/n, never stored: s itself, not a copy, and u = r/2 - g/4 from s's
-    row means r and their mean g (geodesic.double_center makes it). B q is
-    -H (S (H q)) / 2, two GEMMs per block of s (SymmetricBlocks.@). dense()
-    is B, -s/2 + (u_i + u_j), exactly symmetric; only the full eigh takes
-    it.
+    """B = -H S H / 2 for S the squares of the distances d, a
+    SymmetricBlocks, and H = I - ones/n (geodesic.double_center makes it).
+    Neither B nor S is stored, and d, not a copy, is only read. B q is -H (S
+    (H q)) / 2: S's product takes d's blocks in turn, each squared into one
+    (ROW_BLOCK, n) scratch just before its two GEMMs (_times), and a
+    product that is not finite, as where squares or the column sums of S (H
+    q) overflow, raises NonFiniteError. dense() is B, exactly symmetric;
+    only the full eigh takes it.
     """
 
-    s: SymmetricBlocks
-    u: np.ndarray
+    d: SymmetricBlocks
 
     @property
     def n(self):
-        return self.s.n
+        return self.d.n
 
     def __matmul__(self, q):
-        y = self.s @ (q - q.mean(axis=0))
+        scratch = np.empty(min(ROW_BLOCK, self.n) * self.n)  # each block's squares, overwritten by the next's
+        squares = ((a, np.square(blk, out=scratch[:blk.size].reshape(blk.shape))) for a, blk in self.d.blocks())
+        y = _times(squares, self.n, q - q.mean(axis=0))
+        _check_finite(y, "matrix has non-finite entries")  # before its column means read an inf
         y -= y.mean(axis=0)
+        _check_finite(y, "matrix has non-finite entries")  # a column sum that overflowed
         y *= -0.5
         return y
 
     def dense(self):
-        """B as a new (n, n) array: s.dense(), then a block of ROW_BLOCK rows
-        at a time through a (ROW_BLOCK, n) scratch."""
-        n, u = self.n, self.u
-        out = self.s.dense()
+        """B as a new (n, n) array: d.dense() squared in place, S, whose row
+        means r must be finite (NonFiniteError), then -S/2 + (u_i + u_j)
+        with u = r/2 - g/4 and g the mean of r, a block of ROW_BLOCK rows at
+        a time through a (ROW_BLOCK, n) scratch."""
+        n = self.n
+        out = self.d.dense()
+        np.square(out, out=out)
+        r = out.mean(axis=1)
+        _check_finite(r, "matrix has non-finite entries")
+        u = 0.5 * r - 0.25 * r.mean()
         scratch = np.empty((min(ROW_BLOCK, n), n))
         with _small_ufunc_buffer():
             for a in range(0, n, ROW_BLOCK):
@@ -177,28 +215,12 @@ _SPLITMIX_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _SPLITMIX_MUL2 = np.uint64(0x94D049BB133111EB)
 
 
-def _check_finite(a):
-    """Raise NonFiniteError when a has an inf or NaN entry; else return
-    max|a|. max and min propagate NaN, and between them catch -inf and
-    inf, without a mask of a's size."""
-    scale = max(a.max(), -a.min())
-    if not np.isfinite(scale):
-        raise NonFiniteError("matrix has non-finite entries")
-    return scale
-
-
-def _row_means(s):
-    """The row means of the SymmetricBlocks s, from one pass over its blocks
-    that also refuses a non-finite s (NonFiniteError, _check_finite on each
-    block). A block adds its row sums to its own rows, and its column sums
-    right of its diagonal tile to the rows below the tile."""
-    sums = np.zeros(s.n)
-    for a, blk in s.blocks():
-        _check_finite(blk)
-        h = blk.shape[0]
-        sums[a:a + h] += blk.sum(axis=1)
-        sums[a + h:] += blk[:, h:].sum(axis=0)
-    return sums / s.n
+def _check_finite(a, message):
+    """Raise NonFiniteError(message) when a has an inf or NaN entry. min
+    and max propagate NaN, and between them catch -inf and inf, without a
+    mask of a's size."""
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):
+        raise NonFiniteError(message)
 
 
 def _top_full(a, m):
@@ -322,8 +344,8 @@ def symmetric_eigen_top(a, m):
     with NonFiniteError when it holds an inf or NaN, which neither path
     refuses by itself: on the identity with one NaN pair the full eigh gives
     the eigenvalues 1, 1 at n = 10, and the iteration numpy's LinAlgError at
-    n = 30. A CenteredSquares is checked by geodesic.double_center, which
-    makes it, and not again here.
+    n = 30. A CenteredSquares refuses its own non-finite products and dense
+    form, and geodesic.double_center, which makes it, its distances.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
@@ -335,7 +357,7 @@ def symmetric_eigen_top(a, m):
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
     if isinstance(a, SymmetricBlocks):
-        _check_finite(a.buf)
+        _check_finite(a.buf, "matrix has non-finite entries")
     top = _top_subspace(a.__matmul__, n, m) if 2 * (m + _OVERSAMPLE) < n else None
     values, vectors = top if top is not None else _top_full(a.dense(), m)
     for j in range(m):

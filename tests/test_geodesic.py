@@ -404,7 +404,7 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (linalg, lambda: double_center(pack(np.square(gm.d.dense()))).dense(), "multiply"),
+        "double_center": (linalg, lambda: double_center(gm.d).dense(), "multiply"),
         "_pairwise_sq": (graph, lambda: list(graph._pairwise_sq(coords)), "subtract"),
     }
 
@@ -623,9 +623,10 @@ class TestLargestComponent:
 
 
 class TestGeodesicMatrixInput:
-    """GeodesicMatrix takes its distances packed (linalg.SymmetricBlocks)
-    and one integer point id per row, and refuses anything else as it is
-    made, not later in largest_component or the CSV writer."""
+    """GeodesicMatrix takes its distances packed (linalg.SymmetricBlocks, in
+    a float64 buffer of the packed size) and one integer point id per row,
+    and refuses anything else as it is made, not later in largest_component
+    or the CSV writer."""
 
     @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
     def test_dense_distances_refused(self, d):
@@ -643,6 +644,20 @@ class TestGeodesicMatrixInput:
     def test_points_not_integer_ids_refused(self, points):
         with pytest.raises(TypeError, match="^points must be an integer array, got "):
             GeodesicMatrix(d=pack(np.zeros((5, 5))), points=points)
+
+    @pytest.mark.parametrize("buf", [np.zeros(25, dtype=np.float32), np.zeros(25, dtype=np.int64), [0.0] * 25],
+                             ids=["float32", "int64", "list"])
+    def test_packed_buffer_not_float64_refused(self, buf):
+        with pytest.raises(TypeError, match="^buf must be a float64 array, got "):
+            linalg.SymmetricBlocks(5, buf)
+
+    @pytest.mark.parametrize("buf, size", [(np.zeros(3), 3), (np.zeros(26), 26), (np.zeros((5, 5)), 25),
+                                           (np.zeros(50)[::2], 25)], ids=["short", "long", "2-D", "strided"])
+    def test_packed_buffer_of_another_size_or_layout_refused(self, buf, size):
+        # a short buffer was once taken, with component_ids [0, 0, 0, -1, -1]
+        expected = rf"^buf for n = 5 must be 1-D and contiguous with 25 entries, got {size} "
+        with pytest.raises(ValueError, match=expected):
+            GeodesicMatrix(d=linalg.SymmetricBlocks(5, buf))
 
     def test_points_kept_as_given(self):
         points = np.array([4, 0, 3, 1, 2], dtype=np.int32)
@@ -664,44 +679,38 @@ class TestDoubleCenter:
         with pytest.raises(NonFiniteError):
             double_center(pack(s))
 
-    @pytest.mark.parametrize("s", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
-    def test_dense_squares_refused(self, s):
-        with pytest.raises(TypeError, match="^s must be a linalg.SymmetricBlocks, got "):
-            double_center(s)
+    @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
+    def test_dense_squares_refused(self, d):
+        with pytest.raises(TypeError, match="^d must be a linalg.SymmetricBlocks, got "):
+            double_center(d)
 
     def test_input_not_modified(self):
-        s = pack([[0.0, 1.0, 4.0], [1.0, 0.0, 9.0], [4.0, 9.0, 0.0]])
-        before = s.buf.copy()
-        double_center(s)
-        assert np.array_equal(s.buf, before)
+        d = pack([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
+        before = d.buf.copy()
+        op = double_center(d)
+        op @ np.eye(3)
+        op.dense()
+        assert np.array_equal(d.buf, before)
 
     @pytest.mark.parametrize("n", [1, 2, 63, 65, 130])
     def test_equals_centering_of_the_squares(self, n):
         # each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4, r the
-        # row means as the blocks sum them: each block's rows at their
-        # columns from the block's first on, and the columns right of its
-        # diagonal tile for the rows below the tile. Those means are within
-        # rounding of S.mean's, which sums each row in another order
+        # row means of the dense squares S and g their mean
         rng = np.random.default_rng(n)
-        s = np.square(gm_from_coords(rng.normal(size=(n, 3))).d.dense())
-        sums = np.zeros(n)
-        for a in range(0, n, linalg.ROW_BLOCK):
-            b = min(a + linalg.ROW_BLOCK, n)
-            sums[a:b] += s[a:b, a:].sum(axis=1)
-            sums[b:] += s[a:b, b:].sum(axis=0)
-        r = sums / n
-        assert np.max(np.abs(r - s.mean(axis=1)) / s.mean(axis=1).clip(min=np.finfo(float).tiny)) <= 1e-15
+        d = gm_from_coords(rng.normal(size=(n, 3))).d
+        s = np.square(d.dense())
+        r = s.mean(axis=1)
         u = 0.5 * r - 0.25 * r.mean()
         expected = s * -0.5
         expected += np.add.outer(u, u)
-        assert np.array_equal(double_center(pack(s)).dense(), expected)
+        assert np.array_equal(double_center(d).dense(), expected)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 10, size=(20, 20))
-        s = (a + a.T) / 2
-        np.fill_diagonal(s, 0.0)
-        out = double_center(pack(s)).dense()
+        d = (a + a.T) / 2
+        np.fill_diagonal(d, 0.0)
+        out = double_center(pack(d)).dense()
         scale = np.linalg.norm(out)
         assert np.max(np.abs(out.sum(axis=0))) <= 1e-9 * scale
         assert np.max(np.abs(out.sum(axis=1))) <= 1e-9 * scale
@@ -714,11 +723,11 @@ class TestDoubleCenter:
         # one block short of, at and past a whole block of rows, and two
         # and three blocks with a partial last one
         rng = np.random.default_rng(seed)
-        s = np.square(gm_from_coords(scale * rng.normal(size=(n, 3))).d.dense())
-        packed = pack(s)
-        op = double_center(packed)
+        d = gm_from_coords(scale * rng.normal(size=(n, 3))).d
+        s = np.square(d.dense())
+        op = double_center(d)
         assert isinstance(op, linalg.CenteredSquares) and op.n == n
-        assert op.s is packed  # the operator is over the squares themselves, not a copy
+        assert op.d is d  # the operator is over the distances themselves, not a copy
         b = op.dense()
         h = np.eye(n) - 1.0 / n
         reference = -0.5 * h @ s @ h
@@ -811,10 +820,19 @@ class TestNonFiniteGeodesics:
             classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
 
     def test_overflowing_squares_are_not_missing_paths(self):
-        # finite geodesics whose squares overflow keep double_center's message
+        # finite geodesics whose squares overflow keep the operator's message
         d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
         d[4, 1] = d[1, 4] = 1e200
         gm = GeodesicMatrix(d=pack(d))
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+            classical_mds(gm, 2)
+
+    def test_column_sums_that_overflow_are_refused(self):
+        # on the roll times 2^505 every square and every product with the
+        # block is finite, but a column sum of a product overflows: refused
+        # there, not left to the eigensolver's LinAlgError
+        data = DataSet(np.ldexp(gen_swiss_roll(400, 1).data.points, 505))
+        _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=10), "standard")), data)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
@@ -826,8 +844,9 @@ def same_bits(a, b):
 
 
 class TestSquaresInPlace:
-    """classical_mds squares gm.d in place and gives it back bitwise, or
-    squares it into a new buffer where the square roots would not."""
+    """classical_mds only reads gm.d: it is bitwise as it was after a run,
+    also where the squares are subnormal or overflow, or the solver raises,
+    and it may be read-only."""
 
     @staticmethod
     def embeds_and_restores(gm, m=2):
@@ -843,12 +862,20 @@ class TestSquaresInPlace:
         # (k = 10, stable) is one of them
         data = gen_swiss_roll(800, 1).data
         _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=k), method)), data)
-        assert geodesic._square_in_place(linalg.SymmetricBlocks(gm.n, gm.d.buf.copy()))  # the path under test
         self.embeds_and_restores(gm)
+
+    def test_read_only_packed_geodesics(self):
+        data = gen_swiss_roll(300, 1).data
+        _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=10), "stable")), data)
+        buf = gm.d.buf.copy()
+        buf.flags.writeable = False
+        frozen = GeodesicMatrix(d=linalg.SymmetricBlocks(gm.n, buf), points=gm.points)
+        assert same_bits(self.embeds_and_restores(frozen).coords, classical_mds(gm, 2).coords)
 
     def test_tiny_pair_takes_the_copy(self):
         # one pair at 1e-160 in a unit-scale cloud: its square, 1e-320, is
-        # subnormal, and its root would not be 1e-160
+        # subnormal, and its root would not be 1e-160; the squares were
+        # once taken in place and their roots taken back
         d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
         d[3, 66] = d[66, 3] = 1e-160
         gm = GeodesicMatrix(d=pack(d))
@@ -875,39 +902,6 @@ class TestSquaresInPlace:
         with pytest.raises(RuntimeError, match="solver failed"):
             classical_mds(gm, 2)
         assert same_bits(gm.d.buf, before)
-
-    @settings(PROPERTY, max_examples=300)
-    @given(e=st.integers(-511, 510), fraction=st.integers(0, 2**52 - 1))
-    @example(e=-511, fraction=0)  # 2^-511
-    @example(e=-511, fraction=1)  # its upper neighbour
-    @example(e=510, fraction=2**52 - 1)  # 2^511's lower neighbour
-    def test_roots_of_squares_in_the_range(self, e, fraction):
-        # every float in [2^-511, 2^511) is 2^e (1 + fraction 2^-52) for one such pair
-        x = math.ldexp(1.0 + math.ldexp(fraction, -52), e)
-        assert 2.0**-511 <= x < 2.0**511
-        assert math.sqrt(x * x) == x
-
-    # entry (row, 129) of 130 rows: in the first piece of ROW_BLOCK * n
-    # words, and in the second, last and partial one, at its start and end
-    @pytest.mark.parametrize("row", [0, 64, 129])
-    @pytest.mark.parametrize("x, squares", [
-        pytest.param(0.0, True, id="zero"),
-        pytest.param(2.0**-511, True, id="low"),
-        pytest.param(np.nextafter(2.0**-511, 0.0), False, id="below-low"),
-        pytest.param(np.nextafter(2.0**511, 0.0), True, id="below-high"),
-        pytest.param(2.0**511, False, id="high"),
-        pytest.param(-0.0, False, id="minus-zero"),
-        pytest.param(-1.0, False, id="negative"),
-    ])
-    def test_blocked_pass_picks_the_copy_outside_the_range(self, row, x, squares):
-        d = gm_from_coords(np.random.default_rng(11).normal(size=(130, 3))).d
-        d.buf[d.flat(row, 129)] = x
-        before = d.buf.copy()
-        assert geodesic._square_in_place(d) == squares
-        if squares:
-            assert same_bits(d.buf, np.square(before))
-        else:  # the pieces squared before the one with x take their roots back
-            assert same_bits(d.buf, before)
 
 
 class TestResidualVariance:
@@ -1191,7 +1185,7 @@ class TestBackHalf:
         # is the least accurate one the pipeline produces; the stop rule
         # bounds it from the residual and the gap, not relative to lambda1
         emb, gm, _ = isomap_embed(gen_helix(500, seed).data, RunConfig(method=method, k=5))
-        b = double_center(pack(np.square(gm.d.dense())))
+        b = double_center(gm.d)
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None  # the iteration answered
         values, vectors = full_eigh_coords(b)
         assert values[0] / values[1] > 1e4
@@ -1204,19 +1198,19 @@ class TestBackHalf:
         start_block = linalg._start_block
         monkeypatch.setattr(linalg, "_start_block", lambda n, p: start_block(1, n * p + offset)[0, offset:].reshape(n, p))
         emb, gm, _ = isomap_embed(gen_helix(500, 1).data, RunConfig(method="standard", k=5))
-        b = double_center(pack(np.square(gm.d.dense())))
+        b = double_center(gm.d)
         assert linalg._top_subspace(b.__matmul__, b.n, 2) is not None
         values, vectors = full_eigh_coords(b)
         assert np.max(np.abs(emb.coords - vectors * np.sqrt(values))) <= 1e-9
 
     def test_memory_at_most_about_two_n2_buffers(self):
-        # classical_mds squares the packed geodesic matrix in place and
-        # holds only (ROW_BLOCK, n) scratch beside it, 0.091 n^2 words
-        # measured at n = 800 (0.12 on a whole n x n one); the centered
-        # matrix's upper row blocks reached 0.636, and a whole n x n one
-        # 1.07. residual_variance then holds three (ROW_BLOCK, n) vectors of
-        # block scratch, about a quarter of an n x n buffer at n = 800,
-        # which sets the peak: 0.263 measured
+        # classical_mds only reads the packed geodesic matrix, each product
+        # squaring one row block at a time into a (ROW_BLOCK, n) scratch:
+        # 0.17 n^2 words beside it measured at n = 800 (0.091 squaring it in
+        # place); the centered matrix's upper row blocks reached 0.636, and
+        # a whole n x n one 1.07. residual_variance then holds three
+        # (ROW_BLOCK, n) vectors of block scratch, about a quarter of an n x
+        # n buffer at n = 800, which sets the peak: 0.263 measured
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         emb, _ = peak_bytes(lambda: classical_mds(gm, 2))
@@ -1229,7 +1223,7 @@ class TestBackHalf:
         # when the iteration cannot vouch for its answer, the full eigh takes
         # the operator's dense form as it is, with no symmetrized copy: that
         # matrix and eigh's n x n eigenvectors, 2.01 n^2 words measured at n
-        # = 800 beside the packed squares in place; with the centered matrix's row
+        # = 800 beside the packed geodesics; with the centered matrix's row
         # blocks beside them it reached 2.55, and with (a + a.T) / 2 beside a
         # whole centered matrix 3.0
         n = 800

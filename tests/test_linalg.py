@@ -242,11 +242,11 @@ def top_subspace(a, m):
     return linalg._top_subspace(packed.__matmul__, packed.n, m)
 
 
-def squared_distances(n, seed=0):
-    """The squared distances of n normal points in 6-D, whose doubly-centered
-    matrix has six distinct positive eigenvalues and n - 6 at round-off."""
+def distances(n, seed=0):
+    """The distances of n normal points in 6-D, whose doubly-centered squares
+    have six distinct positive eigenvalues and n - 6 at round-off."""
     points = np.random.default_rng(seed).normal(size=(n, 6)) * np.arange(6.0, 0.0, -1.0)
-    return np.square(points[:, None, :] - points[None, :, :]).sum(axis=-1)
+    return np.sqrt(np.square(points[:, None, :] - points[None, :, :]).sum(axis=-1))
 
 
 def planted(n, top, rest_scale=1.0, seed=0):
@@ -376,18 +376,18 @@ class TestEigenOracle:
 
     @pytest.mark.parametrize("n", [20, 130])  # the full eigh, and the subspace iteration
     def test_packed_matrix_gives_the_dense_answer(self, n):
-        # the doubly-centered operator over the squares against the oracle
-        # on its dense form
-        op = double_center(pack(squared_distances(n, seed=n)))
+        # the doubly-centered operator over the distances against the
+        # oracle on its dense form
+        op = double_center(pack(distances(n, seed=n)))
         self.assert_matches_oracle(op, 2, op.dense())
 
     @pytest.mark.parametrize("n", [20, 130])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_packed_non_finite_entries_refused(self, n, bad):
-        s = squared_distances(n)
-        s[-1, -1] = bad
-        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
-            symmetric_eigen_top(double_center(pack(s)), 2)
+        d = distances(n)
+        d[-1, -1] = bad
+        with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
+            symmetric_eigen_top(double_center(pack(d)), 2)
 
 
 SPLITMIX_MASK = (1 << 64) - 1

@@ -211,22 +211,28 @@ class TestCompareMethods:
 class TestMemory:
     """Peak traced memory of whole runs, in units of one n x n float64
     buffer: the geodesic matrix as its upper row blocks, about half a
-    buffer, which classical scaling squares in place, plus the O(n * k)
-    tables and the (ROW_BLOCK, n) scratch, which weigh more at smaller n.
-    Each bound is the peak measured at that n, both methods, plus about
-    0.1."""
+    buffer, which classical scaling only reads, plus the O(n * k) tables
+    and the (ROW_BLOCK, n) scratch, which weigh more at smaller n. Each
+    bound is the peak measured at that n, both methods, plus about 0.1."""
 
     @staticmethod
-    def roll(n):
+    def roll(n, points=None):
+        """The Swiss roll of n points, seed 1, with the points {index:
+        coordinates} moved."""
         data = gen_swiss_roll(n, 1).data
+        if points:
+            moved = data.points.copy()
+            for i, x in points.items():
+                moved[i] = x
+            data = DataSet(moved)
         build_graph(data, SelectorConfig(k=10), "stable")  # warm-up: first-call allocations
         return data
 
-    def embed_peak_within_bound(self, n, method, bound):
+    def embed_peak_within_bound(self, n, method, bound, points=None):
         # whole n x n geodesics reached 1.28 at n = 800, with the centered
         # matrix's upper row blocks beside them 1.66, and with a whole n x n
         # centered matrix 2.09
-        roll = self.roll(n)
+        roll = self.roll(n, points)
 
         def run():
             emb, gm, _ = isomap_embed(roll, RunConfig(method=method, k=10))
@@ -242,6 +248,13 @@ class TestMemory:
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance_at_n800(self, method):
         self.embed_peak_within_bound(800, method, 0.93)  # measured 0.82-0.83
+
+    @pytest.mark.parametrize("method", ["standard", "stable"])
+    def test_embed_with_a_subnormal_square_at_n800(self, method):
+        # two points 1e-160 apart: the square of their geodesic is
+        # subnormal. MDS once squared the geodesics in place, and squared
+        # such ones into a second packed matrix, which took the peak to 1.19
+        self.embed_peak_within_bound(800, method, 0.93, {3: (0.0, 10.0, 0.0), 7: (1e-160, 10.0, 0.0)})
 
     def sweep_peak_within_bound(self, n, bound):
         # a cell still holding the previous cell's geodesic matrix, or a
