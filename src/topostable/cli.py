@@ -17,6 +17,7 @@ from .geodesic import residual_variance
 from .graph import METHODS
 from .pipeline import (
     RunConfig,
+    _fmt,
     _open_out,
     compare_methods,
     isomap_embed,
@@ -136,7 +137,7 @@ def _cmd_generate(args):
     sample = GENERATORS[args.manifold](args.n, args.seed)
     with _open_out(sys.stdout if args.out == "-" else args.out) as fh:
         for row in sample.data.points:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"wrote {sample.data.n} {args.manifold} points", file=sys.stderr)
     return 0
 

@@ -23,9 +23,9 @@ scaling only reads it, through the doubly-centered squares as an operator
 over it (double_center), which squares it a row block at a time inside
 each product. With only (ROW_BLOCK, n) scratch beside it, a run peaks in
 Floyd, at about 0.65 n x n buffers; only the full eigh it falls back on
-makes whole n x n matrices. None puts the rows back in the
-points' order: classical scaling follows a relabelling of the points and
-the residual variance does not change under one.
+makes whole n x n matrices (linalg._top_full). None puts the rows back in
+the points' order: classical scaling follows a relabelling of the points
+and the residual variance does not change under one.
 """
 
 import itertools
@@ -60,8 +60,8 @@ class GeodesicMatrix:
 
     d is a linalg.SymmetricBlocks, the matrix stored once as its upper row
     blocks, symmetric by construction; anything else raises TypeError. Only
-    tests and the full eigh make the whole matrix (d.dense()). Row and
-    column r of d are point points[r], a 1-D integer array of length n
+    tests make the whole matrix (d.dense()). Row and column r of d are
+    point points[r], a 1-D integer array of length n
     (TypeError for another type or dtype, ValueError for another shape):
     floyd_all_pairs leaves them in its pivot order, and a matrix built by
     hand defaults to the points' own order, range(n). The connected
@@ -153,9 +153,8 @@ def _floyd_in_place(d):
     there and scatters the rows back; a chunk with no row in R is skipped.
     A chunk other than the panel's finds, before the first step, the pivots
     none of its rows reach, and skips their steps. R's part left of the
-    panel's block is read from the blocks above, in their columns of the
-    panel, but only from the blocks that may reach it (near): a panel's
-    steps make finite only entries of R x R.
+    panel's block is read from every block above, in its columns of the
+    panel.
 
     The recurrence keeps d symmetric: d[i, k] + d[k, j] and d[j, k] +
     d[k, i] are the same float64 number. So a row reads d[i, k] from the
@@ -235,23 +234,15 @@ def _floyd_in_place(d):
         for r, i in zip(*rows):
             own[i, upper] = blk[r, at:]
 
-    # near[e, c]: whether block e may hold a finite entry at chunk c's
-    # columns, from the weights and then each panel's reach set with itself
-    near = np.zeros((chunks, chunks), dtype=bool)
-    for e, (a, blk) in enumerate(d.blocks()):
-        near[e, e:] = np.minimum.reduceat(np.minimum.reduce(blk, axis=0), np.arange(0, n - a, block)) < np.inf
     with _small_ufunc_buffer():
         for p in range(chunks):
             a, h = p * block, blocks[p].shape[0]
             low = scratch[:n]
-            low[:a] = np.inf
-            for e in np.flatnonzero(near[:p, p]).tolist():
+            for e in range(p):
                 top = e * block
                 np.minimum.reduce(blocks[e][:, a - top:a - top + h], axis=1, out=low[top:top + block])
             np.minimum.reduce(blocks[p], axis=0, out=low[a:])
             reach = np.flatnonzero(low < np.inf)
-            hit = np.unique(reach // block)
-            near[np.ix_(hit, hit)] = True
             relax(p, p, reach)
             for c in range(chunks):
                 if c != p:

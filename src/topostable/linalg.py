@@ -5,8 +5,9 @@ largest" (see _top_subspace). A pure function of its input, a packed
 symmetric matrix: one stored once as its upper row blocks
 (SymmetricBlocks), or the doubly-centered squares of such a matrix of
 distances as an operator over the distances themselves (CenteredSquares,
-which geodesic.double_center makes). The iteration needs only the matrix's
-product with a block of vectors, so neither the squares nor the centered
+which geodesic.double_center makes). Both paths read the matrix only
+through its product with a block of vectors (the full eigh assembles it
+from panels of the identity), so neither the squares nor the centered
 matrix is stored, and the input is only read. No dense (n, n) array is
 taken as input.
 """
@@ -153,8 +154,8 @@ class CenteredSquares:
     (H q)) / 2: S's product takes d's blocks in turn, each squared into one
     (ROW_BLOCK, n) scratch just before its two GEMMs (_times), and a
     product that is not finite, as where squares or the column sums of S (H
-    q) overflow, raises NonFiniteError. dense() is B, exactly symmetric;
-    only the full eigh takes it.
+    q) overflow, raises NonFiniteError, with no numpy warning first. The
+    product is B's only form, the full eigh's too (_top_full).
     """
 
     d: SymmetricBlocks
@@ -165,32 +166,13 @@ class CenteredSquares:
 
     def __matmul__(self, q):
         scratch = np.empty(min(ROW_BLOCK, self.n) * self.n)  # each block's squares, overwritten by the next's
-        squares = ((a, np.square(blk, out=scratch[:blk.size].reshape(blk.shape))) for a, blk in self.d.blocks())
-        y = _times(squares, self.n, q - q.mean(axis=0))
-        _check_finite(y, "matrix has non-finite entries")  # before its column means read an inf
-        y -= y.mean(axis=0)
-        _check_finite(y, "matrix has non-finite entries")  # a column sum that overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = ((a, np.square(blk, out=scratch[:blk.size].reshape(blk.shape))) for a, blk in self.d.blocks())
+            y = _times(squares, self.n, q - q.mean(axis=0))
+            y -= y.mean(axis=0)
+        _check_finite(y, "matrix has non-finite entries")
         y *= -0.5
         return y
-
-    def dense(self):
-        """B as a new (n, n) array: d.dense() squared in place, S, whose row
-        means r must be finite (NonFiniteError), then -S/2 + (u_i + u_j)
-        with u = r/2 - g/4 and g the mean of r, a block of ROW_BLOCK rows at
-        a time through a (ROW_BLOCK, n) scratch."""
-        n = self.n
-        out = self.d.dense()
-        np.square(out, out=out)
-        r = out.mean(axis=1)
-        _check_finite(r, "matrix has non-finite entries")
-        u = 0.5 * r - 0.25 * r.mean()
-        scratch = np.empty((min(ROW_BLOCK, n), n))
-        with _small_ufunc_buffer():
-            for a in range(0, n, ROW_BLOCK):
-                blk = out[a:a + ROW_BLOCK]
-                np.multiply(blk, -0.5, out=blk)
-                blk += np.add.outer(u[a:a + ROW_BLOCK], u, out=scratch[:blk.shape[0]])
-        return out
 
 
 # Block subspace iteration: extra columns beyond m (they widen the gap that
@@ -224,8 +206,17 @@ def _check_finite(a, message):
 
 
 def _top_full(a, m):
-    """Top m eigenpairs from the full eigh of the symmetric matrix a."""
-    values, vectors = np.linalg.eigh(a)
+    """Top m eigenpairs from the full eigh of a @ I, assembled ROW_BLOCK
+    columns of the identity at a time, the panel freed before eigh. For a
+    SymmetricBlocks that is its entries exactly: each is x * 1 plus zeros."""
+    n = a.n
+    whole = np.empty((n, n))
+    for c in range(0, n, ROW_BLOCK):
+        panel = np.zeros((n, min(ROW_BLOCK, n - c)))
+        np.fill_diagonal(panel[c:], 1.0)
+        whole[:, c:c + panel.shape[1]] = a @ panel
+    del panel
+    values, vectors = np.linalg.eigh(whole)
     order = np.argsort(-values, kind="stable")[:m]
     return values[order], vectors[:, order]
 
@@ -333,19 +324,20 @@ def symmetric_eigen_top(a, m):
     (n, m) with orthonormal columns, column j pairing with values[j].
 
     a is a SymmetricBlocks or a CenteredSquares, read, past the finite check
-    below, only through its n, its @ and its dense(); anything else, an
-    array included, raises TypeError. Block subspace iteration (Halko, Martinsson & Tropp, SIAM
-    Review 2011) finds them from m + 8 columns, started from a hashed block
-    and stopped once each coordinate column sqrt(lambda_j) v_j is within
-    1e-12 sqrt(|lambda|max) of the exact one, or its residual is at
-    round-off level; a full eigh of a.dense(), the only n x n matrix made,
-    takes over when n is small (2(m + 8) >= n) or when the iteration cannot
-    vouch for its answer (see _top_subspace). A SymmetricBlocks is refused
-    with NonFiniteError when it holds an inf or NaN, which neither path
-    refuses by itself: on the identity with one NaN pair the full eigh gives
-    the eigenvalues 1, 1 at n = 10, and the iteration numpy's LinAlgError at
-    n = 30. A CenteredSquares refuses its own non-finite products and dense
-    form, and geodesic.double_center, which makes it, its distances.
+    below, only through its n and its @; anything else, an array included,
+    raises TypeError. Block subspace iteration (Halko, Martinsson & Tropp,
+    SIAM Review 2011) finds them from m + 8 columns, started from a hashed
+    block and stopped once each coordinate column sqrt(lambda_j) v_j is
+    within 1e-12 sqrt(|lambda|max) of the exact one, or its residual is at
+    round-off level; a full eigh of a @ I, the only n x n matrix made, takes
+    over when n is small (2(m + 8) >= n) or when the iteration cannot vouch
+    for its answer (see _top_subspace, _top_full). So both paths read the
+    same products. A SymmetricBlocks is refused with NonFiniteError when it
+    holds an inf or NaN, which neither path refuses by itself: on the
+    identity with one NaN pair the full eigh gives the eigenvalues 1, 1 at
+    n = 10, and the iteration numpy's LinAlgError at n = 30. A
+    CenteredSquares refuses its own non-finite products, and
+    geodesic.double_center, which makes it, its distances.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
@@ -359,7 +351,7 @@ def symmetric_eigen_top(a, m):
     if isinstance(a, SymmetricBlocks):
         _check_finite(a.buf, "matrix has non-finite entries")
     top = _top_subspace(a.__matmul__, n, m) if 2 * (m + _OVERSAMPLE) < n else None
-    values, vectors = top if top is not None else _top_full(a.dense(), m)
+    values, vectors = top if top is not None else _top_full(a, m)
     for j in range(m):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:

@@ -145,6 +145,15 @@ def pack(a):
     return out
 
 
+def centered_squares(d):
+    """-H S H / 2 for S the squares of the packed distances d and H = I -
+    ones/n, from d.dense() by dense products: the reference for
+    linalg.CenteredSquares, which never forms it."""
+    n = d.n
+    h = np.eye(n) - 1.0 / n
+    return -0.5 * (h @ np.square(d.dense()) @ h)
+
+
 def peak_bytes(fn):
     """(fn(), the highest traced memory while fn ran, in bytes above what
     was traced when it started). tracemalloc runs only for the call and is

@@ -445,24 +445,38 @@ class TestLargeFiniteInput:
 class TestExtremeScaleInput:
     """A Swiss roll scaled by 2^e, far from 1 though its squared distances
     stay normal floats: embed writes the unscaled run's coordinates scaled
-    by 2^e, and prints no warning. The runs go to a child, so that its
-    stderr is what a user sees."""
+    by 2^e, and prints no warning. Where the squares' sums overflow, embed
+    and compare refuse the run with their error lines alone. The runs go to
+    a child, so that its stderr is what a user sees."""
 
     @staticmethod
-    def embed(tmp_path, e):
-        src, out = tmp_path / f"roll{e}.csv", tmp_path / f"emb{e}.csv"
-        pts = np.ldexp(gen_swiss_roll(200, 1).data.points, e)
+    def run_child(tmp_path, e, n, command, out):
+        src = tmp_path / f"roll{e}.csv"
+        pts = np.ldexp(gen_swiss_roll(n, 1).data.points, e)
         src.write_text("".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in pts))
-        proc = subprocess.run(
-            [sys.executable, "-m", "topostable", "embed", "--in", str(src), "--method", "standard", "--k", "10",
-             "--out", str(out)],
+        return subprocess.run(
+            [sys.executable, "-m", "topostable", *command, "--in", str(src), "--k", "10", "--out", str(out)],
             capture_output=True,
             text=True,
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
         )
+
+    def embed(self, tmp_path, e):
+        out = tmp_path / f"emb{e}.csv"
+        proc = self.run_child(tmp_path, e, 200, ["embed", "--method", "standard"], out)
         assert proc.returncode == 0, proc.stderr
         assert "Warning" not in proc.stderr
         return np.loadtxt(out, delimiter=",", skiprows=1)
+
+    def test_overflowing_column_sums_refused_with_no_warning(self, tmp_path):
+        # at 2^505 every square is finite but a column sum of a product
+        # overflows: stderr holds the refusal and nothing before it
+        refused = "classical MDS: matrix has non-finite entries"
+        proc = self.run_child(tmp_path, 505, 400, ["embed"], tmp_path / "emb.csv")
+        assert (proc.returncode, proc.stderr) == (2, f"error: {refused}\n")
+        proc = self.run_child(tmp_path, 505, 400, ["compare"], tmp_path / "report.csv")
+        expected = "".join(f"cell k=10 method={method} failed: {refused}\n" for method in ("standard", "stable"))
+        assert (proc.returncode, proc.stderr) == (0, expected + "compared 2 cells (2 failed)\n")
 
     @pytest.mark.parametrize("e", [-280, 280])
     def test_embed_writes_the_scaled_coordinates(self, tmp_path, e):

@@ -30,7 +30,7 @@ from topostable import (
 from topostable import geodesic, graph, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
-from conftest import blob_images, in_rows, pack, peak_bytes
+from conftest import blob_images, centered_squares, in_rows, pack, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -404,7 +404,6 @@ def buffer_scoped_calls():
     return {
         "floyd_all_pairs": (geodesic, lambda: floyd_all_pairs(ORACLE_GRAPHS["n65"][0](rng)), "add"),
         "residual_variance": (geodesic, lambda: residual_variance(gm, emb), "take"),
-        "double_center": (linalg, lambda: double_center(gm.d).dense(), "multiply"),
         "_pairwise_sq": (graph, lambda: list(graph._pairwise_sq(coords)), "subtract"),
     }
 
@@ -414,7 +413,7 @@ class TestFloydBufferSize:
     caller gets its size back, from it and from every other dense step
     that shares its small-buffer scope."""
 
-    SCOPED = ["floyd_all_pairs", "residual_variance", "double_center", "_pairwise_sq"]
+    SCOPED = ["floyd_all_pairs", "residual_variance", "_pairwise_sq"]
 
     @pytest.mark.parametrize("name", SCOPED)
     def test_caller_size_restored(self, name):
@@ -666,12 +665,20 @@ class TestGeodesicMatrixInput:
 
 
 class TestDoubleCenter:
+    """double_center's operator against the dense reference -H S H / 2
+    (conftest.centered_squares), through its one form: its products, here
+    with the identity."""
+
     def test_two_point_hand_case(self):
-        out = double_center(pack([[0.0, 1.0], [1.0, 0.0]])).dense()
+        d = pack([[0.0, 1.0], [1.0, 0.0]])
+        out = double_center(d) @ np.eye(2)
         assert np.allclose(out, [[0.25, -0.25], [-0.25, 0.25]], atol=1e-15)
+        assert np.allclose(out, centered_squares(d), atol=1e-15)
 
     def test_zero_matrix(self):
-        assert np.array_equal(double_center(pack(np.zeros((3, 3)))).dense(), np.zeros((3, 3)))
+        d = pack(np.zeros((3, 3)))
+        assert np.array_equal(double_center(d) @ np.eye(3), np.zeros((3, 3)))
+        assert np.array_equal(centered_squares(d), np.zeros((3, 3)))
 
     def test_infinite_entry_raises(self):
         s = np.zeros((3, 3))
@@ -687,34 +694,29 @@ class TestDoubleCenter:
     def test_input_not_modified(self):
         d = pack([[0.0, 1.0, 2.0], [1.0, 0.0, 3.0], [2.0, 3.0, 0.0]])
         before = d.buf.copy()
-        op = double_center(d)
-        op @ np.eye(3)
-        op.dense()
+        out = double_center(d) @ np.eye(3)
         assert np.array_equal(d.buf, before)
+        assert np.max(np.abs(out - centered_squares(d))) <= 1e-15 * np.max(np.abs(out))
 
     @pytest.mark.parametrize("n", [1, 2, 63, 65, 130])
     def test_equals_centering_of_the_squares(self, n):
-        # each entry is -s_ij / 2 + (u_i + u_j) with u = r/2 - g/4, r the
-        # row means of the dense squares S and g their mean
         rng = np.random.default_rng(n)
         d = gm_from_coords(rng.normal(size=(n, 3))).d
-        s = np.square(d.dense())
-        r = s.mean(axis=1)
-        u = 0.5 * r - 0.25 * r.mean()
-        expected = s * -0.5
-        expected += np.add.outer(u, u)
-        assert np.array_equal(double_center(d).dense(), expected)
+        out = double_center(d) @ np.eye(n)
+        reference = centered_squares(d)
+        assert np.max(np.abs(out - reference)) <= 1e-13 * max(np.max(np.abs(reference)), np.finfo(float).tiny)
 
     def test_row_and_column_sums_vanish(self):
         rng = np.random.default_rng(4)
         a = rng.uniform(0, 10, size=(20, 20))
         d = (a + a.T) / 2
         np.fill_diagonal(d, 0.0)
-        out = double_center(pack(d)).dense()
+        out = double_center(pack(d)) @ np.eye(20)
         scale = np.linalg.norm(out)
         assert np.max(np.abs(out.sum(axis=0))) <= 1e-9 * scale
         assert np.max(np.abs(out.sum(axis=1))) <= 1e-9 * scale
         assert np.allclose(out, out.T, atol=1e-12 * scale)
+        assert np.allclose(out, centered_squares(pack(d)), atol=1e-12 * scale)
 
     @settings(PROPERTY, max_examples=28)
     @given(n=st.sampled_from([1, 2, 63, 64, 65, 130, 200]), seed=st.integers(0, 2**32 - 1),
@@ -724,20 +726,17 @@ class TestDoubleCenter:
         # and three blocks with a partial last one
         rng = np.random.default_rng(seed)
         d = gm_from_coords(scale * rng.normal(size=(n, 3))).d
-        s = np.square(d.dense())
         op = double_center(d)
         assert isinstance(op, linalg.CenteredSquares) and op.n == n
         assert op.d is d  # the operator is over the distances themselves, not a copy
-        b = op.dense()
-        h = np.eye(n) - 1.0 / n
-        reference = -0.5 * h @ s @ h
-        top = np.max(np.abs(b))
-        assert np.array_equal(b, b.T)
+        b = op @ np.eye(n)
+        reference = centered_squares(d)
+        top = np.max(np.abs(reference))
         assert np.max(np.abs(b - reference)) <= 1e-12 * top
+        assert np.max(np.abs(b - b.T)) <= 1e-12 * top
         assert np.max(np.abs(b.sum(axis=1))) <= 1e-12 * top
         q = rng.normal(size=(n, 10))
-        assert np.max(np.abs(op @ q - b @ q)) <= 1e-12 * np.max(np.abs(b @ q))
-
+        assert np.max(np.abs(op @ q - reference @ q)) <= 1e-12 * np.max(np.abs(reference @ q))
 
 
 def gm_from_coords(coords):
@@ -824,7 +823,7 @@ class TestNonFiniteGeodesics:
         d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
         d[4, 1] = d[1, 4] = 1e200
         gm = GeodesicMatrix(d=pack(d))
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
     def test_column_sums_that_overflow_are_refused(self):
@@ -833,7 +832,7 @@ class TestNonFiniteGeodesics:
         # there, not left to the eigensolver's LinAlgError
         data = DataSet(np.ldexp(gen_swiss_roll(400, 1).data.points, 505))
         _, gm, _ = largest_component(floyd_all_pairs(build_graph(data, SelectorConfig(k=10), "standard")), data)
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
 
@@ -888,7 +887,7 @@ class TestSquaresInPlace:
         d[5, 1] = d[1, 5] = x
         gm = GeodesicMatrix(d=pack(d))
         before = gm.d.buf.copy()
-        with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
+        with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
         assert same_bits(gm.d.buf, before)
 
@@ -1141,9 +1140,10 @@ def projected_points(n, m):
 
 
 def full_eigh_coords(b):
-    """Top two eigenpairs of the CenteredSquares b from the full eigh, each
-    vector's largest-magnitude component made positive."""
-    values, vectors = linalg._top_full(b.dense(), 2)
+    """Top two eigenpairs of the CenteredSquares b from the full eigh of b @
+    I (linalg._top_full), each vector's largest-magnitude component made
+    positive."""
+    values, vectors = linalg._top_full(b, 2)
     for j in range(2):
         col = vectors[:, j]
         if col[np.argmax(np.abs(col))] < 0.0:
@@ -1220,12 +1220,14 @@ class TestBackHalf:
         assert peak <= 0.35 * n * n * 8
 
     def test_full_eigh_fallback_memory(self, monkeypatch):
-        # when the iteration cannot vouch for its answer, the full eigh takes
-        # the operator's dense form as it is, with no symmetrized copy: that
-        # matrix and eigh's n x n eigenvectors, 2.01 n^2 words measured at n
-        # = 800 beside the packed geodesics; with the centered matrix's row
-        # blocks beside them it reached 2.55, and with (a + a.T) / 2 beside a
-        # whole centered matrix 3.0
+        # when the iteration cannot vouch for its answer, the full eigh
+        # assembles the operator's matrix from its products with (n,
+        # ROW_BLOCK) panels of the identity, frees the last panel and takes
+        # the matrix as it is, with no symmetrized copy: that matrix and
+        # eigh's n x n eigenvectors, 2.01 n^2 words measured at n = 800
+        # beside the packed geodesics; with the centered matrix's row blocks
+        # beside them it reached 2.55, and with (a + a.T) / 2 beside a whole
+        # centered matrix 3.0
         n = 800
         gm = gm_from_coords(gen_swiss_roll(n, 1).data.points)
         monkeypatch.setattr(linalg, "_top_subspace", lambda product, n, m: None)

@@ -24,7 +24,7 @@ from topostable.errors import (
     ZeroVarianceError,
 )
 
-from conftest import pack
+from conftest import centered_squares, pack
 from stable_reference import _angles_deg
 
 
@@ -377,9 +377,27 @@ class TestEigenOracle:
     @pytest.mark.parametrize("n", [20, 130])  # the full eigh, and the subspace iteration
     def test_packed_matrix_gives_the_dense_answer(self, n):
         # the doubly-centered operator over the distances against the
-        # oracle on its dense form
+        # oracle on the dense reference, which its products match
         op = double_center(pack(distances(n, seed=n)))
-        self.assert_matches_oracle(op, 2, op.dense())
+        reference = centered_squares(op.d)
+        assert np.max(np.abs(op @ np.eye(n) - reference)) <= 1e-12 * np.max(np.abs(reference))
+        self.assert_matches_oracle(op, 2, reference)
+
+    @pytest.mark.parametrize("n", [20, 130])
+    def test_full_solver_takes_the_operators_own_products(self, monkeypatch, n):
+        # with the iteration off, the full eigh reads the operator only
+        # through its products: bitwise the eigh of op @ I
+        monkeypatch.setattr(linalg, "_top_subspace", lambda product, n, m: None)
+        op = double_center(pack(distances(n, seed=n)))
+        got_values, got_vectors = symmetric_eigen_top(op, 2)
+        values, vectors = np.linalg.eigh(op @ np.eye(n))
+        order = np.argsort(-values, kind="stable")[:2]
+        values, vectors = values[order], vectors[:, order]
+        for j in range(2):
+            if vectors[np.argmax(np.abs(vectors[:, j])), j] < 0.0:
+                vectors[:, j] *= -1.0
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(got_vectors, vectors)
 
     @pytest.mark.parametrize("n", [20, 130])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
