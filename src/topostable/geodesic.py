@@ -59,28 +59,26 @@ class GeodesicMatrix:
     """Geodesic distances (all-pairs shortest paths); inf marks unreachable pairs.
 
     d is a linalg.SymmetricBlocks, the matrix stored once as its upper row
-    blocks, symmetric by construction; anything else raises TypeError. Only
-    tests make the whole matrix (d.dense()). Row and column r of d are
-    point points[r], a 1-D integer array of length n
-    (TypeError for another type or dtype, ValueError for another shape):
-    floyd_all_pairs leaves them in its pivot order, and a matrix built by
-    hand defaults to the points' own order, range(n). The connected
+    blocks, symmetric by construction; anything else raises TypeError. Row
+    and column r of d are point points[r], a 1-D integer array of length n
+    that must be given (TypeError when it is missing or of another type or
+    dtype, ValueError for another shape): floyd_all_pairs leaves them in its
+    pivot order, and largest_component keeps that order. The connected
     components are read from d's finite entries, not stored beside it (see
     component_ids).
     """
 
     d: SymmetricBlocks
-    points: np.ndarray = None
+    points: np.ndarray
 
     def __post_init__(self):
         if not isinstance(self.d, SymmetricBlocks):
             raise TypeError(f"d must be a linalg.SymmetricBlocks, got {type(self.d).__name__}")
-        points = np.arange(self.n, dtype=np.int64) if self.points is None else self.points
+        points = self.points
         if not (isinstance(points, np.ndarray) and np.issubdtype(points.dtype, np.integer)):
             raise TypeError(f"points must be an integer array, got {getattr(points, 'dtype', type(points).__name__)}")
         if points.shape != (self.n,):
             raise ValueError(f"points must be 1-D with one id for each of the {self.n} rows, got shape {points.shape}")
-        object.__setattr__(self, "points", points)
 
     @property
     def n(self):

@@ -1,15 +1,14 @@
 """Top eigenpairs of a symmetric matrix, the one numeric step classical MDS
 needs: block subspace iteration with Rayleigh-Ritz, falling back to a full
 eigh when n is small or when the iteration cannot vouch for "algebraically
-largest" (see _top_subspace). A pure function of its input, a packed
-symmetric matrix: one stored once as its upper row blocks
-(SymmetricBlocks), or the doubly-centered squares of such a matrix of
-distances as an operator over the distances themselves (CenteredSquares,
-which geodesic.double_center makes). Both paths read the matrix only
-through its product with a block of vectors (the full eigh assembles it
-from panels of the identity), so neither the squares nor the centered
-matrix is stored, and the input is only read. No dense (n, n) array is
-taken as input.
+largest" (see _top_subspace). A pure function of its one input, the
+doubly-centered squares of a packed symmetric matrix of distances
+(SymmetricBlocks: stored once as its upper row blocks) as an operator over
+the distances themselves (CenteredSquares, which geodesic.double_center
+makes). Both paths read it only through its product with a block of
+vectors (the full eigh assembles it from panels of the identity), so
+neither the squares nor the centered matrix is stored, and the distances
+are only read. No dense (n, n) array is taken as input.
 """
 
 import contextlib
@@ -116,35 +115,6 @@ class SymmetricBlocks:
             np.take(self.buf, self.flat(np.minimum(i, j), np.maximum(i, j)), out=blk)
         return out
 
-    def __matmul__(self, q):
-        """The matrix times the (n, p) array q (_times)."""
-        return _times(self.blocks(), self.n, q)
-
-    def dense(self):
-        """The whole matrix, as a new (n, n) array."""
-        out = np.empty((self.n, self.n))
-        for a, blk in self.blocks():
-            h = blk.shape[0]
-            out[a:a + h, a:] = blk
-            out[a + h:, a:a + h] = blk[:, h:].T
-        return out
-
-
-def _times(blocks, n, q):
-    """The symmetric n x n matrix whose upper row blocks are blocks, (a,
-    block) pairs as SymmetricBlocks.blocks yields them, times the (n, p)
-    array q, two GEMMs per block: its rows times q, and the transpose of its
-    part right of the diagonal tile, the rows below the tile, times q; so
-    each tile counts once. The second is formed as (q.T @ part).T: at n =
-    3200 it touches 1.25 MB of OpenBLAS scratch where part.T @ q touches 4.9
-    MB, and it is the faster of the two there."""
-    y = np.zeros((n, q.shape[1]))
-    for a, blk in blocks:
-        h = blk.shape[0]
-        y[a:a + h] += blk @ q[a:]
-        y[a + h:] += (q[a:a + h].T @ blk[:, h:]).T
-    return y
-
 
 @dataclass(frozen=True)
 class CenteredSquares:
@@ -152,10 +122,10 @@ class CenteredSquares:
     SymmetricBlocks, and H = I - ones/n (geodesic.double_center makes it).
     Neither B nor S is stored, and d, not a copy, is only read. B q is -H (S
     (H q)) / 2: S's product takes d's blocks in turn, each squared into one
-    (ROW_BLOCK, n) scratch just before its two GEMMs (_times), and a
-    product that is not finite, as where squares or the column sums of S (H
-    q) overflow, raises NonFiniteError, with no numpy warning first. The
-    product is B's only form, the full eigh's too (_top_full).
+    (ROW_BLOCK, n) scratch just before its two GEMMs, and a product that is
+    not finite, as where squares or the column sums of S (H q) overflow,
+    raises NonFiniteError, with no numpy warning first. The product is B's
+    only form, the full eigh's too (_top_full).
     """
 
     d: SymmetricBlocks
@@ -165,10 +135,22 @@ class CenteredSquares:
         return self.d.n
 
     def __matmul__(self, q):
-        scratch = np.empty(min(ROW_BLOCK, self.n) * self.n)  # each block's squares, overwritten by the next's
+        n = self.n
+        scratch = np.empty(min(ROW_BLOCK, n) * n)  # each block's squares, overwritten by the next's
         with np.errstate(over="ignore", invalid="ignore"):
-            squares = ((a, np.square(blk, out=scratch[:blk.size].reshape(blk.shape))) for a, blk in self.d.blocks())
-            y = _times(squares, self.n, q - q.mean(axis=0))
+            q = q - q.mean(axis=0)
+            y = np.zeros((n, q.shape[1]))
+            for a, blk in self.d.blocks():
+                h = blk.shape[0]
+                squares = np.square(blk, out=scratch[:blk.size].reshape(blk.shape))
+                # S's rows [a, a + h) times q, and the transpose of their part
+                # right of the diagonal tile, the rows below the tile, times
+                # q; so each tile counts once. The second is formed as (q.T @
+                # part).T: at n = 3200 it touches 1.25 MB of OpenBLAS scratch
+                # where part.T @ q touches 4.9 MB, and it is the faster of the
+                # two there.
+                y[a:a + h] += squares @ q[a:]
+                y[a + h:] += (q[a:a + h].T @ squares[:, h:]).T
             y -= y.mean(axis=0)
         _check_finite(y, "matrix has non-finite entries")
         y *= -0.5
@@ -207,8 +189,7 @@ def _check_finite(a, message):
 
 def _top_full(a, m):
     """Top m eigenpairs from the full eigh of a @ I, assembled ROW_BLOCK
-    columns of the identity at a time, the panel freed before eigh. For a
-    SymmetricBlocks that is its entries exactly: each is x * 1 plus zeros."""
+    columns of the identity at a time, the panel freed before eigh."""
     n = a.n
     whole = np.empty((n, n))
     for c in range(0, n, ROW_BLOCK):
@@ -323,33 +304,28 @@ def symmetric_eigen_top(a, m):
     tuple (values, vectors): values descending, shape (m,), and vectors
     (n, m) with orthonormal columns, column j pairing with values[j].
 
-    a is a SymmetricBlocks or a CenteredSquares, read, past the finite check
-    below, only through its n and its @; anything else, an array included,
-    raises TypeError. Block subspace iteration (Halko, Martinsson & Tropp,
-    SIAM Review 2011) finds them from m + 8 columns, started from a hashed
-    block and stopped once each coordinate column sqrt(lambda_j) v_j is
-    within 1e-12 sqrt(|lambda|max) of the exact one, or its residual is at
-    round-off level; a full eigh of a @ I, the only n x n matrix made, takes
-    over when n is small (2(m + 8) >= n) or when the iteration cannot vouch
-    for its answer (see _top_subspace, _top_full). So both paths read the
-    same products. A SymmetricBlocks is refused with NonFiniteError when it
-    holds an inf or NaN, which neither path refuses by itself: on the
-    identity with one NaN pair the full eigh gives the eigenvalues 1, 1 at
-    n = 10, and the iteration numpy's LinAlgError at n = 30. A
-    CenteredSquares refuses its own non-finite products, and
-    geodesic.double_center, which makes it, its distances.
+    a is a CenteredSquares, the one operator classical MDS passes, read
+    only through its n and its @; anything else, a SymmetricBlocks or an
+    array included, raises TypeError. Block subspace iteration (Halko,
+    Martinsson & Tropp, SIAM Review 2011) finds them from m + 8 columns,
+    started from a hashed block and stopped once each coordinate column
+    sqrt(lambda_j) v_j is within 1e-12 sqrt(|lambda|max) of the exact one,
+    or its residual is at round-off level; a full eigh of a @ I, the only n
+    x n matrix made, takes over when n is small (2(m + 8) >= n) or when the
+    iteration cannot vouch for its answer (see _top_subspace, _top_full).
+    So both paths read the same products. The operator refuses its own
+    non-finite products, and geodesic.double_center, which makes it, its
+    distances.
 
     Deterministic for a fixed input: eigenvalue ties keep their original
     order (stable sort) and each eigenvector's largest-magnitude component
     is made positive so downstream outputs are reproducible.
     """
-    if not isinstance(a, (SymmetricBlocks, CenteredSquares)):
-        raise TypeError(f"expected a SymmetricBlocks or a CenteredSquares, got {type(a).__name__}")
+    if not isinstance(a, CenteredSquares):
+        raise TypeError(f"expected a CenteredSquares, got {type(a).__name__}")
     n = a.n
     if not 1 <= m <= n:
         raise ValueError(f"m must be in [1, {n}], got {m}")
-    if isinstance(a, SymmetricBlocks):
-        _check_finite(a.buf, "matrix has non-finite entries")
     top = _top_subspace(a.__matmul__, n, m) if 2 * (m + _OVERSAMPLE) < n else None
     values, vectors = top if top is not None else _top_full(a, m)
     for j in range(m):

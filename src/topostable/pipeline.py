@@ -202,10 +202,12 @@ def write_scatter_svg(emb, labels, out):
     """Static SVG scatter of the first two embedding coordinates.
 
     One circle per embedding row, drawn in row order; fill color keyed by
-    label when labels are given, one per row.
+    label when labels are given, one per row (ValueError otherwise).
     """
     if emb.m < 2:
         raise BadDimError("scatter plot needs an embedding with m >= 2")
+    if labels is not None and len(labels) != emb.coords.shape[0]:
+        raise ValueError("labels length must match the embedding row count")
     x, y = emb.coords[:, 0], emb.coords[:, 1]
     x0, x1 = _axis_range(x)
     y0, y1 = _axis_range(y)

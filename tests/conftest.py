@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from topostable import DataSet, graph, linalg
+from topostable import DataSet, GeodesicMatrix, graph, linalg
 from topostable.graph import METHODS
 
 from stable_reference import _stable_select
@@ -145,13 +145,48 @@ def pack(a):
     return out
 
 
+def dense(d):
+    """The whole matrix of the linalg.SymmetricBlocks d, as a new (n, n)
+    array: each block's rows, and below each diagonal tile the transpose of
+    the block's part right of it."""
+    out = np.empty((d.n, d.n))
+    for a, blk in d.blocks():
+        h = blk.shape[0]
+        out[a:a + h, a:] = blk
+        out[a + h:, a:a + h] = blk[:, h:].T
+    return out
+
+
+def hand_built(a):
+    """A GeodesicMatrix over the square array a, packed (pack), with its
+    rows in the points' own order."""
+    d = pack(a)
+    return GeodesicMatrix(d=d, points=np.arange(d.n))
+
+
+class DenseOperator(linalg.CenteredSquares):
+    """A linalg.CenteredSquares, the one input symmetric_eigen_top takes,
+    whose d is a dense symmetric (n, n) float64 array standing for the
+    matrix itself, not for distances to square and center: n and @ read it,
+    the product being d @ q. Hand-made spectra go through the solver's one
+    public entry with it, so its size rule, its fallback and its sign rule
+    are tested on them."""
+
+    @property
+    def n(self):
+        return self.d.shape[0]
+
+    def __matmul__(self, q):
+        return self.d @ q
+
+
 def centered_squares(d):
     """-H S H / 2 for S the squares of the packed distances d and H = I -
-    ones/n, from d.dense() by dense products: the reference for
+    ones/n, from dense(d) by dense products: the reference for
     linalg.CenteredSquares, which never forms it."""
     n = d.n
     h = np.eye(n) - 1.0 / n
-    return -0.5 * (h @ np.square(d.dense()) @ h)
+    return -0.5 * (h @ np.square(dense(d)) @ h)
 
 
 def peak_bytes(fn):

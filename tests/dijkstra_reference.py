@@ -7,9 +7,7 @@ Floyd-Warshall and runs only in the tests.
 
 import numpy as np
 
-from topostable import GeodesicMatrix
-
-from conftest import pack
+from conftest import hand_built
 
 
 def csr_adjacency(g):
@@ -51,4 +49,4 @@ def dijkstra_all_pairs(g):
     """Exact all-pairs shortest paths; same contract as floyd_all_pairs."""
     indptr, indices, weights = csr_adjacency(g)
     d = _dijkstra_all(indptr, indices, weights, g.n)
-    return GeodesicMatrix(d=pack(d))
+    return hand_built(d)

@@ -16,7 +16,6 @@ import pytest
 from topostable import (
     DataSet,
     Embedding,
-    GeodesicMatrix,
     NeighborGraph,
     RunConfig,
     SelectorConfig,
@@ -33,7 +32,7 @@ from topostable import (
 )
 from topostable.graph import _dots, _project_out_rows
 
-from conftest import cross_plane_edges, in_rows, pack, sweep_cells
+from conftest import DenseOperator, cross_plane_edges, dense, hand_built, in_rows, sweep_cells
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -124,7 +123,7 @@ def test_criterion_5_shortest_path_equivalence():
         weights = rng.uniform(0.1, 1.0, int(mask.sum()))
         g = NeighborGraph(n=n, edges=edges, weights=weights)
         gm = floyd_all_pairs(g)
-        df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
+        df, dd = dense(gm.d), in_rows(gm, dense(dijkstra_all_pairs(g).d))
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         if finite.any():
@@ -159,7 +158,7 @@ def test_criterion_6_numeric_kernel_properties():
     for _ in range(100):
         a = rng.normal(size=(10, 10))
         a = (a + a.T) / 2
-        values, vectors = symmetric_eigen_top(pack(a), 10)
+        values, vectors = symmetric_eigen_top(DenseOperator(a), 10)
         recon = (vectors * values) @ vectors.T
         worst_eig = max(worst_eig, float(np.max(np.abs(recon - a))))
 
@@ -179,7 +178,7 @@ def test_criterion_7_residual_variance_identity():
     emb = Embedding(coords=coords, eigenvalues=np.zeros(3))
     worst = 0.0
     for alpha in (1.0, 2.0, 0.3, 17.5):
-        gm = GeodesicMatrix(d=pack(dy / alpha))
+        gm = hand_built(dy / alpha)
         worst = max(worst, residual_variance(gm, emb))
     ok = worst <= 1e-12
     report(7, "residual-variance identity", ok, f"max rv = {worst:.2e} over scalings")

@@ -30,7 +30,7 @@ from topostable import (
 from topostable import geodesic, graph, linalg
 from topostable.errors import BadDimError, NonFiniteError, ZeroVarianceError
 
-from conftest import blob_images, centered_squares, in_rows, pack, peak_bytes
+from conftest import blob_images, centered_squares, dense, hand_built, in_rows, pack, peak_bytes
 from dijkstra_reference import dijkstra_all_pairs
 
 
@@ -125,24 +125,24 @@ ORACLE_GRAPHS = {
 class TestAllPairs:
     def test_single_path(self, apsp):
         gm = apsp(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 2.0)]))
-        assert gm.d.dense()[0, 2] == 3.0
+        assert dense(gm.d)[0, 2] == 3.0
         assert np.array_equal(gm.component_ids, [0, 0, 0])
 
     def test_disconnected(self, apsp):
         gm = apsp(graph_from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)]))
-        assert np.isinf(gm.d.dense()[0, 2]) and np.isinf(gm.d.dense()[1, 3])
-        assert gm.d.dense()[0, 1] == 1.0
+        assert np.isinf(dense(gm.d)[0, 2]) and np.isinf(dense(gm.d)[1, 3])
+        assert dense(gm.d)[0, 1] == 1.0
         assert np.array_equal(gm.component_ids, [0, 0, 1, 1])
 
     def test_triangle_heavy_edge_bypassed(self, apsp):
         gm = apsp(graph_from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 10.0)]))
-        assert gm.d.dense()[0, 2] == 2.0
+        assert dense(gm.d)[0, 2] == 2.0
 
     def test_empty_graph(self, apsp):
         gm = apsp(graph_from_edges(3, []))
         off = ~np.eye(3, dtype=bool)
-        assert np.all(np.isinf(gm.d.dense()[off]))
-        assert np.all(np.diag(gm.d.dense()) == 0.0)
+        assert np.all(np.isinf(dense(gm.d)[off]))
+        assert np.all(np.diag(dense(gm.d)) == 0.0)
         assert np.array_equal(gm.component_ids, [0, 1, 2])
 
 
@@ -150,7 +150,7 @@ class TestFloydDijkstraAgreement:
     def test_random_sparse_n50(self):
         g = random_graph(np.random.default_rng(1), 50, 0.1)
         gm = floyd_all_pairs(g)
-        df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
+        df, dd = dense(gm.d), in_rows(gm, dense(dijkstra_all_pairs(g).d))
         finite = np.isfinite(df)
         assert np.array_equal(finite, np.isfinite(dd))
         assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -161,7 +161,7 @@ class TestFloydDijkstraAgreement:
             n = int(rng.integers(2, 60))
             g = random_graph(rng, n, float(rng.uniform(0.05, 0.6)))
             gm = floyd_all_pairs(g)
-            df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
+            df, dd = dense(gm.d), in_rows(gm, dense(dijkstra_all_pairs(g).d))
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             if finite.any():
@@ -172,7 +172,7 @@ class TestFloydDijkstraAgreement:
         for n, p in ((20, 0.3), (40, 0.15)):
             g = random_graph(rng, n, p)
             gm = floyd_all_pairs(g)
-            df, dd = gm.d.dense(), in_rows(gm, dijkstra_all_pairs(g).d.dense())
+            df, dd = dense(gm.d), in_rows(gm, dense(dijkstra_all_pairs(g).d))
             finite = np.isfinite(df)
             assert np.array_equal(finite, np.isfinite(dd))
             assert np.max(np.abs(df[finite] - dd[finite])) <= 1e-12
@@ -181,13 +181,13 @@ class TestFloydDijkstraAgreement:
         rng = np.random.default_rng(3)
         g = random_graph(rng, 40, 0.15)
         gm = floyd_all_pairs(g)
-        assert np.array_equal(gm.d.dense(), gm.d.dense().T)
-        assert np.all(np.diag(gm.d.dense()) == 0.0)
-        finite = np.isfinite(gm.d.dense())
+        assert np.array_equal(dense(gm.d), dense(gm.d).T)
+        assert np.all(np.diag(dense(gm.d)) == 0.0)
+        finite = np.isfinite(dense(gm.d))
         for _ in range(200):
             i, j, k = rng.integers(0, 40, size=3)
             if finite[i, j] and finite[i, k] and finite[k, j]:
-                assert gm.d.dense()[i, j] <= gm.d.dense()[i, k] + gm.d.dense()[k, j] + 1e-9
+                assert dense(gm.d)[i, j] <= dense(gm.d)[i, k] + dense(gm.d)[k, j] + 1e-9
 
 
 def on_threads(workers, call):
@@ -235,7 +235,7 @@ class TestFloydOracle:
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
             if components is not None:
                 assert int(gm.component_ids.max()) + 1 == components
-            d = gm.d.dense()
+            d = dense(gm.d)
             assert np.array_equal(d, in_rows(gm, reference))
             assert np.array_equal(d, d.T)
             assert np.all(np.diag(d) == 0.0)
@@ -267,8 +267,8 @@ class TestFloydProperties:
     def test_equals_plain_recurrence_and_stays_symmetric(self, workers, g):
         reference = pivoted_reference(g)
         for gm in on_threads(workers, lambda: floyd_all_pairs(g)):
-            assert np.array_equal(gm.d.dense(), in_rows(gm, reference))
-            assert np.array_equal(gm.d.dense(), gm.d.dense().T)
+            assert np.array_equal(dense(gm.d), in_rows(gm, reference))
+            assert np.array_equal(dense(gm.d), dense(gm.d).T)
 
     def test_equals_plain_recurrence_at_a_realistic_size(self):
         # with a short last chunk
@@ -276,7 +276,7 @@ class TestFloydProperties:
         assert n % linalg.ROW_BLOCK
         g = build_graph(gen_swiss_roll(n, 1).data, SelectorConfig(k=10), "stable")
         gm = floyd_all_pairs(g)
-        assert np.array_equal(gm.d.dense(), in_rows(gm, pivoted_reference(g)))
+        assert np.array_equal(dense(gm.d), in_rows(gm, pivoted_reference(g)))
 
     @pytest.mark.parametrize(
         "points",
@@ -289,7 +289,7 @@ class TestFloydProperties:
         # relative to the largest geodesic
         g = build_graph(DataSet(points), SelectorConfig(k=10), "stable")
         gm = floyd_all_pairs(g)
-        d, natural = gm.d.dense(), in_rows(gm, floyd_reference(g, range(g.n)))
+        d, natural = dense(gm.d), in_rows(gm, floyd_reference(g, range(g.n)))
         finite = np.isfinite(natural)
         assert np.array_equal(np.isfinite(d), finite)
         assert np.max(np.abs(d[finite] - natural[finite])) <= 1e-12 * natural[finite].max()
@@ -298,7 +298,7 @@ class TestFloydProperties:
 def kernel_in_natural_order(g):
     """_floyd_in_place on g's weights in the points' own order, with no
     pivot order, as an (n, n) array."""
-    return geodesic._floyd_in_place(geodesic._weights(g, np.arange(g.n))).dense()
+    return dense(geodesic._floyd_in_place(geodesic._weights(g, np.arange(g.n))))
 
 
 class TestFloydKernelNaturalOrder:
@@ -379,7 +379,7 @@ class TestToDenseWeights:
         for order in self.permutations(n):
             places = np.empty(n, np.int64)
             places[order] = np.arange(n)
-            assert np.array_equal(geodesic._weights(g, places).dense(), natural[np.ix_(order, order)])
+            assert np.array_equal(dense(geodesic._weights(g, places)), natural[np.ix_(order, order)])
 
 
 class _ModuleProxy:
@@ -556,7 +556,7 @@ class TestLargestComponent:
         data = DataSet(np.arange(10.0).reshape(5, 2))
         _, sub_gm, kept = largest_component(floyd_all_pairs(g), data)
         assert np.array_equal(kept, [0, 1, 2])
-        assert np.all(np.isfinite(sub_gm.d.dense()))
+        assert np.all(np.isfinite(dense(sub_gm.d)))
 
     def test_nothing_dropped_returns_inputs(self):
         # past ROW_BLOCK points the pivot order is not the points' own
@@ -576,7 +576,7 @@ class TestLargestComponent:
         sub_data, sub_gm, _ = largest_component(gm, data)
         assert not np.shares_memory(sub_gm.d.buf, gm.d.buf)
         assert not np.shares_memory(sub_data.points, data.points)
-        assert np.array_equal(sub_gm.d.dense(), gm.d.dense()[:3, :3])
+        assert np.array_equal(dense(sub_gm.d), dense(gm.d)[:3, :3])
 
     def test_tie_keeps_component_of_lowest_index(self):
         g = graph_from_edges(4, [(0, 2, 1.0), (1, 3, 1.0)])
@@ -602,7 +602,7 @@ class TestLargestComponent:
         sub_data, sub_gm, kept = largest_component(gm, data)
         assert np.array_equal(np.sort(kept), np.flatnonzero(ids == ids[lowest]))
         assert np.array_equal(sub_gm.points, kept)
-        assert np.array_equal(sub_gm.d.dense(), in_rows(sub_gm, pivoted_reference(g)))
+        assert np.array_equal(dense(sub_gm.d), in_rows(sub_gm, pivoted_reference(g)))
         assert np.array_equal(sub_data.points, data.points[kept])
 
     def test_components_read_from_the_distances(self):
@@ -612,11 +612,11 @@ class TestLargestComponent:
         for part in ([0, 3], [1, 2, 4]):
             d[np.ix_(part, part)] = 1.0
         np.fill_diagonal(d, 0.0)
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         assert np.array_equal(gm.component_ids, [0, 1, 1, 0, 1])
         sub_data, sub_gm, kept = largest_component(gm, DataSet(np.arange(10.0).reshape(5, 2)))
         assert np.array_equal(kept, [1, 2, 4])
-        assert np.array_equal(sub_gm.d.dense(), 1.0 - np.eye(3))
+        assert np.array_equal(dense(sub_gm.d), 1.0 - np.eye(3))
         assert np.array_equal(sub_gm.component_ids, [0, 0, 0])
         assert np.array_equal(sub_data.points, [[2.0, 3.0], [4.0, 5.0], [8.0, 9.0]])
 
@@ -630,7 +630,7 @@ class TestGeodesicMatrixInput:
     @pytest.mark.parametrize("d", [np.zeros((3, 3)), np.zeros((3, 3)).tolist()], ids=["ndarray", "list"])
     def test_dense_distances_refused(self, d):
         with pytest.raises(TypeError, match="^d must be a linalg.SymmetricBlocks, got "):
-            GeodesicMatrix(d=d)
+            GeodesicMatrix(d=d, points=np.arange(3))
 
     @pytest.mark.parametrize("points", [np.arange(2), np.arange(5)[None, :], np.arange(6)],
                              ids=["short", "2-D", "long"])
@@ -661,7 +661,11 @@ class TestGeodesicMatrixInput:
     def test_points_kept_as_given(self):
         points = np.array([4, 0, 3, 1, 2], dtype=np.int32)
         assert GeodesicMatrix(d=pack(np.zeros((5, 5))), points=points).points is points
-        assert np.array_equal(GeodesicMatrix(d=pack(np.zeros((5, 5)))).points, np.arange(5))
+
+    def test_points_required(self):
+        # the rows' point ids have no default order
+        with pytest.raises(TypeError, match="points"):
+            GeodesicMatrix(d=pack(np.zeros((5, 5))))
 
 
 class TestDoubleCenter:
@@ -742,12 +746,12 @@ class TestDoubleCenter:
 def gm_from_coords(coords):
     diff = coords[:, None, :] - coords[None, :, :]
     d = np.sqrt((diff**2).sum(-1))
-    return GeodesicMatrix(d=pack(d))
+    return hand_built(d)
 
 
 class TestClassicalMds:
     def test_two_points_half_coordinates(self):
-        gm = GeodesicMatrix(d=pack(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        gm = hand_built(np.array([[0.0, 1.0], [1.0, 0.0]]))
         emb = classical_mds(gm, 1)
         assert emb.eigenvalues == pytest.approx([0.5], abs=1e-15)
         assert np.allclose(emb.coords.ravel(), [0.5, -0.5], atol=1e-12)
@@ -758,7 +762,7 @@ class TestClassicalMds:
         gm = gm_from_coords(coords)
         emb = classical_mds(gm, 2)
         rec = gm_from_coords(emb.coords)
-        assert np.max(np.abs(rec.d.dense() - gm.d.dense())) <= 1e-8
+        assert np.max(np.abs(dense(rec.d) - dense(gm.d))) <= 1e-8
 
     def test_column_scaling_and_orthogonality(self):
         square = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -778,7 +782,7 @@ class TestClassicalMds:
     def test_nonfinite_raises(self):
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = np.inf
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         with pytest.raises(NonFiniteError):
             classical_mds(gm, 1)
 
@@ -795,7 +799,7 @@ class TestClassicalMds:
         d = rng.uniform(0.5, 2.0, size=(8, 8))
         d = (d + d.T) / 2
         np.fill_diagonal(d, 0.0)
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         emb = classical_mds(gm, 7)
         assert emb.n_clipped >= 1
         clipped = np.flatnonzero(emb.eigenvalues < 0)
@@ -811,18 +815,18 @@ class TestNonFiniteGeodesics:
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("stage", ["mds", "rv"])
     def test_refused(self, stage, value):
-        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
-        emb = classical_mds(GeodesicMatrix(d=pack(d)), 2)
+        d = dense(gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d)
+        emb = classical_mds(hand_built(d), 2)
         d[4, 1] = d[1, 4] = value
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         with pytest.raises(NonFiniteError, match="^geodesic matrix spans multiple components$"):
             classical_mds(gm, 2) if stage == "mds" else residual_variance(gm, emb)
 
     def test_overflowing_squares_are_not_missing_paths(self):
         # finite geodesics whose squares overflow keep the operator's message
-        d = gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d.dense()
+        d = dense(gm_from_coords(np.random.default_rng(3).normal(size=(6, 2))).d)
         d[4, 1] = d[1, 4] = 1e200
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
 
@@ -871,21 +875,21 @@ class TestSquaresInPlace:
         frozen = GeodesicMatrix(d=linalg.SymmetricBlocks(gm.n, buf), points=gm.points)
         assert same_bits(self.embeds_and_restores(frozen).coords, classical_mds(gm, 2).coords)
 
-    def test_tiny_pair_takes_the_copy(self):
+    def test_tiny_pair_only_read(self):
         # one pair at 1e-160 in a unit-scale cloud: its square, 1e-320, is
         # subnormal, and its root would not be 1e-160; the squares were
         # once taken in place and their roots taken back
-        d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
+        d = dense(gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d)
         d[3, 66] = d[66, 3] = 1e-160
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         assert np.sqrt(np.square(1e-160)) != 1e-160
         self.embeds_and_restores(gm)
 
     @pytest.mark.parametrize("x", [2.0**512, 1e200], ids=["2^512", "1e200"])
-    def test_squares_that_overflow_take_the_copy(self, x):
-        d = gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d.dense()
+    def test_squares_that_overflow_only_read(self, x):
+        d = dense(gm_from_coords(np.random.default_rng(8).normal(size=(70, 3))).d)
         d[5, 1] = d[1, 5] = x
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         before = gm.d.buf.copy()
         with pytest.raises(NonFiniteError, match="^matrix has non-finite entries$"):
             classical_mds(gm, 2)
@@ -906,7 +910,7 @@ class TestSquaresInPlace:
 class TestResidualVariance:
     @pytest.mark.parametrize("n", [1, 2])
     def test_fewer_than_three_points_refused(self, n):
-        gm = GeodesicMatrix(d=pack(np.zeros((n, n))))
+        gm = hand_built(np.zeros((n, n)))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ValueError, match=f"at least 3 points, got {n}"):
             residual_variance(gm, emb)
@@ -919,14 +923,14 @@ class TestResidualVariance:
 
     def test_constant_geodesics_raise(self):
         # an equilateral triangle: all three geodesics are 1
-        gm = GeodesicMatrix(d=pack(1.0 - np.eye(3)))
+        gm = hand_built(1.0 - np.eye(3))
         emb = Embedding(coords=np.array([[0.0], [1.0], [3.0]]), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
 
     def test_constant_geodesics_across_blocks_raise(self):
         n = 130  # three blocks of rows, each constant on its own
-        gm = GeodesicMatrix(d=pack(1.0 - np.eye(n)))
+        gm = hand_built(1.0 - np.eye(n))
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -935,13 +939,13 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[100, 120] = d[120, 100] = 2.0  # in the second block of rows only
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         assert residual_variance(gm, emb) == pytest.approx(residual_variance_fsum(gm, emb), rel=1e-12, abs=0.0)
 
     def test_both_sides_constant_name_the_geodesics(self):
         n = 130
-        gm = GeodesicMatrix(d=pack(2.5 * (1.0 - np.eye(n))))
+        gm = hand_built(2.5 * (1.0 - np.eye(n)))
         emb = Embedding(coords=np.ones((n, 2)), eigenvalues=np.zeros(2))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -959,7 +963,7 @@ class TestResidualVariance:
         n = 130
         d = 1.0 - np.eye(n)
         d[n - 1, n - 2] = d[n - 2, n - 1] = np.inf
-        gm = GeodesicMatrix(d=pack(d))
+        gm = hand_built(d)
         emb = Embedding(coords=np.zeros((n, 1)), eigenvalues=np.zeros(1))
         tracemalloc.start()
         try:
@@ -987,7 +991,7 @@ class TestResidualVariance:
         geo = side * (1.0 - np.eye(n))
         iu = np.triu_indices(n, 1)
         assert np.any(geo[iu] - geo[iu].mean() != 0.0)
-        gm = GeodesicMatrix(d=pack(geo))
+        gm = hand_built(geo)
         emb = Embedding(coords=np.arange(n, dtype=np.float64).reshape(n, 1), eigenvalues=np.zeros(1))
         with pytest.raises(ZeroVarianceError, match="^residual variance undefined: every geodesic distance is equal$"):
             residual_variance(gm, emb)
@@ -997,7 +1001,7 @@ class TestResidualVariance:
         """Geodesics of 4 points on a line and a 1-D embedding of them, not
         constant and not a perfect fit, at the given scales."""
         x = np.array([0.0, 1.0, 3.0, 7.0]) * geo_scale
-        gm = GeodesicMatrix(d=pack(np.abs(x[:, None] - x[None, :])))
+        gm = hand_built(np.abs(x[:, None] - x[None, :]))
         emb = Embedding(coords=np.array([[0.0], [1.0], [2.0], [5.0]]) * emb_scale, eigenvalues=np.zeros(1))
         return gm, emb
 
@@ -1043,7 +1047,7 @@ class TestResidualVariance:
     def test_uniform_scaling_zero(self):
         coords = np.random.default_rng(7).normal(size=(15, 2))
         gm = gm_from_coords(coords)
-        scaled = GeodesicMatrix(d=pack(2.0 * gm.d.dense()))
+        scaled = hand_built(2.0 * dense(gm.d))
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         assert residual_variance(scaled, emb) <= 1e-12
 
@@ -1061,7 +1065,7 @@ class TestResidualVariance:
         gm = gm_from_coords(other)
         emb = Embedding(coords=coords, eigenvalues=np.zeros(2))
         rv1 = residual_variance(gm, emb)
-        rv2 = residual_variance(GeodesicMatrix(d=pack(3.7 * gm.d.dense())), emb)
+        rv2 = residual_variance(hand_built(3.7 * dense(gm.d)), emb)
         assert rv1 == pytest.approx(rv2, abs=1e-12)
 
     def test_mds_round_trip_after_rigid_lift(self):
@@ -1097,7 +1101,7 @@ def dense_pairs(gm, emb):
     diff = coords[:, None, :] - coords[None, :, :]
     euclid = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     iu = np.triu_indices(gm.n, 1)
-    return gm.d.dense()[iu], euclid[iu]
+    return dense(gm.d)[iu], euclid[iu]
 
 
 def residual_variance_reference(gm, emb):
@@ -1174,7 +1178,7 @@ class TestBackHalf:
         # the blocks' sums merge differently
         gm, emb = projected_points(len(order), m)
         p = np.array(order)
-        moved = GeodesicMatrix(d=pack(gm.d.dense()[np.ix_(p, p)]))
+        moved = hand_built(dense(gm.d)[np.ix_(p, p)])
         moved_emb = Embedding(coords=emb.coords[p], eigenvalues=emb.eigenvalues)
         assert residual_variance(moved, moved_emb) == pytest.approx(residual_variance(gm, emb), rel=1e-12, abs=0.0)
 
@@ -1243,7 +1247,7 @@ class TestPipelineGraphIntegration:
         data = DataSet(rng.normal(size=(40, 3)))
         g = build_graph(data, SelectorConfig(k=6), "standard")
         gm_f = floyd_all_pairs(g)
-        d_d = in_rows(gm_f, dijkstra_all_pairs(g).d.dense())
-        finite = np.isfinite(gm_f.d.dense())
+        d_d = in_rows(gm_f, dense(dijkstra_all_pairs(g).d))
+        finite = np.isfinite(dense(gm_f.d))
         assert np.array_equal(finite, np.isfinite(d_d))
-        assert np.max(np.abs(gm_f.d.dense()[finite] - d_d[finite])) <= 1e-12
+        assert np.max(np.abs(dense(gm_f.d)[finite] - d_d[finite])) <= 1e-12

@@ -300,17 +300,17 @@ class TestMemory:
 
 
 class TestNoDenseMatrix:
-    """The run keeps its geodesics as their upper row blocks throughout:
-    SymmetricBlocks.dense, the one way from them to an n x n array, raises
-    here. n is large enough that MDS takes the subspace iteration, not the
-    full eigh."""
+    """The run keeps its geodesics as their upper row blocks throughout: the
+    eigensolver's full eigh (linalg._top_full), the one step that makes an n
+    x n array, raises here. n is large enough that MDS takes the subspace
+    iteration, not the full eigh."""
 
     @pytest.fixture(autouse=True)
     def refuse_dense(self, monkeypatch):
-        def dense(self):
-            raise AssertionError(f"a {self.n} x {self.n} matrix was made")
+        def top_full(a, m):
+            raise AssertionError(f"a {a.n} x {a.n} matrix was made")
 
-        monkeypatch.setattr(linalg.SymmetricBlocks, "dense", dense)
+        monkeypatch.setattr(linalg, "_top_full", top_full)
 
     @pytest.mark.parametrize("method", ["standard", "stable"])
     def test_embed_and_residual_variance(self, method):
@@ -554,6 +554,15 @@ class TestWriteScatterSvg:
         assert len(circles) == 4
         for c in circles:
             assert np.isfinite(float(c.get("cx"))) and np.isfinite(float(c.get("cy")))
+
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 0, 1]], ids=["short", "long"])
+    def test_labels_of_another_length_refused(self, tmp_path, labels):
+        # zip once drew a circle only for each row that had a label
+        emb = Embedding(coords=np.array([[0.0, 0.0], [1.0, 2.0], [3.0, -1.0]]), eigenvalues=np.ones(2))
+        path = tmp_path / "s.svg"
+        with pytest.raises(ValueError, match="^labels length must match the embedding row count$"):
+            write_scatter_svg(emb, labels, path)
+        assert not path.exists()
 
     def test_one_dimensional_embedding_rejected(self, tmp_path):
         emb = Embedding(coords=np.zeros((3, 1)), eigenvalues=np.ones(1))
